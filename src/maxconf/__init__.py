@@ -16,6 +16,7 @@ from .ensembles import (
     build_depolarized_family,
     build_symmetric_ensemble,
     default_phases,
+    orbit,
     validate,
 )
 from .errors import (
@@ -108,6 +109,7 @@ __all__ = [
     "is_psd",
     "is_unambiguous",
     "opnorm",
+    "orbit",
     "perturbation_witness",
     "psd_power",
     "pure_symmetric_solution",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -117,18 +118,7 @@ def _solve(ensemble, mode: str, tol: float | None):
         cert = verify_certificate(
             ensemble, report.detection, report.certificate.z, pos_tol=tol, eq_tol=tol
         )
-        report = type(report)(
-            mode=report.mode,
-            detection=report.detection,
-            detection_rate=report.detection_rate,
-            failure_probability=report.failure_probability,
-            confidences=report.confidences,
-            correct_probability=report.correct_probability,
-            certificate=cert,
-            certified=cert.accepted,
-            iterations=report.iterations,
-            support_scale=report.support_scale,
-        )
+        report = replace(report, certificate=cert, certified=cert.accepted)
     return report
 
 
@@ -253,13 +243,8 @@ def cmd_sweep(args) -> int:
         family = _family_instance(kind, spec, param, float(value))
         sol = _closed_form(kind, family)
         ensemble = family.ensemble()
-        try:
-            solved = solve_rank1_symmetric(ensemble)
-            certified = solved.certified
-        except _ANALYTIC_BLOCKERS:
-            solved = solve_numeric(ensemble)
-            certified = solved.certified
-        row = [kind, float(value), sol.confidence, sol.failure_probability, sol.alpha, certified]
+        solved = _solve(ensemble, "auto", None)
+        row = [kind, float(value), sol.confidence, sol.failure_probability, sol.alpha, solved.certified]
         if kind == "pure-symmetric":
             row.append(square_root_measurement(family)[1])
         if args.check:

@@ -202,11 +202,7 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
                                f"symmetry order {s.order} != number of states {e.n_states}"))
         else:
             vu = s.generator()
-            dev_orbit = 0.0
-            for j in range(1, e.n_states):
-                vj = np.diag(s.phases**j)
-                dev_orbit = max(dev_orbit, float(np.max(np.abs(
-                    e.states[j] - vj @ e.states[0] @ vj.conj().T))))
+            dev_orbit = float(np.max(np.abs(e.states - orbit(e.states[0], s.phases, s.order))))
             if dev_orbit > TOL_RECON:
                 v.append(Violation("symmetry_orbit", dev_orbit,
                                    "states are not the cyclic orbit of the first state"))
@@ -225,6 +221,34 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     return ValidationReport(violations=v, flags=flags)
 
 
+def orbit(op: np.ndarray, phases: np.ndarray, order: int) -> np.ndarray:
+    """The cyclic orbit V^k op V^-k, k = 0..order-1, of V = diag(phases).
+
+    op is one (d, d) operator, or a stack (order, d, d) whose entry k is
+    conjugated by V^k. Returns an (order, d, d) array.
+    """
+    phases = np.asarray(phases, dtype=complex)
+    # integer powers one by one: phases ** np.arange(order) rounds differently
+    powers = np.stack([phases**k for k in range(order)])
+    return (powers[:, :, None] * op) * powers.conj()[:, None, :]
+
+
+def _cyclic_ensemble(
+    rho1: np.ndarray, order: int, phases: np.ndarray | None, reference: np.ndarray
+) -> StateEnsemble:
+    """Equiprobable orbit of rho1 under V = diag(phases), default phases if None."""
+    dim = rho1.shape[0]
+    if phases is None:
+        phases = default_phases(order, dim)
+    else:
+        phases = np.asarray(phases, dtype=complex).reshape(-1)
+        if phases.shape[0] != dim:
+            raise InvalidPhasesError(f"{phases.shape[0]} phases for dimension {dim}")
+    spec = SymmetrySpec(order=order, phases=phases, reference=reference)
+    return StateEnsemble(dim=dim, priors=np.full(order, 1.0 / order),
+                         states=orbit(rho1, spec.phases, order), symmetry=spec)
+
+
 def build_symmetric_ensemble(
     reference: np.ndarray,
     order: int,
@@ -238,13 +262,11 @@ def build_symmetric_ensemble(
     """
     reference = np.asarray(reference, dtype=complex)
     if reference.ndim == 1:
-        dim = reference.shape[0]
         nrm = float(np.linalg.norm(reference))
         if abs(nrm - 1.0) > 1e-9:
             raise InfeasibleInputError(f"coefficient vector has norm {nrm:.12f}, expected 1")
         rho1 = np.outer(reference, reference.conj())
     elif reference.ndim == 2 and reference.shape[0] == reference.shape[1]:
-        dim = reference.shape[0]
         rho1 = require_hermitian(reference, name="reference state")
         w = np.linalg.eigvalsh(rho1)
         if float(w[0]) < -1e-9:
@@ -253,21 +275,7 @@ def build_symmetric_ensemble(
             raise InfeasibleInputError("reference state must have unit trace")
     else:
         raise InfeasibleInputError(f"reference must be a vector or square matrix, got shape {reference.shape}")
-
-    if phases is None:
-        ph = default_phases(order, dim)
-    else:
-        ph = np.asarray(phases, dtype=complex).reshape(-1)
-        if ph.shape[0] != dim:
-            raise InvalidPhasesError(f"{ph.shape[0]} phases for dimension {dim}")
-    spec = SymmetrySpec(order=order, phases=ph, reference=reference)
-
-    states = np.empty((order, dim, dim), dtype=complex)
-    for j in range(order):
-        vj = ph**j
-        states[j] = (vj[:, None] * rho1) * vj.conj()[None, :]
-    priors = np.full(order, 1.0 / order)
-    return StateEnsemble(dim=dim, priors=priors, states=states, symmetry=spec)
+    return _cyclic_ensemble(rho1, order, phases, reference)
 
 
 def build_depolarized_family(
@@ -295,16 +303,4 @@ def build_depolarized_family(
         raise InfeasibleInputError(f"purity must lie in [0, 1], got {purity}")
 
     rho1 = purity * np.outer(c, c.conj()) + (1.0 - purity) * np.eye(dim) / dim
-    if phases is None:
-        ph = default_phases(order, dim)
-    else:
-        ph = np.asarray(phases, dtype=complex).reshape(-1)
-        if ph.shape[0] != dim:
-            raise InvalidPhasesError(f"{ph.shape[0]} phases for dimension {dim}")
-    spec = SymmetrySpec(order=order, phases=ph, reference=c)
-    states = np.empty((order, dim, dim), dtype=complex)
-    for j in range(order):
-        vj = ph**j
-        states[j] = (vj[:, None] * rho1) * vj.conj()[None, :]
-    priors = np.full(order, 1.0 / order)
-    return StateEnsemble(dim=dim, priors=priors, states=states, symmetry=spec)
+    return _cyclic_ensemble(rho1, order, phases, c)

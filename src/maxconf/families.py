@@ -22,6 +22,7 @@ from .ensembles import (
     StateEnsemble,
     build_depolarized_family,
     default_phases,
+    orbit,
 )
 from .errors import DegenerateCoefficientError, InfeasibleInputError
 
@@ -113,14 +114,6 @@ class FamilySolution:
         return self.confidence * (1.0 - self.failure_probability)
 
 
-def _orbit(op: np.ndarray, phases: np.ndarray, order: int) -> np.ndarray:
-    out = np.empty((order, op.shape[0], op.shape[0]), dtype=complex)
-    for j in range(order):
-        vj = phases**j
-        out[j] = (vj[:, None] * op) * vj.conj()[None, :]
-    return out
-
-
 def pure_symmetric_solution(family: SymmetricFamily) -> FamilySolution:
     """Optimal measurement for a pure symmetric family (purity = 1).
 
@@ -143,7 +136,7 @@ def pure_symmetric_solution(family: SymmetricFamily) -> FamilySolution:
     psi1 = c
     lead = rinv_diag * psi1
     pi1 = (float(mods2.min()) / n) * np.outer(lead, lead.conj())
-    ops = _orbit(pi1, family.resolved_phases(), n)
+    ops = orbit(pi1, family.resolved_phases(), n)
     return FamilySolution(
         confidence=confidence,
         failure_probability=failure,
@@ -196,7 +189,7 @@ def flat_mixed_solution(family: SymmetricFamily) -> FamilySolution:
     p = family.purity
     confidence = (1.0 + p * (d - 1.0)) / n
     pi1 = (d / n) * np.outer(c, c.conj())
-    ops = _orbit(pi1, family.resolved_phases(), n)
+    ops = orbit(pi1, family.resolved_phases(), n)
     return FamilySolution(
         confidence=confidence,
         failure_probability=0.0,
@@ -222,6 +215,6 @@ def square_root_measurement(family: SymmetricFamily) -> tuple[np.ndarray, float]
     # rho^(-1/2) is diagonal with entries 1/|c_l|
     lead = c / mods
     pi1 = np.outer(lead, lead.conj()) / n
-    ops = _orbit(pi1, family.resolved_phases(), n)
+    ops = orbit(pi1, family.resolved_phases(), n)
     confidence = (d / n) * float(mods.sum() / np.sqrt(d)) ** 2
     return ops, confidence

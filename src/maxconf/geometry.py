@@ -39,7 +39,6 @@ from .operators import (
     orthonormal_columns,
     projector_onto_span,
     psd_power,
-    support_cutoff,
     support_projector,
 )
 
@@ -222,10 +221,7 @@ def _reduce_with_basis(
             ref_sub = ref[np.ix_(idx, idx)]
         else:
             ref_sub = ref[idx]
-        try:
-            symmetry = SymmetrySpec(order=ensemble.symmetry.order, phases=sub, reference=ref_sub)
-        except Exception:
-            symmetry = None
+        symmetry = SymmetrySpec(order=ensemble.symmetry.order, phases=sub, reference=ref_sub)
 
     reduced = StateEnsemble(dim=rank, priors=new_priors, states=new_states, symmetry=symmetry)
     return reduced, scale, basis

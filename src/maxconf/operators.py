@@ -24,14 +24,14 @@ TOL_RECON = 1e-10
 SUPPORT_RTOL = 1e-9
 
 
-def support_cutoff(eigenvalues: np.ndarray) -> float:
+def support_cutoff(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> float:
     """Absolute threshold below which eigenvalues count as zero.
 
-    Relative to the largest eigenvalue magnitude, with a floor of 1 so that
+    rtol times the largest eigenvalue magnitude, with a floor of 1 so that
     all-zero or tiny operators do not produce a vanishing cutoff.
     """
     scale = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    return SUPPORT_RTOL * max(scale, 1.0)
+    return rtol * max(scale, 1.0)
 
 
 def require_hermitian(a: np.ndarray, tol: float = TOL_HERM, name: str = "operator") -> np.ndarray:
@@ -141,11 +141,12 @@ def support_projector(a: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     return vs @ vs.conj().T
 
 
-def support_rank(a: np.ndarray, cutoff_rtol: float = SUPPORT_RTOL) -> int:
-    """Number of eigenvalues above the relative support cutoff."""
-    w = eig_hermitian(a).eigenvalues
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    return int(np.count_nonzero(np.abs(w) > cutoff_rtol * max(scale, 1.0)))
+def support_rank(a: np.ndarray, rtol: float = SUPPORT_RTOL) -> int:
+    """Number of eigenvalues of the Hermitian part of ``a`` whose magnitude
+    exceeds the support cutoff at ``rtol``."""
+    a = np.asarray(a)
+    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
+    return int(np.count_nonzero(np.abs(w) > support_cutoff(w, rtol)))
 
 
 def opnorm(a: np.ndarray) -> float:

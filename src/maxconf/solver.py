@@ -35,13 +35,12 @@ from.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import StateEnsemble, average_state
+from .ensembles import StateEnsemble, average_state, orbit
 from .errors import (
     DegenerateTopEigenvalueError,
     InfeasibleInputError,
@@ -51,7 +50,7 @@ from .errors import (
     NotSymmetricError,
 )
 from .geometry import MCGeometry, _reduce_with_basis, geometry
-from .operators import eig_hermitian, opnorm
+from .operators import eig_hermitian, opnorm, support_cutoff, support_rank
 
 POS_TOL = 1e-8
 EQ_TOL = 1e-8
@@ -208,12 +207,6 @@ class OptimalityCertificate:
     eq_tol: float
 
 
-def _rank(op: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:
-    w = np.linalg.eigvalsh(_sym(op))
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return int(np.count_nonzero(np.abs(w) > cutoff * scale))
-
-
 def verify_certificate(
     ensemble: StateEnsemble,
     detection: DetectionSet,
@@ -259,12 +252,12 @@ def verify_certificate(
     conditions["stationarity_residual"] = stationarity
     conditions["trace_gap"] = abs(float(np.trace(z).real) - rate)
 
-    rank_z = _rank(z)
-    rank_pi0 = _rank(pi0)
+    rank_z = support_rank(z, RANK_CUTOFF)
+    rank_pi0 = support_rank(pi0, RANK_CUTOFF)
     lower = 0
     for j in range(n):
         lam = geo.supports[j]
-        lower = max(lower, _rank(_sym(lam @ ensemble.states[j] @ lam)))
+        lower = max(lower, support_rank(lam @ ensemble.states[j] @ lam, RANK_CUTOFF))
     rank_ok = (rank_z + rank_pi0 <= ensemble.dim) and (rank_z >= lower)
 
     failures = []
@@ -369,12 +362,7 @@ def solve_rank1_symmetric(
 
     w1 = geo.inv_sqrt_rho @ nu
     pi1 = alpha * np.outer(w1, w1.conj())
-    phases = sym.phases
-    conclusive = np.empty((n, d, d), dtype=complex)
-    for j in range(n):
-        vj = phases**j
-        conclusive[j] = (vj[:, None] * pi1) * vj.conj()[None, :]
-    detection = DetectionSet.from_conclusive(conclusive)
+    detection = DetectionSet.from_conclusive(orbit(pi1, sym.phases, n))
 
     # dual operator: weight N*alpha spread over the components achieving
     # the minimum ratio (ties clustered at relative 1e-9)
@@ -426,7 +414,6 @@ def _barrier_solve(
     blocks: list[np.ndarray],
     gap_tol: float,
     max_newton: int,
-    init_jitter: np.ndarray | None = None,
 ):
     """Maximize sum_j Tr(rho W_j a_j W_j^dagger) over a_j >= 0 with
     sum_j W_j a_j W_j^dagger <= 1, by log-barrier path following.
@@ -450,9 +437,6 @@ def _barrier_solve(
     norm_sum = sum(opnorm(w @ w.conj().T) for w in blocks)
     c0 = 0.5 / max(norm_sum, 1e-300)
     a = [c0 * np.eye(m, dtype=complex) for m in ms]
-    if init_jitter is not None:
-        for j in range(n):
-            a[j] = c0 * (np.eye(ms[j], dtype=complex) + init_jitter[j][: ms[j], : ms[j]])
 
     eye = np.eye(d, dtype=complex)
     steps = 0
@@ -565,7 +549,8 @@ def _recover_dual(
     d = geo.dim
     pi0 = _sym(detection.inconclusive)
     spec = eig_hermitian(pi0)
-    kernel = spec.eigenvectors[:, np.abs(spec.eigenvalues) <= KERNEL_CUTOFF]
+    w = spec.eigenvalues
+    kernel = spec.eigenvectors[:, np.abs(w) <= support_cutoff(w, KERNEL_CUTOFF)]
     k = kernel.shape[1]
     if k == 0:
         return np.zeros((d, d), dtype=complex)
@@ -592,39 +577,11 @@ def _recover_dual(
     return _sym(z)
 
 
-def _twirl(ops: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Group-average a detection set over the cyclic symmetry.
-
-    ops[0] is the inconclusive operator (averaged in place), ops[j] for
-    j >= 1 are relabeled cyclically while conjugating, which preserves the
-    detection rate and completeness.
-    """
-    n = ops.shape[0] - 1
-    out = np.zeros_like(ops)
-    for k in range(n):
-        vk = phases**k
-        rot = (vk[:, None] * ops) * vk.conj()[None, :]
-        out[0] += rot[0]
-        for j in range(1, n + 1):
-            src = 1 + (j - 1 - k) % n
-            out[j] += rot[src]
-    return out / n
-
-
-def _twirl_single(op: np.ndarray, phases: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros_like(op)
-    for k in range(order):
-        vk = phases**k
-        out += (vk[:, None] * op) * vk.conj()[None, :]
-    return out / order
-
-
 def solve_numeric(
     ensemble: StateEnsemble,
     geo: MCGeometry | None = None,
     gap_tol: float = DEFAULT_GAP_TOL,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    seed: int | None = None,
 ) -> SolveReport:
     """Numerically optimal maximum-confidence measurement for any ensemble.
 
@@ -638,17 +595,10 @@ def solve_numeric(
 
     gap_tol bounds the duality gap of the barrier stage; if the certificate
     is rejected at that gap the solve is retried at tighter gaps (down to
-    1e-10) because the recovered dual's residuals shrink with the gap. seed
-    only affects the jittered restart used if a Newton run stalls (default
-    taken from MAXCONF_SEED, else 0).
+    1e-10) because the recovered dual's residuals shrink with the gap.
     """
     if geo is None:
         geo = geometry(ensemble)
-    if seed is None:
-        try:
-            seed = int(os.environ.get("MAXCONF_SEED", "0") or 0)
-        except ValueError:
-            seed = 0
 
     reduced, scale, basis = _reduce_with_basis(ensemble, geo)
     if reduced is ensemble:
@@ -669,20 +619,7 @@ def solve_numeric(
     total_steps = 0
     report = None
     for stage_gap in ladder:
-        try:
-            a_blocks, steps, gap = _barrier_solve(rho_r, blocks, stage_gap, max_iterations)
-        except NotConvergedError:
-            rng = np.random.default_rng(seed)
-            jitter = []
-            mmax = max(w.shape[1] for w in blocks)
-            for _ in blocks:
-                q = rng.standard_normal((mmax, mmax)) + 1j * rng.standard_normal((mmax, mmax))
-                q = _sym(q)
-                q *= 0.3 / max(opnorm(q), 1e-300)
-                jitter.append(q)
-            a_blocks, steps, gap = _barrier_solve(
-                rho_r, blocks, stage_gap, max_iterations, init_jitter=jitter
-            )
+        a_blocks, steps, gap = _barrier_solve(rho_r, blocks, stage_gap, max_iterations)
         total_steps += steps
 
         conclusive = np.empty((n, d, d), dtype=complex)
@@ -691,16 +628,19 @@ def solve_numeric(
             conclusive[j] = _sym(basis @ pj @ basis.conj().T)
 
         if symmetric:
-            stacked = DetectionSet.from_conclusive(conclusive).operators
-            stacked = _twirl(stacked, ensemble.symmetry.phases)
-            detection = DetectionSet(stacked)
+            # group average; for the conclusive outcomes
+            # sum_k V^k Pi_{j-k} V^-k = V^j [sum_i V^-i Pi_i V^i] V^-j
+            phases = ensemble.symmetry.phases
+            pi0 = orbit(np.eye(d) - conclusive.sum(axis=0), phases, n).mean(axis=0)
+            conclusive = orbit(orbit(conclusive, phases.conj(), n).mean(axis=0), phases, n)
+            detection = DetectionSet(np.concatenate([pi0[None], conclusive]))
         else:
             detection = DetectionSet.from_conclusive(conclusive)
 
         stats = evaluate_measurement(ensemble, detection)
         z = _recover_dual(geo, detection, stats.detection_rate)
         if symmetric:
-            z = _twirl_single(z, ensemble.symmetry.phases, n)
+            z = orbit(z, phases, n).mean(axis=0)
         certificate = verify_certificate(ensemble, detection, z, geo=geo)
 
         report = SolveReport(

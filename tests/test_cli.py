@@ -89,6 +89,9 @@ def test_solve_unattainable_tolerance(trine_file, tmp_path):
     assert rc == 3
     obj = json.loads(out.read_text(encoding="utf-8"))
     assert obj["report"]["certified"] is False
+    # the re-verified report keeps the fields of the solve
+    assert obj["report"]["mode"] == "numeric"
+    assert obj["report"]["iterations"] > 0
 
 
 def test_solve_asymmetric_uses_numeric(tmp_path):

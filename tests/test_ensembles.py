@@ -12,6 +12,7 @@ from maxconf import (
     build_depolarized_family,
     build_symmetric_ensemble,
     default_phases,
+    orbit,
     validate,
 )
 from conftest import random_coefficients, random_density
@@ -111,6 +112,20 @@ def test_validate_flags_nonuniform_priors_under_symmetry():
         dim=2, priors=(0.5, 0.25, 0.25), states=e.states, symmetry=e.symmetry
     )
     assert not validate(tampered).ok
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_orbit_matches_matrix_power(stacked):
+    rng = np.random.default_rng(3)
+    order, dim = 5, 3
+    phases = default_phases(order, dim)
+    ops = np.stack([random_density(rng, dim) for _ in range(order)])
+    got = orbit(ops if stacked else ops[0], phases, order)
+    assert got.shape == (order, dim, dim)
+    for k in range(order):
+        vk = np.linalg.matrix_power(np.diag(phases), k)
+        src = ops[k] if stacked else ops[0]
+        assert np.max(np.abs(got[k] - vk @ src @ vk.conj().T)) < 1e-14
 
 
 def test_build_symmetric_ensemble_orbit():

@@ -161,6 +161,37 @@ def test_solve_numeric_iteration_budget(trine):
         solve_numeric(trine, max_iterations=3)
 
 
+@pytest.mark.parametrize("kind", ["depolarized-qutrit", "repeated-phases"])
+def test_solve_numeric_is_covariant(kind):
+    c = np.array([0.6, 0.64, 0.48])
+    if kind == "depolarized-qutrit":
+        e = build_depolarized_family(c, 4, 0.7)
+    else:
+        # repeated phases: only the numerical solver handles this orbit
+        e = build_symmetric_ensemble(c, 3, phases=(1.0, 1.0, np.exp(2j * np.pi / 3)))
+    report = solve_numeric(e)
+    assert report.certified, report.certificate.failures
+    v = e.symmetry.generator()
+    det = report.detection
+    for k in range(e.n_states):
+        vk = np.linalg.matrix_power(v, k)
+        assert opnorm(det.conclusive[k] - vk @ det.conclusive[0] @ vk.conj().T) < 1e-12
+    assert opnorm(det.inconclusive @ v - v @ det.inconclusive) < 1e-12
+    z = report.certificate.z
+    assert opnorm(z @ v - v @ z) < 1e-12
+
+
+def test_verify_certificate_ranks_use_hermitian_part(trine):
+    # the ranks are taken of the Hermitian part, so a small anti-Hermitian
+    # defect in Pi_0 fails completeness but raises no NonHermitianError
+    ops = trine_optimal_detection(trine).operators.copy()
+    ops[0] += 1e-6 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    cert = verify_certificate(trine, DetectionSet(ops), np.eye(2) / 2.0)
+    assert "completeness_residual" in cert.failures
+    assert (cert.rank_z, cert.rank_inconclusive, cert.min_rank_required) == (2, 0, 1)
+    assert cert.rank_bound_ok
+
+
 def test_verify_certificate_accepts_optimal_duals(trine):
     det = trine_optimal_detection(trine)
     # the dual certificate is not unique here: any I/2 + s sigma_z with
