@@ -201,6 +201,7 @@ def report_to_json(report: SolveReport) -> dict:
         "certified": report.certified,
         "iterations": report.iterations,
         "support_scale": report.support_scale,
+        "duality_gap": report.duality_gap,
     }
 
 

@@ -307,6 +307,7 @@ class SolveReport:
     certified: bool
     iterations: int = 0
     support_scale: float = 1.0
+    duality_gap: float = 0.0  # barrier bound nu / t of the last stage; 0 in closed form
 
 
 def solve_rank1_symmetric(
@@ -388,25 +389,56 @@ def solve_rank1_symmetric(
 
 
 @lru_cache(maxsize=64)
-def _hermitian_basis(m: int) -> tuple[np.ndarray, ...]:
-    """Orthonormal basis of m x m Hermitian matrices (trace inner product)."""
-    basis = []
-    for k in range(m):
-        e = np.zeros((m, m), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for k in range(m):
-        for kp in range(k + 1, m):
-            e = np.zeros((m, m), dtype=complex)
-            e[k, kp] = inv_sqrt2
-            e[kp, k] = inv_sqrt2
-            basis.append(e)
-            e = np.zeros((m, m), dtype=complex)
-            e[k, kp] = 1j * inv_sqrt2
-            e[kp, k] = -1j * inv_sqrt2
-            basis.append(e)
-    return tuple(basis)
+def _hermitian_basis(m: int) -> np.ndarray:
+    """Orthonormal basis of m x m Hermitian matrices (trace inner product),
+    one read-only (m^2, m, m) array: the diagonal units, then a symmetric
+    and an antisymmetric element for each pair k < k'."""
+    basis = np.zeros((m * m, m, m), dtype=complex)
+    diag = np.arange(m)
+    basis[diag, diag, diag] = 1.0
+    k, kp = np.triu_indices(m, 1)
+    r = m + 2 * np.arange(k.size)
+    basis[r, k, kp] = basis[r, kp, k] = 1.0 / np.sqrt(2.0)
+    basis[r + 1, k, kp] = 1j / np.sqrt(2.0)
+    basis[r + 1, kp, k] = -1j / np.sqrt(2.0)
+    basis.flags.writeable = False
+    return basis
+
+
+def _block_coordinates(widths: list[int]) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Same-block index pairs (p, q) of a block-diagonal M x M matrix with
+    blocks of the given widths, and the block-diagonal B[r, i] = E_r[p_i, q_i]
+    over the Hermitian bases of the blocks: Re(B X[q, p]) are the
+    coordinates Tr(E_r X) of the blocks of X, and X[p, q] = B^T x writes
+    the block-diagonal matrix with coordinates x."""
+    ps, qs = [], []
+    basis = np.zeros((sum(m * m for m in widths),) * 2, dtype=complex)
+    start = lo = 0
+    for m in widths:
+        ps.append(start + np.repeat(np.arange(m), m))
+        qs.append(start + np.tile(np.arange(m), m))
+        basis[lo:lo + m * m, lo:lo + m * m] = _hermitian_basis(m).reshape(m * m, m * m)
+        start, lo = start + m, lo + m * m
+    return (np.concatenate(ps), np.concatenate(qs)), basis
+
+
+def _slack(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """S = 1 - W A W^dagger."""
+    return np.eye(w.shape[0], dtype=complex) - _sym(w @ a @ w.conj().T)
+
+
+def _newton_system(w, a, gains, t, pairs, basis):
+    """Gradient and Hessian of t Tr(G A) + log det A + log det S at the
+    block-diagonal A, in the coordinates of _block_coordinates. With
+    K = W^dagger S^-1 W they are Re(B (t G + A^-1 - K)[q, p]) and
+    -Re(B (T(K) + T(A^-1)) B^T), T(X)[i, k] = X[q_i, p_k] X[q_k, p_i]."""
+    p, q = pairs
+    k = w.conj().T @ _sym(np.linalg.inv(_slack(w, a))) @ w
+    a_inv = np.linalg.inv(a)
+    grad = (basis @ (t * gains + a_inv - k)[q, p]).real
+    yk = k[np.ix_(q, p)]
+    ya = a_inv[np.ix_(q, p)]
+    return grad, -(basis @ (yk * yk.T + ya * ya.T) @ basis.T).real
 
 
 def _barrier_solve(
@@ -418,44 +450,34 @@ def _barrier_solve(
     """Maximize sum_j Tr(rho W_j a_j W_j^dagger) over a_j >= 0 with
     sum_j W_j a_j W_j^dagger <= 1, by log-barrier path following.
 
+    The blocks are stacked: W = [W_1 ... W_N] is d x M, M = sum_j m_j, and
+    the a_j are the diagonal blocks of one M x M matrix A, so the constraint
+    is S = 1 - W A W^dagger >= 0. Each Newton step builds its whole system
+    from one K = W^dagger S^-1 W and one A^-1 (_newton_system); with every
+    m_j = 1 the Hessian is -|K|^2 - diag(1/a^2). A point is in the domain
+    when A and S both have a Cholesky factor.
+
     Returns (a_blocks, newton_steps, gap) where gap is the exact duality
     gap bound nu / t_final of the final central point. Raises
     NotConvergedError if the Newton budget is exhausted first.
     """
-    d = rho.shape[0]
-    n = len(blocks)
-    ms = [w.shape[1] for w in blocks]
-    nu = d + sum(ms)
-    bases = [_hermitian_basis(m) for m in ms]
-    basis_arrays = [np.stack(b) for b in bases]
-    dims = [m * m for m in ms]
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    total = int(offsets[-1])
-    gains = [w.conj().T @ rho @ w for w in blocks]
+    ms = [wj.shape[1] for wj in blocks]
+    nu = rho.shape[0] + sum(ms)
+    w = np.concatenate(blocks, axis=1)
+    gains = w.conj().T @ rho @ w
+    pairs, basis = _block_coordinates(ms)
 
     # strictly feasible start: scaled identities keeping the total below 1/2
-    norm_sum = sum(opnorm(w @ w.conj().T) for w in blocks)
-    c0 = 0.5 / max(norm_sum, 1e-300)
-    a = [c0 * np.eye(m, dtype=complex) for m in ms]
+    norm_sum = sum(opnorm(wj @ wj.conj().T) for wj in blocks)
+    a = 0.5 / max(norm_sum, 1e-300) * np.eye(w.shape[1], dtype=complex)
 
-    eye = np.eye(d, dtype=complex)
     steps = 0
     t = 1.0
 
-    def assemble(aa):
-        tot = np.zeros((d, d), dtype=complex)
-        for j in range(n):
-            tot += blocks[j] @ aa[j] @ blocks[j].conj().T
-        return eye - _sym(tot)
-
     def in_domain(aa):
-        for aj in aa:
-            try:
-                np.linalg.cholesky(_sym(aj))
-            except np.linalg.LinAlgError:
-                return False
         try:
-            np.linalg.cholesky(assemble(aa))
+            np.linalg.cholesky(aa)
+            np.linalg.cholesky(_slack(w, aa))
         except np.linalg.LinAlgError:
             return False
         return True
@@ -468,32 +490,7 @@ def _barrier_solve(
                 raise NotConvergedError(
                     f"Newton budget {max_newton} exhausted at duality gap {nu / t_val:.3e}"
                 )
-            s = assemble(a)
-            s_inv = _sym(np.linalg.inv(s))
-            a_inv = [np.linalg.inv(_sym(aj)) for aj in a]
-            cross = [[blocks[j].conj().T @ s_inv @ blocks[k] for k in range(n)] for j in range(n)]
-
-            grad = np.empty(total)
-            for j in range(n):
-                gmat = t_val * gains[j] + a_inv[j] - cross[j][j]
-                grad[offsets[j]:offsets[j + 1]] = np.einsum(
-                    "rab,ba->r", basis_arrays[j], gmat
-                ).real
-
-            hess = np.zeros((total, total))
-            for j in range(n):
-                bj = basis_arrays[j]
-                # curvature of the block barrier: only the diagonal blocks
-                t1 = np.einsum("ab,rbc,cd,sda->rs", a_inv[j], bj, a_inv[j], bj).real
-                sl_j = slice(offsets[j], offsets[j + 1])
-                hess[sl_j, sl_j] -= t1
-                for k in range(n):
-                    bk = basis_arrays[k]
-                    c_jk = cross[j][k]
-                    t2 = np.einsum("rab,bc,scd,ad->rs", bj, c_jk, bk, c_jk.conj()).real
-                    sl_k = slice(offsets[k], offsets[k + 1])
-                    hess[sl_j, sl_k] -= t2
-
+            grad, hess = _newton_system(w, a, gains, t_val, pairs, basis)
             try:
                 dx = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -503,12 +500,10 @@ def _barrier_solve(
                 return
             lam = np.sqrt(max(lam2, 0.0))
             step = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
-            deltas = [
-                np.einsum("r,rab->ab", dx[offsets[j]:offsets[j + 1]], basis_arrays[j])
-                for j in range(n)
-            ]
+            delta = np.zeros_like(a)
+            delta[pairs] = basis.T @ dx
             for _ in range(40):
-                trial = [_sym(a[j] + step * deltas[j]) for j in range(n)]
+                trial = _sym(a + step * delta)
                 if in_domain(trial):
                     a = trial
                     break
@@ -532,7 +527,8 @@ def _barrier_solve(
         t *= _BARRIER_MU
         center(t, _CENTER_TOL)
     center(t, _FINAL_CENTER_TOL)
-    return a, steps, nu / t
+    edges = np.cumsum([0] + ms)
+    return [a[lo:hi, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])], steps, nu / t
 
 
 def _recover_dual(
@@ -555,25 +551,22 @@ def _recover_dual(
     if k == 0:
         return np.zeros((d, d), dtype=complex)
 
-    basis = _hermitian_basis(k)
-    candidates = [kernel @ e @ kernel.conj().T for e in basis]
+    candidates = kernel @ _hermitian_basis(k) @ kernel.conj().T
 
     rows = []
     targets = []
     for j in range(detection.n_conclusive):
         lam = geo.supports[j]
         pij = detection.conclusive[j]
-        lp = [lam @ f @ pij for f in candidates]
-        target = lam @ geo.rho @ pij
-        rows.append(np.stack([m.ravel() for m in lp], axis=1))
-        targets.append(target.ravel())
+        rows.append((lam @ candidates @ pij).reshape(k * k, -1).T)
+        targets.append((lam @ geo.rho @ pij).ravel())
     a_cx = np.concatenate(rows, axis=0)
     b_cx = np.concatenate(targets, axis=0)
-    trace_row = np.array([[float(np.trace(f).real) for f in candidates]])
+    trace_row = np.trace(candidates, axis1=1, axis2=2).real[None]
     a_re = np.concatenate([a_cx.real, a_cx.imag, trace_row], axis=0)
     b_re = np.concatenate([b_cx.real, b_cx.imag, [rate]])
     y, *_ = np.linalg.lstsq(a_re, b_re, rcond=None)
-    z = np.einsum("r,rab->ab", y, np.stack(candidates))
+    z = np.einsum("r,rab->ab", y, candidates)
     return _sym(z)
 
 
@@ -654,6 +647,7 @@ def solve_numeric(
             certified=certificate.accepted,
             iterations=total_steps,
             support_scale=scale,
+            duality_gap=gap,
         )
         if report.certified:
             break

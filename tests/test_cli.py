@@ -70,6 +70,7 @@ def test_solve_numeric_mode(trine_file, tmp_path):
     obj = json.loads(out.read_text(encoding="utf-8"))
     assert obj["report"]["mode"] == "numeric"
     assert abs(obj["report"]["detection_rate"] - 1.0) < 1e-6
+    assert 0.0 < obj["report"]["duality_gap"] <= 1e-8
 
 
 def test_solve_check_cross_checks(trine_file, tmp_path):

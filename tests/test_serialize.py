@@ -105,6 +105,7 @@ def test_report_and_validation_json(trine):
     report = solve_rank1_symmetric(trine)
     obj = report_to_json(report)
     assert obj["mode"] == "analytic"
+    assert obj["duality_gap"] == 0.0
     assert obj["certified"] is True
     assert len(obj["confidences"]) == 3
     vj = validation_to_json(validate(trine))

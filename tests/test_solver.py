@@ -23,7 +23,8 @@ from maxconf import (
     solve_rank1_symmetric,
     verify_certificate,
 )
-from conftest import random_coefficients, random_ensemble
+from maxconf.solver import _block_coordinates, _hermitian_basis, _newton_system
+from conftest import random_coefficients, random_density, random_ensemble
 
 
 def trine_optimal_detection(trine):
@@ -159,6 +160,85 @@ def test_solve_numeric_reduces_rank_deficient_average():
 def test_solve_numeric_iteration_budget(trine):
     with pytest.raises(NotConvergedError):
         solve_numeric(trine, max_iterations=3)
+
+
+@pytest.mark.parametrize("gap_tol", [1e-8, 1e-9])
+def test_solve_numeric_reports_duality_gap(trine, gap_tol):
+    report = solve_numeric(trine, gap_tol=gap_tol)
+    assert report.certified
+    # the trine certifies at the first stage of the gap ladder, where the
+    # barrier stops at the first t = 10^k with nu / t <= gap_tol; nu = 5
+    # (d = 2 plus three 1 x 1 blocks)
+    assert report.duality_gap == pytest.approx(gap_tol / 2, rel=1e-12)
+    assert solve_rank1_symmetric(trine).duality_gap == 0.0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_solve_numeric_degenerate_tops(k):
+    # rho_j (x) 1/k: every top eigenspace has dimension m_j = k
+    rng = np.random.default_rng(30 + k)
+    base = random_ensemble(rng, 3, 4)
+    e = StateEnsemble(dim=3 * k, priors=base.priors,
+                      states=tuple(np.kron(s, np.eye(k) / k) for s in base.states))
+    geo = geometry(e)
+    assert list(geo.degeneracies) == [k] * 4
+    report = solve_numeric(e, geo)
+    assert report.certified, report.certificate.failures
+    assert np.max(np.abs(report.confidences - geo.confidences)) < 1e-8
+
+
+def _reference_newton_system(blocks, a_blocks, rho, t):
+    """Newton system of the barrier objective, one einsum per block pair."""
+    total = sum(w @ a @ w.conj().T for w, a in zip(blocks, a_blocks))
+    s_inv = np.linalg.inv(np.eye(rho.shape[0]) - total)
+    bases = [_hermitian_basis(w.shape[1]) for w in blocks]
+    offsets = np.cumsum([0] + [b.shape[0] for b in bases])
+    grad = np.empty(offsets[-1])
+    hess = np.zeros((offsets[-1], offsets[-1]))
+    for j, (wj, aj, bj) in enumerate(zip(blocks, a_blocks, bases)):
+        a_inv = np.linalg.inv(aj)
+        sl_j = slice(offsets[j], offsets[j + 1])
+        gmat = t * wj.conj().T @ rho @ wj + a_inv - wj.conj().T @ s_inv @ wj
+        grad[sl_j] = np.einsum("rab,ba->r", bj, gmat).real
+        hess[sl_j, sl_j] -= np.einsum("ab,rbc,cd,sda->rs", a_inv, bj, a_inv, bj).real
+        for k, (wk, bk) in enumerate(zip(blocks, bases)):
+            c = wj.conj().T @ s_inv @ wk
+            t2 = np.einsum("rab,bc,scd,ad->rs", bj, c, bk, c.conj()).real
+            hess[sl_j, offsets[k]:offsets[k + 1]] -= t2
+    return grad, hess
+
+
+@pytest.mark.parametrize("widths", [(1, 2, 3), (1, 1, 1, 1)])
+def test_newton_system_matches_block_pairs(widths):
+    rng = np.random.default_rng(7)
+    d = 5
+    blocks = [rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)) for m in widths]
+    a_blocks = [random_density(rng, m) for m in widths]
+    # scale into the interior: W A W^dagger <= 1/2
+    scale = 0.5 / np.linalg.norm(sum(w @ a @ w.conj().T for w, a in zip(blocks, a_blocks)), 2)
+    a_blocks = [scale * a for a in a_blocks]
+    a = np.zeros((sum(widths), sum(widths)), dtype=complex)
+    edges = np.cumsum([0, *widths])
+    for lo, hi, aj in zip(edges[:-1], edges[1:], a_blocks):
+        a[lo:hi, lo:hi] = aj
+    rho = random_density(rng, d)
+    w = np.concatenate(blocks, axis=1)
+    pairs, basis = _block_coordinates(list(widths))
+    grad, hess = _newton_system(w, a, w.conj().T @ rho @ w, 2.3, pairs, basis)
+    ref_grad, ref_hess = _reference_newton_system(blocks, a_blocks, rho, 2.3)
+    assert np.linalg.norm(grad - ref_grad) <= 1e-10 * np.linalg.norm(ref_grad)
+    assert np.linalg.norm(hess - ref_hess) <= 1e-10 * np.linalg.norm(ref_hess)
+    if set(widths) == {1}:
+        k = w.conj().T @ np.linalg.inv(np.eye(d) - w @ a @ w.conj().T) @ w
+        closed = -np.abs(k) ** 2 - np.diag(1.0 / np.diag(a).real ** 2)
+        assert np.allclose(hess, closed, rtol=1e-10, atol=0)
+
+
+def test_hermitian_basis_is_one_orthonormal_array():
+    basis = _hermitian_basis(3)
+    assert basis.shape == (9, 3, 3) and not basis.flags.writeable
+    assert np.allclose(basis, basis.conj().transpose(0, 2, 1))
+    assert np.allclose(np.einsum("rab,sba->rs", basis, basis), np.eye(9))
 
 
 @pytest.mark.parametrize("kind", ["depolarized-qutrit", "repeated-phases"])
