@@ -17,7 +17,7 @@ from .errors import (
     InfeasibleInputError,
     InvalidPhasesError,
 )
-from .operators import TOL_RECON, eig_hermitian, require_hermitian, support_rank
+from .operators import TOL_RECON, require_hermitian, support_rank
 
 PRIOR_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -171,16 +171,11 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     if gap > PRIOR_TOL:
         v.append(Violation("prior_normalization", gap, "priors must sum to 1"))
 
-    worst_herm = 0.0
-    worst_neg = 0.0
-    worst_trace = 0.0
-    for j in range(e.n_states):
-        a = e.states[j]
-        worst_herm = max(worst_herm, float(np.max(np.abs(a - a.conj().T))))
-        h = 0.5 * (a + a.conj().T)
-        w = np.linalg.eigvalsh(h)
-        worst_neg = max(worst_neg, -float(w[0]))
-        worst_trace = max(worst_trace, abs(float(np.trace(h).real) - 1.0))
+    adj = e.states.conj().swapaxes(1, 2)
+    worst_herm = float(np.max(np.abs(e.states - adj)))
+    h = 0.5 * (e.states + adj)
+    worst_neg = max(0.0, -float(np.linalg.eigvalsh(h)[:, 0].min()))
+    worst_trace = float(np.max(np.abs(np.trace(h, axis1=1, axis2=2).real - 1.0)))
     if worst_herm > 1e-9:
         v.append(Violation("state_hermiticity", worst_herm,
                            "states must be Hermitian"))

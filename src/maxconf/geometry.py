@@ -33,13 +33,12 @@ from .errors import (
     InfeasibleInputError,
 )
 from .operators import (
+    TOL_ORTH,
     TOL_RECON,
     eig_hermitian,
     opnorm,
-    orthonormal_columns,
     projector_onto_span,
     psd_power,
-    support_projector,
 )
 
 TOL_CONF = 1e-9
@@ -82,18 +81,26 @@ class MCGeometry:
     supports: np.ndarray
 
 
+def _transform(ensemble: StateEnsemble, rih: np.ndarray) -> np.ndarray:
+    """The stack of rih (eta_j rho_j) rih, symmetrized, shape (N, d, d)."""
+    t = rih @ (ensemble.priors[:, None, None] * ensemble.states) @ rih
+    return 0.5 * (t + t.conj().swapaxes(1, 2))
+
+
 def transformed_states(ensemble: StateEnsemble) -> np.ndarray:
     """The operators rho^(-1/2) eta_j rho_j rho^(-1/2), shape (N, d, d)."""
-    rho = average_state(ensemble)
-    rih = psd_power(rho, -0.5)
-    out = np.empty_like(ensemble.states)
-    for j in range(ensemble.n_states):
-        out[j] = rih @ (ensemble.priors[j] * ensemble.states[j]) @ rih
-    return out
+    return _transform(ensemble, psd_power(average_state(ensemble), -0.5))
 
 
 def geometry(ensemble: StateEnsemble) -> MCGeometry:
-    """Compute the full discrimination geometry of a valid ensemble."""
+    """Compute the full discrimination geometry of a valid ensemble.
+
+    Every step acts on all outcomes at once: one eigendecomposition of rho
+    (its support projector, rho^-1/2 and rho^-1), one of the stacked
+    transformed states, one SVD of the detection blocks zero-padded to the
+    widest top eigenspace (zero columns have singular value 0, so the rank
+    cutoff of orthonormal_columns drops them), and one stacked cross-check.
+    """
     report = validate(ensemble)
     if not report.ok:
         msgs = "; ".join(f"{u.name} ({u.magnitude:.3e})" for u in report.violations)
@@ -101,54 +108,46 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
 
     rho = average_state(ensemble)
     rho = 0.5 * (rho + rho.conj().T)
-    rho_supp = support_projector(rho)
-    rih = psd_power(rho, -0.5)
-    rinv = psd_power(rho, -1.0)
+    rho_spec = eig_hermitian(rho)
+    rho_supp = rho_spec.power(0.0)
+    rih = rho_spec.power(-0.5)
+    rinv = rho_spec.power(-1.0)
 
-    n, d = ensemble.n_states, ensemble.dim
-    transformed = np.empty((n, d, d), dtype=complex)
-    confidences = np.empty(n)
-    degeneracies = np.empty(n, dtype=int)
-    top_projectors = np.empty((n, d, d), dtype=complex)
-    top_vectors: list[np.ndarray] = []
-    blocks: list[np.ndarray] = []
-    supports = np.empty((n, d, d), dtype=complex)
+    transformed = _transform(ensemble, rih)
+    spec = eig_hermitian(transformed)
+    w, v = spec.eigenvalues, spec.eigenvectors
+    confidences = w[:, 0].copy()
+    # top cluster: eigenvalues within a relative gap of the maximum
+    thresh = confidences - DEGENERACY_RTOL * np.maximum(np.abs(confidences), 1e-300)
+    degeneracies = np.count_nonzero(w >= thresh[:, None], axis=1)
+    width = int(degeneracies.max())
+    cols = np.arange(width) < degeneracies[:, None]
+    vtop = v[:, :, :width] * cols[:, None, :]
+    top_projectors = vtop @ vtop.conj().swapaxes(1, 2)
 
-    for j in range(n):
-        tj = rih @ (ensemble.priors[j] * ensemble.states[j]) @ rih
-        tj = 0.5 * (tj + tj.conj().T)
-        transformed[j] = tj
-        spec = eig_hermitian(tj)
-        w, v = spec.eigenvalues, spec.eigenvectors
-        c = float(w[0])
-        confidences[j] = c
-        # top cluster: eigenvalues within a relative gap of the maximum
-        thresh = c - DEGENERACY_RTOL * max(abs(c), 1e-300)
-        m = int(np.count_nonzero(w >= thresh))
-        degeneracies[j] = m
-        vtop = v[:, :m]
-        top_vectors.append(vtop)
-        top_projectors[j] = vtop @ vtop.conj().T
+    blocks = rih @ vtop
+    u, sv, _ = np.linalg.svd(blocks, full_matrices=False)
+    keep = sv > np.maximum(TOL_ORTH, sv[:, :1] * 1e-12)
+    lam = (u * keep[:, None, :]) @ u.conj().swapaxes(1, 2)
 
-        wj = rih @ vtop
-        blocks.append(wj)
-        lam_span = orthonormal_columns(wj)
-        lam = lam_span @ lam_span.conj().T
+    # independent route: congruence through the pseudo-inverse of
+    # P_j rho^-1 P_j, which must give the same projector
+    lam_alt = rih @ psd_power(top_projectors @ rinv @ top_projectors, -1.0) @ rih
+    dev = np.linalg.norm(lam - lam_alt, 2, axis=(1, 2))
+    bad = np.flatnonzero(dev > TOL_RECON)
+    if bad.size:
+        j = int(bad[0])
+        raise GeometryInconsistencyError(
+            f"two support computations for outcome {j + 1} disagree by {dev[j]:.3e}; "
+            "the ensemble is too ill-conditioned"
+        )
 
-        # independent route: congruence through the pseudo-inverse of
-        # P_j rho^-1 P_j, which must give the same projector
-        pj = top_projectors[j]
-        lam_alt = rih @ psd_power(pj @ rinv @ pj, -1.0) @ rih
-        dev = opnorm(lam - lam_alt)
-        if dev > TOL_RECON:
-            raise GeometryInconsistencyError(
-                f"two support computations for outcome {j + 1} disagree by {dev:.3e}; "
-                "the ensemble is too ill-conditioned"
-            )
-        supports[j] = 0.5 * (lam + lam.conj().T)
-
+    # the ragged (d, m_j) blocks: the kept columns side by side, then split
+    edges = np.cumsum(degeneracies)[:-1]
+    top_vectors = np.split(vtop.transpose(1, 0, 2)[:, cols], edges, axis=1)
+    detection_blocks = np.split(blocks.transpose(1, 0, 2)[:, cols], edges, axis=1)
     return MCGeometry(
-        dim=d,
+        dim=ensemble.dim,
         rho=rho,
         rho_support=rho_supp,
         inv_sqrt_rho=rih,
@@ -157,8 +156,8 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
         degeneracies=degeneracies,
         top_projectors=top_projectors,
         top_vectors=top_vectors,
-        detection_blocks=blocks,
-        supports=supports,
+        detection_blocks=detection_blocks,
+        supports=0.5 * (lam + lam.conj().swapaxes(1, 2)),
     )
 
 
@@ -200,18 +199,15 @@ def _reduce_with_basis(
     if scale <= 0.0:
         raise InfeasibleInputError("detection span carries zero probability")
 
-    weights = np.array([
-        float(np.trace(lam @ ensemble.states[j]).real) for j in range(ensemble.n_states)
-    ])
+    weights = np.einsum("ab,jba->j", lam, ensemble.states).real
+    empty = np.flatnonzero(weights <= 0.0)
+    if empty.size:
+        raise InfeasibleInputError(
+            f"state {empty[0] + 1} has no weight on the detection span; cannot renormalize"
+        )
     new_priors = ensemble.priors * weights / scale
-    new_states = np.empty((ensemble.n_states, rank, rank), dtype=complex)
-    for j in range(ensemble.n_states):
-        if weights[j] <= 0.0:
-            raise InfeasibleInputError(
-                f"state {j + 1} has no weight on the detection span; cannot renormalize"
-            )
-        s = basis.conj().T @ ensemble.states[j] @ basis / weights[j]
-        new_states[j] = 0.5 * (s + s.conj().T)
+    s = basis.conj().T @ ensemble.states @ basis / weights[:, None, None]
+    new_states = 0.5 * (s + s.conj().swapaxes(1, 2))
 
     symmetry = None
     if ensemble.symmetry is not None and canonical:
@@ -250,16 +246,15 @@ def is_unambiguous(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> tu
     """
     if geo is None:
         geo = geometry(ensemble)
-    n = ensemble.n_states
     conf_dev = float(np.max(np.abs(geo.confidences - 1.0)))
-    cross_p = 0.0
-    cross_state = 0.0
-    for k in range(n):
-        for j in range(n):
-            if j == k:
-                continue
-            cross_p = max(cross_p, opnorm(geo.top_projectors[k] @ geo.top_projectors[j]))
-            cross_state = max(cross_state, opnorm(geo.supports[k] @ ensemble.states[j]))
+    pairs = ~np.eye(ensemble.n_states, dtype=bool)  # (k, j) with j != k
+
+    def worst(left, right):
+        prods = (left[:, None] @ right[None])[pairs]
+        return float(np.linalg.norm(prods, 2, axis=(1, 2)).max(initial=0.0))
+
+    cross_p = worst(geo.top_projectors, geo.top_projectors)
+    cross_state = worst(geo.supports, ensemble.states)
     ok = conf_dev <= TOL_CONF and cross_p <= TOL_CONF and cross_state <= TOL_CONF
     residuals = {
         "confidence_deviation": conf_dev,

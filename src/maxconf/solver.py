@@ -70,7 +70,7 @@ _STALL_TOL = 1e-6
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,7 @@ class DetectionSet:
         return opnorm(self.operators.sum(axis=0) - np.eye(d))
 
     def min_eigenvalue(self) -> float:
-        return min(
-            float(np.linalg.eigvalsh(_sym(op))[0]) for op in self.operators
-        )
+        return float(np.linalg.eigvalsh(_sym(self.operators))[:, 0].min())
 
 
 @dataclass(frozen=True)
@@ -137,14 +135,7 @@ class MeasurementStats:
     zero_probability_outcomes: list[int]
 
 
-def evaluate_measurement(ensemble: StateEnsemble, detection: DetectionSet) -> MeasurementStats:
-    """Outcome probabilities, achieved confidences, and summary rates.
-
-    The confidence of conclusive outcome j is the conditional probability
-    that state j was present given outcome j fired. Outcomes with
-    probability below 1e-14 get confidence nan and are listed in
-    zero_probability_outcomes.
-    """
+def _require_matching(ensemble: StateEnsemble, detection: DetectionSet) -> None:
     if detection.dim != ensemble.dim:
         raise InfeasibleInputError(
             f"detection dimension {detection.dim} != ensemble dimension {ensemble.dim}"
@@ -153,33 +144,29 @@ def evaluate_measurement(ensemble: StateEnsemble, detection: DetectionSet) -> Me
         raise InfeasibleInputError(
             f"{detection.n_conclusive} conclusive outcomes for {ensemble.n_states} states"
         )
-    rho = average_state(ensemble)
-    n = ensemble.n_states
-    probs = np.empty(n + 1)
-    probs[0] = float(np.trace(detection.inconclusive @ rho).real)
-    confidences = np.full(n, np.nan)
-    zero: list[int] = []
-    correct = 0.0
-    for j in range(1, n + 1):
-        pi = detection.operators[j]
-        pj = float(np.trace(pi @ rho).real)
-        probs[j] = pj
-        joint = float(
-            np.trace(pi @ (ensemble.priors[j - 1] * ensemble.states[j - 1])).real
-        )
-        correct += joint
-        if pj > ZERO_PROB:
-            confidences[j - 1] = joint / pj
-        else:
-            zero.append(j)
-    rate = float(probs[1:].sum())
+
+
+def evaluate_measurement(ensemble: StateEnsemble, detection: DetectionSet) -> MeasurementStats:
+    """Outcome probabilities, achieved confidences, and summary rates.
+
+    The confidence of conclusive outcome j is the conditional probability
+    that state j was present given outcome j fired. Outcomes with
+    probability below 1e-14 get confidence nan and are listed in
+    zero_probability_outcomes.
+    """
+    _require_matching(ensemble, detection)
+    probs = np.einsum("jab,ba->j", detection.operators, average_state(ensemble)).real
+    joint = np.einsum("j,jab,jba->j", ensemble.priors, detection.conclusive, ensemble.states).real
+    fired = probs[1:] > ZERO_PROB
+    confidences = np.full(ensemble.n_states, np.nan)
+    confidences[fired] = joint[fired] / probs[1:][fired]
     return MeasurementStats(
         outcome_probabilities=probs,
         confidences=confidences,
-        failure_probability=probs[0],
-        detection_rate=rate,
-        correct_probability=correct,
-        zero_probability_outcomes=zero,
+        failure_probability=float(probs[0]),
+        detection_rate=float(probs[1:].sum()),
+        correct_probability=float(joint.sum()),
+        zero_probability_outcomes=(np.flatnonzero(~fired) + 1).tolist(),
     )
 
 
@@ -222,42 +209,31 @@ def verify_certificate(
     stationarity products vanish within eq_tol, |Tr Z - R| <= eq_tol, and
     the rank complementarity holds on the computed ranks.
     """
+    _require_matching(ensemble, detection)
     if geo is None:
         geo = geometry(ensemble)
     z = _sym(np.asarray(z, dtype=complex))
-    rho = geo.rho
-    n = ensemble.n_states
     pi0 = detection.inconclusive
-
-    rate = 0.0
-    for j in range(n):
-        rate += float(np.trace(rho @ detection.conclusive[j]).real)
+    lam = geo.supports
+    lam_dual = lam @ (z - geo.rho)
+    rate = float(np.einsum("ab,jba->", geo.rho, detection.conclusive).real)
 
     conditions: dict[str, float] = {}
     conditions["povm_min_eigenvalue"] = detection.min_eigenvalue()
     conditions["completeness_residual"] = detection.completeness_residual()
     conditions["z_min_eigenvalue"] = float(np.linalg.eigvalsh(z)[0])
-
-    slack_min = np.inf
-    stationarity = 0.0
-    for j in range(n):
-        lam = geo.supports[j]
-        slack = _sym(lam @ (z - rho) @ lam)
-        slack_min = min(slack_min, float(np.linalg.eigvalsh(slack)[0]))
-        stationarity = max(
-            stationarity, opnorm(lam @ (z - rho) @ detection.conclusive[j])
-        )
-    conditions["support_slack_min_eigenvalue"] = float(slack_min)
+    conditions["support_slack_min_eigenvalue"] = float(
+        np.linalg.eigvalsh(_sym(lam_dual @ lam))[:, 0].min()
+    )
     conditions["inconclusive_orthogonality"] = opnorm(z @ pi0)
-    conditions["stationarity_residual"] = stationarity
+    conditions["stationarity_residual"] = float(
+        np.linalg.norm(lam_dual @ detection.conclusive, 2, axis=(1, 2)).max()
+    )
     conditions["trace_gap"] = abs(float(np.trace(z).real) - rate)
 
     rank_z = support_rank(z, RANK_CUTOFF)
     rank_pi0 = support_rank(pi0, RANK_CUTOFF)
-    lower = 0
-    for j in range(n):
-        lam = geo.supports[j]
-        lower = max(lower, support_rank(lam @ ensemble.states[j] @ lam, RANK_CUTOFF))
+    lower = int(support_rank(lam @ ensemble.states @ lam, RANK_CUTOFF).max())
     rank_ok = (rank_z + rank_pi0 <= ensemble.dim) and (rank_z >= lower)
 
     failures = []
@@ -444,7 +420,7 @@ def _newton_system(w, a, gains, t, pairs, basis):
 def _barrier_solve(
     rho: np.ndarray,
     blocks: list[np.ndarray],
-    gap_tol: float,
+    ladder: list[float],
     max_newton: int,
 ):
     """Maximize sum_j Tr(rho W_j a_j W_j^dagger) over a_j >= 0 with
@@ -457,9 +433,12 @@ def _barrier_solve(
     m_j = 1 the Hessian is -|K|^2 - diag(1/a^2). A point is in the domain
     when A and S both have a Cholesky factor.
 
-    Returns (a_blocks, newton_steps, gap) where gap is the exact duality
-    gap bound nu / t_final of the final central point. Raises
-    NotConvergedError if the Newton budget is exhausted first.
+    One central path serves the whole gap ladder: after each stage, once
+    nu / t <= the stage's gap and the point is re-centered tightly, yields
+    (a_blocks, newton_steps, gap) with newton_steps counted from the start
+    of the path and gap the exact duality gap bound nu / t of that central
+    point; the next stage continues from there. Raises NotConvergedError if
+    the Newton budget, which covers the whole path, is exhausted first.
     """
     ms = [wj.shape[1] for wj in blocks]
     nu = rho.shape[0] + sum(ms)
@@ -522,13 +501,14 @@ def _barrier_solve(
             f"centering did not converge in {_MAX_CENTER_STEPS} steps at t = {t_val:.3e}"
         )
 
-    center(t, _CENTER_TOL)
-    while nu / t > gap_tol:
-        t *= _BARRIER_MU
-        center(t, _CENTER_TOL)
-    center(t, _FINAL_CENTER_TOL)
     edges = np.cumsum([0] + ms)
-    return [a[lo:hi, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])], steps, nu / t
+    center(t, _CENTER_TOL)
+    for gap_tol in ladder:
+        while nu / t > gap_tol:
+            t *= _BARRIER_MU
+            center(t, _CENTER_TOL)
+        center(t, _FINAL_CENTER_TOL)
+        yield [a[lo:hi, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])], steps, nu / t
 
 
 def _recover_dual(
@@ -553,15 +533,10 @@ def _recover_dual(
 
     candidates = kernel @ _hermitian_basis(k) @ kernel.conj().T
 
-    rows = []
-    targets = []
-    for j in range(detection.n_conclusive):
-        lam = geo.supports[j]
-        pij = detection.conclusive[j]
-        rows.append((lam @ candidates @ pij).reshape(k * k, -1).T)
-        targets.append((lam @ geo.rho @ pij).ravel())
-    a_cx = np.concatenate(rows, axis=0)
-    b_cx = np.concatenate(targets, axis=0)
+    lam, pis = geo.supports, detection.conclusive
+    # one row per entry (j, a, b) of Lambda_j X Pi_j, one column per candidate
+    a_cx = np.moveaxis(lam[:, None] @ candidates @ pis[:, None], 1, -1).reshape(-1, k * k)
+    b_cx = (lam @ geo.rho @ pis).ravel()
     trace_row = np.trace(candidates, axis1=1, axis2=2).real[None]
     a_re = np.concatenate([a_cx.real, a_cx.imag, trace_row], axis=0)
     b_re = np.concatenate([b_cx.real, b_cx.imag, [rate]])
@@ -587,8 +562,10 @@ def solve_numeric(
     certificate passed; the measurement itself is returned either way.
 
     gap_tol bounds the duality gap of the barrier stage; if the certificate
-    is rejected at that gap the solve is retried at tighter gaps (down to
-    1e-10) because the recovered dual's residuals shrink with the gap.
+    is rejected at that gap the same central path continues to tighter gaps
+    (down to 1e-10), because the recovered dual's residuals shrink with the
+    gap. iterations counts the Newton steps of that one path, and
+    max_iterations bounds them over the whole path, not per stage.
     """
     if geo is None:
         geo = geometry(ensemble)
@@ -609,12 +586,8 @@ def solve_numeric(
         if tight < ladder[-1]:
             ladder.append(tight)
 
-    total_steps = 0
     report = None
-    for stage_gap in ladder:
-        a_blocks, steps, gap = _barrier_solve(rho_r, blocks, stage_gap, max_iterations)
-        total_steps += steps
-
+    for a_blocks, steps, gap in _barrier_solve(rho_r, blocks, ladder, max_iterations):
         conclusive = np.empty((n, d, d), dtype=complex)
         for j in range(n):
             pj = blocks[j] @ a_blocks[j] @ blocks[j].conj().T
@@ -645,7 +618,7 @@ def solve_numeric(
             correct_probability=stats.correct_probability,
             certificate=certificate,
             certified=certificate.accepted,
-            iterations=total_steps,
+            iterations=steps,
             support_scale=scale,
             duality_gap=gap,
         )
@@ -709,29 +682,20 @@ def perturbation_witness(
         geo = geometry(ensemble)
     z = _sym(np.asarray(z, dtype=complex))
     rho = geo.rho
-    n = ensemble.n_states
 
-    best_val = np.inf
-    best_vec = None
-    best_kind = ""
-    best_outcome = -1
     spec_z = eig_hermitian(z)
-    if float(spec_z.eigenvalues[-1]) < best_val:
-        best_val = float(spec_z.eigenvalues[-1])
-        best_vec = spec_z.eigenvectors[:, -1]
-        best_kind = "dual-negativity"
-        best_outcome = 0
-    slacks = []
-    for j in range(n):
-        lam = geo.supports[j]
-        slack = _sym(lam @ (z - rho) @ lam)
-        slacks.append(slack)
-        spec = eig_hermitian(slack)
-        if float(spec.eigenvalues[-1]) < best_val:
-            best_val = float(spec.eigenvalues[-1])
-            best_vec = spec.eigenvectors[:, -1]
-            best_kind = "support-slack"
-            best_outcome = j + 1
+    slacks = _sym(geo.supports @ (z - rho) @ geo.supports)
+    spec = eig_hermitian(slacks)
+    # the first slack with the smallest eigenvalue wins, and only when it
+    # lies strictly below the smallest eigenvalue of Z
+    j = int(np.argmin(spec.eigenvalues[:, -1]))
+    best_val = float(spec_z.eigenvalues[-1])
+    best_vec = spec_z.eigenvectors[:, -1]
+    best_kind, best_outcome = "dual-negativity", 0
+    if float(spec.eigenvalues[j, -1]) < best_val:
+        best_val = float(spec.eigenvalues[j, -1])
+        best_vec = spec.eigenvectors[j, :, -1]
+        best_kind, best_outcome = "support-slack", j + 1
 
     if best_val >= -pos_tol:
         raise NoNegativeEigenvalueError(
@@ -744,24 +708,18 @@ def perturbation_witness(
     contract = np.eye(d, dtype=complex) - epsilon * proj
     released = epsilon * (2.0 - epsilon) * proj
 
-    primed = np.empty((n, d, d), dtype=complex)
-    for j in range(n):
-        primed[j] = _sym(contract @ detection.conclusive[j] @ contract)
+    primed = _sym(contract @ detection.conclusive @ contract)
     if best_kind == "support-slack":
         primed[best_outcome - 1] += released
     deformed = DetectionSet.from_conclusive(primed)
 
     def dual_functional(det: DetectionSet) -> float:
-        val = float(np.trace(z @ det.inconclusive).real)
-        for j in range(n):
-            val += float(np.trace(slacks[j] @ det.conclusive[j]).real)
-        return val
+        return float(np.einsum("ab,ba->", z, det.inconclusive).real
+                     + np.einsum("jab,jba->", slacks, det.conclusive).real)
 
     gap = dual_functional(deformed)
     baseline = dual_functional(detection)
-    rate_primed = sum(
-        float(np.trace(rho @ primed[j]).real) for j in range(n)
-    )
+    rate_primed = float(np.einsum("ab,jba->", rho, primed).real)
     return PerturbationWitness(
         kind=best_kind,
         outcome=best_outcome,

@@ -8,14 +8,44 @@ from maxconf import (
     StateEnsemble,
     build_depolarized_family,
     build_symmetric_ensemble,
+    eig_hermitian,
     geometry,
     is_unambiguous,
     opnorm,
+    psd_power,
     reduce_to_support,
+    solve_numeric,
     transformed_states,
     two_state_components,
 )
-from conftest import random_coefficients, random_density, random_ensemble
+from maxconf.geometry import DEGENERACY_RTOL
+from maxconf.operators import TOL_RECON, orthonormal_columns
+from conftest import mixed_width_ensemble, random_coefficients, random_density, random_ensemble
+
+
+def _reference_geometry(ensemble, transformed):
+    """Per-outcome top blocks, detection blocks and supports, with the
+    Lambda_j cross-check done one outcome at a time. The eigenvectors are
+    taken of the given transformed states, so that degenerate top
+    eigenspaces get the same basis as in the stacked computation."""
+    rho = np.einsum("j,jab->ab", ensemble.priors, ensemble.states)
+    rih = psd_power(rho, -0.5)
+    rinv = psd_power(rho, -1.0)
+    out = []
+    for j in range(ensemble.n_states):
+        tj = rih @ (ensemble.priors[j] * ensemble.states[j]) @ rih
+        assert opnorm(tj - transformed[j]) < 1e-12
+        spec = eig_hermitian(transformed[j])
+        c = spec.eigenvalues[0]
+        m = int(np.count_nonzero(spec.eigenvalues >= c - DEGENERACY_RTOL * abs(c)))
+        vtop = spec.eigenvectors[:, :m]
+        wj = rih @ vtop
+        span = orthonormal_columns(wj)
+        lam = span @ span.conj().T
+        pj = vtop @ vtop.conj().T
+        assert opnorm(lam - rih @ psd_power(pj @ rinv @ pj, -1.0) @ rih) <= TOL_RECON
+        out.append((m, vtop, wj, lam))
+    return out
 
 
 def test_trine_transformed_states(trine):
@@ -164,3 +194,19 @@ def test_two_state_split_property(seed):
         return
     sigmas, weights = two_state_components(e, geo)
     assert opnorm(weights[0] * sigmas[0] + weights[1] * sigmas[1] - geo.rho) < 1e-8
+
+
+def test_geometry_mixed_widths_match_per_outcome_reference():
+    rng = np.random.default_rng(21)
+    e = mixed_width_ensemble(rng)
+    geo = geometry(e)
+    assert geo.degeneracies.tolist() == [2, 2, 1]
+    for j, (m, vtop, wj, lam) in enumerate(_reference_geometry(e, geo.transformed)):
+        assert geo.degeneracies[j] == m
+        assert geo.top_vectors[j].shape == geo.detection_blocks[j].shape == (e.dim, m)
+        assert np.max(np.abs(geo.top_vectors[j] - vtop)) < 1e-12
+        assert np.max(np.abs(geo.detection_blocks[j] - wj)) < 1e-12
+        assert np.max(np.abs(geo.supports[j] - lam)) < 1e-12
+    report = solve_numeric(e, geo)
+    assert report.certified, report.certificate.failures
+    assert np.max(np.abs(report.confidences - geo.confidences)) < 1e-8

@@ -11,6 +11,27 @@ from maxconf.operators import (
 )
 
 
+def _reference_eig_hermitian(a):
+    """One matrix at a time, with the phase fixing done column by column."""
+    a = require_hermitian(a)
+    w, v = np.linalg.eigh(a)
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        i = int(np.argmax(np.abs(col)))
+        pivot = col[i]
+        if abs(pivot) > 0.0:
+            col *= np.conj(pivot) / abs(pivot)
+        col[i] = col[i].real
+    return w, v
+
+
+def _random_hermitian_stack(rng, n, d):
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    return g + g.conj().swapaxes(1, 2)
+
+
 def test_require_hermitian_symmetrizes_roundoff():
     a = np.array([[1.0, 0.5 + 1e-12j], [0.5, 2.0]])
     out = require_hermitian(a)
@@ -113,3 +134,54 @@ def test_eig_hermitian_property(seed, dim):
     assert opnorm(spec.reconstruct() - a) < 1e-9
     assert opnorm(spec.eigenvectors.conj().T @ spec.eigenvectors - np.eye(dim)) < 1e-9
     assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_eig_hermitian_stack_matches_column_loop(dim):
+    rng = np.random.default_rng(100 + dim)
+    stack = _random_hermitian_stack(rng, 6, dim)
+    spec = eig_hermitian(stack)
+    assert spec.eigenvalues.shape == (6, dim) and spec.eigenvectors.shape == (6, dim, dim)
+    for a, w, v in zip(stack, spec.eigenvalues, spec.eigenvectors):
+        ref_w, ref_v = _reference_eig_hermitian(a)
+        assert np.array_equal(w, ref_w)
+        # the stacked complex division rounds differently from the scalar
+        # one, by about one ulp
+        assert np.max(np.abs(v - ref_v)) <= 4e-15
+        piv = np.argmax(np.abs(v), axis=0)
+        pivots = v[piv, np.arange(dim)]
+        assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
+        single = eig_hermitian(a)
+        assert np.array_equal(single.eigenvalues, w)
+        assert np.array_equal(single.eigenvectors, v)
+
+
+def test_psd_power_stack_rejects_one_negative_matrix():
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    stack = g @ g.conj().swapaxes(1, 2)
+    roots = psd_power(stack, 0.5)
+    for a, r in zip(stack, roots):
+        assert opnorm(r - psd_power(a, 0.5)) < 1e-12
+    stack[1] -= 2.0 * np.linalg.eigvalsh(stack[1])[-1] * np.eye(4)
+    with pytest.raises(NotPSDError):
+        psd_power(stack, 0.5)
+
+
+def test_support_rank_counts_each_matrix():
+    rng = np.random.default_rng(12)
+    ranks = [1, 3, 0, 4, 2]
+    stack = []
+    for r in ranks:
+        g = rng.standard_normal((4, r)) + 1j * rng.standard_normal((4, r))
+        stack.append(g @ g.conj().T)
+    counts = support_rank(np.stack(stack))
+    assert counts.tolist() == ranks
+    assert [support_rank(a) for a in stack] == ranks
+    assert isinstance(support_rank(stack[0]), int)
+
+
+def test_support_projector_is_power_zero():
+    a = np.diag([4.0, 1e-12, 0.0]).astype(complex)
+    assert np.array_equal(support_projector(a), np.diag([1.0, 0.0, 0.0]))
+    assert np.array_equal(psd_power(a, 0.0), support_projector(a))

@@ -23,8 +23,15 @@ from maxconf import (
     solve_rank1_symmetric,
     verify_certificate,
 )
-from maxconf.solver import _block_coordinates, _hermitian_basis, _newton_system
-from conftest import random_coefficients, random_density, random_ensemble
+from maxconf.operators import support_rank
+from maxconf.solver import (
+    RANK_CUTOFF,
+    _barrier_solve,
+    _block_coordinates,
+    _hermitian_basis,
+    _newton_system,
+)
+from conftest import mixed_width_ensemble, random_coefficients, random_density, random_ensemble
 
 
 def trine_optimal_detection(trine):
@@ -173,6 +180,26 @@ def test_solve_numeric_reports_duality_gap(trine, gap_tol):
     assert solve_rank1_symmetric(trine).duality_gap == 0.0
 
 
+def test_barrier_ladder_continues_one_path():
+    rng = np.random.default_rng(41)
+    geo = geometry(random_ensemble(rng, 3, 5))
+    blocks = geo.detection_blocks
+
+    def rate(a_blocks):
+        return sum(float(np.trace(geo.rho @ w @ a @ w.conj().T).real)
+                   for w, a in zip(blocks, a_blocks))
+
+    stages = list(_barrier_solve(geo.rho, blocks, [1e-8, 1e-9], 10000))
+    assert len(stages) == 2
+    (_, steps_1, gap_1), (a_blocks, steps_2, gap_2) = stages
+    assert steps_1 < steps_2 and gap_1 > gap_2 and gap_2 <= 1e-9
+    [(_, restart_1, _)] = _barrier_solve(geo.rho, blocks, [1e-8], 10000)
+    [(fresh, restart_2, _)] = _barrier_solve(geo.rho, blocks, [1e-9], 10000)
+    assert restart_1 == steps_1
+    assert abs(rate(a_blocks) - rate(fresh)) < 1e-9
+    assert steps_2 < restart_1 + restart_2
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_solve_numeric_degenerate_tops(k):
     # rho_j (x) 1/k: every top eigenspace has dimension m_j = k
@@ -280,6 +307,71 @@ def test_verify_certificate_accepts_optimal_duals(trine):
         cert = verify_certificate(trine, det, z)
         assert cert.accepted, cert.failures
         assert cert.conditions["trace_gap"] < 1e-12
+
+
+def _reference_certificate(ensemble, detection, z, geo, tol=1e-8):
+    """The certificate conditions and ranks, one outcome at a time."""
+    sym = lambda a: 0.5 * (a + a.conj().T)
+    rho, n = geo.rho, ensemble.n_states
+    z = sym(np.asarray(z, dtype=complex))
+    rate = sum(float(np.trace(rho @ detection.conclusive[j]).real) for j in range(n))
+    slack_min, stationarity, lower = np.inf, 0.0, 0
+    for j in range(n):
+        lam = geo.supports[j]
+        slack_min = min(slack_min, float(np.linalg.eigvalsh(sym(lam @ (z - rho) @ lam))[0]))
+        stationarity = max(stationarity, opnorm(lam @ (z - rho) @ detection.conclusive[j]))
+        lower = max(lower, support_rank(lam @ ensemble.states[j] @ lam, RANK_CUTOFF))
+    conditions = {
+        "povm_min_eigenvalue": min(float(np.linalg.eigvalsh(sym(op))[0])
+                                   for op in detection.operators),
+        "completeness_residual": opnorm(detection.operators.sum(axis=0) - np.eye(ensemble.dim)),
+        "z_min_eigenvalue": float(np.linalg.eigvalsh(z)[0]),
+        "support_slack_min_eigenvalue": slack_min,
+        "inconclusive_orthogonality": opnorm(z @ detection.inconclusive),
+        "stationarity_residual": stationarity,
+        "trace_gap": abs(float(np.trace(z).real) - rate),
+    }
+    ranks = (support_rank(z, RANK_CUTOFF), support_rank(detection.inconclusive, RANK_CUTOFF), lower)
+    failures = [k for k, v in conditions.items() if (v < -tol if "min_eigenvalue" in k else v > tol)]
+    if ranks[0] + ranks[1] > ensemble.dim or ranks[0] < ranks[2]:
+        failures.append("rank_bound")
+    return conditions, ranks, failures
+
+
+@pytest.mark.parametrize("z, accepted", [
+    (np.eye(2) / 2.0, True),  # the optimum
+    (np.diag([0.7, 0.3]), True),  # another optimal dual
+    (0.4 * np.eye(2), False),  # the shrunken dual
+    (np.array([[0.5, 0.1], [0.1, 0.5]]), False),  # slacks differ by outcome
+    (np.array([[0.6, 0.1j], [-0.1j, 0.2]]), False),
+])
+def test_verify_certificate_matches_per_outcome_reference(trine, z, accepted):
+    det = trine_optimal_detection(trine)
+    geo = geometry(trine)
+    cert = verify_certificate(trine, det, z, geo=geo)
+    _assert_matches_reference(cert, _reference_certificate(trine, det, z, geo))
+    assert cert.accepted == accepted
+
+
+def test_verify_certificate_mixed_widths_matches_reference():
+    # detection supports of ranks 2, 2 and 1, so the rank lower bound is
+    # the largest of unequal per-outcome ranks
+    e = mixed_width_ensemble(np.random.default_rng(21))
+    geo = geometry(e)
+    report = solve_numeric(e, geo)
+    for z in (report.certificate.z, 0.9 * report.certificate.z):
+        cert = verify_certificate(e, report.detection, z, geo=geo)
+        _assert_matches_reference(cert, _reference_certificate(e, report.detection, z, geo))
+    assert report.certificate.min_rank_required == 2
+
+
+def _assert_matches_reference(cert, reference):
+    conditions, ranks, failures = reference
+    assert cert.conditions.keys() == conditions.keys()
+    for k, v in conditions.items():
+        assert abs(cert.conditions[k] - v) <= 1e-12, k
+    assert (cert.rank_z, cert.rank_inconclusive, cert.min_rank_required) == ranks
+    assert cert.failures == failures
 
 
 def test_verify_certificate_rejects_shrunken_dual(trine):
