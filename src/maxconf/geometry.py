@@ -34,6 +34,7 @@ from .errors import (
 )
 from .operators import (
     TOL_ORTH,
+    TOL_PSD,
     TOL_RECON,
     eig_hermitian,
     opnorm,
@@ -131,8 +132,11 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     lam = (u * keep[:, None, :]) @ u.conj().swapaxes(1, 2)
 
     # independent route: congruence through the pseudo-inverse of
-    # P_j rho^-1 P_j, which must give the same projector
-    lam_alt = rih @ psd_power(top_projectors @ rinv @ top_projectors, -1.0) @ rih
+    # P_j rho^-1 P_j, which must give the same projector; its norm can reach
+    # 1 / (smallest nonzero eigenvalue of rho), so the PSD test scales with it
+    prp = eig_hermitian(top_projectors @ rinv @ top_projectors)
+    norm = max(float(np.abs(prp.eigenvalues).max(initial=0.0)), 1.0)
+    lam_alt = rih @ prp.power(-1.0, TOL_PSD * norm) @ rih
     dev = np.linalg.norm(lam - lam_alt, 2, axis=(1, 2))
     bad = np.flatnonzero(dev > TOL_RECON)
     if bad.size:
@@ -161,19 +165,15 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     )
 
 
-def _reduce_with_basis(
+def reduce_to_support(
     ensemble: StateEnsemble, geo: MCGeometry | None = None
-) -> tuple[StateEnsemble, float, np.ndarray]:
-    """Restrict to the span of the detection supports.
+) -> tuple[StateEnsemble, float]:
+    """Equivalent ensemble on the span of the detection supports.
 
-    Returns (reduced ensemble, scale, basis) where basis B is a (d, d')
-    isometry from the reduced space into the original one, and scale is the
-    probability weight Tr(rho Lambda) the reduced problem carries: any
-    detection rate R' found on the reduced ensemble corresponds to
-    R = scale * R' on the original.
-
-    If the span is already the whole space the ensemble is returned as is
-    with scale 1 and the identity basis.
+    The reduced ensemble has dimension equal to the rank of that span and
+    strictly positive average state; scale = Tr(rho Lambda) converts rates
+    back (R = scale * R'). Returns the input untouched with scale 1.0 when
+    no reduction is possible.
     """
     if geo is None:
         geo = geometry(ensemble)
@@ -183,7 +183,7 @@ def _reduce_with_basis(
     keep = spec.eigenvalues > 0.5
     rank = int(np.count_nonzero(keep))
     if rank == d:
-        return ensemble, 1.0, np.eye(d, dtype=complex)
+        return ensemble, 1.0
 
     # prefer canonical coordinate columns when the span projector is
     # diagonal; keeps a diagonal symmetry generator representable
@@ -220,20 +220,6 @@ def _reduce_with_basis(
         symmetry = SymmetrySpec(order=ensemble.symmetry.order, phases=sub, reference=ref_sub)
 
     reduced = StateEnsemble(dim=rank, priors=new_priors, states=new_states, symmetry=symmetry)
-    return reduced, scale, basis
-
-
-def reduce_to_support(
-    ensemble: StateEnsemble, geo: MCGeometry | None = None
-) -> tuple[StateEnsemble, float]:
-    """Equivalent ensemble on the span of the detection supports.
-
-    The reduced ensemble has dimension equal to the rank of that span and
-    strictly positive average state; scale = Tr(rho Lambda) converts rates
-    back (R = scale * R'). Returns the input untouched with scale 1.0 when
-    no reduction is possible.
-    """
-    reduced, scale, _ = _reduce_with_basis(ensemble, geo)
     return reduced, scale
 
 

@@ -151,14 +151,20 @@ def support_projector(a: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
     return psd_power(a, 0.0, tol)
 
 
-def support_rank(a: np.ndarray, rtol: float = SUPPORT_RTOL) -> int | np.ndarray:
-    """Number of eigenvalues of the Hermitian part of ``a`` whose magnitude
-    exceeds the support cutoff at ``rtol``: an int for one matrix, one
-    count per matrix for a stack (..., d, d)."""
-    a = np.asarray(a)
-    w = np.linalg.eigvalsh(0.5 * (a + _adjoint(a)))
+def rank_of_spectrum(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> int | np.ndarray:
+    """Number of eigenvalues whose magnitude exceeds the support cutoff at
+    ``rtol``: an int for one spectrum (d,), one count per spectrum for a
+    stack (..., d)."""
+    w = eigenvalues
     rank = np.count_nonzero(np.abs(w) > support_cutoff(w, rtol)[..., None], axis=-1)
     return rank if np.ndim(rank) else int(rank)
+
+
+def support_rank(a: np.ndarray, rtol: float = SUPPORT_RTOL) -> int | np.ndarray:
+    """Numerical rank (rank_of_spectrum) of the Hermitian part of ``a``: an
+    int for one matrix, one count per matrix for a stack (..., d, d)."""
+    a = np.asarray(a)
+    return rank_of_spectrum(np.linalg.eigvalsh(0.5 * (a + _adjoint(a))), rtol)
 
 
 def opnorm(a: np.ndarray) -> float:

@@ -200,7 +200,6 @@ def report_to_json(report: SolveReport) -> dict:
         "confidences": [float(c) for c in report.confidences],
         "certified": report.certified,
         "iterations": report.iterations,
-        "support_scale": report.support_scale,
         "duality_gap": report.duality_gap,
     }
 

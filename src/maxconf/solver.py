@@ -49,8 +49,8 @@ from .errors import (
     NotConvergedError,
     NotSymmetricError,
 )
-from .geometry import MCGeometry, _reduce_with_basis, geometry
-from .operators import eig_hermitian, opnorm, support_cutoff, support_rank
+from .geometry import MCGeometry, geometry
+from .operators import eig_hermitian, opnorm, rank_of_spectrum, support_cutoff, support_rank
 
 POS_TOL = 1e-8
 EQ_TOL = 1e-8
@@ -217,11 +217,15 @@ def verify_certificate(
     lam = geo.supports
     lam_dual = lam @ (z - geo.rho)
     rate = float(np.einsum("ab,jba->", geo.rho, detection.conclusive).real)
+    # one spectrum of Z and one of the Hermitian parts of the Pi stack give
+    # both the positivity conditions and the ranks
+    z_w = np.linalg.eigvalsh(z)
+    pi_w = np.linalg.eigvalsh(_sym(detection.operators))
 
     conditions: dict[str, float] = {}
-    conditions["povm_min_eigenvalue"] = detection.min_eigenvalue()
+    conditions["povm_min_eigenvalue"] = float(pi_w[:, 0].min())
     conditions["completeness_residual"] = detection.completeness_residual()
-    conditions["z_min_eigenvalue"] = float(np.linalg.eigvalsh(z)[0])
+    conditions["z_min_eigenvalue"] = float(z_w[0])
     conditions["support_slack_min_eigenvalue"] = float(
         np.linalg.eigvalsh(_sym(lam_dual @ lam))[:, 0].min()
     )
@@ -231,8 +235,8 @@ def verify_certificate(
     )
     conditions["trace_gap"] = abs(float(np.trace(z).real) - rate)
 
-    rank_z = support_rank(z, RANK_CUTOFF)
-    rank_pi0 = support_rank(pi0, RANK_CUTOFF)
+    rank_z = rank_of_spectrum(z_w, RANK_CUTOFF)
+    rank_pi0 = rank_of_spectrum(pi_w[0], RANK_CUTOFF)
     lower = int(support_rank(lam @ ensemble.states @ lam, RANK_CUTOFF).max())
     rank_ok = (rank_z + rank_pi0 <= ensemble.dim) and (rank_z >= lower)
 
@@ -282,8 +286,33 @@ class SolveReport:
     certificate: OptimalityCertificate
     certified: bool
     iterations: int = 0
-    support_scale: float = 1.0
     duality_gap: float = 0.0  # barrier bound nu / t of the last stage; 0 in closed form
+
+
+def _report(
+    ensemble: StateEnsemble,
+    geo: MCGeometry,
+    mode: str,
+    detection: DetectionSet,
+    z: np.ndarray,
+    iterations: int = 0,
+    duality_gap: float = 0.0,
+) -> SolveReport:
+    """Evaluate the measurement and verify its certificate Z into a report."""
+    certificate = verify_certificate(ensemble, detection, z, geo=geo)
+    stats = evaluate_measurement(ensemble, detection)
+    return SolveReport(
+        mode=mode,
+        detection=detection,
+        detection_rate=stats.detection_rate,
+        failure_probability=stats.failure_probability,
+        confidences=stats.confidences,
+        correct_probability=stats.correct_probability,
+        certificate=certificate,
+        certified=certificate.accepted,
+        iterations=iterations,
+        duality_gap=duality_gap,
+    )
 
 
 def solve_rank1_symmetric(
@@ -348,20 +377,7 @@ def solve_rank1_symmetric(
     zdiag = np.zeros(d)
     zdiag[cluster] = n * alpha / cluster.size
     z = np.diag(zdiag).astype(complex)
-
-    certificate = verify_certificate(ensemble, detection, z, geo=geo)
-    stats = evaluate_measurement(ensemble, detection)
-    return SolveReport(
-        mode="analytic",
-        detection=detection,
-        detection_rate=stats.detection_rate,
-        failure_probability=stats.failure_probability,
-        confidences=stats.confidences,
-        correct_probability=stats.correct_probability,
-        certificate=certificate,
-        certified=certificate.accepted,
-        iterations=0,
-    )
+    return _report(ensemble, geo, "analytic", detection, z)
 
 
 @lru_cache(maxsize=64)
@@ -417,37 +433,43 @@ def _newton_system(w, a, gains, t, pairs, basis):
     return grad, -(basis @ (yk * yk.T + ya * ya.T) @ basis.T).real
 
 
+def _embed(w: np.ndarray, owner: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The detection operators W_j a_j W_j^dagger of a block-diagonal A,
+    stacked (N, d, d); owner[j] masks the columns of W_j."""
+    return _sym(((w @ a) * owner[:, None, :]) @ w.conj().T)
+
+
 def _barrier_solve(
     rho: np.ndarray,
-    blocks: list[np.ndarray],
+    w: np.ndarray,
+    owner: np.ndarray,
     ladder: list[float],
     max_newton: int,
 ):
     """Maximize sum_j Tr(rho W_j a_j W_j^dagger) over a_j >= 0 with
     sum_j W_j a_j W_j^dagger <= 1, by log-barrier path following.
 
-    The blocks are stacked: W = [W_1 ... W_N] is d x M, M = sum_j m_j, and
-    the a_j are the diagonal blocks of one M x M matrix A, so the constraint
-    is S = 1 - W A W^dagger >= 0. Each Newton step builds its whole system
-    from one K = W^dagger S^-1 W and one A^-1 (_newton_system); with every
-    m_j = 1 the Hessian is -|K|^2 - diag(1/a^2). A point is in the domain
-    when A and S both have a Cholesky factor.
+    The blocks come stacked: W = [W_1 ... W_N] is d x M, M = sum_j m_j, the
+    (N, M) mask owner[j] marks the columns of W_j, and the a_j are the
+    diagonal blocks of one M x M matrix A, exactly zero off the blocks, so
+    the constraint is S = 1 - W A W^dagger >= 0. Each Newton step builds its
+    whole system from one K = W^dagger S^-1 W and one A^-1 (_newton_system);
+    with every m_j = 1 the Hessian is -|K|^2 - diag(1/a^2). A point is in
+    the domain when A and S both have a Cholesky factor.
 
     One central path serves the whole gap ladder: after each stage, once
     nu / t <= the stage's gap and the point is re-centered tightly, yields
-    (a_blocks, newton_steps, gap) with newton_steps counted from the start
-    of the path and gap the exact duality gap bound nu / t of that central
-    point; the next stage continues from there. Raises NotConvergedError if
-    the Newton budget, which covers the whole path, is exhausted first.
+    (A, newton_steps, gap) with newton_steps counted from the start of the
+    path and gap the exact duality gap bound nu / t of that central point;
+    the next stage continues from there. Raises NotConvergedError if the
+    Newton budget, which covers the whole path, is exhausted first.
     """
-    ms = [wj.shape[1] for wj in blocks]
-    nu = rho.shape[0] + sum(ms)
-    w = np.concatenate(blocks, axis=1)
+    nu = rho.shape[0] + w.shape[1]
     gains = w.conj().T @ rho @ w
-    pairs, basis = _block_coordinates(ms)
+    pairs, basis = _block_coordinates(owner.sum(axis=1).tolist())
 
     # strictly feasible start: scaled identities keeping the total below 1/2
-    norm_sum = sum(opnorm(wj @ wj.conj().T) for wj in blocks)
+    norm_sum = float(np.linalg.norm(_embed(w, owner, np.eye(w.shape[1])), 2, axis=(1, 2)).sum())
     a = 0.5 / max(norm_sum, 1e-300) * np.eye(w.shape[1], dtype=complex)
 
     steps = 0
@@ -501,27 +523,24 @@ def _barrier_solve(
             f"centering did not converge in {_MAX_CENTER_STEPS} steps at t = {t_val:.3e}"
         )
 
-    edges = np.cumsum([0] + ms)
     center(t, _CENTER_TOL)
     for gap_tol in ladder:
         while nu / t > gap_tol:
             t *= _BARRIER_MU
             center(t, _CENTER_TOL)
         center(t, _FINAL_CENTER_TOL)
-        yield [a[lo:hi, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])], steps, nu / t
+        yield a, steps, nu / t
 
 
-def _recover_dual(
-    geo: MCGeometry,
-    detection: DetectionSet,
-    rate: float,
-) -> np.ndarray:
+def _recover_dual(geo: MCGeometry, detection: DetectionSet) -> np.ndarray:
     """Least-squares dual operator consistent with complementary slackness.
 
     Z is constrained to the kernel of the inconclusive operator (so
     Z Pi_0 = 0 automatically) and fitted to the stationarity equations
-    Lambda_j (Z - rho) Pi_j = 0 together with the normalization Tr Z = R.
+    Lambda_j (Z - rho) Pi_j = 0 together with the normalization Tr Z = R,
+    R = sum_j Tr(rho Pi_j) as verify_certificate measures it.
     """
+    rate = float(np.einsum("ab,jba->", geo.rho, detection.conclusive).real)
     d = geo.dim
     pi0 = _sym(detection.inconclusive)
     spec = eig_hermitian(pi0)
@@ -553,10 +572,11 @@ def solve_numeric(
 ) -> SolveReport:
     """Numerically optimal maximum-confidence measurement for any ensemble.
 
-    Restricts to the span of the detection supports (renormalizing rates by
-    the carried probability), maximizes the detection rate over the positive
-    coefficient blocks by log-barrier Newton path following, embeds the
-    solution back, symmetrizes it over the cyclic group when the ensemble
+    Maximizes the detection rate over the positive coefficient blocks by
+    log-barrier Newton path following in the ambient space (S = 1 - W A
+    W^dagger is the identity off the span of the detection blocks, so a
+    rank-deficient rho needs no reduction), forms every W_j a_j W_j^dagger
+    at once, symmetrizes them over the cyclic group when the ensemble
     declares one, recovers a dual operator from complementary slackness, and
     verifies the certificate. The report's certified flag states whether the
     certificate passed; the measurement itself is returned either way.
@@ -569,16 +589,9 @@ def solve_numeric(
     """
     if geo is None:
         geo = geometry(ensemble)
-
-    reduced, scale, basis = _reduce_with_basis(ensemble, geo)
-    if reduced is ensemble:
-        geo_r = geo
-    else:
-        geo_r = geometry(reduced)
-
-    blocks = geo_r.detection_blocks
-    rho_r = geo_r.rho
-    n, d = ensemble.n_states, ensemble.dim
+    n = ensemble.n_states
+    w = np.concatenate(geo.detection_blocks, axis=1)
+    owner = np.repeat(np.eye(n, dtype=bool), geo.degeneracies, axis=1)
     symmetric = ensemble.symmetry is not None and ensemble.symmetry.order == n
 
     ladder = [gap_tol]
@@ -587,41 +600,18 @@ def solve_numeric(
             ladder.append(tight)
 
     report = None
-    for a_blocks, steps, gap in _barrier_solve(rho_r, blocks, ladder, max_iterations):
-        conclusive = np.empty((n, d, d), dtype=complex)
-        for j in range(n):
-            pj = blocks[j] @ a_blocks[j] @ blocks[j].conj().T
-            conclusive[j] = _sym(basis @ pj @ basis.conj().T)
-
+    for a, steps, gap in _barrier_solve(geo.rho, w, owner, ladder, max_iterations):
+        conclusive = _embed(w, owner, a)
         if symmetric:
             # group average; for the conclusive outcomes
             # sum_k V^k Pi_{j-k} V^-k = V^j [sum_i V^-i Pi_i V^i] V^-j
             phases = ensemble.symmetry.phases
-            pi0 = orbit(np.eye(d) - conclusive.sum(axis=0), phases, n).mean(axis=0)
             conclusive = orbit(orbit(conclusive, phases.conj(), n).mean(axis=0), phases, n)
-            detection = DetectionSet(np.concatenate([pi0[None], conclusive]))
-        else:
-            detection = DetectionSet.from_conclusive(conclusive)
-
-        stats = evaluate_measurement(ensemble, detection)
-        z = _recover_dual(geo, detection, stats.detection_rate)
+        detection = DetectionSet.from_conclusive(conclusive)
+        z = _recover_dual(geo, detection)
         if symmetric:
             z = orbit(z, phases, n).mean(axis=0)
-        certificate = verify_certificate(ensemble, detection, z, geo=geo)
-
-        report = SolveReport(
-            mode="numeric",
-            detection=detection,
-            detection_rate=stats.detection_rate,
-            failure_probability=stats.failure_probability,
-            confidences=stats.confidences,
-            correct_probability=stats.correct_probability,
-            certificate=certificate,
-            certified=certificate.accepted,
-            iterations=steps,
-            support_scale=scale,
-            duality_gap=gap,
-        )
+        report = _report(ensemble, geo, "numeric", detection, z, steps, gap)
         if report.certified:
             break
     return report

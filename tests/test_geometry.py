@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxconf import (
     DegenerateMappingError,
+    GeometryInconsistencyError,
     InfeasibleInputError,
     StateEnsemble,
     build_depolarized_family,
@@ -20,7 +21,13 @@ from maxconf import (
 )
 from maxconf.geometry import DEGENERACY_RTOL
 from maxconf.operators import TOL_RECON, orthonormal_columns
-from conftest import mixed_width_ensemble, random_coefficients, random_density, random_ensemble
+from conftest import (
+    mixed_width_ensemble,
+    random_coefficients,
+    random_density,
+    random_ensemble,
+    random_pure,
+)
 
 
 def _reference_geometry(ensemble, transformed):
@@ -131,6 +138,18 @@ def test_reduce_to_support_noop_on_full_rank(trine):
     reduced, scale = reduce_to_support(trine)
     assert reduced is trine
     assert scale == 1.0
+
+
+@pytest.mark.parametrize("seed", [5, 7, 8])
+def test_tiny_prior_fails_the_cross_check_not_a_psd_test(seed):
+    # priors (1e-7, 1/2, 1/2 - 1e-7): P_j rho^-1 P_j has norm ~1e7, so its
+    # rounding noise (~2e-9) must not trip an absolute PSD tolerance; the
+    # two routes to Lambda_j then disagree and the documented error follows
+    rng = np.random.default_rng(seed)
+    states = np.stack([np.outer(v, v.conj()) for v in (random_pure(rng, 3) for _ in range(3))])
+    e = StateEnsemble(dim=3, priors=np.array([1e-7, 0.5, 0.5 - 1e-7]), states=states)
+    with pytest.raises(GeometryInconsistencyError, match="outcome 2 disagree"):
+        geometry(e)
 
 
 def test_two_state_components_recombine():

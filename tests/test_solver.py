@@ -14,10 +14,12 @@ from maxconf import (
     SymmetricFamily,
     build_depolarized_family,
     build_symmetric_ensemble,
+    default_phases,
     evaluate_measurement,
     geometry,
     opnorm,
     perturbation_witness,
+    pure_symmetric_solution,
     qubit_mixed_solution,
     solve_numeric,
     solve_rank1_symmetric,
@@ -28,6 +30,7 @@ from maxconf.solver import (
     RANK_CUTOFF,
     _barrier_solve,
     _block_coordinates,
+    _embed,
     _hermitian_basis,
     _newton_system,
 )
@@ -149,15 +152,18 @@ def test_solve_numeric_agrees_with_analytic(trine):
     assert abs(analytic.detection_rate - numeric.detection_rate) < 1e-6
 
 
-def test_solve_numeric_reduces_rank_deficient_average():
+@pytest.mark.parametrize("embedding", ["corner", "rotated"])
+def test_solve_numeric_reduces_rank_deficient_average(embedding):
     rng = np.random.default_rng(6)
     base = random_ensemble(rng, 2, 3)
-    states = []
-    for s in base.states:
-        big = np.zeros((3, 3), dtype=complex)
-        big[:2, :2] = s
-        states.append(big)
-    e = StateEnsemble(dim=3, priors=base.priors, states=tuple(states))
+    if embedding == "corner":
+        iso = np.eye(3, 2)
+    else:
+        # a random isometry into 5 dimensions: the span of the states is
+        # not spanned by coordinate axes
+        iso = np.linalg.qr(rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))[0]
+    e = StateEnsemble(dim=iso.shape[0], priors=base.priors,
+                      states=iso @ base.states @ iso.conj().T)
     report = solve_numeric(e)
     assert report.certified
     baseline = solve_numeric(base)
@@ -180,24 +186,43 @@ def test_solve_numeric_reports_duality_gap(trine, gap_tol):
     assert solve_rank1_symmetric(trine).duality_gap == 0.0
 
 
+def _stacked_blocks(geo):
+    """W = [W_1 ... W_N] and the (N, M) column-owner mask."""
+    w = np.concatenate(geo.detection_blocks, axis=1)
+    owner = np.repeat(np.eye(len(geo.detection_blocks), dtype=bool), geo.degeneracies, axis=1)
+    return w, owner
+
+
 def test_barrier_ladder_continues_one_path():
     rng = np.random.default_rng(41)
     geo = geometry(random_ensemble(rng, 3, 5))
-    blocks = geo.detection_blocks
+    w, owner = _stacked_blocks(geo)
 
-    def rate(a_blocks):
-        return sum(float(np.trace(geo.rho @ w @ a @ w.conj().T).real)
-                   for w, a in zip(blocks, a_blocks))
+    def rate(a):
+        return float(np.trace(geo.rho @ w @ a @ w.conj().T).real)
 
-    stages = list(_barrier_solve(geo.rho, blocks, [1e-8, 1e-9], 10000))
+    stages = list(_barrier_solve(geo.rho, w, owner, [1e-8, 1e-9], 10000))
     assert len(stages) == 2
-    (_, steps_1, gap_1), (a_blocks, steps_2, gap_2) = stages
+    (_, steps_1, gap_1), (a, steps_2, gap_2) = stages
     assert steps_1 < steps_2 and gap_1 > gap_2 and gap_2 <= 1e-9
-    [(_, restart_1, _)] = _barrier_solve(geo.rho, blocks, [1e-8], 10000)
-    [(fresh, restart_2, _)] = _barrier_solve(geo.rho, blocks, [1e-9], 10000)
+    [(_, restart_1, _)] = _barrier_solve(geo.rho, w, owner, [1e-8], 10000)
+    [(fresh, restart_2, _)] = _barrier_solve(geo.rho, w, owner, [1e-9], 10000)
     assert restart_1 == steps_1
-    assert abs(rate(a_blocks) - rate(fresh)) < 1e-9
+    assert abs(rate(a) - rate(fresh)) < 1e-9
     assert steps_2 < restart_1 + restart_2
+
+
+def test_stacked_embedding_matches_per_outcome_reference():
+    geo = geometry(mixed_width_ensemble(np.random.default_rng(21)))
+    assert geo.degeneracies.tolist() == [2, 2, 1]
+    w, owner = _stacked_blocks(geo)
+    [(a, _, _)] = _barrier_solve(geo.rho, w, owner, [1e-8], 10000)
+    # A is block-diagonal: exactly zero between columns of different outcomes
+    assert not np.any(a[~(owner.T @ owner)])
+    edges = np.cumsum([0, *geo.degeneracies])
+    reference = np.stack([wj @ a[lo:hi, lo:hi] @ wj.conj().T
+                          for wj, lo, hi in zip(geo.detection_blocks, edges[:-1], edges[1:])])
+    assert np.max(np.abs(_embed(w, owner, a) - reference)) < 1e-12
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -268,16 +293,24 @@ def test_hermitian_basis_is_one_orthonormal_array():
     assert np.allclose(np.einsum("rab,sba->rs", basis, basis), np.eye(9))
 
 
-@pytest.mark.parametrize("kind", ["depolarized-qutrit", "repeated-phases"])
+@pytest.mark.parametrize("kind", ["depolarized-qutrit", "repeated-phases", "embedded"])
 def test_solve_numeric_is_covariant(kind):
     c = np.array([0.6, 0.64, 0.48])
     if kind == "depolarized-qutrit":
         e = build_depolarized_family(c, 4, 0.7)
-    else:
+    elif kind == "repeated-phases":
         # repeated phases: only the numerical solver handles this orbit
         e = build_symmetric_ensemble(c, 3, phases=(1.0, 1.0, np.exp(2j * np.pi / 3)))
+    else:
+        # the pure qutrit orbit of order 4 plus an idle fourth dimension of
+        # phase 1, outside the support of the average state
+        phases = np.append(default_phases(4, 3), 1.0)
+        e = build_symmetric_ensemble(np.append(c, 0.0), 4, phases=phases)
     report = solve_numeric(e)
     assert report.certified, report.certificate.failures
+    if kind == "embedded":
+        exact = pure_symmetric_solution(SymmetricFamily(order=4, purity=1.0, coefficients=c))
+        assert abs(report.failure_probability - exact.failure_probability) < 1e-6
     v = e.symmetry.generator()
     det = report.detection
     for k in range(e.n_states):
@@ -297,6 +330,23 @@ def test_verify_certificate_ranks_use_hermitian_part(trine):
     assert "completeness_residual" in cert.failures
     assert (cert.rank_z, cert.rank_inconclusive, cert.min_rank_required) == (2, 0, 1)
     assert cert.rank_bound_ok
+
+
+def test_verify_certificate_diagonalizes_each_operator_once(trine, monkeypatch):
+    # one spectrum each of Z, the Pi stack, the slack stack and the
+    # Lambda_j rho_j Lambda_j stack serves every condition and rank
+    geo = geometry(trine)
+    det = trine_optimal_detection(trine)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    cert = verify_certificate(trine, det, np.eye(2) / 2.0, geo=geo)
+    assert cert.accepted, cert.failures
+    assert len(calls) == 4, calls
 
 
 def test_verify_certificate_accepts_optimal_duals(trine):
