@@ -41,7 +41,7 @@ report = solve_numeric(ensemble)
 cert = report.certificate
 print(f"detection rate R = {report.detection_rate:.9f}")
 print(f"failure probability Q = {report.failure_probability:.9f}")
-print(f"certified = {report.certified}  (Newton iterations: {report.iterations})")
+print(f"certified = {report.certified}  (interior-point iterations: {report.iterations})")
 print("certificate conditions:")
 for name, value in cert.conditions.items():
     print(f"  {name:32s} {value: .3e}")

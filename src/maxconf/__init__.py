@@ -45,14 +45,12 @@ from .geometry import (
     MCGeometry,
     geometry,
     is_unambiguous,
-    reduce_to_support,
     transformed_states,
     two_state_components,
 )
 from .operators import (
     Spectrum,
     eig_hermitian,
-    is_psd,
     opnorm,
     psd_power,
     support_projector,
@@ -106,7 +104,6 @@ __all__ = [
     "evaluate_measurement",
     "flat_mixed_solution",
     "geometry",
-    "is_psd",
     "is_unambiguous",
     "opnorm",
     "orbit",
@@ -114,7 +111,6 @@ __all__ = [
     "psd_power",
     "pure_symmetric_solution",
     "qubit_mixed_solution",
-    "reduce_to_support",
     "solve_numeric",
     "solve_rank1_symmetric",
     "square_root_measurement",

@@ -26,20 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import StateEnsemble, SymmetrySpec, average_state, validate
+from .ensembles import StateEnsemble, average_state, validate
 from .errors import (
     DegenerateMappingError,
     GeometryInconsistencyError,
     InfeasibleInputError,
 )
 from .operators import (
+    TOL_HERM,
     TOL_ORTH,
     TOL_PSD,
     TOL_RECON,
     eig_hermitian,
     opnorm,
-    projector_onto_span,
     psd_power,
+    support_cutoff,
 )
 
 TOL_CONF = 1e-9
@@ -100,7 +101,7 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     (its support projector, rho^-1/2 and rho^-1), one of the stacked
     transformed states, one SVD of the detection blocks zero-padded to the
     widest top eigenspace (zero columns have singular value 0, so the rank
-    cutoff of orthonormal_columns drops them), and one stacked cross-check.
+    cutoff drops them), and one stacked cross-check.
     """
     report = validate(ensemble)
     if not report.ok:
@@ -133,10 +134,12 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
 
     # independent route: congruence through the pseudo-inverse of
     # P_j rho^-1 P_j, which must give the same projector; its norm can reach
-    # 1 / (smallest nonzero eigenvalue of rho), so the PSD test scales with it
-    prp = eig_hermitian(top_projectors @ rinv @ top_projectors)
-    norm = max(float(np.abs(prp.eigenvalues).max(initial=0.0)), 1.0)
-    lam_alt = rih @ prp.power(-1.0, TOL_PSD * norm) @ rih
+    # ||rho^-1|| = 1 / (smallest nonzero eigenvalue of rho), so its
+    # Hermiticity and PSD tests scale with that norm
+    w_rho = rho_spec.eigenvalues
+    scale = max(1.0 / float(w_rho[w_rho > support_cutoff(w_rho)].min()), 1.0)
+    prp = eig_hermitian(top_projectors @ rinv @ top_projectors, TOL_HERM * scale)
+    lam_alt = rih @ prp.power(-1.0, TOL_PSD * scale) @ rih
     dev = np.linalg.norm(lam - lam_alt, 2, axis=(1, 2))
     bad = np.flatnonzero(dev > TOL_RECON)
     if bad.size:
@@ -163,64 +166,6 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
         detection_blocks=detection_blocks,
         supports=0.5 * (lam + lam.conj().swapaxes(1, 2)),
     )
-
-
-def reduce_to_support(
-    ensemble: StateEnsemble, geo: MCGeometry | None = None
-) -> tuple[StateEnsemble, float]:
-    """Equivalent ensemble on the span of the detection supports.
-
-    The reduced ensemble has dimension equal to the rank of that span and
-    strictly positive average state; scale = Tr(rho Lambda) converts rates
-    back (R = scale * R'). Returns the input untouched with scale 1.0 when
-    no reduction is possible.
-    """
-    if geo is None:
-        geo = geometry(ensemble)
-    d = ensemble.dim
-    lam = projector_onto_span(geo.supports)
-    spec = eig_hermitian(lam)
-    keep = spec.eigenvalues > 0.5
-    rank = int(np.count_nonzero(keep))
-    if rank == d:
-        return ensemble, 1.0
-
-    # prefer canonical coordinate columns when the span projector is
-    # diagonal; keeps a diagonal symmetry generator representable
-    diag_dev = float(np.max(np.abs(lam - np.diag(np.diag(lam)))))
-    canonical = diag_dev <= 1e-12
-    if canonical:
-        idx = np.where(np.abs(np.diag(lam).real - 1.0) < 0.5)[0]
-        basis = np.eye(d, dtype=complex)[:, idx]
-    else:
-        basis = spec.eigenvectors[:, keep]
-
-    scale = float(np.trace(lam @ geo.rho).real)
-    if scale <= 0.0:
-        raise InfeasibleInputError("detection span carries zero probability")
-
-    weights = np.einsum("ab,jba->j", lam, ensemble.states).real
-    empty = np.flatnonzero(weights <= 0.0)
-    if empty.size:
-        raise InfeasibleInputError(
-            f"state {empty[0] + 1} has no weight on the detection span; cannot renormalize"
-        )
-    new_priors = ensemble.priors * weights / scale
-    s = basis.conj().T @ ensemble.states @ basis / weights[:, None, None]
-    new_states = 0.5 * (s + s.conj().swapaxes(1, 2))
-
-    symmetry = None
-    if ensemble.symmetry is not None and canonical:
-        sub = ensemble.symmetry.phases[idx]
-        ref = ensemble.symmetry.reference
-        if ref.ndim == 2:
-            ref_sub = ref[np.ix_(idx, idx)]
-        else:
-            ref_sub = ref[idx]
-        symmetry = SymmetrySpec(order=ensemble.symmetry.order, phases=sub, reference=ref_sub)
-
-    reduced = StateEnsemble(dim=rank, priors=new_priors, states=new_states, symmetry=symmetry)
-    return reduced, scale
 
 
 def is_unambiguous(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> tuple[bool, dict]:

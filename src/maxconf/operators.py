@@ -126,17 +126,6 @@ def eig_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def is_psd(a: np.ndarray, tol: float = TOL_PSD) -> tuple[bool, float]:
-    """Check positive semidefiniteness.
-
-    Returns (ok, min_eigenvalue); ok means the smallest eigenvalue is
-    >= -tol.
-    """
-    spec = eig_hermitian(a)
-    lo = float(spec.eigenvalues[-1]) if spec.eigenvalues.size else 0.0
-    return lo >= -tol, lo
-
-
 def psd_power(a: np.ndarray, exponent: float, tol: float = TOL_PSD) -> np.ndarray:
     """Matrix power of a positive semidefinite operator, or of each matrix of
     a stack (..., d, d); see Spectrum.power.
@@ -170,22 +159,3 @@ def support_rank(a: np.ndarray, rtol: float = SUPPORT_RTOL) -> int | np.ndarray:
 def opnorm(a: np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
     return float(np.linalg.norm(a, 2))
-
-
-def projector_onto_span(operators: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Projector onto the combined ranges of a family of PSD operators.
-
-    The range of a sum of PSD operators is the span of the individual
-    ranges, so one support computation on the sum suffices.
-    """
-    total = np.sum(np.asarray(operators, dtype=complex), axis=0)
-    return support_projector(total)
-
-
-def orthonormal_columns(cols: np.ndarray, tol: float = TOL_ORTH) -> np.ndarray:
-    """Orthonormal basis for the column span, via SVD with a rank cutoff."""
-    if cols.size == 0:
-        return cols.reshape(cols.shape[0], 0)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    keep = s > max(tol, s[0] * 1e-12) if s.size else np.zeros(0, dtype=bool)
-    return u[:, keep]

@@ -13,8 +13,9 @@ semidefinite program. This module provides:
 
 * solve_rank1_symmetric: closed form for cyclic ensembles whose transformed
   states have a nondegenerate top eigenvalue,
-* solve_numeric: a self-contained log-barrier Newton solver for arbitrary
-  ensembles (any degeneracies, no symmetry needed),
+* solve_numeric: a self-contained primal-dual interior-point solver for
+  arbitrary ensembles (any degeneracies, no symmetry needed), whose dual
+  iterate Z is the certificate,
 * verify_certificate: checks a dual certificate (Z, detection set) against
   every optimality condition and reports the residuals,
 * perturbation_witness: for a failed certificate, constructs a deformed
@@ -50,7 +51,7 @@ from .errors import (
     NotSymmetricError,
 )
 from .geometry import MCGeometry, geometry
-from .operators import eig_hermitian, opnorm, rank_of_spectrum, support_cutoff, support_rank
+from .operators import eig_hermitian, opnorm, rank_of_spectrum, support_rank
 
 POS_TOL = 1e-8
 EQ_TOL = 1e-8
@@ -58,15 +59,10 @@ DEFAULT_GAP_TOL = 1e-8
 DEFAULT_MAX_ITERATIONS = 10000
 TIE_RTOL = 1e-9
 OVERLAP_CUTOFF = 1e-14
-KERNEL_CUTOFF = 1e-6
 RANK_CUTOFF = 1e-7
 ZERO_PROB = 1e-14
 
-_BARRIER_MU = 10.0
-_CENTER_TOL = 1e-10
-_FINAL_CENTER_TOL = 1e-12
-_MAX_CENTER_STEPS = 80
-_STALL_TOL = 1e-6
+_TO_BOUNDARY = 0.98  # largest fraction of the way to a cone boundary per step
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -286,7 +282,7 @@ class SolveReport:
     certificate: OptimalityCertificate
     certified: bool
     iterations: int = 0
-    duality_gap: float = 0.0  # barrier bound nu / t of the last stage; 0 in closed form
+    duality_gap: float = 0.0  # Tr Z - R of the interior-point pair; 0 in closed form
 
 
 def _report(
@@ -419,18 +415,15 @@ def _slack(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.eye(w.shape[0], dtype=complex) - _sym(w @ a @ w.conj().T)
 
 
-def _newton_system(w, a, gains, t, pairs, basis):
-    """Gradient and Hessian of t Tr(G A) + log det A + log det S at the
-    block-diagonal A, in the coordinates of _block_coordinates. With
-    K = W^dagger S^-1 W they are Re(B (t G + A^-1 - K)[q, p]) and
-    -Re(B (T(K) + T(A^-1)) B^T), T(X)[i, k] = X[q_i, p_k] X[q_k, p_i]."""
+def _newton_system(x1, a_inv, y, k, pairs, basis):
+    """Schur complement of the HKM Newton system in the coordinates of
+    _block_coordinates: Re(B (T(X1, A^-1) + T(Y, K)) B^T) with
+    T(X, Y)[i, k] = X[q_i, p_k] Y[q_k, p_i], Y = W^dagger Z W and
+    K = W^dagger S^-1 W. On the central path (X1 = A^-1 / t, Z = S^-1 / t)
+    it is the negated Hessian of the log barrier over t."""
     p, q = pairs
-    k = w.conj().T @ _sym(np.linalg.inv(_slack(w, a))) @ w
-    a_inv = np.linalg.inv(a)
-    grad = (basis @ (t * gains + a_inv - k)[q, p]).real
-    yk = k[np.ix_(q, p)]
-    ya = a_inv[np.ix_(q, p)]
-    return grad, -(basis @ (yk * yk.T + ya * ya.T) @ basis.T).real
+    ix = np.ix_(q, p)
+    return (basis @ (x1[ix] * a_inv[ix].T + y[ix] * k[ix].T) @ basis.T).real
 
 
 def _embed(w: np.ndarray, owner: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -439,129 +432,135 @@ def _embed(w: np.ndarray, owner: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _sym(((w @ a) * owner[:, None, :]) @ w.conj().T)
 
 
-def _barrier_solve(
+def _step_lengths(factors, primal, dual):
+    """Primal and dual step lengths, each at most 1 and at most
+    _TO_BOUNDARY of the way to the boundary of its cones. factors are the
+    inverse Cholesky factors L^-1 of the stacked cone pairs [A, X1] and
+    [S, Z]; x + alpha dx stays >= 0 while alpha lambda_min(L^-1 dx L^-dagger)
+    >= -1, so one eigvalsh per pair gives every limit."""
+    lows = [np.linalg.eigvalsh(f @ np.stack(pair) @ f.conj().swapaxes(1, 2))[:, 0]
+            for f, pair in zip(factors, zip(primal, dual))]
+    return tuple(_TO_BOUNDARY / max(_TO_BOUNDARY, -lo[0], -lo[1]) for lo in zip(*lows))
+
+
+def _interior_point(
     rho: np.ndarray,
     w: np.ndarray,
     owner: np.ndarray,
     ladder: list[float],
-    max_newton: int,
+    max_iterations: int,
 ):
     """Maximize sum_j Tr(rho W_j a_j W_j^dagger) over a_j >= 0 with
-    sum_j W_j a_j W_j^dagger <= 1, by log-barrier path following.
+    sum_j W_j a_j W_j^dagger <= 1, and minimize Tr Z over its dual
+    Z >= 0, W_j^dagger (Z - rho) W_j >= 0, by a feasible-start Mehrotra
+    predictor-corrector with the HKM direction.
 
     The blocks come stacked: W = [W_1 ... W_N] is d x M, M = sum_j m_j, the
     (N, M) mask owner[j] marks the columns of W_j, and the a_j are the
-    diagonal blocks of one M x M matrix A, exactly zero off the blocks, so
-    the constraint is S = 1 - W A W^dagger >= 0. Each Newton step builds its
-    whole system from one K = W^dagger S^-1 W and one A^-1 (_newton_system);
-    with every m_j = 1 the Hessian is -|K|^2 - diag(1/a^2). A point is in
-    the domain when A and S both have a Cholesky factor.
+    diagonal blocks of one M x M matrix A, exactly zero off the blocks. The
+    cone pairs are (A, X1) with X1 the diagonal blocks of
+    W^dagger (Z - rho) W, and (S, Z) with S = 1 - W A W^dagger; both are
+    functions of A and Z, so every iterate is primal and dual feasible and
+    the duality gap is Tr(X1 A) + Tr(Z S) = Tr Z - R. Each iteration builds
+    the Schur complement (_newton_system) once and solves it for the
+    predictor and the corrector.
 
-    One central path serves the whole gap ladder: after each stage, once
-    nu / t <= the stage's gap and the point is re-centered tightly, yields
-    (A, newton_steps, gap) with newton_steps counted from the start of the
-    path and gap the exact duality gap bound nu / t of that central point;
-    the next stage continues from there. Raises NotConvergedError if the
-    Newton budget, which covers the whole path, is exhausted first.
+    Near the optimum a predictor-corrector step can leave a pair far from
+    commuting: Tr(Z S) ~ gap while ||Z S|| ~ sqrt(gap), too large for the
+    certificate's Z Pi_0 = 0. Commuting positive pairs have
+    ||X A||_F <= Tr(X A), so an iterate with ||X1 A||_F + ||Z S||_F above
+    the gap takes a sigma = 1 centering step instead, with one step length
+    for A and Z (separate ones can cycle there), and no iterate far from
+    commuting is ever reported.
+
+    One path serves the whole gap ladder: once the gap is at most the
+    stage's value at a commuting iterate, (A, iterations, gap, Z) is
+    yielded, iterations counted from the start of the path, and the next
+    stage continues from there. Raises NotConvergedError if max_iterations,
+    which covers the whole path, runs out first, or if rounding puts an
+    iterate outside the cones.
     """
-    nu = rho.shape[0] + w.shape[1]
-    gains = w.conj().T @ rho @ w
+    d, m = w.shape
+    nu = d + m
+    wh = w.conj().T
+    same = owner.T @ owner
+    gains = wh @ rho @ w
     pairs, basis = _block_coordinates(owner.sum(axis=1).tolist())
+    p, q = pairs
 
-    # strictly feasible start: scaled identities keeping the total below 1/2
-    norm_sum = float(np.linalg.norm(_embed(w, owner, np.eye(w.shape[1])), 2, axis=(1, 2)).sum())
-    a = 0.5 / max(norm_sum, 1e-300) * np.eye(w.shape[1], dtype=complex)
+    def blocks(x):
+        return (wh @ x @ w) * same
 
-    steps = 0
-    t = 1.0
+    # strictly feasible start: scaled identities keeping the total below
+    # 1/2, and Z = kappa 1 with kappa doubled until X1 > 0
+    norm_sum = float(np.linalg.norm(_embed(w, owner, np.eye(m)), 2, axis=(1, 2)).sum())
+    a = 0.5 / max(norm_sum, 1e-300) * np.eye(m, dtype=complex)
+    z = np.eye(d, dtype=complex)
+    while np.linalg.eigvalsh(blocks(z - rho))[0] <= 0.0:
+        z *= 2.0
 
-    def in_domain(aa):
-        try:
-            np.linalg.cholesky(aa)
-            np.linalg.cholesky(_slack(w, aa))
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    def center(t_val, tol):
-        nonlocal a, steps
-        lam2 = np.inf
-        for _ in range(_MAX_CENTER_STEPS):
-            if steps >= max_newton:
-                raise NotConvergedError(
-                    f"Newton budget {max_newton} exhausted at duality gap {nu / t_val:.3e}"
-                )
-            grad, hess = _newton_system(w, a, gains, t_val, pairs, basis)
-            try:
-                dx = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                dx = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            lam2 = float(grad @ dx)
-            if lam2 <= tol:
-                return
-            lam = np.sqrt(max(lam2, 0.0))
-            step = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
-            delta = np.zeros_like(a)
-            delta[pairs] = basis.T @ dx
-            for _ in range(40):
-                trial = _sym(a + step * delta)
-                if in_domain(trial):
-                    a = trial
-                    break
-                step *= 0.5
-            else:
-                raise NotConvergedError("Newton step could not stay in the feasible domain")
-            steps += 1
-
-        # At very large t the decrement can stall just above the target from
-        # floating-point cancellation alone; a point deep in the quadratic
-        # region is still an excellent center, so only a genuinely uncentered
-        # iterate is treated as failure.
-        if lam2 <= _STALL_TOL:
-            return
-        raise NotConvergedError(
-            f"centering did not converge in {_MAX_CENTER_STEPS} steps at t = {t_val:.3e}"
-        )
-
-    center(t, _CENTER_TOL)
+    iterations = 0
     for gap_tol in ladder:
-        while nu / t > gap_tol:
-            t *= _BARRIER_MU
-            center(t, _CENTER_TOL)
-        center(t, _FINAL_CENTER_TOL)
-        yield a, steps, nu / t
+        while True:
+            s, x1 = _slack(w, a), blocks(z - rho)
+            xa, zs = x1 @ a, z @ s
+            gap = float(np.trace(xa).real + np.trace(zs).real)
+            mu = gap / nu
+            commuting = np.linalg.norm(xa) + np.linalg.norm(zs) <= gap
+            if commuting and gap <= gap_tol:
+                break
+            if iterations >= max_iterations:
+                raise NotConvergedError(
+                    f"iteration budget {max_iterations} exhausted at duality gap {gap:.3e}"
+                )
+            try:
+                factors = [np.linalg.inv(np.linalg.cholesky(np.stack(pair)))
+                           for pair in ((a, x1), (s, z))]
+            except np.linalg.LinAlgError:
+                raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
+            a_inv, s_inv = (f[0].conj().T @ f[0] for f in factors)
+            k = wh @ s_inv @ w
+            schur = _newton_system(x1, a_inv, wh @ z @ w, k, pairs, basis)
 
+            def solve(rhs):
+                try:
+                    return np.linalg.solve(schur, rhs)
+                except np.linalg.LinAlgError:
+                    # least squares: symmetric ensembles can give a singular system
+                    return np.linalg.lstsq(schur, rhs, rcond=None)[0]
 
-def _recover_dual(geo: MCGeometry, detection: DetectionSet) -> np.ndarray:
-    """Least-squares dual operator consistent with complementary slackness.
+            def direction(target, affine=None):
+                """HKM direction to the central point of parameter target,
+                with the Mehrotra corrections of an affine direction."""
+                rhs = target * (a_inv - k) + gains
+                corr_s = 0.0
+                if affine is not None:
+                    (da0, ds0), (dx0, dz0) = affine
+                    corr_s = _sym(dz0 @ ds0 @ s_inv)
+                    rhs = rhs - _sym(dx0 @ da0 @ a_inv) + wh @ corr_s @ w
+                da = np.zeros_like(a)
+                da[p, q] = basis.T @ solve((basis @ rhs[q, p]).real)
+                ds = -(w @ da @ wh)
+                dz = _sym(target * s_inv - z - z @ ds @ s_inv - corr_s)
+                return (da, ds), (blocks(dz), dz)
 
-    Z is constrained to the kernel of the inconclusive operator (so
-    Z Pi_0 = 0 automatically) and fitted to the stationarity equations
-    Lambda_j (Z - rho) Pi_j = 0 together with the normalization Tr Z = R,
-    R = sum_j Tr(rho Pi_j) as verify_certificate measures it.
-    """
-    rate = float(np.einsum("ab,jba->", geo.rho, detection.conclusive).real)
-    d = geo.dim
-    pi0 = _sym(detection.inconclusive)
-    spec = eig_hermitian(pi0)
-    w = spec.eigenvalues
-    kernel = spec.eigenvectors[:, np.abs(w) <= support_cutoff(w, KERNEL_CUTOFF)]
-    k = kernel.shape[1]
-    if k == 0:
-        return np.zeros((d, d), dtype=complex)
-
-    candidates = kernel @ _hermitian_basis(k) @ kernel.conj().T
-
-    lam, pis = geo.supports, detection.conclusive
-    # one row per entry (j, a, b) of Lambda_j X Pi_j, one column per candidate
-    a_cx = np.moveaxis(lam[:, None] @ candidates @ pis[:, None], 1, -1).reshape(-1, k * k)
-    b_cx = (lam @ geo.rho @ pis).ravel()
-    trace_row = np.trace(candidates, axis1=1, axis2=2).real[None]
-    a_re = np.concatenate([a_cx.real, a_cx.imag, trace_row], axis=0)
-    b_re = np.concatenate([b_cx.real, b_cx.imag, [rate]])
-    y, *_ = np.linalg.lstsq(a_re, b_re, rcond=None)
-    z = np.einsum("r,rab->ab", y, candidates)
-    return _sym(z)
+            if not commuting:
+                primal, dual = direction(mu)
+            else:
+                primal, dual = direction(0.0)
+                step_p, step_d = _step_lengths(factors, primal, dual)
+                mu_aff = float(
+                    np.trace((x1 + step_d * dual[0]) @ (a + step_p * primal[0])).real
+                    + np.trace((z + step_d * dual[1]) @ (s + step_p * primal[1])).real
+                ) / nu
+                primal, dual = direction(min(mu_aff / mu, 1.0) ** 3 * mu, (primal, dual))
+            step_p, step_d = _step_lengths(factors, primal, dual)
+            if not commuting:
+                step_p = step_d = min(step_p, step_d)
+            a = a + step_p * primal[0]
+            z = z + step_d * dual[1]
+            iterations += 1
+        yield a, iterations, gap, z
 
 
 def solve_numeric(
@@ -572,19 +571,20 @@ def solve_numeric(
 ) -> SolveReport:
     """Numerically optimal maximum-confidence measurement for any ensemble.
 
-    Maximizes the detection rate over the positive coefficient blocks by
-    log-barrier Newton path following in the ambient space (S = 1 - W A
-    W^dagger is the identity off the span of the detection blocks, so a
-    rank-deficient rho needs no reduction), forms every W_j a_j W_j^dagger
-    at once, symmetrizes them over the cyclic group when the ensemble
-    declares one, recovers a dual operator from complementary slackness, and
-    verifies the certificate. The report's certified flag states whether the
-    certificate passed; the measurement itself is returned either way.
+    Maximizes the detection rate over the positive coefficient blocks and
+    minimizes Tr Z over the dual operators together, by a primal-dual
+    interior-point method in the ambient space (S = 1 - W A W^dagger is the
+    identity off the span of the detection blocks, so a rank-deficient rho
+    needs no reduction). It forms every W_j a_j W_j^dagger at once,
+    symmetrizes them and the dual iterate Z over the cyclic group when the
+    ensemble declares one, and verifies the certificate with that Z. The
+    report's certified flag states whether the certificate passed; the
+    measurement itself is returned either way.
 
-    gap_tol bounds the duality gap of the barrier stage; if the certificate
-    is rejected at that gap the same central path continues to tighter gaps
-    (down to 1e-10), because the recovered dual's residuals shrink with the
-    gap. iterations counts the Newton steps of that one path, and
+    gap_tol bounds the duality gap Tr Z - R of the first reported point; if
+    the certificate is rejected there, the same path continues to tighter
+    gaps (down to 1e-10), because the residuals shrink with the gap.
+    iterations counts the interior-point iterations of that one path, and
     max_iterations bounds them over the whole path, not per stage.
     """
     if geo is None:
@@ -600,18 +600,16 @@ def solve_numeric(
             ladder.append(tight)
 
     report = None
-    for a, steps, gap in _barrier_solve(geo.rho, w, owner, ladder, max_iterations):
+    for a, iterations, gap, z in _interior_point(geo.rho, w, owner, ladder, max_iterations):
         conclusive = _embed(w, owner, a)
         if symmetric:
             # group average; for the conclusive outcomes
             # sum_k V^k Pi_{j-k} V^-k = V^j [sum_i V^-i Pi_i V^i] V^-j
             phases = ensemble.symmetry.phases
             conclusive = orbit(orbit(conclusive, phases.conj(), n).mean(axis=0), phases, n)
-        detection = DetectionSet.from_conclusive(conclusive)
-        z = _recover_dual(geo, detection)
-        if symmetric:
             z = orbit(z, phases, n).mean(axis=0)
-        report = _report(ensemble, geo, "numeric", detection, z, steps, gap)
+        detection = DetectionSet.from_conclusive(conclusive)
+        report = _report(ensemble, geo, "numeric", detection, z, iterations, gap)
         if report.certified:
             break
     return report

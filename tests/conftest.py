@@ -47,7 +47,7 @@ def random_coefficients(rng, dim, floor=0.05):
             return c
 
 
-def _random_unitary(rng, d):
+def random_unitary(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return np.linalg.qr(g)[0]
 
@@ -57,7 +57,7 @@ def mixed_width_ensemble(rng):
     of dimensions 2, 2 and 1: pick T_1 + T_2 + T_3 = 1 with those spectra
     and a random full-rank rho, then eta_j rho_j = rho^1/2 T_j rho^1/2."""
     d = 4
-    u1, u2 = _random_unitary(rng, d), _random_unitary(rng, d)
+    u1, u2 = random_unitary(rng, d), random_unitary(rng, d)
     t1 = u1 @ np.diag([0.5, 0.5, 0.1, 0.2]) @ u1.conj().T
     t2 = u2 @ np.diag([0.3, 0.3, 0.05, 0.1]) @ u2.conj().T
     transformed = np.stack([t1, t2, np.eye(d) - t1 - t2])

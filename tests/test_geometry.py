@@ -14,13 +14,12 @@ from maxconf import (
     is_unambiguous,
     opnorm,
     psd_power,
-    reduce_to_support,
     solve_numeric,
     transformed_states,
     two_state_components,
 )
 from maxconf.geometry import DEGENERACY_RTOL
-from maxconf.operators import TOL_RECON, orthonormal_columns
+from maxconf.operators import TOL_ORTH, TOL_RECON
 from conftest import (
     mixed_width_ensemble,
     random_coefficients,
@@ -28,6 +27,13 @@ from conftest import (
     random_ensemble,
     random_pure,
 )
+
+
+def orthonormal_columns(cols, tol=TOL_ORTH):
+    """Orthonormal basis for the column span, via SVD with a rank cutoff:
+    the per-outcome reference for the batched SVD in geometry."""
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    return u[:, s > max(tol, s[0] * 1e-12)]
 
 
 def _reference_geometry(ensemble, transformed):
@@ -117,34 +123,12 @@ def test_trine_not_unambiguous(trine):
     assert residuals["confidence_deviation"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
-def test_reduce_to_support_drops_junk_direction():
-    # states confined to a 2-dimensional slice of a 3-dimensional space
-    rng = np.random.default_rng(4)
-    base = [random_density(rng, 2) for _ in range(3)]
-    states = []
-    for s in base:
-        big = np.zeros((3, 3), dtype=complex)
-        big[:2, :2] = s
-        states.append(big)
-    e = StateEnsemble(dim=3, priors=(0.3, 0.3, 0.4), states=tuple(states))
-    reduced, scale = reduce_to_support(e)
-    assert reduced.dim == 2
-    assert scale == pytest.approx(1.0)
-    for small, orig in zip(reduced.states, base):
-        assert opnorm(small - orig) < 1e-10
-
-
-def test_reduce_to_support_noop_on_full_rank(trine):
-    reduced, scale = reduce_to_support(trine)
-    assert reduced is trine
-    assert scale == 1.0
-
-
-@pytest.mark.parametrize("seed", [5, 7, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 7, 8])
 def test_tiny_prior_fails_the_cross_check_not_a_psd_test(seed):
     # priors (1e-7, 1/2, 1/2 - 1e-7): P_j rho^-1 P_j has norm ~1e7, so its
-    # rounding noise (~2e-9) must not trip an absolute PSD tolerance; the
-    # two routes to Lambda_j then disagree and the documented error follows
+    # rounding noise (~2e-9) must trip neither an absolute Hermiticity nor an
+    # absolute PSD tolerance; the two routes to Lambda_j then disagree and
+    # the documented error follows
     rng = np.random.default_rng(seed)
     states = np.stack([np.outer(v, v.conj()) for v in (random_pure(rng, 3) for _ in range(3))])
     e = StateEnsemble(dim=3, priors=np.array([1e-7, 0.5, 0.5 - 1e-7]), states=states)

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxconf import NonHermitianError, NotPSDError, eig_hermitian, is_psd, opnorm, psd_power, support_projector
-from maxconf.operators import (
-    orthonormal_columns,
-    projector_onto_span,
-    require_hermitian,
-    support_rank,
-)
+from maxconf import NonHermitianError, NotPSDError, eig_hermitian, opnorm, psd_power, support_projector
+from maxconf.operators import require_hermitian, support_rank
 
 
 def _reference_eig_hermitian(a):
@@ -66,13 +61,6 @@ def test_eig_hermitian_phase_canonical():
     assert s1.eigenvectors[piv, 0].imag == 0
 
 
-def test_is_psd():
-    ok, mn = is_psd(np.diag([1.0, 0.0]))
-    assert ok and mn >= -1e-12
-    ok, mn = is_psd(np.diag([1.0, -0.5]))
-    assert not ok and mn == pytest.approx(-0.5)
-
-
 def test_psd_power_square_root():
     a = np.diag([4.0, 1.0]).astype(complex)
     r = psd_power(a, 0.5)
@@ -106,22 +94,6 @@ def test_support_projector_and_rank():
 def test_opnorm_matches_largest_singular_value():
     a = np.array([[0.0, 2.0], [0.0, 0.0]])
     assert opnorm(a) == pytest.approx(2.0)
-
-
-def test_projector_onto_span():
-    v1 = np.array([1.0, 0.0, 0.0])
-    v2 = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-    p = projector_onto_span([np.outer(v1, v1), np.outer(v2, v2)])
-    assert support_rank(p) == 2
-    assert opnorm(p @ v1 - v1) < 1e-10
-
-
-def test_orthonormal_columns():
-    rng = np.random.default_rng(7)
-    cols = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    q = orthonormal_columns(cols)
-    assert q.shape == (5, 3)
-    assert opnorm(q.conj().T @ q - np.eye(3)) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)

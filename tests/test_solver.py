@@ -28,13 +28,19 @@ from maxconf import (
 from maxconf.operators import support_rank
 from maxconf.solver import (
     RANK_CUTOFF,
-    _barrier_solve,
     _block_coordinates,
     _embed,
     _hermitian_basis,
+    _interior_point,
     _newton_system,
 )
-from conftest import mixed_width_ensemble, random_coefficients, random_density, random_ensemble
+from conftest import (
+    mixed_width_ensemble,
+    random_coefficients,
+    random_density,
+    random_ensemble,
+    random_unitary,
+)
 
 
 def trine_optimal_detection(trine):
@@ -170,6 +176,44 @@ def test_solve_numeric_reduces_rank_deficient_average(embedding):
     assert report.detection_rate == pytest.approx(baseline.detection_rate, abs=1e-6)
 
 
+def test_solve_numeric_certifies_near_parallel_pair():
+    # two pure qubits at angle 1e-2 with priors 1/2: the unambiguous limit,
+    # C = 1 and Q = cos(theta); with R = 5e-5 the kernel eigenvalue of Pi_0
+    # must get below the certificate's rank cutoff
+    theta = 1e-2
+    v = np.array([np.cos(theta), np.sin(theta)])
+    states = np.stack([np.diag([1.0, 0.0]), np.outer(v, v)]).astype(complex)
+    report = solve_numeric(StateEnsemble(dim=2, priors=np.array([0.5, 0.5]), states=states))
+    assert report.certified, report.certificate.failures
+    assert abs(report.failure_probability - np.cos(theta)) < 1e-6
+
+
+def _random_numeric_ensemble(seed):
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    return rng, random_ensemble(rng, d, n, mixed=bool(rng.integers(2)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_solve_numeric_invariant_under_global_unitary(seed):
+    rng, e = _random_numeric_ensemble(seed)
+    u = random_unitary(rng, e.dim)
+    rotated = StateEnsemble(dim=e.dim, priors=e.priors, states=u @ e.states @ u.conj().T)
+    q = solve_numeric(e).failure_probability
+    assert abs(solve_numeric(rotated).failure_probability - q) < 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_solve_numeric_invariant_under_relabelling(seed):
+    rng, e = _random_numeric_ensemble(seed)
+    perm = rng.permutation(e.n_states)
+    relabelled = StateEnsemble(dim=e.dim, priors=e.priors[perm], states=e.states[perm])
+    q = solve_numeric(e).failure_probability
+    assert abs(solve_numeric(relabelled).failure_probability - q) < 1e-7
+
+
 def test_solve_numeric_iteration_budget(trine):
     with pytest.raises(NotConvergedError):
         solve_numeric(trine, max_iterations=3)
@@ -179,10 +223,11 @@ def test_solve_numeric_iteration_budget(trine):
 def test_solve_numeric_reports_duality_gap(trine, gap_tol):
     report = solve_numeric(trine, gap_tol=gap_tol)
     assert report.certified
-    # the trine certifies at the first stage of the gap ladder, where the
-    # barrier stops at the first t = 10^k with nu / t <= gap_tol; nu = 5
-    # (d = 2 plus three 1 x 1 blocks)
-    assert report.duality_gap == pytest.approx(gap_tol / 2, rel=1e-12)
+    # the trine certifies at the first stage of the gap ladder; the gap of a
+    # feasible primal-dual pair is the certificate's Tr Z - R
+    cert = report.certificate
+    assert 0.0 < report.duality_gap <= gap_tol
+    assert abs(report.duality_gap - (np.trace(cert.z).real - cert.rate)) <= 1e-12
     assert solve_rank1_symmetric(trine).duality_gap == 0.0
 
 
@@ -201,12 +246,12 @@ def test_barrier_ladder_continues_one_path():
     def rate(a):
         return float(np.trace(geo.rho @ w @ a @ w.conj().T).real)
 
-    stages = list(_barrier_solve(geo.rho, w, owner, [1e-8, 1e-9], 10000))
+    stages = list(_interior_point(geo.rho, w, owner, [1e-8, 1e-9], 10000))
     assert len(stages) == 2
-    (_, steps_1, gap_1), (a, steps_2, gap_2) = stages
+    (_, steps_1, gap_1, _), (a, steps_2, gap_2, _) = stages
     assert steps_1 < steps_2 and gap_1 > gap_2 and gap_2 <= 1e-9
-    [(_, restart_1, _)] = _barrier_solve(geo.rho, w, owner, [1e-8], 10000)
-    [(fresh, restart_2, _)] = _barrier_solve(geo.rho, w, owner, [1e-9], 10000)
+    [(_, restart_1, _, _)] = _interior_point(geo.rho, w, owner, [1e-8], 10000)
+    [(fresh, restart_2, _, _)] = _interior_point(geo.rho, w, owner, [1e-9], 10000)
     assert restart_1 == steps_1
     assert abs(rate(a) - rate(fresh)) < 1e-9
     assert steps_2 < restart_1 + restart_2
@@ -216,7 +261,7 @@ def test_stacked_embedding_matches_per_outcome_reference():
     geo = geometry(mixed_width_ensemble(np.random.default_rng(21)))
     assert geo.degeneracies.tolist() == [2, 2, 1]
     w, owner = _stacked_blocks(geo)
-    [(a, _, _)] = _barrier_solve(geo.rho, w, owner, [1e-8], 10000)
+    [(a, _, _, _)] = _interior_point(geo.rho, w, owner, [1e-8], 10000)
     # A is block-diagonal: exactly zero between columns of different outcomes
     assert not np.any(a[~(owner.T @ owner)])
     edges = np.cumsum([0, *geo.degeneracies])
@@ -239,31 +284,29 @@ def test_solve_numeric_degenerate_tops(k):
     assert np.max(np.abs(report.confidences - geo.confidences)) < 1e-8
 
 
-def _reference_newton_system(blocks, a_blocks, rho, t):
-    """Newton system of the barrier objective, one einsum per block pair."""
+def _reference_barrier_hessian(blocks, a_blocks):
+    """Hessian of log det A + log det S, one einsum per block pair."""
+    d = blocks[0].shape[0]
     total = sum(w @ a @ w.conj().T for w, a in zip(blocks, a_blocks))
-    s_inv = np.linalg.inv(np.eye(rho.shape[0]) - total)
+    s_inv = np.linalg.inv(np.eye(d) - total)
     bases = [_hermitian_basis(w.shape[1]) for w in blocks]
     offsets = np.cumsum([0] + [b.shape[0] for b in bases])
-    grad = np.empty(offsets[-1])
     hess = np.zeros((offsets[-1], offsets[-1]))
     for j, (wj, aj, bj) in enumerate(zip(blocks, a_blocks, bases)):
         a_inv = np.linalg.inv(aj)
         sl_j = slice(offsets[j], offsets[j + 1])
-        gmat = t * wj.conj().T @ rho @ wj + a_inv - wj.conj().T @ s_inv @ wj
-        grad[sl_j] = np.einsum("rab,ba->r", bj, gmat).real
         hess[sl_j, sl_j] -= np.einsum("ab,rbc,cd,sda->rs", a_inv, bj, a_inv, bj).real
         for k, (wk, bk) in enumerate(zip(blocks, bases)):
             c = wj.conj().T @ s_inv @ wk
             t2 = np.einsum("rab,bc,scd,ad->rs", bj, c, bk, c.conj()).real
             hess[sl_j, offsets[k]:offsets[k + 1]] -= t2
-    return grad, hess
+    return hess
 
 
 @pytest.mark.parametrize("widths", [(1, 2, 3), (1, 1, 1, 1)])
 def test_newton_system_matches_block_pairs(widths):
     rng = np.random.default_rng(7)
-    d = 5
+    d, t = 5, 2.3
     blocks = [rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)) for m in widths]
     a_blocks = [random_density(rng, m) for m in widths]
     # scale into the interior: W A W^dagger <= 1/2
@@ -273,17 +316,18 @@ def test_newton_system_matches_block_pairs(widths):
     edges = np.cumsum([0, *widths])
     for lo, hi, aj in zip(edges[:-1], edges[1:], a_blocks):
         a[lo:hi, lo:hi] = aj
-    rho = random_density(rng, d)
     w = np.concatenate(blocks, axis=1)
     pairs, basis = _block_coordinates(list(widths))
-    grad, hess = _newton_system(w, a, w.conj().T @ rho @ w, 2.3, pairs, basis)
-    ref_grad, ref_hess = _reference_newton_system(blocks, a_blocks, rho, 2.3)
-    assert np.linalg.norm(grad - ref_grad) <= 1e-10 * np.linalg.norm(ref_grad)
-    assert np.linalg.norm(hess - ref_hess) <= 1e-10 * np.linalg.norm(ref_hess)
+    # the central point of parameter 1/t: X1 = A^-1 / t and Z = S^-1 / t,
+    # where the Schur complement is the negated barrier Hessian over t
+    a_inv = np.linalg.inv(a)
+    k = w.conj().T @ np.linalg.inv(np.eye(d) - w @ a @ w.conj().T) @ w
+    schur = _newton_system(a_inv / t, a_inv, k / t, k, pairs, basis)
+    ref_hess = _reference_barrier_hessian(blocks, a_blocks)
+    assert np.linalg.norm(schur + ref_hess / t) <= 1e-10 * np.linalg.norm(ref_hess / t)
     if set(widths) == {1}:
-        k = w.conj().T @ np.linalg.inv(np.eye(d) - w @ a @ w.conj().T) @ w
-        closed = -np.abs(k) ** 2 - np.diag(1.0 / np.diag(a).real ** 2)
-        assert np.allclose(hess, closed, rtol=1e-10, atol=0)
+        closed = (np.abs(k) ** 2 + np.diag(1.0 / np.diag(a).real ** 2)) / t
+        assert np.allclose(schur, closed, rtol=1e-10, atol=0)
 
 
 def test_hermitian_basis_is_one_orthonormal_array():
