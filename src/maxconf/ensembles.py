@@ -74,12 +74,17 @@ class SymmetrySpec:
         """The unitary V as a diagonal matrix."""
         return np.diag(self.phases)
 
+    def clusters(self, tol: float = PHASE_TOL) -> np.ndarray:
+        """The eigenspaces of V as a (C, d) 0/1 indicator: the rows of the
+        equal-phase table at each eigenspace's first member. Distinct roots
+        of unity lie far beyond tol."""
+        p = self.phases
+        same = np.abs(p[:, None] - p[None, :]) <= tol
+        return same[same.argmax(axis=0) == np.arange(p.size)] if p.size else same
+
     def distinct(self, tol: float = PHASE_TOL) -> bool:
         """Whether all eigenphases are pairwise distinct."""
-        p = self.phases
-        diff = np.abs(p[:, None] - p[None, :])
-        np.fill_diagonal(diff, 1.0)
-        return bool(diff.min() > tol) if p.size else True
+        return self.clusters(tol).shape[0] == self.dim
 
 
 @dataclass(frozen=True)

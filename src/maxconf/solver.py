@@ -15,7 +15,8 @@ semidefinite program. This module provides:
   states have a nondegenerate top eigenvalue,
 * solve_numeric: a self-contained primal-dual interior-point solver for
   arbitrary ensembles (any degeneracies, no symmetry needed), whose dual
-  iterate Z is the certificate,
+  iterate Z is the certificate; a cyclic ensemble, degenerate ones
+  included, is solved as one covariant block,
 * verify_certificate: checks a dual certificate (Z, detection set) against
   every optimality condition and reports the residuals,
 * perturbation_witness: for a failed certificate, constructs a deformed
@@ -410,20 +411,17 @@ def _block_coordinates(widths: list[int]) -> tuple[tuple[np.ndarray, np.ndarray]
     return (np.concatenate(ps), np.concatenate(qs)), basis
 
 
-def _slack(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """S = 1 - W A W^dagger."""
-    return np.eye(w.shape[0], dtype=complex) - _sym(w @ a @ w.conj().T)
-
-
-def _newton_system(x1, a_inv, y, k, pairs, basis):
+def _newton_system(x1, a_inv, y, k, ix, basis):
     """Schur complement of the HKM Newton system in the coordinates of
-    _block_coordinates: Re(B (T(X1, A^-1) + T(Y, K)) B^T) with
-    T(X, Y)[i, k] = X[q_i, p_k] Y[q_k, p_i], Y = W^dagger Z W and
-    K = W^dagger S^-1 W. On the central path (X1 = A^-1 / t, Z = S^-1 / t)
-    it is the negated Hessian of the log barrier over t."""
-    p, q = pairs
-    ix = np.ix_(q, p)
-    return (basis @ (x1[ix] * a_inv[ix].T + y[ix] * k[ix].T) @ basis.T).real
+    _block_coordinates, ix = np.ix_(q, p): Re(B (T(X1, A^-1) +
+    sum_c T(Y_c, K_c)) B^T) with T(X, Y)[i, k] = X[q_i, p_k] Y[q_k, p_i],
+    and y, k the (C, M, M) stacks Y_c = W^dagger P_c Z P_c W and
+    K_c = W^dagger P_c S^-1 P_c W over the clusters P_c of the constraint.
+    On the central path (X1 = A^-1 / t, Z = S^-1 / t) it is the negated
+    Hessian of the log barrier over t."""
+    q, p = ix
+    t = x1[ix] * a_inv[ix].T + (y[:, q, p] * k[:, q, p].swapaxes(1, 2)).sum(axis=0)
+    return (basis @ t @ basis.T).real
 
 
 def _embed(w: np.ndarray, owner: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -432,14 +430,15 @@ def _embed(w: np.ndarray, owner: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _sym(((w @ a) * owner[:, None, :]) @ w.conj().T)
 
 
-def _step_lengths(factors, primal, dual):
+def _step_lengths(factors, adjoints, primal, dual):
     """Primal and dual step lengths, each at most 1 and at most
     _TO_BOUNDARY of the way to the boundary of its cones. factors are the
     inverse Cholesky factors L^-1 of the stacked cone pairs [A, X1] and
-    [S, Z]; x + alpha dx stays >= 0 while alpha lambda_min(L^-1 dx L^-dagger)
-    >= -1, so one eigvalsh per pair gives every limit."""
-    lows = [np.linalg.eigvalsh(f @ np.stack(pair) @ f.conj().swapaxes(1, 2))[:, 0]
-            for f, pair in zip(factors, zip(primal, dual))]
+    [S, Z], adjoints their L^-dagger; x + alpha dx stays >= 0 while
+    alpha lambda_min(L^-1 dx L^-dagger) >= -1, so one eigvalsh per pair
+    gives every limit."""
+    lows = [np.linalg.eigvalsh(f @ np.array(pair) @ fh)[:, 0]
+            for f, fh, pair in zip(factors, adjoints, zip(primal, dual))]
     return tuple(_TO_BOUNDARY / max(_TO_BOUNDARY, -lo[0], -lo[1]) for lo in zip(*lows))
 
 
@@ -447,23 +446,27 @@ def _interior_point(
     rho: np.ndarray,
     w: np.ndarray,
     owner: np.ndarray,
+    clusters: np.ndarray,
     ladder: list[float],
     max_iterations: int,
 ):
-    """Maximize sum_j Tr(rho W_j a_j W_j^dagger) over a_j >= 0 with
-    sum_j W_j a_j W_j^dagger <= 1, and minimize Tr Z over its dual
-    Z >= 0, W_j^dagger (Z - rho) W_j >= 0, by a feasible-start Mehrotra
-    predictor-corrector with the HKM direction.
+    """Maximize Tr(rho W A W^dagger) over block-diagonal A >= 0 with
+    pinch(W A W^dagger) <= 1, pinch(X) = sum_c P_c X P_c, and minimize Tr Z
+    over its dual Z = pinch(Z) >= 0, W_j^dagger (Z - rho) W_j >= 0, by a
+    feasible-start Mehrotra predictor-corrector with the HKM direction.
 
     The blocks come stacked: W = [W_1 ... W_N] is d x M, M = sum_j m_j, the
     (N, M) mask owner[j] marks the columns of W_j, and the a_j are the
     diagonal blocks of one M x M matrix A, exactly zero off the blocks. The
-    cone pairs are (A, X1) with X1 the diagonal blocks of
-    W^dagger (Z - rho) W, and (S, Z) with S = 1 - W A W^dagger; both are
-    functions of A and Z, so every iterate is primal and dual feasible and
-    the duality gap is Tr(X1 A) + Tr(Z S) = Tr Z - R. Each iteration builds
-    the Schur complement (_newton_system) once and solves it for the
-    predictor and the corrector.
+    (C, d) 0/1 indicator clusters gives the diagonal projectors P_c; a
+    generic ensemble has the one cluster P = 1, a covariant one the
+    eigenspaces of its generator. The cone pairs are (A, X1) with X1 the
+    diagonal blocks of W^dagger (Z - rho) W, and (S, Z) with
+    S = 1 - pinch(W A W^dagger); both are functions of A and Z, so every
+    iterate is primal and dual feasible and the duality gap is
+    Tr(X1 A) + Tr(Z S) = Tr Z - R. Each iteration builds the Schur
+    complement (_newton_system) once and solves it for the predictor and
+    the corrector.
 
     Near the optimum a predictor-corrector step can leave a pair far from
     commuting: Tr(Z S) ~ gap while ||Z S|| ~ sqrt(gap), too large for the
@@ -483,30 +486,37 @@ def _interior_point(
     d, m = w.shape
     nu = d + m
     wh = w.conj().T
-    same = owner.T @ owner
+    eye = np.eye(d, dtype=complex)
+    same, pinch = owner.T @ owner, clusters.T @ clusters
+    wc = clusters[:, :, None] * w
+    wch = wc.conj().swapaxes(1, 2)
     gains = wh @ rho @ w
-    pairs, basis = _block_coordinates(owner.sum(axis=1).tolist())
-    p, q = pairs
+    (p, q), basis = _block_coordinates(owner.sum(axis=1).tolist())
+    ix, basis_t = np.ix_(q, p), basis.T
 
     def blocks(x):
         return (wh @ x @ w) * same
 
     # strictly feasible start: scaled identities keeping the total below
-    # 1/2, and Z = kappa 1 with kappa doubled until X1 > 0
-    norm_sum = float(np.linalg.norm(_embed(w, owner, np.eye(m)), 2, axis=(1, 2)).sum())
+    # 1/2, with ||W_j W_j^dagger|| = ||W_j^dagger W_j|| from the zero-padded
+    # d x m_j blocks, and Z = kappa 1 with kappa doubled until X1 > 0
+    j, col = np.nonzero(owner)
+    padded = np.zeros((owner.shape[0], d, int(owner.sum(axis=1).max())), dtype=complex)
+    padded[j, :, col - owner.argmax(axis=1)[j]] = w.T
+    norm_sum = float(np.linalg.eigvalsh(padded.conj().swapaxes(1, 2) @ padded)[:, -1].sum())
     a = 0.5 / max(norm_sum, 1e-300) * np.eye(m, dtype=complex)
-    z = np.eye(d, dtype=complex)
+    z = eye.copy()
     while np.linalg.eigvalsh(blocks(z - rho))[0] <= 0.0:
         z *= 2.0
 
     iterations = 0
     for gap_tol in ladder:
         while True:
-            s, x1 = _slack(w, a), blocks(z - rho)
+            s, x1 = eye - _sym(w @ a @ wh) * pinch, blocks(z - rho)
             xa, zs = x1 @ a, z @ s
             gap = float(np.trace(xa).real + np.trace(zs).real)
             mu = gap / nu
-            commuting = np.linalg.norm(xa) + np.linalg.norm(zs) <= gap
+            commuting = np.sqrt(np.vdot(xa, xa).real) + np.sqrt(np.vdot(zs, zs).real) <= gap
             if commuting and gap <= gap_tol:
                 break
             if iterations >= max_iterations:
@@ -514,33 +524,36 @@ def _interior_point(
                     f"iteration budget {max_iterations} exhausted at duality gap {gap:.3e}"
                 )
             try:
-                factors = [np.linalg.inv(np.linalg.cholesky(np.stack(pair)))
+                factors = [np.linalg.inv(np.linalg.cholesky(np.array(pair)))
                            for pair in ((a, x1), (s, z))]
             except np.linalg.LinAlgError:
                 raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
-            a_inv, s_inv = (f[0].conj().T @ f[0] for f in factors)
-            k = wh @ s_inv @ w
-            schur = _newton_system(x1, a_inv, wh @ z @ w, k, pairs, basis)
+            adjoints = [f.conj().swapaxes(1, 2) for f in factors]
+            a_inv, s_inv = (fh[0] @ f[0] for f, fh in zip(factors, adjoints))
+            k = wch @ s_inv @ wc
+            schur = _newton_system(x1, a_inv, wch @ z @ wc, k, ix, basis)
+            centering = a_inv - k.sum(axis=0)
 
             def solve(rhs):
                 try:
                     return np.linalg.solve(schur, rhs)
                 except np.linalg.LinAlgError:
-                    # least squares: symmetric ensembles can give a singular system
+                    # least squares for an exactly singular system; of the inputs
+                    # tested, only pure qubit pairs at angles <= 3e-5 reach it
                     return np.linalg.lstsq(schur, rhs, rcond=None)[0]
 
             def direction(target, affine=None):
                 """HKM direction to the central point of parameter target,
                 with the Mehrotra corrections of an affine direction."""
-                rhs = target * (a_inv - k) + gains
+                rhs = target * centering + gains
                 corr_s = 0.0
                 if affine is not None:
                     (da0, ds0), (dx0, dz0) = affine
                     corr_s = _sym(dz0 @ ds0 @ s_inv)
                     rhs = rhs - _sym(dx0 @ da0 @ a_inv) + wh @ corr_s @ w
                 da = np.zeros_like(a)
-                da[p, q] = basis.T @ solve((basis @ rhs[q, p]).real)
-                ds = -(w @ da @ wh)
+                da[p, q] = basis_t @ solve((basis @ rhs[q, p]).real)
+                ds = -(w @ da @ wh) * pinch
                 dz = _sym(target * s_inv - z - z @ ds @ s_inv - corr_s)
                 return (da, ds), (blocks(dz), dz)
 
@@ -548,13 +561,11 @@ def _interior_point(
                 primal, dual = direction(mu)
             else:
                 primal, dual = direction(0.0)
-                step_p, step_d = _step_lengths(factors, primal, dual)
-                mu_aff = float(
-                    np.trace((x1 + step_d * dual[0]) @ (a + step_p * primal[0])).real
-                    + np.trace((z + step_d * dual[1]) @ (s + step_p * primal[1])).real
-                ) / nu
+                step_p, step_d = _step_lengths(factors, adjoints, primal, dual)
+                mu_aff = (np.vdot(x1 + step_d * dual[0], a + step_p * primal[0]).real
+                          + np.vdot(z + step_d * dual[1], s + step_p * primal[1]).real) / nu
                 primal, dual = direction(min(mu_aff / mu, 1.0) ** 3 * mu, (primal, dual))
-            step_p, step_d = _step_lengths(factors, primal, dual)
+            step_p, step_d = _step_lengths(factors, adjoints, primal, dual)
             if not commuting:
                 step_p = step_d = min(step_p, step_d)
             a = a + step_p * primal[0]
@@ -575,11 +586,16 @@ def solve_numeric(
     minimizes Tr Z over the dual operators together, by a primal-dual
     interior-point method in the ambient space (S = 1 - W A W^dagger is the
     identity off the span of the detection blocks, so a rank-deficient rho
-    needs no reduction). It forms every W_j a_j W_j^dagger at once,
-    symmetrizes them and the dual iterate Z over the cyclic group when the
-    ensemble declares one, and verifies the certificate with that Z. The
-    report's certified flag states whether the certificate passed; the
-    measurement itself is returned either way.
+    needs no reduction), and verifies the certificate with the solver's own
+    dual iterate Z. The report's certified flag states whether the
+    certificate passed; the measurement itself is returned either way.
+
+    A cyclic ensemble (any phases, repeated ones included, and any top
+    degeneracy m) is solved in the covariant class Pi_j = V^j Pi_1 V^-j:
+    the phases are N-th roots of unity, so sum_j V^j X V^-j = N pinch(X)
+    over the eigenspaces of V, and the problem is one m x m block a under
+    pinch(W a W^dagger) <= 1 with W = sqrt(N) W_1. Its Z commutes with V
+    and certifies the full problem.
 
     gap_tol bounds the duality gap Tr Z - R of the first reported point; if
     the certificate is rejected there, the same path continues to tighter
@@ -589,10 +605,12 @@ def solve_numeric(
     """
     if geo is None:
         geo = geometry(ensemble)
-    n = ensemble.n_states
-    w = np.concatenate(geo.detection_blocks, axis=1)
-    owner = np.repeat(np.eye(n, dtype=bool), geo.degeneracies, axis=1)
-    symmetric = ensemble.symmetry is not None and ensemble.symmetry.order == n
+    n, sym = ensemble.n_states, ensemble.symmetry
+    blocks, clusters = geo.detection_blocks, np.ones((1, ensemble.dim), dtype=bool)
+    if sym is not None:
+        blocks, clusters = [np.sqrt(n) * blocks[0]], sym.clusters()
+    w = np.concatenate(blocks, axis=1)
+    owner = np.repeat(np.eye(len(blocks), dtype=bool), [b.shape[1] for b in blocks], axis=1)
 
     ladder = [gap_tol]
     for tight in (1e-9, 1e-10):
@@ -600,14 +618,10 @@ def solve_numeric(
             ladder.append(tight)
 
     report = None
-    for a, iterations, gap, z in _interior_point(geo.rho, w, owner, ladder, max_iterations):
+    for a, iterations, gap, z in _interior_point(geo.rho, w, owner, clusters, ladder, max_iterations):
         conclusive = _embed(w, owner, a)
-        if symmetric:
-            # group average; for the conclusive outcomes
-            # sum_k V^k Pi_{j-k} V^-k = V^j [sum_i V^-i Pi_i V^i] V^-j
-            phases = ensemble.symmetry.phases
-            conclusive = orbit(orbit(conclusive, phases.conj(), n).mean(axis=0), phases, n)
-            z = orbit(z, phases, n).mean(axis=0)
+        if sym is not None:
+            conclusive = orbit(conclusive[0] / n, sym.phases, n)
         detection = DetectionSet.from_conclusive(conclusive)
         report = _report(ensemble, geo, "numeric", detection, z, iterations, gap)
         if report.certified:

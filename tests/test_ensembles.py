@@ -42,6 +42,15 @@ def test_symmetry_spec_distinct():
     assert not bad.distinct()
 
 
+def test_symmetry_spec_clusters_are_eigenspaces():
+    w = np.exp(2j * np.pi / 3)
+    spec = SymmetrySpec(order=3, phases=np.array([w, 1.0, w, w**2, 1.0]), reference=np.eye(5) / 5)
+    assert spec.clusters().astype(int).tolist() == [
+        [1, 0, 1, 0, 0], [0, 1, 0, 0, 1], [0, 0, 0, 1, 0]]
+    assert np.array_equal(SymmetrySpec(order=4, phases=default_phases(4, 3),
+                                       reference=np.eye(3) / 3).clusters(), np.eye(3, dtype=bool))
+
+
 def test_symmetry_spec_generator_unitary():
     spec = SymmetrySpec(order=4, phases=default_phases(4, 3), reference=np.eye(3) / 3)
     v = spec.generator()

@@ -232,26 +232,27 @@ def test_solve_numeric_reports_duality_gap(trine, gap_tol):
 
 
 def _stacked_blocks(geo):
-    """W = [W_1 ... W_N] and the (N, M) column-owner mask."""
+    """W = [W_1 ... W_N], the (N, M) column-owner mask and the one cluster
+    P = 1 of a generic ensemble."""
     w = np.concatenate(geo.detection_blocks, axis=1)
     owner = np.repeat(np.eye(len(geo.detection_blocks), dtype=bool), geo.degeneracies, axis=1)
-    return w, owner
+    return w, owner, np.ones((1, geo.dim), dtype=bool)
 
 
 def test_barrier_ladder_continues_one_path():
     rng = np.random.default_rng(41)
     geo = geometry(random_ensemble(rng, 3, 5))
-    w, owner = _stacked_blocks(geo)
+    w, owner, one = _stacked_blocks(geo)
 
     def rate(a):
         return float(np.trace(geo.rho @ w @ a @ w.conj().T).real)
 
-    stages = list(_interior_point(geo.rho, w, owner, [1e-8, 1e-9], 10000))
+    stages = list(_interior_point(geo.rho, w, owner, one, [1e-8, 1e-9], 10000))
     assert len(stages) == 2
     (_, steps_1, gap_1, _), (a, steps_2, gap_2, _) = stages
     assert steps_1 < steps_2 and gap_1 > gap_2 and gap_2 <= 1e-9
-    [(_, restart_1, _, _)] = _interior_point(geo.rho, w, owner, [1e-8], 10000)
-    [(fresh, restart_2, _, _)] = _interior_point(geo.rho, w, owner, [1e-9], 10000)
+    [(_, restart_1, _, _)] = _interior_point(geo.rho, w, owner, one, [1e-8], 10000)
+    [(fresh, restart_2, _, _)] = _interior_point(geo.rho, w, owner, one, [1e-9], 10000)
     assert restart_1 == steps_1
     assert abs(rate(a) - rate(fresh)) < 1e-9
     assert steps_2 < restart_1 + restart_2
@@ -260,8 +261,8 @@ def test_barrier_ladder_continues_one_path():
 def test_stacked_embedding_matches_per_outcome_reference():
     geo = geometry(mixed_width_ensemble(np.random.default_rng(21)))
     assert geo.degeneracies.tolist() == [2, 2, 1]
-    w, owner = _stacked_blocks(geo)
-    [(a, _, _, _)] = _interior_point(geo.rho, w, owner, [1e-8], 10000)
+    w, owner, one = _stacked_blocks(geo)
+    [(a, _, _, _)] = _interior_point(geo.rho, w, owner, one, [1e-8], 10000)
     # A is block-diagonal: exactly zero between columns of different outcomes
     assert not np.any(a[~(owner.T @ owner)])
     edges = np.cumsum([0, *geo.degeneracies])
@@ -317,17 +318,64 @@ def test_newton_system_matches_block_pairs(widths):
     for lo, hi, aj in zip(edges[:-1], edges[1:], a_blocks):
         a[lo:hi, lo:hi] = aj
     w = np.concatenate(blocks, axis=1)
-    pairs, basis = _block_coordinates(list(widths))
+    (p, q), basis = _block_coordinates(list(widths))
     # the central point of parameter 1/t: X1 = A^-1 / t and Z = S^-1 / t,
     # where the Schur complement is the negated barrier Hessian over t
     a_inv = np.linalg.inv(a)
     k = w.conj().T @ np.linalg.inv(np.eye(d) - w @ a @ w.conj().T) @ w
-    schur = _newton_system(a_inv / t, a_inv, k / t, k, pairs, basis)
+    schur = _newton_system(a_inv / t, a_inv, k[None] / t, k[None], np.ix_(q, p), basis)
     ref_hess = _reference_barrier_hessian(blocks, a_blocks)
     assert np.linalg.norm(schur + ref_hess / t) <= 1e-10 * np.linalg.norm(ref_hess / t)
     if set(widths) == {1}:
         closed = (np.abs(k) ** 2 + np.diag(1.0 / np.diag(a).real ** 2)) / t
         assert np.allclose(schur, closed, rtol=1e-10, atol=0)
+
+
+def _reference_cluster_schur(x1, a_inv, ys, ks, widths):
+    """Re Tr(E_r H(E_s)) with H(E) = X1 E A^-1 + sum_c Y_c E K_c, built one
+    basis element and one cluster at a time."""
+    (p, q), basis = _block_coordinates(list(widths))
+    units = np.zeros((basis.shape[0],) + x1.shape, dtype=complex)
+    units[:, p, q] = basis
+    schur = np.zeros((len(units),) * 2)
+    for s, e_s in enumerate(units):
+        h = x1 @ e_s @ a_inv
+        for y, k in zip(ys, ks):
+            h = h + y @ e_s @ k
+        for r, e_r in enumerate(units):
+            schur[r, s] = np.trace(e_r @ h).real
+    return schur
+
+
+@pytest.mark.parametrize("clusters", [
+    [[1, 1, 1, 1, 1]],
+    [[1, 1, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0]],
+    np.eye(5).tolist(),
+], ids=["one", "three", "five"])
+def test_newton_system_sums_over_clusters(clusters):
+    rng = np.random.default_rng(8)
+    d, widths = 5, (1, 2, 3)
+    clusters = np.array(clusters, dtype=bool)
+    pinch = clusters.T @ clusters
+    edges = np.cumsum([0, *widths])
+    m = edges[-1]
+    a, x1 = (np.zeros((m, m), dtype=complex) for _ in range(2))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        a[lo:hi, lo:hi], x1[lo:hi, lo:hi] = random_density(rng, hi - lo), random_density(rng, hi - lo)
+    w = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    z, s = (random_density(rng, d) * pinch for _ in range(2))
+    wc = clusters[:, :, None] * w
+    ys, ks = wc.conj().swapaxes(1, 2) @ z @ wc, wc.conj().swapaxes(1, 2) @ np.linalg.inv(s) @ wc
+    (p, q), basis = _block_coordinates(list(widths))
+    ix, a_inv = np.ix_(q, p), np.linalg.inv(a)
+    schur = _newton_system(x1, a_inv, ys, ks, ix, basis)
+    reference = _reference_cluster_schur(x1, a_inv, ys, ks, widths)
+    assert np.linalg.norm(schur - reference) <= 1e-12 * np.linalg.norm(reference)
+    if len(clusters) == 1:
+        # one cluster: the unreduced T(X1, A^-1) + T(Y, K) with Y = W^dagger Z W
+        y, k = w.conj().T @ z @ w, w.conj().T @ np.linalg.inv(s) @ w
+        unreduced = (basis @ (x1[ix] * a_inv[ix].T + y[ix] * k[ix].T) @ basis.T).real
+        assert np.array_equal(schur, unreduced)
 
 
 def test_hermitian_basis_is_one_orthonormal_array():
@@ -363,6 +411,60 @@ def test_solve_numeric_is_covariant(kind):
     assert opnorm(det.inconclusive @ v - v @ det.inconclusive) < 1e-12
     z = report.certificate.z
     assert opnorm(z @ v - v @ z) < 1e-12
+
+
+def _degenerate_cyclic_qudit(rng, order, k):
+    """rho_1 (x) 1/k of a depolarized qutrit orbit under V (x) 1: every
+    phase repeats k times and every top eigenspace has dimension k."""
+    base = build_depolarized_family(random_coefficients(rng, 3), order, 0.8)
+    return build_symmetric_ensemble(np.kron(base.states[0], np.eye(k) / k), order,
+                                    phases=np.repeat(base.symmetry.phases, k))
+
+
+def _symmetric_ensemble(kind, seed):
+    rng = np.random.default_rng(seed)
+    c = random_coefficients(rng, 3)
+    if kind == "qubit":
+        return SymmetricFamily.qubit(order=int(rng.integers(2, 5)), purity=float(rng.uniform(0.1, 1.0)),
+                                     angle=float(rng.uniform(0.1, np.pi / 2))).ensemble()
+    if kind == "pure":
+        return SymmetricFamily(order=int(rng.integers(3, 9)), purity=1.0, coefficients=c).ensemble()
+    if kind == "mixed":
+        return SymmetricFamily(order=int(rng.integers(3, 9)), purity=float(rng.uniform(0.1, 1.0)),
+                               coefficients=c).ensemble()
+    if kind == "repeated-phases":
+        return build_depolarized_family(c, 3, 0.7, phases=(1.0, 1.0, np.exp(2j * np.pi / 3)))
+    if kind == "embedded":
+        return build_symmetric_ensemble(np.append(c, 0.0), 4, phases=np.append(default_phases(4, 3), 1.0))
+    return _degenerate_cyclic_qudit(rng, int(rng.integers(4, 7)), 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["qubit", "pure", "mixed", "repeated-phases", "embedded", "degenerate"])
+def test_covariant_solve_matches_symmetry_stripped(kind, seed):
+    # the one covariant block against the N-block problem of the same states;
+    # from its covariant start the N-block path stays covariant, so both
+    # solves follow one central path (up to rounding in the step decisions)
+    e = _symmetric_ensemble(kind, seed)
+    covariant = solve_numeric(e)
+    stripped = solve_numeric(StateEnsemble(dim=e.dim, priors=e.priors, states=e.states))
+    assert covariant.certified, covariant.certificate.failures
+    assert stripped.certified, stripped.certificate.failures
+    assert abs(covariant.failure_probability - stripped.failure_probability) <= 1e-7
+    assert abs(covariant.iterations - stripped.iterations) <= 1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_solve_numeric_degenerate_cyclic_qudits(k):
+    e = _degenerate_cyclic_qudit(np.random.default_rng(50 + k), 5, k)
+    geo = geometry(e)
+    assert geo.degeneracies.tolist() == [k] * 5
+    report = solve_numeric(e, geo)
+    assert report.certified, report.certificate.failures
+    plain = solve_numeric(StateEnsemble(dim=e.dim, priors=e.priors, states=e.states))
+    assert abs(report.failure_probability - plain.failure_probability) <= 1e-8
+    with pytest.raises(InvalidPhasesError):
+        solve_rank1_symmetric(e, geo)
 
 
 def test_verify_certificate_ranks_use_hermitian_part(trine):
