@@ -8,17 +8,19 @@ Subcommands:
     maxconf verify   --input solution.json [--tol X] [--witness]
     maxconf sweep    --input family.json --grid param:start:stop:steps
                      [--check] [--output table.csv]
-    maxconf compare  --input ensemble.json [--tol X]
 
 solve writes a self-contained solution file (ensemble, detection set,
-certificate, report) that verify reads back. Exit codes: 0 success,
-1 semantic failure (invalid ensemble, rejected certificate, disagreement),
-2 unusable input, 3 solve finished without a certified optimum.
+certificate, report) that verify reads back; solve --check adds the other
+route's solve (closed form or numeric) and its deviations. Exit codes:
+0 success, 1 semantic failure (invalid ensemble, rejected certificate,
+cross-check disagreement), 2 unusable input, 3 solve finished without a
+certified optimum.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import replace
@@ -43,6 +45,7 @@ from .families import (
     square_root_measurement,
 )
 from .geometry import geometry
+from .operators import CROSS_CHECK_TOL, EQ_TOL, POS_TOL
 from .serialize import (
     certificate_to_json,
     detection_from_json,
@@ -54,6 +57,7 @@ from .serialize import (
     load_json,
     report_to_json,
     validation_to_json,
+    vector_from_json,
     witness_to_json,
     write_csv,
 )
@@ -136,47 +140,48 @@ def cmd_solve(args) -> int:
         "detection": detection_to_json(report.detection),
         "certificate": certificate_to_json(report.certificate),
     }
+    deviation = 0.0
     if args.check:
         other = "numeric" if report.mode == "analytic" else "analytic"
         try:
             cross = _solve(ensemble, other, args.tol)
+            deviation = abs(cross.detection_rate - report.detection_rate)
+            conf_deviation = float(np.nanmax(np.abs(cross.confidences - report.confidences)))
             out["cross_check"] = {
                 "available": True,
                 "mode": cross.mode,
                 "detection_rate": cross.detection_rate,
                 "failure_probability": cross.failure_probability,
-                "rate_deviation": abs(cross.detection_rate - report.detection_rate),
+                "rate_deviation": deviation,
+                "confidence_deviation": conf_deviation,
                 "certified": cross.certified,
             }
         except (*_ANALYTIC_BLOCKERS, NotConvergedError) as exc:
             out["cross_check"] = {"available": False, "reason": str(exc)}
     _emit_json(out, args.output)
+    if deviation > CROSS_CHECK_TOL:
+        print(f"cross-check deviates by {deviation:.3e}", file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK if report.certified else EXIT_UNCERTIFIED
 
 
 def cmd_verify(args) -> int:
     obj = load_json(args.input)
-    if not isinstance(obj, dict) or "ensemble" not in obj or "detection" not in obj:
+    if not isinstance(obj, dict) or not {"ensemble", "detection", "certificate"} <= obj.keys():
         print("error: verify needs a solution file with 'ensemble', 'detection', "
               "and 'certificate'", file=sys.stderr)
         return EXIT_INPUT
     ensemble = ensemble_from_json(obj["ensemble"])
     detection = detection_from_json(obj["detection"])
-    if "certificate" not in obj:
-        print("error: no certificate in input", file=sys.stderr)
-        return EXIT_INPUT
     z = dual_from_certificate_json(obj["certificate"])
-    tol = args.tol
-    kwargs = {} if tol is None else {"pos_tol": tol, "eq_tol": tol}
+    pos_tol, eq_tol = (POS_TOL, EQ_TOL) if args.tol is None else (args.tol, args.tol)
     geo = geometry(ensemble)
-    cert = verify_certificate(ensemble, detection, z, geo=geo, **kwargs)
+    cert = verify_certificate(ensemble, detection, z, geo=geo, pos_tol=pos_tol, eq_tol=eq_tol)
     out = {"certificate": certificate_to_json(cert)}
     if args.witness and not cert.accepted:
         try:
-            w = perturbation_witness(
-                ensemble, detection, z, WITNESS_EPSILON, geo=geo,
-                **({} if tol is None else {"pos_tol": tol}),
-            )
+            w = perturbation_witness(ensemble, detection, z, WITNESS_EPSILON, geo=geo,
+                                     pos_tol=pos_tol)
             out["witness"] = witness_to_json(w)
         except NoNegativeEigenvalueError as exc:
             out["witness"] = {"available": False, "reason": str(exc)}
@@ -210,8 +215,6 @@ def _family_instance(kind: str, obj: dict, param: str | None, value: float) -> S
         return SymmetricFamily.qubit(order=order, purity=1.0, angle=angle)
     if param not in (None,):
         raise MaxconfError(f"pure-symmetric family with fixed coefficients cannot sweep {param!r}")
-    from .serialize import vector_from_json
-
     c = vector_from_json(obj["coefficients"], where="family coefficients")
     return SymmetricFamily(order=order, purity=1.0, coefficients=c)
 
@@ -254,37 +257,13 @@ def cmd_sweep(args) -> int:
             row.append(dev)
         rows.append(row)
 
-    import io
-
     buf = io.StringIO()
     write_csv(buf, header, rows)
     _emit_text(buf.getvalue().rstrip("\n"), args.output)
-    threshold = args.tol if args.tol is not None else 1e-6
+    threshold = args.tol if args.tol is not None else CROSS_CHECK_TOL
     if args.check and worst_dev > threshold:
         print(f"numeric cross-check deviates by {worst_dev:.3e}", file=sys.stderr)
         return EXIT_FAIL
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    ensemble = ensemble_from_json(load_json(args.input))
-    analytic = solve_rank1_symmetric(ensemble)
-    numeric = solve_numeric(ensemble)
-    dev = abs(analytic.detection_rate - numeric.detection_rate)
-    out = {
-        "analytic": report_to_json(analytic),
-        "numeric": report_to_json(numeric),
-        "rate_deviation": dev,
-        "confidence_deviation": float(
-            np.nanmax(np.abs(analytic.confidences - numeric.confidences))
-        ),
-    }
-    _emit_json(out, args.output)
-    threshold = args.tol if args.tol is not None else 1e-6
-    if dev > threshold:
-        return EXIT_FAIL
-    if not (analytic.certified and numeric.certified):
-        return EXIT_UNCERTIFIED
     return EXIT_OK
 
 
@@ -329,10 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="tabulate closed-form values over a parameter grid")
     common(p, check=True, grid=True)
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("compare", help="closed form vs numerical solver on one ensemble")
-    common(p)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 

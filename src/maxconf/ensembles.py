@@ -17,13 +17,19 @@ from .errors import (
     InfeasibleInputError,
     InvalidPhasesError,
 )
-from .operators import TOL_RECON, require_hermitian, support_rank
-
-PRIOR_TOL = 1e-12
-TRACE_TOL = 1e-10
-PHASE_TOL = 1e-10
-COEFF_NORM_TOL = 1e-12
-COEFF_ZERO_TOL = 1e-12
+from .operators import (
+    COEFF_NORM_TOL,
+    COEFF_ZERO_TOL,
+    PHASE_TOL,
+    PRIOR_TOL,
+    REFERENCE_NORM_TOL,
+    TOL_HERM,
+    TOL_PSD,
+    TOL_RECON,
+    TRACE_TOL,
+    require_hermitian,
+    support_rank,
+)
 
 
 def default_phases(order: int, dim: int) -> np.ndarray:
@@ -74,17 +80,17 @@ class SymmetrySpec:
         """The unitary V as a diagonal matrix."""
         return np.diag(self.phases)
 
-    def clusters(self, tol: float = PHASE_TOL) -> np.ndarray:
+    def clusters(self) -> np.ndarray:
         """The eigenspaces of V as a (C, d) 0/1 indicator: the rows of the
         equal-phase table at each eigenspace's first member. Distinct roots
-        of unity lie far beyond tol."""
+        of unity lie far beyond PHASE_TOL."""
         p = self.phases
-        same = np.abs(p[:, None] - p[None, :]) <= tol
+        same = np.abs(p[:, None] - p[None, :]) <= PHASE_TOL
         return same[same.argmax(axis=0) == np.arange(p.size)] if p.size else same
 
-    def distinct(self, tol: float = PHASE_TOL) -> bool:
+    def distinct(self) -> bool:
         """Whether all eigenphases are pairwise distinct."""
-        return self.clusters(tol).shape[0] == self.dim
+        return self.clusters().shape[0] == self.dim
 
 
 @dataclass(frozen=True)
@@ -157,10 +163,12 @@ class ValidationReport:
 def validate(ensemble: StateEnsemble) -> ValidationReport:
     """Check the physical invariants of an ensemble.
 
-    Violations (hard failures): non-positive priors, priors not summing to
-    one, non-Hermitian or non-PSD states, traces away from one, and, when a
-    SymmetrySpec is attached, states that do not match the cyclic orbit or
-    an average state that does not commute with the generator.
+    Violations (hard failures): non-finite priors, state entries or
+    eigenphases (reported alone, before any spectrum is computed),
+    non-positive priors, priors not summing to one, non-Hermitian or non-PSD
+    states, traces away from one, and, when a SymmetrySpec is attached,
+    states that do not match the cyclic orbit or an average state that does
+    not commute with the generator.
 
     Flags (informational): rank-deficient average state, zero-probability
     symmetry mismatch candidates, etc. A flagged ensemble is still usable.
@@ -169,6 +177,11 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     flags: list[str] = []
     e = ensemble
 
+    values = [e.priors, e.states] + ([e.symmetry.phases] if e.symmetry is not None else [])
+    bad = sum(np.count_nonzero(~np.isfinite(x)) for x in values)
+    if bad:
+        v.append(Violation("finite_values", float(bad), "priors, states and phases must be finite"))
+        return ValidationReport(violations=v, flags=flags)
     if float(e.priors.min()) <= 0.0:
         v.append(Violation("prior_positivity", -float(e.priors.min()),
                            "priors must be strictly positive"))
@@ -181,10 +194,10 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     h = 0.5 * (e.states + adj)
     worst_neg = max(0.0, -float(np.linalg.eigvalsh(h)[:, 0].min()))
     worst_trace = float(np.max(np.abs(np.trace(h, axis1=1, axis2=2).real - 1.0)))
-    if worst_herm > 1e-9:
+    if worst_herm > TOL_HERM:
         v.append(Violation("state_hermiticity", worst_herm,
                            "states must be Hermitian"))
-    if worst_neg > 1e-9:
+    if worst_neg > TOL_PSD:
         v.append(Violation("state_positivity", worst_neg,
                            "states must be positive semidefinite"))
     if worst_trace > TRACE_TOL:
@@ -193,7 +206,7 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     rho = average_state(e)
     rho_h = 0.5 * (rho + rho.conj().T)
     if support_rank(rho_h) < e.dim:
-        flags.append("average state is rank deficient; solvers will restrict to its support")
+        flags.append("average state is rank deficient; detection operators live on its support")
 
     if e.symmetry is not None:
         s = e.symmetry
@@ -263,19 +276,36 @@ def build_symmetric_ensemble(
     reference = np.asarray(reference, dtype=complex)
     if reference.ndim == 1:
         nrm = float(np.linalg.norm(reference))
-        if abs(nrm - 1.0) > 1e-9:
+        if abs(nrm - 1.0) > REFERENCE_NORM_TOL:
             raise InfeasibleInputError(f"coefficient vector has norm {nrm:.12f}, expected 1")
         rho1 = np.outer(reference, reference.conj())
     elif reference.ndim == 2 and reference.shape[0] == reference.shape[1]:
         rho1 = require_hermitian(reference, name="reference state")
         w = np.linalg.eigvalsh(rho1)
-        if float(w[0]) < -1e-9:
+        if float(w[0]) < -TOL_PSD:
             raise InfeasibleInputError(f"reference state has eigenvalue {float(w[0]):.3e}")
         if abs(float(np.trace(rho1).real) - 1.0) > TRACE_TOL:
             raise InfeasibleInputError("reference state must have unit trace")
     else:
         raise InfeasibleInputError(f"reference must be a vector or square matrix, got shape {reference.shape}")
     return _cyclic_ensemble(rho1, order, phases, reference)
+
+
+def check_family(coefficients: np.ndarray, purity: float) -> np.ndarray:
+    """The coefficients of a depolarized family as a flat complex vector,
+    after checking that they are normalized and all nonzero and that the
+    purity lies in [0, 1]."""
+    c = np.asarray(coefficients, dtype=complex).reshape(-1)
+    nrm = float(np.linalg.norm(c))
+    if abs(nrm - 1.0) > COEFF_NORM_TOL:
+        raise InfeasibleInputError(f"coefficients have norm {nrm:.15f}, expected 1")
+    if float(np.min(np.abs(c))) <= COEFF_ZERO_TOL:
+        raise DegenerateCoefficientError(
+            "every coefficient must be nonzero; got a vanishing component"
+        )
+    if not 0.0 <= purity <= 1.0:
+        raise InfeasibleInputError(f"purity must lie in [0, 1], got {purity}")
+    return c
 
 
 def build_depolarized_family(
@@ -290,17 +320,7 @@ def build_depolarized_family(
     they must be normalized and all nonzero (a vanishing component makes the
     orbit live in a smaller invariant problem and is rejected).
     """
-    c = np.asarray(coefficients, dtype=complex).reshape(-1)
+    c = check_family(coefficients, purity)
     dim = c.shape[0]
-    nrm = float(np.linalg.norm(c))
-    if abs(nrm - 1.0) > COEFF_NORM_TOL:
-        raise InfeasibleInputError(f"coefficients have norm {nrm:.15f}, expected 1")
-    if float(np.min(np.abs(c))) <= COEFF_ZERO_TOL:
-        raise DegenerateCoefficientError(
-            "every coefficient must be nonzero; got a vanishing component"
-        )
-    if not 0.0 <= purity <= 1.0:
-        raise InfeasibleInputError(f"purity must lie in [0, 1], got {purity}")
-
     rho1 = purity * np.outer(c, c.conj()) + (1.0 - purity) * np.eye(dim) / dim
     return _cyclic_ensemble(rho1, order, phases, c)

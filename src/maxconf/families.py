@@ -21,12 +21,12 @@ import numpy as np
 from .ensembles import (
     StateEnsemble,
     build_depolarized_family,
+    check_family,
     default_phases,
     orbit,
 )
-from .errors import DegenerateCoefficientError, InfeasibleInputError
-
-FLAT_TOL = 1e-12
+from .errors import InfeasibleInputError
+from .operators import FLAT_TOL
 
 
 @dataclass(frozen=True)
@@ -47,18 +47,12 @@ class SymmetricFamily:
     phases: np.ndarray | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex).reshape(-1)
-        object.__setattr__(self, "coefficients", c)
-        if self.order < c.size:
+        dim = np.size(self.coefficients)
+        if self.order < dim:
             raise InfeasibleInputError(
-                f"order {self.order} < dimension {c.size}; the orbit needs order >= dim"
+                f"order {self.order} < dimension {dim}; the orbit needs order >= dim"
             )
-        if abs(float(np.linalg.norm(c)) - 1.0) > 1e-12:
-            raise InfeasibleInputError("coefficients must be normalized")
-        if float(np.min(np.abs(c))) <= 1e-12:
-            raise DegenerateCoefficientError("coefficients must all be nonzero")
-        if not 0.0 <= self.purity <= 1.0:
-            raise InfeasibleInputError(f"purity must lie in [0, 1], got {self.purity}")
+        object.__setattr__(self, "coefficients", check_family(self.coefficients, self.purity))
         if self.phases is not None:
             object.__setattr__(
                 self, "phases", np.asarray(self.phases, dtype=complex).reshape(-1)

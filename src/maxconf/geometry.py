@@ -33,6 +33,9 @@ from .errors import (
     InfeasibleInputError,
 )
 from .operators import (
+    DEGENERACY_RTOL,
+    SPLIT_TOL,
+    TOL_CONF,
     TOL_HERM,
     TOL_ORTH,
     TOL_PSD,
@@ -42,9 +45,6 @@ from .operators import (
     psd_power,
     support_cutoff,
 )
-
-TOL_CONF = 1e-9
-DEGENERACY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,9 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     Every step acts on all outcomes at once: one eigendecomposition of rho
     (its support projector, rho^-1/2 and rho^-1), one of the stacked
     transformed states, one SVD of the detection blocks zero-padded to the
-    widest top eigenspace (zero columns have singular value 0, so the rank
-    cutoff drops them), and one stacked cross-check.
+    widest top eigenspace, and one stacked cross-check. Raises
+    InfeasibleInputError for an outcome whose state has no weight on the
+    kept support of rho.
     """
     report = validate(ensemble)
     if not report.ok:
@@ -120,7 +121,7 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     w, v = spec.eigenvalues, spec.eigenvectors
     confidences = w[:, 0].copy()
     # top cluster: eigenvalues within a relative gap of the maximum
-    thresh = confidences - DEGENERACY_RTOL * np.maximum(np.abs(confidences), 1e-300)
+    thresh = confidences - DEGENERACY_RTOL * np.abs(confidences)
     degeneracies = np.count_nonzero(w >= thresh[:, None], axis=1)
     width = int(degeneracies.max())
     cols = np.arange(width) < degeneracies[:, None]
@@ -129,8 +130,13 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
 
     blocks = rih @ vtop
     u, sv, _ = np.linalg.svd(blocks, full_matrices=False)
-    keep = sv > np.maximum(TOL_ORTH, sv[:, :1] * 1e-12)
-    lam = (u * keep[:, None, :]) @ u.conj().swapaxes(1, 2)
+    # W_j^dagger W_j >= 1 on rho's kept support and the padding appends zero
+    # singular values, so the first m_j columns of u span Lambda_j; a top
+    # eigenvector off that support (C_j = 0: all weight below the cutoff) is lost
+    lost = np.flatnonzero((cols & (sv <= TOL_ORTH)).any(axis=1))
+    if lost.size:
+        raise InfeasibleInputError(f"outcome {lost[0] + 1} has no weight on rho's kept support")
+    lam = (u * cols[:, None, :]) @ u.conj().swapaxes(1, 2)
 
     # independent route: congruence through the pseudo-inverse of
     # P_j rho^-1 P_j, which must give the same projector; its norm can reach
@@ -225,7 +231,7 @@ def two_state_components(
             f"confidences sum to one within tolerance (C1 + C2 - 1 = {denom:.3e})"
         )
     psum = geo.top_projectors[0] + geo.top_projectors[1]
-    if opnorm(psum - geo.rho_support) > 1e-8:
+    if opnorm(psum - geo.rho_support) > SPLIT_TOL:
         raise InfeasibleInputError(
             "top eigenspaces do not resolve the support of the average state; "
             "the two-state split does not apply"
@@ -242,7 +248,7 @@ def two_state_components(
         opnorm(unnorm1 - sqrt_rho @ geo.top_projectors[0] @ sqrt_rho),
         opnorm(unnorm2 - sqrt_rho @ geo.top_projectors[1] @ sqrt_rho),
     )
-    if dev > 1e-8:
+    if dev > SPLIT_TOL:
         raise GeometryInconsistencyError(
             f"algebraic and spectral component splits disagree by {dev:.3e}"
         )

@@ -1,13 +1,17 @@
-"""Hermitian-operator primitives used throughout the package.
+"""Hermitian-operator primitives and the package's tolerance table.
 
 Operators are plain complex numpy arrays of shape (d, d); the Hermitian
-helpers also take stacks (..., d, d) and act on each matrix. The helpers
-here pin down the numerical conventions the rest of the package relies on:
+helpers also take stacks (..., d, d) and act on each matrix. This module
+pins down the numerical conventions the rest of the package relies on:
 
 * eigendecompositions are deterministic (descending eigenvalues, each
   eigenvector's largest-modulus component made real and positive),
-* support detection uses a single relative cutoff,
-* fractional and negative matrix powers are restricted to the support.
+* fractional and negative matrix powers are restricted to the support,
+* every numerical threshold of the package is named once in the table
+  below, with the reason for its size, and imported from here. Values are
+  absolute unless marked relative: the two rank cutoffs SUPPORT_RTOL and
+  RANK_CUTOFF scale with the largest eigenvalue magnitude, floored at 1
+  (support_cutoff), and DEGENERACY_RTOL with C_j itself.
 """
 
 from __future__ import annotations
@@ -18,11 +22,39 @@ import numpy as np
 
 from .errors import NonHermitianError, NotPSDError
 
-TOL_HERM = 1e-9
-TOL_PSD = 1e-9
-TOL_ORTH = 1e-10
-TOL_RECON = 1e-10
-SUPPORT_RTOL = 1e-9
+# inputs: validate, the ensemble builders and the symmetric families
+TOL_HERM = 1e-9  # entrywise |A - A^dagger|: far above the rounding of unit-norm products
+TOL_PSD = 1e-9  # most negative eigenvalue a PSD operator may show; same margin as TOL_HERM
+TRACE_TOL = 1e-10  # |Tr rho_j - 1|: one sum of d entries, held tighter than spectral tests
+PRIOR_TOL = 1e-12  # |sum eta_j - 1|, |eta_j - 1/N| on an orbit: sums of N floats, ~N eps
+PHASE_TOL = 1e-10  # |phase| = 1 and phase^N = 1; distinct N-th roots of unity lie far apart
+REFERENCE_NORM_TOL = 1e-9  # | ||psi|| - 1 | of a pure reference; validate holds traces tighter
+COEFF_NORM_TOL = 1e-12  # | ||c|| - 1 | of a family's coefficients, which come from formulas
+COEFF_ZERO_TOL = 1e-12  # |c_l| at or below it vanishes: the orbit lives in a smaller space
+FLAT_TOL = 1e-12  # max_l | |c_l|^2 - 1/d | for the flat closed form
+
+# numerical rank
+SUPPORT_RTOL = 1e-9  # relative: the support of rho and of every pseudo-power
+RANK_CUTOFF = 1e-7  # relative: certificate ranks; looser, iterates keep small kernel eigenvalues
+DEGENERACY_RTOL = 1e-8  # relative to C_j: eigenvalues this close share the top eigenspace
+TOL_ORTH = 1e-10  # a singular value of W_j at or below it is a lost column; genuine ones are >= 1
+
+# cross-checks between two routes to one object (geometry scales the Hermiticity
+# and PSD tests of its Lambda_j cross-check by ||rho^-1||)
+TOL_RECON = 1e-10  # Lambda_j by SVD against congruence; orbit and commutation in validate
+TOL_CONF = 1e-9  # |C_j - 1| and overlaps in is_unambiguous; C_1 + C_2 = 1 in the split
+SPLIT_TOL = 1e-8  # two-state split: P_1 + P_2 against the support, algebraic against spectral
+DIAGONAL_TOL = 1e-9  # off-diagonal entries of rho in the generator eigenbasis (closed form)
+OVERLAP_CUTOFF = 1e-14  # |<l|nu>|^2 at or below it drops l from the closed-form minimum
+TIE_RTOL = 1e-9  # relative: minimizing ratios this close share the closed form's dual Z
+CROSS_CHECK_TOL = 1e-6  # detection rates of closed form and numeric solve in the CLI
+
+# certificates and the numeric solve
+POS_TOL = 1e-8  # most negative eigenvalue of a certificate's PSD conditions: the first gap
+EQ_TOL = 1e-8  # largest residual of its equalities (Z Pi_0, Tr Z - R, ...): same reason
+ZERO_PROB = 1e-14  # an outcome less likely than this has no defined confidence (nan)
+GAP_LADDER = (1e-8, 1e-9, 1e-10)  # duality gaps at which solve_numeric tries the certificate
+MAX_ITERATIONS = 10000  # interior-point iterations over the whole ladder
 
 
 def support_cutoff(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> np.ndarray:
@@ -41,20 +73,10 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(a: np.ndarray, tol: float = TOL_HERM, name: str = "operator") -> np.ndarray:
-    """Validate Hermiticity and return the exactly symmetrized operator.
-
-    Parameters
-    ----------
-    a : array_like, shape (d, d) or a stack (..., d, d)
-    tol : maximum allowed entrywise deviation between ``a`` and its adjoint,
-        over every matrix of a stack.
-    name : label used in the error message.
-
-    Returns
-    -------
-    0.5 * (a + a^dagger) as a complex array, so downstream eigh calls see an
-    exactly Hermitian matrix.
-    """
+    """Validate Hermiticity of ``a``, shape (d, d) or a stack (..., d, d),
+    and return 0.5 (a + a^dagger) as a complex array, so downstream eigh
+    calls see an exactly Hermitian matrix. Raises NonHermitianError, with
+    ``name`` in the message, if any entry of a - a^dagger exceeds tol."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonHermitianError(f"{name} must be square, got shape {a.shape}")
@@ -126,18 +148,18 @@ def eig_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
-def psd_power(a: np.ndarray, exponent: float, tol: float = TOL_PSD) -> np.ndarray:
+def psd_power(a: np.ndarray, exponent: float) -> np.ndarray:
     """Matrix power of a positive semidefinite operator, or of each matrix of
     a stack (..., d, d); see Spectrum.power.
 
-    Raises NotPSDError if an eigenvalue of any matrix is below -tol.
+    Raises NotPSDError if an eigenvalue of any matrix is below -TOL_PSD.
     """
-    return eig_hermitian(a).power(exponent, tol)
+    return eig_hermitian(a).power(exponent)
 
 
-def support_projector(a: np.ndarray, tol: float = TOL_PSD) -> np.ndarray:
+def support_projector(a: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD operator."""
-    return psd_power(a, 0.0, tol)
+    return psd_power(a, 0.0)
 
 
 def rank_of_spectrum(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> int | np.ndarray:

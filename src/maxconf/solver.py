@@ -52,16 +52,21 @@ from .errors import (
     NotSymmetricError,
 )
 from .geometry import MCGeometry, geometry
-from .operators import eig_hermitian, opnorm, rank_of_spectrum, support_rank
-
-POS_TOL = 1e-8
-EQ_TOL = 1e-8
-DEFAULT_GAP_TOL = 1e-8
-DEFAULT_MAX_ITERATIONS = 10000
-TIE_RTOL = 1e-9
-OVERLAP_CUTOFF = 1e-14
-RANK_CUTOFF = 1e-7
-ZERO_PROB = 1e-14
+from .operators import (
+    DIAGONAL_TOL,
+    EQ_TOL,
+    GAP_LADDER,
+    MAX_ITERATIONS,
+    OVERLAP_CUTOFF,
+    POS_TOL,
+    RANK_CUTOFF,
+    TIE_RTOL,
+    ZERO_PROB,
+    eig_hermitian,
+    opnorm,
+    rank_of_spectrum,
+    support_rank,
+)
 
 _TO_BOUNDARY = 0.98  # largest fraction of the way to a cone boundary per step
 
@@ -113,8 +118,7 @@ class DetectionSet:
         return self.operators[1:]
 
     def completeness_residual(self) -> float:
-        d = self.dim
-        return opnorm(self.operators.sum(axis=0) - np.eye(d))
+        return opnorm(self.operators.sum(axis=0) - np.eye(self.dim))
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(_sym(self.operators))[:, 0].min())
@@ -237,21 +241,9 @@ def verify_certificate(
     lower = int(support_rank(lam @ ensemble.states @ lam, RANK_CUTOFF).max())
     rank_ok = (rank_z + rank_pi0 <= ensemble.dim) and (rank_z >= lower)
 
-    failures = []
-    if conditions["povm_min_eigenvalue"] < -pos_tol:
-        failures.append("povm_min_eigenvalue")
-    if conditions["completeness_residual"] > eq_tol:
-        failures.append("completeness_residual")
-    if conditions["z_min_eigenvalue"] < -pos_tol:
-        failures.append("z_min_eigenvalue")
-    if conditions["support_slack_min_eigenvalue"] < -pos_tol:
-        failures.append("support_slack_min_eigenvalue")
-    if conditions["inconclusive_orthogonality"] > eq_tol:
-        failures.append("inconclusive_orthogonality")
-    if conditions["stationarity_residual"] > eq_tol:
-        failures.append("stationarity_residual")
-    if conditions["trace_gap"] > eq_tol:
-        failures.append("trace_gap")
+    # *_min_eigenvalue entries fail below -pos_tol, the residuals above eq_tol
+    failures = [name for name, value in conditions.items()
+                if (value < -pos_tol if name.endswith("_min_eigenvalue") else value > eq_tol)]
     if not rank_ok:
         failures.append("rank_bound")
 
@@ -348,7 +340,7 @@ def solve_rank1_symmetric(
 
     rho = geo.rho
     off = float(np.max(np.abs(rho - np.diag(np.diag(rho)))))
-    if off > 1e-9:
+    if off > DIAGONAL_TOL:
         raise NotSymmetricError(
             f"average state is not diagonal in the symmetry eigenbasis (off-diagonal {off:.3e})"
         )
@@ -356,9 +348,7 @@ def solve_rank1_symmetric(
 
     nu = geo.top_vectors[0][:, 0]
     overlaps = np.abs(nu) ** 2
-    usable = overlaps > OVERLAP_CUTOFF
-    if not np.any(usable):
-        raise InfeasibleInputError("top eigenvector has no overlap with the average state basis")
+    usable = overlaps > OVERLAP_CUTOFF  # nu is a unit vector, so some overlap is >= 1/d
     ratios = np.full(d, np.inf)
     ratios[usable] = r[usable] / overlaps[usable]
     alpha = float(ratios.min()) / n
@@ -368,7 +358,7 @@ def solve_rank1_symmetric(
     detection = DetectionSet.from_conclusive(orbit(pi1, sym.phases, n))
 
     # dual operator: weight N*alpha spread over the components achieving
-    # the minimum ratio (ties clustered at relative 1e-9)
+    # the minimum ratio (ties within relative TIE_RTOL)
     rmin = float(ratios.min())
     cluster = np.where(usable & (ratios <= rmin * (1.0 + TIE_RTOL)))[0]
     zdiag = np.zeros(d)
@@ -447,7 +437,7 @@ def _interior_point(
     w: np.ndarray,
     owner: np.ndarray,
     clusters: np.ndarray,
-    ladder: list[float],
+    ladder: tuple[float, ...],
     max_iterations: int,
 ):
     """Maximize Tr(rho W A W^dagger) over block-diagonal A >= 0 with
@@ -499,12 +489,14 @@ def _interior_point(
 
     # strictly feasible start: scaled identities keeping the total below
     # 1/2, with ||W_j W_j^dagger|| = ||W_j^dagger W_j|| from the zero-padded
-    # d x m_j blocks, and Z = kappa 1 with kappa doubled until X1 > 0
+    # d x m_j blocks (their sum is >= 1: the columns of W are rho^-1/2 of
+    # unit vectors in rho's support), and Z = kappa 1 with kappa doubled
+    # until X1 > 0
     j, col = np.nonzero(owner)
     padded = np.zeros((owner.shape[0], d, int(owner.sum(axis=1).max())), dtype=complex)
     padded[j, :, col - owner.argmax(axis=1)[j]] = w.T
     norm_sum = float(np.linalg.eigvalsh(padded.conj().swapaxes(1, 2) @ padded)[:, -1].sum())
-    a = 0.5 / max(norm_sum, 1e-300) * np.eye(m, dtype=complex)
+    a = 0.5 / norm_sum * np.eye(m, dtype=complex)
     z = eye.copy()
     while np.linalg.eigvalsh(blocks(z - rho))[0] <= 0.0:
         z *= 2.0
@@ -574,12 +566,7 @@ def _interior_point(
         yield a, iterations, gap, z
 
 
-def solve_numeric(
-    ensemble: StateEnsemble,
-    geo: MCGeometry | None = None,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> SolveReport:
+def solve_numeric(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> SolveReport:
     """Numerically optimal maximum-confidence measurement for any ensemble.
 
     Maximizes the detection rate over the positive coefficient blocks and
@@ -597,11 +584,11 @@ def solve_numeric(
     pinch(W a W^dagger) <= 1 with W = sqrt(N) W_1. Its Z commutes with V
     and certifies the full problem.
 
-    gap_tol bounds the duality gap Tr Z - R of the first reported point; if
-    the certificate is rejected there, the same path continues to tighter
-    gaps (down to 1e-10), because the residuals shrink with the gap.
+    The first reported point has duality gap Tr Z - R at most GAP_LADDER[0];
+    if the certificate is rejected there, the same path continues to the
+    ladder's tighter gaps, because the residuals shrink with the gap.
     iterations counts the interior-point iterations of that one path, and
-    max_iterations bounds them over the whole path, not per stage.
+    MAX_ITERATIONS bounds them over the whole path, not per stage.
     """
     if geo is None:
         geo = geometry(ensemble)
@@ -612,13 +599,8 @@ def solve_numeric(
     w = np.concatenate(blocks, axis=1)
     owner = np.repeat(np.eye(len(blocks), dtype=bool), [b.shape[1] for b in blocks], axis=1)
 
-    ladder = [gap_tol]
-    for tight in (1e-9, 1e-10):
-        if tight < ladder[-1]:
-            ladder.append(tight)
-
-    report = None
-    for a, iterations, gap, z in _interior_point(geo.rho, w, owner, clusters, ladder, max_iterations):
+    path = _interior_point(geo.rho, w, owner, clusters, GAP_LADDER, MAX_ITERATIONS)
+    for a, iterations, gap, z in path:
         conclusive = _embed(w, owner, a)
         if sym is not None:
             conclusive = orbit(conclusive[0] / n, sym.phases, n)

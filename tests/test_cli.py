@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from maxconf import build_depolarized_family, build_symmetric_ensemble
+from maxconf import build_depolarized_family, build_symmetric_ensemble, cli
 from maxconf.cli import main
 from maxconf.serialize import dump_json, ensemble_to_json
 from conftest import random_ensemble
@@ -190,20 +191,62 @@ def test_sweep_rejects_unknown_family(tmp_path):
     assert main(["sweep", "--input", str(p), "--grid", "angle:0.1:0.9:3"]) == 2
 
 
-def test_compare_symmetric(trine_file, capsys):
-    rc = main(["compare", "--input", str(trine_file)])
+def test_compare_symmetric(trine_file, tmp_path):
+    # solve --check compares the numeric solve with the closed form
+    out = tmp_path / "solution.json"
+    rc = main(["solve", "--input", str(trine_file), "--mode", "numeric", "--check",
+               "--output", str(out)])
     assert rc == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["rate_deviation"] < 1e-6
-    assert obj["analytic"]["certified"] and obj["numeric"]["certified"]
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    cc = obj["cross_check"]
+    assert cc["mode"] == "analytic"
+    assert cc["rate_deviation"] < 1e-6 and cc["confidence_deviation"] < 1e-6
+    assert obj["report"]["certified"] and cc["certified"]
 
 
 def test_compare_needs_symmetry(tmp_path):
     rng = np.random.default_rng(7)
     e = random_ensemble(rng, 2, 2)
-    p = tmp_path / "asym.json"
+    p, out = tmp_path / "asym.json", tmp_path / "solution.json"
     write_ensemble(p, e)
-    assert main(["compare", "--input", str(p)]) == 2
+    assert main(["solve", "--input", str(p), "--check", "--output", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["cross_check"]["available"] is False
+
+
+def test_solve_check_disagreement_exits_one(trine_file, tmp_path, monkeypatch):
+    solve = cli._solve
+
+    def skewed(ensemble, mode, tol):
+        report = solve(ensemble, mode, tol)
+        if mode == "numeric":
+            report = replace(report, detection_rate=report.detection_rate - 1e-3)
+        return report
+
+    monkeypatch.setattr(cli, "_solve", skewed)
+    rc = main(["solve", "--input", str(trine_file), "--check", "--output", str(tmp_path / "s.json")])
+    assert rc == 1
+
+
+def _nan_prior_file(tmp_path):
+    obj = {"dim": 2, "states": [
+        {"prior": float("nan"), "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+        {"prior": 0.5, "matrix": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    ]}
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(obj), encoding="utf-8")  # writes the bare token NaN
+    return p
+
+
+def test_validate_rejects_nan_file(tmp_path, capsys):
+    assert main(["validate", "--input", str(_nan_prior_file(tmp_path))]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert [v["name"] for v in out["violations"]] == ["finite_values"]
+
+
+def test_solve_names_non_finite_violation(tmp_path, capsys):
+    assert main(["solve", "--input", str(_nan_prior_file(tmp_path))]) == 2
+    assert "finite_values" in capsys.readouterr().err
 
 
 def test_entry_point_installed():

@@ -104,6 +104,27 @@ def test_validate_flags_non_psd_state():
     assert not validate(e).ok
 
 
+@pytest.mark.parametrize("where, value", [("prior", np.nan), ("entry", np.nan), ("prior", np.inf)],
+                         ids=["nan-prior", "nan-entry", "inf-prior"])
+def test_validate_rejects_non_finite_input(where, value):
+    # NaN fails every comparison, so without its own check it passed them all
+    priors = np.array([0.5, 0.5])
+    states = np.stack([np.eye(2), np.diag([1.0, 0.0])]).astype(complex)
+    if where == "prior":
+        priors[0] = value
+    else:
+        states[1, 0, 1] = value
+    report = validate(StateEnsemble(dim=2, priors=priors, states=states))
+    assert [v.name for v in report.violations] == ["finite_values"]
+
+
+def test_validate_rejects_non_finite_phases():
+    e = build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2), 3)
+    spec = SymmetrySpec(order=3, phases=np.array([np.nan, 1.0]), reference=e.symmetry.reference)
+    tampered = StateEnsemble(dim=2, priors=e.priors, states=e.states, symmetry=spec)
+    assert [v.name for v in validate(tampered).violations] == ["finite_values"]
+
+
 def test_validate_flags_broken_orbit():
     # tamper with one state so the declared symmetry no longer holds
     e = build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2), 3)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from maxconf import (
     DegenerateMappingError,
     GeometryInconsistencyError,
     InfeasibleInputError,
+    MaxconfError,
     StateEnsemble,
     build_depolarized_family,
     build_symmetric_ensemble,
@@ -18,8 +21,7 @@ from maxconf import (
     transformed_states,
     two_state_components,
 )
-from maxconf.geometry import DEGENERACY_RTOL
-from maxconf.operators import TOL_ORTH, TOL_RECON
+from maxconf.operators import DEGENERACY_RTOL, TOL_ORTH, TOL_RECON
 from conftest import (
     mixed_width_ensemble,
     random_coefficients,
@@ -134,6 +136,43 @@ def test_tiny_prior_fails_the_cross_check_not_a_psd_test(seed):
     e = StateEnsemble(dim=3, priors=np.array([1e-7, 0.5, 0.5 - 1e-7]), states=states)
     with pytest.raises(GeometryInconsistencyError, match="outcome 2 disagree"):
         geometry(e)
+
+
+def _orthogonal_states(priors):
+    d = len(priors)
+    return StateEnsemble(dim=d, priors=np.array(priors),
+                         states=np.stack([np.diag(np.eye(d)[j]) for j in range(d)]).astype(complex))
+
+
+@pytest.mark.parametrize("priors", [
+    (1e-12, 1 - 1e-12), (1e-10, 1 - 1e-10), (1e-9, 1 - 1e-9), (1e-12, 0.5, 0.5 - 1e-12),
+], ids=["qubit-1e-12", "qubit-1e-10", "qubit-1e-9", "qutrit-1e-12"])
+def test_state_below_the_support_cutoff_is_refused(priors):
+    # the first state's weight lies below rho's support cutoff, so C_1 = 0
+    # and rho^-1/2 sends its top eigenvectors to zero; the solver used to
+    # double Z until it overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MaxconfError, match="outcome 1 has no weight"):
+            solve_numeric(_orthogonal_states(priors))
+
+
+def test_state_above_the_support_cutoff_certifies():
+    report = solve_numeric(_orthogonal_states((1e-8, 1 - 1e-8)))
+    assert report.certified
+    assert np.allclose(report.confidences, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 8])
+def test_tiny_prior_below_the_support_cutoff_still_solves(seed):
+    # priors (1e-11, 1/2, 1/2 - 1e-11): the first state keeps a sliver of
+    # weight on rho's kept support, so C_1 ~ 1e-11 with m_1 = 1
+    rng = np.random.default_rng(seed)
+    states = np.stack([np.outer(v, v.conj()) for v in (random_pure(rng, 3) for _ in range(3))])
+    e = StateEnsemble(dim=3, priors=np.array([1e-11, 0.5, 0.5 - 1e-11]), states=states)
+    report = solve_numeric(e)
+    assert report.certified
+    assert 0.0 < report.confidences[0] < 1e-10
 
 
 def test_two_state_components_recombine():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,3 +160,17 @@ def test_support_projector_is_power_zero():
     a = np.diag([4.0, 1e-12, 0.0]).astype(complex)
     assert np.array_equal(support_projector(a), np.diag([1.0, 0.0, 0.0]))
     assert np.array_equal(psd_power(a, 0.0), support_projector(a))
+
+
+def test_thresholds_are_named_in_operators():
+    # every numerical threshold lives in the table of operators.py; a small
+    # float literal anywhere else is a threshold that went around it
+    package = Path(__file__).resolve().parents[1] / "src" / "maxconf"
+    stray = [
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in sorted(package.glob("*.py")) if path.name != "operators.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        and 0.0 < abs(node.value) <= 1e-6
+    ]
+    assert stray == []

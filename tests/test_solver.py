@@ -25,9 +25,9 @@ from maxconf import (
     solve_rank1_symmetric,
     verify_certificate,
 )
-from maxconf.operators import support_rank
+from maxconf import solver
+from maxconf.operators import GAP_LADDER, RANK_CUTOFF, support_rank
 from maxconf.solver import (
-    RANK_CUTOFF,
     _block_coordinates,
     _embed,
     _hermitian_basis,
@@ -176,11 +176,24 @@ def test_solve_numeric_reduces_rank_deficient_average(embedding):
     assert report.detection_rate == pytest.approx(baseline.detection_rate, abs=1e-6)
 
 
-def test_solve_numeric_certifies_near_parallel_pair():
-    # two pure qubits at angle 1e-2 with priors 1/2: the unambiguous limit,
-    # C = 1 and Q = cos(theta); with R = 5e-5 the kernel eigenvalue of Pi_0
-    # must get below the certificate's rank cutoff
-    theta = 1e-2
+_ABSOLUTE_TOLERANCES = "absolute tolerances; ROADMAP item 1 (scale-aware tolerances)"
+
+
+@pytest.mark.parametrize("theta", [
+    1e-1, 3e-2, 1e-2,
+    pytest.param(3e-3, marks=pytest.mark.xfail(
+        strict=True, reason="rank_bound counts Pi_0's kernel eigenvalue; " + _ABSOLUTE_TOLERANCES)),
+    pytest.param(1e-3, marks=pytest.mark.xfail(
+        strict=True, reason="rank_bound counts Pi_0's kernel eigenvalue; " + _ABSOLUTE_TOLERANCES)),
+    pytest.param(3e-5, marks=pytest.mark.xfail(
+        strict=True, reason="rho declared rank 1, Q ~ 1e-10 certified; " + _ABSOLUTE_TOLERANCES)),
+    pytest.param(1e-5, marks=pytest.mark.xfail(
+        strict=True, reason="rho declared rank 1, Q ~ 1e-10 certified; " + _ABSOLUTE_TOLERANCES)),
+])
+def test_solve_numeric_certifies_near_parallel_pair(theta):
+    # two pure qubits at angle theta with priors 1/2: the unambiguous limit,
+    # C = 1 and Q = cos(theta); at 1e-2, R = 5e-5 and the kernel eigenvalue
+    # of Pi_0 must get below the certificate's rank cutoff
     v = np.array([np.cos(theta), np.sin(theta)])
     states = np.stack([np.diag([1.0, 0.0]), np.outer(v, v)]).astype(complex)
     report = solve_numeric(StateEnsemble(dim=2, priors=np.array([0.5, 0.5]), states=states))
@@ -214,14 +227,15 @@ def test_solve_numeric_invariant_under_relabelling(seed):
     assert abs(solve_numeric(relabelled).failure_probability - q) < 1e-7
 
 
-def test_solve_numeric_iteration_budget(trine):
+def test_solve_numeric_iteration_budget(trine, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
     with pytest.raises(NotConvergedError):
-        solve_numeric(trine, max_iterations=3)
+        solve_numeric(trine)
 
 
-@pytest.mark.parametrize("gap_tol", [1e-8, 1e-9])
-def test_solve_numeric_reports_duality_gap(trine, gap_tol):
-    report = solve_numeric(trine, gap_tol=gap_tol)
+def test_solve_numeric_reports_duality_gap(trine):
+    gap_tol = GAP_LADDER[0]
+    report = solve_numeric(trine)
     assert report.certified
     # the trine certifies at the first stage of the gap ladder; the gap of a
     # feasible primal-dual pair is the certificate's Tr Z - R
