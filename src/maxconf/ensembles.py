@@ -278,6 +278,8 @@ def build_symmetric_ensemble(
         nrm = float(np.linalg.norm(reference))
         if abs(nrm - 1.0) > REFERENCE_NORM_TOL:
             raise InfeasibleInputError(f"coefficient vector has norm {nrm:.12f}, expected 1")
+        # the orbit's traces are held to TRACE_TOL, tighter than the norm test
+        reference = reference / nrm
         rho1 = np.outer(reference, reference.conj())
     elif reference.ndim == 2 and reference.shape[0] == reference.shape[1]:
         rho1 = require_hermitian(reference, name="reference state")

@@ -11,7 +11,8 @@ pins down the numerical conventions the rest of the package relies on:
   below, with the reason for its size, and imported from here. Values are
   absolute unless marked relative: the two rank cutoffs SUPPORT_RTOL and
   RANK_CUTOFF scale with the largest eigenvalue magnitude, floored at 1
-  (support_cutoff), and DEGENERACY_RTOL with C_j itself.
+  (support_cutoff), except that a certificate's rank of Z scales with ||Z||
+  alone, and DEGENERACY_RTOL scales with C_j itself.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ CROSS_CHECK_TOL = 1e-6  # detection rates of closed form and numeric solve in th
 POS_TOL = 1e-8  # most negative eigenvalue of a certificate's PSD conditions: the first gap
 EQ_TOL = 1e-8  # largest residual of its equalities (Z Pi_0, Tr Z - R, ...): same reason
 ZERO_PROB = 1e-14  # an outcome less likely than this has no defined confidence (nan)
-GAP_LADDER = (1e-8, 1e-9, 1e-10)  # duality gaps at which solve_numeric tries the certificate
-MAX_ITERATIONS = 10000  # interior-point iterations over the whole ladder
+GAP_TOL = 1e-8  # largest duality gap Tr Z - R of a reported solve: trace_gap's EQ_TOL
+MAX_ITERATIONS = 10000  # interior-point iterations of one solve
 
 
 def support_cutoff(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> np.ndarray:

@@ -32,7 +32,8 @@ Optimality conditions checked by the verifier, for dual operator Z:
 plus the rank complementarity rank Z + rank Pi_0 <= d and
 rank Z >= max_j rank(Lambda_j rho_j Lambda_j). Any Z passing all conditions
 proves the measurement optimal; the verifier does not care where Z came
-from.
+from. The interior point stops on the same rank count (_certificate_ranks)
+once the duality gap is at most GAP_TOL.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .geometry import MCGeometry, geometry
 from .operators import (
     DIAGONAL_TOL,
     EQ_TOL,
-    GAP_LADDER,
+    GAP_TOL,
     MAX_ITERATIONS,
     OVERLAP_CUTOFF,
     POS_TOL,
@@ -195,6 +196,14 @@ class OptimalityCertificate:
     eq_tol: float
 
 
+def _certificate_ranks(z_w: np.ndarray, pi0_w: np.ndarray) -> tuple[int, int]:
+    """rank Z and rank Pi_0 from their spectra. Z's eigenvalues count
+    relative to ||Z|| with no floor, so a dual of a tiny detection rate keeps
+    its rank; Pi_0's against the cutoff floored at 1, as ||Pi_0|| <= 1."""
+    rank_z = int(np.count_nonzero(np.abs(z_w) > RANK_CUTOFF * np.max(np.abs(z_w))))
+    return rank_z, rank_of_spectrum(pi0_w, RANK_CUTOFF)
+
+
 def verify_certificate(
     ensemble: StateEnsemble,
     detection: DetectionSet,
@@ -236,8 +245,7 @@ def verify_certificate(
     )
     conditions["trace_gap"] = abs(float(np.trace(z).real) - rate)
 
-    rank_z = rank_of_spectrum(z_w, RANK_CUTOFF)
-    rank_pi0 = rank_of_spectrum(pi_w[0], RANK_CUTOFF)
+    rank_z, rank_pi0 = _certificate_ranks(z_w, pi_w[0])
     lower = int(support_rank(lam @ ensemble.states @ lam, RANK_CUTOFF).max())
     rank_ok = (rank_z + rank_pi0 <= ensemble.dim) and (rank_z >= lower)
 
@@ -432,14 +440,7 @@ def _step_lengths(factors, adjoints, primal, dual):
     return tuple(_TO_BOUNDARY / max(_TO_BOUNDARY, -lo[0], -lo[1]) for lo in zip(*lows))
 
 
-def _interior_point(
-    rho: np.ndarray,
-    w: np.ndarray,
-    owner: np.ndarray,
-    clusters: np.ndarray,
-    ladder: tuple[float, ...],
-    max_iterations: int,
-):
+def _interior_point(rho: np.ndarray, w: np.ndarray, owner: np.ndarray, clusters: np.ndarray):
     """Maximize Tr(rho W A W^dagger) over block-diagonal A >= 0 with
     pinch(W A W^dagger) <= 1, pinch(X) = sum_c P_c X P_c, and minimize Tr Z
     over its dual Z = pinch(Z) >= 0, W_j^dagger (Z - rho) W_j >= 0, by a
@@ -466,12 +467,14 @@ def _interior_point(
     for A and Z (separate ones can cycle there), and no iterate far from
     commuting is ever reported.
 
-    One path serves the whole gap ladder: once the gap is at most the
-    stage's value at a commuting iterate, (A, iterations, gap, Z) is
-    yielded, iterations counted from the start of the path, and the next
-    stage continues from there. Raises NotConvergedError if max_iterations,
-    which covers the whole path, runs out first, or if rounding puts an
-    iterate outside the cones.
+    Returns (A, iterations, gap, Z) at the first commuting iterate with
+    gap <= GAP_TOL whose ranks fit, rank Z + rank S <= d counted as the
+    certificate counts rank Z + rank Pi_0 (S is the Pi_0 of the measurement).
+    A gap alone is no stop: a small detection rate R leaves S's kernel
+    eigenvalue (about gap / R) above the rank cutoff, or Z (of norm R)
+    without a rank, until the path goes deeper. Raises NotConvergedError if
+    MAX_ITERATIONS runs out first, or if rounding puts an iterate outside
+    the cones.
     """
     d, m = w.shape
     nu = d + m
@@ -502,68 +505,67 @@ def _interior_point(
         z *= 2.0
 
     iterations = 0
-    for gap_tol in ladder:
-        while True:
-            s, x1 = eye - _sym(w @ a @ wh) * pinch, blocks(z - rho)
-            xa, zs = x1 @ a, z @ s
-            gap = float(np.trace(xa).real + np.trace(zs).real)
-            mu = gap / nu
-            commuting = np.sqrt(np.vdot(xa, xa).real) + np.sqrt(np.vdot(zs, zs).real) <= gap
-            if commuting and gap <= gap_tol:
-                break
-            if iterations >= max_iterations:
-                raise NotConvergedError(
-                    f"iteration budget {max_iterations} exhausted at duality gap {gap:.3e}"
-                )
+    while True:
+        s, x1 = eye - _sym(w @ a @ wh) * pinch, blocks(z - rho)
+        xa, zs = x1 @ a, z @ s
+        gap = float(np.trace(xa).real + np.trace(zs).real)
+        mu = gap / nu
+        commuting = np.sqrt(np.vdot(xa, xa).real) + np.sqrt(np.vdot(zs, zs).real) <= gap
+        if (commuting and gap <= GAP_TOL
+                and sum(_certificate_ranks(np.linalg.eigvalsh(z), np.linalg.eigvalsh(s))) <= d):
+            return a, iterations, gap, z
+        if iterations >= MAX_ITERATIONS:
+            raise NotConvergedError(
+                f"iteration budget {MAX_ITERATIONS} exhausted at duality gap {gap:.3e}"
+            )
+        try:
+            factors = [np.linalg.inv(np.linalg.cholesky(np.array(pair)))
+                       for pair in ((a, x1), (s, z))]
+        except np.linalg.LinAlgError:
+            raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
+        adjoints = [f.conj().swapaxes(1, 2) for f in factors]
+        a_inv, s_inv = (fh[0] @ f[0] for f, fh in zip(factors, adjoints))
+        k = wch @ s_inv @ wc
+        schur = _newton_system(x1, a_inv, wch @ z @ wc, k, ix, basis)
+        centering = a_inv - k.sum(axis=0)
+
+        def solve(rhs):
             try:
-                factors = [np.linalg.inv(np.linalg.cholesky(np.array(pair)))
-                           for pair in ((a, x1), (s, z))]
+                return np.linalg.solve(schur, rhs)
             except np.linalg.LinAlgError:
-                raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
-            adjoints = [f.conj().swapaxes(1, 2) for f in factors]
-            a_inv, s_inv = (fh[0] @ f[0] for f, fh in zip(factors, adjoints))
-            k = wch @ s_inv @ wc
-            schur = _newton_system(x1, a_inv, wch @ z @ wc, k, ix, basis)
-            centering = a_inv - k.sum(axis=0)
+                # least squares for an exactly singular system; of the inputs
+                # tested, only pure qubit pairs at angles <= 3e-5 reach it
+                return np.linalg.lstsq(schur, rhs, rcond=None)[0]
 
-            def solve(rhs):
-                try:
-                    return np.linalg.solve(schur, rhs)
-                except np.linalg.LinAlgError:
-                    # least squares for an exactly singular system; of the inputs
-                    # tested, only pure qubit pairs at angles <= 3e-5 reach it
-                    return np.linalg.lstsq(schur, rhs, rcond=None)[0]
+        def direction(target, affine=None):
+            """HKM direction to the central point of parameter target,
+            with the Mehrotra corrections of an affine direction."""
+            rhs = target * centering + gains
+            corr_s = 0.0
+            if affine is not None:
+                (da0, ds0), (dx0, dz0) = affine
+                corr_s = _sym(dz0 @ ds0 @ s_inv)
+                rhs = rhs - _sym(dx0 @ da0 @ a_inv) + wh @ corr_s @ w
+            da = np.zeros_like(a)
+            da[p, q] = basis_t @ solve((basis @ rhs[q, p]).real)
+            ds = -(w @ da @ wh) * pinch
+            dz = _sym(target * s_inv - z - z @ ds @ s_inv - corr_s)
+            return (da, ds), (blocks(dz), dz)
 
-            def direction(target, affine=None):
-                """HKM direction to the central point of parameter target,
-                with the Mehrotra corrections of an affine direction."""
-                rhs = target * centering + gains
-                corr_s = 0.0
-                if affine is not None:
-                    (da0, ds0), (dx0, dz0) = affine
-                    corr_s = _sym(dz0 @ ds0 @ s_inv)
-                    rhs = rhs - _sym(dx0 @ da0 @ a_inv) + wh @ corr_s @ w
-                da = np.zeros_like(a)
-                da[p, q] = basis_t @ solve((basis @ rhs[q, p]).real)
-                ds = -(w @ da @ wh) * pinch
-                dz = _sym(target * s_inv - z - z @ ds @ s_inv - corr_s)
-                return (da, ds), (blocks(dz), dz)
-
-            if not commuting:
-                primal, dual = direction(mu)
-            else:
-                primal, dual = direction(0.0)
-                step_p, step_d = _step_lengths(factors, adjoints, primal, dual)
-                mu_aff = (np.vdot(x1 + step_d * dual[0], a + step_p * primal[0]).real
-                          + np.vdot(z + step_d * dual[1], s + step_p * primal[1]).real) / nu
-                primal, dual = direction(min(mu_aff / mu, 1.0) ** 3 * mu, (primal, dual))
+        if not commuting:
+            primal, dual = direction(mu)
+        else:
+            primal, dual = direction(0.0)
             step_p, step_d = _step_lengths(factors, adjoints, primal, dual)
-            if not commuting:
-                step_p = step_d = min(step_p, step_d)
-            a = a + step_p * primal[0]
-            z = z + step_d * dual[1]
-            iterations += 1
-        yield a, iterations, gap, z
+            mu_aff = (np.vdot(x1 + step_d * dual[0], a + step_p * primal[0]).real
+                      + np.vdot(z + step_d * dual[1], s + step_p * primal[1]).real) / nu
+            primal, dual = direction(min(mu_aff / mu, 1.0) ** 3 * mu, (primal, dual))
+        step_p, step_d = _step_lengths(factors, adjoints, primal, dual)
+        if not commuting:
+            step_p = step_d = min(step_p, step_d)
+        a = a + step_p * primal[0]
+        z = z + step_d * dual[1]
+        iterations += 1
 
 
 def solve_numeric(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> SolveReport:
@@ -584,11 +586,9 @@ def solve_numeric(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> Sol
     pinch(W a W^dagger) <= 1 with W = sqrt(N) W_1. Its Z commutes with V
     and certifies the full problem.
 
-    The first reported point has duality gap Tr Z - R at most GAP_LADDER[0];
-    if the certificate is rejected there, the same path continues to the
-    ladder's tighter gaps, because the residuals shrink with the gap.
-    iterations counts the interior-point iterations of that one path, and
-    MAX_ITERATIONS bounds them over the whole path, not per stage.
+    The reported point has duality gap Tr Z - R at most GAP_TOL and ranks
+    that fit rank Z + rank Pi_0 <= d (see _interior_point); iterations
+    counts its interior-point iterations, at most MAX_ITERATIONS.
     """
     if geo is None:
         geo = geometry(ensemble)
@@ -599,16 +599,12 @@ def solve_numeric(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> Sol
     w = np.concatenate(blocks, axis=1)
     owner = np.repeat(np.eye(len(blocks), dtype=bool), [b.shape[1] for b in blocks], axis=1)
 
-    path = _interior_point(geo.rho, w, owner, clusters, GAP_LADDER, MAX_ITERATIONS)
-    for a, iterations, gap, z in path:
-        conclusive = _embed(w, owner, a)
-        if sym is not None:
-            conclusive = orbit(conclusive[0] / n, sym.phases, n)
-        detection = DetectionSet.from_conclusive(conclusive)
-        report = _report(ensemble, geo, "numeric", detection, z, iterations, gap)
-        if report.certified:
-            break
-    return report
+    a, iterations, gap, z = _interior_point(geo.rho, w, owner, clusters)
+    conclusive = _embed(w, owner, a)
+    if sym is not None:
+        conclusive = orbit(conclusive[0] / n, sym.phases, n)
+    detection = DetectionSet.from_conclusive(conclusive)
+    return _report(ensemble, geo, "numeric", detection, z, iterations, gap)
 
 
 @dataclass(frozen=True)

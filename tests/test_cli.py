@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maxconf import build_depolarized_family, build_symmetric_ensemble, cli
+from maxconf import build_depolarized_family, build_symmetric_ensemble, cli, solver
 from maxconf.cli import main
 from maxconf.serialize import dump_json, ensemble_to_json
 from conftest import random_ensemble
@@ -94,6 +94,14 @@ def test_solve_unattainable_tolerance(trine_file, tmp_path):
     # the re-verified report keeps the fields of the solve
     assert obj["report"]["mode"] == "numeric"
     assert obj["report"]["iterations"] > 0
+
+
+def test_solve_not_converged_exits_three(trine_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
+    rc = main(["solve", "--input", str(trine_file), "--mode", "numeric",
+               "--output", str(tmp_path / "solution.json")])
+    assert rc == 3
+    assert "solver did not converge" in capsys.readouterr().err
 
 
 def test_solve_asymmetric_uses_numeric(tmp_path):

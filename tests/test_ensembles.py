@@ -13,6 +13,7 @@ from maxconf import (
     build_symmetric_ensemble,
     default_phases,
     orbit,
+    solve_rank1_symmetric,
     validate,
 )
 from conftest import random_coefficients, random_density
@@ -182,6 +183,17 @@ def test_build_symmetric_ensemble_matrix_reference():
 def test_build_symmetric_ensemble_rejects_unnormalized():
     with pytest.raises(InfeasibleInputError):
         build_symmetric_ensemble(np.array([1.0, 1.0]), 3)
+    with pytest.raises(InfeasibleInputError):
+        build_symmetric_ensemble((1.0 + 2e-9) * np.array([1.0, 1.0]) / np.sqrt(2.0), 3)
+
+
+def test_build_symmetric_ensemble_normalizes_accepted_reference():
+    # a norm off by 5e-10 passes the reference test; the orbit is built from
+    # the normalized vector, so its traces meet validate's tighter TRACE_TOL
+    e = build_symmetric_ensemble((1.0 + 5e-10) * np.array([1.0, 1.0]) / np.sqrt(2.0), 3)
+    assert validate(e).ok
+    assert abs(np.linalg.norm(e.symmetry.reference) - 1.0) < 1e-15
+    assert solve_rank1_symmetric(e).certified
 
 
 def test_build_depolarized_family():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,7 @@ from maxconf import (
     verify_certificate,
 )
 from maxconf import solver
-from maxconf.operators import GAP_LADDER, RANK_CUTOFF, support_rank
+from maxconf.operators import GAP_TOL, RANK_CUTOFF, support_rank
 from maxconf.solver import (
     _block_coordinates,
     _embed,
@@ -176,29 +178,56 @@ def test_solve_numeric_reduces_rank_deficient_average(embedding):
     assert report.detection_rate == pytest.approx(baseline.detection_rate, abs=1e-6)
 
 
-_ABSOLUTE_TOLERANCES = "absolute tolerances; ROADMAP item 1 (scale-aware tolerances)"
+_TRUNCATED_RHO = "rho truncated to rank 1, Q ~ 1e-10 certified; ROADMAP item 3"
 
 
 @pytest.mark.parametrize("theta", [
-    1e-1, 3e-2, 1e-2,
-    pytest.param(3e-3, marks=pytest.mark.xfail(
-        strict=True, reason="rank_bound counts Pi_0's kernel eigenvalue; " + _ABSOLUTE_TOLERANCES)),
-    pytest.param(1e-3, marks=pytest.mark.xfail(
-        strict=True, reason="rank_bound counts Pi_0's kernel eigenvalue; " + _ABSOLUTE_TOLERANCES)),
-    pytest.param(3e-5, marks=pytest.mark.xfail(
-        strict=True, reason="rho declared rank 1, Q ~ 1e-10 certified; " + _ABSOLUTE_TOLERANCES)),
-    pytest.param(1e-5, marks=pytest.mark.xfail(
-        strict=True, reason="rho declared rank 1, Q ~ 1e-10 certified; " + _ABSOLUTE_TOLERANCES)),
+    1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4,
+    pytest.param(3e-5, marks=pytest.mark.xfail(reason=_TRUNCATED_RHO)),
+    pytest.param(1e-5, marks=pytest.mark.xfail(reason=_TRUNCATED_RHO)),
 ])
 def test_solve_numeric_certifies_near_parallel_pair(theta):
     # two pure qubits at angle theta with priors 1/2: the unambiguous limit,
-    # C = 1 and Q = cos(theta); at 1e-2, R = 5e-5 and the kernel eigenvalue
-    # of Pi_0 must get below the certificate's rank cutoff
+    # C = 1 and Q = cos(theta), so R = 2 sin^2(theta / 2). At 1e-3 the kernel
+    # eigenvalue of Pi_0 (about gap / R) must get below the rank cutoff; at
+    # 1e-4, R = 5e-9 and Z (of norm R) must keep its rank, which a gap-only
+    # stop missed with R 9.4% wrong
     v = np.array([np.cos(theta), np.sin(theta)])
     states = np.stack([np.diag([1.0, 0.0]), np.outer(v, v)]).astype(complex)
     report = solve_numeric(StateEnsemble(dim=2, priors=np.array([0.5, 0.5]), states=states))
     assert report.certified, report.certificate.failures
     assert abs(report.failure_probability - np.cos(theta)) < 1e-6
+    assert report.certificate.rank_z == 1
+    assert abs(report.detection_rate / (2.0 * np.sin(theta / 2.0) ** 2) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("eps", [1e-3, 3e-4])
+def test_solve_numeric_certifies_near_parallel_qutrits(seed, eps):
+    # three pure qutrits within eps of |0>: R ~ eps^2, and the stop waits
+    # until rank Z + rank Pi_0 fits in d = 3
+    rng = np.random.default_rng(seed)
+    g = np.stack([rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)])
+    psi = np.eye(3)[0] + eps * g
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    states = np.einsum("ja,jb->jab", psi, psi.conj())
+    report = solve_numeric(StateEnsemble(dim=3, priors=np.full(3, 1.0 / 3.0), states=states))
+    assert report.certified, report.certificate.failures
+
+
+@pytest.mark.parametrize("states, priors", [
+    ([np.diag([1.0, 0.0])] * 2, [0.5, 0.5]),
+    ([np.diag([1.0, 0.0, 0.0])] * 3, [0.2, 0.3, 0.5]),
+])
+def test_solve_numeric_identical_pure_states(states, priors):
+    # lambda_max(rho) = 1, so the start point Z = 1 is not strictly dual
+    # feasible and is doubled; the best measurement is to guess by prior
+    e = StateEnsemble(dim=len(states[0]), priors=np.array(priors),
+                      states=np.stack(states).astype(complex))
+    report = solve_numeric(e)
+    assert report.certified, report.certificate.failures
+    assert np.max(np.abs(report.confidences - e.priors)) < 1e-8
+    assert report.failure_probability < 1e-8
 
 
 def _random_numeric_ensemble(seed):
@@ -233,14 +262,24 @@ def test_solve_numeric_iteration_budget(trine, monkeypatch):
         solve_numeric(trine)
 
 
+def test_solve_numeric_without_fitting_ranks_does_not_converge(trine, monkeypatch):
+    # with a zero rank cutoff every eigenvalue of the interior iterates Z > 0
+    # and S > 0 counts, the ranks never fit, and the path ends in
+    # NotConvergedError, not in a division by a vanishing gap
+    monkeypatch.setattr(solver, "RANK_CUTOFF", 0.0)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotConvergedError):
+            solve_numeric(trine)
+
+
 def test_solve_numeric_reports_duality_gap(trine):
-    gap_tol = GAP_LADDER[0]
     report = solve_numeric(trine)
     assert report.certified
-    # the trine certifies at the first stage of the gap ladder; the gap of a
-    # feasible primal-dual pair is the certificate's Tr Z - R
+    # the gap of a feasible primal-dual pair is the certificate's Tr Z - R
     cert = report.certificate
-    assert 0.0 < report.duality_gap <= gap_tol
+    assert 0.0 < report.duality_gap <= GAP_TOL
     assert abs(report.duality_gap - (np.trace(cert.z).real - cert.rate)) <= 1e-12
     assert solve_rank1_symmetric(trine).duality_gap == 0.0
 
@@ -253,30 +292,11 @@ def _stacked_blocks(geo):
     return w, owner, np.ones((1, geo.dim), dtype=bool)
 
 
-def test_barrier_ladder_continues_one_path():
-    rng = np.random.default_rng(41)
-    geo = geometry(random_ensemble(rng, 3, 5))
-    w, owner, one = _stacked_blocks(geo)
-
-    def rate(a):
-        return float(np.trace(geo.rho @ w @ a @ w.conj().T).real)
-
-    stages = list(_interior_point(geo.rho, w, owner, one, [1e-8, 1e-9], 10000))
-    assert len(stages) == 2
-    (_, steps_1, gap_1, _), (a, steps_2, gap_2, _) = stages
-    assert steps_1 < steps_2 and gap_1 > gap_2 and gap_2 <= 1e-9
-    [(_, restart_1, _, _)] = _interior_point(geo.rho, w, owner, one, [1e-8], 10000)
-    [(fresh, restart_2, _, _)] = _interior_point(geo.rho, w, owner, one, [1e-9], 10000)
-    assert restart_1 == steps_1
-    assert abs(rate(a) - rate(fresh)) < 1e-9
-    assert steps_2 < restart_1 + restart_2
-
-
 def test_stacked_embedding_matches_per_outcome_reference():
     geo = geometry(mixed_width_ensemble(np.random.default_rng(21)))
     assert geo.degeneracies.tolist() == [2, 2, 1]
     w, owner, one = _stacked_blocks(geo)
-    [(a, _, _, _)] = _interior_point(geo.rho, w, owner, one, [1e-8], 10000)
+    a, _, _, _ = _interior_point(geo.rho, w, owner, one)
     # A is block-diagonal: exactly zero between columns of different outcomes
     assert not np.any(a[~(owner.T @ owner)])
     edges = np.cumsum([0, *geo.degeneracies])
@@ -541,7 +561,9 @@ def _reference_certificate(ensemble, detection, z, geo, tol=1e-8):
         "stationarity_residual": stationarity,
         "trace_gap": abs(float(np.trace(z).real) - rate),
     }
-    ranks = (support_rank(z, RANK_CUTOFF), support_rank(detection.inconclusive, RANK_CUTOFF), lower)
+    z_w = np.abs(np.linalg.eigvalsh(z))  # rank Z counts relative to ||Z||, with no floor
+    ranks = (int(np.sum(z_w > RANK_CUTOFF * z_w.max())),
+             support_rank(detection.inconclusive, RANK_CUTOFF), lower)
     failures = [k for k, v in conditions.items() if (v < -tol if "min_eigenvalue" in k else v > tol)]
     if ranks[0] + ranks[1] > ensemble.dim or ranks[0] < ranks[2]:
         failures.append("rank_bound")
