@@ -16,7 +16,9 @@ semidefinite program. This module provides:
 * solve_numeric: a self-contained primal-dual interior-point solver for
   arbitrary ensembles (any degeneracies, no symmetry needed), whose dual
   iterate Z is the certificate; a cyclic ensemble, degenerate ones
-  included, is solved as one covariant block,
+  included, is solved as one covariant block. The blocks a_j are held as
+  an (N, b, b) stack, b = max m_j, and their cone is handled per block;
+  with every m_j = 1 it is a nonnegative orthant, done elementwise,
 * verify_certificate: checks a dual certificate (Z, detection set) against
   every optimality condition and reports the residuals,
 * perturbation_witness: for a failed certificate, constructs a deformed
@@ -392,72 +394,108 @@ def _hermitian_basis(m: int) -> np.ndarray:
     return basis
 
 
-def _block_coordinates(widths: list[int]) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Same-block index pairs (p, q) of a block-diagonal M x M matrix with
-    blocks of the given widths, and the block-diagonal B[r, i] = E_r[p_i, q_i]
-    over the Hermitian bases of the blocks: Re(B X[q, p]) are the
-    coordinates Tr(E_r X) of the blocks of X, and X[p, q] = B^T x writes
-    the block-diagonal matrix with coordinates x."""
-    ps, qs = [], []
-    basis = np.zeros((sum(m * m for m in widths),) * 2, dtype=complex)
-    start = lo = 0
-    for m in widths:
-        ps.append(start + np.repeat(np.arange(m), m))
-        qs.append(start + np.tile(np.arange(m), m))
-        basis[lo:lo + m * m, lo:lo + m * m] = _hermitian_basis(m).reshape(m * m, m * m)
-        start, lo = start + m, lo + m * m
-    return (np.concatenate(ps), np.concatenate(qs)), basis
+def _real_coordinates(widths: np.ndarray) -> np.ndarray:
+    """Flat indices into (N, b^2), b = max widths, of the elements of
+    _hermitian_basis(b) that lie inside block j's real widths[j] x widths[j]
+    corner: the coordinates of the blocks a_j, with the padding left out."""
+    b = int(widths.max())
+    corner = np.maximum.outer(np.arange(b), np.arange(b))
+    reach = ((_hermitian_basis(b) != 0) * corner).max(axis=(1, 2))
+    return np.flatnonzero(reach < widths[:, None])
 
 
-def _newton_system(x1, a_inv, y, k, ix, basis):
-    """Schur complement of the HKM Newton system in the coordinates of
-    _block_coordinates, ix = np.ix_(q, p): Re(B (T(X1, A^-1) +
-    sum_c T(Y_c, K_c)) B^T) with T(X, Y)[i, k] = X[q_i, p_k] Y[q_k, p_i],
-    and y, k the (C, M, M) stacks Y_c = W^dagger P_c Z P_c W and
-    K_c = W^dagger P_c S^-1 P_c W over the clusters P_c of the constraint.
-    On the central path (X1 = A^-1 / t, Z = S^-1 / t) it is the negated
-    Hessian of the log barrier over t."""
-    q, p = ix
-    t = x1[ix] * a_inv[ix].T + (y[:, q, p] * k[:, q, p].swapaxes(1, 2)).sum(axis=0)
-    return (basis @ t @ basis.T).real
+def _newton_system(x1, a_inv, y, k, coords):
+    """Schur complement of the HKM Newton system in the Hermitian
+    coordinates of the blocks: Re(B (T(X1, A^-1) + sum_c T(Y_c, K_c)) B^T)
+    at the coordinates coords (_real_coordinates), with
+    T(X, Y)[(j, a, b), (l, c, e)] = X[(j, b), (l, c)] Y[(l, e), (j, a)] and
+    B[r, (a, b)] = E_r[a, b] over _hermitian_basis(b), applied per block.
+    x1 and a_inv are (N, b, b) stacks, so T(X1, A^-1) is block-diagonal;
+    y and k are the (C, Nb, Nb) stacks Y_c = W^dagger P_c Z P_c W and
+    K_c = W^dagger P_c S^-1 P_c W over the clusters P_c of the constraint,
+    with W = [W_1 ... W_N] zero on the padding. On the central path
+    (X1 = A^-1 / t, Z = S^-1 / t) it is the negated Hessian of the log
+    barrier over t."""
+    n, b = x1.shape[:2]
+    t = (y.reshape(-1, n, 1, b, n, b, 1)
+         * k.swapaxes(1, 2).reshape(-1, n, b, 1, n, 1, b)).sum(axis=0)
+    t = t.reshape(n, b * b, n, b * b)
+    diag = np.arange(n)
+    t[diag, :, diag] += (x1[:, None, :, :, None]
+                         * a_inv.swapaxes(1, 2)[:, :, None, None, :]).reshape(n, b * b, b * b)
+    if b > 1:
+        basis = _hermitian_basis(b).reshape(b * b, b * b)
+        t = (basis @ t.reshape(n, b * b, n * b * b)).reshape(n * b * b, n, b * b) @ basis.T
+    schur = t.reshape(n * b * b, n * b * b).real
+    return schur if coords.size == len(schur) else schur[np.ix_(coords, coords)]
 
 
-def _embed(w: np.ndarray, owner: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The detection operators W_j a_j W_j^dagger of a block-diagonal A,
-    stacked (N, d, d); owner[j] masks the columns of W_j."""
-    return _sym(((w @ a) * owner[:, None, :]) @ w.conj().T)
+def _embed(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The detection operators W_j a_j W_j^dagger of the (N, b, b) stack a,
+    stacked (N, d, d); w is the (N, d, b) stack of the W_j."""
+    return _sym(w @ a @ w.conj().swapaxes(1, 2))
 
 
-def _step_lengths(factors, adjoints, primal, dual):
+def _cone_factors(pair: np.ndarray):
+    """The inverse Cholesky factors (L^-1, L^-dagger) of a stacked cone pair
+    (2, ..., b, b), and the inverse of the pair's first member. 1 x 1 blocks
+    are a nonnegative orthant and go elementwise (1/sqrt(x), 1/x). Raises
+    LinAlgError, as cholesky does, where a member is not positive definite."""
+    if pair.shape[-1] == 1:
+        x = pair.real
+        if (x <= 0.0).any():
+            raise np.linalg.LinAlgError("orthant entry is not positive")
+        f = 1.0 / np.sqrt(x)
+        return (f, f), 1.0 / x[0]
+    f = np.linalg.inv(np.linalg.cholesky(pair))
+    fh = f.conj().swapaxes(-1, -2)
+    return (f, fh), fh[0] @ f[0]
+
+
+def _cone_lows(f: np.ndarray, fh: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of L^-1 dx L^-dagger for each member of a
+    stacked cone pair, over all its blocks: x + alpha dx stays >= 0 while
+    alpha times it is >= -1. Elementwise on the orthant (dx / x)."""
+    if step.shape[-1] == 1:
+        lows = f * step.real * fh
+    else:
+        lows = np.linalg.eigvalsh(f @ step @ fh)[..., 0]
+    return lows.reshape(2, -1).min(axis=1)
+
+
+def _step_lengths(factors, primal, dual):
     """Primal and dual step lengths, each at most 1 and at most
-    _TO_BOUNDARY of the way to the boundary of its cones. factors are the
-    inverse Cholesky factors L^-1 of the stacked cone pairs [A, X1] and
-    [S, Z], adjoints their L^-dagger; x + alpha dx stays >= 0 while
-    alpha lambda_min(L^-1 dx L^-dagger) >= -1, so one eigvalsh per pair
-    gives every limit."""
-    lows = [np.linalg.eigvalsh(f @ np.array(pair) @ fh)[:, 0]
-            for f, fh, pair in zip(factors, adjoints, zip(primal, dual))]
-    return tuple(_TO_BOUNDARY / max(_TO_BOUNDARY, -lo[0], -lo[1]) for lo in zip(*lows))
+    _TO_BOUNDARY of the way to the boundary of its cones. factors holds
+    (L^-1, L^-dagger) of the cone pairs (A, X1) and (S, Z); primal and
+    dual hold the directions (dA, dS) and (dX1, dZ)."""
+    (fa, fah), (fs, fsh) = factors
+    lows = np.minimum(_cone_lows(fa, fah, np.array((primal[0], dual[0]))),
+                      _cone_lows(fs, fsh, np.array((primal[1], dual[1]))))
+    return (_TO_BOUNDARY / np.maximum(_TO_BOUNDARY, -lows)).tolist()
 
 
-def _interior_point(rho: np.ndarray, w: np.ndarray, owner: np.ndarray, clusters: np.ndarray):
-    """Maximize Tr(rho W A W^dagger) over block-diagonal A >= 0 with
-    pinch(W A W^dagger) <= 1, pinch(X) = sum_c P_c X P_c, and minimize Tr Z
-    over its dual Z = pinch(Z) >= 0, W_j^dagger (Z - rho) W_j >= 0, by a
-    feasible-start Mehrotra predictor-corrector with the HKM direction.
+def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters: np.ndarray):
+    """Maximize sum_j Tr(rho W_j a_j W_j^dagger) over a_j >= 0 with
+    pinch(sum_j W_j a_j W_j^dagger) <= 1, pinch(X) = sum_c P_c X P_c, and
+    minimize Tr Z over its dual Z = pinch(Z) >= 0,
+    W_j^dagger (Z - rho) W_j >= 0, by a feasible-start Mehrotra
+    predictor-corrector with the HKM direction.
 
-    The blocks come stacked: W = [W_1 ... W_N] is d x M, M = sum_j m_j, the
-    (N, M) mask owner[j] marks the columns of W_j, and the a_j are the
-    diagonal blocks of one M x M matrix A, exactly zero off the blocks. The
-    (C, d) 0/1 indicator clusters gives the diagonal projectors P_c; a
-    generic ensemble has the one cluster P = 1, a covariant one the
-    eigenspaces of its generator. The cone pairs are (A, X1) with X1 the
-    diagonal blocks of W^dagger (Z - rho) W, and (S, Z) with
-    S = 1 - pinch(W A W^dagger); both are functions of A and Z, so every
-    iterate is primal and dual feasible and the duality gap is
-    Tr(X1 A) + Tr(Z S) = Tr Z - R. Each iteration builds the Schur
-    complement (_newton_system) once and solves it for the predictor and
-    the corrector.
+    The blocks come as per-block stacks: w is (N, d, b) with b = max_j m_j
+    and W_j in the first widths[j] columns of w[j], zero after them (padded
+    as geometry pads its SVD); A and X1 are (N, b, b) stacks exactly zero
+    off the real m_j x m_j blocks, and the identity is added on the padding
+    only to factor them, so the padding never enters the gap, nu or the
+    Schur system. When b = 1 the (A, X1) cone is a nonnegative orthant and
+    its factor, inverse and step bound are elementwise. The (C, d) 0/1
+    indicator clusters gives the diagonal projectors P_c; a generic
+    ensemble has the one cluster P = 1, a covariant one the eigenspaces of
+    its generator. The cone pairs are (A, X1) with X1_j = W_j^dagger (Z -
+    rho) W_j, and (S, Z) with S = 1 - pinch(sum_j W_j a_j W_j^dagger); both
+    are functions of A and Z, so every iterate is primal and dual feasible
+    and the duality gap is Tr(X1 A) + Tr(Z S) = Tr Z - R. Each iteration
+    builds the Schur complement (_newton_system) once and solves it for the
+    predictor and the corrector.
 
     Near the optimum a predictor-corrector step can leave a pair far from
     commuting: Tr(Z S) ~ gap while ||Z S|| ~ sqrt(gap), too large for the
@@ -476,39 +514,58 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, owner: np.ndarray, clusters:
     MAX_ITERATIONS runs out first, or if rounding puts an iterate outside
     the cones.
     """
-    d, m = w.shape
-    nu = d + m
-    wh = w.conj().T
+    n, d, b = w.shape
+    nu = d + int(widths.sum())
+    wh = w.conj().swapaxes(1, 2)
+    wf = w.transpose(1, 0, 2).reshape(d, n * b)
+    wfh = wf.conj().T
     eye = np.eye(d, dtype=complex)
-    same, pinch = owner.T @ owner, clusters.T @ clusters
-    wc = clusters[:, :, None] * w
+    pinch = clusters.T @ clusters
+    wc = clusters[:, :, None] * wf
     wch = wc.conj().swapaxes(1, 2)
     gains = wh @ rho @ w
-    (p, q), basis = _block_coordinates(owner.sum(axis=1).tolist())
-    ix, basis_t = np.ix_(q, p), basis.T
+    cols = np.arange(b) < widths[:, None]
+    pad = np.eye(b) * ~cols[:, None, :]  # the identity on the padding
+    basis = _hermitian_basis(b).reshape(b * b, b * b)
+    coords = _real_coordinates(widths)
+    # products of (N, b, b) stacks; 1 x 1 blocks multiply elementwise
+    dot = np.multiply if b == 1 else np.matmul
 
     def blocks(x):
-        return (wh @ x @ w) * same
+        return wh @ x @ w
+
+    def total(x):
+        return dot(w, x).transpose(1, 0, 2).reshape(d, n * b) @ wfh
+
+    # the Hermitian coordinates Re Tr(E_r x_j) of a stack x at coords, and
+    # back; the 1 x 1 basis is E = 1
+    def coordinates(x):
+        if b == 1:
+            return x.real.ravel()
+        return (x.swapaxes(1, 2).reshape(n, b * b) @ basis.T).real.ravel()[coords]
+
+    def stack(v):
+        if b == 1:
+            return v.reshape(n, 1, 1)
+        x = np.zeros(n * b * b)
+        x[coords] = v
+        return (x.reshape(n, b * b) @ basis).reshape(n, b, b)
 
     # strictly feasible start: scaled identities keeping the total below
-    # 1/2, with ||W_j W_j^dagger|| = ||W_j^dagger W_j|| from the zero-padded
-    # d x m_j blocks (their sum is >= 1: the columns of W are rho^-1/2 of
-    # unit vectors in rho's support), and Z = kappa 1 with kappa doubled
-    # until X1 > 0
-    j, col = np.nonzero(owner)
-    padded = np.zeros((owner.shape[0], d, int(owner.sum(axis=1).max())), dtype=complex)
-    padded[j, :, col - owner.argmax(axis=1)[j]] = w.T
-    norm_sum = float(np.linalg.eigvalsh(padded.conj().swapaxes(1, 2) @ padded)[:, -1].sum())
-    a = 0.5 / norm_sum * np.eye(m, dtype=complex)
+    # 1/2, with ||W_j W_j^dagger|| = ||W_j^dagger W_j|| from the Gram stack
+    # (their sum is >= 1: the columns of W are rho^-1/2 of unit vectors in
+    # rho's support), and Z = kappa 1 with kappa doubled until every X1_j > 0
+    norm_sum = float(np.linalg.eigvalsh(wh @ w)[:, -1].sum())
+    a = 0.5 / norm_sum * (np.eye(b, dtype=complex) * cols[:, None, :])
     z = eye.copy()
-    while np.linalg.eigvalsh(blocks(z - rho))[0] <= 0.0:
+    while np.linalg.eigvalsh(blocks(z - rho) + pad)[:, 0].min() <= 0.0:
         z *= 2.0
 
     iterations = 0
     while True:
-        s, x1 = eye - _sym(w @ a @ wh) * pinch, blocks(z - rho)
-        xa, zs = x1 @ a, z @ s
-        gap = float(np.trace(xa).real + np.trace(zs).real)
+        s, x1 = eye - _sym(total(a)) * pinch, blocks(z - rho)
+        xa, zs = dot(x1, a), z @ s
+        gap = float(np.trace(xa, axis1=1, axis2=2).real.sum() + np.trace(zs).real)
         mu = gap / nu
         commuting = np.sqrt(np.vdot(xa, xa).real) + np.sqrt(np.vdot(zs, zs).real) <= gap
         if (commuting and gap <= GAP_TOL
@@ -518,16 +575,17 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, owner: np.ndarray, clusters:
             raise NotConvergedError(
                 f"iteration budget {MAX_ITERATIONS} exhausted at duality gap {gap:.3e}"
             )
+        pair = np.array((a, x1))
+        if b > 1:
+            pair += pad
         try:
-            factors = [np.linalg.inv(np.linalg.cholesky(np.array(pair)))
-                       for pair in ((a, x1), (s, z))]
+            (fa, a_inv), (fs, s_inv) = _cone_factors(pair), _cone_factors(np.array((s, z)))
         except np.linalg.LinAlgError:
             raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
-        adjoints = [f.conj().swapaxes(1, 2) for f in factors]
-        a_inv, s_inv = (fh[0] @ f[0] for f, fh in zip(factors, adjoints))
         k = wch @ s_inv @ wc
-        schur = _newton_system(x1, a_inv, wch @ z @ wc, k, ix, basis)
-        centering = a_inv - k.sum(axis=0)
+        schur = _newton_system(x1, a_inv, wch @ z @ wc, k, coords)
+        k_blocks = k.sum(axis=0).reshape(n, b, n, b).diagonal(axis1=0, axis2=2)
+        centering = a_inv - k_blocks.transpose(2, 0, 1)
 
         def solve(rhs):
             try:
@@ -545,22 +603,22 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, owner: np.ndarray, clusters:
             if affine is not None:
                 (da0, ds0), (dx0, dz0) = affine
                 corr_s = _sym(dz0 @ ds0 @ s_inv)
-                rhs = rhs - _sym(dx0 @ da0 @ a_inv) + wh @ corr_s @ w
-            da = np.zeros_like(a)
-            da[p, q] = basis_t @ solve((basis @ rhs[q, p]).real)
-            ds = -(w @ da @ wh) * pinch
+                rhs = rhs - _sym(dot(dot(dx0, da0), a_inv)) + blocks(corr_s)
+            da = stack(solve(coordinates(rhs)))
+            ds = -total(da) * pinch
             dz = _sym(target * s_inv - z - z @ ds @ s_inv - corr_s)
             return (da, ds), (blocks(dz), dz)
 
+        factors = (fa, fs)
         if not commuting:
             primal, dual = direction(mu)
         else:
             primal, dual = direction(0.0)
-            step_p, step_d = _step_lengths(factors, adjoints, primal, dual)
+            step_p, step_d = _step_lengths(factors, primal, dual)
             mu_aff = (np.vdot(x1 + step_d * dual[0], a + step_p * primal[0]).real
                       + np.vdot(z + step_d * dual[1], s + step_p * primal[1]).real) / nu
             primal, dual = direction(min(mu_aff / mu, 1.0) ** 3 * mu, (primal, dual))
-        step_p, step_d = _step_lengths(factors, adjoints, primal, dual)
+        step_p, step_d = _step_lengths(factors, primal, dual)
         if not commuting:
             step_p = step_d = min(step_p, step_d)
         a = a + step_p * primal[0]
@@ -593,14 +651,17 @@ def solve_numeric(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> Sol
     if geo is None:
         geo = geometry(ensemble)
     n, sym = ensemble.n_states, ensemble.symmetry
-    blocks, clusters = geo.detection_blocks, np.ones((1, ensemble.dim), dtype=bool)
+    widths, clusters = geo.degeneracies, np.ones((1, ensemble.dim), dtype=bool)
+    blocks = geo.detection_blocks
     if sym is not None:
-        blocks, clusters = [np.sqrt(n) * blocks[0]], sym.clusters()
-    w = np.concatenate(blocks, axis=1)
-    owner = np.repeat(np.eye(len(blocks), dtype=bool), [b.shape[1] for b in blocks], axis=1)
+        widths, blocks, clusters = widths[:1], [np.sqrt(n) * blocks[0]], sym.clusters()
+    # the (N, d, b) stack of the W_j, zero-padded to the widest block
+    cols = np.arange(int(widths.max())) < widths[:, None]
+    w = np.zeros((len(blocks), ensemble.dim, cols.shape[1]), dtype=complex)
+    w.transpose(1, 0, 2)[:, cols] = np.concatenate(blocks, axis=1)
 
-    a, iterations, gap, z = _interior_point(geo.rho, w, owner, clusters)
-    conclusive = _embed(w, owner, a)
+    a, iterations, gap, z = _interior_point(geo.rho, w, widths, clusters)
+    conclusive = _embed(w, a)
     if sym is not None:
         conclusive = orbit(conclusive[0] / n, sym.phases, n)
     detection = DetectionSet.from_conclusive(conclusive)

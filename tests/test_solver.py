@@ -30,11 +30,13 @@ from maxconf import (
 from maxconf import solver
 from maxconf.operators import GAP_TOL, RANK_CUTOFF, support_rank
 from maxconf.solver import (
-    _block_coordinates,
+    _cone_factors,
+    _cone_lows,
     _embed,
     _hermitian_basis,
     _interior_point,
     _newton_system,
+    _real_coordinates,
 )
 from conftest import (
     mixed_width_ensemble,
@@ -285,24 +287,73 @@ def test_solve_numeric_reports_duality_gap(trine):
 
 
 def _stacked_blocks(geo):
-    """W = [W_1 ... W_N], the (N, M) column-owner mask and the one cluster
-    P = 1 of a generic ensemble."""
-    w = np.concatenate(geo.detection_blocks, axis=1)
-    owner = np.repeat(np.eye(len(geo.detection_blocks), dtype=bool), geo.degeneracies, axis=1)
-    return w, owner, np.ones((1, geo.dim), dtype=bool)
+    """The (N, d, b) stack of the W_j zero-padded to b = max m_j, the (N, b)
+    mask of their real columns and the one cluster P = 1 of a generic
+    ensemble."""
+    cols = np.arange(geo.degeneracies.max()) < geo.degeneracies[:, None]
+    w = np.zeros((len(cols), geo.dim, cols.shape[1]), dtype=complex)
+    for j, wj in enumerate(geo.detection_blocks):
+        w[j, :, :wj.shape[1]] = wj
+    return w, cols, np.ones((1, geo.dim), dtype=bool)
 
 
 def test_stacked_embedding_matches_per_outcome_reference():
     geo = geometry(mixed_width_ensemble(np.random.default_rng(21)))
     assert geo.degeneracies.tolist() == [2, 2, 1]
-    w, owner, one = _stacked_blocks(geo)
-    a, _, _, _ = _interior_point(geo.rho, w, owner, one)
-    # A is block-diagonal: exactly zero between columns of different outcomes
-    assert not np.any(a[~(owner.T @ owner)])
-    edges = np.cumsum([0, *geo.degeneracies])
-    reference = np.stack([wj @ a[lo:hi, lo:hi] @ wj.conj().T
-                          for wj, lo, hi in zip(geo.detection_blocks, edges[:-1], edges[1:])])
-    assert np.max(np.abs(_embed(w, owner, a) - reference)) < 1e-12
+    w, cols, one = _stacked_blocks(geo)
+    a, _, _, _ = _interior_point(geo.rho, w, geo.degeneracies, one)
+    # the a_j fill the real corners of the stack; the padding stays exactly zero
+    assert not np.any(a[~(cols[:, :, None] & cols[:, None, :])])
+    reference = np.stack([wj @ aj[:m, :m] @ wj.conj().T
+                          for wj, aj, m in zip(geo.detection_blocks, a, geo.degeneracies)])
+    assert np.max(np.abs(_embed(w, a) - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]], ids=["widths-2-2-1", "widths-1-2-2"])
+def test_solve_numeric_padding_never_enters(order):
+    e = mixed_width_ensemble(np.random.default_rng(21))
+    e = StateEnsemble(dim=e.dim, priors=e.priors[order], states=e.states[order])
+    geo = geometry(e)
+    assert sorted(geo.degeneracies.tolist()) == [1, 2, 2]
+    report = solve_numeric(e, geo)
+    assert report.certified, report.certificate.failures
+    cert = report.certificate
+    assert abs(report.duality_gap - (np.trace(cert.z).real - cert.rate)) <= 1e-12
+    base = solve_numeric(mixed_width_ensemble(np.random.default_rng(21)))
+    assert abs(report.failure_probability - base.failure_probability) < 1e-9
+    # A is exactly zero off the real m_j x m_j entries of its (N, b, b) stack
+    w, cols, one = _stacked_blocks(geo)
+    a, _, gap, _ = _interior_point(geo.rho, w, geo.degeneracies, one)
+    assert not np.any(a[~(cols[:, :, None] & cols[:, None, :])])
+    assert gap == report.duality_gap
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_width_one_cone_matches_stacked_linear_algebra(n):
+    # on 1 x 1 blocks the factor, the inverse and the step bound are
+    # elementwise; they must equal the cholesky / inv / eigvalsh route
+    rng = np.random.default_rng(40 + n)
+    pair = (rng.uniform(0.1, 3.0, (2, n, 1, 1)) + 0j)
+    (f, fh), first_inv = _cone_factors(pair)
+    ref_f = np.linalg.inv(np.linalg.cholesky(pair))
+    assert np.allclose(f, ref_f, rtol=1e-14, atol=0) and np.array_equal(f, fh)
+    assert np.allclose(first_inv, np.linalg.inv(pair[0]), rtol=1e-14, atol=0)
+    for sign in (1.0, -1.0, 0.0):
+        step = sign * rng.uniform(0.1, 2.0, (2, n, 1, 1)) + 0j
+        ref = np.linalg.eigvalsh(ref_f @ step @ ref_f.conj().swapaxes(-1, -2))[..., 0]
+        lows = _cone_lows(f, fh, step)
+        assert np.allclose(lows, ref.min(axis=1), rtol=1e-14, atol=0)
+        ratios = (step.real / pair.real).reshape(2, -1)
+        assert np.allclose(lows, ratios.min(axis=1), rtol=1e-14, atol=0)
+    for bad in (0.0, -1e-3):
+        broken = pair.copy()
+        broken[1, n // 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(broken)
+            with pytest.raises(np.linalg.LinAlgError):
+                _cone_factors(broken)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -338,6 +389,21 @@ def _reference_barrier_hessian(blocks, a_blocks):
     return hess
 
 
+def _padded(blocks, mats=None):
+    """Zero-pad (d, m_j) blocks into an (N, d, b) stack, or (m_j, m_j)
+    matrices into an (N, b, b) stack with the identity on the padding."""
+    b = max(x.shape[1] for x in blocks)
+    if mats is None:
+        out = np.zeros((len(blocks), blocks[0].shape[0], b), dtype=complex)
+        for j, x in enumerate(blocks):
+            out[j, :, :x.shape[1]] = x
+        return out
+    out = np.tile(np.eye(b, dtype=complex), (len(mats), 1, 1))
+    for j, x in enumerate(mats):
+        out[j, :len(x), :len(x)] = x
+    return out
+
+
 @pytest.mark.parametrize("widths", [(1, 2, 3), (1, 1, 1, 1)])
 def test_newton_system_matches_block_pairs(widths):
     rng = np.random.default_rng(7)
@@ -347,30 +413,40 @@ def test_newton_system_matches_block_pairs(widths):
     # scale into the interior: W A W^dagger <= 1/2
     scale = 0.5 / np.linalg.norm(sum(w @ a @ w.conj().T for w, a in zip(blocks, a_blocks)), 2)
     a_blocks = [scale * a for a in a_blocks]
-    a = np.zeros((sum(widths), sum(widths)), dtype=complex)
-    edges = np.cumsum([0, *widths])
-    for lo, hi, aj in zip(edges[:-1], edges[1:], a_blocks):
-        a[lo:hi, lo:hi] = aj
-    w = np.concatenate(blocks, axis=1)
-    (p, q), basis = _block_coordinates(list(widths))
+    w = _padded(blocks)
+    wf = w.transpose(1, 0, 2).reshape(d, -1)
     # the central point of parameter 1/t: X1 = A^-1 / t and Z = S^-1 / t,
     # where the Schur complement is the negated barrier Hessian over t
-    a_inv = np.linalg.inv(a)
-    k = w.conj().T @ np.linalg.inv(np.eye(d) - w @ a @ w.conj().T) @ w
-    schur = _newton_system(a_inv / t, a_inv, k[None] / t, k[None], np.ix_(q, p), basis)
+    a_inv = np.linalg.inv(_padded(blocks, a_blocks))
+    s = np.eye(d) - sum(b @ a @ b.conj().T for b, a in zip(blocks, a_blocks))
+    k = wf.conj().T @ np.linalg.inv(s) @ wf
+    coords = _real_coordinates(np.array(widths))
+    schur = _newton_system(a_inv / t, a_inv, k[None] / t, k[None], coords)
     ref_hess = _reference_barrier_hessian(blocks, a_blocks)
     assert np.linalg.norm(schur + ref_hess / t) <= 1e-10 * np.linalg.norm(ref_hess / t)
     if set(widths) == {1}:
-        closed = (np.abs(k) ** 2 + np.diag(1.0 / np.diag(a).real ** 2)) / t
+        a_diag = np.array([a[0, 0].real for a in a_blocks])
+        closed = (np.abs(k) ** 2 + np.diag(1.0 / a_diag ** 2)) / t
         assert np.allclose(schur, closed, rtol=1e-10, atol=0)
+
+
+def _block_units(widths):
+    """The Hermitian basis of each block, embedded as M x M matrices on the
+    block's diagonal position, M = sum of the widths, in block order."""
+    m_total, units, lo = sum(widths), [], 0
+    for m in widths:
+        for e in _hermitian_basis(m):
+            u = np.zeros((m_total, m_total), dtype=complex)
+            u[lo:lo + m, lo:lo + m] = e
+            units.append(u)
+        lo += m
+    return np.array(units)
 
 
 def _reference_cluster_schur(x1, a_inv, ys, ks, widths):
     """Re Tr(E_r H(E_s)) with H(E) = X1 E A^-1 + sum_c Y_c E K_c, built one
-    basis element and one cluster at a time."""
-    (p, q), basis = _block_coordinates(list(widths))
-    units = np.zeros((basis.shape[0],) + x1.shape, dtype=complex)
-    units[:, p, q] = basis
+    basis element and one cluster at a time on the dense M x M matrices."""
+    units = _block_units(widths)
     schur = np.zeros((len(units),) * 2)
     for s, e_s in enumerate(units):
         h = x1 @ e_s @ a_inv
@@ -391,24 +467,49 @@ def test_newton_system_sums_over_clusters(clusters):
     d, widths = 5, (1, 2, 3)
     clusters = np.array(clusters, dtype=bool)
     pinch = clusters.T @ clusters
-    edges = np.cumsum([0, *widths])
-    m = edges[-1]
-    a, x1 = (np.zeros((m, m), dtype=complex) for _ in range(2))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        a[lo:hi, lo:hi], x1[lo:hi, lo:hi] = random_density(rng, hi - lo), random_density(rng, hi - lo)
-    w = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    a_blocks, x1_blocks = [], []
+    for m in widths:
+        a_blocks.append(random_density(rng, m))
+        x1_blocks.append(random_density(rng, m))
+    m = sum(widths)
+    wd = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    w_blocks = np.split(wd, np.cumsum(widths)[:-1], axis=1)
     z, s = (random_density(rng, d) * pinch for _ in range(2))
-    wc = clusters[:, :, None] * w
+    # the per-block stacks the solver holds ...
+    w = _padded(w_blocks)
+    wf = w.transpose(1, 0, 2).reshape(d, -1)
+    wc = clusters[:, :, None] * wf
     ys, ks = wc.conj().swapaxes(1, 2) @ z @ wc, wc.conj().swapaxes(1, 2) @ np.linalg.inv(s) @ wc
-    (p, q), basis = _block_coordinates(list(widths))
-    ix, a_inv = np.ix_(q, p), np.linalg.inv(a)
-    schur = _newton_system(x1, a_inv, ys, ks, ix, basis)
-    reference = _reference_cluster_schur(x1, a_inv, ys, ks, widths)
+    x1 = _padded(w_blocks, x1_blocks)
+    x1[x1.real == 1.0] = 0.0  # X1 is zero on the padding
+    a_inv = np.linalg.inv(_padded(w_blocks, a_blocks))
+    schur = _newton_system(x1, a_inv, ys, ks, _real_coordinates(np.array(widths)))
+    # ... against the dense M x M matrices, one basis element at a time
+    edges = np.cumsum([0, *widths])
+    dense_x1, dense_a_inv = (np.zeros((edges[-1],) * 2, dtype=complex) for _ in range(2))
+    for lo, hi, xj, aj in zip(edges[:-1], edges[1:], x1_blocks, a_blocks):
+        dense_x1[lo:hi, lo:hi], dense_a_inv[lo:hi, lo:hi] = xj, np.linalg.inv(aj)
+    wdc = clusters[:, :, None] * wd
+    dense_ys = wdc.conj().swapaxes(1, 2) @ z @ wdc
+    dense_ks = wdc.conj().swapaxes(1, 2) @ np.linalg.inv(s) @ wdc
+    reference = _reference_cluster_schur(dense_x1, dense_a_inv, dense_ys, dense_ks, widths)
     assert np.linalg.norm(schur - reference) <= 1e-12 * np.linalg.norm(reference)
     if len(clusters) == 1:
         # one cluster: the unreduced T(X1, A^-1) + T(Y, K) with Y = W^dagger Z W
-        y, k = w.conj().T @ z @ w, w.conj().T @ np.linalg.inv(s) @ w
-        unreduced = (basis @ (x1[ix] * a_inv[ix].T + y[ix] * k[ix].T) @ basis.T).real
+        # over the padded index pairs (j, a, b), in the coordinates of
+        # B = diag(E, ..., E) with E the basis of _hermitian_basis(b), kept
+        # where the basis element lies inside block j's real corner
+        n, b = len(widths), max(widths)
+        herm = _hermitian_basis(b)
+        keep = [j * b * b + r for j, m in enumerate(widths) for r in range(b * b)
+                if not (herm[r, m:].any() or herm[r, :, m:].any())]
+        y, k = wf.conj().T @ z @ wf, wf.conj().T @ np.linalg.inv(s) @ wf
+        t = (y.reshape(n, 1, b, n, b, 1) * k.T.reshape(n, b, 1, n, 1, b)).reshape(n * b * b, -1)
+        for j in range(n):
+            sl = slice(j * b * b, (j + 1) * b * b)
+            t[sl, sl] += (x1[j][None, :, :, None] * a_inv[j].T[:, None, None, :]).reshape(b * b, -1)
+        basis = np.kron(np.eye(n), herm.reshape(b * b, b * b))
+        unreduced = (basis @ t @ basis.T).real[np.ix_(keep, keep)]
         assert np.array_equal(schur, unreduced)
 
 
