@@ -40,6 +40,7 @@ once the duality gap is at most GAP_TOL.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -394,40 +395,54 @@ def _hermitian_basis(m: int) -> np.ndarray:
     return basis
 
 
-def _real_coordinates(widths: np.ndarray) -> np.ndarray:
-    """Flat indices into (N, b^2), b = max widths, of the elements of
-    _hermitian_basis(b) that lie inside block j's real widths[j] x widths[j]
-    corner: the coordinates of the blocks a_j, with the padding left out."""
-    b = int(widths.max())
-    corner = np.maximum.outer(np.arange(b), np.arange(b))
-    reach = ((_hermitian_basis(b) != 0) * corner).max(axis=(1, 2))
-    return np.flatnonzero(reach < widths[:, None])
+def _width_groups(widths: np.ndarray) -> list[tuple[int, int, int, int, int]]:
+    """The runs of equal width in the nondecreasing widths, as (lo, hi, m,
+    col, at): blocks lo..hi-1 have width m, their columns of the unpadded
+    W = [W_1 ... W_N] start at col, and their m^2 Hermitian coordinates
+    each at at in the coordinate vector."""
+    edges = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
+    groups, col, at = [], 0, 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = int(widths[lo])
+        groups.append((lo, hi, m, col, at))
+        col, at = col + (hi - lo) * m, at + (hi - lo) * m * m
+    return groups
 
 
-def _newton_system(x1, a_inv, y, k, coords):
+def _newton_system(x1, a_inv, y, k, groups):
     """Schur complement of the HKM Newton system in the Hermitian
     coordinates of the blocks: Re(B (T(X1, A^-1) + sum_c T(Y_c, K_c)) B^T)
-    at the coordinates coords (_real_coordinates), with
-    T(X, Y)[(j, a, b), (l, c, e)] = X[(j, b), (l, c)] Y[(l, e), (j, a)] and
-    B[r, (a, b)] = E_r[a, b] over _hermitian_basis(b), applied per block.
-    x1 and a_inv are (N, b, b) stacks, so T(X1, A^-1) is block-diagonal;
-    y and k are the (C, Nb, Nb) stacks Y_c = W^dagger P_c Z P_c W and
+    with T(X, Y)[(j, a, b), (l, c, e)] = X[(j, b), (l, c)] Y[(l, e), (j, a)]
+    and B[r, (a, b)] = E_r[a, b] over _hermitian_basis(m_j), applied per
+    block. x1 and a_inv are (N, b, b) stacks, so T(X1, A^-1) is
+    block-diagonal, and only their real m_j x m_j corners are read; y and k
+    are the (C, M, M) stacks Y_c = W^dagger P_c Z P_c W and
     K_c = W^dagger P_c S^-1 P_c W over the clusters P_c of the constraint,
-    with W = [W_1 ... W_N] zero on the padding. On the central path
-    (X1 = A^-1 / t, Z = S^-1 / t) it is the negated Hessian of the log
-    barrier over t."""
-    n, b = x1.shape[:2]
-    t = (y.reshape(-1, n, 1, b, n, b, 1)
-         * k.swapaxes(1, 2).reshape(-1, n, b, 1, n, 1, b)).sum(axis=0)
-    t = t.reshape(n, b * b, n, b * b)
-    diag = np.arange(n)
-    t[diag, :, diag] += (x1[:, None, :, :, None]
-                         * a_inv.swapaxes(1, 2)[:, :, None, None, :]).reshape(n, b * b, b * b)
-    if b > 1:
-        basis = _hermitian_basis(b).reshape(b * b, b * b)
-        t = (basis @ t.reshape(n, b * b, n * b * b)).reshape(n * b * b, n, b * b) @ basis.T
-    schur = t.reshape(n * b * b, n * b * b).real
-    return schur if coords.size == len(schur) else schur[np.ix_(coords, coords)]
+    with W = [W_1 ... W_N] unpadded, M = sum_j m_j. groups are the runs of
+    equal width (_width_groups); the system is built one pair of runs at a
+    time, so it costs (sum_j m_j^2)^2 however the widths differ. On the
+    central path (X1 = A^-1 / t, Z = S^-1 / t) it is the negated Hessian of
+    the log barrier over t."""
+    lo, hi, m, _, at = groups[-1]
+    size = at + (hi - lo) * m * m
+    schur = np.empty((size, size))
+    kt = k.swapaxes(1, 2)
+    for lo, hi, p, c, row in groups:
+        ng, rows = hi - lo, (hi - lo) * p * p
+        for lo2, hi2, q, c2, col in groups:
+            nh, cols = hi2 - lo2, (hi2 - lo2) * q * q
+            t = (y[:, c:c + ng * p, c2:c2 + nh * q].reshape(-1, ng, 1, p, nh, q, 1)
+                 * kt[:, c:c + ng * p, c2:c2 + nh * q].reshape(-1, ng, p, 1, nh, 1, q)).sum(axis=0)
+            t = t.reshape(ng, p * p, nh, q * q)
+            if lo == lo2:
+                diag = np.arange(ng)
+                t[diag, :, diag] += (x1[lo:hi, None, :p, :p, None]
+                                     * a_inv[lo:hi, :p, :p].swapaxes(1, 2)[:, :, None, None, :]
+                                     ).reshape(ng, p * p, p * p)
+            t = _hermitian_basis(p).reshape(p * p, p * p) @ t.reshape(ng, p * p, cols)
+            t = t.reshape(-1, q * q) @ _hermitian_basis(q).reshape(q * q, q * q).T
+            schur[row:row + rows, col:col + cols] = t.real.reshape(rows, cols)
+    return schur
 
 
 def _embed(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -440,13 +455,14 @@ def _cone_factors(pair: np.ndarray):
     """The inverse Cholesky factors (L^-1, L^-dagger) of a stacked cone pair
     (2, ..., b, b), and the inverse of the pair's first member. 1 x 1 blocks
     are a nonnegative orthant and go elementwise (1/sqrt(x), 1/x). Raises
-    LinAlgError, as cholesky does, where a member is not positive definite."""
+    LinAlgError where a member is not positive definite, as cholesky does,
+    and on the orthant also where an entry is NaN."""
     if pair.shape[-1] == 1:
         x = pair.real
-        if (x <= 0.0).any():
+        if not (x > 0.0).all():
             raise np.linalg.LinAlgError("orthant entry is not positive")
         f = 1.0 / np.sqrt(x)
-        return (f, f), 1.0 / x[0]
+        return (f, f), 1.0 / pair[0]
     f = np.linalg.inv(np.linalg.cholesky(pair))
     fh = f.conj().swapaxes(-1, -2)
     return (f, fh), fh[0] @ f[0]
@@ -457,10 +473,8 @@ def _cone_lows(f: np.ndarray, fh: np.ndarray, step: np.ndarray) -> np.ndarray:
     stacked cone pair, over all its blocks: x + alpha dx stays >= 0 while
     alpha times it is >= -1. Elementwise on the orthant (dx / x)."""
     if step.shape[-1] == 1:
-        lows = f * step.real * fh
-    else:
-        lows = np.linalg.eigvalsh(f @ step @ fh)[..., 0]
-    return lows.reshape(2, -1).min(axis=1)
+        return (f * step.real * fh).reshape(2, -1).min(axis=1)
+    return np.linalg.eigvalsh(f @ step @ fh)[..., 0].reshape(2, -1).min(axis=1)
 
 
 def _step_lengths(factors, primal, dual):
@@ -486,11 +500,15 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     as geometry pads its SVD); A and X1 are (N, b, b) stacks exactly zero
     off the real m_j x m_j blocks, and the identity is added on the padding
     only to factor them, so the padding never enters the gap, nu or the
-    Schur system. When b = 1 the (A, X1) cone is a nonnegative orthant and
-    its factor, inverse and step bound are elementwise. The (C, d) 0/1
-    indicator clusters gives the diagonal projectors P_c; a generic
-    ensemble has the one cluster P = 1, a covariant one the eigenspaces of
-    its generator. The cone pairs are (A, X1) with X1_j = W_j^dagger (Z -
+    Schur system. The loop orders the blocks by width and builds the Schur
+    system one run of equal widths at a time, so its size is sum_j m_j^2
+    however much the widths differ; A comes back in the order of w. The
+    (A, X1) pair is factored, inverted and step-bounded per block by the
+    stacked cholesky / inv / eigvalsh; when b = 1 it is a nonnegative
+    orthant, and its factor, inverse, step bound and coordinates are
+    elementwise. The (C, d) 0/1 indicator clusters gives the diagonal
+    projectors P_c; a generic ensemble has the one cluster P = 1, a
+    covariant one the eigenspaces of its generator. The cone pairs are (A, X1) with X1_j = W_j^dagger (Z -
     rho) W_j, and (S, Z) with S = 1 - pinch(sum_j W_j a_j W_j^dagger); both
     are functions of A and Z, so every iterate is primal and dual feasible
     and the duality gap is Tr(X1 A) + Tr(Z S) = Tr Z - R. Each iteration
@@ -512,44 +530,50 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     eigenvalue (about gap / R) above the rank cutoff, or Z (of norm R)
     without a rank, until the path goes deeper. Raises NotConvergedError if
     MAX_ITERATIONS runs out first, or if rounding puts an iterate outside
-    the cones.
+    the cones or makes it NaN.
     """
     n, d, b = w.shape
     nu = d + int(widths.sum())
+    # blocks in nondecreasing width, so that each width is one run
+    order = np.argsort(widths, kind="stable")
+    w, widths = w[order], widths[order]
+    groups = _width_groups(widths)
     wh = w.conj().swapaxes(1, 2)
-    wf = w.transpose(1, 0, 2).reshape(d, n * b)
+    wf = w.transpose(1, 0, 2).reshape(d, n * b)  # [W_1 ... W_N], padded
     wfh = wf.conj().T
     eye = np.eye(d, dtype=complex)
     pinch = clusters.T @ clusters
-    wc = clusters[:, :, None] * wf
+    cols = np.arange(b) < widths[:, None]
+    wc = clusters[:, :, None] * wf[:, cols.ravel()]  # unpadded, one per cluster
     wch = wc.conj().swapaxes(1, 2)
     gains = wh @ rho @ w
-    cols = np.arange(b) < widths[:, None]
     pad = np.eye(b) * ~cols[:, None, :]  # the identity on the padding
-    basis = _hermitian_basis(b).reshape(b * b, b * b)
-    coords = _real_coordinates(widths)
-    # products of (N, b, b) stacks; 1 x 1 blocks multiply elementwise
-    dot = np.multiply if b == 1 else np.matmul
 
     def blocks(x):
         return wh @ x @ w
 
     def total(x):
-        return dot(w, x).transpose(1, 0, 2).reshape(d, n * b) @ wfh
+        return (w @ x).transpose(1, 0, 2).reshape(d, n * b) @ wfh
 
-    # the Hermitian coordinates Re Tr(E_r x_j) of a stack x at coords, and
-    # back; the 1 x 1 basis is E = 1
+    # the Hermitian coordinates Re Tr(E_r x_j) of a stack x over each block's
+    # real m_j x m_j corner, in the order of _width_groups, and back; on the
+    # orthant (b = 1) they are the entries themselves
     def coordinates(x):
         if b == 1:
             return x.real.ravel()
-        return (x.swapaxes(1, 2).reshape(n, b * b) @ basis.T).real.ravel()[coords]
+        return np.concatenate([
+            (x[lo:hi, :m, :m].swapaxes(1, 2).reshape(-1, m * m)
+             @ _hermitian_basis(m).reshape(m * m, m * m).T).real.ravel()
+            for lo, hi, m, _, _ in groups])
 
     def stack(v):
         if b == 1:
             return v.reshape(n, 1, 1)
-        x = np.zeros(n * b * b)
-        x[coords] = v
-        return (x.reshape(n, b * b) @ basis).reshape(n, b, b)
+        x = np.zeros((n, b, b), dtype=complex)
+        for lo, hi, m, _, at in groups:
+            x[lo:hi, :m, :m] = (v[at:at + (hi - lo) * m * m].reshape(-1, m * m)
+                                @ _hermitian_basis(m).reshape(m * m, m * m)).reshape(-1, m, m)
+        return x
 
     # strictly feasible start: scaled identities keeping the total below
     # 1/2, with ||W_j W_j^dagger|| = ||W_j^dagger W_j|| from the Gram stack
@@ -564,28 +588,30 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     iterations = 0
     while True:
         s, x1 = eye - _sym(total(a)) * pinch, blocks(z - rho)
-        xa, zs = dot(x1, a), z @ s
+        xa, zs = x1 @ a, z @ s
         gap = float(np.trace(xa, axis1=1, axis2=2).real.sum() + np.trace(zs).real)
         mu = gap / nu
         commuting = np.sqrt(np.vdot(xa, xa).real) + np.sqrt(np.vdot(zs, zs).real) <= gap
         if (commuting and gap <= GAP_TOL
                 and sum(_certificate_ranks(np.linalg.eigvalsh(z), np.linalg.eigvalsh(s))) <= d):
-            return a, iterations, gap, z
+            return a[np.argsort(order)], iterations, gap, z
         if iterations >= MAX_ITERATIONS:
             raise NotConvergedError(
                 f"iteration budget {MAX_ITERATIONS} exhausted at duality gap {gap:.3e}"
             )
-        pair = np.array((a, x1))
-        if b > 1:
-            pair += pad
+        if math.isnan(gap):  # numpy's cholesky lets a NaN iterate through
+            raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}")
         try:
-            (fa, a_inv), (fs, s_inv) = _cone_factors(pair), _cone_factors(np.array((s, z)))
+            (fa, a_inv), (fs, s_inv) = (_cone_factors(np.array((a, x1)) + pad),
+                                        _cone_factors(np.array((s, z))))
         except np.linalg.LinAlgError:
             raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
         k = wch @ s_inv @ wc
-        schur = _newton_system(x1, a_inv, wch @ z @ wc, k, coords)
-        k_blocks = k.sum(axis=0).reshape(n, b, n, b).diagonal(axis1=0, axis2=2)
-        centering = a_inv - k_blocks.transpose(2, 0, 1)
+        schur = _newton_system(x1, a_inv, wch @ z @ wc, k, groups)
+        k_sum, centering = k.sum(axis=0), a_inv.copy()
+        for lo, hi, m, c, _ in groups:
+            k_diag = k_sum[c:c + (hi - lo) * m, c:c + (hi - lo) * m].reshape(hi - lo, m, hi - lo, m)
+            centering[lo:hi, :m, :m] -= k_diag.diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
 
         def solve(rhs):
             try:
@@ -603,7 +629,7 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
             if affine is not None:
                 (da0, ds0), (dx0, dz0) = affine
                 corr_s = _sym(dz0 @ ds0 @ s_inv)
-                rhs = rhs - _sym(dot(dot(dx0, da0), a_inv)) + blocks(corr_s)
+                rhs = rhs - _sym(dx0 @ da0 @ a_inv) + blocks(corr_s)
             da = stack(solve(coordinates(rhs)))
             ds = -total(da) * pinch
             dz = _sym(target * s_inv - z - z @ ds @ s_inv - corr_s)

@@ -36,7 +36,7 @@ from maxconf.solver import (
     _hermitian_basis,
     _interior_point,
     _newton_system,
-    _real_coordinates,
+    _width_groups,
 )
 from conftest import (
     mixed_width_ensemble,
@@ -345,15 +345,54 @@ def test_width_one_cone_matches_stacked_linear_algebra(n):
         assert np.allclose(lows, ref.min(axis=1), rtol=1e-14, atol=0)
         ratios = (step.real / pair.real).reshape(2, -1)
         assert np.allclose(lows, ratios.min(axis=1), rtol=1e-14, atol=0)
-    for bad in (0.0, -1e-3):
+    for bad in (0.0, -1e-3, np.nan):
         broken = pair.copy()
         broken[1, n // 2] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(broken)
+            if not np.isnan(bad):  # numpy's cholesky lets a NaN through
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(broken)
             with pytest.raises(np.linalg.LinAlgError):
                 _cone_factors(broken)
+
+
+def test_interior_point_stops_on_a_nan_iterate():
+    # a NaN reaches the loop unflagged by cholesky; it must stop at once
+    geo = geometry(mixed_width_ensemble(np.random.default_rng(21)))
+    w, _, one = _stacked_blocks(geo)
+    rho = geo.rho.copy()
+    rho[0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConvergedError, match="left the cone"):
+            _interior_point(rho, w, geo.degeneracies, one)
+
+
+def test_solve_numeric_interleaved_widths():
+    # the states at 0 and 4 equal the average of the others, so their top
+    # eigenspace is all of C^3 (m = 3) while the rest have m = 1; the loop
+    # runs on the blocks ordered by width and returns A in ensemble order
+    rest = random_ensemble(np.random.default_rng(23), 3, 6)
+    states, priors = np.array(rest.states), np.array(rest.priors)
+    avg = np.einsum("j,jab->ab", priors, states)
+    order = [6, 0, 1, 2, 6, 3, 4, 5]
+    e = StateEnsemble(dim=3, priors=np.append(0.5 * priors, 0.25)[order],
+                      states=np.concatenate([states, avg[None]])[order])
+    geo = geometry(e)
+    assert geo.degeneracies.tolist() == [3, 1, 1, 1, 3, 1, 1, 1]
+    report = solve_numeric(e, geo)
+    assert report.certified, report.certificate.failures
+    by_width = [1, 2, 3, 5, 6, 7, 0, 4]
+    sorted_e = StateEnsemble(dim=3, priors=e.priors[by_width], states=e.states[by_width])
+    sorted_report = solve_numeric(sorted_e)
+    assert abs(report.failure_probability - sorted_report.failure_probability) < 1e-9
+    gaps = report.detection.conclusive[by_width] - sorted_report.detection.conclusive
+    assert np.max(np.abs(gaps)) < 1e-6
+    w, cols, one = _stacked_blocks(geo)
+    a, _, gap, _ = _interior_point(geo.rho, w, geo.degeneracies, one)
+    assert not np.any(a[~(cols[:, :, None] & cols[:, None, :])])
+    assert gap == report.duality_gap
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -389,16 +428,17 @@ def _reference_barrier_hessian(blocks, a_blocks):
     return hess
 
 
-def _padded(blocks, mats=None):
+def _padded(blocks, mats=None, fill=1.0):
     """Zero-pad (d, m_j) blocks into an (N, d, b) stack, or (m_j, m_j)
-    matrices into an (N, b, b) stack with the identity on the padding."""
+    matrices into an (N, b, b) stack with fill times the identity on the
+    padding."""
     b = max(x.shape[1] for x in blocks)
     if mats is None:
         out = np.zeros((len(blocks), blocks[0].shape[0], b), dtype=complex)
         for j, x in enumerate(blocks):
             out[j, :, :x.shape[1]] = x
         return out
-    out = np.tile(np.eye(b, dtype=complex), (len(mats), 1, 1))
+    out = np.tile(fill * np.eye(b, dtype=complex), (len(mats), 1, 1))
     for j, x in enumerate(mats):
         out[j, :len(x), :len(x)] = x
     return out
@@ -413,15 +453,13 @@ def test_newton_system_matches_block_pairs(widths):
     # scale into the interior: W A W^dagger <= 1/2
     scale = 0.5 / np.linalg.norm(sum(w @ a @ w.conj().T for w, a in zip(blocks, a_blocks)), 2)
     a_blocks = [scale * a for a in a_blocks]
-    w = _padded(blocks)
-    wf = w.transpose(1, 0, 2).reshape(d, -1)
+    wf = np.concatenate(blocks, axis=1)
     # the central point of parameter 1/t: X1 = A^-1 / t and Z = S^-1 / t,
     # where the Schur complement is the negated barrier Hessian over t
     a_inv = np.linalg.inv(_padded(blocks, a_blocks))
     s = np.eye(d) - sum(b @ a @ b.conj().T for b, a in zip(blocks, a_blocks))
     k = wf.conj().T @ np.linalg.inv(s) @ wf
-    coords = _real_coordinates(np.array(widths))
-    schur = _newton_system(a_inv / t, a_inv, k[None] / t, k[None], coords)
+    schur = _newton_system(a_inv / t, a_inv, k[None] / t, k[None], _width_groups(np.array(widths)))
     ref_hess = _reference_barrier_hessian(blocks, a_blocks)
     assert np.linalg.norm(schur + ref_hess / t) <= 1e-10 * np.linalg.norm(ref_hess / t)
     if set(widths) == {1}:
@@ -476,40 +514,37 @@ def test_newton_system_sums_over_clusters(clusters):
     w_blocks = np.split(wd, np.cumsum(widths)[:-1], axis=1)
     z, s = (random_density(rng, d) * pinch for _ in range(2))
     # the per-block stacks the solver holds ...
-    w = _padded(w_blocks)
-    wf = w.transpose(1, 0, 2).reshape(d, -1)
-    wc = clusters[:, :, None] * wf
-    ys, ks = wc.conj().swapaxes(1, 2) @ z @ wc, wc.conj().swapaxes(1, 2) @ np.linalg.inv(s) @ wc
-    x1 = _padded(w_blocks, x1_blocks)
-    x1[x1.real == 1.0] = 0.0  # X1 is zero on the padding
+    wdc = clusters[:, :, None] * wd
+    ys = wdc.conj().swapaxes(1, 2) @ z @ wdc
+    ks = wdc.conj().swapaxes(1, 2) @ np.linalg.inv(s) @ wdc
+    x1 = _padded(w_blocks, x1_blocks, fill=0.0)  # X1 is zero on the padding
     a_inv = np.linalg.inv(_padded(w_blocks, a_blocks))
-    schur = _newton_system(x1, a_inv, ys, ks, _real_coordinates(np.array(widths)))
+    schur = _newton_system(x1, a_inv, ys, ks, _width_groups(np.array(widths)))
     # ... against the dense M x M matrices, one basis element at a time
     edges = np.cumsum([0, *widths])
     dense_x1, dense_a_inv = (np.zeros((edges[-1],) * 2, dtype=complex) for _ in range(2))
     for lo, hi, xj, aj in zip(edges[:-1], edges[1:], x1_blocks, a_blocks):
         dense_x1[lo:hi, lo:hi], dense_a_inv[lo:hi, lo:hi] = xj, np.linalg.inv(aj)
-    wdc = clusters[:, :, None] * wd
-    dense_ys = wdc.conj().swapaxes(1, 2) @ z @ wdc
-    dense_ks = wdc.conj().swapaxes(1, 2) @ np.linalg.inv(s) @ wdc
-    reference = _reference_cluster_schur(dense_x1, dense_a_inv, dense_ys, dense_ks, widths)
+    reference = _reference_cluster_schur(dense_x1, dense_a_inv, ys, ks, widths)
     assert np.linalg.norm(schur - reference) <= 1e-12 * np.linalg.norm(reference)
     if len(clusters) == 1:
         # one cluster: the unreduced T(X1, A^-1) + T(Y, K) with Y = W^dagger Z W
-        # over the padded index pairs (j, a, b), in the coordinates of
-        # B = diag(E, ..., E) with E the basis of _hermitian_basis(b), kept
-        # where the basis element lies inside block j's real corner
-        n, b = len(widths), max(widths)
-        herm = _hermitian_basis(b)
-        keep = [j * b * b + r for j, m in enumerate(widths) for r in range(b * b)
-                if not (herm[r, m:].any() or herm[r, :, m:].any())]
-        y, k = wf.conj().T @ z @ wf, wf.conj().T @ np.linalg.inv(s) @ wf
-        t = (y.reshape(n, 1, b, n, b, 1) * k.T.reshape(n, b, 1, n, 1, b)).reshape(n * b * b, -1)
-        for j in range(n):
-            sl = slice(j * b * b, (j + 1) * b * b)
-            t[sl, sl] += (x1[j][None, :, :, None] * a_inv[j].T[:, None, None, :]).reshape(b * b, -1)
-        basis = np.kron(np.eye(n), herm.reshape(b * b, b * b))
-        unreduced = (basis @ t @ basis.T).real[np.ix_(keep, keep)]
+        # over the index pairs (a, b) inside each block, T[i, k] =
+        # X[q_i, p_k] Y[q_k, p_i] with p_i = a and q_i = b, in the coordinates
+        # of B = diag(E_1, ..., E_N) with E_j the basis of
+        # _hermitian_basis(m_j), one block pair at a time
+        y, k = wd.conj().T @ z @ wd, wd.conj().T @ np.linalg.inv(s) @ wd
+        dense = [np.zeros((edges[-1],) * 2, dtype=complex) for _ in range(2)]
+        for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            for out, stack in zip(dense, (x1, a_inv)):
+                out[lo:hi, lo:hi] = stack[j, :hi - lo, :hi - lo]
+        pairs = [np.array([(a, c) for a in range(lo, hi) for c in range(lo, hi)]).T
+                 for lo, hi in zip(edges[:-1], edges[1:])]
+        herm = [_hermitian_basis(m).reshape(m * m, m * m) for m in widths]
+        unreduced = np.block([[
+            (e_j @ (dense[0][np.ix_(q_j, p_l)] * dense[1][np.ix_(q_l, p_j)].T
+                    + y[np.ix_(q_j, p_l)] * k[np.ix_(q_l, p_j)].T) @ e_l.T).real
+            for (p_l, q_l), e_l in zip(pairs, herm)] for (p_j, q_j), e_j in zip(pairs, herm)])
         assert np.array_equal(schur, unreduced)
 
 
