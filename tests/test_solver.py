@@ -613,15 +613,21 @@ def _symmetric_ensemble(kind, seed):
 @pytest.mark.parametrize("kind", ["qubit", "pure", "mixed", "repeated-phases", "embedded", "degenerate"])
 def test_covariant_solve_matches_symmetry_stripped(kind, seed):
     # the one covariant block against the N-block problem of the same states;
-    # from its covariant start the N-block path stays covariant, so both
-    # solves follow one central path (up to rounding in the step decisions)
+    # from its covariant start the N-block path stays covariant, so with one
+    # step rule both solves follow one central path (up to rounding in the
+    # step decisions). With distinct phases and m = 1 every covariant cone is
+    # an orthant and takes the longer orthant step, while the stripped
+    # problem's (S, Z) is a d x d SDP pair that keeps the shorter one.
     e = _symmetric_ensemble(kind, seed)
     covariant = solve_numeric(e)
     stripped = solve_numeric(StateEnsemble(dim=e.dim, priors=e.priors, states=e.states))
     assert covariant.certified, covariant.certificate.failures
     assert stripped.certified, stripped.certificate.failures
     assert abs(covariant.failure_probability - stripped.failure_probability) <= 1e-7
-    assert abs(covariant.iterations - stripped.iterations) <= 1
+    if kind in ("repeated-phases", "degenerate"):
+        assert abs(covariant.iterations - stripped.iterations) <= 1
+    else:
+        assert covariant.iterations < stripped.iterations
 
 
 @pytest.mark.parametrize("k", [2, 3])
