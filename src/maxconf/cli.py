@@ -47,6 +47,7 @@ from .families import (
 from .geometry import geometry
 from .operators import CROSS_CHECK_TOL, EQ_TOL, POS_TOL
 from .serialize import (
+    array_from_json,
     certificate_to_json,
     detection_from_json,
     detection_to_json,
@@ -54,10 +55,10 @@ from .serialize import (
     dump_json,
     ensemble_from_json,
     ensemble_to_json,
+    integer_from_json,
     load_json,
     report_to_json,
     validation_to_json,
-    vector_from_json,
     witness_to_json,
     write_csv,
 )
@@ -128,12 +129,7 @@ def _solve(ensemble, mode: str, tol: float | None):
 
 def cmd_solve(args) -> int:
     ensemble = ensemble_from_json(load_json(args.input))
-    try:
-        report = _solve(ensemble, args.mode, args.tol)
-    except NotConvergedError as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_UNCERTIFIED
-
+    report = _solve(ensemble, args.mode, args.tol)
     out = {
         "ensemble": ensemble_to_json(ensemble),
         "report": report_to_json(report),
@@ -199,7 +195,7 @@ def _family_from_json(obj) -> tuple[str, dict]:
 
 
 def _family_instance(kind: str, obj: dict, param: str | None, value: float) -> SymmetricFamily:
-    order = int(obj["order"])
+    order = integer_from_json(obj.get("order"), "family order")
     if kind == "qubit-mixed":
         purity = value if param == "purity" else float(obj.get("purity", 1.0))
         angle = value if param == "angle" else float(obj.get("angle", np.pi / 2))
@@ -208,14 +204,15 @@ def _family_instance(kind: str, obj: dict, param: str | None, value: float) -> S
         if param not in (None, "purity"):
             raise MaxconfError(f"flat-mixed family cannot sweep {param!r}")
         purity = value if param == "purity" else float(obj.get("purity", 1.0))
-        return SymmetricFamily.flat(order=order, dim=int(obj["dim"]), purity=purity)
+        dim = integer_from_json(obj.get("dim"), "family dim")
+        return SymmetricFamily.flat(order=order, dim=dim, purity=purity)
     # pure-symmetric: fixed coefficients, or an angle parameterizing a qubit
     if param == "angle" or ("angle" in obj and "coefficients" not in obj):
         angle = value if param == "angle" else float(obj["angle"])
         return SymmetricFamily.qubit(order=order, purity=1.0, angle=angle)
     if param not in (None,):
         raise MaxconfError(f"pure-symmetric family with fixed coefficients cannot sweep {param!r}")
-    c = vector_from_json(obj["coefficients"], where="family coefficients")
+    c = array_from_json(obj["coefficients"], "family coefficients", 1)
     return SymmetricFamily(order=order, purity=1.0, coefficients=c)
 
 
@@ -274,10 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mode=False, check=False, witness=False, grid=False):
+    def common(p, tol=True, mode=False, check=False, witness=False, grid=False):
         p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", help="write the result here instead of stdout")
-        p.add_argument("--tol", type=float, help="tolerance override")
+        if tol:
+            p.add_argument("--tol", type=float, help="tolerance override")
         if mode:
             p.add_argument(
                 "--mode", choices=("auto", "analytic", "numeric"), default="auto",
@@ -294,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", help="parameter grid param:start:stop:steps")
 
     p = sub.add_parser("validate", help="check ensemble invariants")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve", help="compute an optimal measurement with certificate")
@@ -317,6 +315,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NotConvergedError as exc:
+        print(f"solver did not converge: {exc}", file=sys.stderr)
+        return EXIT_UNCERTIFIED
     except (MaxconfError, json.JSONDecodeError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

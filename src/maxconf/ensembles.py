@@ -27,6 +27,7 @@ from .operators import (
     TOL_PSD,
     TOL_RECON,
     TRACE_TOL,
+    hermitian_part,
     require_hermitian,
     support_rank,
 )
@@ -189,9 +190,8 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     if gap > PRIOR_TOL:
         v.append(Violation("prior_normalization", gap, "priors must sum to 1"))
 
-    adj = e.states.conj().swapaxes(1, 2)
-    worst_herm = float(np.max(np.abs(e.states - adj)))
-    h = 0.5 * (e.states + adj)
+    worst_herm = float(np.max(np.abs(e.states - e.states.conj().swapaxes(1, 2))))
+    h = hermitian_part(e.states)
     worst_neg = max(0.0, -float(np.linalg.eigvalsh(h)[:, 0].min()))
     worst_trace = float(np.max(np.abs(np.trace(h, axis1=1, axis2=2).real - 1.0)))
     if worst_herm > TOL_HERM:
@@ -204,7 +204,7 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
         v.append(Violation("state_trace", worst_trace, "states must have unit trace"))
 
     rho = average_state(e)
-    rho_h = 0.5 * (rho + rho.conj().T)
+    rho_h = hermitian_part(rho)
     if support_rank(rho_h) < e.dim:
         flags.append("average state is rank deficient; detection operators live on its support")
 

@@ -41,6 +41,7 @@ from .operators import (
     TOL_PSD,
     TOL_RECON,
     eig_hermitian,
+    hermitian_part,
     opnorm,
     psd_power,
     support_cutoff,
@@ -63,10 +64,13 @@ class MCGeometry:
     confidences : (N,) top eigenvalues C_j.
     degeneracies : (N,) multiplicities m_j of the top eigenvalues.
     top_projectors : (N, d, d) projectors P_j.
-    top_vectors : list of (d, m_j) orthonormal top-eigenvector blocks.
-    detection_blocks : list of (d, m_j) blocks W_j = rho^(-1/2) @ top_vectors[j];
-        every confidence-C_j detection operator is W_j a_j W_j^dagger with
-        a_j >= 0.
+    top_vectors : (N, d, b) stack, b = max_j m_j: the first m_j columns of
+        top_vectors[j] are orthonormal top eigenvectors of rho~_j, the
+        columns after them exactly zero.
+    detection_blocks : (N, d, b) stack W = rho^(-1/2) @ top_vectors, zero
+        past column m_j in the same way; with W_j the first m_j columns of
+        detection_blocks[j], every confidence-C_j detection operator is
+        W_j a_j W_j^dagger with a_j >= 0.
     supports : (N, d, d) projectors Lambda_j onto the column span of W_j.
     """
 
@@ -78,15 +82,14 @@ class MCGeometry:
     confidences: np.ndarray
     degeneracies: np.ndarray
     top_projectors: np.ndarray
-    top_vectors: list[np.ndarray]
-    detection_blocks: list[np.ndarray]
+    top_vectors: np.ndarray
+    detection_blocks: np.ndarray
     supports: np.ndarray
 
 
 def _transform(ensemble: StateEnsemble, rih: np.ndarray) -> np.ndarray:
     """The stack of rih (eta_j rho_j) rih, symmetrized, shape (N, d, d)."""
-    t = rih @ (ensemble.priors[:, None, None] * ensemble.states) @ rih
-    return 0.5 * (t + t.conj().swapaxes(1, 2))
+    return hermitian_part(rih @ (ensemble.priors[:, None, None] * ensemble.states) @ rih)
 
 
 def transformed_states(ensemble: StateEnsemble) -> np.ndarray:
@@ -109,8 +112,7 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
         msgs = "; ".join(f"{u.name} ({u.magnitude:.3e})" for u in report.violations)
         raise InfeasibleInputError(f"ensemble fails validation: {msgs}")
 
-    rho = average_state(ensemble)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = hermitian_part(average_state(ensemble))
     rho_spec = eig_hermitian(rho)
     rho_supp = rho_spec.power(0.0)
     rih = rho_spec.power(-0.5)
@@ -155,10 +157,6 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
             "the ensemble is too ill-conditioned"
         )
 
-    # the ragged (d, m_j) blocks: the kept columns side by side, then split
-    edges = np.cumsum(degeneracies)[:-1]
-    top_vectors = np.split(vtop.transpose(1, 0, 2)[:, cols], edges, axis=1)
-    detection_blocks = np.split(blocks.transpose(1, 0, 2)[:, cols], edges, axis=1)
     return MCGeometry(
         dim=ensemble.dim,
         rho=rho,
@@ -168,9 +166,9 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
         confidences=confidences,
         degeneracies=degeneracies,
         top_projectors=top_projectors,
-        top_vectors=top_vectors,
-        detection_blocks=detection_blocks,
-        supports=0.5 * (lam + lam.conj().swapaxes(1, 2)),
+        top_vectors=vtop,
+        detection_blocks=blocks,
+        supports=hermitian_part(lam),
     )
 
 

@@ -73,6 +73,11 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """0.5 (a + a^dagger) of a matrix (d, d) or of each matrix of a stack."""
+    return 0.5 * (a + _adjoint(a))
+
+
 def require_hermitian(a: np.ndarray, tol: float = TOL_HERM, name: str = "operator") -> np.ndarray:
     """Validate Hermiticity of ``a``, shape (d, d) or a stack (..., d, d),
     and return 0.5 (a + a^dagger) as a complex array, so downstream eigh
@@ -84,7 +89,7 @@ def require_hermitian(a: np.ndarray, tol: float = TOL_HERM, name: str = "operato
     dev = float(np.max(np.abs(a - _adjoint(a)))) if a.size else 0.0
     if dev > tol:
         raise NonHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
-    return 0.5 * (a + _adjoint(a))
+    return hermitian_part(a)
 
 
 @dataclass(frozen=True)
@@ -175,8 +180,7 @@ def rank_of_spectrum(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> int
 def support_rank(a: np.ndarray, rtol: float = SUPPORT_RTOL) -> int | np.ndarray:
     """Numerical rank (rank_of_spectrum) of the Hermitian part of ``a``: an
     int for one matrix, one count per matrix for a stack (..., d, d)."""
-    a = np.asarray(a)
-    return rank_of_spectrum(np.linalg.eigvalsh(0.5 * (a + _adjoint(a))), rtol)
+    return rank_of_spectrum(np.linalg.eigvalsh(hermitian_part(np.asarray(a))), rtol)
 
 
 def opnorm(a: np.ndarray) -> float:

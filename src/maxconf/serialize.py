@@ -1,6 +1,7 @@
 """JSON and CSV codecs for ensembles, measurements, and certificates.
 
-Complex matrices are encoded as nested lists of [re, im] pairs, row major.
+Complex arrays (vectors, matrices, stacks of matrices) are encoded as nested
+lists with an [re, im] pair in place of each entry, row major.
 Floats are written by Python's json module, i.e. the shortest decimal string
 that round-trips to the exact float64, so files reload bit-for-bit. CSV
 output uses 9 significant digits, '.' decimal point, ',' separator, LF
@@ -27,135 +28,107 @@ from .solver import (
 CSV_DIGITS = 9
 
 
-def matrix_to_json(a: np.ndarray) -> list:
+def array_to_json(a: np.ndarray) -> list:
+    """A complex array of any shape as nested lists with a [re, im] pair
+    in place of each entry."""
     a = np.asarray(a, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def vector_to_json(v: np.ndarray) -> list:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return [[float(x.real), float(x.imag)] for x in v]
+def array_from_json(obj: Any, where: str, *ndims: int) -> np.ndarray:
+    """The complex array that array_to_json wrote, of one of the ranks
+    ndims: nested lists of [re, im] number pairs, square in the last two
+    axes when there are two or more. An empty list holds no pair and is
+    refused like any other shape. Raises InfeasibleInputError for anything
+    else."""
+    try:
+        a = np.array(obj)
+    except ValueError:  # ragged nesting
+        a = np.array(None)
+    if not (a.dtype.kind in "iuf" and a.ndim - 1 in ndims and a.shape[-1] == 2
+            and (a.ndim < 3 or a.shape[-2] == a.shape[-3])):
+        rank = " or ".join(map(str, ndims))
+        raise InfeasibleInputError(f"{where}: expected a rank-{rank} array of [re, im] number pairs "
+                                   "(matrices square)")
+    # reinterpret each pair as one complex128, so both parts keep every bit
+    return a.astype(float).view(complex)[..., 0]
 
 
-def _pair(obj: Any, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) for x in obj)
-    ):
-        raise InfeasibleInputError(f"{where}: expected a [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
-
-
-def matrix_from_json(obj: Any, where: str = "matrix") -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise InfeasibleInputError(f"{where}: expected a nonempty list of rows")
-    rows = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != len(obj):
-            raise InfeasibleInputError(f"{where}: row {i} does not make the matrix square")
-        rows.append([_pair(x, f"{where}[{i}]") for x in row])
-    return np.array(rows, dtype=complex)
-
-
-def vector_from_json(obj: Any, where: str = "vector") -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise InfeasibleInputError(f"{where}: expected a nonempty list of [re, im] pairs")
-    return np.array([_pair(x, where) for x in obj], dtype=complex)
+def integer_from_json(obj: Any, where: str) -> int:
+    """A JSON integer; an integral float counts, a boolean does not."""
+    integral = isinstance(obj, int) or isinstance(obj, float) and obj.is_integer()
+    if isinstance(obj, bool) or not integral:
+        raise InfeasibleInputError(f"{where}: expected an integer, got {obj!r}")
+    return int(obj)
 
 
 def ensemble_to_json(ensemble: StateEnsemble) -> dict:
     out: dict[str, Any] = {
         "dim": ensemble.dim,
-        "states": [
-            {
-                "prior": float(ensemble.priors[j]),
-                "matrix": matrix_to_json(ensemble.states[j]),
-            }
-            for j in range(ensemble.n_states)
-        ],
+        "states": [{"prior": prior, "matrix": matrix}
+                   for prior, matrix in zip(ensemble.priors.tolist(), array_to_json(ensemble.states))],
     }
     if ensemble.symmetry is not None:
         s = ensemble.symmetry
-        ref = (
-            vector_to_json(s.reference)
-            if s.reference.ndim == 1
-            else matrix_to_json(s.reference)
-        )
         out["symmetry"] = {
             "order": s.order,
-            "phases": vector_to_json(s.phases),
-            "reference": ref,
+            "phases": array_to_json(s.phases),
+            "reference": array_to_json(s.reference),
         }
     return out
 
 
 def ensemble_from_json(obj: Any) -> StateEnsemble:
-    if not isinstance(obj, dict):
-        raise InfeasibleInputError("ensemble: expected a JSON object")
-    try:
-        dim = int(obj["dim"])
-        entries = obj["states"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InfeasibleInputError(f"ensemble: missing or malformed field ({exc})") from exc
+    if not isinstance(obj, dict) or "dim" not in obj or "states" not in obj:
+        raise InfeasibleInputError("ensemble: expected a JSON object with 'dim' and 'states'")
+    dim = integer_from_json(obj["dim"], "ensemble dim")
+    entries = obj["states"]
     if not isinstance(entries, list) or not entries:
         raise InfeasibleInputError("ensemble: 'states' must be a nonempty list")
-    priors = []
-    states = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "prior" not in entry or "matrix" not in entry:
             raise InfeasibleInputError(f"ensemble: state {i} needs 'prior' and 'matrix'")
-        priors.append(float(entry["prior"]))
-        m = matrix_from_json(entry["matrix"], where=f"state {i}")
-        if m.shape != (dim, dim):
-            raise InfeasibleInputError(f"ensemble: state {i} has shape {m.shape}, expected ({dim}, {dim})")
-        states.append(m)
+        if isinstance(entry["prior"], bool) or not isinstance(entry["prior"], (int, float)):
+            raise InfeasibleInputError(f"ensemble: state {i} has prior {entry['prior']!r}, not a number")
+    states = array_from_json([entry["matrix"] for entry in entries], "ensemble states", 3)
+    if states.shape[1:] != (dim, dim):
+        raise InfeasibleInputError(f"ensemble: states have shape {states.shape[1:]}, expected ({dim}, {dim})")
 
     symmetry = None
-    if "symmetry" in obj and obj["symmetry"] is not None:
+    if obj.get("symmetry") is not None:
         s = obj["symmetry"]
         if not isinstance(s, dict) or "order" not in s or "phases" not in s:
             raise InfeasibleInputError("symmetry: needs 'order' and 'phases'")
-        phases = vector_from_json(s["phases"], where="symmetry phases")
-        ref_obj = s.get("reference")
-        if ref_obj is None:
-            reference = states[0]
-        elif ref_obj and isinstance(ref_obj[0], list) and ref_obj[0] and isinstance(ref_obj[0][0], list):
-            reference = matrix_from_json(ref_obj, where="symmetry reference")
-        else:
-            reference = vector_from_json(ref_obj, where="symmetry reference")
-        symmetry = SymmetrySpec(order=int(s["order"]), phases=phases, reference=reference)
+        ref = s.get("reference")
+        symmetry = SymmetrySpec(
+            order=integer_from_json(s["order"], "symmetry order"),
+            phases=array_from_json(s["phases"], "symmetry phases", 1),
+            reference=states[0] if ref is None else array_from_json(ref, "symmetry reference", 1, 2),
+        )
 
-    return StateEnsemble(
-        dim=dim, priors=np.array(priors), states=np.stack(states), symmetry=symmetry
-    )
+    priors = np.array([entry["prior"] for entry in entries], dtype=float)
+    return StateEnsemble(dim=dim, priors=priors, states=states, symmetry=symmetry)
 
 
 def detection_to_json(detection: DetectionSet) -> dict:
-    return {
-        "dim": detection.dim,
-        "operators": [matrix_to_json(op) for op in detection.operators],
-    }
+    return {"dim": detection.dim, "operators": array_to_json(detection.operators)}
 
 
 def detection_from_json(obj: Any) -> DetectionSet:
     if not isinstance(obj, dict) or "operators" not in obj:
         raise InfeasibleInputError("detection: expected an object with 'operators'")
-    ops = obj["operators"]
-    if not isinstance(ops, list) or len(ops) < 2:
+    ops = array_from_json(obj["operators"], "detection operators", 3)
+    if len(ops) < 2:
         raise InfeasibleInputError("detection: needs the inconclusive operator plus at least one conclusive one")
-    mats = [matrix_from_json(m, where=f"operator {i}") for i, m in enumerate(ops)]
-    dim = mats[0].shape[0]
-    if any(m.shape != (dim, dim) for m in mats):
-        raise InfeasibleInputError("detection: operators have mismatched dimensions")
-    if "dim" in obj and int(obj["dim"]) != dim:
+    dim = ops.shape[-1]
+    if "dim" in obj and integer_from_json(obj["dim"], "detection dim") != dim:
         raise InfeasibleInputError(f"detection: declared dim {obj['dim']} != operator dim {dim}")
-    return DetectionSet(np.stack(mats))
+    return DetectionSet(ops)
 
 
 def certificate_to_json(cert: OptimalityCertificate) -> dict:
     return {
-        "z": matrix_to_json(cert.z),
+        "z": array_to_json(cert.z),
         "rate": cert.rate,
         "accepted": cert.accepted,
         "conditions": {k: float(v) for k, v in cert.conditions.items()},
@@ -172,7 +145,7 @@ def certificate_to_json(cert: OptimalityCertificate) -> dict:
 def dual_from_certificate_json(obj: Any) -> np.ndarray:
     if not isinstance(obj, dict) or "z" not in obj:
         raise InfeasibleInputError("certificate: expected an object with field 'z'")
-    return matrix_from_json(obj["z"], where="certificate z")
+    return array_from_json(obj["z"], "certificate z", 2)
 
 
 def witness_to_json(w: PerturbationWitness) -> dict:

@@ -69,6 +69,7 @@ from .operators import (
     TIE_RTOL,
     ZERO_PROB,
     eig_hermitian,
+    hermitian_part,
     opnorm,
     rank_of_spectrum,
     support_rank,
@@ -76,10 +77,6 @@ from .operators import (
 
 _TO_BOUNDARY = 0.98  # largest fraction of the way to a cone boundary per step
 _TO_BOUNDARY_ORTHANT = 0.999  # the same when every cone is an orthant (an LP)
-
-
-def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,7 @@ class DetectionSet:
         return opnorm(self.operators.sum(axis=0) - np.eye(self.dim))
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(_sym(self.operators))[:, 0].min())
+        return float(np.linalg.eigvalsh(hermitian_part(self.operators))[:, 0].min())
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,7 @@ def verify_certificate(
     _require_matching(ensemble, detection)
     if geo is None:
         geo = geometry(ensemble)
-    z = _sym(np.asarray(z, dtype=complex))
+    z = hermitian_part(np.asarray(z, dtype=complex))
     pi0 = detection.inconclusive
     lam = geo.supports
     lam_dual = lam @ (z - geo.rho)
@@ -236,14 +233,14 @@ def verify_certificate(
     # one spectrum of Z and one of the Hermitian parts of the Pi stack give
     # both the positivity conditions and the ranks
     z_w = np.linalg.eigvalsh(z)
-    pi_w = np.linalg.eigvalsh(_sym(detection.operators))
+    pi_w = np.linalg.eigvalsh(hermitian_part(detection.operators))
 
     conditions: dict[str, float] = {}
     conditions["povm_min_eigenvalue"] = float(pi_w[:, 0].min())
     conditions["completeness_residual"] = detection.completeness_residual()
     conditions["z_min_eigenvalue"] = float(z_w[0])
     conditions["support_slack_min_eigenvalue"] = float(
-        np.linalg.eigvalsh(_sym(lam_dual @ lam))[:, 0].min()
+        np.linalg.eigvalsh(hermitian_part(lam_dual @ lam))[:, 0].min()
     )
     conditions["inconclusive_orthogonality"] = opnorm(z @ pi0)
     conditions["stationarity_residual"] = float(
@@ -360,14 +357,13 @@ def solve_rank1_symmetric(
         )
     r = np.diag(rho).real
 
-    nu = geo.top_vectors[0][:, 0]
+    nu, w1 = geo.top_vectors[0, :, 0], geo.detection_blocks[0, :, 0]  # nu and rho^(-1/2) nu
     overlaps = np.abs(nu) ** 2
     usable = overlaps > OVERLAP_CUTOFF  # nu is a unit vector, so some overlap is >= 1/d
     ratios = np.full(d, np.inf)
     ratios[usable] = r[usable] / overlaps[usable]
     alpha = float(ratios.min()) / n
 
-    w1 = geo.inv_sqrt_rho @ nu
     pi1 = alpha * np.outer(w1, w1.conj())
     detection = DetectionSet.from_conclusive(orbit(pi1, sym.phases, n))
 
@@ -451,7 +447,7 @@ def _newton_system(x1, a_inv, y, k, groups):
 def _embed(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The detection operators W_j a_j W_j^dagger of the (N, b, b) stack a,
     stacked (N, d, d); w is the (N, d, b) stack of the W_j."""
-    return _sym(w @ a @ w.conj().swapaxes(1, 2))
+    return hermitian_part(w @ a @ w.conj().swapaxes(1, 2))
 
 
 def _cone_factors(pair: np.ndarray):
@@ -499,8 +495,8 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     predictor-corrector with the HKM direction.
 
     The blocks come as per-block stacks: w is (N, d, b) with b = max_j m_j
-    and W_j in the first widths[j] columns of w[j], zero after them (padded
-    as geometry pads its SVD); A and X1 are (N, b, b) stacks exactly zero
+    and W_j in the first widths[j] columns of w[j], zero after them (as
+    geometry.detection_blocks); A and X1 are (N, b, b) stacks exactly zero
     off the real m_j x m_j blocks, and the identity is added on the padding
     only to factor them, so the padding never enters the gap, nu or the
     Schur system. The loop orders the blocks by width and builds the Schur
@@ -601,7 +597,7 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
 
     iterations = 0
     while True:
-        s, x1 = eye - _sym(total(a)) * pinch, blocks(z - rho)
+        s, x1 = eye - hermitian_part(total(a)) * pinch, blocks(z - rho)
         xa, zs = x1 @ a, z @ s
         gap = float(np.trace(xa, axis1=1, axis2=2).real.sum() + np.trace(zs).real)
         mu = gap / nu
@@ -620,12 +616,9 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
                                         _cone_factors(np.array((s, z))))
         except np.linalg.LinAlgError:
             raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
-        k = wch @ s_inv @ wc
-        schur = _newton_system(x1, a_inv, wch @ z @ wc, k, groups)
-        k_sum, centering = k.sum(axis=0), a_inv.copy()
-        for lo, hi, m, c, _ in groups:
-            k_diag = k_sum[c:c + (hi - lo) * m, c:c + (hi - lo) * m].reshape(hi - lo, m, hi - lo, m)
-            centering[lo:hi, :m, :m] -= k_diag.diagonal(axis1=0, axis2=2).transpose(2, 0, 1)
+        schur = _newton_system(x1, a_inv, wch @ z @ wc, wch @ s_inv @ wc, groups)
+        # S^-1 is pinched like S, so the diagonal blocks of sum_c K_c are W_j^dagger S^-1 W_j
+        centering = a_inv - blocks(s_inv)
 
         def solve(rhs):
             try:
@@ -642,11 +635,11 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
             corr_s = 0.0
             if affine is not None:
                 (da0, ds0), (dx0, dz0) = affine
-                corr_s = _sym(dz0 @ ds0 @ s_inv)
-                rhs = rhs - _sym(dx0 @ da0 @ a_inv) + blocks(corr_s)
+                corr_s = hermitian_part(dz0 @ ds0 @ s_inv)
+                rhs = rhs - hermitian_part(dx0 @ da0 @ a_inv) + blocks(corr_s)
             da = stack(solve(coordinates(rhs)))
             ds = -total(da) * pinch
-            dz = _sym(target * s_inv - z - z @ ds @ s_inv - corr_s)
+            dz = hermitian_part(target * s_inv - z - z @ ds @ s_inv - corr_s)
             return (da, ds), (blocks(dz), dz)
 
         factors = (fa, fs)
@@ -691,14 +684,9 @@ def solve_numeric(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> Sol
     if geo is None:
         geo = geometry(ensemble)
     n, sym = ensemble.n_states, ensemble.symmetry
-    widths, clusters = geo.degeneracies, np.ones((1, ensemble.dim), dtype=bool)
-    blocks = geo.detection_blocks
+    w, widths, clusters = geo.detection_blocks, geo.degeneracies, np.ones((1, ensemble.dim), dtype=bool)
     if sym is not None:
-        widths, blocks, clusters = widths[:1], [np.sqrt(n) * blocks[0]], sym.clusters()
-    # the (N, d, b) stack of the W_j, zero-padded to the widest block
-    cols = np.arange(int(widths.max())) < widths[:, None]
-    w = np.zeros((len(blocks), ensemble.dim, cols.shape[1]), dtype=complex)
-    w.transpose(1, 0, 2)[:, cols] = np.concatenate(blocks, axis=1)
+        w, widths, clusters = np.sqrt(n) * w[:1, :, :widths[0]], widths[:1], sym.clusters()
 
     a, iterations, gap, z = _interior_point(geo.rho, w, widths, clusters)
     conclusive = _embed(w, a)
@@ -761,11 +749,11 @@ def perturbation_witness(
     """
     if geo is None:
         geo = geometry(ensemble)
-    z = _sym(np.asarray(z, dtype=complex))
+    z = hermitian_part(np.asarray(z, dtype=complex))
     rho = geo.rho
 
     spec_z = eig_hermitian(z)
-    slacks = _sym(geo.supports @ (z - rho) @ geo.supports)
+    slacks = hermitian_part(geo.supports @ (z - rho) @ geo.supports)
     spec = eig_hermitian(slacks)
     # the first slack with the smallest eigenvalue wins, and only when it
     # lies strictly below the smallest eigenvalue of Z
@@ -789,7 +777,7 @@ def perturbation_witness(
     contract = np.eye(d, dtype=complex) - epsilon * proj
     released = epsilon * (2.0 - epsilon) * proj
 
-    primed = _sym(contract @ detection.conclusive @ contract)
+    primed = hermitian_part(contract @ detection.conclusive @ contract)
     if best_kind == "support-slack":
         primed[best_outcome - 1] += released
     deformed = DetectionSet.from_conclusive(primed)

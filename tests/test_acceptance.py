@@ -233,8 +233,8 @@ def test_criterion_6_trace_identity():
             # a random measurement of the confidence-achieving form
             ops = []
             for j in range(n):
-                w = geo.detection_blocks[j]
-                m = w.shape[1]
+                m = int(geo.degeneracies[j])
+                w = geo.detection_blocks[j][:, :m]
                 g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
                 a = g @ g.conj().T
                 ops.append(w @ a @ w.conj().T)

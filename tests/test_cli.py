@@ -104,6 +104,37 @@ def test_solve_not_converged_exits_three(trine_file, tmp_path, monkeypatch, caps
     assert "solver did not converge" in capsys.readouterr().err
 
 
+def test_sweep_not_converged_exits_three(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps({"family": "qubit-mixed", "order": 3}), encoding="utf-8")
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
+    rc = main(["sweep", "--input", str(p), "--grid", "angle:0.2:1.2:3", "--check"])
+    assert rc == 3
+    assert "solver did not converge" in capsys.readouterr().err
+
+
+def test_validate_has_no_tol(trine_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--input", str(trine_file), "--tol", "123"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_non_integral_dim_and_order_are_input_errors(trine, tmp_path, capsys):
+    obj = ensemble_to_json(trine)
+    for bad in ({"dim": 2.7}, {"dim": True}, {"symmetry": dict(obj["symmetry"], order=3.5)},
+                {"states": [dict(obj["states"][0], prior="0.5")] + obj["states"][1:]}):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(dict(obj, **bad)), encoding="utf-8")
+        assert main(["solve", "--input", str(p)]) == 2
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps({"family": "qubit-mixed", "order": True}), encoding="utf-8")
+    assert main(["sweep", "--input", str(p), "--grid", "angle:0.2:1.2:3"]) == 2
+    p.write_text(json.dumps({"family": "flat-mixed", "order": 4, "dim": 2.5}), encoding="utf-8")
+    assert main(["sweep", "--input", str(p), "--grid", "purity:0.2:1.0:3"]) == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
 def test_solve_asymmetric_uses_numeric(tmp_path):
     rng = np.random.default_rng(5)
     e = random_ensemble(rng, 2, 3)

@@ -245,9 +245,11 @@ def test_geometry_mixed_widths_match_per_outcome_reference():
     assert geo.degeneracies.tolist() == [2, 2, 1]
     for j, (m, vtop, wj, lam) in enumerate(_reference_geometry(e, geo.transformed)):
         assert geo.degeneracies[j] == m
-        assert geo.top_vectors[j].shape == geo.detection_blocks[j].shape == (e.dim, m)
-        assert np.max(np.abs(geo.top_vectors[j] - vtop)) < 1e-12
-        assert np.max(np.abs(geo.detection_blocks[j] - wj)) < 1e-12
+        assert geo.top_vectors[j].shape == geo.detection_blocks[j].shape == (e.dim, 2)
+        assert np.max(np.abs(geo.top_vectors[j, :, :m] - vtop)) < 1e-12
+        assert np.max(np.abs(geo.detection_blocks[j, :, :m] - wj)) < 1e-12
+        # the padding past column m_j is exactly zero
+        assert not np.any(geo.top_vectors[j, :, m:]) and not np.any(geo.detection_blocks[j, :, m:])
         assert np.max(np.abs(geo.supports[j] - lam)) < 1e-12
     report = solve_numeric(e, geo)
     assert report.certified, report.certificate.failures

@@ -10,6 +10,8 @@ from maxconf import (
     solve_rank1_symmetric,
 )
 from maxconf.serialize import (
+    array_from_json,
+    array_to_json,
     certificate_to_json,
     detection_from_json,
     detection_to_json,
@@ -19,39 +21,80 @@ from maxconf.serialize import (
     ensemble_to_json,
     format_csv_value,
     load_json,
-    matrix_from_json,
-    matrix_to_json,
     report_to_json,
     validation_to_json,
-    vector_from_json,
-    vector_to_json,
     witness_to_json,
     write_csv,
 )
-from maxconf.ensembles import validate
+from maxconf.ensembles import StateEnsemble, SymmetrySpec, validate
+from maxconf.solver import DetectionSet
 from conftest import random_ensemble
 
 
 def test_matrix_roundtrip_is_exact():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    text = json.dumps(matrix_to_json(a))
-    back = matrix_from_json(json.loads(text))
+    text = json.dumps(array_to_json(a))
+    back = array_from_json(json.loads(text), "matrix", 2)
     # JSON floats round-trip binary64 exactly
     assert np.array_equal(back, a)
 
 
 def test_vector_roundtrip_is_exact():
-    v = np.array([1.0 / 3.0, np.pi, -2e-17 + 0.25j])
-    back = vector_from_json(json.loads(json.dumps(vector_to_json(v))))
+    v = np.array([1.0 / 3.0, np.pi, -2e-17 + 0.25j, complex(-0.0, 1.0)])
+    back = array_from_json(json.loads(json.dumps(array_to_json(v))), "vector", 1)
     assert np.array_equal(back, v)
+    # the sign of a zero survives too
+    assert np.signbit(back.real).tolist() == [False, False, True, True]
 
 
 def test_matrix_from_json_rejects_ragged():
     with pytest.raises(InfeasibleInputError):
-        matrix_from_json([[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]])
+        array_from_json([[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]], "matrix", 2)
     with pytest.raises(InfeasibleInputError):
-        matrix_from_json([[[1.0, 0.0], "junk"], [[1.0, 0.0], [2.0, 0.0]]])
+        array_from_json([[[1.0, 0.0], "junk"], [[1.0, 0.0], [2.0, 0.0]]], "matrix", 2)
+
+
+# ragged rows: test_matrix_from_json_rejects_ragged
+@pytest.mark.parametrize("obj, ndims", [
+    ([[1.0, 0.0], [2.0]], (1,)),  # ragged pair
+    ([["1.0", "0.0"]], (1,)),  # strings
+    ([[None, 0.0]], (1,)),  # null
+    (None, (1,)),
+    ([], (1,)),  # empty
+    ([[]], (1,)),
+    ([[[1.0, 0.0], [0.0, 0.0]]], (2,)),  # 1 x 2, not square
+    ([[[[1.0, 0.0]]], [[[1.0, 0.0]]]], (1, 2)),  # one level too deep
+    ([[1.0, 0.0, 0.0]], (1,)),  # a triple, not a pair
+    ([1.0, 0.0], (1,)),  # one pair is a number, not a vector
+    ([{"re": 1.0, "im": 0.0}], (1,)),  # objects
+    ({"re": 1.0}, (1,)),
+    ([[1.0, 0.0]], (2, 3)),  # a vector where a matrix is due
+])
+def test_array_from_json_rejects(obj, ndims):
+    with pytest.raises(InfeasibleInputError):
+        array_from_json(obj, "input", *ndims)
+
+
+def test_array_from_json_accepts_integers_and_either_rank():
+    assert array_from_json([[1, 2]], "vector", 1).tolist() == [1 + 2j]
+    assert array_from_json([[[1, 0]]], "reference", 1, 2).shape == (1, 1)
+    assert array_from_json([[1, 0]], "reference", 1, 2).shape == (1,)
+
+
+def test_json_text_is_pinned():
+    # the exact text of the codecs' output: [re, im] pairs, shortest
+    # round-trip floats, the sign of a zero kept
+    e = StateEnsemble(dim=2, priors=[1.0], states=[[[1 / 3, 0.25 - 0.5j], [0.25 + 0.5j, 2 / 3]]],
+                      symmetry=SymmetrySpec(order=1, phases=[1.0, 1.0], reference=[1.0, complex(-0.0, 0.0)]))
+    compact = {"separators": (",", ":")}
+    assert json.dumps(ensemble_to_json(e), **compact) == (
+        '{"dim":2,"states":[{"prior":1.0,"matrix":[[[0.3333333333333333,0.0],[0.25,-0.5]],'
+        '[[0.25,0.5],[0.6666666666666666,0.0]]]}],"symmetry":{"order":1,'
+        '"phases":[[1.0,0.0],[1.0,0.0]],"reference":[[1.0,0.0],[-0.0,0.0]]}}')
+    det = DetectionSet(np.array([[[0.5]], [[0.5 + 1e-17j]]]))
+    assert json.dumps(detection_to_json(det), **compact) == (
+        '{"dim":1,"operators":[[[[0.5,0.0]]],[[[0.5,1e-17]]]]}')
 
 
 def test_ensemble_roundtrip_with_symmetry():
@@ -82,6 +125,21 @@ def test_ensemble_from_json_errors():
         ensemble_from_json({"dim": 2, "states": []})
     with pytest.raises(InfeasibleInputError):
         ensemble_from_json({"dim": 2, "states": [{"prior": 0.5}]})
+    one = {"prior": 1.0, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+    assert ensemble_from_json({"dim": 2.0, "states": [one]}).dim == 2  # integral
+    for dim in (2.7, True, "2", None):
+        with pytest.raises(InfeasibleInputError, match="ensemble dim"):
+            ensemble_from_json({"dim": dim, "states": [one]})
+    for prior in ("1.0", True, None, [1.0]):
+        with pytest.raises(InfeasibleInputError, match="not a number"):
+            ensemble_from_json({"dim": 2, "states": [dict(one, prior=prior)]})
+    sym = {"order": 1, "phases": [[1.0, 0.0], [1.0, 0.0]]}
+    assert ensemble_from_json({"dim": 2, "states": [one], "symmetry": sym}).symmetry.order == 1
+    for order in (1.5, True, "1"):
+        with pytest.raises(InfeasibleInputError, match="symmetry order"):
+            ensemble_from_json({"dim": 2, "states": [one], "symmetry": dict(sym, order=order)})
+    with pytest.raises(InfeasibleInputError, match="expected \\(3, 3\\)"):
+        ensemble_from_json({"dim": 3, "states": [one]})
 
 
 def test_detection_roundtrip(trine):

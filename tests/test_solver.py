@@ -287,14 +287,11 @@ def test_solve_numeric_reports_duality_gap(trine):
 
 
 def _stacked_blocks(geo):
-    """The (N, d, b) stack of the W_j zero-padded to b = max m_j, the (N, b)
-    mask of their real columns and the one cluster P = 1 of a generic
-    ensemble."""
+    """geometry's (N, d, b) stack of the W_j, zero-padded to b = max m_j,
+    the (N, b) mask of their real columns and the one cluster P = 1 of a
+    generic ensemble."""
     cols = np.arange(geo.degeneracies.max()) < geo.degeneracies[:, None]
-    w = np.zeros((len(cols), geo.dim, cols.shape[1]), dtype=complex)
-    for j, wj in enumerate(geo.detection_blocks):
-        w[j, :, :wj.shape[1]] = wj
-    return w, cols, np.ones((1, geo.dim), dtype=bool)
+    return geo.detection_blocks, cols, np.ones((1, geo.dim), dtype=bool)
 
 
 def test_stacked_embedding_matches_per_outcome_reference():
@@ -304,7 +301,7 @@ def test_stacked_embedding_matches_per_outcome_reference():
     a, _, _, _ = _interior_point(geo.rho, w, geo.degeneracies, one)
     # the a_j fill the real corners of the stack; the padding stays exactly zero
     assert not np.any(a[~(cols[:, :, None] & cols[:, None, :])])
-    reference = np.stack([wj @ aj[:m, :m] @ wj.conj().T
+    reference = np.stack([wj[:, :m] @ aj[:m, :m] @ wj[:, :m].conj().T
                           for wj, aj, m in zip(geo.detection_blocks, a, geo.degeneracies)])
     assert np.max(np.abs(_embed(w, a) - reference)) < 1e-12
 
