@@ -47,7 +47,6 @@ from .families import (
 from .geometry import geometry
 from .operators import CROSS_CHECK_TOL, EQ_TOL, POS_TOL
 from .serialize import (
-    array_from_json,
     certificate_to_json,
     detection_from_json,
     detection_to_json,
@@ -57,6 +56,7 @@ from .serialize import (
     ensemble_to_json,
     integer_from_json,
     load_json,
+    number_from_json,
     report_to_json,
     validation_to_json,
     witness_to_json,
@@ -185,35 +185,35 @@ def cmd_verify(args) -> int:
     return EXIT_OK if cert.accepted else EXIT_FAIL
 
 
+# the fields each family takes besides its order, all sweepable but dim; a
+# pure-symmetric family is the qubit orbit of an angle at purity 1, with no fixed coefficients
+_FIELDS = {"qubit-mixed": ("purity", "angle"), "flat-mixed": ("purity", "dim"), "pure-symmetric": ("angle",)}
+
+
 def _family_from_json(obj) -> tuple[str, dict]:
     if not isinstance(obj, dict) or "family" not in obj:
         raise MaxconfError("family input needs a 'family' field")
     kind = obj["family"]
-    if kind not in ("pure-symmetric", "qubit-mixed", "flat-mixed"):
+    if not isinstance(kind, str) or kind not in _FIELDS:
         raise MaxconfError(f"unknown family {kind!r}")
+    ignored = sorted(obj.keys() - {"family", "order", *_FIELDS[kind]})
+    if ignored:
+        raise MaxconfError(f"{kind} family takes no {', '.join(map(repr, ignored))}")
     return kind, obj
 
 
-def _family_instance(kind: str, obj: dict, param: str | None, value: float) -> SymmetricFamily:
+def _family_instance(kind: str, obj: dict, param: str, value: float) -> SymmetricFamily:
     order = integer_from_json(obj.get("order"), "family order")
-    if kind == "qubit-mixed":
-        purity = value if param == "purity" else float(obj.get("purity", 1.0))
-        angle = value if param == "angle" else float(obj.get("angle", np.pi / 2))
-        return SymmetricFamily.qubit(order=order, purity=purity, angle=angle)
+    if param not in _FIELDS[kind] or param == "dim":
+        raise MaxconfError(f"{kind} family cannot sweep {param!r}")
+
+    def number(name: str, default: float) -> float:
+        return value if name == param else number_from_json(obj.get(name, default), f"family {name}")
+
     if kind == "flat-mixed":
-        if param not in (None, "purity"):
-            raise MaxconfError(f"flat-mixed family cannot sweep {param!r}")
-        purity = value if param == "purity" else float(obj.get("purity", 1.0))
         dim = integer_from_json(obj.get("dim"), "family dim")
-        return SymmetricFamily.flat(order=order, dim=dim, purity=purity)
-    # pure-symmetric: fixed coefficients, or an angle parameterizing a qubit
-    if param == "angle" or ("angle" in obj and "coefficients" not in obj):
-        angle = value if param == "angle" else float(obj["angle"])
-        return SymmetricFamily.qubit(order=order, purity=1.0, angle=angle)
-    if param not in (None,):
-        raise MaxconfError(f"pure-symmetric family with fixed coefficients cannot sweep {param!r}")
-    c = array_from_json(obj["coefficients"], "family coefficients", 1)
-    return SymmetricFamily(order=order, purity=1.0, coefficients=c)
+        return SymmetricFamily.flat(order=order, dim=dim, purity=number("purity", 1.0))
+    return SymmetricFamily.qubit(order=order, purity=number("purity", 1.0), angle=number("angle", np.pi / 2))
 
 
 def _closed_form(kind: str, family: SymmetricFamily):

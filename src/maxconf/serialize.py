@@ -62,6 +62,13 @@ def integer_from_json(obj: Any, where: str) -> int:
     return int(obj)
 
 
+def number_from_json(obj: Any, where: str) -> float:
+    """A JSON number as a float; a string or a boolean is not one."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise InfeasibleInputError(f"{where}: {obj!r} is not a number")
+    return float(obj)
+
+
 def ensemble_to_json(ensemble: StateEnsemble) -> dict:
     out: dict[str, Any] = {
         "dim": ensemble.dim,
@@ -88,8 +95,8 @@ def ensemble_from_json(obj: Any) -> StateEnsemble:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "prior" not in entry or "matrix" not in entry:
             raise InfeasibleInputError(f"ensemble: state {i} needs 'prior' and 'matrix'")
-        if isinstance(entry["prior"], bool) or not isinstance(entry["prior"], (int, float)):
-            raise InfeasibleInputError(f"ensemble: state {i} has prior {entry['prior']!r}, not a number")
+    priors = np.array([number_from_json(entry["prior"], f"ensemble state {i} prior")
+                       for i, entry in enumerate(entries)])
     states = array_from_json([entry["matrix"] for entry in entries], "ensemble states", 3)
     if states.shape[1:] != (dim, dim):
         raise InfeasibleInputError(f"ensemble: states have shape {states.shape[1:]}, expected ({dim}, {dim})")
@@ -106,7 +113,6 @@ def ensemble_from_json(obj: Any) -> StateEnsemble:
             reference=states[0] if ref is None else array_from_json(ref, "symmetry reference", 1, 2),
         )
 
-    priors = np.array([entry["prior"] for entry in entries], dtype=float)
     return StateEnsemble(dim=dim, priors=priors, states=states, symmetry=symmetry)
 
 
@@ -118,6 +124,8 @@ def detection_from_json(obj: Any) -> DetectionSet:
     if not isinstance(obj, dict) or "operators" not in obj:
         raise InfeasibleInputError("detection: expected an object with 'operators'")
     ops = array_from_json(obj["operators"], "detection operators", 3)
+    if not np.isfinite(ops).all():
+        raise InfeasibleInputError("detection operators: entries must be finite")
     if len(ops) < 2:
         raise InfeasibleInputError("detection: needs the inconclusive operator plus at least one conclusive one")
     dim = ops.shape[-1]
@@ -145,7 +153,10 @@ def certificate_to_json(cert: OptimalityCertificate) -> dict:
 def dual_from_certificate_json(obj: Any) -> np.ndarray:
     if not isinstance(obj, dict) or "z" not in obj:
         raise InfeasibleInputError("certificate: expected an object with field 'z'")
-    return array_from_json(obj["z"], "certificate z", 2)
+    z = array_from_json(obj["z"], "certificate z", 2)
+    if not np.isfinite(z).all():
+        raise InfeasibleInputError("certificate z: entries must be finite")
+    return z
 
 
 def witness_to_json(w: PerturbationWitness) -> dict:

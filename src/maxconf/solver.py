@@ -16,11 +16,7 @@ semidefinite program. This module provides:
 * solve_numeric: a self-contained primal-dual interior-point solver for
   arbitrary ensembles (any degeneracies, no symmetry needed), whose dual
   iterate Z is the certificate; a cyclic ensemble, degenerate ones
-  included, is solved as one covariant block. The blocks a_j are held as
-  an (N, b, b) stack, b = max m_j, and their cone is handled per block;
-  with every m_j = 1 it is a nonnegative orthant, done elementwise. A
-  cyclic ensemble with distinct phases and every m_j = 1 is a linear
-  program, and its steps go further to the boundary of the cones,
+  included, is solved as one covariant block,
 * verify_certificate: checks a dual certificate (Z, detection set) against
   every optimality condition and reports the residuals,
 * perturbation_witness: for a failed certificate, constructs a deformed
@@ -44,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -377,71 +372,49 @@ def solve_rank1_symmetric(
     return _report(ensemble, geo, "analytic", detection, z)
 
 
-@lru_cache(maxsize=64)
-def _hermitian_basis(m: int) -> np.ndarray:
-    """Orthonormal basis of m x m Hermitian matrices (trace inner product),
-    one read-only (m^2, m, m) array: the diagonal units, then a symmetric
-    and an antisymmetric element for each pair k < k'."""
-    basis = np.zeros((m * m, m, m), dtype=complex)
-    diag = np.arange(m)
-    basis[diag, diag, diag] = 1.0
-    k, kp = np.triu_indices(m, 1)
-    r = m + 2 * np.arange(k.size)
-    basis[r, k, kp] = basis[r, kp, k] = 1.0 / np.sqrt(2.0)
-    basis[r + 1, k, kp] = 1j / np.sqrt(2.0)
-    basis[r + 1, kp, k] = -1j / np.sqrt(2.0)
-    basis.flags.writeable = False
-    return basis
+def _entry_tables(widths: np.ndarray, b: int, n_clusters: int):
+    """Index tables, made once per solve, over the n = sum_j m_j^2 entries
+    of the blocks' real m_j x m_j corners in block, row, column order:
+    (blk, row, col), each entry's place in an (N, b, b) stack; swap, the
+    entry of its transpose; take, the flat indices of Y_c[cols[i], rows[k]]
+    and K_c[cols[k], rows[i]] in (C, M, M) stacks, entry i sitting at row
+    rows[i] and column cols[i] of the unpadded M x M layout; and local, for
+    each pair (i, k) inside one block j, the flat index of (i, k) in an
+    n x n matrix and those of X1_j[col_i, row_k] and A^-1_j[col_k, row_i]."""
+    m = int(widths.sum())
+    real = np.arange(b) < widths[:, None]
+    blk, row, col = np.nonzero(real[:, :, None] & real[:, None, :])
+    first, start = np.cumsum(widths ** 2) - widths ** 2, np.cumsum(widths) - widths
+    rows, cols = start[blk] + row, start[blk] + col
+    take = np.arange(n_clusters)[:, None, None] * m * m + cols[:, None] * m + rows
+    i, k = np.nonzero(blk[:, None] == blk)
+    at = blk[i] * b * b
+    local = np.stack((i * blk.size + k, at + col[i] * b + row[k], at + col[k] * b + row[i]))
+    swap = first[blk] + col * widths[blk] + row
+    return (blk, row, col), swap, np.stack((take, take.swapaxes(1, 2))), local
 
 
-def _width_groups(widths: np.ndarray) -> list[tuple[int, int, int, int, int]]:
-    """The runs of equal width in the nondecreasing widths, as (lo, hi, m,
-    col, at): blocks lo..hi-1 have width m, their columns of the unpadded
-    W = [W_1 ... W_N] start at col, and their m^2 Hermitian coordinates
-    each at at in the coordinate vector."""
-    edges = [0, *(np.flatnonzero(np.diff(widths)) + 1).tolist(), len(widths)]
-    groups, col, at = [], 0, 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = int(widths[lo])
-        groups.append((lo, hi, m, col, at))
-        col, at = col + (hi - lo) * m, at + (hi - lo) * m * m
-    return groups
-
-
-def _newton_system(x1, a_inv, y, k, groups):
-    """Schur complement of the HKM Newton system in the Hermitian
-    coordinates of the blocks: Re(B (T(X1, A^-1) + sum_c T(Y_c, K_c)) B^T)
-    with T(X, Y)[(j, a, b), (l, c, e)] = X[(j, b), (l, c)] Y[(l, e), (j, a)]
-    and B[r, (a, b)] = E_r[a, b] over _hermitian_basis(m_j), applied per
-    block. x1 and a_inv are (N, b, b) stacks, so T(X1, A^-1) is
-    block-diagonal, and only their real m_j x m_j corners are read; y and k
-    are the (C, M, M) stacks Y_c = W^dagger P_c Z P_c W and
+def _newton_system(x1, a_inv, y, k, take, local, swap):
+    """Schur complement of the HKM Newton system over the entries of the
+    blocks (_entry_tables): with E_i the unit matrix of entry i,
+    T[i, k] = Tr(E_i X1 E_k A^-1) + sum_c Tr(E_i Y_c E_k K_c), one gather per
+    cluster and one over the pairs inside a block, and S = T + T^T. x1 and
+    a_inv are (N, b, b) stacks, read only on the real m_j x m_j corners;
+    y and k are the (C, M, M) stacks Y_c = W^dagger P_c Z P_c W and
     K_c = W^dagger P_c S^-1 P_c W over the clusters P_c of the constraint,
-    with W = [W_1 ... W_N] unpadded, M = sum_j m_j. groups are the runs of
-    equal width (_width_groups); the system is built one pair of runs at a
-    time, so it costs (sum_j m_j^2)^2 however the widths differ. On the
-    central path (X1 = A^-1 / t, Z = S^-1 / t) it is the negated Hessian of
-    the log barrier over t."""
-    lo, hi, m, _, at = groups[-1]
-    size = at + (hi - lo) * m * m
-    schur = np.empty((size, size))
-    kt = k.swapaxes(1, 2)
-    for lo, hi, p, c, row in groups:
-        ng, rows = hi - lo, (hi - lo) * p * p
-        for lo2, hi2, q, c2, col in groups:
-            nh, cols = hi2 - lo2, (hi2 - lo2) * q * q
-            t = (y[:, c:c + ng * p, c2:c2 + nh * q].reshape(-1, ng, 1, p, nh, q, 1)
-                 * kt[:, c:c + ng * p, c2:c2 + nh * q].reshape(-1, ng, p, 1, nh, 1, q)).sum(axis=0)
-            t = t.reshape(ng, p * p, nh, q * q)
-            if lo == lo2:
-                diag = np.arange(ng)
-                t[diag, :, diag] += (x1[lo:hi, None, :p, :p, None]
-                                     * a_inv[lo:hi, :p, :p].swapaxes(1, 2)[:, :, None, None, :]
-                                     ).reshape(ng, p * p, p * p)
-            t = _hermitian_basis(p).reshape(p * p, p * p) @ t.reshape(ng, p * p, cols)
-            t = t.reshape(-1, q * q) @ _hermitian_basis(q).reshape(q * q, q * q).T
-            schur[row:row + rows, col:col + cols] = t.real.reshape(rows, cols)
-    return schur
+    W = [W_1 ... W_N] unpadded, M = sum_j m_j.
+
+    Returned is the real system S.real + S[:, swap].imag. It maps the real
+    coordinates h of a Hermitian dA, whose entries are
+    v = (1 + i) h + (1 - i) h[swap], to Re u + Im u with u_i = Tr(E_i H) for
+    H the Hermitian part of X1 dA A^-1 + sum_c Y_c dA K_c, and costs
+    (sum_j m_j^2)^2 per cluster however the widths differ. On the central
+    path (X1 = A^-1 / t, Z = S^-1 / t) H is the negated Hessian of the log
+    barrier over t, applied to dA."""
+    t = (y.ravel()[take[0]] * k.ravel()[take[1]]).sum(axis=0)
+    t.ravel()[local[0]] += x1.ravel()[local[1]] * a_inv.ravel()[local[2]]
+    t = t + t.T
+    return t.real + t[:, swap].imag
 
 
 def _embed(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -499,21 +472,19 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     geometry.detection_blocks); A and X1 are (N, b, b) stacks exactly zero
     off the real m_j x m_j blocks, and the identity is added on the padding
     only to factor them, so the padding never enters the gap, nu or the
-    Schur system. The loop orders the blocks by width and builds the Schur
-    system one run of equal widths at a time, so its size is sum_j m_j^2
-    however much the widths differ; A comes back in the order of w. The
-    (A, X1) pair is factored, inverted and step-bounded per block by the
-    stacked cholesky / inv / eigvalsh; when b = 1 it is a nonnegative
-    orthant, and its factor, inverse, step bound and coordinates are
-    elementwise. The (C, d) 0/1 indicator clusters gives the diagonal
-    projectors P_c; a generic ensemble has the one cluster P = 1, a
-    covariant one the eigenspaces of its generator. The cone pairs are
-    (A, X1) with X1_j = W_j^dagger (Z - rho) W_j, and (S, Z) with
+    Schur system, which is built over the sum_j m_j^2 entries of the blocks
+    in any order of widths. The (A, X1) pair is factored, inverted and
+    step-bounded per block by the stacked cholesky / inv / eigvalsh; when
+    b = 1 it is a nonnegative orthant, done elementwise. The (C, d) 0/1
+    indicator clusters gives the diagonal projectors P_c; a generic
+    ensemble has the one cluster P = 1, a covariant one the eigenspaces of
+    its generator. The cone pairs are (A, X1) with
+    X1_j = W_j^dagger (Z - rho) W_j, and (S, Z) with
     S = 1 - pinch(sum_j W_j a_j W_j^dagger), a dense d x d pair; both are
     functions of A and Z, so every iterate is primal and dual feasible and
     the duality gap is Tr(X1 A) + Tr(Z S) = Tr Z - R. Each iteration builds
-    the Schur complement (_newton_system) once and solves it for the
-    predictor and the corrector.
+    the Schur complement (_newton_system) once and solves it, in real
+    arithmetic, for the predictor and the corrector.
 
     Near the optimum a predictor-corrector step can leave a pair far from
     commuting: Tr(Z S) ~ gap while ||Z S|| ~ sqrt(gap), too large for the
@@ -542,10 +513,6 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     """
     n, d, b = w.shape
     nu = d + int(widths.sum())
-    # blocks in nondecreasing width, so that each width is one run
-    order = np.argsort(widths, kind="stable")
-    w, widths = w[order], widths[order]
-    groups = _width_groups(widths)
     wh = w.conj().swapaxes(1, 2)
     wf = w.transpose(1, 0, 2).reshape(d, n * b)  # [W_1 ... W_N], padded
     wfh = wf.conj().T
@@ -556,6 +523,7 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     wch = wc.conj().swapaxes(1, 2)
     gains = wh @ rho @ w
     pad = np.eye(b) * ~cols[:, None, :]  # the identity on the padding
+    (blk, row, col), swap, take, local = _entry_tables(widths, b, len(clusters))
     # with every cone 1 x 1 (b = 1, clusters of one coordinate) the problem is an LP
     to_boundary = _TO_BOUNDARY_ORTHANT if b == 1 and clusters.sum(axis=1).max() == 1 else _TO_BOUNDARY
 
@@ -564,26 +532,6 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
 
     def total(x):
         return (w @ x).transpose(1, 0, 2).reshape(d, n * b) @ wfh
-
-    # the Hermitian coordinates Re Tr(E_r x_j) of a stack x over each block's
-    # real m_j x m_j corner, in the order of _width_groups, and back; on the
-    # orthant (b = 1) they are the entries themselves
-    def coordinates(x):
-        if b == 1:
-            return x.real.ravel()
-        return np.concatenate([
-            (x[lo:hi, :m, :m].swapaxes(1, 2).reshape(-1, m * m)
-             @ _hermitian_basis(m).reshape(m * m, m * m).T).real.ravel()
-            for lo, hi, m, _, _ in groups])
-
-    def stack(v):
-        if b == 1:
-            return v.reshape(n, 1, 1)
-        x = np.zeros((n, b, b), dtype=complex)
-        for lo, hi, m, _, at in groups:
-            x[lo:hi, :m, :m] = (v[at:at + (hi - lo) * m * m].reshape(-1, m * m)
-                                @ _hermitian_basis(m).reshape(m * m, m * m)).reshape(-1, m, m)
-        return x
 
     # strictly feasible start: scaled identities keeping the total below
     # 1/2, with ||W_j W_j^dagger|| = ||W_j^dagger W_j|| from the Gram stack
@@ -604,7 +552,7 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
         commuting = np.sqrt(np.vdot(xa, xa).real) + np.sqrt(np.vdot(zs, zs).real) <= gap
         if (commuting and gap <= GAP_TOL
                 and sum(_certificate_ranks(np.linalg.eigvalsh(z), np.linalg.eigvalsh(s))) <= d):
-            return a[np.argsort(order)], iterations, gap, z
+            return a, iterations, gap, z
         if iterations >= MAX_ITERATIONS:
             raise NotConvergedError(
                 f"iteration budget {MAX_ITERATIONS} exhausted at duality gap {gap:.3e}"
@@ -616,7 +564,7 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
                                         _cone_factors(np.array((s, z))))
         except np.linalg.LinAlgError:
             raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
-        schur = _newton_system(x1, a_inv, wch @ z @ wc, wch @ s_inv @ wc, groups)
+        schur = _newton_system(x1, a_inv, wch @ z @ wc, wch @ s_inv @ wc, take, local, swap)
         # S^-1 is pinched like S, so the diagonal blocks of sum_c K_c are W_j^dagger S^-1 W_j
         centering = a_inv - blocks(s_inv)
 
@@ -637,7 +585,12 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
                 (da0, ds0), (dx0, dz0) = affine
                 corr_s = hermitian_part(dz0 @ ds0 @ s_inv)
                 rhs = rhs - hermitian_part(dx0 @ da0 @ a_inv) + blocks(corr_s)
-            da = stack(solve(coordinates(rhs)))
+            # in the real coordinates of _newton_system: Re u + Im u of
+            # u_i = Tr(E_i rhs), and back, dA of entries (1 + i) h + (1 - i) h[swap]
+            u = rhs[blk, col, row]
+            h = solve(u.real + u.imag)
+            da = np.zeros((n, b, b), dtype=complex)
+            da[blk, row, col] = (1 + 1j) * h + (1 - 1j) * h[swap]
             ds = -total(da) * pinch
             dz = hermitian_part(target * s_inv - z - z @ ds @ s_inv - corr_s)
             return (da, ds), (blocks(dz), dz)

@@ -170,6 +170,23 @@ def test_verify_rejects_corrupted_dual(trine_file, tmp_path, capsys):
     assert "witness" in result
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "infinity"])
+@pytest.mark.parametrize("field", ["certificate z", "detection operators"])
+def test_verify_names_non_finite_solution_arrays(trine_file, tmp_path, capsys, field, bad):
+    out = tmp_path / "solution.json"
+    main(["solve", "--input", str(trine_file), "--output", str(out)])
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    section, key = field.split()
+    pair = obj[section][key][-1]
+    while isinstance(pair[0], list):
+        pair = pair[0]
+    pair[1] = bad  # an imaginary part in the last matrix
+    out.write_text(json.dumps(obj), encoding="utf-8")  # writes the bare token NaN or Infinity
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out)]) == 2
+    assert f"{field}: entries must be finite" in capsys.readouterr().err
+
+
 def test_verify_needs_solution_file(tmp_path):
     p = tmp_path / "partial.json"
     p.write_text(json.dumps({"ensemble": {}}), encoding="utf-8")
@@ -222,6 +239,36 @@ def test_sweep_rejects_bad_grid(tmp_path):
     p.write_text(json.dumps(spec), encoding="utf-8")
     assert main(["sweep", "--input", str(p), "--grid", "angle:0.1:0.9"]) == 2
     assert main(["sweep", "--input", str(p)]) == 2
+
+
+@pytest.mark.parametrize("spec, grid, message", [
+    ({"family": "qubit-mixed", "order": 3, "purity": "0.5"}, "angle:0.3:1.2:2", "'0.5' is not a number"),
+    ({"family": "qubit-mixed", "order": 3, "purity": True}, "angle:0.3:1.2:2", "True is not a number"),
+    ({"family": "qubit-mixed", "order": 3, "angle": None}, "purity:0.3:0.9:2", "None is not a number"),
+    ({"family": "qubit-mixed", "order": 3}, "foo:0.3:1.2:3", "cannot sweep 'foo'"),
+    ({"family": "flat-mixed", "order": 4, "dim": 2}, "angle:0.3:1.2:3", "cannot sweep 'angle'"),
+    ({"family": "pure-symmetric", "order": 4, "angle": 0.7}, "purity:0.3:0.9:3", "cannot sweep 'purity'"),
+    ({"family": "pure-symmetric", "order": 3, "coefficients": [[0.6, 0.0], [0.64, 0.0], [0.48, 0.0]]},
+     "angle:0.3:1.2:3", "takes no 'coefficients'"),
+    ({"family": "pure-symmetric", "order": 3, "purity": 0.5}, "angle:0.3:1.2:3", "takes no 'purity'"),
+    ({"family": "qubit-mixed", "order": 3, "dim": 5, "phases": 7}, "angle:0.3:1.2:3",
+     "takes no 'dim', 'phases'"),
+    ({"family": "flat-mixed", "order": 4, "dim": 2}, "dim:2:4:3", "cannot sweep 'dim'"),
+], ids=["string-purity", "boolean-purity", "null-angle", "unknown-parameter", "flat-angle",
+        "pure-purity", "pure-coefficients", "pure-fixed-purity", "qubit-extra-fields", "flat-dim"])
+def test_sweep_refuses_parameters_it_would_misread_or_ignore(tmp_path, capsys, spec, grid, message):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["sweep", "--input", str(p), "--grid", grid]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_reads_integral_numbers(tmp_path, capsys):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps({"family": "qubit-mixed", "order": 3, "purity": 1}), encoding="utf-8")
+    assert main(["sweep", "--input", str(p), "--grid", "angle:0.3:1.2:2"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 2 and rows[0] != rows[1]
 
 
 def test_sweep_rejects_unknown_family(tmp_path):

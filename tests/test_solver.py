@@ -33,10 +33,9 @@ from maxconf.solver import (
     _cone_factors,
     _cone_lows,
     _embed,
-    _hermitian_basis,
+    _entry_tables,
     _interior_point,
     _newton_system,
-    _width_groups,
 )
 from conftest import (
     mixed_width_ensemble,
@@ -366,23 +365,30 @@ def test_interior_point_stops_on_a_nan_iterate():
             _interior_point(rho, w, geo.degeneracies, one)
 
 
-def test_solve_numeric_interleaved_widths():
-    # the states at 0 and 4 equal the average of the others, so their top
-    # eigenspace is all of C^3 (m = 3) while the rest have m = 1; the loop
-    # runs on the blocks ordered by width and returns A in ensemble order
-    rest = random_ensemble(np.random.default_rng(23), 3, 6)
-    states, priors = np.array(rest.states), np.array(rest.priors)
-    avg = np.einsum("j,jab->ab", priors, states)
-    order = [6, 0, 1, 2, 6, 3, 4, 5]
-    e = StateEnsemble(dim=3, priors=np.append(0.5 * priors, 0.25)[order],
-                      states=np.concatenate([states, avg[None]])[order])
+def _with_averages(rng, dim, n, at):
+    """n states of C^dim: random full-rank ones, with the states at the
+    positions at equal to their average, so that those states' top
+    eigenspace is all of C^dim (m = dim) while the rest have m = 1."""
+    rest = random_ensemble(rng, dim, n - len(at))
+    others = np.setdiff1d(np.arange(n), at)
+    priors, states = np.empty(n), np.empty((n, dim, dim), dtype=complex)
+    priors[others], states[others] = 0.5 * np.array(rest.priors), rest.states
+    priors[at], states[at] = 0.5 / len(at), np.einsum("j,jab->ab", rest.priors, np.array(rest.states))
+    return StateEnsemble(dim=dim, priors=priors, states=states)
+
+
+def _check_against_width_sorted(dim, n, at):
+    # blocks of different widths need no ordering: the solve must match the
+    # solve of the same states sorted by width, up to that permutation
+    e = _with_averages(np.random.default_rng(23), dim, n, at)
     geo = geometry(e)
-    assert geo.degeneracies.tolist() == [3, 1, 1, 1, 3, 1, 1, 1]
+    assert geo.degeneracies.tolist() == [dim if j in at else 1 for j in range(n)]
     report = solve_numeric(e, geo)
     assert report.certified, report.certificate.failures
-    by_width = [1, 2, 3, 5, 6, 7, 0, 4]
-    sorted_e = StateEnsemble(dim=3, priors=e.priors[by_width], states=e.states[by_width])
+    by_width = np.argsort(geo.degeneracies, kind="stable")
+    sorted_e = StateEnsemble(dim=dim, priors=e.priors[by_width], states=e.states[by_width])
     sorted_report = solve_numeric(sorted_e)
+    assert sorted_report.certified, sorted_report.certificate.failures
     assert abs(report.failure_probability - sorted_report.failure_probability) < 1e-9
     gaps = report.detection.conclusive[by_width] - sorted_report.detection.conclusive
     assert np.max(np.abs(gaps)) < 1e-6
@@ -390,6 +396,15 @@ def test_solve_numeric_interleaved_widths():
     a, _, gap, _ = _interior_point(geo.rho, w, geo.degeneracies, one)
     assert not np.any(a[~(cols[:, :, None] & cols[:, None, :])])
     assert gap == report.duality_gap
+
+
+def test_solve_numeric_interleaved_widths():
+    _check_against_width_sorted(3, 8, [0, 4])
+
+
+def test_solve_numeric_three_wide_blocks_among_thirty():
+    # 30 states of C^6 with m = 6 at 0, 10 and 20 and m = 1 elsewhere
+    _check_against_width_sorted(6, 30, [0, 10, 20])
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -406,90 +421,41 @@ def test_solve_numeric_degenerate_tops(k):
     assert np.max(np.abs(report.confidences - geo.confidences)) < 1e-8
 
 
-def _reference_barrier_hessian(blocks, a_blocks):
-    """Hessian of log det A + log det S, one einsum per block pair."""
-    d = blocks[0].shape[0]
-    total = sum(w @ a @ w.conj().T for w, a in zip(blocks, a_blocks))
-    s_inv = np.linalg.inv(np.eye(d) - total)
-    bases = [_hermitian_basis(w.shape[1]) for w in blocks]
-    offsets = np.cumsum([0] + [b.shape[0] for b in bases])
-    hess = np.zeros((offsets[-1], offsets[-1]))
-    for j, (wj, aj, bj) in enumerate(zip(blocks, a_blocks, bases)):
-        a_inv = np.linalg.inv(aj)
-        sl_j = slice(offsets[j], offsets[j + 1])
-        hess[sl_j, sl_j] -= np.einsum("ab,rbc,cd,sda->rs", a_inv, bj, a_inv, bj).real
-        for k, (wk, bk) in enumerate(zip(blocks, bases)):
-            c = wj.conj().T @ s_inv @ wk
-            t2 = np.einsum("rab,bc,scd,ad->rs", bj, c, bk, c.conj()).real
-            hess[sl_j, offsets[k]:offsets[k + 1]] -= t2
-    return hess
+def _random_blocks(rng, d, widths):
+    """Zero-padded (N, d, b) detection blocks, and an (N, b, b) stack of
+    well-conditioned random positive blocks A_j with W A W^dagger <= 1/2."""
+    n, b = len(widths), max(widths)
+    w = np.zeros((n, d, b), dtype=complex)
+    a = np.zeros((n, b, b), dtype=complex)
+    for j, m in enumerate(widths):
+        w[j, :, :m] = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+        a[j, :m, :m] = random_density(rng, m) + np.eye(m)
+    return w, a * 0.5 / np.linalg.norm(_embed(w, a).sum(axis=0), 2)
 
 
-def _padded(blocks, mats=None, fill=1.0):
-    """Zero-pad (d, m_j) blocks into an (N, d, b) stack, or (m_j, m_j)
-    matrices into an (N, b, b) stack with fill times the identity on the
-    padding."""
-    b = max(x.shape[1] for x in blocks)
-    if mats is None:
-        out = np.zeros((len(blocks), blocks[0].shape[0], b), dtype=complex)
-        for j, x in enumerate(blocks):
-            out[j, :, :x.shape[1]] = x
-        return out
-    out = np.tile(fill * np.eye(b, dtype=complex), (len(mats), 1, 1))
-    for j, x in enumerate(mats):
-        out[j, :len(x), :len(x)] = x
-    return out
+def _random_step(rng, widths):
+    """A random Hermitian (N, b, b) stack, zero off the m_j x m_j corners."""
+    b = max(widths)
+    da = np.zeros((len(widths), b, b), dtype=complex)
+    for j, m in enumerate(widths):
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        da[j, :m, :m] = g + g.conj().T
+    return da
 
 
-@pytest.mark.parametrize("widths", [(1, 2, 3), (1, 1, 1, 1)])
-def test_newton_system_matches_block_pairs(widths):
-    rng = np.random.default_rng(7)
-    d, t = 5, 2.3
-    blocks = [rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m)) for m in widths]
-    a_blocks = [random_density(rng, m) for m in widths]
-    # scale into the interior: W A W^dagger <= 1/2
-    scale = 0.5 / np.linalg.norm(sum(w @ a @ w.conj().T for w, a in zip(blocks, a_blocks)), 2)
-    a_blocks = [scale * a for a in a_blocks]
-    wf = np.concatenate(blocks, axis=1)
-    # the central point of parameter 1/t: X1 = A^-1 / t and Z = S^-1 / t,
-    # where the Schur complement is the negated barrier Hessian over t
-    a_inv = np.linalg.inv(_padded(blocks, a_blocks))
-    s = np.eye(d) - sum(b @ a @ b.conj().T for b, a in zip(blocks, a_blocks))
-    k = wf.conj().T @ np.linalg.inv(s) @ wf
-    schur = _newton_system(a_inv / t, a_inv, k[None] / t, k[None], _width_groups(np.array(widths)))
-    ref_hess = _reference_barrier_hessian(blocks, a_blocks)
-    assert np.linalg.norm(schur + ref_hess / t) <= 1e-10 * np.linalg.norm(ref_hess / t)
-    if set(widths) == {1}:
-        a_diag = np.array([a[0, 0].real for a in a_blocks])
-        closed = (np.abs(k) ** 2 + np.diag(1.0 / a_diag ** 2)) / t
-        assert np.allclose(schur, closed, rtol=1e-10, atol=0)
+def _real_coordinates(entries, swap, da, target):
+    """The coordinates h of the step da that _newton_system takes, after
+    checking that they give da back, and its image Re u + Im u of the
+    Hermitian target stack, u_i = Tr(E_i target_j) = target_j[col_i, row_i]."""
+    blk, row, col = entries
+    v = da[blk, row, col]
+    h = (v.real + v.imag) / 2.0
+    assert np.allclose((1 + 1j) * h + (1 - 1j) * h[swap], v, rtol=0, atol=1e-14)
+    u = target[blk, col, row]
+    return h, u.real + u.imag
 
 
-def _block_units(widths):
-    """The Hermitian basis of each block, embedded as M x M matrices on the
-    block's diagonal position, M = sum of the widths, in block order."""
-    m_total, units, lo = sum(widths), [], 0
-    for m in widths:
-        for e in _hermitian_basis(m):
-            u = np.zeros((m_total, m_total), dtype=complex)
-            u[lo:lo + m, lo:lo + m] = e
-            units.append(u)
-        lo += m
-    return np.array(units)
-
-
-def _reference_cluster_schur(x1, a_inv, ys, ks, widths):
-    """Re Tr(E_r H(E_s)) with H(E) = X1 E A^-1 + sum_c Y_c E K_c, built one
-    basis element and one cluster at a time on the dense M x M matrices."""
-    units = _block_units(widths)
-    schur = np.zeros((len(units),) * 2)
-    for s, e_s in enumerate(units):
-        h = x1 @ e_s @ a_inv
-        for y, k in zip(ys, ks):
-            h = h + y @ e_s @ k
-        for r, e_r in enumerate(units):
-            schur[r, s] = np.trace(e_r @ h).real
-    return schur
+WIDTHS = [(1, 2, 3), (3, 1, 2), (1, 1, 1, 1)]
 
 
 @pytest.mark.parametrize("clusters", [
@@ -498,58 +464,78 @@ def _reference_cluster_schur(x1, a_inv, ys, ks, widths):
     np.eye(5).tolist(),
 ], ids=["one", "three", "five"])
 def test_newton_system_sums_over_clusters(clusters):
+    # on a Hermitian block-diagonal dA the system gives the Hermitian part of
+    # X1 dA A^-1 + sum_c Y_c dA K_c, checked on the dense M x M matrices
     rng = np.random.default_rng(8)
-    d, widths = 5, (1, 2, 3)
     clusters = np.array(clusters, dtype=bool)
     pinch = clusters.T @ clusters
-    a_blocks, x1_blocks = [], []
-    for m in widths:
-        a_blocks.append(random_density(rng, m))
-        x1_blocks.append(random_density(rng, m))
-    m = sum(widths)
-    wd = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-    w_blocks = np.split(wd, np.cumsum(widths)[:-1], axis=1)
-    z, s = (random_density(rng, d) * pinch for _ in range(2))
-    # the per-block stacks the solver holds ...
-    wdc = clusters[:, :, None] * wd
-    ys = wdc.conj().swapaxes(1, 2) @ z @ wdc
-    ks = wdc.conj().swapaxes(1, 2) @ np.linalg.inv(s) @ wdc
-    x1 = _padded(w_blocks, x1_blocks, fill=0.0)  # X1 is zero on the padding
-    a_inv = np.linalg.inv(_padded(w_blocks, a_blocks))
-    schur = _newton_system(x1, a_inv, ys, ks, _width_groups(np.array(widths)))
-    # ... against the dense M x M matrices, one basis element at a time
-    edges = np.cumsum([0, *widths])
-    dense_x1, dense_a_inv = (np.zeros((edges[-1],) * 2, dtype=complex) for _ in range(2))
-    for lo, hi, xj, aj in zip(edges[:-1], edges[1:], x1_blocks, a_blocks):
-        dense_x1[lo:hi, lo:hi], dense_a_inv[lo:hi, lo:hi] = xj, np.linalg.inv(aj)
-    reference = _reference_cluster_schur(dense_x1, dense_a_inv, ys, ks, widths)
-    assert np.linalg.norm(schur - reference) <= 1e-12 * np.linalg.norm(reference)
-    if len(clusters) == 1:
-        # one cluster: the unreduced T(X1, A^-1) + T(Y, K) with Y = W^dagger Z W
-        # over the index pairs (a, b) inside each block, T[i, k] =
-        # X[q_i, p_k] Y[q_k, p_i] with p_i = a and q_i = b, in the coordinates
-        # of B = diag(E_1, ..., E_N) with E_j the basis of
-        # _hermitian_basis(m_j), one block pair at a time
-        y, k = wd.conj().T @ z @ wd, wd.conj().T @ np.linalg.inv(s) @ wd
-        dense = [np.zeros((edges[-1],) * 2, dtype=complex) for _ in range(2)]
-        for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            for out, stack in zip(dense, (x1, a_inv)):
-                out[lo:hi, lo:hi] = stack[j, :hi - lo, :hi - lo]
-        pairs = [np.array([(a, c) for a in range(lo, hi) for c in range(lo, hi)]).T
-                 for lo, hi in zip(edges[:-1], edges[1:])]
-        herm = [_hermitian_basis(m).reshape(m * m, m * m) for m in widths]
-        unreduced = np.block([[
-            (e_j @ (dense[0][np.ix_(q_j, p_l)] * dense[1][np.ix_(q_l, p_j)].T
-                    + y[np.ix_(q_j, p_l)] * k[np.ix_(q_l, p_j)].T) @ e_l.T).real
-            for (p_l, q_l), e_l in zip(pairs, herm)] for (p_j, q_j), e_j in zip(pairs, herm)])
-        assert np.array_equal(schur, unreduced)
+    for widths in WIDTHS:
+        n, b, m = len(widths), max(widths), sum(widths)
+        w, a = _random_blocks(rng, 5, widths)
+        x1 = _random_step(rng, widths)
+        z, s = (random_density(rng, 5) * pinch for _ in range(2))
+        real = np.arange(b) < np.array(widths)[:, None]
+        wc = clusters[:, :, None] * w.transpose(1, 0, 2)[:, real]  # unpadded, per cluster
+        ys = wc.conj().swapaxes(1, 2) @ z @ wc
+        ks = wc.conj().swapaxes(1, 2) @ np.linalg.inv(s) @ wc
+        # the padding of X1 and A^-1 is never read
+        a_inv = np.full((n, b, b), np.nan, dtype=complex)
+        for j, mj in enumerate(widths):
+            a_inv[j, :mj, :mj] = np.linalg.inv(a[j, :mj, :mj])
+        x1[~(real[:, :, None] & real[:, None, :])] = np.nan
+        entries, swap, take, local = _entry_tables(np.array(widths), b, len(clusters))
+        system = _newton_system(x1, a_inv, ys, ks, take, local, swap)
+        assert system.shape == (sum(mj * mj for mj in widths),) * 2
+
+        def dense(stack):
+            out, lo = np.zeros((m, m), dtype=complex), 0
+            for j, mj in enumerate(widths):
+                out[lo:lo + mj, lo:lo + mj], lo = stack[j, :mj, :mj], lo + mj
+            return out
+
+        def corners(x):
+            out, lo = np.zeros((n, b, b), dtype=complex), 0
+            for j, mj in enumerate(widths):
+                out[j, :mj, :mj], lo = x[lo:lo + mj, lo:lo + mj], lo + mj
+            return out
+
+        for _ in range(3):
+            da = _random_step(rng, widths)
+            hm = dense(x1) @ dense(da) @ dense(a_inv) + sum(y @ dense(da) @ k for y, k in zip(ys, ks))
+            h, image = _real_coordinates(entries, swap, da, corners((hm + hm.conj().T) / 2.0))
+            assert np.linalg.norm(system @ h - image) <= 1e-12 * np.linalg.norm(image)
 
 
-def test_hermitian_basis_is_one_orthonormal_array():
-    basis = _hermitian_basis(3)
-    assert basis.shape == (9, 3, 3) and not basis.flags.writeable
-    assert np.allclose(basis, basis.conj().transpose(0, 2, 1))
-    assert np.allclose(np.einsum("rab,sba->rs", basis, basis), np.eye(9))
+@pytest.mark.parametrize("widths", WIDTHS)
+def test_newton_system_is_the_barrier_hessian_at_the_center(widths):
+    # at the central point of parameter 1/t (X1 = A^-1 / t, Z = S^-1 / t) the
+    # system is the negated Hessian of log det A + log det S over t, here a
+    # central difference of the gradient A^-1 - W_j^dagger S^-1 W_j
+    rng = np.random.default_rng(7)
+    d, t, eps = 5, 2.3, 1e-7
+    n, b = len(widths), max(widths)
+    w, a = _random_blocks(rng, d, widths)
+    real = np.arange(b) < np.array(widths)[:, None]
+    pad = np.eye(b) * ~real[:, None, :]
+    wf = w.transpose(1, 0, 2)[:, real]
+
+    def gradient(a):
+        s_inv = np.linalg.inv(np.eye(d) - _embed(w, a).sum(axis=0))
+        return np.linalg.inv(a + pad) - pad - w.conj().swapaxes(1, 2) @ s_inv @ w
+
+    a_inv = np.linalg.inv(a + pad)
+    k = wf.conj().T @ np.linalg.inv(np.eye(d) - _embed(w, a).sum(axis=0)) @ wf
+    entries, swap, take, local = _entry_tables(np.array(widths), b, 1)
+    system = _newton_system(a_inv / t, a_inv, k[None] / t, k[None], take, local, swap)
+    for _ in range(3):
+        da = _random_step(rng, widths)
+        hess = (gradient(a + eps * da) - gradient(a - eps * da)) / (2.0 * eps)
+        h, image = _real_coordinates(entries, swap, da, -hess / t)
+        assert np.linalg.norm(system @ h - image) <= 1e-7 * np.linalg.norm(image)
+    if set(widths) == {1}:
+        # the orthant: twice |K|^2 + diag(1 / a^2), over t
+        closed = 2.0 * (np.abs(k) ** 2 + np.diag(1.0 / a[:, 0, 0].real ** 2)) / t
+        assert np.allclose(system, closed, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["depolarized-qutrit", "repeated-phases", "embedded"])
