@@ -14,10 +14,12 @@ module computes that data once and hands it to the solvers:
 * Lambda_j: projector onto rho^(-1/2) applied to that eigenspace, the
   subspace any confidence-C_j detection operator must live in.
 
-Lambda_j is computed two independent ways (orthonormalization of the mapped
-eigenvectors, and the congruence formula through (P_j rho^-1 P_j)^+) and the
-results are cross-checked; a disagreement means the input is too
-ill-conditioned to trust and raises GeometryInconsistencyError.
+None of it needs rho^(-1/2). The factors rho_j = F_j F_j^dagger stack to
+F = [sqrt(eta_j) F_j] = U Sigma V^dagger, so rho~_j = U V_j^dagger V_j U^dagger
+with V_j the rows of V of state j: C_j = sigma_max(V_j)^2, the top
+eigenvectors are U g_j and W_j = U Sigma^-1 g_j for the top right singular
+vectors g_j of V_j (the square-root-measurement algebra of Eldar & Forney,
+IEEE TIT 47, 858 (2001)). Ranks are cut at rounding floors only.
 """
 
 from __future__ import annotations
@@ -27,24 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import StateEnsemble, average_state, validate
-from .errors import (
-    DegenerateMappingError,
-    GeometryInconsistencyError,
-    InfeasibleInputError,
-)
+from .errors import DegenerateMappingError, GeometryInconsistencyError, InfeasibleInputError
 from .operators import (
     DEGENERACY_RTOL,
+    EPS,
     SPLIT_TOL,
     TOL_CONF,
-    TOL_HERM,
-    TOL_ORTH,
-    TOL_PSD,
-    TOL_RECON,
-    eig_hermitian,
     hermitian_part,
     opnorm,
     psd_power,
-    support_cutoff,
+    support_projector,
 )
 
 
@@ -58,9 +52,6 @@ class MCGeometry:
     ----------
     dim : ambient dimension.
     rho : average state.
-    rho_support : projector onto the support of rho.
-    inv_sqrt_rho : rho^(-1/2) on the support.
-    transformed : (N, d, d) array of rho~_j.
     confidences : (N,) top eigenvalues C_j.
     degeneracies : (N,) multiplicities m_j of the top eigenvalues.
     top_projectors : (N, d, d) projectors P_j.
@@ -76,9 +67,6 @@ class MCGeometry:
 
     dim: int
     rho: np.ndarray
-    rho_support: np.ndarray
-    inv_sqrt_rho: np.ndarray
-    transformed: np.ndarray
     confidences: np.ndarray
     degeneracies: np.ndarray
     top_projectors: np.ndarray
@@ -87,88 +75,69 @@ class MCGeometry:
     supports: np.ndarray
 
 
-def _transform(ensemble: StateEnsemble, rih: np.ndarray) -> np.ndarray:
-    """The stack of rih (eta_j rho_j) rih, symmetrized, shape (N, d, d)."""
-    return hermitian_part(rih @ (ensemble.priors[:, None, None] * ensemble.states) @ rih)
-
-
 def transformed_states(ensemble: StateEnsemble) -> np.ndarray:
     """The operators rho^(-1/2) eta_j rho_j rho^(-1/2), shape (N, d, d)."""
-    return _transform(ensemble, psd_power(average_state(ensemble), -0.5))
+    rih = psd_power(average_state(ensemble), -0.5)
+    return hermitian_part(rih @ (ensemble.priors[:, None, None] * ensemble.states) @ rih)
 
 
 def geometry(ensemble: StateEnsemble) -> MCGeometry:
     """Compute the full discrimination geometry of a valid ensemble.
 
-    Every step acts on all outcomes at once: one eigendecomposition of rho
-    (its support projector, rho^-1/2 and rho^-1), one of the stacked
-    transformed states, one SVD of the detection blocks zero-padded to the
-    widest top eigenspace, and one stacked cross-check. Raises
-    InfeasibleInputError for an outcome whose state has no weight on the
-    kept support of rho.
+    Every step acts on all outcomes at once: one eigh of the stacked states,
+    one SVD of F, one of the stacked V_j and one QR of the detection blocks
+    zero-padded to the widest top eigenspace. Raises InfeasibleInputError
+    for an outcome whose state has no weight on the kept support of rho: a
+    state with weight there has C_j >= Tr rho~_j / d >= eta_j / d, one
+    without has C_j at rounding level, and half that bound parts the two.
     """
     report = validate(ensemble)
     if not report.ok:
         msgs = "; ".join(f"{u.name} ({u.magnitude:.3e})" for u in report.violations)
         raise InfeasibleInputError(f"ensemble fails validation: {msgs}")
 
-    rho = hermitian_part(average_state(ensemble))
-    rho_spec = eig_hermitian(rho)
-    rho_supp = rho_spec.power(0.0)
-    rih = rho_spec.power(-0.5)
-    rinv = rho_spec.power(-1.0)
+    n, d, priors = ensemble.n_states, ensemble.dim, ensemble.priors
+    # rho_j = F_j F_j^dagger over the eigenvalues above the rounding floor
+    # d u ||rho_j|| of the eigh, which sorts them ascending: the k = max_j
+    # rank rho_j kept columns are the last k
+    lam, vec = np.linalg.eigh(hermitian_part(ensemble.states))
+    kept = lam > d * EPS * lam[:, -1:]
+    k = int(kept.sum(axis=1).max())
+    lam, kept = lam[:, -k:], kept[:, -k:]
+    f = vec[:, :, -k:] * np.sqrt(np.where(kept, lam, 0.0) * priors[:, None])[:, None, :]
+    # the eigh tilts the eigenvector of lambda by up to d u ||rho_j|| / lambda,
+    # so F's column for it is off by d u ||rho_j|| sqrt(eta_j / lambda); a
+    # singular value of F below the root sum of squares of those is rounding
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=kept)
+    floor = d * EPS * np.sqrt(priors @ (lam[:, -1] ** 2 * inv.sum(axis=1)))
+    u, sigma, vh = np.linalg.svd(f.transpose(1, 0, 2).reshape(d, n * k), full_matrices=False)
+    r = int(np.count_nonzero(sigma > floor))
+    u, sigma = u[:, :r], sigma[:r]
+    _, s, gh = np.linalg.svd(vh[:r].conj().T.reshape(n, k, r), full_matrices=False)
 
-    transformed = _transform(ensemble, rih)
-    spec = eig_hermitian(transformed)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    confidences = w[:, 0].copy()
-    # top cluster: eigenvalues within a relative gap of the maximum
-    thresh = confidences - DEGENERACY_RTOL * np.abs(confidences)
-    degeneracies = np.count_nonzero(w >= thresh[:, None], axis=1)
-    width = int(degeneracies.max())
-    cols = np.arange(width) < degeneracies[:, None]
-    vtop = v[:, :, :width] * cols[:, None, :]
-    top_projectors = vtop @ vtop.conj().swapaxes(1, 2)
-
-    blocks = rih @ vtop
-    u, sv, _ = np.linalg.svd(blocks, full_matrices=False)
-    # W_j^dagger W_j >= 1 on rho's kept support and the padding appends zero
-    # singular values, so the first m_j columns of u span Lambda_j; a top
-    # eigenvector off that support (C_j = 0: all weight below the cutoff) is lost
-    lost = np.flatnonzero((cols & (sv <= TOL_ORTH)).any(axis=1))
+    confidences = s[:, 0] ** 2
+    lost = np.flatnonzero(2 * d * confidences < priors)
     if lost.size:
         raise InfeasibleInputError(f"outcome {lost[0] + 1} has no weight on rho's kept support")
-    lam = (u * cols[:, None, :]) @ u.conj().swapaxes(1, 2)
-
-    # independent route: congruence through the pseudo-inverse of
-    # P_j rho^-1 P_j, which must give the same projector; its norm can reach
-    # ||rho^-1|| = 1 / (smallest nonzero eigenvalue of rho), so its
-    # Hermiticity and PSD tests scale with that norm
-    w_rho = rho_spec.eigenvalues
-    scale = max(1.0 / float(w_rho[w_rho > support_cutoff(w_rho)].min()), 1.0)
-    prp = eig_hermitian(top_projectors @ rinv @ top_projectors, TOL_HERM * scale)
-    lam_alt = rih @ prp.power(-1.0, TOL_PSD * scale) @ rih
-    dev = np.linalg.norm(lam - lam_alt, 2, axis=(1, 2))
-    bad = np.flatnonzero(dev > TOL_RECON)
-    if bad.size:
-        j = int(bad[0])
-        raise GeometryInconsistencyError(
-            f"two support computations for outcome {j + 1} disagree by {dev[j]:.3e}; "
-            "the ensemble is too ill-conditioned"
-        )
+    # top cluster: eigenvalues within a relative gap of the maximum
+    degeneracies = np.count_nonzero(s**2 >= confidences[:, None] * (1 - DEGENERACY_RTOL), axis=1)
+    width = int(degeneracies.max())
+    cols = np.arange(width) < degeneracies[:, None]
+    g = gh[:, :width].conj().swapaxes(1, 2) * cols[:, None, :]
+    vtop = u @ g
+    blocks = (u / sigma) @ g
+    # W_j has full column rank, so the first m_j columns of its Q span Lambda_j
+    q = np.linalg.qr(blocks)[0] * cols[:, None, :]
 
     return MCGeometry(
-        dim=ensemble.dim,
-        rho=rho,
-        rho_support=rho_supp,
-        inv_sqrt_rho=rih,
-        transformed=transformed,
+        dim=d,
+        rho=hermitian_part(average_state(ensemble)),
         confidences=confidences,
         degeneracies=degeneracies,
-        top_projectors=top_projectors,
+        top_projectors=vtop @ vtop.conj().swapaxes(1, 2),
         top_vectors=vtop,
         detection_blocks=blocks,
-        supports=hermitian_part(lam),
+        supports=q @ q.conj().swapaxes(1, 2),
     )
 
 
@@ -229,28 +198,23 @@ def two_state_components(
             f"confidences sum to one within tolerance (C1 + C2 - 1 = {denom:.3e})"
         )
     psum = geo.top_projectors[0] + geo.top_projectors[1]
-    if opnorm(psum - geo.rho_support) > SPLIT_TOL:
+    if opnorm(psum - support_projector(geo.rho)) > SPLIT_TOL:
         raise InfeasibleInputError(
             "top eigenspaces do not resolve the support of the average state; "
             "the two-state split does not apply"
         )
 
     # invert the 2x2 mixing eta_j rho_j = C_j sigma_j + (1 - C_k) sigma_k
-    e1 = ensemble.priors[0] * ensemble.states[0]
-    e2 = ensemble.priors[1] * ensemble.states[1]
-    unnorm1 = (e1 * c2 - e2 * (1.0 - c2)) / denom
-    unnorm2 = (e2 * c1 - e1 * (1.0 - c1)) / denom
+    e1, e2 = ensemble.priors[:, None, None] * ensemble.states
+    unnorm = np.stack([e1 * c2 - e2 * (1.0 - c2), e2 * c1 - e1 * (1.0 - c1)]) / denom
 
     sqrt_rho = psd_power(geo.rho, 0.5)
-    dev = max(
-        opnorm(unnorm1 - sqrt_rho @ geo.top_projectors[0] @ sqrt_rho),
-        opnorm(unnorm2 - sqrt_rho @ geo.top_projectors[1] @ sqrt_rho),
-    )
+    spectral = sqrt_rho @ geo.top_projectors @ sqrt_rho
+    dev = float(np.linalg.norm(unnorm - spectral, 2, axis=(1, 2)).max())
     if dev > SPLIT_TOL:
         raise GeometryInconsistencyError(
             f"algebraic and spectral component splits disagree by {dev:.3e}"
         )
 
-    weights = np.array([float(np.trace(unnorm1).real), float(np.trace(unnorm2).real)])
-    sigmas = np.stack([unnorm1 / weights[0], unnorm2 / weights[1]])
-    return sigmas, weights
+    weights = np.trace(unnorm, axis1=1, axis2=2).real
+    return unnorm / weights[:, None, None], weights

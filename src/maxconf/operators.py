@@ -12,7 +12,9 @@ pins down the numerical conventions the rest of the package relies on:
   absolute unless marked relative: the two rank cutoffs SUPPORT_RTOL and
   RANK_CUTOFF scale with the largest eigenvalue magnitude, floored at 1
   (support_cutoff), except that a certificate's rank of Z scales with ||Z||
-  alone, and DEGENERACY_RTOL scales with C_j itself.
+  alone, DEGENERACY_RTOL scales with C_j itself, and geometry's rank floors
+  are built from EPS: d EPS ||rho_j|| on each state, and the error that
+  leaves in the stacked state factors.
 """
 
 from __future__ import annotations
@@ -35,14 +37,13 @@ COEFF_ZERO_TOL = 1e-12  # |c_l| at or below it vanishes: the orbit lives in a sm
 FLAT_TOL = 1e-12  # max_l | |c_l|^2 - 1/d | for the flat closed form
 
 # numerical rank
-SUPPORT_RTOL = 1e-9  # relative: the support of rho and of every pseudo-power
+SUPPORT_RTOL = 1e-9  # relative: support projectors, pseudo-powers and validate's rank flag
 RANK_CUTOFF = 1e-7  # relative: certificate ranks; looser, iterates keep small kernel eigenvalues
 DEGENERACY_RTOL = 1e-8  # relative to C_j: eigenvalues this close share the top eigenspace
-TOL_ORTH = 1e-10  # a singular value of W_j at or below it is a lost column; genuine ones are >= 1
+EPS = float(np.finfo(float).eps)  # u: geometry's ranks are cut at the rounding floors d u ||.||
 
-# cross-checks between two routes to one object (geometry scales the Hermiticity
-# and PSD tests of its Lambda_j cross-check by ||rho^-1||)
-TOL_RECON = 1e-10  # Lambda_j by SVD against congruence; orbit and commutation in validate
+# cross-checks between two routes to one object
+TOL_RECON = 1e-10  # orbit and commutation in validate
 TOL_CONF = 1e-9  # |C_j - 1| and overlaps in is_unambiguous; C_1 + C_2 = 1 in the split
 SPLIT_TOL = 1e-8  # two-state split: P_1 + P_2 against the support, algebraic against spectral
 DIAGONAL_TOL = 1e-9  # off-diagonal entries of rho in the generator eigenbasis (closed form)
@@ -111,7 +112,7 @@ class Spectrum:
         v, w = self.eigenvectors, self.eigenvalues
         return (v * w[..., None, :]) @ _adjoint(v)
 
-    def power(self, exponent: float, tol: float = TOL_PSD) -> np.ndarray:
+    def power(self, exponent: float) -> np.ndarray:
         """Matrix power of the positive semidefinite operator(s).
 
         Positive exponents clip tiny negative eigenvalues to zero; exponents
@@ -119,12 +120,12 @@ class Spectrum:
         and vanish on the kernel, so exponent 0 gives the support projector
         and negative exponents the pseudo-power.
 
-        Raises NotPSDError if an eigenvalue of any matrix is below -tol.
+        Raises NotPSDError if an eigenvalue of any matrix is below -TOL_PSD.
         """
         w, v = self.eigenvalues, self.eigenvectors
         lo = float(w[..., -1].min()) if w.size else 0.0
-        if lo < -tol:
-            raise NotPSDError(f"operator has eigenvalue {lo:.3e} < -{tol:.1e}")
+        if lo < -TOL_PSD:
+            raise NotPSDError(f"operator has eigenvalue {lo:.3e} < -{TOL_PSD:.1e}")
         if exponent > 0:
             pw = np.clip(w, 0.0, None) ** exponent
         else:
@@ -134,13 +135,13 @@ class Spectrum:
         return (v * pw[..., None, :]) @ _adjoint(v)
 
 
-def eig_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> Spectrum:
+def eig_hermitian(a: np.ndarray) -> Spectrum:
     """Deterministic eigendecomposition of a Hermitian operator (d, d), or
     of each matrix of a stack (..., d, d).
 
-    Raises NonHermitianError if ``a`` is not Hermitian within ``tol``.
+    Raises NonHermitianError if ``a`` is not Hermitian within TOL_HERM.
     """
-    a = require_hermitian(a, tol=tol)
+    a = require_hermitian(a)
     w, v = np.linalg.eigh(a)
     w = w[..., ::-1].copy()
     v = v[..., ::-1].copy()

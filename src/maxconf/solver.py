@@ -508,8 +508,8 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     A gap alone is no stop: a small detection rate R leaves S's kernel
     eigenvalue (about gap / R) above the rank cutoff, or Z (of norm R)
     without a rank, until the path goes deeper. Raises NotConvergedError if
-    MAX_ITERATIONS runs out first, or if rounding puts an iterate outside
-    the cones or makes it NaN.
+    MAX_ITERATIONS runs out first, if rounding puts an iterate outside
+    the cones or makes it NaN, or if the Schur complement is singular.
     """
     n, d, b = w.shape
     nu = d + int(widths.sum())
@@ -572,9 +572,7 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
             try:
                 return np.linalg.solve(schur, rhs)
             except np.linalg.LinAlgError:
-                # least squares for an exactly singular system; of the inputs
-                # tested, only pure qubit pairs at angles <= 3e-5 reach it
-                return np.linalg.lstsq(schur, rhs, rcond=None)[0]
+                raise NotConvergedError(f"singular Newton system at duality gap {gap:.3e}") from None
 
         def direction(target, affine=None):
             """HKM direction to the central point of parameter target,

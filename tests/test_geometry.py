@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from maxconf import (
     DegenerateMappingError,
-    GeometryInconsistencyError,
     InfeasibleInputError,
     MaxconfError,
     StateEnsemble,
+    average_state,
     build_depolarized_family,
     build_symmetric_ensemble,
     eig_hermitian,
@@ -18,10 +18,11 @@ from maxconf import (
     opnorm,
     psd_power,
     solve_numeric,
+    support_projector,
     transformed_states,
     two_state_components,
 )
-from maxconf.operators import DEGENERACY_RTOL, TOL_ORTH, TOL_RECON
+from maxconf.operators import DEGENERACY_RTOL
 from conftest import (
     mixed_width_ensemble,
     random_coefficients,
@@ -31,36 +32,35 @@ from conftest import (
 )
 
 
-def orthonormal_columns(cols, tol=TOL_ORTH):
-    """Orthonormal basis for the column span, via SVD with a rank cutoff:
-    the per-outcome reference for the batched SVD in geometry."""
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, s > max(tol, s[0] * 1e-12)]
-
-
-def _reference_geometry(ensemble, transformed):
-    """Per-outcome top blocks, detection blocks and supports, with the
-    Lambda_j cross-check done one outcome at a time. The eigenvectors are
-    taken of the given transformed states, so that degenerate top
-    eigenspaces get the same basis as in the stacked computation."""
-    rho = np.einsum("j,jab->ab", ensemble.priors, ensemble.states)
-    rih = psd_power(rho, -0.5)
-    rinv = psd_power(rho, -1.0)
+def _reference_geometry(ensemble):
+    """Per-outcome C_j, m_j, P_j, Lambda_j and W_j W_j^dagger through
+    rho^(-1/2), the route geometry does without. Only basis-free quantities
+    are returned: a degenerate top eigenspace may get another basis."""
+    rih = psd_power(average_state(ensemble), -0.5)
     out = []
     for j in range(ensemble.n_states):
-        tj = rih @ (ensemble.priors[j] * ensemble.states[j]) @ rih
-        assert opnorm(tj - transformed[j]) < 1e-12
-        spec = eig_hermitian(transformed[j])
+        spec = eig_hermitian(rih @ (ensemble.priors[j] * ensemble.states[j]) @ rih)
         c = spec.eigenvalues[0]
         m = int(np.count_nonzero(spec.eigenvalues >= c - DEGENERACY_RTOL * abs(c)))
         vtop = spec.eigenvectors[:, :m]
         wj = rih @ vtop
-        span = orthonormal_columns(wj)
-        lam = span @ span.conj().T
-        pj = vtop @ vtop.conj().T
-        assert opnorm(lam - rih @ psd_power(pj @ rinv @ pj, -1.0) @ rih) <= TOL_RECON
-        out.append((m, vtop, wj, lam))
+        span = np.linalg.svd(wj, full_matrices=False)[0]
+        out.append((c, m, vtop @ vtop.conj().T, span @ span.conj().T, wj @ wj.conj().T))
     return out
+
+
+def _assert_matches_reference(ensemble, geo, tol=1e-12):
+    # the reference's subspaces are as accurate as rho^(-1/2): to within
+    # tol times the condition number of rho on its support
+    rho = average_state(ensemble)
+    loose = tol * opnorm(rho) * opnorm(psd_power(rho, -1.0))
+    for j, (c, m, pj, lam, wwh) in enumerate(_reference_geometry(ensemble)):
+        assert abs(geo.confidences[j] - c) <= tol
+        assert geo.degeneracies[j] == m
+        wj = geo.detection_blocks[j]
+        assert opnorm(geo.top_projectors[j] - pj) <= loose
+        assert opnorm(geo.supports[j] - lam) <= loose
+        assert opnorm(wj @ wj.conj().T - wwh) <= loose * opnorm(wwh)
 
 
 def test_trine_transformed_states(trine):
@@ -80,12 +80,12 @@ def test_trine_geometry(trine):
         assert opnorm(geo.top_projectors[j] - trine.states[j]) < 1e-10
 
 
-def test_geometry_inverse_square_root():
-    rng = np.random.default_rng(1)
-    e = random_ensemble(rng, 3, 4)
-    geo = geometry(e)
-    sandwich = geo.inv_sqrt_rho @ geo.rho @ geo.inv_sqrt_rho
-    assert opnorm(sandwich - geo.rho_support) < 1e-10
+@pytest.mark.parametrize("seed", range(12))
+def test_geometry_matches_per_outcome_reference(seed):
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+    e = random_ensemble(rng, d, n, mixed=bool(seed % 2))
+    _assert_matches_reference(e, geometry(e))
 
 
 def test_geometry_supports_are_projectors():
@@ -126,16 +126,21 @@ def test_trine_not_unambiguous(trine):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 7, 8])
-def test_tiny_prior_fails_the_cross_check_not_a_psd_test(seed):
-    # priors (1e-7, 1/2, 1/2 - 1e-7): P_j rho^-1 P_j has norm ~1e7, so its
-    # rounding noise (~2e-9) must trip neither an absolute Hermiticity nor an
-    # absolute PSD tolerance; the two routes to Lambda_j then disagree and
-    # the documented error follows
+def test_tiny_prior_below_the_support_cutoff_still_solves(seed):
+    # priors (p, 1/2, 1/2 - p) on three linearly independent pure qutrits:
+    # every C_j = 1 however small p is, though rho's smallest eigenvalue is
+    # ~p, below a 1e-9 relative cutoff on rho's spectrum at p = 1e-11; the
+    # answer must not move between p = 1e-7 and 1e-11
     rng = np.random.default_rng(seed)
     states = np.stack([np.outer(v, v.conj()) for v in (random_pure(rng, 3) for _ in range(3))])
-    e = StateEnsemble(dim=3, priors=np.array([1e-7, 0.5, 0.5 - 1e-7]), states=states)
-    with pytest.raises(GeometryInconsistencyError, match="outcome 2 disagree"):
-        geometry(e)
+    q = []
+    for p in (1e-11, 1e-7):
+        e = StateEnsemble(dim=3, priors=np.array([p, 0.5, 0.5 - p]), states=states)
+        assert np.max(np.abs(geometry(e).confidences - 1.0)) <= 1e-12
+        report = solve_numeric(e)
+        assert report.certified, report.certificate.failures
+        q.append(report.failure_probability)
+    assert abs(q[0] - q[1]) <= 1e-6
 
 
 def _orthogonal_states(priors):
@@ -145,12 +150,12 @@ def _orthogonal_states(priors):
 
 
 @pytest.mark.parametrize("priors", [
-    (1e-12, 1 - 1e-12), (1e-10, 1 - 1e-10), (1e-9, 1 - 1e-9), (1e-12, 0.5, 0.5 - 1e-12),
-], ids=["qubit-1e-12", "qubit-1e-10", "qubit-1e-9", "qutrit-1e-12"])
+    (1e-35, 1 - 1e-35), (1e-40, 1 - 1e-40), (1e-40, 0.5, 0.5 - 1e-40),
+], ids=["qubit-1e-35", "qubit-1e-40", "qutrit-1e-40"])
 def test_state_below_the_support_cutoff_is_refused(priors):
-    # the first state's weight lies below rho's support cutoff, so C_1 = 0
-    # and rho^-1/2 sends its top eigenvectors to zero; the solver used to
-    # double Z until it overflowed
+    # the first state's factor sqrt(eta_1) lies below the rounding floor of
+    # the SVD of the stacked factors, so C_1 = 0 and its top eigenvectors
+    # leave rho's kept support; the solver used to double Z until it overflowed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MaxconfError, match="outcome 1 has no weight"):
@@ -158,21 +163,14 @@ def test_state_below_the_support_cutoff_is_refused(priors):
 
 
 def test_state_above_the_support_cutoff_certifies():
-    report = solve_numeric(_orthogonal_states((1e-8, 1 - 1e-8)))
-    assert report.certified
-    assert np.allclose(report.confidences, 1.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("seed", [0, 5, 8])
-def test_tiny_prior_below_the_support_cutoff_still_solves(seed):
-    # priors (1e-11, 1/2, 1/2 - 1e-11): the first state keeps a sliver of
-    # weight on rho's kept support, so C_1 ~ 1e-11 with m_1 = 1
-    rng = np.random.default_rng(seed)
-    states = np.stack([np.outer(v, v.conj()) for v in (random_pure(rng, 3) for _ in range(3))])
-    e = StateEnsemble(dim=3, priors=np.array([1e-11, 0.5, 0.5 - 1e-11]), states=states)
-    report = solve_numeric(e)
-    assert report.certified
-    assert 0.0 < report.confidences[0] < 1e-10
+    # orthogonal states: C = 1 however small the prior, down to where its
+    # factor meets the rounding floor
+    for p in (1e-12, 1e-10, 1e-9, 1e-8):
+        for priors in ((p, 1 - p), (p, 0.5, 0.5 - p)):
+            e = _orthogonal_states(priors)
+            assert np.allclose(geometry(e).confidences, 1.0, rtol=0.0, atol=1e-12)
+            report = solve_numeric(e)
+            assert report.certified, report.certificate.failures
 
 
 def test_two_state_components_recombine():
@@ -232,7 +230,7 @@ def test_two_state_split_property(seed):
     c1, c2 = geo.confidences
     if abs(c1 + c2 - 1.0) < 1e-6:
         return
-    if opnorm(geo.top_projectors[0] + geo.top_projectors[1] - geo.rho_support) > 1e-8:
+    if opnorm(geo.top_projectors[0] + geo.top_projectors[1] - support_projector(geo.rho)) > 1e-8:
         return
     sigmas, weights = two_state_components(e, geo)
     assert opnorm(weights[0] * sigmas[0] + weights[1] * sigmas[1] - geo.rho) < 1e-8
@@ -243,14 +241,29 @@ def test_geometry_mixed_widths_match_per_outcome_reference():
     e = mixed_width_ensemble(rng)
     geo = geometry(e)
     assert geo.degeneracies.tolist() == [2, 2, 1]
-    for j, (m, vtop, wj, lam) in enumerate(_reference_geometry(e, geo.transformed)):
-        assert geo.degeneracies[j] == m
+    _assert_matches_reference(e, geo)
+    rih = psd_power(geo.rho, -0.5)
+    for j, m in enumerate(geo.degeneracies):
+        vtop = geo.top_vectors[j, :, :m]
         assert geo.top_vectors[j].shape == geo.detection_blocks[j].shape == (e.dim, 2)
-        assert np.max(np.abs(geo.top_vectors[j, :, :m] - vtop)) < 1e-12
-        assert np.max(np.abs(geo.detection_blocks[j, :, :m] - wj)) < 1e-12
+        assert opnorm(vtop.conj().T @ vtop - np.eye(m)) < 1e-12
+        assert np.max(np.abs(geo.detection_blocks[j, :, :m] - rih @ vtop)) < 1e-12
         # the padding past column m_j is exactly zero
         assert not np.any(geo.top_vectors[j, :, m:]) and not np.any(geo.detection_blocks[j, :, m:])
-        assert np.max(np.abs(geo.supports[j] - lam)) < 1e-12
     report = solve_numeric(e, geo)
     assert report.certified, report.certificate.failures
     assert np.max(np.abs(report.confidences - geo.confidences)) < 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_isometric_embedding_keeps_confidences(seed):
+    # C_j and m_j depend on the states' span only, not on the space around it
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+    e = random_ensemble(rng, d, n, mixed=bool(rng.integers(2)))
+    iso = np.linalg.qr(rng.standard_normal((d + 2, d)) + 1j * rng.standard_normal((d + 2, d)))[0]
+    big = StateEnsemble(dim=d + 2, priors=e.priors, states=iso @ e.states @ iso.conj().T)
+    geo, geo_big = geometry(e), geometry(big)
+    assert np.max(np.abs(geo_big.confidences - geo.confidences)) <= 1e-12
+    assert np.array_equal(geo_big.degeneracies, geo.degeneracies)

@@ -179,14 +179,7 @@ def test_solve_numeric_reduces_rank_deficient_average(embedding):
     assert report.detection_rate == pytest.approx(baseline.detection_rate, abs=1e-6)
 
 
-_TRUNCATED_RHO = "rho truncated to rank 1, Q ~ 1e-10 certified; ROADMAP item 3"
-
-
-@pytest.mark.parametrize("theta", [
-    1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4,
-    pytest.param(3e-5, marks=pytest.mark.xfail(reason=_TRUNCATED_RHO)),
-    pytest.param(1e-5, marks=pytest.mark.xfail(reason=_TRUNCATED_RHO)),
-])
+@pytest.mark.parametrize("theta", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5])
 def test_solve_numeric_certifies_near_parallel_pair(theta):
     # two pure qubits at angle theta with priors 1/2: the unambiguous limit,
     # C = 1 and Q = cos(theta), so R = 2 sin^2(theta / 2). At 1e-3 the kernel
@@ -260,6 +253,17 @@ def test_solve_numeric_invariant_under_relabelling(seed):
 def test_solve_numeric_iteration_budget(trine, monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
     with pytest.raises(NotConvergedError):
+        solve_numeric(trine)
+
+
+def test_singular_newton_system_does_not_converge(trine, monkeypatch):
+    # a singular Schur complement leaves the interior point as a cone exit
+    # does, not as a bare numpy error
+    def singular(*_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(solver.np.linalg, "solve", singular)
+    with pytest.raises(NotConvergedError, match="singular Newton system"):
         solve_numeric(trine)
 
 
