@@ -126,6 +126,28 @@ def test_trine_not_unambiguous(trine):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 7, 8])
+def test_tiny_prior_fails_the_cross_check_not_a_psd_test(seed):
+    # priors (1e-7, 1/2, 1/2 - 1e-7): P_j rho^-1 P_j has norm ~1e7, and its
+    # rounding noise used to make the two routes to Lambda_j disagree. The
+    # name records that failure; geometry now takes neither route. These
+    # pure states are linearly independent, so C_j = 1 and Lambda_j is the
+    # rank-1 projector orthogonal to every other state, whatever the priors
+    rng = np.random.default_rng(seed)
+    vs = [random_pure(rng, 3) for _ in range(3)]
+    states = np.stack([np.outer(v, v.conj()) for v in vs])
+    e = StateEnsemble(dim=3, priors=np.array([1e-7, 0.5, 0.5 - 1e-7]), states=states)
+    geo = geometry(e)
+    assert np.max(np.abs(geo.confidences - 1.0)) <= 1e-12
+    assert geo.degeneracies.tolist() == [1, 1, 1]
+    for j, lam in enumerate(geo.supports):
+        assert opnorm(lam @ lam - lam) <= 1e-12
+        assert abs(np.trace(lam).real - 1.0) <= 1e-12
+        for k, v in enumerate(vs):
+            if k != j:
+                assert np.linalg.norm(lam @ v) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 7, 8])
 def test_tiny_prior_below_the_support_cutoff_still_solves(seed):
     # priors (p, 1/2, 1/2 - p) on three linearly independent pure qutrits:
     # every C_j = 1 however small p is, though rho's smallest eigenvalue is
@@ -163,14 +185,23 @@ def test_state_below_the_support_cutoff_is_refused(priors):
 
 
 def test_state_above_the_support_cutoff_certifies():
-    # orthogonal states: C = 1 however small the prior, down to where its
-    # factor meets the rounding floor
-    for p in (1e-12, 1e-10, 1e-9, 1e-8):
-        for priors in ((p, 1 - p), (p, 0.5, 0.5 - p)):
-            e = _orthogonal_states(priors)
-            assert np.allclose(geometry(e).confidences, 1.0, rtol=0.0, atol=1e-12)
-            report = solve_numeric(e)
-            assert report.certified, report.certificate.failures
+    for priors in ((1e-8, 1 - 1e-8), (1e-8, 0.5, 0.5 - 1e-8)):
+        report = solve_numeric(_orthogonal_states(priors))
+        assert report.certified, report.certificate.failures
+        assert np.allclose(report.confidences, 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("priors", [
+    (1e-12, 1 - 1e-12), (1e-10, 1 - 1e-10), (1e-9, 1 - 1e-9),
+    (1e-12, 0.5, 0.5 - 1e-12), (1e-10, 0.5, 0.5 - 1e-10), (1e-9, 0.5, 0.5 - 1e-9),
+], ids=["qubit-1e-12", "qubit-1e-10", "qubit-1e-9", "qutrit-1e-12", "qutrit-1e-10", "qutrit-1e-9"])
+def test_tiny_prior_of_an_orthogonal_state_certifies(priors):
+    # below a 1e-9 relative cutoff on rho's spectrum, but sqrt(eta_1) is far
+    # above the rounding floor of the stacked factors: C = 1, and it certifies
+    e = _orthogonal_states(priors)
+    assert np.allclose(geometry(e).confidences, 1.0, rtol=0.0, atol=1e-12)
+    report = solve_numeric(e)
+    assert report.certified, report.certificate.failures
 
 
 def test_two_state_components_recombine():
