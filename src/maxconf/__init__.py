@@ -23,7 +23,6 @@ from .errors import (
     DegenerateCoefficientError,
     DegenerateMappingError,
     DegenerateTopEigenvalueError,
-    GeometryInconsistencyError,
     InfeasibleInputError,
     InvalidPhasesError,
     MaxconfError,
@@ -76,7 +75,6 @@ __all__ = [
     "DegenerateTopEigenvalueError",
     "DetectionSet",
     "FamilySolution",
-    "GeometryInconsistencyError",
     "InfeasibleInputError",
     "InvalidPhasesError",
     "MCGeometry",

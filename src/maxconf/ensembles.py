@@ -20,6 +20,7 @@ from .errors import (
 from .operators import (
     COEFF_NORM_TOL,
     COEFF_ZERO_TOL,
+    EPS,
     PHASE_TOL,
     PRIOR_TOL,
     REFERENCE_NORM_TOL,
@@ -205,7 +206,7 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
 
     rho = average_state(e)
     rho_h = hermitian_part(rho)
-    if support_rank(rho_h) < e.dim:
+    if support_rank(rho_h, e.dim * EPS) < e.dim:
         flags.append("average state is rank deficient; detection operators live on its support")
 
     if e.symmetry is not None:

@@ -53,7 +53,3 @@ class NoNegativeEigenvalueError(MaxconfError):
     """A perturbation witness was requested but every certificate condition
     is already satisfied; there is no negative direction to exploit."""
 
-
-class GeometryInconsistencyError(MaxconfError):
-    """Two independent computations of the same geometric object disagree
-    beyond tolerance; indicates ill-conditioned input (or an internal bug)."""

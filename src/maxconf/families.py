@@ -36,15 +36,13 @@ class SymmetricFamily:
     order : number of states N (>= dim).
     purity : mixing weight p of the pure component, in [0, 1].
     coefficients : components of |psi> in the generator eigenbasis,
-        normalized, all nonzero.
-    phases : eigenphases of the generator; defaults to the first dim
-        primitive choices exp(2 pi i l / order).
+        normalized, all nonzero. The generator's eigenphases are the first
+        dim primitive choices exp(2 pi i l / order) (default_phases).
     """
 
     order: int
     purity: float
     coefficients: np.ndarray
-    phases: np.ndarray | None = None
 
     def __post_init__(self):
         dim = np.size(self.coefficients)
@@ -53,24 +51,13 @@ class SymmetricFamily:
                 f"order {self.order} < dimension {dim}; the orbit needs order >= dim"
             )
         object.__setattr__(self, "coefficients", check_family(self.coefficients, self.purity))
-        if self.phases is not None:
-            object.__setattr__(
-                self, "phases", np.asarray(self.phases, dtype=complex).reshape(-1)
-            )
 
     @property
     def dim(self) -> int:
         return self.coefficients.size
 
-    def resolved_phases(self) -> np.ndarray:
-        if self.phases is not None:
-            return self.phases
-        return default_phases(self.order, self.dim)
-
     def ensemble(self) -> StateEnsemble:
-        return build_depolarized_family(
-            self.coefficients, self.order, self.purity, phases=self.resolved_phases()
-        )
+        return build_depolarized_family(self.coefficients, self.order, self.purity)
 
     @classmethod
     def qubit(cls, order: int, purity: float, angle: float) -> "SymmetricFamily":
@@ -130,7 +117,7 @@ def pure_symmetric_solution(family: SymmetricFamily) -> FamilySolution:
     psi1 = c
     lead = rinv_diag * psi1
     pi1 = (float(mods2.min()) / n) * np.outer(lead, lead.conj())
-    ops = orbit(pi1, family.resolved_phases(), n)
+    ops = orbit(pi1, default_phases(family.order, family.dim), n)
     return FamilySolution(
         confidence=confidence,
         failure_probability=failure,
@@ -183,7 +170,7 @@ def flat_mixed_solution(family: SymmetricFamily) -> FamilySolution:
     p = family.purity
     confidence = (1.0 + p * (d - 1.0)) / n
     pi1 = (d / n) * np.outer(c, c.conj())
-    ops = orbit(pi1, family.resolved_phases(), n)
+    ops = orbit(pi1, default_phases(family.order, family.dim), n)
     return FamilySolution(
         confidence=confidence,
         failure_probability=0.0,
@@ -209,6 +196,6 @@ def square_root_measurement(family: SymmetricFamily) -> tuple[np.ndarray, float]
     # rho^(-1/2) is diagonal with entries 1/|c_l|
     lead = c / mods
     pi1 = np.outer(lead, lead.conj()) / n
-    ops = orbit(pi1, family.resolved_phases(), n)
+    ops = orbit(pi1, default_phases(family.order, family.dim), n)
     confidence = (d / n) * float(mods.sum() / np.sqrt(d)) ** 2
     return ops, confidence

@@ -29,16 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import StateEnsemble, average_state, validate
-from .errors import DegenerateMappingError, GeometryInconsistencyError, InfeasibleInputError
+from .errors import DegenerateMappingError, InfeasibleInputError
 from .operators import (
     DEGENERACY_RTOL,
     EPS,
     SPLIT_TOL,
     TOL_CONF,
     hermitian_part,
-    opnorm,
     psd_power,
-    support_projector,
 )
 
 
@@ -173,16 +171,18 @@ def two_state_components(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the average state of a two-state ensemble along its top eigenspaces.
 
-    For N = 2 ensembles whose transformed states act on the full support
+    For N = 2 ensembles whose top eigenspaces cover the kept support of rho
     (P_1 + P_2 = support of rho, the generic situation), the average state
-    splits as rho = q_1 sigma_1 + q_2 sigma_2 where sigma_j is the
-    normalized piece rho^(1/2) P_j rho^(1/2) / q_j. The sigma_j are unit
-    trace, mutually exclusive in the sense of the construction, and satisfy
+    splits as rho = q_1 sigma_1 + q_2 sigma_2 (Herzog, PRA 79, 032323 (2009))
+    with q_j sigma_j = rho^(1/2) P_j rho^(1/2) = (rho W_j)(rho W_j)^dagger.
+    The formula used here,
 
-        q_1 sigma_1 = [eta_1 rho_1 C_2 - eta_2 rho_2 (1 - C_2)] / (C_1 + C_2 - 1)
+        q_1 sigma_1 = [eta_1 rho_1 C_2 - eta_2 rho_2 (1 - C_2)] / (C_1 + C_2 - 1),
 
-    which is the formula used here; the spectral route is recomputed as a
-    cross-check. Returns (sigmas, weights) with sigmas of shape (2, d, d).
+    gives pieces that always sum to rho; the spectral ones sum to rho only
+    when P_1 + P_2 covers the support, so one comparison of the two routes
+    decides both that the split applies and that it is accurate. Returns
+    (sigmas, weights) with sigmas of shape (2, d, d).
 
     Raises DegenerateMappingError when C_1 + C_2 = 1 (the split is singular)
     and InfeasibleInputError when the ensemble is not of this two-state form.
@@ -197,23 +197,18 @@ def two_state_components(
         raise DegenerateMappingError(
             f"confidences sum to one within tolerance (C1 + C2 - 1 = {denom:.3e})"
         )
-    psum = geo.top_projectors[0] + geo.top_projectors[1]
-    if opnorm(psum - support_projector(geo.rho)) > SPLIT_TOL:
-        raise InfeasibleInputError(
-            "top eigenspaces do not resolve the support of the average state; "
-            "the two-state split does not apply"
-        )
 
     # invert the 2x2 mixing eta_j rho_j = C_j sigma_j + (1 - C_k) sigma_k
     e1, e2 = ensemble.priors[:, None, None] * ensemble.states
     unnorm = np.stack([e1 * c2 - e2 * (1.0 - c2), e2 * c1 - e1 * (1.0 - c1)]) / denom
 
-    sqrt_rho = psd_power(geo.rho, 0.5)
-    spectral = sqrt_rho @ geo.top_projectors @ sqrt_rho
+    root = geo.rho @ geo.detection_blocks
+    spectral = root @ root.conj().swapaxes(1, 2)
     dev = float(np.linalg.norm(unnorm - spectral, 2, axis=(1, 2)).max())
     if dev > SPLIT_TOL:
-        raise GeometryInconsistencyError(
-            f"algebraic and spectral component splits disagree by {dev:.3e}"
+        raise InfeasibleInputError(
+            "top eigenspaces do not resolve the support of the average state; the algebraic "
+            f"and spectral splits differ by {dev:.3e}, so the two-state split does not apply"
         )
 
     weights = np.trace(unnorm, axis1=1, axis2=2).real

@@ -14,7 +14,8 @@ pins down the numerical conventions the rest of the package relies on:
   (support_cutoff), except that a certificate's rank of Z scales with ||Z||
   alone, DEGENERACY_RTOL scales with C_j itself, and geometry's rank floors
   are built from EPS: d EPS ||rho_j|| on each state, and the error that
-  leaves in the stacked state factors.
+  leaves in the stacked state factors; validate flags rho as rank
+  deficient below d EPS.
 """
 
 from __future__ import annotations
@@ -37,15 +38,15 @@ COEFF_ZERO_TOL = 1e-12  # |c_l| at or below it vanishes: the orbit lives in a sm
 FLAT_TOL = 1e-12  # max_l | |c_l|^2 - 1/d | for the flat closed form
 
 # numerical rank
-SUPPORT_RTOL = 1e-9  # relative: support projectors, pseudo-powers and validate's rank flag
+SUPPORT_RTOL = 1e-9  # relative: support projectors and pseudo-powers
 RANK_CUTOFF = 1e-7  # relative: certificate ranks; looser, iterates keep small kernel eigenvalues
 DEGENERACY_RTOL = 1e-8  # relative to C_j: eigenvalues this close share the top eigenspace
-EPS = float(np.finfo(float).eps)  # u: geometry's ranks are cut at the rounding floors d u ||.||
+EPS = float(np.finfo(float).eps)  # u: geometry's ranks and validate's rank flag: floors d u ||.||
 
 # cross-checks between two routes to one object
 TOL_RECON = 1e-10  # orbit and commutation in validate
 TOL_CONF = 1e-9  # |C_j - 1| and overlaps in is_unambiguous; C_1 + C_2 = 1 in the split
-SPLIT_TOL = 1e-8  # two-state split: P_1 + P_2 against the support, algebraic against spectral
+SPLIT_TOL = 1e-8  # two-state split: algebraic pieces against spectral ones
 DIAGONAL_TOL = 1e-9  # off-diagonal entries of rho in the generator eigenbasis (closed form)
 OVERLAP_CUTOFF = 1e-14  # |<l|nu>|^2 at or below it drops l from the closed-form minimum
 TIE_RTOL = 1e-9  # relative: minimizing ratios this close share the closed form's dual Z

@@ -63,7 +63,6 @@ from .operators import (
     RANK_CUTOFF,
     TIE_RTOL,
     ZERO_PROB,
-    eig_hermitian,
     hermitian_part,
     opnorm,
     rank_of_spectrum,
@@ -688,7 +687,8 @@ def perturbation_witness(
     certificate eigenvalue.
 
     Finds the most negative eigenvalue mu among Z and the support slacks
-    Lambda_j (Z - rho) Lambda_j with eigenvector |u>, contracts every
+    Lambda_j (Z - rho) Lambda_j with eigenvector |u> (on a tie Z wins, then
+    the slack of lowest j), contracts every
     conclusive operator by (1 - epsilon |u><u|), and hands the released
     weight epsilon(2 - epsilon)|u><u| to the outcome that realizes the
     negativity (the inconclusive one for a negative eigenvalue of Z). The
@@ -703,34 +703,25 @@ def perturbation_witness(
     z = hermitian_part(np.asarray(z, dtype=complex))
     rho = geo.rho
 
-    spec_z = eig_hermitian(z)
     slacks = hermitian_part(geo.supports @ (z - rho) @ geo.supports)
-    spec = eig_hermitian(slacks)
-    # the first slack with the smallest eigenvalue wins, and only when it
-    # lies strictly below the smallest eigenvalue of Z
-    j = int(np.argmin(spec.eigenvalues[:, -1]))
-    best_val = float(spec_z.eigenvalues[-1])
-    best_vec = spec_z.eigenvectors[:, -1]
-    best_kind, best_outcome = "dual-negativity", 0
-    if float(spec.eigenvalues[j, -1]) < best_val:
-        best_val = float(spec.eigenvalues[j, -1])
-        best_vec = spec.eigenvectors[j, :, -1]
-        best_kind, best_outcome = "support-slack", j + 1
-
-    if best_val >= -pos_tol:
+    # entry 0 is Z and argmin takes the first minimum: the tie rule above
+    w, v = np.linalg.eigh(np.concatenate((z[None], slacks)))
+    k = int(np.argmin(w[:, 0]))
+    if w[k, 0] >= -pos_tol:
         raise NoNegativeEigenvalueError(
-            f"no certificate eigenvalue below -{pos_tol:.1e} (smallest is {best_val:.3e})"
+            f"no certificate eigenvalue below -{pos_tol:.1e} (smallest is {w[k, 0]:.3e})"
         )
-    mu = -best_val
-    u = best_vec / np.linalg.norm(best_vec)
+    kind = "support-slack" if k else "dual-negativity"
+    mu = -float(w[k, 0])
+    u = v[k, :, 0]
     proj = np.outer(u, u.conj())
     d = ensemble.dim
     contract = np.eye(d, dtype=complex) - epsilon * proj
     released = epsilon * (2.0 - epsilon) * proj
 
     primed = hermitian_part(contract @ detection.conclusive @ contract)
-    if best_kind == "support-slack":
-        primed[best_outcome - 1] += released
+    if k:
+        primed[k - 1] += released
     deformed = DetectionSet.from_conclusive(primed)
 
     def dual_functional(det: DetectionSet) -> float:
@@ -741,8 +732,8 @@ def perturbation_witness(
     baseline = dual_functional(detection)
     rate_primed = float(np.einsum("ab,jba->", rho, primed).real)
     return PerturbationWitness(
-        kind=best_kind,
-        outcome=best_outcome,
+        kind=kind,
+        outcome=k,
         mu=mu,
         epsilon=epsilon,
         gap=gap,

@@ -38,6 +38,21 @@ def random_ensemble(rng, dim, n_states, mixed=True):
     return StateEnsemble(dim=dim, priors=tuple(priors), states=tuple(states))
 
 
+def pure_qubit_pair(theta, priors=(0.4, 0.6)):
+    """|0> and cos(theta)|0> + sin(theta)|1> with the given priors."""
+    v = np.array([np.cos(theta), np.sin(theta)])
+    states = np.stack([np.diag([1.0, 0.0]), np.outer(v, v)]).astype(complex)
+    return StateEnsemble(dim=2, priors=np.array(priors), states=states)
+
+
+def rank_raised_dual(z, inconclusive, eps=8.5e-9):
+    """Z at its own trace plus eps along Pi_0's top eigenvector: for the
+    theta = 0.4 qubit pair it breaks rank Z + rank Pi_0 <= d while every
+    other certificate residual stays within its 1e-8 tolerance."""
+    top = np.linalg.eigh(inconclusive)[1][:, -1]
+    return z * (1.0 - eps / np.trace(z).real) + eps * np.outer(top, top.conj())
+
+
 def random_coefficients(rng, dim, floor=0.05):
     """Normalized coefficient vector with every |c_l| >= floor."""
     while True:

@@ -6,8 +6,14 @@ import pytest
 
 from maxconf import build_depolarized_family, build_symmetric_ensemble, cli, solver
 from maxconf.cli import main
-from maxconf.serialize import dump_json, ensemble_to_json
-from conftest import random_ensemble
+from maxconf.serialize import (
+    array_to_json,
+    detection_from_json,
+    dual_from_certificate_json,
+    dump_json,
+    ensemble_to_json,
+)
+from conftest import pure_qubit_pair, random_ensemble, rank_raised_dual
 
 
 def write_ensemble(path, ensemble):
@@ -170,6 +176,23 @@ def test_verify_rejects_corrupted_dual(trine_file, tmp_path, capsys):
     assert "witness" in result
 
 
+def test_verify_witness_is_unavailable_when_only_the_rank_bound_fails(tmp_path, capsys):
+    # no certificate eigenvalue is negative, so there is no direction to exploit
+    p, out = tmp_path / "pair.json", tmp_path / "solution.json"
+    write_ensemble(p, pure_qubit_pair(0.4, (0.5, 0.5)))
+    assert main(["solve", "--input", str(p), "--output", str(out)]) == 0
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    z = dual_from_certificate_json(obj["certificate"])
+    pi0 = detection_from_json(obj["detection"]).inconclusive
+    obj["certificate"]["z"] = array_to_json(rank_raised_dual(z, pi0))
+    out.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out), "--witness"]) == 1
+    result = json.loads(capsys.readouterr().out)
+    assert result["certificate"]["failures"] == ["rank_bound"]
+    assert result["witness"]["available"] is False
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "infinity"])
 @pytest.mark.parametrize("field", ["certificate z", "detection operators"])
 def test_verify_names_non_finite_solution_arrays(trine_file, tmp_path, capsys, field, bad):
@@ -231,6 +254,25 @@ def test_sweep_pure_family_reports_srm(tmp_path):
     assert rc == 0
     header = out.read_text(encoding="utf-8").split("\n")[0]
     assert "srm_confidence" in header
+
+
+def test_sweep_flat_family(tmp_path, capsys):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps({"family": "flat-mixed", "order": 4, "dim": 3}), encoding="utf-8")
+    assert main(["sweep", "--input", str(p), "--grid", "purity:0.2:0.8:3", "--check"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0].startswith("family,purity,")
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert fields[0] == "flat-mixed" and float(fields[3]) == 0.0 and fields[5] == "true"
+        assert float(fields[-1]) < 1e-6
+
+
+def test_sweep_check_unattainable_tolerance_exits_one(tmp_path, capsys):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps({"family": "qubit-mixed", "order": 3, "purity": 0.6}), encoding="utf-8")
+    assert main(["sweep", "--input", str(p), "--grid", "angle:0.4:1.3:2", "--check", "--tol", "1e-30"]) == 1
+    assert "numeric cross-check deviates" in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_grid(tmp_path):

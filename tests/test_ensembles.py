@@ -16,7 +16,7 @@ from maxconf import (
     solve_rank1_symmetric,
     validate,
 )
-from conftest import random_coefficients, random_density
+from conftest import pure_qubit_pair, random_coefficients, random_density
 
 
 def test_default_phases_order_two():
@@ -103,6 +103,41 @@ def test_validate_flags_non_psd_state():
     bad = np.diag([1.5, -0.5]).astype(complex)
     e = StateEnsemble(dim=2, priors=(0.5, 0.5), states=(bad, np.eye(2) / 2))
     assert not validate(e).ok
+
+
+@pytest.mark.parametrize("case, name", [
+    ("negative-prior", "prior_positivity"),
+    ("non-hermitian", "state_hermiticity"),
+    ("wrong-order", "symmetry_order"),
+])
+def test_validate_names_the_violation(case, name):
+    e = build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2), 3)
+    priors, states, spec = e.priors, e.states.copy(), e.symmetry
+    if case == "negative-prior":
+        priors = np.array([-0.1, 0.6, 0.5])
+    elif case == "non-hermitian":
+        states[1, 0, 1] += 1e-3
+    else:
+        spec = SymmetrySpec(order=4, phases=default_phases(4, 2), reference=spec.reference)
+    report = validate(StateEnsemble(dim=2, priors=priors, states=states, symmetry=spec))
+    assert name in [v.name for v in report.violations]
+
+
+_RANK_FLAG = "average state is rank deficient; detection operators live on its support"
+
+
+@pytest.mark.parametrize("theta", [3e-5, 1e-5, 1e-7])
+def test_validate_keeps_the_rank_of_a_near_parallel_pair(theta):
+    # rho's smallest eigenvalue, about eta_1 eta_2 theta^2, lies below a 1e-9
+    # relative cutoff but above the rounding floor d u, where geometry cuts too
+    assert _RANK_FLAG not in validate(pure_qubit_pair(theta)).flags
+
+
+def test_validate_flags_states_embedded_in_a_larger_space():
+    e = pure_qubit_pair(0.4)
+    iso = np.eye(3)[:, :2]
+    embedded = StateEnsemble(dim=3, priors=e.priors, states=iso @ e.states @ iso.T)
+    assert _RANK_FLAG in validate(embedded).flags
 
 
 @pytest.mark.parametrize("where, value", [("prior", np.nan), ("entry", np.nan), ("prior", np.inf)],

@@ -25,6 +25,7 @@ from maxconf import (
 from maxconf.operators import DEGENERACY_RTOL
 from conftest import (
     mixed_width_ensemble,
+    pure_qubit_pair,
     random_coefficients,
     random_density,
     random_ensemble,
@@ -252,19 +253,41 @@ def test_two_state_components_needs_two_states(trine):
         two_state_components(trine)
 
 
+@pytest.mark.parametrize("theta", [3e-5, 1e-5])
+def test_two_state_split_of_a_near_parallel_pair(theta):
+    # rho's smallest eigenvalue is below a 1e-9 relative cutoff, but geometry
+    # keeps it, so P_1 + P_2 = 1 and the split applies with q_j = eta_j
+    e = pure_qubit_pair(theta)
+    sigmas, weights = two_state_components(e)
+    assert np.max(np.abs(weights - [0.4, 0.6])) <= 1e-12
+    assert opnorm(weights[0] * sigmas[0] + weights[1] * sigmas[1] - average_state(e)) <= 1e-12
+
+
+def test_two_state_split_refuses_full_rank_qutrits():
+    # two rank-1 top eigenspaces cannot cover a rank-3 average state
+    rng = np.random.default_rng(0)
+    e = StateEnsemble(dim=3, priors=(0.5, 0.5), states=(random_density(rng, 3), random_density(rng, 3)))
+    with pytest.raises(InfeasibleInputError, match="do not resolve the support"):
+        two_state_components(e)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_two_state_split_property(seed):
     rng = np.random.default_rng(seed)
-    e = random_ensemble(rng, 2, 2)
+    e = random_ensemble(rng, int(rng.integers(2, 4)), 2)
     geo = geometry(e)
     c1, c2 = geo.confidences
     if abs(c1 + c2 - 1.0) < 1e-6:
         return
-    if opnorm(geo.top_projectors[0] + geo.top_projectors[1] - support_projector(geo.rho)) > 1e-8:
-        return
-    sigmas, weights = two_state_components(e, geo)
-    assert opnorm(weights[0] * sigmas[0] + weights[1] * sigmas[1] - geo.rho) < 1e-8
+    # the split applies exactly when P_1 + P_2 is rho's support projector
+    miss = opnorm(geo.top_projectors[0] + geo.top_projectors[1] - support_projector(geo.rho))
+    if miss < 1e-10:
+        sigmas, weights = two_state_components(e, geo)
+        assert opnorm(weights[0] * sigmas[0] + weights[1] * sigmas[1] - geo.rho) < 1e-8
+    elif miss > 1e-6:
+        with pytest.raises(InfeasibleInputError):
+            two_state_components(e, geo)
 
 
 def test_geometry_mixed_widths_match_per_outcome_reference():

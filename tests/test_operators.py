@@ -174,3 +174,34 @@ def test_thresholds_are_named_in_operators():
         and 0.0 < abs(node.value) <= 1e-6
     ]
     assert stray == []
+
+
+def test_support_cutoff_routes_stay_out_of_the_solvers():
+    # geometry cuts rho's support at the rounding floor once; a call to the
+    # SUPPORT_RTOL-cut helpers downstream of it would decide that support a
+    # second time. Only the re-exports in __init__.py and the test oracle
+    # geometry.transformed_states may name them outside operators.py
+    names = {"eig_hermitian", "psd_power", "support_projector", "SUPPORT_RTOL"}
+    package = Path(__file__).resolve().parents[1] / "src" / "maxconf"
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "operators.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        oracle = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+                  and (path.name, n.name) == ("geometry.py", "transformed_states")]
+        exempt = {id(n) for f in oracle for n in ast.walk(f)}
+        imported = names if path.name == "__init__.py" else {
+            n.id for f in oracle for n in ast.walk(f) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias) and node.name not in imported:
+                name = node.name
+            else:
+                continue
+            if name in names and id(node) not in exempt:
+                stray.append(f"{path.name}:{node.lineno}: {name}")
+    assert stray == []

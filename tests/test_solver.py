@@ -39,10 +39,12 @@ from maxconf.solver import (
 )
 from conftest import (
     mixed_width_ensemble,
+    pure_qubit_pair,
     random_coefficients,
     random_density,
     random_ensemble,
     random_unitary,
+    rank_raised_dual,
 )
 
 
@@ -186,9 +188,7 @@ def test_solve_numeric_certifies_near_parallel_pair(theta):
     # eigenvalue of Pi_0 (about gap / R) must get below the rank cutoff; at
     # 1e-4, R = 5e-9 and Z (of norm R) must keep its rank, which a gap-only
     # stop missed with R 9.4% wrong
-    v = np.array([np.cos(theta), np.sin(theta)])
-    states = np.stack([np.diag([1.0, 0.0]), np.outer(v, v)]).astype(complex)
-    report = solve_numeric(StateEnsemble(dim=2, priors=np.array([0.5, 0.5]), states=states))
+    report = solve_numeric(pure_qubit_pair(theta, (0.5, 0.5)))
     assert report.certified, report.certificate.failures
     assert abs(report.failure_probability - np.cos(theta)) < 1e-6
     assert report.certificate.rank_z == 1
@@ -749,6 +749,16 @@ def test_verify_certificate_rank_bound(trine):
     assert cert.rank_bound_ok
     assert cert.rank_z >= cert.min_rank_required
     assert cert.rank_z + cert.rank_inconclusive <= trine.dim
+
+
+def test_verify_certificate_fails_on_rank_bound_alone():
+    e = pure_qubit_pair(0.4, (0.5, 0.5))
+    report = solve_numeric(e)
+    z = rank_raised_dual(report.certificate.z, report.detection.inconclusive)
+    cert = verify_certificate(e, report.detection, z)
+    assert cert.failures == ["rank_bound"]
+    assert (cert.rank_z, cert.rank_inconclusive) == (2, 1)
+    assert not cert.rank_bound_ok and not cert.accepted
 
 
 def test_witness_dual_negativity(trine):
