@@ -37,9 +37,11 @@ print(f"recombination error: {np.max(np.abs(recon - geo.rho)):.2e}")
 print(f"component purities: Tr sigma_1^2 = {np.trace(sigmas[0] @ sigmas[0]).real:.6f}, "
       f"Tr sigma_2^2 = {np.trace(sigmas[1] @ sigmas[1]).real:.6f}")
 
-# the top eigenspaces are orthogonal, so the components never overlap there
-cross = np.linalg.norm(geo.top_projectors[0] @ geo.top_projectors[1])
-print(f"top eigenspace overlap: {cross:.2e}")
+# the top eigenspaces are orthogonal, so the components never overlap there:
+# with V_j an orthonormal basis of top eigenspace j, V_1^dagger V_2 vanishes
+v1, v2 = geo.top_vectors
+cross = np.linalg.norm(v1.conj().T @ v2)
+print(f"top eigenspace overlap ||V_1^dagger V_2||_F: {cross:.2e}")
 
 # closed form for the failure probability, checked against the solver
 sol = qubit_mixed_solution(SymmetricFamily(order=2, purity=purity, coefficients=c))

@@ -45,7 +45,7 @@ from .families import (
     square_root_measurement,
 )
 from .geometry import geometry
-from .operators import CROSS_CHECK_TOL, EQ_TOL, POS_TOL
+from .operators import CERT_TOL, CROSS_CHECK_TOL
 from .serialize import (
     certificate_to_json,
     detection_from_json,
@@ -120,9 +120,7 @@ def _solve(ensemble, mode: str, tol: float | None):
         except _ANALYTIC_BLOCKERS:
             report = solve_numeric(ensemble)
     if tol is not None:
-        cert = verify_certificate(
-            ensemble, report.detection, report.certificate.z, pos_tol=tol, eq_tol=tol
-        )
+        cert = verify_certificate(ensemble, report.detection, report.certificate.z, tol=tol)
         report = replace(report, certificate=cert, certified=cert.accepted)
     return report
 
@@ -170,14 +168,13 @@ def cmd_verify(args) -> int:
     ensemble = ensemble_from_json(obj["ensemble"])
     detection = detection_from_json(obj["detection"])
     z = dual_from_certificate_json(obj["certificate"])
-    pos_tol, eq_tol = (POS_TOL, EQ_TOL) if args.tol is None else (args.tol, args.tol)
+    tol = CERT_TOL if args.tol is None else args.tol
     geo = geometry(ensemble)
-    cert = verify_certificate(ensemble, detection, z, geo=geo, pos_tol=pos_tol, eq_tol=eq_tol)
+    cert = verify_certificate(ensemble, detection, z, geo=geo, tol=tol)
     out = {"certificate": certificate_to_json(cert)}
     if args.witness and not cert.accepted:
         try:
-            w = perturbation_witness(ensemble, detection, z, WITNESS_EPSILON, geo=geo,
-                                     pos_tol=pos_tol)
+            w = perturbation_witness(ensemble, detection, z, WITNESS_EPSILON, geo=geo, tol=tol)
             out["witness"] = witness_to_json(w)
         except NoNegativeEigenvalueError as exc:
             out["witness"] = {"available": False, "reason": str(exc)}

@@ -8,11 +8,12 @@ outcome j is the largest eigenvalue C_j of the transformed state
 with the inverse square root taken on the support of rho. The transformed
 states resolve the support projector of rho, so the C_j and their top
 eigenspaces fix everything a maximum-confidence measurement can do. This
-module computes that data once and hands it to the solvers:
+module computes that data once and hands it to the solvers as bases,
+(N, d, b) stacks with b = max_j m_j:
 
-* P_j: projector onto the top eigenspace of rho~_j (degeneracy m_j),
-* Lambda_j: projector onto rho^(-1/2) applied to that eigenspace, the
-  subspace any confidence-C_j detection operator must live in.
+* V_j: the top eigenspace of rho~_j (degeneracy m_j), P_j = V_j V_j^dagger,
+* Q_j: rho^(-1/2) applied to that eigenspace, the support
+  Lambda_j = Q_j Q_j^dagger any confidence-C_j detection operator lives in.
 
 None of it needs rho^(-1/2). The factors rho_j = F_j F_j^dagger stack to
 F = [sqrt(eta_j) F_j] = U Sigma V^dagger, so rho~_j = U V_j^dagger V_j U^dagger
@@ -48,11 +49,9 @@ class MCGeometry:
 
     Attributes
     ----------
-    dim : ambient dimension.
     rho : average state.
     confidences : (N,) top eigenvalues C_j.
     degeneracies : (N,) multiplicities m_j of the top eigenvalues.
-    top_projectors : (N, d, d) projectors P_j.
     top_vectors : (N, d, b) stack, b = max_j m_j: the first m_j columns of
         top_vectors[j] are orthonormal top eigenvectors of rho~_j, the
         columns after them exactly zero.
@@ -60,17 +59,16 @@ class MCGeometry:
         past column m_j in the same way; with W_j the first m_j columns of
         detection_blocks[j], every confidence-C_j detection operator is
         W_j a_j W_j^dagger with a_j >= 0.
-    supports : (N, d, d) projectors Lambda_j onto the column span of W_j.
+    support_bases : (N, d, b) stack Q, zero past column m_j in the same way,
+        its first m_j columns an orthonormal basis of W_j's span Lambda_j.
     """
 
-    dim: int
     rho: np.ndarray
     confidences: np.ndarray
     degeneracies: np.ndarray
-    top_projectors: np.ndarray
     top_vectors: np.ndarray
     detection_blocks: np.ndarray
-    supports: np.ndarray
+    support_bases: np.ndarray
 
 
 def transformed_states(ensemble: StateEnsemble) -> np.ndarray:
@@ -128,23 +126,21 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     q = np.linalg.qr(blocks)[0] * cols[:, None, :]
 
     return MCGeometry(
-        dim=d,
         rho=hermitian_part(average_state(ensemble)),
         confidences=confidences,
         degeneracies=degeneracies,
-        top_projectors=vtop @ vtop.conj().swapaxes(1, 2),
         top_vectors=vtop,
         detection_blocks=blocks,
-        supports=q @ q.conj().swapaxes(1, 2),
+        support_bases=q,
     )
 
 
 def is_unambiguous(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> tuple[bool, dict]:
     """Whether every confidence equals one, i.e. errorless discrimination.
 
-    Equivalent to the top eigenspaces being mutually orthogonal and each
-    detection support annihilating the other states. Returns (flag, residuals)
-    with the measured deviations backing the answer.
+    Equivalent to V_k^dagger V_j = 0 (orthogonal top eigenspaces) and
+    Q_k^dagger rho_j = 0 (each detection support annihilates the other states)
+    for k != j. Returns (flag, residuals) with the measured deviations.
     """
     if geo is None:
         geo = geometry(ensemble)
@@ -155,8 +151,8 @@ def is_unambiguous(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> tu
         prods = (left[:, None] @ right[None])[pairs]
         return float(np.linalg.norm(prods, 2, axis=(1, 2)).max(initial=0.0))
 
-    cross_p = worst(geo.top_projectors, geo.top_projectors)
-    cross_state = worst(geo.supports, ensemble.states)
+    cross_p = worst(geo.top_vectors.conj().swapaxes(1, 2), geo.top_vectors)
+    cross_state = worst(geo.support_bases.conj().swapaxes(1, 2), ensemble.states)
     ok = conf_dev <= TOL_CONF and cross_p <= TOL_CONF and cross_state <= TOL_CONF
     residuals = {
         "confidence_deviation": conf_dev,

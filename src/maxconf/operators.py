@@ -53,10 +53,8 @@ TIE_RTOL = 1e-9  # relative: minimizing ratios this close share the closed form'
 CROSS_CHECK_TOL = 1e-6  # detection rates of closed form and numeric solve in the CLI
 
 # certificates and the numeric solve
-POS_TOL = 1e-8  # most negative eigenvalue of a certificate's PSD conditions: the first gap
-EQ_TOL = 1e-8  # largest residual of its equalities (Z Pi_0, Tr Z - R, ...): same reason
+CERT_TOL = 1e-8  # a certificate's most negative eigenvalue and largest residual; a solve's gap
 ZERO_PROB = 1e-14  # an outcome less likely than this has no defined confidence (nan)
-GAP_TOL = 1e-8  # largest duality gap Tr Z - R of a reported solve: trace_gap's EQ_TOL
 MAX_ITERATIONS = 10000  # interior-point iterations of one solve
 
 

@@ -145,8 +145,7 @@ def certificate_to_json(cert: OptimalityCertificate) -> dict:
         "rank_inconclusive": cert.rank_inconclusive,
         "min_rank_required": cert.min_rank_required,
         "rank_bound_ok": cert.rank_bound_ok,
-        "pos_tol": cert.pos_tol,
-        "eq_tol": cert.eq_tol,
+        "tol": cert.tol,
     }
 
 

@@ -23,17 +23,18 @@ semidefinite program. This module provides:
   measurement whose dual gap goes negative at first order, exhibiting the
   suboptimality concretely.
 
-Optimality conditions checked by the verifier, for dual operator Z:
+Optimality conditions checked by the verifier, for dual operator Z and the
+support bases Q_j of the geometry (Lambda_j = Q_j Q_j^dagger):
 
-    Z >= 0,                 Lambda_j (Z - rho) Lambda_j >= 0,
-    Z Pi_0 = 0,             Lambda_j (Z - rho) Pi_j = 0,
+    Z >= 0,                 Q_j^dagger (Z - rho) Q_j >= 0,
+    Z Pi_0 = 0,             Q_j^dagger (Z - rho) Pi_j = 0,
     Tr Z = R,
 
 plus the rank complementarity rank Z + rank Pi_0 <= d and
-rank Z >= max_j rank(Lambda_j rho_j Lambda_j). Any Z passing all conditions
+rank Z >= max_j rank(Q_j^dagger rho_j Q_j). Any Z passing all conditions
 proves the measurement optimal; the verifier does not care where Z came
 from. The interior point stops on the same rank count (_certificate_ranks)
-once the duality gap is at most GAP_TOL.
+once the duality gap is at most CERT_TOL.
 """
 
 from __future__ import annotations
@@ -54,12 +55,10 @@ from .errors import (
 )
 from .geometry import MCGeometry, geometry
 from .operators import (
+    CERT_TOL,
     DIAGONAL_TOL,
-    EQ_TOL,
-    GAP_TOL,
     MAX_ITERATIONS,
     OVERLAP_CUTOFF,
-    POS_TOL,
     RANK_CUTOFF,
     TIE_RTOL,
     ZERO_PROB,
@@ -134,7 +133,9 @@ class MeasurementStats:
     zero_probability_outcomes: list[int]
 
 
-def _require_matching(ensemble: StateEnsemble, detection: DetectionSet) -> None:
+def _require_matching(ensemble: StateEnsemble, detection: DetectionSet, z=None) -> None:
+    if z is not None and np.shape(z) != (ensemble.dim,) * 2:
+        raise InfeasibleInputError(f"dual Z has shape {np.shape(z)}, not {(ensemble.dim,) * 2}")
     if detection.dim != ensemble.dim:
         raise InfeasibleInputError(
             f"detection dimension {detection.dim} != ensemble dimension {ensemble.dim}"
@@ -177,7 +178,7 @@ class OptimalityCertificate:
     where a sign is meaningful: *_min_eigenvalue entries are smallest
     eigenvalues, the rest are operator norms of quantities that should
     vanish). accepted is True when every condition passes at the stored
-    tolerances and the rank complementarity holds.
+    tolerance tol and the rank complementarity holds.
     """
 
     z: np.ndarray
@@ -189,8 +190,7 @@ class OptimalityCertificate:
     rank_inconclusive: int
     min_rank_required: int
     rank_bound_ok: bool
-    pos_tol: float
-    eq_tol: float
+    tol: float
 
 
 def _certificate_ranks(z_w: np.ndarray, pi0_w: np.ndarray) -> tuple[int, int]:
@@ -206,23 +206,25 @@ def verify_certificate(
     detection: DetectionSet,
     z: np.ndarray,
     geo: MCGeometry | None = None,
-    pos_tol: float = POS_TOL,
-    eq_tol: float = EQ_TOL,
+    tol: float = CERT_TOL,
 ) -> OptimalityCertificate:
     """Check every optimality condition of (detection, Z) and measure residuals.
 
     Accepts if the measurement is a valid complete POVM, Z and the support
-    slacks are positive semidefinite down to -pos_tol, the orthogonality and
-    stationarity products vanish within eq_tol, |Tr Z - R| <= eq_tol, and
-    the rank complementarity holds on the computed ranks.
+    slacks are positive semidefinite down to -tol, the orthogonality and
+    stationarity products vanish within tol, |Tr Z - R| <= tol, and the
+    rank complementarity holds on the computed ranks. The support conditions
+    are b x b compressions by the Q_j: a slack's spectrum has the b - m_j zeros
+    of the padding, not the d - m_j of Lambda_j (Z - rho) Lambda_j. Raises
+    InfeasibleInputError unless Z is d x d and the detection set matches.
     """
-    _require_matching(ensemble, detection)
+    _require_matching(ensemble, detection, z)
     if geo is None:
         geo = geometry(ensemble)
     z = hermitian_part(np.asarray(z, dtype=complex))
     pi0 = detection.inconclusive
-    lam = geo.supports
-    lam_dual = lam @ (z - geo.rho)
+    q, qh = geo.support_bases, geo.support_bases.conj().swapaxes(1, 2)
+    dual = qh @ (z - geo.rho)
     rate = float(np.einsum("ab,jba->", geo.rho, detection.conclusive).real)
     # one spectrum of Z and one of the Hermitian parts of the Pi stack give
     # both the positivity conditions and the ranks
@@ -234,21 +236,21 @@ def verify_certificate(
     conditions["completeness_residual"] = detection.completeness_residual()
     conditions["z_min_eigenvalue"] = float(z_w[0])
     conditions["support_slack_min_eigenvalue"] = float(
-        np.linalg.eigvalsh(hermitian_part(lam_dual @ lam))[:, 0].min()
+        np.linalg.eigvalsh(hermitian_part(dual @ q))[:, 0].min()
     )
     conditions["inconclusive_orthogonality"] = opnorm(z @ pi0)
     conditions["stationarity_residual"] = float(
-        np.linalg.norm(lam_dual @ detection.conclusive, 2, axis=(1, 2)).max()
+        np.linalg.norm(dual @ detection.conclusive, 2, axis=(1, 2)).max()
     )
     conditions["trace_gap"] = abs(float(np.trace(z).real) - rate)
 
     rank_z, rank_pi0 = _certificate_ranks(z_w, pi_w[0])
-    lower = int(support_rank(lam @ ensemble.states @ lam, RANK_CUTOFF).max())
+    lower = int(support_rank(qh @ ensemble.states @ q, RANK_CUTOFF).max())
     rank_ok = (rank_z + rank_pi0 <= ensemble.dim) and (rank_z >= lower)
 
-    # *_min_eigenvalue entries fail below -pos_tol, the residuals above eq_tol
+    # *_min_eigenvalue entries fail below -tol, the residuals above tol
     failures = [name for name, value in conditions.items()
-                if (value < -pos_tol if name.endswith("_min_eigenvalue") else value > eq_tol)]
+                if (value < -tol if name.endswith("_min_eigenvalue") else value > tol)]
     if not rank_ok:
         failures.append("rank_bound")
 
@@ -262,8 +264,7 @@ def verify_certificate(
         rank_inconclusive=rank_pi0,
         min_rank_required=lower,
         rank_bound_ok=rank_ok,
-        pos_tol=pos_tol,
-        eq_tol=eq_tol,
+        tol=tol,
     )
 
 
@@ -502,7 +503,7 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     way, as LP interior-point codes do.
 
     Returns (A, iterations, gap, Z) at the first commuting iterate with
-    gap <= GAP_TOL whose ranks fit, rank Z + rank S <= d counted as the
+    gap <= CERT_TOL whose ranks fit, rank Z + rank S <= d counted as the
     certificate counts rank Z + rank Pi_0 (S is the Pi_0 of the measurement).
     A gap alone is no stop: a small detection rate R leaves S's kernel
     eigenvalue (about gap / R) above the rank cutoff, or Z (of norm R)
@@ -549,7 +550,7 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
         gap = float(np.trace(xa, axis1=1, axis2=2).real.sum() + np.trace(zs).real)
         mu = gap / nu
         commuting = np.sqrt(np.vdot(xa, xa).real) + np.sqrt(np.vdot(zs, zs).real) <= gap
-        if (commuting and gap <= GAP_TOL
+        if (commuting and gap <= CERT_TOL
                 and sum(_certificate_ranks(np.linalg.eigvalsh(z), np.linalg.eigvalsh(s))) <= d):
             return a, iterations, gap, z
         if iterations >= MAX_ITERATIONS:
@@ -627,7 +628,7 @@ def solve_numeric(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> Sol
     pinch(W a W^dagger) <= 1 with W = sqrt(N) W_1. Its Z commutes with V
     and certifies the full problem.
 
-    The reported point has duality gap Tr Z - R at most GAP_TOL and ranks
+    The reported point has duality gap Tr Z - R at most CERT_TOL and ranks
     that fit rank Z + rank Pi_0 <= d (see _interior_point); iterations
     counts its interior-point iterations, at most MAX_ITERATIONS.
     """
@@ -681,7 +682,7 @@ def perturbation_witness(
     z: np.ndarray,
     epsilon: float,
     geo: MCGeometry | None = None,
-    pos_tol: float = POS_TOL,
+    tol: float = CERT_TOL,
 ) -> PerturbationWitness:
     """Construct the deformed measurement that exploits a negative
     certificate eigenvalue.
@@ -696,20 +697,21 @@ def perturbation_witness(
     functional drops below the baseline by 2 epsilon mu to first order.
 
     Raises NoNegativeEigenvalueError when neither Z nor any slack has an
-    eigenvalue below -pos_tol.
+    eigenvalue below -tol, and InfeasibleInputError as verify_certificate.
     """
+    _require_matching(ensemble, detection, z)
     if geo is None:
         geo = geometry(ensemble)
     z = hermitian_part(np.asarray(z, dtype=complex))
-    rho = geo.rho
-
-    slacks = hermitian_part(geo.supports @ (z - rho) @ geo.supports)
+    rho, q = geo.rho, geo.support_bases
+    lam = q @ q.conj().swapaxes(1, 2)
+    slacks = hermitian_part(lam @ (z - rho) @ lam)
     # entry 0 is Z and argmin takes the first minimum: the tie rule above
     w, v = np.linalg.eigh(np.concatenate((z[None], slacks)))
     k = int(np.argmin(w[:, 0]))
-    if w[k, 0] >= -pos_tol:
+    if w[k, 0] >= -tol:
         raise NoNegativeEigenvalueError(
-            f"no certificate eigenvalue below -{pos_tol:.1e} (smallest is {w[k, 0]:.3e})"
+            f"no certificate eigenvalue below -{tol:.1e} (smallest is {w[k, 0]:.3e})"
         )
     kind = "support-slack" if k else "dual-negativity"
     mu = -float(w[k, 0])

@@ -53,6 +53,12 @@ def rank_raised_dual(z, inconclusive, eps=8.5e-9):
     return z * (1.0 - eps / np.trace(z).real) + eps * np.outer(top, top.conj())
 
 
+def projectors(bases):
+    """B_j B_j^dagger for each basis of an (N, d, b) stack: the P_j of
+    geometry's top_vectors, the Lambda_j of its support_bases."""
+    return bases @ bases.conj().swapaxes(1, 2)
+
+
 def random_coefficients(rng, dim, floor=0.05):
     """Normalized coefficient vector with every |c_l| >= floor."""
     while True:

@@ -26,7 +26,7 @@ from maxconf import (
     two_state_components,
 )
 import conftest
-from conftest import random_coefficients, random_density
+from conftest import projectors, random_coefficients, random_density
 
 
 def _report(num, ok, detail):
@@ -250,8 +250,7 @@ def test_criterion_6_trace_identity():
             rate = sum(float(np.trace(geo.rho @ op).real) for op in ops)
             lhs = float(np.trace(z).real) - rate
             rhs = float(np.trace(z @ det.inconclusive).real)
-            for j in range(n):
-                lam = geo.supports[j]
+            for j, lam in enumerate(projectors(geo.support_bases)):
                 rhs += float(np.trace(lam @ (z - geo.rho) @ lam @ ops[j]).real)
             worst = max(worst, abs(lhs - rhs))
             count += 1
@@ -366,7 +365,8 @@ def test_criterion_10_two_state_split():
         sigmas, weights = two_state_components(e, geo)
         recon = weights[0] * sigmas[0] + weights[1] * sigmas[1]
         worst_recon = max(worst_recon, opnorm(recon - geo.rho))
-        worst_orth = max(worst_orth, opnorm(geo.top_projectors[0] @ geo.top_projectors[1]))
+        tops = projectors(geo.top_vectors)
+        worst_orth = max(worst_orth, opnorm(tops[0] @ tops[1]))
 
         q_formula = p * np.cos(gamma)
         fam = SymmetricFamily(order=2, purity=p, coefficients=c)

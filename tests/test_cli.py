@@ -210,6 +210,38 @@ def test_verify_names_non_finite_solution_arrays(trine_file, tmp_path, capsys, f
     assert f"{field}: entries must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_verify_names_a_dual_of_the_wrong_shape(trine_file, tmp_path, capsys, dim):
+    out = tmp_path / "solution.json"
+    main(["solve", "--input", str(trine_file), "--output", str(out)])
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    obj["certificate"]["z"] = array_to_json(np.eye(dim) / dim)
+    out.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out), "--witness"]) == 2
+    assert f"dual Z has shape ({dim}, {dim})" in capsys.readouterr().err
+
+
+def test_verify_reads_a_certificate_with_the_two_old_tolerance_keys(trine_file, tmp_path):
+    # solution files once stored pos_tol and eq_tol instead of tol; verify reads only z
+    out = tmp_path / "solution.json"
+    main(["solve", "--input", str(trine_file), "--output", str(out)])
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    cert = obj["certificate"]
+    del cert["tol"]
+    cert["pos_tol"] = cert["eq_tol"] = 1e-8
+    out.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", "--input", str(out)]) == 0
+
+
+def test_solve_writes_the_one_certificate_tolerance(trine_file, tmp_path):
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--input", str(trine_file), "--tol", "1e-3", "--output", str(out)]) == 0
+    cert = json.loads(out.read_text(encoding="utf-8"))["certificate"]
+    assert cert["tol"] == 0.001
+    assert "pos_tol" not in cert and "eq_tol" not in cert
+
+
 def test_verify_needs_solution_file(tmp_path):
     p = tmp_path / "partial.json"
     p.write_text(json.dumps({"ensemble": {}}), encoding="utf-8")

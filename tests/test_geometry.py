@@ -25,6 +25,7 @@ from maxconf import (
 from maxconf.operators import DEGENERACY_RTOL
 from conftest import (
     mixed_width_ensemble,
+    projectors,
     pure_qubit_pair,
     random_coefficients,
     random_density,
@@ -55,12 +56,13 @@ def _assert_matches_reference(ensemble, geo, tol=1e-12):
     # tol times the condition number of rho on its support
     rho = average_state(ensemble)
     loose = tol * opnorm(rho) * opnorm(psd_power(rho, -1.0))
+    tops, supports = projectors(geo.top_vectors), projectors(geo.support_bases)
     for j, (c, m, pj, lam, wwh) in enumerate(_reference_geometry(ensemble)):
         assert abs(geo.confidences[j] - c) <= tol
         assert geo.degeneracies[j] == m
         wj = geo.detection_blocks[j]
-        assert opnorm(geo.top_projectors[j] - pj) <= loose
-        assert opnorm(geo.supports[j] - lam) <= loose
+        assert opnorm(tops[j] - pj) <= loose
+        assert opnorm(supports[j] - lam) <= loose
         assert opnorm(wj @ wj.conj().T - wwh) <= loose * opnorm(wwh)
 
 
@@ -78,7 +80,7 @@ def test_trine_geometry(trine):
     assert np.array_equal(geo.degeneracies, [1, 1, 1])
     for j in range(3):
         # rank-one top projector aligned with the state itself
-        assert opnorm(geo.top_projectors[j] - trine.states[j]) < 1e-10
+        assert opnorm(projectors(geo.top_vectors)[j] - trine.states[j]) < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -93,10 +95,12 @@ def test_geometry_supports_are_projectors():
     rng = np.random.default_rng(2)
     e = random_ensemble(rng, 3, 3)
     geo = geometry(e)
-    for lam in geo.supports:
-        assert opnorm(lam @ lam - lam) < 1e-9
-    for j, p in enumerate(geo.top_projectors):
-        assert int(round(float(np.trace(p).real))) == geo.degeneracies[j]
+    # Q_j^dagger Q_j and V_j^dagger V_j are diag(1_{m_j}, 0), so Q_j Q_j^dagger
+    # and V_j V_j^dagger are projectors of rank m_j
+    for bases in (geo.support_bases, geo.top_vectors):
+        for j, m in enumerate(geo.degeneracies):
+            gram = np.diag((np.arange(bases.shape[2]) < m).astype(float))
+            assert opnorm(bases[j].conj().T @ bases[j] - gram) < 1e-9
 
 
 def test_geometry_confidences_are_top_eigenvalues():
@@ -120,6 +124,22 @@ def test_unambiguous_orbit():
     assert residuals["confidence_deviation"] < 1e-9
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_is_unambiguous_matches_projector_form(seed):
+    # ||V_k^dagger V_j|| = ||P_k P_j|| and ||Q_k^dagger rho_j|| = ||Lambda_k rho_j||
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    e = random_ensemble(rng, d, n, mixed=bool(seed % 2))
+    geo = geometry(e)
+    _, residuals = is_unambiguous(e, geo)
+    tops, supports = projectors(geo.top_vectors), projectors(geo.support_bases)
+    pairs = [(k, j) for k in range(n) for j in range(n) if k != j]
+    overlap = max(opnorm(tops[k] @ tops[j]) for k, j in pairs)
+    state_overlap = max(opnorm(supports[k] @ e.states[j]) for k, j in pairs)
+    assert abs(residuals["projector_overlap"] - overlap) <= 1e-12
+    assert abs(residuals["support_state_overlap"] - state_overlap) <= 1e-12
+
+
 def test_trine_not_unambiguous(trine):
     flag, residuals = is_unambiguous(trine)
     assert not flag
@@ -140,7 +160,7 @@ def test_tiny_prior_fails_the_cross_check_not_a_psd_test(seed):
     geo = geometry(e)
     assert np.max(np.abs(geo.confidences - 1.0)) <= 1e-12
     assert geo.degeneracies.tolist() == [1, 1, 1]
-    for j, lam in enumerate(geo.supports):
+    for j, lam in enumerate(projectors(geo.support_bases)):
         assert opnorm(lam @ lam - lam) <= 1e-12
         assert abs(np.trace(lam).real - 1.0) <= 1e-12
         for k, v in enumerate(vs):
@@ -219,7 +239,8 @@ def test_two_state_components_recombine():
         assert float(np.trace(s).real) == pytest.approx(1.0, abs=1e-10)
         assert float(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0]) > -1e-9
     # the pieces live on the orthogonal top eigenspaces
-    assert opnorm(geo.top_projectors[0] @ geo.top_projectors[1]) < 1e-9
+    tops = projectors(geo.top_vectors)
+    assert opnorm(tops[0] @ tops[1]) < 1e-9
 
 
 def test_two_state_components_spectral_route():
@@ -233,7 +254,7 @@ def test_two_state_components_spectral_route():
 
     sqrt_rho = psd_power(geo.rho, 0.5)
     for j in range(2):
-        spectral = sqrt_rho @ geo.top_projectors[j] @ sqrt_rho
+        spectral = sqrt_rho @ projectors(geo.top_vectors)[j] @ sqrt_rho
         assert opnorm(weights[j] * sigmas[j] - spectral) < 1e-9
 
 
@@ -281,7 +302,7 @@ def test_two_state_split_property(seed):
     if abs(c1 + c2 - 1.0) < 1e-6:
         return
     # the split applies exactly when P_1 + P_2 is rho's support projector
-    miss = opnorm(geo.top_projectors[0] + geo.top_projectors[1] - support_projector(geo.rho))
+    miss = opnorm(projectors(geo.top_vectors).sum(axis=0) - support_projector(geo.rho))
     if miss < 1e-10:
         sigmas, weights = two_state_components(e, geo)
         assert opnorm(weights[0] * sigmas[0] + weights[1] * sigmas[1] - geo.rho) < 1e-8

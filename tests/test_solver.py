@@ -28,7 +28,7 @@ from maxconf import (
     verify_certificate,
 )
 from maxconf import solver
-from maxconf.operators import GAP_TOL, RANK_CUTOFF, support_rank
+from maxconf.operators import CERT_TOL, RANK_CUTOFF, support_rank
 from maxconf.solver import (
     _cone_factors,
     _cone_lows,
@@ -39,6 +39,7 @@ from maxconf.solver import (
 )
 from conftest import (
     mixed_width_ensemble,
+    projectors,
     pure_qubit_pair,
     random_coefficients,
     random_density,
@@ -284,7 +285,7 @@ def test_solve_numeric_reports_duality_gap(trine):
     assert report.certified
     # the gap of a feasible primal-dual pair is the certificate's Tr Z - R
     cert = report.certificate
-    assert 0.0 < report.duality_gap <= GAP_TOL
+    assert 0.0 < report.duality_gap <= CERT_TOL
     assert abs(report.duality_gap - (np.trace(cert.z).real - cert.rate)) <= 1e-12
     assert solve_rank1_symmetric(trine).duality_gap == 0.0
 
@@ -294,7 +295,7 @@ def _stacked_blocks(geo):
     the (N, b) mask of their real columns and the one cluster P = 1 of a
     generic ensemble."""
     cols = np.arange(geo.degeneracies.max()) < geo.degeneracies[:, None]
-    return geo.detection_blocks, cols, np.ones((1, geo.dim), dtype=bool)
+    return geo.detection_blocks, cols, np.ones((1, len(geo.rho)), dtype=bool)
 
 
 def test_stacked_embedding_matches_per_outcome_reference():
@@ -668,18 +669,22 @@ def test_verify_certificate_accepts_optimal_duals(trine):
         assert cert.conditions["trace_gap"] < 1e-12
 
 
-def _reference_certificate(ensemble, detection, z, geo, tol=1e-8):
-    """The certificate conditions and ranks, one outcome at a time."""
+def _reference_certificate(ensemble, detection, z, geo, tol=1e-8, projector=False):
+    """The certificate conditions and ranks, one outcome at a time: on the
+    b x b compressions by the support bases Q_j, or with projector=True in
+    the d x d form of Lambda_j = Q_j Q_j^dagger that the compressions replace."""
     sym = lambda a: 0.5 * (a + a.conj().T)
     rho, n = geo.rho, ensemble.n_states
     z = sym(np.asarray(z, dtype=complex))
     rate = sum(float(np.trace(rho @ detection.conclusive[j]).real) for j in range(n))
     slack_min, stationarity, lower = np.inf, 0.0, 0
     for j in range(n):
-        lam = geo.supports[j]
-        slack_min = min(slack_min, float(np.linalg.eigvalsh(sym(lam @ (z - rho) @ lam))[0]))
-        stationarity = max(stationarity, opnorm(lam @ (z - rho) @ detection.conclusive[j]))
-        lower = max(lower, support_rank(lam @ ensemble.states[j] @ lam, RANK_CUTOFF))
+        q = geo.support_bases[j]
+        if projector:
+            q = q @ q.conj().T  # Lambda_j, so q^dagger (Z - rho) q is Lambda_j (Z - rho) Lambda_j
+        slack_min = min(slack_min, float(np.linalg.eigvalsh(sym(q.conj().T @ (z - rho) @ q))[0]))
+        stationarity = max(stationarity, opnorm(q.conj().T @ (z - rho) @ detection.conclusive[j]))
+        lower = max(lower, support_rank(q.conj().T @ ensemble.states[j] @ q, RANK_CUTOFF))
     conditions = {
         "povm_min_eigenvalue": min(float(np.linalg.eigvalsh(sym(op))[0])
                                    for op in detection.operators),
@@ -733,6 +738,38 @@ def _assert_matches_reference(cert, reference):
         assert abs(cert.conditions[k] - v) <= 1e-12, k
     assert (cert.rank_z, cert.rank_inconclusive, cert.min_rank_required) == ranks
     assert cert.failures == failures
+
+
+_EQUIVALENCE_INPUTS = {
+    "trine": lambda: build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2.0), 3),
+    "pair-0.4": lambda: pure_qubit_pair(0.4, (0.5, 0.5)),
+    "mixed-widths": lambda: mixed_width_ensemble(np.random.default_rng(21)),
+    "qutrit-triple": lambda: random_ensemble(np.random.default_rng(4), 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EQUIVALENCE_INPUTS))
+def test_compressed_certificate_matches_projector_form(name):
+    # the d x d projector form gives each slack d - m_j structural zeros, the
+    # compressions only the b - m_j of the padding: the slack minimum can only
+    # rise, and only where it is >= 0, so no failure list or rank changes
+    e = _EQUIVALENCE_INPUTS[name]()
+    geo = geometry(e)
+    report = solve_numeric(e, geo)
+    z0, d = report.certificate.z, e.dim
+    for z in (z0, 0.9 * z0, z0 - 0.05 * np.eye(d), z0 + 0.2 * np.diag((-1.0) ** np.arange(d))):
+        cert = verify_certificate(e, report.detection, z, geo=geo)
+        conditions, ranks, failures = _reference_certificate(e, report.detection, z, geo, projector=True)
+        assert cert.failures == failures
+        assert (cert.rank_z, cert.rank_inconclusive, cert.min_rank_required) == ranks
+        for k, v in conditions.items():
+            if k != "support_slack_min_eigenvalue":
+                assert abs(cert.conditions[k] - v) <= 1e-12, k
+        slack = cert.conditions["support_slack_min_eigenvalue"]
+        projected = conditions["support_slack_min_eigenvalue"]
+        assert slack >= projected - 1e-15
+        if slack < 0.0:
+            assert abs(slack - projected) <= 1e-12
 
 
 def test_verify_certificate_rejects_shrunken_dual(trine):
@@ -794,6 +831,13 @@ def test_witness_support_slack(trine):
     assert w.mu == pytest.approx(0.5, abs=1e-9)
     assert w.gap == pytest.approx(-eps * (2.0 - eps) * 0.5, abs=1e-10)
     assert w.detection.completeness_residual() < 1e-12
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_witness_refuses_a_detection_set_of_the_wrong_size(trine, count):
+    ops = np.stack([(2.0 / 3.0) * trine.states[j % 3] for j in range(count)]) / 2.0
+    with pytest.raises(InfeasibleInputError, match=f"{count} conclusive outcomes for 3 states"):
+        perturbation_witness(trine, DetectionSet.from_conclusive(ops), 0.4 * np.eye(2), 1e-3)
 
 
 def test_witness_requires_negativity(trine):
