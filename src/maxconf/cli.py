@@ -102,6 +102,13 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
     return name, np.linspace(start, stop, steps)
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < np.inf:  # a NaN tolerance would pass every comparison
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite nonnegative number, got {text!r}")
+    return value
+
+
 def cmd_validate(args) -> int:
     ensemble = ensemble_from_json(load_json(args.input))
     report = validate(ensemble)
@@ -109,25 +116,26 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _solve(ensemble, mode: str, tol: float | None):
+def _solve(ensemble, geo, mode: str, tol: float | None):
     if mode == "analytic":
-        report = solve_rank1_symmetric(ensemble)
+        report = solve_rank1_symmetric(ensemble, geo)
     elif mode == "numeric":
-        report = solve_numeric(ensemble)
+        report = solve_numeric(ensemble, geo)
     else:
         try:
-            report = solve_rank1_symmetric(ensemble)
+            report = solve_rank1_symmetric(ensemble, geo)
         except _ANALYTIC_BLOCKERS:
-            report = solve_numeric(ensemble)
+            report = solve_numeric(ensemble, geo)
     if tol is not None:
-        cert = verify_certificate(ensemble, report.detection, report.certificate.z, tol=tol)
+        cert = verify_certificate(ensemble, report.detection, report.certificate.z, geo=geo, tol=tol)
         report = replace(report, certificate=cert, certified=cert.accepted)
     return report
 
 
 def cmd_solve(args) -> int:
     ensemble = ensemble_from_json(load_json(args.input))
-    report = _solve(ensemble, args.mode, args.tol)
+    geo = geometry(ensemble)
+    report = _solve(ensemble, geo, args.mode, args.tol)
     out = {
         "ensemble": ensemble_to_json(ensemble),
         "report": report_to_json(report),
@@ -138,7 +146,7 @@ def cmd_solve(args) -> int:
     if args.check:
         other = "numeric" if report.mode == "analytic" else "analytic"
         try:
-            cross = _solve(ensemble, other, args.tol)
+            cross = _solve(ensemble, geo, other, args.tol)
             deviation = abs(cross.detection_rate - report.detection_rate)
             conf_deviation = float(np.nanmax(np.abs(cross.confidences - report.confidences)))
             out["cross_check"] = {
@@ -240,12 +248,13 @@ def cmd_sweep(args) -> int:
         family = _family_instance(kind, spec, param, float(value))
         sol = _closed_form(kind, family)
         ensemble = family.ensemble()
-        solved = _solve(ensemble, "auto", None)
+        geo = geometry(ensemble)
+        solved = _solve(ensemble, geo, "auto", None)
         row = [kind, float(value), sol.confidence, sol.failure_probability, sol.alpha, solved.certified]
         if kind == "pure-symmetric":
             row.append(square_root_measurement(family)[1])
         if args.check:
-            numeric = solved if solved.mode == "numeric" else solve_numeric(ensemble)
+            numeric = solved if solved.mode == "numeric" else solve_numeric(ensemble, geo)
             dev = abs(numeric.failure_probability - sol.failure_probability)
             worst_dev = max(worst_dev, dev)
             row.append(dev)
@@ -272,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", help="write the result here instead of stdout")
         if tol:
-            p.add_argument("--tol", type=float, help="tolerance override")
+            p.add_argument("--tol", type=_tolerance, help="tolerance override, finite and nonnegative")
         if mode:
             p.add_argument(
                 "--mode", choices=("auto", "analytic", "numeric"), default="auto",

@@ -300,7 +300,7 @@ def check_family(coefficients: np.ndarray, purity: float) -> np.ndarray:
     purity lies in [0, 1]."""
     c = np.asarray(coefficients, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(c))
-    if abs(nrm - 1.0) > COEFF_NORM_TOL:
+    if not abs(nrm - 1.0) <= COEFF_NORM_TOL:  # a NaN coefficient fails it too
         raise InfeasibleInputError(f"coefficients have norm {nrm:.15f}, expected 1")
     if float(np.min(np.abs(c))) <= COEFF_ZERO_TOL:
         raise DegenerateCoefficientError(

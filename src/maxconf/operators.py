@@ -47,9 +47,7 @@ EPS = float(np.finfo(float).eps)  # u: geometry's ranks and validate's rank flag
 TOL_RECON = 1e-10  # orbit and commutation in validate
 TOL_CONF = 1e-9  # |C_j - 1| and overlaps in is_unambiguous; C_1 + C_2 = 1 in the split
 SPLIT_TOL = 1e-8  # two-state split: algebraic pieces against spectral ones
-DIAGONAL_TOL = 1e-9  # off-diagonal entries of rho in the generator eigenbasis (closed form)
-OVERLAP_CUTOFF = 1e-14  # |<l|nu>|^2 at or below it drops l from the closed-form minimum
-TIE_RTOL = 1e-9  # relative: minimizing ratios this close share the closed form's dual Z
+TIE_RTOL = 1e-9  # relative: largest |w_l|^2 this close share the closed form's dual Z
 CROSS_CHECK_TOL = 1e-6  # detection rates of closed form and numeric solve in the CLI
 
 # certificates and the numeric solve

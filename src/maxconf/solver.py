@@ -56,9 +56,7 @@ from .errors import (
 from .geometry import MCGeometry, geometry
 from .operators import (
     CERT_TOL,
-    DIAGONAL_TOL,
     MAX_ITERATIONS,
-    OVERLAP_CUTOFF,
     RANK_CUTOFF,
     TIE_RTOL,
     ZERO_PROB,
@@ -133,7 +131,9 @@ class MeasurementStats:
     zero_probability_outcomes: list[int]
 
 
-def _require_matching(ensemble: StateEnsemble, detection: DetectionSet, z=None) -> None:
+def _require_matching(ensemble: StateEnsemble, detection: DetectionSet, z=None, tol=0.0) -> None:
+    if not 0.0 <= tol < math.inf:  # a NaN tolerance would pass every comparison
+        raise InfeasibleInputError(f"tolerance must be a finite nonnegative number, got {tol}")
     if z is not None and np.shape(z) != (ensemble.dim,) * 2:
         raise InfeasibleInputError(f"dual Z has shape {np.shape(z)}, not {(ensemble.dim,) * 2}")
     if detection.dim != ensemble.dim:
@@ -216,9 +216,10 @@ def verify_certificate(
     rank complementarity holds on the computed ranks. The support conditions
     are b x b compressions by the Q_j: a slack's spectrum has the b - m_j zeros
     of the padding, not the d - m_j of Lambda_j (Z - rho) Lambda_j. Raises
-    InfeasibleInputError unless Z is d x d and the detection set matches.
+    InfeasibleInputError unless Z is d x d, the detection set matches and
+    tol is finite and nonnegative.
     """
-    _require_matching(ensemble, detection, z)
+    _require_matching(ensemble, detection, z, tol)
     if geo is None:
         geo = geometry(ensemble)
     z = hermitian_part(np.asarray(z, dtype=complex))
@@ -316,17 +317,17 @@ def solve_rank1_symmetric(
     """Closed-form optimal measurement for a cyclic ensemble whose
     transformed states have nondegenerate top eigenvalues.
 
-    Works in the eigenbasis of the symmetry generator (where the average
-    state is diagonal with entries r_l). With nu the top eigenvector of the
-    first transformed state, the optimal weight is
+    With distinct phases, sum_j V^j Pi_1 V^-j = N diag(Pi_1) in the
+    generator eigenbasis, so for Pi_1 = alpha w w^dagger, w = W_1 the first
+    detection block (w^dagger rho w = 1), completeness reads
+    N alpha |w_l|^2 <= 1 and the detection rate is N alpha. The optimum
 
-        alpha = (1/N) min_l r_l / |<l|nu>|^2
+        alpha = 1 / (N max_l |w_l|^2)
 
-    over components with nonvanishing overlap, giving failure probability
-    Q = 1 - N alpha, conclusive operators the cyclic orbit of
-    alpha (rho^(-1/2) nu)(rho^(-1/2) nu)^dagger, and a diagonal dual Z
-    spread uniformly over the minimizing components. The returned report
-    carries the verified certificate.
+    gives failure probability Q = 1 - N alpha, conclusive operators the
+    cyclic orbit of alpha w w^dagger, and a diagonal dual Z spread uniformly
+    over the coordinates attaining the maximum. The returned report carries
+    the verified certificate.
     """
     if ensemble.symmetry is None:
         raise NotSymmetricError("ensemble carries no symmetry data")
@@ -337,38 +338,20 @@ def solve_rank1_symmetric(
         )
     if geo is None:
         geo = geometry(ensemble)
-    n, d = ensemble.n_states, ensemble.dim
+    n = ensemble.n_states
     if int(geo.degeneracies.max()) > 1:
         raise DegenerateTopEigenvalueError(
             f"top eigenvalue degeneracy {int(geo.degeneracies.max())} > 1; "
             "use the numerical solver"
         )
 
-    rho = geo.rho
-    off = float(np.max(np.abs(rho - np.diag(np.diag(rho)))))
-    if off > DIAGONAL_TOL:
-        raise NotSymmetricError(
-            f"average state is not diagonal in the symmetry eigenbasis (off-diagonal {off:.3e})"
-        )
-    r = np.diag(rho).real
-
-    nu, w1 = geo.top_vectors[0, :, 0], geo.detection_blocks[0, :, 0]  # nu and rho^(-1/2) nu
-    overlaps = np.abs(nu) ** 2
-    usable = overlaps > OVERLAP_CUTOFF  # nu is a unit vector, so some overlap is >= 1/d
-    ratios = np.full(d, np.inf)
-    ratios[usable] = r[usable] / overlaps[usable]
-    alpha = float(ratios.min()) / n
-
-    pi1 = alpha * np.outer(w1, w1.conj())
-    detection = DetectionSet.from_conclusive(orbit(pi1, sym.phases, n))
-
-    # dual operator: weight N*alpha spread over the components achieving
-    # the minimum ratio (ties within relative TIE_RTOL)
-    rmin = float(ratios.min())
-    cluster = np.where(usable & (ratios <= rmin * (1.0 + TIE_RTOL)))[0]
-    zdiag = np.zeros(d)
-    zdiag[cluster] = n * alpha / cluster.size
-    z = np.diag(zdiag).astype(complex)
+    w = geo.detection_blocks[0, :, 0]
+    mods = np.abs(w) ** 2
+    alpha = 1.0 / (n * float(mods.max()))
+    detection = DetectionSet.from_conclusive(orbit(alpha * np.outer(w, w.conj()), sym.phases, n))
+    # the dual spreads N alpha over the coordinates of the largest |w_l|^2 (ties within TIE_RTOL)
+    tied = mods * (1.0 + TIE_RTOL) >= mods.max()
+    z = np.diag(np.where(tied, n * alpha / np.count_nonzero(tied), 0.0)).astype(complex)
     return _report(ensemble, geo, "analytic", detection, z)
 
 
@@ -699,7 +682,7 @@ def perturbation_witness(
     Raises NoNegativeEigenvalueError when neither Z nor any slack has an
     eigenvalue below -tol, and InfeasibleInputError as verify_certificate.
     """
-    _require_matching(ensemble, detection, z)
+    _require_matching(ensemble, detection, z, tol)
     if geo is None:
         geo = geometry(ensemble)
     z = hermitian_part(np.asarray(z, dtype=complex))

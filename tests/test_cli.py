@@ -307,6 +307,16 @@ def test_sweep_check_unattainable_tolerance_exits_one(tmp_path, capsys):
     assert "numeric cross-check deviates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+def test_tol_must_be_finite_and_nonnegative(command, tol, trine_file, capsys):
+    # a NaN tolerance would pass every residual comparison and accept any dual
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(trine_file), "--tol", tol])
+    assert exc.value.code == 2
+    assert f"finite nonnegative number, got {tol!r}" in capsys.readouterr().err
+
+
 def test_sweep_rejects_bad_grid(tmp_path):
     spec = {"family": "qubit-mixed", "order": 3}
     p = tmp_path / "family.json"
@@ -376,8 +386,8 @@ def test_compare_needs_symmetry(tmp_path):
 def test_solve_check_disagreement_exits_one(trine_file, tmp_path, monkeypatch):
     solve = cli._solve
 
-    def skewed(ensemble, mode, tol):
-        report = solve(ensemble, mode, tol)
+    def skewed(ensemble, geo, mode, tol):
+        report = solve(ensemble, geo, mode, tol)
         if mode == "numeric":
             report = replace(report, detection_rate=report.detection_rate - 1e-3)
         return report

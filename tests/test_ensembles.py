@@ -245,6 +245,11 @@ def test_build_depolarized_family_rejects_zero_coefficient():
         build_depolarized_family(np.array([1.0, 0.0]), 3, 0.5)
 
 
+def test_build_depolarized_family_rejects_nan_coefficient():
+    with pytest.raises(InfeasibleInputError):
+        build_depolarized_family(np.array([np.nan, 1.0]), 3, 0.5)
+
+
 def test_build_depolarized_family_rejects_bad_purity():
     c = np.array([1.0, 1.0]) / np.sqrt(2)
     with pytest.raises(InfeasibleInputError):

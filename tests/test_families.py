@@ -27,6 +27,14 @@ def test_family_validation():
         SymmetricFamily.flat(order=2, dim=3, purity=1.0)
 
 
+def test_family_rejects_nan_coefficients():
+    # a NaN norm fails no comparison, so the norm test must be written to fail on it
+    with pytest.raises(InfeasibleInputError):
+        SymmetricFamily.qubit(order=3, purity=0.5, angle=np.nan)
+    with pytest.raises(InfeasibleInputError):
+        SymmetricFamily(order=3, purity=1.0, coefficients=np.array([np.nan, 1.0]))
+
+
 def test_pure_symmetric_closed_form():
     c = np.array([np.sqrt(0.8), np.sqrt(0.2)])
     fam = SymmetricFamily(order=3, purity=1.0, coefficients=c)

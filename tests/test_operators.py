@@ -176,6 +176,19 @@ def test_thresholds_are_named_in_operators():
     assert stray == []
 
 
+def test_every_threshold_in_the_table_is_read():
+    # a constant of operators.py's tolerance table that no code reads is a
+    # threshold left behind by the check it served
+    package = Path(__file__).resolve().parents[1] / "src" / "maxconf"
+    table = ast.parse((package / "operators.py").read_text(encoding="utf-8"))
+    names = {target.id for node in table.body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name) and target.id.isupper()}
+    read = {node.id for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert len(names) > 10 and sorted(names - read) == []
+
+
 def test_support_cutoff_routes_stay_out_of_the_solvers():
     # geometry cuts rho's support at the rounding floor once; a call to the
     # SUPPORT_RTOL-cut helpers downstream of it would decide that support a

@@ -120,6 +120,70 @@ def test_solve_rank1_requires_symmetry():
         solve_rank1_symmetric(random_ensemble(rng, 2, 3))
 
 
+def test_solve_rank1_on_a_vanishing_coefficient():
+    # rho = diag(0.36, 0.64, 0): the orbit lives in the first two coordinates,
+    # and the closed form must not divide by the empty third one
+    e = build_symmetric_ensemble(np.array([0.6, 0.8, 0.0]), 4)
+    report = solve_rank1_symmetric(e)
+    exact = pure_symmetric_solution(SymmetricFamily(order=4, purity=1.0, coefficients=np.array([0.6, 0.8])))
+    assert report.certified, report.certificate.failures
+    assert abs(report.failure_probability - exact.failure_probability) < 1e-12
+    assert np.nanmax(np.abs(report.confidences - exact.confidence)) < 1e-12
+
+
+def _eigenbasis_closed_form(ensemble):
+    """The closed form's alpha and dual support by the eigenbasis route: with
+    r_l the diagonal of rho and nu the top eigenvector of the first
+    transformed state, alpha = (1/N) min_l r_l / |nu_l|^2 over the l with
+    |nu_l|^2 > 1e-14, the dual on the l within 1e-9 of the minimum ratio."""
+    geo = geometry(ensemble)
+    r, overlaps = np.diag(geo.rho).real, np.abs(geo.top_vectors[0, :, 0]) ** 2
+    usable = overlaps > 1e-14
+    ratios = np.full(ensemble.dim, np.inf)
+    ratios[usable] = r[usable] / overlaps[usable]
+    tied = np.flatnonzero(usable & (ratios <= ratios.min() * (1.0 + 1e-9)))
+    return float(ratios.min()) / ensemble.n_states, tied
+
+
+def _closed_form_inputs():
+    rng = np.random.default_rng(19)
+    yield "trine", build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2.0), 3)
+    for dim, order, purity in ((2, 3, 1.0), (3, 5, 0.6), (4, 4, 0.3)):
+        yield f"flat d={dim}", SymmetricFamily.flat(order=order, dim=dim, purity=purity).ensemble()
+    for k in range(6):
+        dim = int(rng.integers(2, 6))
+        purity = 1.0 if k % 2 == 0 else float(rng.uniform(0.1, 0.95))
+        fam = SymmetricFamily(order=int(rng.integers(dim, 9)), purity=purity,
+                              coefficients=random_coefficients(rng, dim))
+        yield f"{'pure' if purity == 1.0 else 'mixed'} d={dim}", fam.ensemble()
+
+
+_CLOSED_FORM_INPUTS = list(_closed_form_inputs())
+
+
+@pytest.mark.parametrize("label, ensemble", _CLOSED_FORM_INPUTS, ids=[label for label, _ in _CLOSED_FORM_INPUTS])
+def test_closed_form_matches_the_eigenbasis_route(label, ensemble):
+    # alpha = 1 / (N max_l |w_l|^2) from the detection block alone is the
+    # eigenbasis formula, w_l = nu_l / sqrt(r_l) on rho's support
+    alpha, tied = _eigenbasis_closed_form(ensemble)
+    report = solve_rank1_symmetric(ensemble)
+    assert report.certified, report.certificate.failures
+    assert abs(report.detection_rate / ensemble.n_states - alpha) <= 1e-13 * alpha
+    assert np.flatnonzero(np.diag(report.certificate.z).real > 0.0).tolist() == tied.tolist()
+    if label.startswith("flat"):
+        assert tied.size == ensemble.dim
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_certificate_tolerance_must_be_finite_and_nonnegative(trine, tol):
+    # at a NaN tolerance every residual comparison is False and any dual passes
+    det, z = trine_optimal_detection(trine), np.eye(2) / 4.0
+    with pytest.raises(InfeasibleInputError, match="finite nonnegative"):
+        verify_certificate(trine, det, z, tol=tol)
+    with pytest.raises(InfeasibleInputError, match="finite nonnegative"):
+        perturbation_witness(trine, det, z, 1e-3, tol=tol)
+
+
 def test_solve_rank1_requires_distinct_phases():
     e = build_symmetric_ensemble(
         np.array([1.0, 1.0]) / np.sqrt(2), 3, phases=np.array([1.0, 1.0])
@@ -561,6 +625,9 @@ def test_solve_numeric_is_covariant(kind):
     if kind == "embedded":
         exact = pure_symmetric_solution(SymmetricFamily(order=4, purity=1.0, coefficients=c))
         assert abs(report.failure_probability - exact.failure_probability) < 1e-6
+        closed = solve_rank1_symmetric(e)
+        assert closed.certified, closed.certificate.failures
+        assert abs(closed.failure_probability - exact.failure_probability) < 1e-12
     v = e.symmetry.generator()
     det = report.detection
     for k in range(e.n_states):
