@@ -48,11 +48,9 @@ from .geometry import (
     two_state_components,
 )
 from .operators import (
-    Spectrum,
     eig_hermitian,
     opnorm,
     psd_power,
-    support_projector,
 )
 from .solver import (
     DetectionSet,
@@ -88,7 +86,6 @@ __all__ = [
     "OptimalityCertificate",
     "PerturbationWitness",
     "SolveReport",
-    "Spectrum",
     "StateEnsemble",
     "SymmetricFamily",
     "SymmetrySpec",
@@ -112,7 +109,6 @@ __all__ = [
     "solve_numeric",
     "solve_rank1_symmetric",
     "square_root_measurement",
-    "support_projector",
     "transformed_states",
     "two_state_components",
     "validate",

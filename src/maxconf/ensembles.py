@@ -277,12 +277,14 @@ def build_symmetric_ensemble(
     reference = np.asarray(reference, dtype=complex)
     if reference.ndim == 1:
         nrm = float(np.linalg.norm(reference))
-        if abs(nrm - 1.0) > REFERENCE_NORM_TOL:
+        if not abs(nrm - 1.0) <= REFERENCE_NORM_TOL:  # a NaN coefficient fails it too
             raise InfeasibleInputError(f"coefficient vector has norm {nrm:.12f}, expected 1")
         # the orbit's traces are held to TRACE_TOL, tighter than the norm test
         reference = reference / nrm
         rho1 = np.outer(reference, reference.conj())
     elif reference.ndim == 2 and reference.shape[0] == reference.shape[1]:
+        if not np.all(np.isfinite(reference)):
+            raise InfeasibleInputError("reference state has non-finite entries")
         rho1 = require_hermitian(reference, name="reference state")
         w = np.linalg.eigvalsh(rho1)
         if float(w[0]) < -TOL_PSD:

@@ -4,8 +4,6 @@ Operators are plain complex numpy arrays of shape (d, d); the Hermitian
 helpers also take stacks (..., d, d) and act on each matrix. This module
 pins down the numerical conventions the rest of the package relies on:
 
-* eigendecompositions are deterministic (descending eigenvalues, each
-  eigenvector's largest-modulus component made real and positive),
 * fractional and negative matrix powers are restricted to the support,
 * every numerical threshold of the package is named once in the table
   below, with the reason for its size, and imported from here. Values are
@@ -19,8 +17,6 @@ pins down the numerical conventions the rest of the package relies on:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,94 +72,51 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _adjoint(a))
 
 
-def require_hermitian(a: np.ndarray, tol: float = TOL_HERM, name: str = "operator") -> np.ndarray:
+def require_hermitian(a: np.ndarray, name: str = "operator") -> np.ndarray:
     """Validate Hermiticity of ``a``, shape (d, d) or a stack (..., d, d),
     and return 0.5 (a + a^dagger) as a complex array, so downstream eigh
     calls see an exactly Hermitian matrix. Raises NonHermitianError, with
-    ``name`` in the message, if any entry of a - a^dagger exceeds tol."""
+    ``name`` in the message, if any entry of a - a^dagger exceeds TOL_HERM."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonHermitianError(f"{name} must be square, got shape {a.shape}")
     dev = float(np.max(np.abs(a - _adjoint(a)))) if a.size else 0.0
-    if dev > tol:
-        raise NonHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+    if dev > TOL_HERM:
+        raise NonHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {TOL_HERM:.1e})")
     return hermitian_part(a)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian operator, or of a stack of them.
-
-    Attributes
-    ----------
-    eigenvalues : real array (..., d), sorted in descending order.
-    eigenvectors : complex array (..., d, d), column k is the eigenvector for
-        ``eigenvalues[..., k]``, phase-fixed so its largest-modulus component
-        is real and positive (lowest index wins ties).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v, w = self.eigenvectors, self.eigenvalues
-        return (v * w[..., None, :]) @ _adjoint(v)
-
-    def power(self, exponent: float) -> np.ndarray:
-        """Matrix power of the positive semidefinite operator(s).
-
-        Positive exponents clip tiny negative eigenvalues to zero; exponents
-        <= 0 act only on the support (eigenvalues above the support cutoff)
-        and vanish on the kernel, so exponent 0 gives the support projector
-        and negative exponents the pseudo-power.
-
-        Raises NotPSDError if an eigenvalue of any matrix is below -TOL_PSD.
-        """
-        w, v = self.eigenvalues, self.eigenvectors
-        lo = float(w[..., -1].min()) if w.size else 0.0
-        if lo < -TOL_PSD:
-            raise NotPSDError(f"operator has eigenvalue {lo:.3e} < -{TOL_PSD:.1e}")
-        if exponent > 0:
-            pw = np.clip(w, 0.0, None) ** exponent
-        else:
-            keep = w > support_cutoff(w)[..., None]
-            pw = np.where(keep, w, 1.0) ** exponent
-            pw[~keep] = 0.0
-        return (v * pw[..., None, :]) @ _adjoint(v)
-
-
-def eig_hermitian(a: np.ndarray) -> Spectrum:
-    """Deterministic eigendecomposition of a Hermitian operator (d, d), or
-    of each matrix of a stack (..., d, d).
+def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a Hermitian operator (d, d), or of each
+    matrix of a stack (..., d, d): numpy's eigh, eigenvalues ascending.
 
     Raises NonHermitianError if ``a`` is not Hermitian within TOL_HERM.
     """
-    a = require_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    w = w[..., ::-1].copy()
-    v = v[..., ::-1].copy()
-    # rotate each column so its largest-modulus component (the pivot) is
-    # real and positive, then force the pivot exactly real; the imaginary
-    # dust is rotation noise. Columns have unit norm, so no pivot is zero.
-    piv = np.argmax(np.abs(v), axis=-2)[..., None, :]
-    pivot = np.take_along_axis(v, piv, axis=-2)
-    v *= pivot.conj() / np.abs(pivot)
-    v.imag[piv == np.arange(v.shape[-1])[:, None]] = 0.0
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(require_hermitian(a))
 
 
 def psd_power(a: np.ndarray, exponent: float) -> np.ndarray:
     """Matrix power of a positive semidefinite operator, or of each matrix of
-    a stack (..., d, d); see Spectrum.power.
+    a stack (..., d, d).
+
+    Positive exponents clip tiny negative eigenvalues to zero; exponents
+    <= 0 act only on the support (eigenvalues above the support cutoff)
+    and vanish on the kernel, so exponent 0 gives the support projector
+    and negative exponents the pseudo-power.
 
     Raises NotPSDError if an eigenvalue of any matrix is below -TOL_PSD.
     """
-    return eig_hermitian(a).power(exponent)
-
-
-def support_projector(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the support (range) of a PSD operator."""
-    return psd_power(a, 0.0)
+    w, v = eig_hermitian(a)
+    lo = float(w[..., 0].min()) if w.size else 0.0
+    if lo < -TOL_PSD:
+        raise NotPSDError(f"operator has eigenvalue {lo:.3e} < -{TOL_PSD:.1e}")
+    if exponent > 0:
+        pw = np.clip(w, 0.0, None) ** exponent
+    else:
+        keep = w > support_cutoff(w)[..., None]
+        pw = np.where(keep, w, 1.0) ** exponent
+        pw[~keep] = 0.0
+    return (v * pw[..., None, :]) @ _adjoint(v)
 
 
 def rank_of_spectrum(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> int | np.ndarray:

@@ -198,11 +198,8 @@ def validation_to_json(report: ValidationReport) -> dict:
     }
 
 
-def dump_json(obj: Any, stream: IO[str] | None = None) -> str:
-    text = json.dumps(obj, indent=2, allow_nan=True)
-    if stream is not None:
-        stream.write(text + "\n")
-    return text
+def dump_json(obj: Any) -> str:
+    return json.dumps(obj, indent=2, allow_nan=True)
 
 
 def load_json(path: str) -> Any:

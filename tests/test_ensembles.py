@@ -222,6 +222,18 @@ def test_build_symmetric_ensemble_rejects_unnormalized():
         build_symmetric_ensemble((1.0 + 2e-9) * np.array([1.0, 1.0]) / np.sqrt(2.0), 3)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kind", ["vector", "matrix"])
+def test_build_symmetric_ensemble_rejects_non_finite_reference(kind, value):
+    # NaN fails every comparison, so a test written as `x > tol` lets it
+    # through; the builder refuses a non-finite reference before dividing or
+    # diagonalizing, and a RuntimeWarning on the way fails the warning filter
+    reference = np.array([1.0, 1.0]) / np.sqrt(2.0) if kind == "vector" else np.diag([0.7, 0.3])
+    reference.flat[0] = value
+    with pytest.raises(InfeasibleInputError):
+        build_symmetric_ensemble(reference, 3)
+
+
 def test_build_symmetric_ensemble_normalizes_accepted_reference():
     # a norm off by 5e-10 passes the reference test; the orbit is built from
     # the normalized vector, so its traces meet validate's tighter TRACE_TOL

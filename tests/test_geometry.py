@@ -18,7 +18,6 @@ from maxconf import (
     opnorm,
     psd_power,
     solve_numeric,
-    support_projector,
     transformed_states,
     two_state_components,
 )
@@ -41,10 +40,10 @@ def _reference_geometry(ensemble):
     rih = psd_power(average_state(ensemble), -0.5)
     out = []
     for j in range(ensemble.n_states):
-        spec = eig_hermitian(rih @ (ensemble.priors[j] * ensemble.states[j]) @ rih)
-        c = spec.eigenvalues[0]
-        m = int(np.count_nonzero(spec.eigenvalues >= c - DEGENERACY_RTOL * abs(c)))
-        vtop = spec.eigenvectors[:, :m]
+        w, v = eig_hermitian(rih @ (ensemble.priors[j] * ensemble.states[j]) @ rih)
+        c = w[-1]
+        m = int(np.count_nonzero(w >= c - DEGENERACY_RTOL * abs(c)))
+        vtop = v[:, -m:]
         wj = rih @ vtop
         span = np.linalg.svd(wj, full_matrices=False)[0]
         out.append((c, m, vtop @ vtop.conj().T, span @ span.conj().T, wj @ wj.conj().T))
@@ -302,7 +301,7 @@ def test_two_state_split_property(seed):
     if abs(c1 + c2 - 1.0) < 1e-6:
         return
     # the split applies exactly when P_1 + P_2 is rho's support projector
-    miss = opnorm(projectors(geo.top_vectors).sum(axis=0) - support_projector(geo.rho))
+    miss = opnorm(projectors(geo.top_vectors).sum(axis=0) - psd_power(geo.rho, 0.0))
     if miss < 1e-10:
         sigmas, weights = two_state_components(e, geo)
         assert opnorm(weights[0] * sigmas[0] + weights[1] * sigmas[1] - geo.rho) < 1e-8

@@ -5,29 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxconf import NonHermitianError, NotPSDError, eig_hermitian, opnorm, psd_power, support_projector
+from maxconf import NonHermitianError, NotPSDError, eig_hermitian, opnorm, psd_power
 from maxconf.operators import require_hermitian, support_rank
-
-
-def _reference_eig_hermitian(a):
-    """One matrix at a time, with the phase fixing done column by column."""
-    a = require_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if abs(pivot) > 0.0:
-            col *= np.conj(pivot) / abs(pivot)
-        col[i] = col[i].real
-    return w, v
 
 
 def _random_hermitian_stack(rng, n, d):
     g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     return g + g.conj().swapaxes(1, 2)
+
+
+def _reconstruct(w, v):
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def test_require_hermitian_symmetrizes_roundoff():
@@ -42,26 +30,13 @@ def test_require_hermitian_rejects_skew():
         require_hermitian(a)
 
 
-def test_eig_hermitian_descending_and_reconstructs():
+def test_eig_hermitian_ascending_and_reconstructs():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a = g + g.conj().T
-    spec = eig_hermitian(a)
-    assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
-    assert opnorm(spec.reconstruct() - a) < 1e-10
-
-
-def test_eig_hermitian_phase_canonical():
-    # the dominant component of each eigenvector is made real positive,
-    # so repeated diagonalizations agree exactly
-    a = np.diag([3.0, 1.0]).astype(complex)
-    a[0, 1] = a[1, 0] = 0.25
-    s1 = eig_hermitian(a)
-    s2 = eig_hermitian(a.copy())
-    assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
-    piv = np.argmax(np.abs(s1.eigenvectors[:, 0]))
-    assert s1.eigenvectors[piv, 0].real > 0
-    assert s1.eigenvectors[piv, 0].imag == 0
+    w, v = eig_hermitian(a)
+    assert np.all(np.diff(w) >= -1e-12)
+    assert opnorm(_reconstruct(w, v) - a) < 1e-10
 
 
 def test_psd_power_square_root():
@@ -88,7 +63,7 @@ def test_support_projector_and_rank():
     rng = np.random.default_rng(5)
     g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     a = g @ g.conj().T
-    p = support_projector(a)
+    p = psd_power(a, 0.0)
     assert support_rank(a) == 2
     assert opnorm(p @ p - p) < 1e-10
     assert opnorm(p @ a - a) < 1e-10
@@ -105,30 +80,32 @@ def test_eig_hermitian_property(seed, dim):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a = g + g.conj().T
-    spec = eig_hermitian(a)
-    assert opnorm(spec.reconstruct() - a) < 1e-9
-    assert opnorm(spec.eigenvectors.conj().T @ spec.eigenvectors - np.eye(dim)) < 1e-9
-    assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
+    w, v = eig_hermitian(a)
+    assert opnorm(_reconstruct(w, v) - a) < 1e-9
+    assert opnorm(v.conj().T @ v - np.eye(dim)) < 1e-9
+    assert np.all(np.diff(w) >= -1e-12)
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_eig_hermitian_stack_matches_column_loop(dim):
     rng = np.random.default_rng(100 + dim)
     stack = _random_hermitian_stack(rng, 6, dim)
-    spec = eig_hermitian(stack)
-    assert spec.eigenvalues.shape == (6, dim) and spec.eigenvectors.shape == (6, dim, dim)
-    for a, w, v in zip(stack, spec.eigenvalues, spec.eigenvectors):
-        ref_w, ref_v = _reference_eig_hermitian(a)
-        assert np.array_equal(w, ref_w)
-        # the stacked complex division rounds differently from the scalar
-        # one, by about one ulp
-        assert np.max(np.abs(v - ref_v)) <= 4e-15
-        piv = np.argmax(np.abs(v), axis=0)
-        pivots = v[piv, np.arange(dim)]
-        assert np.all(pivots.imag == 0.0) and np.all(pivots.real > 0.0)
-        single = eig_hermitian(a)
-        assert np.array_equal(single.eigenvalues, w)
-        assert np.array_equal(single.eigenvectors, v)
+    ws, vs = eig_hermitian(stack)
+    assert ws.shape == (6, dim) and vs.shape == (6, dim, dim)
+    for a, w, v in zip(stack, ws, vs):
+        ref_w, ref_v = np.linalg.eigh(a)
+        assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
+        single_w, single_v = eig_hermitian(a)
+        assert np.array_equal(single_w, w) and np.array_equal(single_v, v)
+
+
+def test_eig_hermitian_stack_rejects_one_skew_matrix():
+    rng = np.random.default_rng(13)
+    stack = _random_hermitian_stack(rng, 3, 4)
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(NonHermitianError):
+        eig_hermitian(stack)
+    eig_hermitian(stack[:2])
 
 
 def test_psd_power_stack_rejects_one_negative_matrix():
@@ -158,8 +135,7 @@ def test_support_rank_counts_each_matrix():
 
 def test_support_projector_is_power_zero():
     a = np.diag([4.0, 1e-12, 0.0]).astype(complex)
-    assert np.array_equal(support_projector(a), np.diag([1.0, 0.0, 0.0]))
-    assert np.array_equal(psd_power(a, 0.0), support_projector(a))
+    assert np.array_equal(psd_power(a, 0.0), np.diag([1.0, 0.0, 0.0]))
 
 
 def test_thresholds_are_named_in_operators():
@@ -194,7 +170,7 @@ def test_support_cutoff_routes_stay_out_of_the_solvers():
     # SUPPORT_RTOL-cut helpers downstream of it would decide that support a
     # second time. Only the re-exports in __init__.py and the test oracle
     # geometry.transformed_states may name them outside operators.py
-    names = {"eig_hermitian", "psd_power", "support_projector", "SUPPORT_RTOL"}
+    names = {"eig_hermitian", "psd_power", "SUPPORT_RTOL"}
     package = Path(__file__).resolve().parents[1] / "src" / "maxconf"
     stray = []
     for path in sorted(package.glob("*.py")):

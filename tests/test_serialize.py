@@ -184,8 +184,7 @@ def test_witness_json(trine):
 def test_dump_and_load_json(tmp_path):
     path = tmp_path / "obj.json"
     payload = {"x": 1.0 / 3.0, "items": [1, 2, 3]}
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_json(payload, fh)
+    path.write_text(dump_json(payload) + "\n", encoding="utf-8")
     assert load_json(str(path)) == payload
 
 
