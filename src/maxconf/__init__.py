@@ -17,6 +17,7 @@ from .ensembles import (
     build_symmetric_ensemble,
     default_phases,
     orbit,
+    phase_powers,
     validate,
 )
 from .errors import (
@@ -103,6 +104,7 @@ __all__ = [
     "opnorm",
     "orbit",
     "perturbation_witness",
+    "phase_powers",
     "psd_power",
     "pure_symmetric_solution",
     "qubit_mixed_solution",

@@ -9,6 +9,7 @@ state rho) carry a SymmetrySpec so solvers can pick covariant closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,17 +83,24 @@ class SymmetrySpec:
         """The unitary V as a diagonal matrix."""
         return np.diag(self.phases)
 
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """The (order, d) table of phase powers whose row k is the diagonal
+        of V^k (phase_powers), built on first use and kept."""
+        return phase_powers(self.phases, self.order)
+
+    @cached_property
     def clusters(self) -> np.ndarray:
         """The eigenspaces of V as a (C, d) 0/1 indicator: the rows of the
-        equal-phase table at each eigenspace's first member. Distinct roots
-        of unity lie far beyond PHASE_TOL."""
+        equal-phase table at each eigenspace's first member, built on first
+        use and kept. Distinct roots of unity lie far beyond PHASE_TOL."""
         p = self.phases
         same = np.abs(p[:, None] - p[None, :]) <= PHASE_TOL
         return same[same.argmax(axis=0) == np.arange(p.size)] if p.size else same
 
     def distinct(self) -> bool:
         """Whether all eigenphases are pairwise distinct."""
-        return self.clusters().shape[0] == self.dim
+        return self.clusters.shape[0] == self.dim
 
 
 @dataclass(frozen=True)
@@ -162,28 +170,16 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(ensemble: StateEnsemble) -> ValidationReport:
-    """Check the physical invariants of an ensemble.
-
-    Violations (hard failures): non-finite priors, state entries or
-    eigenphases (reported alone, before any spectrum is computed),
-    non-positive priors, priors not summing to one, non-Hermitian or non-PSD
-    states, traces away from one, and, when a SymmetrySpec is attached,
-    states that do not match the cyclic orbit or an average state that does
-    not commute with the generator.
-
-    Flags (informational): rank-deficient average state, zero-probability
-    symmetry mismatch candidates, etc. A flagged ensemble is still usable.
-    """
-    v: list[Violation] = []
-    flags: list[str] = []
-    e = ensemble
-
+def _violations(e: StateEnsemble):
+    """The hard failures of an ensemble, as validate lists them, and the
+    eigh (w, v) of the Hermitian parts of its states, whose spectrum the
+    positivity test reads and geometry factors the states with. Non-finite
+    input is reported alone, before any spectrum is computed (eigh None)."""
     values = [e.priors, e.states] + ([e.symmetry.phases] if e.symmetry is not None else [])
     bad = sum(np.count_nonzero(~np.isfinite(x)) for x in values)
     if bad:
-        v.append(Violation("finite_values", float(bad), "priors, states and phases must be finite"))
-        return ValidationReport(violations=v, flags=flags)
+        return [Violation("finite_values", float(bad), "priors, states and phases must be finite")], None
+    v: list[Violation] = []
     if float(e.priors.min()) <= 0.0:
         v.append(Violation("prior_positivity", -float(e.priors.min()),
                            "priors must be strictly positive"))
@@ -193,7 +189,8 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
 
     worst_herm = float(np.max(np.abs(e.states - e.states.conj().swapaxes(1, 2))))
     h = hermitian_part(e.states)
-    worst_neg = max(0.0, -float(np.linalg.eigvalsh(h)[:, 0].min()))
+    eig = np.linalg.eigh(h)
+    worst_neg = max(0.0, -float(eig[0][:, 0].min()))
     worst_trace = float(np.max(np.abs(np.trace(h, axis1=1, axis2=2).real - 1.0)))
     if worst_herm > TOL_HERM:
         v.append(Violation("state_hermiticity", worst_herm,
@@ -204,22 +201,17 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     if worst_trace > TRACE_TOL:
         v.append(Violation("state_trace", worst_trace, "states must have unit trace"))
 
-    rho = average_state(e)
-    rho_h = hermitian_part(rho)
-    if support_rank(rho_h, e.dim * EPS) < e.dim:
-        flags.append("average state is rank deficient; detection operators live on its support")
-
     if e.symmetry is not None:
         s = e.symmetry
         if e.n_states != s.order:
             v.append(Violation("symmetry_order", abs(e.n_states - s.order),
                                f"symmetry order {s.order} != number of states {e.n_states}"))
         else:
-            vu = s.generator()
-            dev_orbit = float(np.max(np.abs(e.states - orbit(e.states[0], s.phases, s.order))))
+            dev_orbit = float(np.max(np.abs(e.states - orbit(e.states[0], s.powers))))
             if dev_orbit > TOL_RECON:
                 v.append(Violation("symmetry_orbit", dev_orbit,
                                    "states are not the cyclic orbit of the first state"))
+            vu, rho_h = s.generator(), hermitian_part(average_state(e))
             dev_comm = float(np.max(np.abs(vu @ rho_h - rho_h @ vu)))
             if dev_comm > TOL_RECON:
                 v.append(Violation("symmetry_commutation", dev_comm,
@@ -228,22 +220,50 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
             if dev_prior > PRIOR_TOL:
                 v.append(Violation("symmetry_priors", dev_prior,
                                    "a cyclic orbit must carry uniform priors"))
-            if not s.distinct():
-                flags.append("symmetry eigenphases are not pairwise distinct; "
-                             "rank-one closed forms are unavailable")
-
-    return ValidationReport(violations=v, flags=flags)
+    return v, eig
 
 
-def orbit(op: np.ndarray, phases: np.ndarray, order: int) -> np.ndarray:
-    """The cyclic orbit V^k op V^-k, k = 0..order-1, of V = diag(phases).
+def validate(ensemble: StateEnsemble) -> ValidationReport:
+    """Check the physical invariants of an ensemble.
+
+    Violations (hard failures): non-finite priors, state entries or
+    eigenphases (reported alone, before any spectrum is computed),
+    non-positive priors, priors not summing to one, non-Hermitian or non-PSD
+    states, traces away from one, and, when a SymmetrySpec is attached,
+    states that do not match the cyclic orbit or an average state that does
+    not commute with the generator. geometry refuses the same violations.
+
+    Flags (informational, computed here only): a rank-deficient average
+    state and repeated symmetry eigenphases. A flagged ensemble is still
+    usable.
+    """
+    e = ensemble
+    violations, eig = _violations(e)
+    flags: list[str] = []
+    if eig is not None:  # non-finite input is reported alone
+        if support_rank(hermitian_part(average_state(e)), e.dim * EPS) < e.dim:
+            flags.append("average state is rank deficient; detection operators live on its support")
+        if e.symmetry is not None and e.n_states == e.symmetry.order and not e.symmetry.distinct():
+            flags.append("symmetry eigenphases are not pairwise distinct; "
+                         "rank-one closed forms are unavailable")
+    return ValidationReport(violations=violations, flags=flags)
+
+
+def phase_powers(phases: np.ndarray, order: int) -> np.ndarray:
+    """The (order, d) table whose row k is phases**k, the diagonal of V^k
+    for V = diag(phases)."""
+    phases = np.asarray(phases, dtype=complex)
+    # integer powers one by one: phases ** np.arange(order) rounds differently
+    return np.stack([phases**k for k in range(order)])
+
+
+def orbit(op: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The cyclic orbit V^k op V^-k, k = 0..order-1, from the (order, d)
+    phase-power table of V (phase_powers, SymmetrySpec.powers).
 
     op is one (d, d) operator, or a stack (order, d, d) whose entry k is
     conjugated by V^k. Returns an (order, d, d) array.
     """
-    phases = np.asarray(phases, dtype=complex)
-    # integer powers one by one: phases ** np.arange(order) rounds differently
-    powers = np.stack([phases**k for k in range(order)])
     return (powers[:, :, None] * op) * powers.conj()[:, None, :]
 
 
@@ -260,7 +280,7 @@ def _cyclic_ensemble(
             raise InvalidPhasesError(f"{phases.shape[0]} phases for dimension {dim}")
     spec = SymmetrySpec(order=order, phases=phases, reference=reference)
     return StateEnsemble(dim=dim, priors=np.full(order, 1.0 / order),
-                         states=orbit(rho1, spec.phases, order), symmetry=spec)
+                         states=orbit(rho1, spec.powers), symmetry=spec)
 
 
 def build_symmetric_ensemble(

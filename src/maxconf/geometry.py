@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import StateEnsemble, average_state, validate
+from .ensembles import StateEnsemble, _violations, average_state
 from .errors import DegenerateMappingError, InfeasibleInputError
 from .operators import (
     DEGENERACY_RTOL,
@@ -82,21 +82,24 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
 
     Every step acts on all outcomes at once: one eigh of the stacked states,
     one SVD of F, one of the stacked V_j and one QR of the detection blocks
-    zero-padded to the widest top eigenspace. Raises InfeasibleInputError
-    for an outcome whose state has no weight on the kept support of rho: a
-    state with weight there has C_j >= Tr rho~_j / d >= eta_j / d, one
-    without has C_j at rounding level, and half that bound parts the two.
+    zero-padded to the widest top eigenspace. The input checks are
+    validate's hard ones, the positivity test reading the same eigh; its
+    informational flags are not computed. Raises InfeasibleInputError naming
+    every violation validate lists, and for an outcome whose state has no
+    weight on the kept support of rho: a state with weight there has
+    C_j >= Tr rho~_j / d >= eta_j / d, one without has C_j at rounding
+    level, and half that bound parts the two.
     """
-    report = validate(ensemble)
-    if not report.ok:
-        msgs = "; ".join(f"{u.name} ({u.magnitude:.3e})" for u in report.violations)
+    violations, eig = _violations(ensemble)
+    if violations:
+        msgs = "; ".join(f"{u.name} ({u.magnitude:.3e})" for u in violations)
         raise InfeasibleInputError(f"ensemble fails validation: {msgs}")
 
     n, d, priors = ensemble.n_states, ensemble.dim, ensemble.priors
     # rho_j = F_j F_j^dagger over the eigenvalues above the rounding floor
     # d u ||rho_j|| of the eigh, which sorts them ascending: the k = max_j
     # rank rho_j kept columns are the last k
-    lam, vec = np.linalg.eigh(hermitian_part(ensemble.states))
+    lam, vec = eig
     kept = lam > d * EPS * lam[:, -1:]
     k = int(kept.sum(axis=1).max())
     lam, kept = lam[:, -k:], kept[:, -k:]

@@ -76,12 +76,13 @@ def require_hermitian(a: np.ndarray, name: str = "operator") -> np.ndarray:
     """Validate Hermiticity of ``a``, shape (d, d) or a stack (..., d, d),
     and return 0.5 (a + a^dagger) as a complex array, so downstream eigh
     calls see an exactly Hermitian matrix. Raises NonHermitianError, with
-    ``name`` in the message, if any entry of a - a^dagger exceeds TOL_HERM."""
+    ``name`` in the message, if any entry of a - a^dagger exceeds TOL_HERM
+    or is NaN."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonHermitianError(f"{name} must be square, got shape {a.shape}")
     dev = float(np.max(np.abs(a - _adjoint(a)))) if a.size else 0.0
-    if dev > TOL_HERM:
+    if not dev <= TOL_HERM:  # a NaN entry fails it too
         raise NonHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {TOL_HERM:.1e})")
     return hermitian_part(a)
 
@@ -134,6 +135,22 @@ def support_rank(a: np.ndarray, rtol: float = SUPPORT_RTOL) -> int | np.ndarray:
     return rank_of_spectrum(np.linalg.eigvalsh(hermitian_part(np.asarray(a))), rtol)
 
 
+def gram(a: np.ndarray) -> np.ndarray:
+    """The Gram matrix a a^dagger of a matrix, or of each matrix of a stack."""
+    return a @ _adjoint(a)
+
+
+def gram_norms(w: np.ndarray) -> np.ndarray:
+    """Spectral norms from the ascending spectra (..., k) of Gram matrices
+    a a^dagger: the square roots of their top eigenvalues, clipped at zero,
+    since rounding can leave the top eigenvalue of a Gram of a vanishing
+    matrix slightly negative."""
+    return np.sqrt(np.maximum(w[..., -1], 0.0))
+
+
 def opnorm(a: np.ndarray) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(a, 2))
+    """Spectral norm (largest singular value) of a matrix, from the
+    spectrum of its Gram matrix a a^dagger (gram_norms), as the certificate
+    takes its norms; accurate to rounding while the squared entries stay in
+    the float range."""
+    return float(gram_norms(np.linalg.eigvalsh(gram(a))))

@@ -60,10 +60,11 @@ from .operators import (
     RANK_CUTOFF,
     TIE_RTOL,
     ZERO_PROB,
+    gram,
+    gram_norms,
     hermitian_part,
     opnorm,
     rank_of_spectrum,
-    support_rank,
 )
 
 _TO_BOUNDARY = 0.98  # largest fraction of the way to a cone boundary per step
@@ -223,31 +224,37 @@ def verify_certificate(
     if geo is None:
         geo = geometry(ensemble)
     z = hermitian_part(np.asarray(z, dtype=complex))
-    pi0 = detection.inconclusive
+    n, d = ensemble.n_states, ensemble.dim
     q, qh = geo.support_bases, geo.support_bases.conj().swapaxes(1, 2)
     dual = qh @ (z - geo.rho)
     rate = float(np.einsum("ab,jba->", geo.rho, detection.conclusive).real)
-    # one spectrum of Z and one of the Hermitian parts of the Pi stack give
-    # both the positivity conditions and the ranks
-    z_w = np.linalg.eigvalsh(z)
-    pi_w = np.linalg.eigvalsh(hermitian_part(detection.operators))
+    # two stacked spectra serve every condition and rank, each norm the root
+    # of a Gram matrix's top eigenvalue as in opnorm. d x d: Z, the Hermitian
+    # parts of Pi_0..Pi_N, C C^dagger for C = sum_j Pi_j - 1 and
+    # (Z Pi_0)(Z Pi_0)^dagger
+    c = detection.operators.sum(axis=0) - np.eye(d)
+    zp = z @ detection.inconclusive
+    big = np.linalg.eigvalsh(np.concatenate((
+        z[None], hermitian_part(detection.operators), gram(c)[None], gram(zp)[None])))
+    z_w, pi_w = big[0], big[1:n + 2]
+    # b x b: the slacks Q_j^dagger (Z - rho) Q_j, Q_j^dagger rho_j Q_j and the
+    # Grams of the stationarity products Q_j^dagger (Z - rho) Pi_j
+    small = np.linalg.eigvalsh(np.concatenate((
+        hermitian_part(dual @ q), hermitian_part(qh @ ensemble.states @ q),
+        gram(dual @ detection.conclusive))))
 
     conditions: dict[str, float] = {}
     conditions["povm_min_eigenvalue"] = float(pi_w[:, 0].min())
-    conditions["completeness_residual"] = detection.completeness_residual()
+    conditions["completeness_residual"] = float(gram_norms(big[n + 2]))
     conditions["z_min_eigenvalue"] = float(z_w[0])
-    conditions["support_slack_min_eigenvalue"] = float(
-        np.linalg.eigvalsh(hermitian_part(dual @ q))[:, 0].min()
-    )
-    conditions["inconclusive_orthogonality"] = opnorm(z @ pi0)
-    conditions["stationarity_residual"] = float(
-        np.linalg.norm(dual @ detection.conclusive, 2, axis=(1, 2)).max()
-    )
+    conditions["support_slack_min_eigenvalue"] = float(small[:n, 0].min())
+    conditions["inconclusive_orthogonality"] = float(gram_norms(big[n + 3]))
+    conditions["stationarity_residual"] = float(gram_norms(small[2 * n:]).max())
     conditions["trace_gap"] = abs(float(np.trace(z).real) - rate)
 
     rank_z, rank_pi0 = _certificate_ranks(z_w, pi_w[0])
-    lower = int(support_rank(qh @ ensemble.states @ q, RANK_CUTOFF).max())
-    rank_ok = (rank_z + rank_pi0 <= ensemble.dim) and (rank_z >= lower)
+    lower = int(rank_of_spectrum(small[n:2 * n], RANK_CUTOFF).max())
+    rank_ok = (rank_z + rank_pi0 <= d) and (rank_z >= lower)
 
     # *_min_eigenvalue entries fail below -tol, the residuals above tol
     failures = [name for name, value in conditions.items()
@@ -348,7 +355,7 @@ def solve_rank1_symmetric(
     w = geo.detection_blocks[0, :, 0]
     mods = np.abs(w) ** 2
     alpha = 1.0 / (n * float(mods.max()))
-    detection = DetectionSet.from_conclusive(orbit(alpha * np.outer(w, w.conj()), sym.phases, n))
+    detection = DetectionSet.from_conclusive(orbit(alpha * np.outer(w, w.conj()), sym.powers))
     # the dual spreads N alpha over the coordinates of the largest |w_l|^2 (ties within TIE_RTOL)
     tied = mods * (1.0 + TIE_RTOL) >= mods.max()
     z = np.diag(np.where(tied, n * alpha / np.count_nonzero(tied), 0.0)).astype(complex)
@@ -533,8 +540,7 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
         gap = float(np.trace(xa, axis1=1, axis2=2).real.sum() + np.trace(zs).real)
         mu = gap / nu
         commuting = np.sqrt(np.vdot(xa, xa).real) + np.sqrt(np.vdot(zs, zs).real) <= gap
-        if (commuting and gap <= CERT_TOL
-                and sum(_certificate_ranks(np.linalg.eigvalsh(z), np.linalg.eigvalsh(s))) <= d):
+        if commuting and gap <= CERT_TOL and sum(_certificate_ranks(*np.linalg.eigvalsh((z, s)))) <= d:
             return a, iterations, gap, z
         if iterations >= MAX_ITERATIONS:
             raise NotConvergedError(
@@ -620,12 +626,12 @@ def solve_numeric(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> Sol
     n, sym = ensemble.n_states, ensemble.symmetry
     w, widths, clusters = geo.detection_blocks, geo.degeneracies, np.ones((1, ensemble.dim), dtype=bool)
     if sym is not None:
-        w, widths, clusters = np.sqrt(n) * w[:1, :, :widths[0]], widths[:1], sym.clusters()
+        w, widths, clusters = np.sqrt(n) * w[:1, :, :widths[0]], widths[:1], sym.clusters
 
     a, iterations, gap, z = _interior_point(geo.rho, w, widths, clusters)
     conclusive = _embed(w, a)
     if sym is not None:
-        conclusive = orbit(conclusive[0] / n, sym.phases, n)
+        conclusive = orbit(conclusive[0] / n, sym.powers)
     detection = DetectionSet.from_conclusive(conclusive)
     return _report(ensemble, geo, "numeric", detection, z, iterations, gap)
 

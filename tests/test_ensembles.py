@@ -12,7 +12,9 @@ from maxconf import (
     build_depolarized_family,
     build_symmetric_ensemble,
     default_phases,
+    geometry,
     orbit,
+    phase_powers,
     solve_rank1_symmetric,
     validate,
 )
@@ -46,10 +48,18 @@ def test_symmetry_spec_distinct():
 def test_symmetry_spec_clusters_are_eigenspaces():
     w = np.exp(2j * np.pi / 3)
     spec = SymmetrySpec(order=3, phases=np.array([w, 1.0, w, w**2, 1.0]), reference=np.eye(5) / 5)
-    assert spec.clusters().astype(int).tolist() == [
+    assert spec.clusters.astype(int).tolist() == [
         [1, 0, 1, 0, 0], [0, 1, 0, 0, 1], [0, 0, 0, 1, 0]]
     assert np.array_equal(SymmetrySpec(order=4, phases=default_phases(4, 3),
-                                       reference=np.eye(3) / 3).clusters(), np.eye(3, dtype=bool))
+                                       reference=np.eye(3) / 3).clusters, np.eye(3, dtype=bool))
+
+
+def test_symmetry_spec_tables_are_built_once():
+    # the phase-power and eigenspace tables are built on first use, then kept
+    spec = SymmetrySpec(order=5, phases=default_phases(5, 3), reference=np.eye(3) / 3)
+    assert "powers" not in vars(spec) and "clusters" not in vars(spec)
+    assert spec.powers is spec.powers and spec.clusters is spec.clusters
+    assert np.array_equal(spec.powers, phase_powers(spec.phases, 5))
 
 
 def test_symmetry_spec_generator_unitary():
@@ -105,22 +115,62 @@ def test_validate_flags_non_psd_state():
     assert not validate(e).ok
 
 
-@pytest.mark.parametrize("case, name", [
-    ("negative-prior", "prior_positivity"),
-    ("non-hermitian", "state_hermiticity"),
-    ("wrong-order", "symmetry_order"),
-])
-def test_validate_names_the_violation(case, name):
+def _tampered_trine(case):
     e = build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2), 3)
     priors, states, spec = e.priors, e.states.copy(), e.symmetry
     if case == "negative-prior":
         priors = np.array([-0.1, 0.6, 0.5])
     elif case == "non-hermitian":
         states[1, 0, 1] += 1e-3
+    elif case == "nan-phase":
+        spec = SymmetrySpec(order=3, phases=np.array([np.nan, 1.0]), reference=spec.reference)
     else:
         spec = SymmetrySpec(order=4, phases=default_phases(4, 2), reference=spec.reference)
-    report = validate(StateEnsemble(dim=2, priors=priors, states=states, symmetry=spec))
+    return StateEnsemble(dim=2, priors=priors, states=states, symmetry=spec)
+
+
+def _non_finite(where, value):
+    priors = np.array([0.5, 0.5])
+    states = np.stack([np.eye(2), np.diag([1.0, 0.0])]).astype(complex)
+    if where == "prior":
+        priors[0] = value
+    else:
+        states[1, 0, 1] = value
+    return StateEnsemble(dim=2, priors=priors, states=states)
+
+
+@pytest.mark.parametrize("case, name", [
+    ("negative-prior", "prior_positivity"),
+    ("non-hermitian", "state_hermiticity"),
+    ("wrong-order", "symmetry_order"),
+])
+def test_validate_names_the_violation(case, name):
+    report = validate(_tampered_trine(case))
     assert name in [v.name for v in report.violations]
+
+
+_VIOLATING = {
+    "negative-prior": lambda: _tampered_trine("negative-prior"),
+    "non-hermitian": lambda: _tampered_trine("non-hermitian"),
+    "wrong-order": lambda: _tampered_trine("wrong-order"),
+    "nan-phase": lambda: _tampered_trine("nan-phase"),
+    "nan-prior": lambda: _non_finite("prior", np.nan),
+    "nan-entry": lambda: _non_finite("entry", np.nan),
+    "inf-prior": lambda: _non_finite("prior", np.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VIOLATING))
+def test_geometry_refuses_what_validate_lists(case):
+    # geometry runs validate's hard checks itself; its message lists the
+    # same violations, "name (magnitude)" joined by "; "
+    e = _VIOLATING[case]()
+    names = [v.name for v in validate(e).violations]
+    assert names
+    with pytest.raises(InfeasibleInputError, match="ensemble fails validation") as err:
+        geometry(e)
+    listed = str(err.value).split(": ", 1)[1].split("; ")
+    assert [item.split(" (")[0] for item in listed] == names
 
 
 _RANK_FLAG = "average state is rank deficient; detection operators live on its support"
@@ -140,25 +190,27 @@ def test_validate_flags_states_embedded_in_a_larger_space():
     assert _RANK_FLAG in validate(embedded).flags
 
 
+def test_geometry_of_a_flagged_ensemble():
+    # flags are informational: validate alone computes them, and geometry
+    # builds the embedded pair's geometry with the qubit pair's confidences
+    e = pure_qubit_pair(0.4)
+    iso = np.eye(3)[:, :2]
+    embedded = StateEnsemble(dim=3, priors=e.priors, states=iso @ e.states @ iso.T)
+    report = validate(embedded)
+    assert report.ok and report.flags == [_RANK_FLAG]
+    assert np.max(np.abs(geometry(embedded).confidences - geometry(e).confidences)) <= 1e-12
+
+
 @pytest.mark.parametrize("where, value", [("prior", np.nan), ("entry", np.nan), ("prior", np.inf)],
                          ids=["nan-prior", "nan-entry", "inf-prior"])
 def test_validate_rejects_non_finite_input(where, value):
     # NaN fails every comparison, so without its own check it passed them all
-    priors = np.array([0.5, 0.5])
-    states = np.stack([np.eye(2), np.diag([1.0, 0.0])]).astype(complex)
-    if where == "prior":
-        priors[0] = value
-    else:
-        states[1, 0, 1] = value
-    report = validate(StateEnsemble(dim=2, priors=priors, states=states))
+    report = validate(_non_finite(where, value))
     assert [v.name for v in report.violations] == ["finite_values"]
 
 
 def test_validate_rejects_non_finite_phases():
-    e = build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2), 3)
-    spec = SymmetrySpec(order=3, phases=np.array([np.nan, 1.0]), reference=e.symmetry.reference)
-    tampered = StateEnsemble(dim=2, priors=e.priors, states=e.states, symmetry=spec)
-    assert [v.name for v in validate(tampered).violations] == ["finite_values"]
+    assert [v.name for v in validate(_tampered_trine("nan-phase")).violations] == ["finite_values"]
 
 
 def test_validate_flags_broken_orbit():
@@ -186,7 +238,7 @@ def test_orbit_matches_matrix_power(stacked):
     order, dim = 5, 3
     phases = default_phases(order, dim)
     ops = np.stack([random_density(rng, dim) for _ in range(order)])
-    got = orbit(ops if stacked else ops[0], phases, order)
+    got = orbit(ops if stacked else ops[0], phase_powers(phases, order))
     assert got.shape == (order, dim, dim)
     for k in range(order):
         vk = np.linalg.matrix_power(np.diag(phases), k)

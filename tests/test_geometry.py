@@ -90,6 +90,28 @@ def test_geometry_matches_per_outcome_reference(seed):
     _assert_matches_reference(e, geometry(e))
 
 
+@pytest.mark.parametrize("kind", ["random", "trine"])
+def test_geometry_takes_one_eigh(kind, trine, monkeypatch):
+    # validation reads geometry's own eigh of the states and skips the flags,
+    # so no eigvalsh is left: one eigh, the SVDs of F and of the V_j, one QR
+    e = random_ensemble(np.random.default_rng(6), 3, 4) if kind == "random" else trine
+    calls = []
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("eigh", "eigvalsh", "svd", "qr", "norm"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    geometry(e)
+    assert sorted(calls) == ["eigh", "qr", "svd", "svd"]
+
+
 def test_geometry_supports_are_projectors():
     rng = np.random.default_rng(2)
     e = random_ensemble(rng, 3, 3)

@@ -108,6 +108,18 @@ def test_eig_hermitian_stack_rejects_one_skew_matrix():
     eig_hermitian(stack[:2])
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("check", [require_hermitian, eig_hermitian, lambda a: psd_power(a, 0.5)],
+                         ids=["require_hermitian", "eig_hermitian", "psd_power"])
+def test_nan_matrix_is_not_hermitian(check, stacked):
+    # a NaN deviation fails every comparison, so "dev > TOL_HERM" let it through
+    a = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    if stacked:
+        a = np.stack([np.eye(2), a, np.eye(2)]).astype(complex)
+    with pytest.raises(NonHermitianError):
+        check(a)
+
+
 def test_psd_power_stack_rejects_one_negative_matrix():
     rng = np.random.default_rng(11)
     g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))

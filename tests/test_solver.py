@@ -710,20 +710,28 @@ def test_verify_certificate_ranks_use_hermitian_part(trine):
 
 
 def test_verify_certificate_diagonalizes_each_operator_once(trine, monkeypatch):
-    # one spectrum each of Z, the Pi stack, the slack stack and the
-    # Lambda_j rho_j Lambda_j stack serves every condition and rank
+    # one d x d spectrum (Z, the Pi stack and the Grams of the completeness
+    # and orthogonality residuals) and one b x b spectrum (the slacks, the
+    # Q_j^dagger rho_j Q_j and the stationarity Grams) serve every condition
+    # and rank; no norm goes through an SVD
     geo = geometry(trine)
     det = trine_optimal_detection(trine)
-    eigvalsh, calls = np.linalg.eigvalsh, []
+    calls = []
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counting(name):
+        original = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return original(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("eigvalsh", "eigh", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
     cert = verify_certificate(trine, det, np.eye(2) / 2.0, geo=geo)
     assert cert.accepted, cert.failures
-    assert len(calls) == 4, calls
+    assert calls == [("eigvalsh", (7, 2, 2)), ("eigvalsh", (9, 1, 1))], calls
 
 
 def test_verify_certificate_accepts_optimal_duals(trine):
@@ -739,8 +747,10 @@ def test_verify_certificate_accepts_optimal_duals(trine):
 def _reference_certificate(ensemble, detection, z, geo, tol=1e-8, projector=False):
     """The certificate conditions and ranks, one outcome at a time: on the
     b x b compressions by the support bases Q_j, or with projector=True in
-    the d x d form of Lambda_j = Q_j Q_j^dagger that the compressions replace."""
+    the d x d form of Lambda_j = Q_j Q_j^dagger that the compressions replace.
+    Norms are numpy's SVD-based ones, not the Gram route of the verifier."""
     sym = lambda a: 0.5 * (a + a.conj().T)
+    norm = lambda a: float(np.linalg.norm(a, 2))
     rho, n = geo.rho, ensemble.n_states
     z = sym(np.asarray(z, dtype=complex))
     rate = sum(float(np.trace(rho @ detection.conclusive[j]).real) for j in range(n))
@@ -750,15 +760,15 @@ def _reference_certificate(ensemble, detection, z, geo, tol=1e-8, projector=Fals
         if projector:
             q = q @ q.conj().T  # Lambda_j, so q^dagger (Z - rho) q is Lambda_j (Z - rho) Lambda_j
         slack_min = min(slack_min, float(np.linalg.eigvalsh(sym(q.conj().T @ (z - rho) @ q))[0]))
-        stationarity = max(stationarity, opnorm(q.conj().T @ (z - rho) @ detection.conclusive[j]))
+        stationarity = max(stationarity, norm(q.conj().T @ (z - rho) @ detection.conclusive[j]))
         lower = max(lower, support_rank(q.conj().T @ ensemble.states[j] @ q, RANK_CUTOFF))
     conditions = {
         "povm_min_eigenvalue": min(float(np.linalg.eigvalsh(sym(op))[0])
                                    for op in detection.operators),
-        "completeness_residual": opnorm(detection.operators.sum(axis=0) - np.eye(ensemble.dim)),
+        "completeness_residual": norm(detection.operators.sum(axis=0) - np.eye(ensemble.dim)),
         "z_min_eigenvalue": float(np.linalg.eigvalsh(z)[0]),
         "support_slack_min_eigenvalue": slack_min,
-        "inconclusive_orthogonality": opnorm(z @ detection.inconclusive),
+        "inconclusive_orthogonality": norm(z @ detection.inconclusive),
         "stationarity_residual": stationarity,
         "trace_gap": abs(float(np.trace(z).real) - rate),
     }
@@ -796,6 +806,37 @@ def test_verify_certificate_mixed_widths_matches_reference():
         cert = verify_certificate(e, report.detection, z, geo=geo)
         _assert_matches_reference(cert, _reference_certificate(e, report.detection, z, geo))
     assert report.certificate.min_rank_required == 2
+
+
+_CLOSED_FORM_INPUTS = {
+    "trine": lambda: build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2.0), 3),
+    "pure-qudit": lambda: build_symmetric_ensemble(random_coefficients(np.random.default_rng(5), 4), 6),
+    "mixed-qutrit": lambda: build_depolarized_family(random_coefficients(np.random.default_rng(6), 3), 5, 0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_INPUTS))
+def test_certificate_norms_of_tiny_residuals_match_svd(name):
+    # an exact optimum moved by 1e-12 gives residuals of that order; the
+    # square roots of the Grams' top eigenvalues keep the SVD norms' relative
+    # accuracy there, and completeness_residual() takes the same route
+    e = _CLOSED_FORM_INPUTS[name]()
+    geo = geometry(e)
+    report = solve_rank1_symmetric(e, geo)
+    rng = np.random.default_rng(9)
+
+    def tiny(shape):
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return 1e-12 * (g + g.conj().swapaxes(-1, -2))
+
+    det = DetectionSet(report.detection.operators + tiny(report.detection.operators.shape))
+    z = report.certificate.z + tiny((e.dim, e.dim))
+    cert = verify_certificate(e, det, z, geo=geo)
+    conditions = _reference_certificate(e, det, z, geo)[0]
+    for k in ("completeness_residual", "inconclusive_orthogonality", "stationarity_residual"):
+        assert 1e-14 < conditions[k] < 1e-10, (k, conditions[k])
+        assert abs(cert.conditions[k] - conditions[k]) <= 1e-10 * conditions[k], k
+    assert cert.conditions["completeness_residual"] == pytest.approx(det.completeness_residual(), rel=1e-14)
 
 
 def _assert_matches_reference(cert, reference):
