@@ -8,7 +8,7 @@ state rho) carry a SymmetrySpec so solvers can pick covariant closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +30,6 @@ from .operators import (
     TOL_RECON,
     TRACE_TOL,
     hermitian_part,
-    require_hermitian,
     support_rank,
 )
 
@@ -51,23 +50,20 @@ def default_phases(order: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymmetrySpec:
-    """Cyclic symmetry data: group order, eigenphases of the generator, and
-    the reference object the orbit was built from.
+    """Cyclic symmetry data: the group order and the eigenphases of the
+    generator V = diag(phases), V^order = 1.
 
-    phases are the eigenvalues of the unitary generator V in the eigenbasis
-    of the average state; each must be unit modulus and an order-th root of
-    unity. reference is either the first density matrix or, for orbits of a
-    pure state, its coefficient vector in that same eigenbasis.
+    phases are the eigenvalues of V in the eigenbasis of the average state;
+    each must be unit modulus and an order-th root of unity. The orbit's
+    first state is the ensemble's states[0].
     """
 
     order: int
     phases: np.ndarray
-    reference: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=complex).reshape(-1)
         object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "reference", np.asarray(self.reference, dtype=complex))
         if self.order < 1:
             raise InvalidPhasesError(f"group order must be >= 1, got {self.order}")
         if np.max(np.abs(np.abs(phases) - 1.0), initial=0.0) > PHASE_TOL:
@@ -78,10 +74,6 @@ class SymmetrySpec:
     @property
     def dim(self) -> int:
         return self.phases.size
-
-    def generator(self) -> np.ndarray:
-        """The unitary V as a diagonal matrix."""
-        return np.diag(self.phases)
 
     @cached_property
     def powers(self) -> np.ndarray:
@@ -171,14 +163,15 @@ class ValidationReport:
 
 
 def _violations(e: StateEnsemble):
-    """The hard failures of an ensemble, as validate lists them, and the
-    eigh (w, v) of the Hermitian parts of its states, whose spectrum the
-    positivity test reads and geometry factors the states with. Non-finite
-    input is reported alone, before any spectrum is computed (eigh None)."""
+    """The hard failures of an ensemble, as validate lists them, the eigh
+    (w, v) of the Hermitian parts of its states, whose spectrum the
+    positivity test reads and geometry factors the states with, and the
+    Hermitian part of its average state. Non-finite input is reported alone,
+    before any spectrum is computed (eigh and average state None)."""
     values = [e.priors, e.states] + ([e.symmetry.phases] if e.symmetry is not None else [])
     bad = sum(np.count_nonzero(~np.isfinite(x)) for x in values)
     if bad:
-        return [Violation("finite_values", float(bad), "priors, states and phases must be finite")], None
+        return [Violation("finite_values", float(bad), "priors, states and phases must be finite")], None, None
     v: list[Violation] = []
     if float(e.priors.min()) <= 0.0:
         v.append(Violation("prior_positivity", -float(e.priors.min()),
@@ -201,6 +194,7 @@ def _violations(e: StateEnsemble):
     if worst_trace > TRACE_TOL:
         v.append(Violation("state_trace", worst_trace, "states must have unit trace"))
 
+    rho = hermitian_part(average_state(e))
     if e.symmetry is not None:
         s = e.symmetry
         if e.n_states != s.order:
@@ -211,8 +205,8 @@ def _violations(e: StateEnsemble):
             if dev_orbit > TOL_RECON:
                 v.append(Violation("symmetry_orbit", dev_orbit,
                                    "states are not the cyclic orbit of the first state"))
-            vu, rho_h = s.generator(), hermitian_part(average_state(e))
-            dev_comm = float(np.max(np.abs(vu @ rho_h - rho_h @ vu)))
+            # (V rho - rho V)_ab = (p_a - p_b) rho_ab for V = diag(p)
+            dev_comm = float(np.max(np.abs(np.subtract.outer(s.phases, s.phases) * rho)))
             if dev_comm > TOL_RECON:
                 v.append(Violation("symmetry_commutation", dev_comm,
                                    "average state must commute with the symmetry generator"))
@@ -220,7 +214,18 @@ def _violations(e: StateEnsemble):
             if dev_prior > PRIOR_TOL:
                 v.append(Violation("symmetry_priors", dev_prior,
                                    "a cyclic orbit must carry uniform priors"))
-    return v, eig
+    return v, eig, rho
+
+
+def _require_valid(e: StateEnsemble):
+    """The eigh of the states' Hermitian parts and the Hermitian part of the
+    average state (_violations) of an ensemble that passes validate's hard
+    checks. Raises InfeasibleInputError naming every violation otherwise."""
+    violations, eig, rho = _violations(e)
+    if violations:
+        msgs = "; ".join(f"{u.name} ({u.magnitude:.3e})" for u in violations)
+        raise InfeasibleInputError(f"ensemble fails validation: {msgs}")
+    return eig, rho
 
 
 def validate(ensemble: StateEnsemble) -> ValidationReport:
@@ -230,18 +235,19 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     eigenphases (reported alone, before any spectrum is computed),
     non-positive priors, priors not summing to one, non-Hermitian or non-PSD
     states, traces away from one, and, when a SymmetrySpec is attached,
-    states that do not match the cyclic orbit or an average state that does
-    not commute with the generator. geometry refuses the same violations.
+    states that do not match the cyclic orbit, an average state that does
+    not commute with the generator or priors that are not uniform. geometry
+    and build_symmetric_ensemble refuse the same violations.
 
     Flags (informational, computed here only): a rank-deficient average
     state and repeated symmetry eigenphases. A flagged ensemble is still
     usable.
     """
     e = ensemble
-    violations, eig = _violations(e)
+    violations, _, rho = _violations(e)
     flags: list[str] = []
-    if eig is not None:  # non-finite input is reported alone
-        if support_rank(hermitian_part(average_state(e)), e.dim * EPS) < e.dim:
+    if rho is not None:  # non-finite input is reported alone
+        if support_rank(rho, e.dim * EPS) < e.dim:
             flags.append("average state is rank deficient; detection operators live on its support")
         if e.symmetry is not None and e.n_states == e.symmetry.order and not e.symmetry.distinct():
             flags.append("symmetry eigenphases are not pairwise distinct; "
@@ -267,9 +273,7 @@ def orbit(op: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return (powers[:, :, None] * op) * powers.conj()[:, None, :]
 
 
-def _cyclic_ensemble(
-    rho1: np.ndarray, order: int, phases: np.ndarray | None, reference: np.ndarray
-) -> StateEnsemble:
+def _cyclic_ensemble(rho1: np.ndarray, order: int, phases: np.ndarray | None) -> StateEnsemble:
     """Equiprobable orbit of rho1 under V = diag(phases), default phases if None."""
     dim = rho1.shape[0]
     if phases is None:
@@ -278,7 +282,7 @@ def _cyclic_ensemble(
         phases = np.asarray(phases, dtype=complex).reshape(-1)
         if phases.shape[0] != dim:
             raise InvalidPhasesError(f"{phases.shape[0]} phases for dimension {dim}")
-    spec = SymmetrySpec(order=order, phases=phases, reference=reference)
+    spec = SymmetrySpec(order=order, phases=phases)
     return StateEnsemble(dim=dim, priors=np.full(order, 1.0 / order),
                          states=orbit(rho1, spec.powers), symmetry=spec)
 
@@ -292,7 +296,8 @@ def build_symmetric_ensemble(
 
     reference may be a density matrix (d, d) or a coefficient vector (d,)
     of a pure state, both expressed in the eigenbasis of the generator.
-    phases defaults to exp(2 pi i l / order), l = 1..d.
+    phases defaults to exp(2 pi i l / order), l = 1..d. A density matrix's
+    orbit gets validate's hard checks (InfeasibleInputError names them).
     """
     reference = np.asarray(reference, dtype=complex)
     if reference.ndim == 1:
@@ -301,19 +306,15 @@ def build_symmetric_ensemble(
             raise InfeasibleInputError(f"coefficient vector has norm {nrm:.12f}, expected 1")
         # the orbit's traces are held to TRACE_TOL, tighter than the norm test
         reference = reference / nrm
-        rho1 = np.outer(reference, reference.conj())
-    elif reference.ndim == 2 and reference.shape[0] == reference.shape[1]:
+        return _cyclic_ensemble(np.outer(reference, reference.conj()), order, phases)
+    if reference.ndim == 2 and reference.shape[0] == reference.shape[1]:
+        # the orbit of an inf entry would warn (inf * 0)
         if not np.all(np.isfinite(reference)):
             raise InfeasibleInputError("reference state has non-finite entries")
-        rho1 = require_hermitian(reference, name="reference state")
-        w = np.linalg.eigvalsh(rho1)
-        if float(w[0]) < -TOL_PSD:
-            raise InfeasibleInputError(f"reference state has eigenvalue {float(w[0]):.3e}")
-        if abs(float(np.trace(rho1).real) - 1.0) > TRACE_TOL:
-            raise InfeasibleInputError("reference state must have unit trace")
-    else:
-        raise InfeasibleInputError(f"reference must be a vector or square matrix, got shape {reference.shape}")
-    return _cyclic_ensemble(rho1, order, phases, reference)
+        e = _cyclic_ensemble(reference, order, phases)
+        _require_valid(e)
+        return e
+    raise InfeasibleInputError(f"reference must be a vector or square matrix, got shape {reference.shape}")
 
 
 def check_family(coefficients: np.ndarray, purity: float) -> np.ndarray:
@@ -348,4 +349,4 @@ def build_depolarized_family(
     c = check_family(coefficients, purity)
     dim = c.shape[0]
     rho1 = purity * np.outer(c, c.conj()) + (1.0 - purity) * np.eye(dim) / dim
-    return _cyclic_ensemble(rho1, order, phases, c)
+    return _cyclic_ensemble(rho1, order, phases)

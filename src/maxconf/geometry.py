@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import StateEnsemble, _violations, average_state
+from .ensembles import StateEnsemble, _require_valid, average_state
 from .errors import DegenerateMappingError, InfeasibleInputError
 from .operators import (
     DEGENERACY_RTOL,
@@ -37,6 +37,7 @@ from .operators import (
     SPLIT_TOL,
     TOL_CONF,
     hermitian_part,
+    opnorm,
     psd_power,
 )
 
@@ -83,23 +84,18 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     Every step acts on all outcomes at once: one eigh of the stacked states,
     one SVD of F, one of the stacked V_j and one QR of the detection blocks
     zero-padded to the widest top eigenspace. The input checks are
-    validate's hard ones, the positivity test reading the same eigh; its
+    validate's hard ones, in the same pass that gives the eigh and rho; its
     informational flags are not computed. Raises InfeasibleInputError naming
     every violation validate lists, and for an outcome whose state has no
     weight on the kept support of rho: a state with weight there has
     C_j >= Tr rho~_j / d >= eta_j / d, one without has C_j at rounding
     level, and half that bound parts the two.
     """
-    violations, eig = _violations(ensemble)
-    if violations:
-        msgs = "; ".join(f"{u.name} ({u.magnitude:.3e})" for u in violations)
-        raise InfeasibleInputError(f"ensemble fails validation: {msgs}")
-
+    (lam, vec), rho = _require_valid(ensemble)
     n, d, priors = ensemble.n_states, ensemble.dim, ensemble.priors
     # rho_j = F_j F_j^dagger over the eigenvalues above the rounding floor
     # d u ||rho_j|| of the eigh, which sorts them ascending: the k = max_j
     # rank rho_j kept columns are the last k
-    lam, vec = eig
     kept = lam > d * EPS * lam[:, -1:]
     k = int(kept.sum(axis=1).max())
     lam, kept = lam[:, -k:], kept[:, -k:]
@@ -129,7 +125,7 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     q = np.linalg.qr(blocks)[0] * cols[:, None, :]
 
     return MCGeometry(
-        rho=hermitian_part(average_state(ensemble)),
+        rho=rho,
         confidences=confidences,
         degeneracies=degeneracies,
         top_vectors=vtop,
@@ -152,7 +148,7 @@ def is_unambiguous(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> tu
 
     def worst(left, right):
         prods = (left[:, None] @ right[None])[pairs]
-        return float(np.linalg.norm(prods, 2, axis=(1, 2)).max(initial=0.0))
+        return float(opnorm(prods).max(initial=0.0))
 
     cross_p = worst(geo.top_vectors.conj().swapaxes(1, 2), geo.top_vectors)
     cross_state = worst(geo.support_bases.conj().swapaxes(1, 2), ensemble.states)
@@ -203,7 +199,7 @@ def two_state_components(
 
     root = geo.rho @ geo.detection_blocks
     spectral = root @ root.conj().swapaxes(1, 2)
-    dev = float(np.linalg.norm(unnorm - spectral, 2, axis=(1, 2)).max())
+    dev = float(opnorm(unnorm - spectral).max())
     if dev > SPLIT_TOL:
         raise InfeasibleInputError(
             "top eigenspaces do not resolve the support of the average state; the algebraic "

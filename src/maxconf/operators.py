@@ -148,9 +148,10 @@ def gram_norms(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(w[..., -1], 0.0))
 
 
-def opnorm(a: np.ndarray) -> float:
-    """Spectral norm (largest singular value) of a matrix, from the
-    spectrum of its Gram matrix a a^dagger (gram_norms), as the certificate
-    takes its norms; accurate to rounding while the squared entries stay in
-    the float range."""
-    return float(gram_norms(np.linalg.eigvalsh(gram(a))))
+def opnorm(a: np.ndarray) -> float | np.ndarray:
+    """Spectral norm (largest singular value) of a matrix, or one per matrix
+    of a stack (..., m, n) as an array (..., ), from the spectrum of its Gram
+    matrix a a^dagger (gram_norms), as the certificate takes its norms;
+    accurate to rounding while the squared entries stay in the float range."""
+    norms = gram_norms(np.linalg.eigvalsh(gram(a)))
+    return norms if np.ndim(norms) else float(norms)

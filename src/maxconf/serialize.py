@@ -77,11 +77,7 @@ def ensemble_to_json(ensemble: StateEnsemble) -> dict:
     }
     if ensemble.symmetry is not None:
         s = ensemble.symmetry
-        out["symmetry"] = {
-            "order": s.order,
-            "phases": array_to_json(s.phases),
-            "reference": array_to_json(s.reference),
-        }
+        out["symmetry"] = {"order": s.order, "phases": array_to_json(s.phases)}
     return out
 
 
@@ -104,13 +100,12 @@ def ensemble_from_json(obj: Any) -> StateEnsemble:
     symmetry = None
     if obj.get("symmetry") is not None:
         s = obj["symmetry"]
+        # older files also carry a 'reference'; the orbit starts at states[0]
         if not isinstance(s, dict) or "order" not in s or "phases" not in s:
             raise InfeasibleInputError("symmetry: needs 'order' and 'phases'")
-        ref = s.get("reference")
         symmetry = SymmetrySpec(
             order=integer_from_json(s["order"], "symmetry order"),
             phases=array_from_json(s["phases"], "symmetry phases", 1),
-            reference=states[0] if ref is None else array_from_json(ref, "symmetry reference", 1, 2),
         )
 
     return StateEnsemble(dim=dim, priors=priors, states=states, symmetry=symmetry)

@@ -65,6 +65,7 @@ from .operators import (
     hermitian_part,
     opnorm,
     rank_of_spectrum,
+    require_hermitian,
 )
 
 _TO_BOUNDARY = 0.98  # largest fraction of the way to a cone boundary per step
@@ -132,7 +133,8 @@ class MeasurementStats:
     zero_probability_outcomes: list[int]
 
 
-def _require_matching(ensemble: StateEnsemble, detection: DetectionSet, z=None, tol=0.0) -> None:
+def _require_matching(ensemble: StateEnsemble, detection: DetectionSet, z=None, tol=0.0) -> np.ndarray:
+    """The Hermitian parts of the detection operators, once all inputs fit."""
     if not 0.0 <= tol < math.inf:  # a NaN tolerance would pass every comparison
         raise InfeasibleInputError(f"tolerance must be a finite nonnegative number, got {tol}")
     if z is not None and np.shape(z) != (ensemble.dim,) * 2:
@@ -145,6 +147,9 @@ def _require_matching(ensemble: StateEnsemble, detection: DetectionSet, z=None, 
         raise InfeasibleInputError(
             f"{detection.n_conclusive} conclusive outcomes for {ensemble.n_states} states"
         )
+    # the certificate and the statistics read only Hermitian and real parts,
+    # where an anti-Hermitian part would pass unseen
+    return require_hermitian(detection.operators, name="detection set")
 
 
 def evaluate_measurement(ensemble: StateEnsemble, detection: DetectionSet) -> MeasurementStats:
@@ -218,9 +223,10 @@ def verify_certificate(
     are b x b compressions by the Q_j: a slack's spectrum has the b - m_j zeros
     of the padding, not the d - m_j of Lambda_j (Z - rho) Lambda_j. Raises
     InfeasibleInputError unless Z is d x d, the detection set matches and
-    tol is finite and nonnegative.
+    tol is finite and nonnegative, and NonHermitianError for detection
+    operators that are not Hermitian within TOL_HERM.
     """
-    _require_matching(ensemble, detection, z, tol)
+    pi_h = _require_matching(ensemble, detection, z, tol)
     if geo is None:
         geo = geometry(ensemble)
     z = hermitian_part(np.asarray(z, dtype=complex))
@@ -235,7 +241,7 @@ def verify_certificate(
     c = detection.operators.sum(axis=0) - np.eye(d)
     zp = z @ detection.inconclusive
     big = np.linalg.eigvalsh(np.concatenate((
-        z[None], hermitian_part(detection.operators), gram(c)[None], gram(zp)[None])))
+        z[None], pi_h, gram(c)[None], gram(zp)[None])))
     z_w, pi_w = big[0], big[1:n + 2]
     # b x b: the slacks Q_j^dagger (Z - rho) Q_j, Q_j^dagger rho_j Q_j and the
     # Grams of the stationarity products Q_j^dagger (Z - rho) Pi_j

@@ -158,6 +158,35 @@ def test_verify_roundtrip(trine_file, tmp_path):
     assert main(["verify", "--input", str(out)]) == 0
 
 
+def test_verify_reads_an_ensemble_with_the_old_symmetry_reference(trine_file, tmp_path):
+    # ensemble files once carried the orbit's first state again as
+    # symmetry.reference; the key is ignored
+    out = tmp_path / "solution.json"
+    main(["solve", "--input", str(trine_file), "--output", str(out)])
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    assert "reference" not in obj["ensemble"]["symmetry"]
+    obj["ensemble"]["symmetry"]["reference"] = [[0.7071067811865475, 0.0], [0.7071067811865475, 0.0]]
+    out.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", "--input", str(out)]) == 0
+
+
+def test_verify_refuses_non_hermitian_detection_operators(trine_file, tmp_path, capsys):
+    # 0.3i sigma_x moved from Pi_2 to Pi_1 keeps the Hermitian parts and
+    # every real part the certificate reads
+    out = tmp_path / "solution.json"
+    main(["solve", "--input", str(trine_file), "--output", str(out)])
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    ops = detection_from_json(obj["detection"]).operators
+    kick = 0.3j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    ops[1] += kick
+    ops[2] -= kick
+    obj["detection"]["operators"] = array_to_json(ops)
+    out.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out)]) == 2
+    assert "detection set deviates from Hermiticity" in capsys.readouterr().err
+
+
 def test_verify_rejects_corrupted_dual(trine_file, tmp_path, capsys):
     out = tmp_path / "solution.json"
     main(["solve", "--input", str(trine_file), "--output", str(out)])

@@ -39,34 +39,40 @@ def test_default_phases_needs_enough_roots():
 
 
 def test_symmetry_spec_distinct():
-    good = SymmetrySpec(order=3, phases=default_phases(3, 2), reference=np.eye(2) / 2)
+    good = SymmetrySpec(order=3, phases=default_phases(3, 2))
     assert good.distinct()
-    bad = SymmetrySpec(order=3, phases=np.array([1.0, 1.0]), reference=np.eye(2) / 2)
+    bad = SymmetrySpec(order=3, phases=np.array([1.0, 1.0]))
     assert not bad.distinct()
 
 
 def test_symmetry_spec_clusters_are_eigenspaces():
     w = np.exp(2j * np.pi / 3)
-    spec = SymmetrySpec(order=3, phases=np.array([w, 1.0, w, w**2, 1.0]), reference=np.eye(5) / 5)
+    spec = SymmetrySpec(order=3, phases=np.array([w, 1.0, w, w**2, 1.0]))
     assert spec.clusters.astype(int).tolist() == [
         [1, 0, 1, 0, 0], [0, 1, 0, 0, 1], [0, 0, 0, 1, 0]]
-    assert np.array_equal(SymmetrySpec(order=4, phases=default_phases(4, 3),
-                                       reference=np.eye(3) / 3).clusters, np.eye(3, dtype=bool))
+    assert np.array_equal(SymmetrySpec(order=4, phases=default_phases(4, 3)).clusters,
+                          np.eye(3, dtype=bool))
 
 
 def test_symmetry_spec_tables_are_built_once():
     # the phase-power and eigenspace tables are built on first use, then kept
-    spec = SymmetrySpec(order=5, phases=default_phases(5, 3), reference=np.eye(3) / 3)
+    spec = SymmetrySpec(order=5, phases=default_phases(5, 3))
     assert "powers" not in vars(spec) and "clusters" not in vars(spec)
     assert spec.powers is spec.powers and spec.clusters is spec.clusters
     assert np.array_equal(spec.powers, phase_powers(spec.phases, 5))
 
 
 def test_symmetry_spec_generator_unitary():
-    spec = SymmetrySpec(order=4, phases=default_phases(4, 3), reference=np.eye(3) / 3)
-    v = spec.generator()
+    # V = diag(phases) is unitary with V^order = 1; phases off the unit
+    # circle or not order-th roots of unity are refused
+    spec = SymmetrySpec(order=4, phases=default_phases(4, 3))
+    v = np.diag(spec.phases)
     assert np.allclose(v @ v.conj().T, np.eye(3))
     assert np.allclose(np.linalg.matrix_power(v, 4), np.eye(3))
+    with pytest.raises(InvalidPhasesError, match="unit modulus"):
+        SymmetrySpec(order=4, phases=[1.0, 1.0 + 1e-9])
+    with pytest.raises(InvalidPhasesError, match="4-th roots of unity"):
+        SymmetrySpec(order=4, phases=[1.0, np.exp(2j * np.pi / 3)])
 
 
 def test_state_ensemble_shape_checks():
@@ -123,9 +129,17 @@ def _tampered_trine(case):
     elif case == "non-hermitian":
         states[1, 0, 1] += 1e-3
     elif case == "nan-phase":
-        spec = SymmetrySpec(order=3, phases=np.array([np.nan, 1.0]), reference=spec.reference)
+        spec = SymmetrySpec(order=3, phases=np.array([np.nan, 1.0]))
+    elif case == "orbit":
+        # a traceless diagonal change keeps rho diagonal, so only the orbit
+        # breaks; the negative eigenvalue it opens, about -1e-12, passes
+        states[1] += 1e-6 * np.diag([1.0, -1.0])
+    elif case == "commutation":
+        states[1] = states[0]
+    elif case == "priors":
+        priors = np.array([0.5, 0.3, 0.2])
     else:
-        spec = SymmetrySpec(order=4, phases=default_phases(4, 2), reference=spec.reference)
+        spec = SymmetrySpec(order=4, phases=default_phases(4, 2))
     return StateEnsemble(dim=2, priors=priors, states=states, symmetry=spec)
 
 
@@ -143,10 +157,24 @@ def _non_finite(where, value):
     ("negative-prior", "prior_positivity"),
     ("non-hermitian", "state_hermiticity"),
     ("wrong-order", "symmetry_order"),
+    ("orbit", "symmetry_orbit"),
+    ("commutation", "symmetry_commutation"),
+    ("priors", "symmetry_priors"),
 ])
 def test_validate_names_the_violation(case, name):
     report = validate(_tampered_trine(case))
     assert name in [v.name for v in report.violations]
+
+
+@pytest.mark.parametrize("case", ["commutation", "priors"])
+def test_commutation_violation_measures_v_rho_minus_rho_v(case):
+    # the check reads the phases, (V rho - rho V)_ab = (p_a - p_b) rho_ab;
+    # its magnitude is that of the matrix products up to rounding
+    e = _tampered_trine(case)
+    v, rho = np.diag(e.symmetry.phases), average_state(e)
+    expected = np.max(np.abs(v @ rho - rho @ v))
+    (got,) = [u.magnitude for u in validate(e).violations if u.name == "symmetry_commutation"]
+    assert abs(got - expected) <= 1e-15 * expected
 
 
 _VIOLATING = {
@@ -154,6 +182,9 @@ _VIOLATING = {
     "non-hermitian": lambda: _tampered_trine("non-hermitian"),
     "wrong-order": lambda: _tampered_trine("wrong-order"),
     "nan-phase": lambda: _tampered_trine("nan-phase"),
+    "orbit": lambda: _tampered_trine("orbit"),
+    "commutation": lambda: _tampered_trine("commutation"),
+    "priors": lambda: _tampered_trine("priors"),
     "nan-prior": lambda: _non_finite("prior", np.nan),
     "nan-entry": lambda: _non_finite("entry", np.nan),
     "inf-prior": lambda: _non_finite("prior", np.inf),
@@ -286,12 +317,24 @@ def test_build_symmetric_ensemble_rejects_non_finite_reference(kind, value):
         build_symmetric_ensemble(reference, 3)
 
 
+@pytest.mark.parametrize("name, reference", [
+    ("state_hermiticity", np.array([[0.7, 1e-3], [0.0, 0.3]])),
+    ("state_positivity", np.diag([1.5, -0.5])),
+    ("state_trace", np.diag([0.7, 0.7])),
+])
+def test_build_symmetric_ensemble_refuses_what_validate_lists(name, reference):
+    # the orbit of a reference matrix gets validate's hard checks, named as
+    # geometry names them
+    with pytest.raises(InfeasibleInputError, match=f"ensemble fails validation: {name} "):
+        build_symmetric_ensemble(reference, 3)
+
+
 def test_build_symmetric_ensemble_normalizes_accepted_reference():
     # a norm off by 5e-10 passes the reference test; the orbit is built from
     # the normalized vector, so its traces meet validate's tighter TRACE_TOL
     e = build_symmetric_ensemble((1.0 + 5e-10) * np.array([1.0, 1.0]) / np.sqrt(2.0), 3)
     assert validate(e).ok
-    assert abs(np.linalg.norm(e.symmetry.reference) - 1.0) < 1e-15
+    assert abs(np.trace(e.states[0]).real - 1.0) < 1e-15
     assert solve_rank1_symmetric(e).certified
 
 

@@ -108,6 +108,17 @@ def test_eig_hermitian_stack_rejects_one_skew_matrix():
     eig_hermitian(stack[:2])
 
 
+@pytest.mark.parametrize("shape", [(7, 3, 3), (2, 4, 5, 5), (6, 2, 4)])
+def test_opnorm_of_a_stack_is_one_norm_per_matrix(shape):
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = opnorm(a)
+    assert got.shape == shape[:-2]
+    want = np.linalg.norm(a, 2, axis=(-2, -1))
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+    assert opnorm(np.zeros((0, 3, 3))).shape == (0,)
+
+
 @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
 @pytest.mark.parametrize("check", [require_hermitian, eig_hermitian, lambda a: psd_power(a, 0.5)],
                          ids=["require_hermitian", "eig_hermitian", "psd_power"])

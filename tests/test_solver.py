@@ -10,6 +10,7 @@ from maxconf import (
     InfeasibleInputError,
     InvalidPhasesError,
     NoNegativeEigenvalueError,
+    NonHermitianError,
     NotConvergedError,
     NotSymmetricError,
     StateEnsemble,
@@ -182,6 +183,27 @@ def test_certificate_tolerance_must_be_finite_and_nonnegative(trine, tol):
         verify_certificate(trine, det, z, tol=tol)
     with pytest.raises(InfeasibleInputError, match="finite nonnegative"):
         perturbation_witness(trine, det, z, 1e-3, tol=tol)
+
+
+@pytest.mark.parametrize("k", [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+                         ids=["sigma-x", "diag-10", "diag-01"])
+@pytest.mark.parametrize("check", ["verify", "witness", "evaluate"])
+def test_non_hermitian_detection_operators_are_refused(trine, k, check):
+    # 0.3i K moved from Pi_2 to Pi_1 keeps completeness and the Hermitian
+    # parts, and the rate and statistics take real parts, so only the
+    # Hermiticity gate sees it
+    report = solve_rank1_symmetric(trine)
+    ops = report.detection.operators.copy()
+    ops[1] += 0.3j * k
+    ops[2] -= 0.3j * k
+    det, z = DetectionSet(ops), report.certificate.z
+    with pytest.raises(NonHermitianError, match="detection set deviates"):
+        if check == "verify":
+            verify_certificate(trine, det, z)
+        elif check == "witness":
+            perturbation_witness(trine, det, z, 1e-3)
+        else:
+            evaluate_measurement(trine, det)
 
 
 def test_solve_rank1_requires_distinct_phases():
@@ -628,7 +650,7 @@ def test_solve_numeric_is_covariant(kind):
         closed = solve_rank1_symmetric(e)
         assert closed.certified, closed.certificate.failures
         assert abs(closed.failure_probability - exact.failure_probability) < 1e-12
-    v = e.symmetry.generator()
+    v = np.diag(e.symmetry.phases)
     det = report.detection
     for k in range(e.n_states):
         vk = np.linalg.matrix_power(v, k)
@@ -699,14 +721,18 @@ def test_solve_numeric_degenerate_cyclic_qudits(k):
 
 
 def test_verify_certificate_ranks_use_hermitian_part(trine):
-    # the ranks are taken of the Hermitian part, so a small anti-Hermitian
-    # defect in Pi_0 fails completeness but raises no NonHermitianError
+    # the ranks are taken of the Hermitian part: an anti-Hermitian defect in
+    # Pi_0 within TOL_HERM (|A - A^dagger| = 8e-10) passes the Hermiticity
+    # gate and leaves them as they are; a 1e-6 defect is refused there
     ops = trine_optimal_detection(trine).operators.copy()
-    ops[0] += 1e-6 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    ops[0] += 4e-10 * np.array([[0.0, 1.0], [-1.0, 0.0]])
     cert = verify_certificate(trine, DetectionSet(ops), np.eye(2) / 2.0)
-    assert "completeness_residual" in cert.failures
+    assert cert.accepted, cert.failures
     assert (cert.rank_z, cert.rank_inconclusive, cert.min_rank_required) == (2, 0, 1)
     assert cert.rank_bound_ok
+    ops[0] += 1e-6 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(NonHermitianError, match="detection set deviates"):
+        verify_certificate(trine, DetectionSet(ops), np.eye(2) / 2.0)
 
 
 def test_verify_certificate_diagonalizes_each_operator_once(trine, monkeypatch):
