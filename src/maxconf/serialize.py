@@ -35,20 +35,18 @@ def array_to_json(a: np.ndarray) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
-def array_from_json(obj: Any, where: str, *ndims: int) -> np.ndarray:
-    """The complex array that array_to_json wrote, of one of the ranks
-    ndims: nested lists of [re, im] number pairs, square in the last two
-    axes when there are two or more. An empty list holds no pair and is
-    refused like any other shape. Raises InfeasibleInputError for anything
-    else."""
+def array_from_json(obj: Any, where: str, ndim: int) -> np.ndarray:
+    """The complex array of rank ndim that array_to_json wrote: nested
+    lists of [re, im] number pairs, square in the last two axes when there
+    are two or more. An empty list holds no pair and is refused like any
+    other shape. Raises InfeasibleInputError for anything else."""
     try:
         a = np.array(obj)
     except ValueError:  # ragged nesting
         a = np.array(None)
-    if not (a.dtype.kind in "iuf" and a.ndim - 1 in ndims and a.shape[-1] == 2
+    if not (a.dtype.kind in "iuf" and a.ndim - 1 == ndim and a.shape[-1] == 2
             and (a.ndim < 3 or a.shape[-2] == a.shape[-3])):
-        rank = " or ".join(map(str, ndims))
-        raise InfeasibleInputError(f"{where}: expected a rank-{rank} array of [re, im] number pairs "
+        raise InfeasibleInputError(f"{where}: expected a rank-{ndim} array of [re, im] number pairs "
                                    "(matrices square)")
     # reinterpret each pair as one complex128, so both parts keep every bit
     return a.astype(float).view(complex)[..., 0]
@@ -116,17 +114,13 @@ def detection_to_json(detection: DetectionSet) -> dict:
 
 
 def detection_from_json(obj: Any) -> DetectionSet:
+    """Parses; DetectionSet checks the operators."""
     if not isinstance(obj, dict) or "operators" not in obj:
         raise InfeasibleInputError("detection: expected an object with 'operators'")
-    ops = array_from_json(obj["operators"], "detection operators", 3)
-    if not np.isfinite(ops).all():
-        raise InfeasibleInputError("detection operators: entries must be finite")
-    if len(ops) < 2:
-        raise InfeasibleInputError("detection: needs the inconclusive operator plus at least one conclusive one")
-    dim = ops.shape[-1]
-    if "dim" in obj and integer_from_json(obj["dim"], "detection dim") != dim:
-        raise InfeasibleInputError(f"detection: declared dim {obj['dim']} != operator dim {dim}")
-    return DetectionSet(ops)
+    detection = DetectionSet(array_from_json(obj["operators"], "detection operators", 3))
+    if "dim" in obj and integer_from_json(obj["dim"], "detection dim") != detection.dim:
+        raise InfeasibleInputError(f"detection: declared dim {obj['dim']} != operator dim {detection.dim}")
+    return detection
 
 
 def certificate_to_json(cert: OptimalityCertificate) -> dict:
@@ -145,12 +139,10 @@ def certificate_to_json(cert: OptimalityCertificate) -> dict:
 
 
 def dual_from_certificate_json(obj: Any) -> np.ndarray:
+    """Parses; verify_certificate and perturbation_witness check Z."""
     if not isinstance(obj, dict) or "z" not in obj:
         raise InfeasibleInputError("certificate: expected an object with field 'z'")
-    z = array_from_json(obj["z"], "certificate z", 2)
-    if not np.isfinite(z).all():
-        raise InfeasibleInputError("certificate z: entries must be finite")
-    return z
+    return array_from_json(obj["z"], "certificate z", 2)
 
 
 def witness_to_json(w: PerturbationWitness) -> dict:

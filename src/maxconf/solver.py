@@ -77,17 +77,22 @@ class DetectionSet:
     """A complete measurement: inconclusive operator first, then the
     conclusive detection operators in ensemble order.
 
-    operators has shape (N + 1, d, d); operators[0] is the inconclusive
-    outcome Pi_0 and operators[j] detects state j for j = 1..N.
+    operators has shape (N + 1, d, d), N >= 1; operators[0] is the
+    inconclusive outcome Pi_0 and operators[j] detects state j for j = 1..N.
+    Non-finite entries and operators not Hermitian within TOL_HERM (whose
+    anti-Hermitian part no check reads) are refused; the exact Hermitian
+    parts are stored.
     """
 
     operators: np.ndarray
 
     def __post_init__(self):
         ops = np.asarray(self.operators, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[0] < 1:
-            raise InfeasibleInputError(f"operators must have shape (N+1, d, d), got {ops.shape}")
-        object.__setattr__(self, "operators", ops)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[0] < 2:
+            raise InfeasibleInputError(f"operators must have shape (N+1, d, d) with N >= 1, got {ops.shape}")
+        if not np.isfinite(ops).all():
+            raise InfeasibleInputError("detection operators: entries must be finite")
+        object.__setattr__(self, "operators", require_hermitian(ops, name="detection set"))
 
     @classmethod
     def from_conclusive(cls, conclusive: np.ndarray) -> "DetectionSet":
@@ -118,7 +123,7 @@ class DetectionSet:
         return opnorm(self.operators.sum(axis=0) - np.eye(self.dim))
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(hermitian_part(self.operators))[:, 0].min())
+        return float(np.linalg.eigvalsh(self.operators)[:, 0].min())
 
 
 @dataclass(frozen=True)
@@ -133,12 +138,15 @@ class MeasurementStats:
     zero_probability_outcomes: list[int]
 
 
-def _require_matching(ensemble: StateEnsemble, detection: DetectionSet, z=None, tol=0.0) -> np.ndarray:
-    """The Hermitian parts of the detection operators, once all inputs fit."""
+def _require_matching(ensemble: StateEnsemble, detection: DetectionSet, z=None, tol=0.0) -> np.ndarray | None:
+    """Z's Hermitian part (None without Z) once all inputs fit: the one gate
+    for Z, which must be d x d, finite and Hermitian within TOL_HERM."""
     if not 0.0 <= tol < math.inf:  # a NaN tolerance would pass every comparison
         raise InfeasibleInputError(f"tolerance must be a finite nonnegative number, got {tol}")
     if z is not None and np.shape(z) != (ensemble.dim,) * 2:
         raise InfeasibleInputError(f"dual Z has shape {np.shape(z)}, not {(ensemble.dim,) * 2}")
+    if z is not None and not np.isfinite(z).all():
+        raise InfeasibleInputError("certificate z: entries must be finite")
     if detection.dim != ensemble.dim:
         raise InfeasibleInputError(
             f"detection dimension {detection.dim} != ensemble dimension {ensemble.dim}"
@@ -147,9 +155,7 @@ def _require_matching(ensemble: StateEnsemble, detection: DetectionSet, z=None, 
         raise InfeasibleInputError(
             f"{detection.n_conclusive} conclusive outcomes for {ensemble.n_states} states"
         )
-    # the certificate and the statistics read only Hermitian and real parts,
-    # where an anti-Hermitian part would pass unseen
-    return require_hermitian(detection.operators, name="detection set")
+    return None if z is None else require_hermitian(z, name="dual Z")
 
 
 def evaluate_measurement(ensemble: StateEnsemble, detection: DetectionSet) -> MeasurementStats:
@@ -219,29 +225,27 @@ def verify_certificate(
     Accepts if the measurement is a valid complete POVM, Z and the support
     slacks are positive semidefinite down to -tol, the orthogonality and
     stationarity products vanish within tol, |Tr Z - R| <= tol, and the
-    rank complementarity holds on the computed ranks. The support conditions
-    are b x b compressions by the Q_j: a slack's spectrum has the b - m_j zeros
-    of the padding, not the d - m_j of Lambda_j (Z - rho) Lambda_j. Raises
-    InfeasibleInputError unless Z is d x d, the detection set matches and
-    tol is finite and nonnegative, and NonHermitianError for detection
-    operators that are not Hermitian within TOL_HERM.
+    rank complementarity holds on the computed ranks; a NaN residual fails.
+    The support conditions are b x b compressions by the Q_j: a slack's
+    spectrum has the b - m_j zeros of the padding, not the d - m_j of
+    Lambda_j (Z - rho) Lambda_j. Raises InfeasibleInputError unless Z is
+    finite and d x d, the detection set matches and tol is finite and
+    nonnegative, and NonHermitianError for a Z not Hermitian within TOL_HERM.
     """
-    pi_h = _require_matching(ensemble, detection, z, tol)
+    z = _require_matching(ensemble, detection, z, tol)
     if geo is None:
         geo = geometry(ensemble)
-    z = hermitian_part(np.asarray(z, dtype=complex))
     n, d = ensemble.n_states, ensemble.dim
     q, qh = geo.support_bases, geo.support_bases.conj().swapaxes(1, 2)
     dual = qh @ (z - geo.rho)
     rate = float(np.einsum("ab,jba->", geo.rho, detection.conclusive).real)
     # two stacked spectra serve every condition and rank, each norm the root
-    # of a Gram matrix's top eigenvalue as in opnorm. d x d: Z, the Hermitian
-    # parts of Pi_0..Pi_N, C C^dagger for C = sum_j Pi_j - 1 and
-    # (Z Pi_0)(Z Pi_0)^dagger
+    # of a Gram matrix's top eigenvalue as in opnorm. d x d: Z, Pi_0..Pi_N,
+    # C C^dagger for C = sum_j Pi_j - 1 and (Z Pi_0)(Z Pi_0)^dagger
     c = detection.operators.sum(axis=0) - np.eye(d)
     zp = z @ detection.inconclusive
     big = np.linalg.eigvalsh(np.concatenate((
-        z[None], pi_h, gram(c)[None], gram(zp)[None])))
+        z[None], detection.operators, gram(c)[None], gram(zp)[None])))
     z_w, pi_w = big[0], big[1:n + 2]
     # b x b: the slacks Q_j^dagger (Z - rho) Q_j, Q_j^dagger rho_j Q_j and the
     # Grams of the stationarity products Q_j^dagger (Z - rho) Pi_j
@@ -262,9 +266,9 @@ def verify_certificate(
     lower = int(rank_of_spectrum(small[n:2 * n], RANK_CUTOFF).max())
     rank_ok = (rank_z + rank_pi0 <= d) and (rank_z >= lower)
 
-    # *_min_eigenvalue entries fail below -tol, the residuals above tol
+    # *_min_eigenvalue entries fail below -tol, the residuals above tol, NaN both
     failures = [name for name, value in conditions.items()
-                if (value < -tol if name.endswith("_min_eigenvalue") else value > tol)]
+                if not (value >= -tol if name.endswith("_min_eigenvalue") else value <= tol)]
     if not rank_ok:
         failures.append("rank_bound")
 
@@ -692,12 +696,14 @@ def perturbation_witness(
     functional drops below the baseline by 2 epsilon mu to first order.
 
     Raises NoNegativeEigenvalueError when neither Z nor any slack has an
-    eigenvalue below -tol, and InfeasibleInputError as verify_certificate.
+    eigenvalue below -tol, InfeasibleInputError unless 0 < epsilon < 2 (where
+    the released weight is positive) and otherwise as verify_certificate.
     """
-    _require_matching(ensemble, detection, z, tol)
+    z = _require_matching(ensemble, detection, z, tol)
+    if not 0.0 < epsilon < 2.0:  # a NaN epsilon fails it too
+        raise InfeasibleInputError(f"epsilon must lie strictly between 0 and 2, got {epsilon}")
     if geo is None:
         geo = geometry(ensemble)
-    z = hermitian_part(np.asarray(z, dtype=complex))
     rho, q = geo.rho, geo.support_bases
     lam = q @ q.conj().swapaxes(1, 2)
     slacks = hermitian_part(lam @ (z - rho) @ lam)
@@ -716,7 +722,7 @@ def perturbation_witness(
     contract = np.eye(d, dtype=complex) - epsilon * proj
     released = epsilon * (2.0 - epsilon) * proj
 
-    primed = hermitian_part(contract @ detection.conclusive @ contract)
+    primed = contract @ detection.conclusive @ contract
     if k:
         primed[k - 1] += released
     deformed = DetectionSet.from_conclusive(primed)
@@ -727,7 +733,7 @@ def perturbation_witness(
 
     gap = dual_functional(deformed)
     baseline = dual_functional(detection)
-    rate_primed = float(np.einsum("ab,jba->", rho, primed).real)
+    rate_primed = float(np.einsum("ab,jba->", rho, deformed.conclusive).real)
     return PerturbationWitness(
         kind=kind,
         outcome=k,

@@ -187,6 +187,19 @@ def test_verify_refuses_non_hermitian_detection_operators(trine_file, tmp_path, 
     assert "detection set deviates from Hermiticity" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_non_hermitian_dual(trine_file, tmp_path, capsys):
+    # 0.3i sigma_x leaves Z's Hermitian part, all the certificate reads, as it is
+    out = tmp_path / "solution.json"
+    main(["solve", "--input", str(trine_file), "--output", str(out)])
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    z = dual_from_certificate_json(obj["certificate"]) + 0.3j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    obj["certificate"]["z"] = array_to_json(z)
+    out.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out), "--witness"]) == 2
+    assert "dual Z deviates from Hermiticity" in capsys.readouterr().err
+
+
 def test_verify_rejects_corrupted_dual(trine_file, tmp_path, capsys):
     out = tmp_path / "solution.json"
     main(["solve", "--input", str(trine_file), "--output", str(out)])

@@ -68,6 +68,25 @@ def test_detection_set_completeness(trine):
 def test_detection_set_shape_check():
     with pytest.raises(InfeasibleInputError):
         DetectionSet(np.zeros((2, 3)))
+    with pytest.raises(InfeasibleInputError, match=r"N >= 1"):
+        DetectionSet(np.eye(2)[None])  # Pi_0 alone
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "infinity"])
+def test_detection_set_refuses_non_finite_entries(trine, bad):
+    ops = trine_optimal_detection(trine).operators.copy()
+    ops[2, 1, 1] = bad
+    with pytest.raises(InfeasibleInputError, match="detection operators: entries must be finite"):
+        DetectionSet(ops)
+
+
+def test_detection_set_stores_the_exact_hermitian_part(trine):
+    # an anti-Hermitian defect within TOL_HERM is dropped on construction
+    ops = trine_optimal_detection(trine).operators.copy()
+    ops[1] += 4e-10j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    det = DetectionSet(ops)
+    assert np.array_equal(det.operators, det.operators.conj().swapaxes(1, 2))
+    assert np.array_equal(det.operators, 0.5 * (ops + ops.conj().swapaxes(1, 2)))
 
 
 def test_evaluate_measurement_trine(trine):
@@ -191,19 +210,86 @@ def test_certificate_tolerance_must_be_finite_and_nonnegative(trine, tol):
 def test_non_hermitian_detection_operators_are_refused(trine, k, check):
     # 0.3i K moved from Pi_2 to Pi_1 keeps completeness and the Hermitian
     # parts, and the rate and statistics take real parts, so only the
-    # Hermiticity gate sees it
+    # Hermiticity gate sees it; DetectionSet runs it on construction, before
+    # any of the three can read the set
     report = solve_rank1_symmetric(trine)
     ops = report.detection.operators.copy()
     ops[1] += 0.3j * k
     ops[2] -= 0.3j * k
-    det, z = DetectionSet(ops), report.certificate.z
+    z = report.certificate.z
     with pytest.raises(NonHermitianError, match="detection set deviates"):
+        det = DetectionSet(ops)
         if check == "verify":
             verify_certificate(trine, det, z)
         elif check == "witness":
             perturbation_witness(trine, det, z, 1e-3)
         else:
             evaluate_measurement(trine, det)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "infinity"])
+@pytest.mark.parametrize("check", ["verify", "witness"])
+def test_non_finite_dual_is_refused(trine, check, bad):
+    report = solve_rank1_symmetric(trine)
+    z = report.certificate.z.copy()
+    z[1, 1] = bad
+    with pytest.raises(InfeasibleInputError, match="certificate z: entries must be finite"):
+        if check == "verify":
+            verify_certificate(trine, report.detection, z)
+        else:
+            perturbation_witness(trine, report.detection, z, 1e-3)
+
+
+@pytest.mark.parametrize("check", ["verify", "witness"])
+def test_non_hermitian_dual_is_refused(trine, check):
+    # the certificate reads only Z's Hermitian part, which 0.3i sigma_x
+    # leaves as it is: the optimal Z would pass
+    report = solve_rank1_symmetric(trine)
+    z = report.certificate.z + 0.3j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NonHermitianError, match="dual Z deviates"):
+        if check == "verify":
+            verify_certificate(trine, report.detection, z)
+        else:
+            perturbation_witness(trine, report.detection, z, 1e-3)
+
+
+def test_nan_certificate_conditions_are_failures(trine):
+    # 1e300 Z is finite, but the Grams of its products overflow and their
+    # norms read NaN; a NaN condition is no pass
+    report = solve_rank1_symmetric(trine)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = verify_certificate(trine, report.detection, 1e300 * report.certificate.z)
+    nan = [name for name, value in cert.conditions.items() if np.isnan(value)]
+    assert nan, cert.conditions
+    assert set(nan) <= set(cert.failures), (nan, cert.failures)
+    assert not cert.accepted
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, 0.0, 2.0, 3.0, np.nan, np.inf])
+def test_witness_refuses_epsilon_outside_the_open_interval(trine, epsilon):
+    # the released weight epsilon (2 - epsilon) |u><u| must be positive:
+    # at epsilon = -1 the deformed set has eigenvalue -1/3
+    report = solve_rank1_symmetric(trine)
+    with pytest.raises(InfeasibleInputError, match="epsilon"):
+        perturbation_witness(trine, report.detection, 0.8 * report.certificate.z, epsilon)
+
+
+@pytest.mark.parametrize("solve", [solve_rank1_symmetric, solve_numeric])
+def test_a_solve_report_checks_hermiticity_once_per_input(trine, solve, monkeypatch):
+    # the detection set checks itself when it is built, and the gate for Z
+    # checks the dual once; verify_certificate and evaluate_measurement
+    # repeat neither
+    names = []
+    original = solver.require_hermitian
+
+    def counting(a, name="operator"):
+        names.append(name)
+        return original(a, name=name)
+
+    monkeypatch.setattr(solver, "require_hermitian", counting)
+    report = solve(trine)
+    assert report.certified
+    assert names == ["detection set", "dual Z"], names
 
 
 def test_solve_rank1_requires_distinct_phases():
