@@ -148,15 +148,13 @@ def cmd_solve(args) -> int:
         try:
             cross = _solve(ensemble, geo, other, args.tol)
             deviation = abs(cross.detection_rate - report.detection_rate)
-            conf_deviation = float(np.nanmax(np.abs(cross.confidences - report.confidences)))
+            # over the outcomes that fire in both routes; 0.0 when none does
+            conf_gaps = np.abs(cross.confidences - report.confidences)
             out["cross_check"] = {
                 "available": True,
-                "mode": cross.mode,
-                "detection_rate": cross.detection_rate,
-                "failure_probability": cross.failure_probability,
+                **report_to_json(cross),
                 "rate_deviation": deviation,
-                "confidence_deviation": conf_deviation,
-                "certified": cross.certified,
+                "confidence_deviation": float(np.max(conf_gaps[~np.isnan(conf_gaps)], initial=0.0)),
             }
         except (*_ANALYTIC_BLOCKERS, NotConvergedError) as exc:
             out["cross_check"] = {"available": False, "reason": str(exc)}

@@ -11,6 +11,7 @@ line endings.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from typing import Any, IO
 
@@ -80,6 +81,7 @@ def ensemble_to_json(ensemble: StateEnsemble) -> dict:
 
 
 def ensemble_from_json(obj: Any) -> StateEnsemble:
+    """Parses; StateEnsemble checks the shapes."""
     if not isinstance(obj, dict) or "dim" not in obj or "states" not in obj:
         raise InfeasibleInputError("ensemble: expected a JSON object with 'dim' and 'states'")
     dim = integer_from_json(obj["dim"], "ensemble dim")
@@ -92,8 +94,6 @@ def ensemble_from_json(obj: Any) -> StateEnsemble:
     priors = np.array([number_from_json(entry["prior"], f"ensemble state {i} prior")
                        for i, entry in enumerate(entries)])
     states = array_from_json([entry["matrix"] for entry in entries], "ensemble states", 3)
-    if states.shape[1:] != (dim, dim):
-        raise InfeasibleInputError(f"ensemble: states have shape {states.shape[1:]}, expected ({dim}, {dim})")
 
     symmetry = None
     if obj.get("symmetry") is not None:
@@ -123,19 +123,24 @@ def detection_from_json(obj: Any) -> DetectionSet:
     return detection
 
 
+def _record(obj: Any, skip: tuple[str, ...] = ()) -> Any:
+    """A result record as JSON: a dataclass's fields in declaration order
+    (less skip), a DetectionSet through detection_to_json, a complex array
+    through array_to_json, a real one as a list of floats, a list item by
+    item; anything else as it is."""
+    if isinstance(obj, DetectionSet):  # a dataclass too, with its own layout
+        return detection_to_json(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _record(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name not in skip}
+    if isinstance(obj, np.ndarray):
+        return array_to_json(obj) if np.iscomplexobj(obj) else obj.astype(float).tolist()
+    if isinstance(obj, list):
+        return [_record(item) for item in obj]
+    return obj
+
+
 def certificate_to_json(cert: OptimalityCertificate) -> dict:
-    return {
-        "z": array_to_json(cert.z),
-        "rate": cert.rate,
-        "accepted": cert.accepted,
-        "conditions": {k: float(v) for k, v in cert.conditions.items()},
-        "failures": list(cert.failures),
-        "rank_z": cert.rank_z,
-        "rank_inconclusive": cert.rank_inconclusive,
-        "min_rank_required": cert.min_rank_required,
-        "rank_bound_ok": cert.rank_bound_ok,
-        "tol": cert.tol,
-    }
+    return _record(cert)
 
 
 def dual_from_certificate_json(obj: Any) -> np.ndarray:
@@ -146,43 +151,17 @@ def dual_from_certificate_json(obj: Any) -> np.ndarray:
 
 
 def witness_to_json(w: PerturbationWitness) -> dict:
-    return {
-        "kind": w.kind,
-        "outcome": w.outcome,
-        "mu": w.mu,
-        "epsilon": w.epsilon,
-        "gap": w.gap,
-        "baseline_gap": w.baseline_gap,
-        "predicted_first_order": w.predicted_first_order,
-        "trace_minus_rate": w.trace_minus_rate,
-        "completeness_residual": w.completeness_residual,
-        "min_eigenvalue": w.min_eigenvalue,
-        "detection": detection_to_json(w.detection),
-    }
+    return _record(w)
 
 
 def report_to_json(report: SolveReport) -> dict:
-    return {
-        "mode": report.mode,
-        "detection_rate": report.detection_rate,
-        "failure_probability": report.failure_probability,
-        "correct_probability": report.correct_probability,
-        "confidences": [float(c) for c in report.confidences],
-        "certified": report.certified,
-        "iterations": report.iterations,
-        "duality_gap": report.duality_gap,
-    }
+    """The report less its detection set and certificate, which a solution
+    file writes beside it."""
+    return _record(report, skip=("detection", "certificate"))
 
 
 def validation_to_json(report: ValidationReport) -> dict:
-    return {
-        "ok": report.ok,
-        "violations": [
-            {"name": v.name, "magnitude": v.magnitude, "message": v.message}
-            for v in report.violations
-        ],
-        "flags": list(report.flags),
-    }
+    return {"ok": report.ok, **_record(report)}
 
 
 def dump_json(obj: Any) -> str:

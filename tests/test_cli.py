@@ -88,6 +88,10 @@ def test_solve_check_cross_checks(trine_file, tmp_path):
     cc = obj["cross_check"]
     assert cc["available"] is True
     assert cc["rate_deviation"] < 1e-6
+    # the other route's whole report, then the two deviations
+    assert list(cc) == ["available", *obj["report"], "rate_deviation", "confidence_deviation"]
+    assert cc["mode"] == "numeric" and cc["certified"] is True
+    assert cc["rate_deviation"] == abs(cc["detection_rate"] - obj["report"]["detection_rate"])
 
 
 def test_solve_unattainable_tolerance(trine_file, tmp_path):
@@ -414,6 +418,20 @@ def test_compare_symmetric(trine_file, tmp_path):
     assert cc["mode"] == "analytic"
     assert cc["rate_deviation"] < 1e-6 and cc["confidence_deviation"] < 1e-6
     assert obj["report"]["certified"] and cc["certified"]
+
+
+def test_cross_check_when_no_outcome_fires(tmp_path):
+    # nearly equal pure qubits: both routes certify R ~ 2e-16, and every
+    # confidence is undefined (NaN) in both
+    t = 1e-8
+    p, out = tmp_path / "close.json", tmp_path / "solution.json"
+    write_ensemble(p, build_symmetric_ensemble(np.array([np.cos(t), np.sin(t)]), 2))
+    assert main(["solve", "--input", str(p), "--check", "--output", str(out)]) == 0
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    assert np.isnan(obj["report"]["confidences"]).all()
+    cc = obj["cross_check"]
+    assert cc["available"] is True and np.isnan(cc["confidences"]).all()
+    assert cc["confidence_deviation"] == 0.0
 
 
 def test_compare_needs_symmetry(tmp_path):

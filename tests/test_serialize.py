@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -26,8 +27,13 @@ from maxconf.serialize import (
     witness_to_json,
     write_csv,
 )
-from maxconf.ensembles import StateEnsemble, SymmetrySpec, validate
-from maxconf.solver import DetectionSet
+from maxconf.ensembles import StateEnsemble, SymmetrySpec, ValidationReport, Violation, validate
+from maxconf.solver import (
+    DetectionSet,
+    OptimalityCertificate,
+    PerturbationWitness,
+    SolveReport,
+)
 from conftest import random_ensemble
 
 
@@ -152,7 +158,8 @@ def test_ensemble_from_json_errors():
     for order in (1.5, True, "1"):
         with pytest.raises(InfeasibleInputError, match="symmetry order"):
             ensemble_from_json({"dim": 2, "states": [one], "symmetry": dict(sym, order=order)})
-    with pytest.raises(InfeasibleInputError, match="expected \\(3, 3\\)"):
+    # the codec only parses; StateEnsemble refuses states of the wrong size
+    with pytest.raises(InfeasibleInputError, match="states must have shape \\(N, 3, 3\\)"):
         ensemble_from_json({"dim": 3, "states": [one]})
 
 
@@ -193,6 +200,26 @@ def test_witness_json(trine):
     assert obj["kind"] == "dual-negativity"
     assert obj["mu"] == pytest.approx(0.05)
     assert "detection" in obj
+
+
+def _field_names(record_type):
+    return [f.name for f in dataclasses.fields(record_type)]
+
+
+def test_every_record_field_reaches_the_json(trine):
+    report = solve_rank1_symmetric(trine)
+    w = perturbation_witness(trine, report.detection, np.diag([1.05, -0.05]).astype(complex), 1e-3)
+    bad = StateEnsemble(dim=2, priors=np.array([0.7, 0.7]), states=trine.states[:2])
+    cert, rep, wit, val = (certificate_to_json(report.certificate), report_to_json(report),
+                           witness_to_json(w), validation_to_json(validate(bad)))
+    assert list(cert) == _field_names(OptimalityCertificate)  # every field, in declaration order
+    assert list(rep) == [n for n in _field_names(SolveReport) if n not in ("detection", "certificate")]
+    assert list(wit) == _field_names(PerturbationWitness)
+    assert list(val) == ["ok", *_field_names(ValidationReport)]
+    assert val["violations"] and all(list(v) == _field_names(Violation) for v in val["violations"])
+    assert wit["detection"] == detection_to_json(w.detection)
+    for obj in (cert, rep, wit, val):
+        json.loads(dump_json(obj))  # only JSON values
 
 
 def test_dump_and_load_json(tmp_path):
