@@ -142,7 +142,8 @@ class StateEnsemble:
 
 def average_state(ensemble: StateEnsemble) -> np.ndarray:
     """Prior-weighted average rho = sum_j eta_j rho_j."""
-    return np.einsum("j,jab->ab", ensemble.priors, ensemble.states)
+    n, d = ensemble.n_states, ensemble.dim
+    return (ensemble.priors @ ensemble.states.reshape(n, d * d)).reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,8 @@ def _violations(e: StateEnsemble):
     Hermitian part of its average state. Non-finite input is reported alone,
     before any spectrum is computed (eigh and average state None)."""
     values = [e.priors, e.states] + ([e.symmetry.phases] if e.symmetry is not None else [])
-    bad = sum(np.count_nonzero(~np.isfinite(x)) for x in values)
-    if bad:
+    if not all(np.isfinite(x).all() for x in values):
+        bad = sum(np.count_nonzero(~np.isfinite(x)) for x in values)
         return [Violation("finite_values", float(bad), "priors, states and phases must be finite")], None, None
     v: list[Violation] = []
     if float(e.priors.min()) <= 0.0:
@@ -180,11 +181,11 @@ def _violations(e: StateEnsemble):
     if gap > PRIOR_TOL:
         v.append(Violation("prior_normalization", gap, "priors must sum to 1"))
 
-    worst_herm = float(np.max(np.abs(e.states - e.states.conj().swapaxes(1, 2))))
+    worst_herm = float(np.abs(e.states - e.states.conj().swapaxes(1, 2)).max())
     h = hermitian_part(e.states)
     eig = np.linalg.eigh(h)
     worst_neg = max(0.0, -float(eig[0][:, 0].min()))
-    worst_trace = float(np.max(np.abs(np.trace(h, axis1=1, axis2=2).real - 1.0)))
+    worst_trace = float(np.abs(h.trace(axis1=1, axis2=2).real - 1.0).max())
     if worst_herm > TOL_HERM:
         v.append(Violation("state_hermiticity", worst_herm,
                            "states must be Hermitian"))
@@ -201,16 +202,16 @@ def _violations(e: StateEnsemble):
             v.append(Violation("symmetry_order", abs(e.n_states - s.order),
                                f"symmetry order {s.order} != number of states {e.n_states}"))
         else:
-            dev_orbit = float(np.max(np.abs(e.states - orbit(e.states[0], s.powers))))
+            dev_orbit = float(np.abs(e.states - orbit(e.states[0], s.powers)).max())
             if dev_orbit > TOL_RECON:
                 v.append(Violation("symmetry_orbit", dev_orbit,
                                    "states are not the cyclic orbit of the first state"))
             # (V rho - rho V)_ab = (p_a - p_b) rho_ab for V = diag(p)
-            dev_comm = float(np.max(np.abs(np.subtract.outer(s.phases, s.phases) * rho)))
+            dev_comm = float(np.abs(np.subtract.outer(s.phases, s.phases) * rho).max())
             if dev_comm > TOL_RECON:
                 v.append(Violation("symmetry_commutation", dev_comm,
                                    "average state must commute with the symmetry generator"))
-            dev_prior = float(np.max(np.abs(e.priors - 1.0 / e.n_states)))
+            dev_prior = float(np.abs(e.priors - 1.0 / e.n_states).max())
             if dev_prior > PRIOR_TOL:
                 v.append(Violation("symmetry_priors", dev_prior,
                                    "a cyclic orbit must carry uniform priors"))

@@ -83,7 +83,11 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
 
     Every step acts on all outcomes at once: one eigh of the stacked states,
     one SVD of F, one of the stacked V_j and one QR of the detection blocks
-    zero-padded to the widest top eigenspace. The input checks are
+    zero-padded to the widest top eigenspace. A width-1 stack takes no
+    LAPACK call: when every state has rank k = 1, the SVD of the one-row V_j
+    is each row's norm and direction, and when every top eigenvalue is
+    simple (b = 1), the QR of the one-column W_j is their normalization. The
+    selection reads the stack shapes alone. The input checks are
     validate's hard ones, in the same pass that gives the eigh and rho; its
     informational flags are not computed. Raises InfeasibleInputError naming
     every violation validate lists, and for an outcome whose state has no
@@ -108,21 +112,30 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     u, sigma, vh = np.linalg.svd(f.transpose(1, 0, 2).reshape(d, n * k), full_matrices=False)
     r = int(np.count_nonzero(sigma > floor))
     u, sigma = u[:, :r], sigma[:r]
-    _, s, gh = np.linalg.svd(vh[:r].conj().T.reshape(n, k, r), full_matrices=False)
+    v = vh[:r].conj().T.reshape(n, k, r)
+    if k == 1:  # a one-row V_j is its own SVD: its norm and its direction
+        s = _norms(v, axis=2)
+    else:
+        _, s, gh = np.linalg.svd(v, full_matrices=False)
 
     confidences = s[:, 0] ** 2
     lost = np.flatnonzero(2 * d * confidences < priors)
     if lost.size:
         raise InfeasibleInputError(f"outcome {lost[0] + 1} has no weight on rho's kept support")
+    if k == 1:  # every norm is nonzero now
+        gh = v / s[:, :, None]
     # top cluster: eigenvalues within a relative gap of the maximum
-    degeneracies = np.count_nonzero(s**2 >= confidences[:, None] * (1 - DEGENERACY_RTOL), axis=1)
+    degeneracies = (s**2 >= confidences[:, None] * (1 - DEGENERACY_RTOL)).sum(axis=1)
     width = int(degeneracies.max())
     cols = np.arange(width) < degeneracies[:, None]
     g = gh[:, :width].conj().swapaxes(1, 2) * cols[:, None, :]
     vtop = u @ g
     blocks = (u / sigma) @ g
-    # W_j has full column rank, so the first m_j columns of its Q span Lambda_j
-    q = np.linalg.qr(blocks)[0] * cols[:, None, :]
+    if width == 1:  # one column: its QR is its normalization
+        q = blocks / _norms(blocks, axis=1)[:, None]
+    else:
+        # W_j has full column rank, so the first m_j columns of its Q span Lambda_j
+        q = np.linalg.qr(blocks)[0] * cols[:, None, :]
 
     return MCGeometry(
         rho=rho,
@@ -132,6 +145,11 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
         detection_blocks=blocks,
         support_bases=q,
     )
+
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms of a complex stack along one axis."""
+    return np.sqrt((x * x.conj()).real.sum(axis=axis))
 
 
 def is_unambiguous(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> tuple[bool, dict]:

@@ -59,8 +59,7 @@ def support_cutoff(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> np.nd
     all-zero or tiny operators do not produce a vanishing cutoff. For a
     stack (..., d) of spectra, one cutoff per spectrum, shape (...).
     """
-    scale = np.max(np.abs(eigenvalues), axis=-1, initial=0.0)
-    return rtol * np.maximum(scale, 1.0)
+    return rtol * np.maximum(np.abs(eigenvalues).max(axis=-1, initial=0.0), 1.0)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -81,7 +80,7 @@ def require_hermitian(a: np.ndarray, name: str = "operator") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonHermitianError(f"{name} must be square, got shape {a.shape}")
-    dev = float(np.max(np.abs(a - _adjoint(a)))) if a.size else 0.0
+    dev = float(np.abs(a - _adjoint(a)).max(initial=0.0))
     if not dev <= TOL_HERM:  # a NaN entry fails it too
         raise NonHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {TOL_HERM:.1e})")
     return hermitian_part(a)
@@ -125,8 +124,15 @@ def rank_of_spectrum(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> int
     ``rtol``: an int for one spectrum (d,), one count per spectrum for a
     stack (..., d)."""
     w = eigenvalues
-    rank = np.count_nonzero(np.abs(w) > support_cutoff(w, rtol)[..., None], axis=-1)
+    rank = (np.abs(w) > support_cutoff(w, rtol)[..., None]).sum(axis=-1)
     return rank if np.ndim(rank) else int(rank)
+
+
+def spectra(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., b) of each Hermitian matrix of a stack
+    (..., b, b): numpy's eigvalsh, except that a 1 x 1 matrix is its own
+    eigenvalue, its real part, and takes no LAPACK call."""
+    return a.real[..., 0] if a.shape[-1] == 1 else np.linalg.eigvalsh(a)
 
 
 def support_rank(a: np.ndarray, rtol: float = SUPPORT_RTOL) -> int | np.ndarray:

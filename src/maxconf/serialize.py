@@ -3,7 +3,9 @@
 Complex arrays (vectors, matrices, stacks of matrices) are encoded as nested
 lists with an [re, im] pair in place of each entry, row major.
 Floats are written by Python's json module, i.e. the shortest decimal string
-that round-trips to the exact float64, so files reload bit-for-bit. CSV
+that round-trips to the exact float64, so files reload bit-for-bit; a
+result record writes a non-finite float as null, and the output is strict
+JSON, with no NaN or Infinity token. CSV
 output uses 9 significant digits, '.' decimal point, ',' separator, LF
 line endings.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from typing import Any, IO
 
 import numpy as np
@@ -127,15 +130,21 @@ def _record(obj: Any, skip: tuple[str, ...] = ()) -> Any:
     """A result record as JSON: a dataclass's fields in declaration order
     (less skip), a DetectionSet through detection_to_json, a complex array
     through array_to_json, a real one as a list of floats, a list item by
-    item; anything else as it is."""
+    item, a dict value by value; a non-finite float (an outcome that never
+    fires has confidence nan) as null, since strict JSON has no NaN;
+    anything else as it is."""
     if isinstance(obj, DetectionSet):  # a dataclass too, with its own layout
         return detection_to_json(obj)
     if dataclasses.is_dataclass(obj):
         return {f.name: _record(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name not in skip}
     if isinstance(obj, np.ndarray):
-        return array_to_json(obj) if np.iscomplexobj(obj) else obj.astype(float).tolist()
+        return array_to_json(obj) if np.iscomplexobj(obj) else _record(obj.astype(float).tolist())
     if isinstance(obj, list):
         return [_record(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _record(value) for key, value in obj.items()}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -165,7 +174,10 @@ def validation_to_json(report: ValidationReport) -> dict:
 
 
 def dump_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, allow_nan=True)
+    """Strict JSON: a NaN or an infinity that no record turned into null
+    fails the write (ValueError) rather than leave a file strict parsers
+    refuse."""
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def load_json(path: str) -> Any:

@@ -66,6 +66,7 @@ from .operators import (
     opnorm,
     rank_of_spectrum,
     require_hermitian,
+    spectra,
 )
 
 _TO_BOUNDARY = 0.98  # largest fraction of the way to a cone boundary per step
@@ -167,8 +168,11 @@ def evaluate_measurement(ensemble: StateEnsemble, detection: DetectionSet) -> Me
     zero_probability_outcomes.
     """
     _require_matching(ensemble, detection)
-    probs = np.einsum("jab,ba->j", detection.operators, average_state(ensemble)).real
-    joint = np.einsum("j,jab,jba->j", ensemble.priors, detection.conclusive, ensemble.states).real
+    # Tr(Pi_j X) = sum_ab conj(Pi_j)_ab X_ab, the Pi_j being exactly Hermitian
+    n, dd = ensemble.n_states, ensemble.dim ** 2
+    flat = detection.operators.reshape(n + 1, 1, dd).conj()
+    probs = (flat[:, 0] @ average_state(ensemble).reshape(dd)).real
+    joint = ensemble.priors * (flat[1:] @ ensemble.states.reshape(n, dd, 1))[:, 0, 0].real
     fired = probs[1:] > ZERO_PROB
     confidences = np.full(ensemble.n_states, np.nan)
     confidences[fired] = joint[fired] / probs[1:][fired]
@@ -209,7 +213,8 @@ def _certificate_ranks(z_w: np.ndarray, pi0_w: np.ndarray) -> tuple[int, int]:
     """rank Z and rank Pi_0 from their spectra. Z's eigenvalues count
     relative to ||Z|| with no floor, so a dual of a tiny detection rate keeps
     its rank; Pi_0's against the cutoff floored at 1, as ||Pi_0|| <= 1."""
-    rank_z = int(np.count_nonzero(np.abs(z_w) > RANK_CUTOFF * np.max(np.abs(z_w))))
+    z_abs = np.abs(z_w)
+    rank_z = int((z_abs > RANK_CUTOFF * z_abs.max()).sum())
     return rank_z, rank_of_spectrum(pi0_w, RANK_CUTOFF)
 
 
@@ -238,7 +243,7 @@ def verify_certificate(
     n, d = ensemble.n_states, ensemble.dim
     q, qh = geo.support_bases, geo.support_bases.conj().swapaxes(1, 2)
     dual = qh @ (z - geo.rho)
-    rate = float(np.einsum("ab,jba->", geo.rho, detection.conclusive).real)
+    rate = float(np.vdot(detection.conclusive.sum(axis=0), geo.rho).real)
     # two stacked spectra serve every condition and rank, each norm the root
     # of a Gram matrix's top eigenvalue as in opnorm. d x d: Z, Pi_0..Pi_N,
     # C C^dagger for C = sum_j Pi_j - 1 and (Z Pi_0)(Z Pi_0)^dagger
@@ -249,7 +254,7 @@ def verify_certificate(
     z_w, pi_w = big[0], big[1:n + 2]
     # b x b: the slacks Q_j^dagger (Z - rho) Q_j, Q_j^dagger rho_j Q_j and the
     # Grams of the stationarity products Q_j^dagger (Z - rho) Pi_j
-    small = np.linalg.eigvalsh(np.concatenate((
+    small = spectra(np.concatenate((
         hermitian_part(dual @ q), hermitian_part(qh @ ensemble.states @ q),
         gram(dual @ detection.conclusive))))
 
@@ -260,7 +265,7 @@ def verify_certificate(
     conditions["support_slack_min_eigenvalue"] = float(small[:n, 0].min())
     conditions["inconclusive_orthogonality"] = float(gram_norms(big[n + 3]))
     conditions["stationarity_residual"] = float(gram_norms(small[2 * n:]).max())
-    conditions["trace_gap"] = abs(float(np.trace(z).real) - rate)
+    conditions["trace_gap"] = abs(float(z.trace().real) - rate)
 
     rank_z, rank_pi0 = _certificate_ranks(z_w, pi_w[0])
     lower = int(rank_of_spectrum(small[n:2 * n], RANK_CUTOFF).max())
@@ -444,9 +449,8 @@ def _cone_lows(f: np.ndarray, fh: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of L^-1 dx L^-dagger for each member of a
     stacked cone pair, over all its blocks: x + alpha dx stays >= 0 while
     alpha times it is >= -1. Elementwise on the orthant (dx / x)."""
-    if step.shape[-1] == 1:
-        return (f * step.real * fh).reshape(2, -1).min(axis=1)
-    return np.linalg.eigvalsh(f @ step @ fh)[..., 0].reshape(2, -1).min(axis=1)
+    scaled = f * step.real * fh if step.shape[-1] == 1 else f @ step @ fh
+    return spectra(scaled)[..., 0].reshape(2, -1).min(axis=1)
 
 
 def _step_lengths(factors, primal, dual, to_boundary):
@@ -537,17 +541,17 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     # 1/2, with ||W_j W_j^dagger|| = ||W_j^dagger W_j|| from the Gram stack
     # (their sum is >= 1: the columns of W are rho^-1/2 of unit vectors in
     # rho's support), and Z = kappa 1 with kappa doubled until every X1_j > 0
-    norm_sum = float(np.linalg.eigvalsh(wh @ w)[:, -1].sum())
+    norm_sum = float(spectra(wh @ w)[:, -1].sum())
     a = 0.5 / norm_sum * (np.eye(b, dtype=complex) * cols[:, None, :])
     z = eye.copy()
-    while np.linalg.eigvalsh(blocks(z - rho) + pad)[:, 0].min() <= 0.0:
+    while spectra(blocks(z - rho) + pad)[:, 0].min() <= 0.0:
         z *= 2.0
 
     iterations = 0
     while True:
         s, x1 = eye - hermitian_part(total(a)) * pinch, blocks(z - rho)
         xa, zs = x1 @ a, z @ s
-        gap = float(np.trace(xa, axis1=1, axis2=2).real.sum() + np.trace(zs).real)
+        gap = float(xa.trace(axis1=1, axis2=2).real.sum() + zs.trace().real)
         mu = gap / nu
         commuting = np.sqrt(np.vdot(xa, xa).real) + np.sqrt(np.vdot(zs, zs).real) <= gap
         if commuting and gap <= CERT_TOL and sum(_certificate_ranks(*np.linalg.eigvalsh((z, s)))) <= d:

@@ -420,18 +420,32 @@ def test_compare_symmetric(trine_file, tmp_path):
     assert obj["report"]["certified"] and cc["certified"]
 
 
-def test_cross_check_when_no_outcome_fires(tmp_path):
-    # nearly equal pure qubits: both routes certify R ~ 2e-16, and every
-    # confidence is undefined (NaN) in both
+def _solve_close_pair(tmp_path):
+    """The solve --check file of two nearly equal pure qubits, where no
+    outcome fires: both routes certify R ~ 2e-16."""
     t = 1e-8
     p, out = tmp_path / "close.json", tmp_path / "solution.json"
     write_ensemble(p, build_symmetric_ensemble(np.array([np.cos(t), np.sin(t)]), 2))
     assert main(["solve", "--input", str(p), "--check", "--output", str(out)]) == 0
-    obj = json.loads(out.read_text(encoding="utf-8"))
-    assert np.isnan(obj["report"]["confidences"]).all()
+    return out.read_text(encoding="utf-8")
+
+
+def test_cross_check_when_no_outcome_fires(tmp_path):
+    # every confidence is undefined (nan) in both routes, written as null
+    obj = json.loads(_solve_close_pair(tmp_path))
+    assert obj["report"]["confidences"] == [None, None]
     cc = obj["cross_check"]
-    assert cc["available"] is True and np.isnan(cc["confidences"]).all()
+    assert cc["available"] is True and cc["confidences"] == [None, None]
     assert cc["confidence_deviation"] == 0.0
+
+
+def test_solution_file_is_strict_json(tmp_path):
+    # a strict parser has no NaN or Infinity token; the file must still load
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    obj = json.loads(_solve_close_pair(tmp_path), parse_constant=refuse)
+    assert obj["report"]["certified"] and obj["cross_check"]["certified"]
 
 
 def test_compare_needs_symmetry(tmp_path):

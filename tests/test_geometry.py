@@ -90,11 +90,20 @@ def test_geometry_matches_per_outcome_reference(seed):
     _assert_matches_reference(e, geometry(e))
 
 
-@pytest.mark.parametrize("kind", ["random", "trine"])
-def test_geometry_takes_one_eigh(kind, trine, monkeypatch):
+@pytest.mark.parametrize("kind, expected", [
+    ("trine", ["eigh", "svd"]),
+    ("random", ["eigh", "svd", "svd"]),
+    ("mixed_width", ["eigh", "qr", "svd", "svd"]),
+], ids=["trine", "random", "mixed_width"])
+def test_geometry_takes_one_eigh(kind, expected, trine, monkeypatch):
     # validation reads geometry's own eigh of the states and skips the flags,
-    # so no eigvalsh is left: one eigh, the SVDs of F and of the V_j, one QR
-    e = random_ensemble(np.random.default_rng(6), 3, 4) if kind == "random" else trine
+    # so no eigvalsh is left: one eigh, the SVD of F, the SVD of the V_j
+    # unless every state has rank k = 1 (trine), and the QR of the W_j unless
+    # every top eigenvalue is simple, b = 1 (trine, random); mixed_width has
+    # k = 4 and b = 2 and takes both
+    rng = np.random.default_rng(6)
+    e = {"trine": trine, "random": random_ensemble(rng, 3, 4),
+         "mixed_width": mixed_width_ensemble(rng)}[kind]
     calls = []
 
     def counting(name):
@@ -109,7 +118,7 @@ def test_geometry_takes_one_eigh(kind, trine, monkeypatch):
     for name in ("eigh", "eigvalsh", "svd", "qr", "norm"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     geometry(e)
-    assert sorted(calls) == ["eigh", "qr", "svd", "svd"]
+    assert sorted(calls) == expected
 
 
 def test_geometry_supports_are_projectors():

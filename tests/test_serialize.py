@@ -222,6 +222,17 @@ def test_every_record_field_reaches_the_json(trine):
         json.loads(dump_json(obj))  # only JSON values
 
 
+def test_non_finite_floats_are_written_as_null(trine):
+    report = solve_rank1_symmetric(trine)
+    cert = dataclasses.replace(report.certificate, conditions={"trace_gap": float("nan")})
+    report = dataclasses.replace(report, confidences=np.array([0.5, np.nan, np.inf]), certificate=cert)
+    assert report_to_json(report)["confidences"] == [0.5, None, None]
+    assert certificate_to_json(cert)["conditions"] == {"trace_gap": None}
+    # a value no record walked fails the write instead of shipping a NaN token
+    with pytest.raises(ValueError):
+        dump_json({"x": float("nan")})
+
+
 def test_dump_and_load_json(tmp_path):
     path = tmp_path / "obj.json"
     payload = {"x": 1.0 / 3.0, "items": [1, 2, 3]}

@@ -821,13 +821,10 @@ def test_verify_certificate_ranks_use_hermitian_part(trine):
         verify_certificate(trine, DetectionSet(ops), np.eye(2) / 2.0)
 
 
-def test_verify_certificate_diagonalizes_each_operator_once(trine, monkeypatch):
-    # one d x d spectrum (Z, the Pi stack and the Grams of the completeness
-    # and orthogonality residuals) and one b x b spectrum (the slacks, the
-    # Q_j^dagger rho_j Q_j and the stationarity Grams) serve every condition
-    # and rank; no norm goes through an SVD
-    geo = geometry(trine)
-    det = trine_optimal_detection(trine)
+def _linalg_calls_of_verify(monkeypatch, ensemble, detection, z):
+    """The numpy.linalg calls, with their argument shapes, that one
+    accepted verify_certificate makes once its geometry is built."""
+    geo = geometry(ensemble)
     calls = []
 
     def counting(name):
@@ -841,9 +838,27 @@ def test_verify_certificate_diagonalizes_each_operator_once(trine, monkeypatch):
 
     for name in ("eigvalsh", "eigh", "svd", "norm"):
         monkeypatch.setattr(np.linalg, name, counting(name))
-    cert = verify_certificate(trine, det, np.eye(2) / 2.0, geo=geo)
+    cert = verify_certificate(ensemble, detection, z, geo=geo)
     assert cert.accepted, cert.failures
-    assert calls == [("eigvalsh", (7, 2, 2)), ("eigvalsh", (9, 1, 1))], calls
+    return calls
+
+
+def test_verify_certificate_diagonalizes_each_operator_once(trine, monkeypatch):
+    # one d x d spectrum (Z, the Pi stack and the Grams of the completeness
+    # and orthogonality residuals) and one b x b spectrum (the slacks, the
+    # Q_j^dagger rho_j Q_j and the stationarity Grams) serve every condition
+    # and rank; no norm goes through an SVD. With b = 1, as here, the b x b
+    # stack is 1 x 1, its own spectrum, and takes no eigvalsh
+    calls = _linalg_calls_of_verify(monkeypatch, trine, trine_optimal_detection(trine), np.eye(2) / 2.0)
+    assert calls == [("eigvalsh", (7, 2, 2))], calls
+
+
+def test_verify_certificate_diagonalizes_a_wide_stack_once(monkeypatch):
+    # top eigenspaces of dimensions 2, 2 and 1: b = 2 keeps the b x b eigvalsh
+    e = mixed_width_ensemble(np.random.default_rng(6))
+    report = solve_numeric(e)
+    calls = _linalg_calls_of_verify(monkeypatch, e, report.detection, report.certificate.z)
+    assert calls == [("eigvalsh", (7, 4, 4)), ("eigvalsh", (9, 2, 2))], calls
 
 
 def test_verify_certificate_accepts_optimal_duals(trine):
