@@ -45,14 +45,9 @@ from .geometry import (
     MCGeometry,
     geometry,
     is_unambiguous,
-    transformed_states,
     two_state_components,
 )
-from .operators import (
-    eig_hermitian,
-    opnorm,
-    psd_power,
-)
+from .operators import opnorm
 from .solver import (
     DetectionSet,
     MeasurementStats,
@@ -96,7 +91,6 @@ __all__ = [
     "build_depolarized_family",
     "build_symmetric_ensemble",
     "default_phases",
-    "eig_hermitian",
     "evaluate_measurement",
     "flat_mixed_solution",
     "geometry",
@@ -105,13 +99,11 @@ __all__ = [
     "orbit",
     "perturbation_witness",
     "phase_powers",
-    "psd_power",
     "pure_symmetric_solution",
     "qubit_mixed_solution",
     "solve_numeric",
     "solve_rank1_symmetric",
     "square_root_measurement",
-    "transformed_states",
     "two_state_components",
     "validate",
     "verify_certificate",

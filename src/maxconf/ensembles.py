@@ -118,6 +118,8 @@ class StateEnsemble:
     def __post_init__(self):
         priors = np.asarray(self.priors, dtype=float).reshape(-1)
         states = np.asarray(self.states, dtype=complex)
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise InfeasibleInputError(f"dimension must be an integer of at least 1, got {self.dim!r}")
         if states.ndim != 3 or states.shape[1:] != (self.dim, self.dim):
             raise InfeasibleInputError(
                 f"states must have shape (N, {self.dim}, {self.dim}), got {states.shape}"

@@ -29,16 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import StateEnsemble, _require_valid, average_state
+from .ensembles import StateEnsemble, _require_valid
 from .errors import DegenerateMappingError, InfeasibleInputError
 from .operators import (
     DEGENERACY_RTOL,
     EPS,
     SPLIT_TOL,
     TOL_CONF,
-    hermitian_part,
     opnorm,
-    psd_power,
 )
 
 
@@ -70,12 +68,6 @@ class MCGeometry:
     top_vectors: np.ndarray
     detection_blocks: np.ndarray
     support_bases: np.ndarray
-
-
-def transformed_states(ensemble: StateEnsemble) -> np.ndarray:
-    """The operators rho^(-1/2) eta_j rho_j rho^(-1/2), shape (N, d, d)."""
-    rih = psd_power(average_state(ensemble), -0.5)
-    return hermitian_part(rih @ (ensemble.priors[:, None, None] * ensemble.states) @ rih)
 
 
 def geometry(ensemble: StateEnsemble) -> MCGeometry:

@@ -7,9 +7,10 @@ pins down the numerical conventions the rest of the package relies on:
 * fractional and negative matrix powers are restricted to the support,
 * every numerical threshold of the package is named once in the table
   below, with the reason for its size, and imported from here. Values are
-  absolute unless marked relative: the two rank cutoffs SUPPORT_RTOL and
-  RANK_CUTOFF scale with the largest eigenvalue magnitude, floored at 1
-  (support_cutoff), except that a certificate's rank of Z scales with ||Z||
+  absolute unless marked relative: the two rank cutoffs SUPPORT_RTOL (read
+  by psd_power alone) and RANK_CUTOFF scale with the largest eigenvalue
+  magnitude, floored at 1 (support_cutoff; every rank helper takes its
+  rtol explicitly), except that a certificate's rank of Z scales with ||Z||
   alone, DEGENERACY_RTOL scales with C_j itself, and geometry's rank floors
   are built from EPS: d EPS ||rho_j|| on each state, and the error that
   leaves in the stacked state factors; validate flags rho as rank
@@ -34,7 +35,7 @@ COEFF_ZERO_TOL = 1e-12  # |c_l| at or below it vanishes: the orbit lives in a sm
 FLAT_TOL = 1e-12  # max_l | |c_l|^2 - 1/d | for the flat closed form
 
 # numerical rank
-SUPPORT_RTOL = 1e-9  # relative: support projectors and pseudo-powers
+SUPPORT_RTOL = 1e-9  # relative: psd_power's support, for its pseudo-powers and projector
 RANK_CUTOFF = 1e-7  # relative: certificate ranks; looser, iterates keep small kernel eigenvalues
 DEGENERACY_RTOL = 1e-8  # relative to C_j: eigenvalues this close share the top eigenspace
 EPS = float(np.finfo(float).eps)  # u: geometry's ranks and validate's rank flag: floors d u ||.||
@@ -52,7 +53,7 @@ ZERO_PROB = 1e-14  # an outcome less likely than this has no defined confidence 
 MAX_ITERATIONS = 10000  # interior-point iterations of one solve
 
 
-def support_cutoff(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> np.ndarray:
+def support_cutoff(eigenvalues: np.ndarray, rtol: float) -> np.ndarray:
     """Absolute threshold below which eigenvalues count as zero.
 
     rtol times the largest eigenvalue magnitude, with a floor of 1 so that
@@ -113,13 +114,13 @@ def psd_power(a: np.ndarray, exponent: float) -> np.ndarray:
     if exponent > 0:
         pw = np.clip(w, 0.0, None) ** exponent
     else:
-        keep = w > support_cutoff(w)[..., None]
+        keep = w > support_cutoff(w, SUPPORT_RTOL)[..., None]
         pw = np.where(keep, w, 1.0) ** exponent
         pw[~keep] = 0.0
     return (v * pw[..., None, :]) @ _adjoint(v)
 
 
-def rank_of_spectrum(eigenvalues: np.ndarray, rtol: float = SUPPORT_RTOL) -> int | np.ndarray:
+def rank_of_spectrum(eigenvalues: np.ndarray, rtol: float) -> int | np.ndarray:
     """Number of eigenvalues whose magnitude exceeds the support cutoff at
     ``rtol``: an int for one spectrum (d,), one count per spectrum for a
     stack (..., d)."""
@@ -135,7 +136,7 @@ def spectra(a: np.ndarray) -> np.ndarray:
     return a.real[..., 0] if a.shape[-1] == 1 else np.linalg.eigvalsh(a)
 
 
-def support_rank(a: np.ndarray, rtol: float = SUPPORT_RTOL) -> int | np.ndarray:
+def support_rank(a: np.ndarray, rtol: float) -> int | np.ndarray:
     """Numerical rank (rank_of_spectrum) of the Hermitian part of ``a``: an
     int for one matrix, one count per matrix for a stack (..., d, d)."""
     return rank_of_spectrum(np.linalg.eigvalsh(hermitian_part(np.asarray(a))), rtol)

@@ -78,7 +78,7 @@ class DetectionSet:
     """A complete measurement: inconclusive operator first, then the
     conclusive detection operators in ensemble order.
 
-    operators has shape (N + 1, d, d), N >= 1; operators[0] is the
+    operators has shape (N + 1, d, d), N, d >= 1; operators[0] is the
     inconclusive outcome Pi_0 and operators[j] detects state j for j = 1..N.
     Non-finite entries and operators not Hermitian within TOL_HERM (whose
     anti-Hermitian part no check reads) are refused; the exact Hermitian
@@ -89,8 +89,8 @@ class DetectionSet:
 
     def __post_init__(self):
         ops = np.asarray(self.operators, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[0] < 2:
-            raise InfeasibleInputError(f"operators must have shape (N+1, d, d) with N >= 1, got {ops.shape}")
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[0] < 2 or ops.shape[1] < 1:
+            raise InfeasibleInputError(f"operators must have shape (N+1, d, d), N >= 1, d >= 1, got {ops.shape}")
         if not np.isfinite(ops).all():
             raise InfeasibleInputError("detection operators: entries must be finite")
         object.__setattr__(self, "operators", require_hermitian(ops, name="detection set"))
@@ -655,11 +655,11 @@ class PerturbationWitness:
     """A measurement deformation exhibiting a certificate failure.
 
     kind is "support-slack" when the negative eigenvalue sits in some
-    Lambda_j (Z - rho) Lambda_j (outcome records which j, 1-based) and
-    "dual-negativity" when Z itself has one (outcome 0). gap is the dual
+    compression Q_j^dagger (Z - rho) Q_j (outcome records which j, 1-based)
+    and "dual-negativity" when Z itself has one (outcome 0). gap is the dual
     functional
 
-        Tr(Z Pi'_0) + sum_j Tr[Lambda_j (Z - rho) Lambda_j Pi'_j]
+        Tr(Z Pi'_0) + sum_j Tr[Q_j^dagger (Z - rho) Q_j Q_j^dagger Pi'_j Q_j]
 
     of the deformed measurement, whose leading behavior is
     predicted_first_order = -2 epsilon mu; a strictly negative gap shows the
@@ -690,10 +690,11 @@ def perturbation_witness(
     """Construct the deformed measurement that exploits a negative
     certificate eigenvalue.
 
-    Finds the most negative eigenvalue mu among Z and the support slacks
-    Lambda_j (Z - rho) Lambda_j with eigenvector |u> (on a tie Z wins, then
-    the slack of lowest j), contracts every
-    conclusive operator by (1 - epsilon |u><u|), and hands the released
+    Finds the most negative eigenvalue mu among Z and the support slacks, the
+    b x b compressions Q_j^dagger (Z - rho) Q_j that verify_certificate
+    checks, with eigenvector |u> (Z's own, or Q_j y for a slack's y; on a tie
+    Z wins, then the slack of lowest j), contracts every conclusive
+    operator by (1 - epsilon |u><u|), and hands the released
     weight epsilon(2 - epsilon)|u><u| to the outcome that realizes the
     negativity (the inconclusive one for a negative eigenvalue of Z). The
     resulting set is a valid measurement by construction, and its dual
@@ -708,22 +709,21 @@ def perturbation_witness(
         raise InfeasibleInputError(f"epsilon must lie strictly between 0 and 2, got {epsilon}")
     if geo is None:
         geo = geometry(ensemble)
-    rho, q = geo.rho, geo.support_bases
-    lam = q @ q.conj().swapaxes(1, 2)
-    slacks = hermitian_part(lam @ (z - rho) @ lam)
+    rho, q, qh = geo.rho, geo.support_bases, geo.support_bases.conj().swapaxes(1, 2)
+    slacks = hermitian_part(qh @ (z - rho) @ q)
+    (wz, vz), (ws, vs) = np.linalg.eigh(z), np.linalg.eigh(slacks)
     # entry 0 is Z and argmin takes the first minimum: the tie rule above
-    w, v = np.linalg.eigh(np.concatenate((z[None], slacks)))
-    k = int(np.argmin(w[:, 0]))
-    if w[k, 0] >= -tol:
+    lows = np.concatenate((wz[:1], ws[:, 0]))
+    k = int(np.argmin(lows))
+    if lows[k] >= -tol:
         raise NoNegativeEigenvalueError(
-            f"no certificate eigenvalue below -{tol:.1e} (smallest is {w[k, 0]:.3e})"
+            f"no certificate eigenvalue below -{tol:.1e} (smallest is {lows[k]:.3e})"
         )
     kind = "support-slack" if k else "dual-negativity"
-    mu = -float(w[k, 0])
-    u = v[k, :, 0]
+    mu = -float(lows[k])
+    u = q[k - 1] @ vs[k - 1, :, 0] if k else vz[:, 0]
     proj = np.outer(u, u.conj())
-    d = ensemble.dim
-    contract = np.eye(d, dtype=complex) - epsilon * proj
+    contract = np.eye(ensemble.dim, dtype=complex) - epsilon * proj
     released = epsilon * (2.0 - epsilon) * proj
 
     primed = contract @ detection.conclusive @ contract
@@ -732,12 +732,11 @@ def perturbation_witness(
     deformed = DetectionSet.from_conclusive(primed)
 
     def dual_functional(det: DetectionSet) -> float:
-        return float(np.einsum("ab,ba->", z, det.inconclusive).real
-                     + np.einsum("jab,jba->", slacks, det.conclusive).real)
+        return float(np.vdot(det.inconclusive, z).real + np.vdot(qh @ det.conclusive @ q, slacks).real)
 
     gap = dual_functional(deformed)
     baseline = dual_functional(detection)
-    rate_primed = float(np.einsum("ab,jba->", rho, deformed.conclusive).real)
+    rate_primed = float(np.vdot(deformed.conclusive.sum(axis=0), rho).real)
     return PerturbationWitness(
         kind=kind,
         outcome=k,
@@ -746,7 +745,7 @@ def perturbation_witness(
         gap=gap,
         baseline_gap=baseline,
         predicted_first_order=-2.0 * epsilon * mu,
-        trace_minus_rate=float(np.trace(z).real) - rate_primed,
+        trace_minus_rate=float(z.trace().real) - rate_primed,
         detection=deformed,
         completeness_residual=deformed.completeness_residual(),
         min_eigenvalue=deformed.min_eigenvalue(),

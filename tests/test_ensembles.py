@@ -82,6 +82,21 @@ def test_state_ensemble_shape_checks():
         StateEnsemble(dim=2, priors=(1.0,), states=(np.eye(2) / 2, np.eye(2) / 2))
 
 
+def test_zero_dimensional_ensemble_is_refused():
+    # a 0 x 0 state used to be accepted, and validate and geometry then raised
+    # a bare ValueError from an empty reduction, outside every MaxconfError
+    with pytest.raises(InfeasibleInputError, match="dimension must be an integer of at least 1"):
+        StateEnsemble(dim=0, priors=[1.0], states=np.zeros((1, 0, 0)))
+
+
+def test_non_integer_dimension_is_refused():
+    # dim = 2.0 matched the states' shape, and validate then raised a bare
+    # TypeError when it reshaped the states by d * d
+    with pytest.raises(InfeasibleInputError, match="got 2.0"):
+        StateEnsemble(dim=2.0, priors=[1.0], states=np.eye(2)[None] / 2)
+    assert StateEnsemble(dim=np.int64(2), priors=[1.0], states=np.eye(2)[None] / 2).dim == 2
+
+
 def test_average_state():
     e = StateEnsemble(
         dim=2,

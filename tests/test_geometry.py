@@ -12,16 +12,13 @@ from maxconf import (
     average_state,
     build_depolarized_family,
     build_symmetric_ensemble,
-    eig_hermitian,
     geometry,
     is_unambiguous,
     opnorm,
-    psd_power,
     solve_numeric,
-    transformed_states,
     two_state_components,
 )
-from maxconf.operators import DEGENERACY_RTOL
+from maxconf.operators import DEGENERACY_RTOL, eig_hermitian, hermitian_part, psd_power
 from conftest import (
     mixed_width_ensemble,
     projectors,
@@ -31,6 +28,12 @@ from conftest import (
     random_ensemble,
     random_pure,
 )
+
+
+def _transformed_states(ensemble):
+    """The transformed states rho^(-1/2) eta_j rho_j rho^(-1/2), (N, d, d)."""
+    rih = psd_power(average_state(ensemble), -0.5)
+    return hermitian_part(rih @ (ensemble.priors[:, None, None] * ensemble.states) @ rih)
 
 
 def _reference_geometry(ensemble):
@@ -67,7 +70,7 @@ def _assert_matches_reference(ensemble, geo, tol=1e-12):
 
 def test_trine_transformed_states(trine):
     # rho = 1/2, so each transformed state is (2/3) |psi_j><psi_j|
-    tr = transformed_states(trine)
+    tr = _transformed_states(trine)
     for j in range(3):
         expected = (2.0 / 3.0) * trine.states[j]
         assert opnorm(tr[j] - expected) < 1e-12
@@ -137,7 +140,7 @@ def test_geometry_confidences_are_top_eigenvalues():
     rng = np.random.default_rng(3)
     e = random_ensemble(rng, 4, 3)
     geo = geometry(e)
-    tr = transformed_states(e)
+    tr = _transformed_states(e)
     for j in range(3):
         top = float(np.linalg.eigvalsh(tr[j])[-1])
         assert geo.confidences[j] == pytest.approx(top, abs=1e-12)
@@ -280,8 +283,6 @@ def test_two_state_components_spectral_route():
     e = StateEnsemble(dim=2, priors=pri, states=states)
     geo = geometry(e)
     sigmas, weights = two_state_components(e, geo)
-    from maxconf import psd_power
-
     sqrt_rho = psd_power(geo.rho, 0.5)
     for j in range(2):
         spectral = sqrt_rho @ projectors(geo.top_vectors)[j] @ sqrt_rho

@@ -1,12 +1,13 @@
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxconf import NonHermitianError, NotPSDError, eig_hermitian, opnorm, psd_power
-from maxconf.operators import require_hermitian, support_rank
+from maxconf import NonHermitianError, NotPSDError, opnorm
+from maxconf.operators import SUPPORT_RTOL, eig_hermitian, psd_power, require_hermitian, support_rank
 
 
 def _random_hermitian_stack(rng, n, d):
@@ -64,7 +65,7 @@ def test_support_projector_and_rank():
     g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     a = g @ g.conj().T
     p = psd_power(a, 0.0)
-    assert support_rank(a) == 2
+    assert support_rank(a, SUPPORT_RTOL) == 2
     assert opnorm(p @ p - p) < 1e-10
     assert opnorm(p @ a - a) < 1e-10
 
@@ -150,10 +151,10 @@ def test_support_rank_counts_each_matrix():
     for r in ranks:
         g = rng.standard_normal((4, r)) + 1j * rng.standard_normal((4, r))
         stack.append(g @ g.conj().T)
-    counts = support_rank(np.stack(stack))
+    counts = support_rank(np.stack(stack), SUPPORT_RTOL)
     assert counts.tolist() == ranks
-    assert [support_rank(a) for a in stack] == ranks
-    assert isinstance(support_rank(stack[0]), int)
+    assert [support_rank(a, SUPPORT_RTOL) for a in stack] == ranks
+    assert isinstance(support_rank(stack[0], SUPPORT_RTOL), int)
 
 
 def test_support_projector_is_power_zero():
@@ -191,29 +192,37 @@ def test_every_threshold_in_the_table_is_read():
 def test_support_cutoff_routes_stay_out_of_the_solvers():
     # geometry cuts rho's support at the rounding floor once; a call to the
     # SUPPORT_RTOL-cut helpers downstream of it would decide that support a
-    # second time. Only the re-exports in __init__.py and the test oracle
-    # geometry.transformed_states may name them outside operators.py
+    # second time. No module but operators.py may name them, not even to
+    # re-export them or list them in __all__
     names = {"eig_hermitian", "psd_power", "SUPPORT_RTOL"}
     package = Path(__file__).resolve().parents[1] / "src" / "maxconf"
     stray = []
     for path in sorted(package.glob("*.py")):
         if path.name == "operators.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        oracle = [n for n in tree.body if isinstance(n, ast.FunctionDef)
-                  and (path.name, n.name) == ("geometry.py", "transformed_states")]
-        exempt = {id(n) for f in oracle for n in ast.walk(f)}
-        imported = names if path.name == "__init__.py" else {
-            n.id for f in oracle for n in ast.walk(f) if isinstance(n, ast.Name)}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
-            elif isinstance(node, ast.alias) and node.name not in imported:
+            elif isinstance(node, ast.alias):
                 name = node.name
+            elif isinstance(node, ast.Constant):
+                name = node.value
             else:
                 continue
-            if name in names and id(node) not in exempt:
-                stray.append(f"{path.name}:{node.lineno}: {name}")
+            if name in names:
+                stray.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
     assert stray == []
+
+
+def test_every_traced_function_resolves():
+    # perfbench/tracing.py wraps these functions by module and name; one that
+    # moved or was renamed would otherwise show only in a traced bench run
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    missing = [f"{module}.{name}" for module, names in traced.values() for name in names
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert len(traced) > 5 and missing == []

@@ -72,6 +72,13 @@ def test_detection_set_shape_check():
         DetectionSet(np.eye(2)[None])  # Pi_0 alone
 
 
+def test_zero_dimensional_detection_set_is_refused():
+    # 0 x 0 operators used to be accepted, and min_eigenvalue and
+    # completeness_residual then raised IndexError
+    with pytest.raises(InfeasibleInputError, match="d >= 1"):
+        DetectionSet(np.zeros((2, 0, 0)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "infinity"])
 def test_detection_set_refuses_non_finite_entries(trine, bad):
     ops = trine_optimal_detection(trine).operators.copy()
