@@ -377,49 +377,186 @@ def solve_rank1_symmetric(
     return _report(ensemble, geo, "analytic", detection, z)
 
 
-def _entry_tables(widths: np.ndarray, b: int, n_clusters: int):
-    """Index tables, made once per solve, over the n = sum_j m_j^2 entries
-    of the blocks' real m_j x m_j corners in block, row, column order:
-    (blk, row, col), each entry's place in an (N, b, b) stack; swap, the
-    entry of its transpose; take, the flat indices of Y_c[cols[i], rows[k]]
-    and K_c[cols[k], rows[i]] in (C, M, M) stacks, entry i sitting at row
-    rows[i] and column cols[i] of the unpadded M x M layout; and local, for
-    each pair (i, k) inside one block j, the flat index of (i, k) in an
-    n x n matrix and those of X1_j[col_i, row_k] and A^-1_j[col_k, row_i]."""
-    m = int(widths.sum())
-    real = np.arange(b) < widths[:, None]
-    blk, row, col = np.nonzero(real[:, :, None] & real[:, None, :])
-    first, start = np.cumsum(widths ** 2) - widths ** 2, np.cumsum(widths) - widths
-    rows, cols = start[blk] + row, start[blk] + col
-    take = np.arange(n_clusters)[:, None, None] * m * m + cols[:, None] * m + rows
-    i, k = np.nonzero(blk[:, None] == blk)
-    at = blk[i] * b * b
-    local = np.stack((i * blk.size + k, at + col[i] * b + row[k], at + col[k] * b + row[i]))
-    swap = first[blk] + col * widths[blk] + row
-    return (blk, row, col), swap, np.stack((take, take.swapaxes(1, 2))), local
+class _Layout:
+    """How one solve holds its cone pairs, read from the block widths and
+    the cluster sizes alone and built once: each pair has a width-1 part,
+    a nonnegative orthant held as a real vector and handled elementwise, and
+    a wider part of semidefinite blocks.
+
+    (A, X1) lives on the n = sum_j m_j^2 entries (r_i, c_i) of the blocks'
+    real m_j x m_j corners, the width-1 blocks first and then the wider
+    ones, each in row, column order: A and its steps as the entry vector of
+    the A_j[r_i, c_i], X1, A^-1 and the right-hand sides as that of the
+    transposed X1_j[c_i, r_i], so that Tr(X1 A) is their plain dot product;
+    both are real when every block has width 1. cones splits an entry vector
+    into the width-1 blocks' real vector and the wider blocks' (Nw, bw, bw)
+    stack, zero-padded to the widest of them. (S, Z) is held as its parts
+    only: the clusters of one coordinate as the real vector over those
+    coordinates p, the wider clusters as one dense pinched matrix over
+    theirs, q. Between the two, pinch(sum_j W_j a_j W_j^dagger) is P a on p,
+    with P[l, i] = conj(W[l, c_i]) W[l, r_i], and one product of W's columns
+    r_i and c_i on q (total); the entries of W_j^dagger Z W_j are the adjoint
+    products (blocks).
+    """
+
+    def __init__(self, w: np.ndarray, widths: np.ndarray, clusters: np.ndarray):
+        order = np.argsort(widths > 1, kind="stable")  # width-1 blocks first
+        widths = widths[order]
+        real = np.arange(w.shape[2]) < widths[:, None]
+        blk, row, col = np.nonzero(real[:, :, None] & real[:, None, :])
+        start = np.cumsum(widths) - widths
+        self.n, self.nv = n, nv = blk.size, int((widths == 1).sum())
+        self.real = nv == n
+        # the entry of the transpose: each entry its own when every block has width 1
+        first = np.cumsum(widths ** 2) - widths ** 2
+        self.swap = slice(None) if self.real else first[blk] + col * widths[blk] + row
+        self.place = order[blk], row, col  # each entry in an (N, b, b) stack
+        self.full_shape = w.shape[:1] + w.shape[2:] * 2
+        self.pads = [0.0] * (nv > 0)
+        if not self.real:
+            wide, wb, rw, cw = widths[nv:], blk[nv:] - nv, row[nv:], col[nv:]
+            bw = int(wide.max())
+            self.wide_shape = (wide.size, bw, bw)
+            # the flat places of the wider blocks' entries in their stack, as
+            # A's and, transposed, as X1's
+            self.at, self.ut = (wb * bw + rw) * bw + cw, (wb * bw + cw) * bw + rw
+            # the identity on the padding of that stack, added only to factor it
+            self.pads.append(np.eye(bw) * ~(np.arange(bw) < wide[:, None, None]))
+            # each pair (i, k) inside one wider block: its flat index in the
+            # n x n system, and those of X1_j[c_i, r_k] and A^-1_j[c_k, r_i]
+            i, k = np.nonzero(wb[:, None] == wb)
+            base = wb[i] * bw * bw
+            self.local = np.stack(((i + nv) * n + k + nv, base + cw[i] * bw + rw[k], base + cw[k] * bw + rw[i]))
+        # columns r_i and c_i of the unpadded W = [W_1 ... W_N], M = sum_j m_j
+        wu = w[order].transpose(1, 0, 2)[:, real]
+        rows, cols = start[blk] + row, start[blk] + col
+        wr, wc = wu[:, rows], wu[:, cols]
+        lone = clusters.sum(axis=1) == 1
+        self.p = clusters[lone].argmax(axis=1)
+        p = wc[self.p].conj() * wr[self.p]
+        self.P = p.real if self.real else p
+        self.Pt = self.P.T.copy()
+        grouped = clusters[~lone]
+        self.q = np.flatnonzero(grouped.any(axis=0))
+        self.orthant = self.real and not self.q.size  # every cone an orthant: an LP
+        if self.q.size:
+            g = grouped[:, self.q]
+            self.mask = g.T @ g
+            self.wrq, self.wcq = wr[self.q], wc[self.q].conj()
+            self.wcqt = self.wcq.T.copy()
+            # Y_c = W^dagger P_c Z P_c W per wider cluster, and the flat
+            # indices of Y_c[c_i, r_k] and K_c[c_k, r_i] in (C, M, M) stacks
+            self.wg = g[:, :, None] * wu[self.q]
+            self.wgh = self.wg.conj().swapaxes(1, 2)
+            m = wu.shape[1]
+            take = np.arange(len(g))[:, None, None] * m * m + cols[:, None] * m + rows
+            self.take = np.stack((take, take.swapaxes(1, 2)))
+
+    def cones(self, e: np.ndarray, transposed: bool = False) -> list:
+        """The parts of the entry vector e: the width-1 blocks' real vector
+        and the wider blocks' stack, with e's entries as A's, or, transposed,
+        as X1's."""
+        if self.real:
+            return [e]
+        stack = np.zeros(self.wide_shape, dtype=complex)
+        stack.ravel()[self.ut if transposed else self.at] = e[self.nv:]
+        return [e[:self.nv].real, stack] if self.nv else [stack]
+
+    def entries(self, parts: list) -> np.ndarray:
+        """The entry vector of X1-like parts, the inverse of cones(., True)."""
+        if self.real:
+            return parts[0]
+        wide = parts[-1].ravel()[self.ut]
+        return np.concatenate((parts[0], wide)) if self.nv else wide
+
+    def total(self, a: np.ndarray) -> list:
+        """The (S, Z) parts of pinch(sum_j W_j a_j W_j^dagger), the dense
+        one before its Hermitian part."""
+        parts = [(self.P @ a).real] if self.p.size else []
+        if self.q.size:
+            parts.append((self.wrq * a) @ self.wcqt * self.mask)
+        return parts
+
+    def blocks(self, z: list) -> np.ndarray:
+        """The entry vector of the W_j^dagger Z W_j, Z given by its parts."""
+        u = (self.wcq * (z[-1] @ self.wrq)).sum(axis=0) if self.q.size else self.Pt @ z[0]
+        if self.p.size and self.q.size:
+            u = u + self.Pt @ z[0]
+        return u.real if self.real else u
+
+    def pinched(self, x: np.ndarray) -> list:
+        """The (S, Z) parts of pinch(x) for a d x d matrix x."""
+        parts = [x[self.p, self.p].real] if self.p.size else []
+        if self.q.size:
+            parts.append(x[self.q[:, None], self.q] * self.mask)
+        return parts
+
+    def stacked(self, a: np.ndarray) -> np.ndarray:
+        """The (N, b, b) stack of the blocks of A's entry vector a."""
+        out = np.zeros(self.full_shape, dtype=complex)
+        out[self.place] = a
+        return out
+
+    def dense(self, z: list) -> np.ndarray:
+        """The d x d matrix of the (S, Z) parts z."""
+        out = np.zeros((len(self.p) + len(self.q),) * 2, dtype=complex)
+        if self.p.size:
+            out[self.p, self.p] = z[0]
+        if self.q.size:
+            out[self.q[:, None], self.q] = z[-1]
+        return out
 
 
-def _newton_system(x1, a_inv, y, k, take, local, swap):
+def _mul(x, y):
+    """The product of two parts of a cone member: elementwise on an orthant."""
+    return x * y if x.ndim == 1 else x @ y
+
+
+def _herm(x):
+    """The Hermitian part of a cone part; an orthant's vector is real."""
+    return x if x.ndim == 1 else hermitian_part(x)
+
+
+def _dot(xs: list, ys: list) -> float:
+    """sum_k Tr(x_k^dagger y_k) over the parts of two cone members."""
+    return float(sum(map(np.vdot, xs, ys)).real)
+
+
+def _spectrum(parts: list) -> np.ndarray:
+    """The eigenvalues of a cone member over its parts, in no order."""
+    return np.concatenate([x if x.ndim == 1 else np.linalg.eigvalsh(x).ravel() for x in parts])
+
+
+def _newton_system(lay: _Layout, x1: list, a_inv: list, z: list, s_inv: list) -> np.ndarray:
     """Schur complement of the HKM Newton system over the entries of the
-    blocks (_entry_tables): with E_i the unit matrix of entry i,
-    T[i, k] = Tr(E_i X1 E_k A^-1) + sum_c Tr(E_i Y_c E_k K_c), one gather per
-    cluster and one over the pairs inside a block, and S = T + T^T. x1 and
-    a_inv are (N, b, b) stacks, read only on the real m_j x m_j corners;
-    y and k are the (C, M, M) stacks Y_c = W^dagger P_c Z P_c W and
-    K_c = W^dagger P_c S^-1 P_c W over the clusters P_c of the constraint,
-    W = [W_1 ... W_N] unpadded, M = sum_j m_j.
+    blocks (_Layout): with E_i the unit matrix of entry i,
+    T[i, k] = Tr(E_i X1 E_k A^-1) + sum_c Tr(E_i Y_c E_k K_c) and
+    S = T + T^T, for Y_c = W^dagger P_c Z P_c W and K_c = W^dagger P_c S^-1 P_c W
+    over the clusters P_c of the constraint, W unpadded. x1 and a_inv are
+    parts of (A, X1) (_Layout.cones), z and s_inv parts of (S, Z).
 
-    Returned is the real system S.real + S[:, swap].imag. It maps the real
-    coordinates h of a Hermitian dA, whose entries are
-    v = (1 + i) h + (1 - i) h[swap], to Re u + Im u with u_i = Tr(E_i H) for
-    H the Hermitian part of X1 dA A^-1 + sum_c Y_c dA K_c, and costs
-    (sum_j m_j^2)^2 per cluster however the widths differ. On the central
-    path (X1 = A^-1 / t, Z = S^-1 / t) H is the negated Hessian of the log
-    barrier over t, applied to dA."""
-    t = (y.ravel()[take[0]] * k.ravel()[take[1]]).sum(axis=0)
-    t.ravel()[local[0]] += x1.ravel()[local[1]] * a_inv.ravel()[local[2]]
+    A width-1 block adds x1 / a to T's diagonal and the wider blocks one
+    gather over the entry pairs inside a block; the one-coordinate clusters
+    add P^T diag(z / s) P (_Layout), and the wider ones one gather of
+    (C, M, M) stacks. Returned is the real system S.real + S[:, swap].imag,
+    S itself when every cone is an orthant. It maps the real coordinates h
+    of a Hermitian dA, whose entries are v = (1 + i) h + (1 - i) h[swap], to
+    Re u + Im u with u_i = Tr(E_i H) for H the Hermitian part of
+    X1 dA A^-1 + sum_c Y_c dA K_c, and costs (sum_j m_j^2)^2 per cluster
+    however the widths differ. On the central path (X1 = A^-1 / t,
+    Z = S^-1 / t) H is the negated Hessian of the log barrier over t,
+    applied to dA."""
+    terms = [(lay.Pt * (z[0] * s_inv[0])) @ lay.P] if lay.p.size else []
+    if lay.q.size:
+        y, k = (lay.wgh @ x @ lay.wg for x in (z[-1], s_inv[-1]))
+        terms.append((y.ravel()[lay.take[0]] * k.ravel()[lay.take[1]]).sum(axis=0))
+    t = sum(terms[1:], terms[0])
+    if lay.nv:  # the first nv diagonal entries
+        t.ravel()[:lay.nv * (lay.n + 1):lay.n + 1] += x1[0] * a_inv[0]
+    if not lay.real:
+        t.ravel()[lay.local[0]] += x1[-1].ravel()[lay.local[1]] * a_inv[-1].ravel()[lay.local[2]]
     t = t + t.T
-    return t.real + t[:, swap].imag
+    return t if lay.orthant else t.real + t[:, lay.swap].imag
 
 
 def _embed(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -428,40 +565,42 @@ def _embed(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return hermitian_part(w @ a @ w.conj().swapaxes(1, 2))
 
 
-def _cone_factors(pair: np.ndarray):
-    """The inverse Cholesky factors (L^-1, L^-dagger) of a stacked cone pair
-    (2, ..., b, b), and the inverse of the pair's first member. 1 x 1 blocks
-    are a nonnegative orthant and go elementwise (1/sqrt(x), 1/x). Raises
-    LinAlgError where a member is not positive definite, as cholesky does,
-    and on the orthant also where an entry is NaN."""
-    if pair.shape[-1] == 1:
-        x = pair.real
-        if not (x > 0.0).all():
+def _cone_factors(x: np.ndarray, y: np.ndarray, pad=None):
+    """The inverse of x, and the factors _cone_lows bounds steps with, for
+    one part of a cone pair (x, y): on an orthant (vectors) the inverses
+    (1/x, 1/y), on a stack of b x b blocks the inverse Cholesky factors
+    (L^-1, L^-dagger) of (x + pad, y + pad). Raises LinAlgError where a
+    member is not positive definite, as cholesky does, and on an orthant
+    also where an entry is NaN."""
+    pair = np.array((x, y))
+    if x.ndim == 1:
+        if not pair.min() > 0.0:
             raise np.linalg.LinAlgError("orthant entry is not positive")
-        f = 1.0 / np.sqrt(x)
-        return (f, f), 1.0 / pair[0]
-    f = np.linalg.inv(np.linalg.cholesky(pair))
+        inverses = 1.0 / pair
+        return inverses[0], inverses
+    f = np.linalg.inv(np.linalg.cholesky(pair if pad is None else pair + pad))
     fh = f.conj().swapaxes(-1, -2)
-    return (f, fh), fh[0] @ f[0]
+    return fh[0] @ f[0], (f, fh)
 
 
-def _cone_lows(f: np.ndarray, fh: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of L^-1 dx L^-dagger for each member of a
-    stacked cone pair, over all its blocks: x + alpha dx stays >= 0 while
-    alpha times it is >= -1. Elementwise on the orthant (dx / x)."""
-    scaled = f * step.real * fh if step.shape[-1] == 1 else f @ step @ fh
-    return spectra(scaled)[..., 0].reshape(2, -1).min(axis=1)
+def _cone_lows(factors, dx: np.ndarray, dy: np.ndarray):
+    """Smallest eigenvalue of L^-1 dx L^-dagger, and of L^-1 dy L^-dagger,
+    over all blocks of one part of a cone pair: x + alpha dx stays >= 0
+    while alpha times it is >= -1. Elementwise on an orthant (dx / x)."""
+    if dx.ndim == 1:
+        return (factors * (dx, dy)).min(axis=1)
+    f, fh = factors
+    return np.linalg.eigvalsh(f @ np.array((dx, dy)) @ fh)[..., 0].reshape(2, -1).min(axis=1)
 
 
 def _step_lengths(factors, primal, dual, to_boundary):
     """Primal and dual step lengths, each at most 1 and at most
-    to_boundary of the way to the boundary of its cones. factors holds
-    (L^-1, L^-dagger) of the cone pairs (A, X1) and (S, Z); primal and
-    dual hold the directions (dA, dS) and (dX1, dZ)."""
-    (fa, fah), (fs, fsh) = factors
-    lows = np.minimum(_cone_lows(fa, fah, np.array((primal[0], dual[0]))),
-                      _cone_lows(fs, fsh, np.array((primal[1], dual[1]))))
-    return (to_boundary / np.maximum(to_boundary, -lows)).tolist()
+    to_boundary of the way to the boundary of its cones. factors holds the
+    _cone_factors of the parts of (A, X1) and of (S, Z); primal and dual
+    hold the directions (dA, dS) and (dX1, dZ), each as its parts."""
+    (fa, fs), (_, da, ds), (_, dx1, dz) = factors, primal, dual
+    lows = [_cone_lows(f[1], x, y) for f, x, y in zip(fa + fs, da + ds, dx1 + dz)]
+    return [to_boundary / max(to_boundary, -min(low[k] for low in lows)) for k in (0, 1)]
 
 
 def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters: np.ndarray):
@@ -471,24 +610,26 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     W_j^dagger (Z - rho) W_j >= 0, by a feasible-start Mehrotra
     predictor-corrector with the HKM direction.
 
-    The blocks come as per-block stacks: w is (N, d, b) with b = max_j m_j
-    and W_j in the first widths[j] columns of w[j], zero after them (as
-    geometry.detection_blocks); A and X1 are (N, b, b) stacks exactly zero
-    off the real m_j x m_j blocks, and the identity is added on the padding
-    only to factor them, so the padding never enters the gap, nu or the
-    Schur system, which is built over the sum_j m_j^2 entries of the blocks
-    in any order of widths. The (A, X1) pair is factored, inverted and
-    step-bounded per block by the stacked cholesky / inv / eigvalsh; when
-    b = 1 it is a nonnegative orthant, done elementwise. The (C, d) 0/1
-    indicator clusters gives the diagonal projectors P_c; a generic
-    ensemble has the one cluster P = 1, a covariant one the eigenspaces of
-    its generator. The cone pairs are (A, X1) with
+    w is (N, d, b) with b = max_j m_j and W_j in the first widths[j]
+    columns of w[j], zero after them (as geometry.detection_blocks); the
+    (C, d) 0/1 indicator clusters gives the diagonal projectors P_c: a
+    generic ensemble has the one cluster P = 1, a covariant one the
+    eigenspaces of its generator. The cone pairs are (A, X1) with
     X1_j = W_j^dagger (Z - rho) W_j, and (S, Z) with
-    S = 1 - pinch(sum_j W_j a_j W_j^dagger), a dense d x d pair; both are
-    functions of A and Z, so every iterate is primal and dual feasible and
-    the duality gap is Tr(X1 A) + Tr(Z S) = Tr Z - R. Each iteration builds
-    the Schur complement (_newton_system) once and solves it, in real
-    arithmetic, for the predictor and the corrector.
+    S = 1 - pinch(sum_j W_j a_j W_j^dagger); both are functions of A and Z,
+    so every iterate is primal and dual feasible and the duality gap is
+    Tr(X1 A) + Tr(Z S) = Tr Z - R. Each pair is held in two parts
+    (_Layout): the width-1 blocks and the one-coordinate clusters as real
+    vectors, factored, inverted and step-bounded elementwise, and the wider
+    blocks and clusters as semidefinite blocks, by stacked cholesky / inv /
+    eigvalsh, the blocks padded to the widest of them only to factor them.
+    A generic ensemble of width-1 blocks thus has vector A with dense S and
+    Z, and a cyclic one with distinct phases and a simple top eigenvalue
+    only vectors: a linear program. Each iteration builds the Schur
+    complement (_newton_system) over the sum_j m_j^2 entries of the blocks
+    once and solves it, in real arithmetic, for the predictor and the
+    corrector; a 1 x 1 system is a division by its pivot, refused unless
+    it is > 0.
 
     Near the optimum a predictor-corrector step can leave a pair far from
     commuting: Tr(Z S) ~ gap while ||Z S|| ~ sqrt(gap), too large for the
@@ -500,62 +641,59 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     way to the boundary of its cones: a longer step leaves matrix pairs
     further from commuting and costs more iterations than it saves (0.99
     took the generic benchmark corpus from 608 to 637 iterations). When
-    every cone is an orthant, b = 1 and every cluster a single coordinate
-    (a cyclic ensemble with distinct phases and simple top eigenvalues),
-    S and Z are diagonal, the problem is a linear program whose iterates
-    always commute, and the step goes _TO_BOUNDARY_ORTHANT = 0.999 of the
-    way, as LP interior-point codes do.
+    neither pair has a wider part the iterates always commute, and the step
+    goes _TO_BOUNDARY_ORTHANT = 0.999 of the way, as LP interior-point codes
+    do.
 
-    Returns (A, iterations, gap, Z) at the first commuting iterate with
-    gap <= CERT_TOL whose ranks fit, rank Z + rank S <= d counted as the
-    certificate counts rank Z + rank Pi_0 (S is the Pi_0 of the measurement).
-    A gap alone is no stop: a small detection rate R leaves S's kernel
-    eigenvalue (about gap / R) above the rank cutoff, or Z (of norm R)
-    without a rank, until the path goes deeper. Raises NotConvergedError if
-    MAX_ITERATIONS runs out first, if rounding puts an iterate outside
-    the cones or makes it NaN, or if the Schur complement is singular.
+    Returns (A, iterations, gap, Z), A as the (N, b, b) stack, exactly zero
+    off the real m_j x m_j corners, and Z as the d x d matrix, at the first
+    commuting iterate with gap <= CERT_TOL whose ranks fit,
+    rank Z + rank S <= d counted as the certificate counts
+    rank Z + rank Pi_0 (S is the Pi_0 of the measurement). A gap alone is
+    no stop: a small detection rate R leaves S's kernel eigenvalue (about
+    gap / R) above the rank cutoff, or Z (of norm R) without a rank, until
+    the path goes deeper. Raises NotConvergedError if MAX_ITERATIONS runs
+    out first, if rounding puts an iterate outside the cones or makes it
+    NaN, or if the Schur complement is singular.
     """
-    n, d, b = w.shape
-    nu = d + int(widths.sum())
-    wh = w.conj().swapaxes(1, 2)
-    wf = w.transpose(1, 0, 2).reshape(d, n * b)  # [W_1 ... W_N], padded
-    wfh = wf.conj().T
-    eye = np.eye(d, dtype=complex)
-    pinch = clusters.T @ clusters
-    cols = np.arange(b) < widths[:, None]
-    wc = clusters[:, :, None] * wf[:, cols.ravel()]  # unpadded, one per cluster
-    wch = wc.conj().swapaxes(1, 2)
-    gains = wh @ rho @ w
-    pad = np.eye(b) * ~cols[:, None, :]  # the identity on the padding
-    (blk, row, col), swap, take, local = _entry_tables(widths, b, len(clusters))
-    # with every cone 1 x 1 (b = 1, clusters of one coordinate) the problem is an LP
-    to_boundary = _TO_BOUNDARY_ORTHANT if b == 1 and clusters.sum(axis=1).max() == 1 else _TO_BOUNDARY
+    lay = _Layout(w, widths, clusters)
+    d, nu = len(rho), len(rho) + int(widths.sum())
+    # rho enters as pinch(rho): the rate of a pinched total is
+    # Tr(rho pinch(X)) = Tr(pinch(rho) X), and X1 = W_j^dagger (Z - rho) W_j
+    # is formed from the difference, so no two products of norm ||W||^2 ||Z||
+    # cancel
+    rho, ones = lay.pinched(rho), lay.pinched(np.eye(d, dtype=complex))
+    gains = lay.blocks(rho)  # the entries of W_j^dagger rho W_j
 
-    def blocks(x):
-        return wh @ x @ w
+    def slack(z):
+        """The entries of X1, W_j^dagger (Z - rho) W_j."""
+        return lay.blocks([x - r for x, r in zip(z, rho)])
 
-    def total(x):
-        return (w @ x).transpose(1, 0, 2).reshape(d, n * b) @ wfh
+    to_boundary = _TO_BOUNDARY_ORTHANT if lay.orthant else _TO_BOUNDARY
 
     # strictly feasible start: scaled identities keeping the total below
-    # 1/2, with ||W_j W_j^dagger|| = ||W_j^dagger W_j|| from the Gram stack
-    # (their sum is >= 1: the columns of W are rho^-1/2 of unit vectors in
-    # rho's support), and Z = kappa 1 with kappa doubled until every X1_j > 0
-    norm_sum = float(spectra(wh @ w)[:, -1].sum())
-    a = 0.5 / norm_sum * (np.eye(b, dtype=complex) * cols[:, None, :])
-    z = eye.copy()
-    while spectra(blocks(z - rho) + pad)[:, 0].min() <= 0.0:
-        z *= 2.0
+    # 1/2, with ||W_j W_j^dagger|| = ||W_j^dagger W_j|| (their sum is >= 1:
+    # the columns of W are rho^-1/2 of unit vectors in rho's support), and
+    # Z = kappa 1 with kappa doubled until every X1_j > 0
+    thin = widths == 1
+    grams = w[~thin].conj().swapaxes(1, 2) @ w[~thin]
+    norm_sum = float((np.abs(w[thin, :, 0]) ** 2).sum() + spectra(grams)[:, -1].sum())
+    a = np.where(lay.place[1] == lay.place[2], 0.5 / norm_sum, 0.0)
+    a = a if lay.real else a.astype(complex)
+    z = ones
+    while _spectrum([x + e for x, e in zip(lay.cones(slack(z), True), lay.pads)]).min() <= 0.0:
+        z = [2.0 * x for x in z]
 
     iterations = 0
     while True:
-        s, x1 = eye - hermitian_part(total(a)) * pinch, blocks(z - rho)
-        xa, zs = x1 @ a, z @ s
-        gap = float(xa.trace(axis1=1, axis2=2).real.sum() + zs.trace().real)
+        s, x1 = [o - _herm(t) for o, t in zip(ones, lay.total(a))], slack(z)
+        ap, xp = lay.cones(a), lay.cones(x1, True)
+        xa, zs = [_mul(x, y) for x, y in zip(xp, ap)], [_mul(x, y) for x, y in zip(z, s)]
+        gap = float((x1 @ a).real) + _dot(z, s)
         mu = gap / nu
-        commuting = np.sqrt(np.vdot(xa, xa).real) + np.sqrt(np.vdot(zs, zs).real) <= gap
-        if commuting and gap <= CERT_TOL and sum(_certificate_ranks(*np.linalg.eigvalsh((z, s)))) <= d:
-            return a, iterations, gap, z
+        commuting = math.sqrt(_dot(xa, xa)) + math.sqrt(_dot(zs, zs)) <= gap
+        if commuting and gap <= CERT_TOL and sum(_certificate_ranks(_spectrum(z), _spectrum(s))) <= d:
+            return lay.stacked(a), iterations, gap, lay.dense(z)
         if iterations >= MAX_ITERATIONS:
             raise NotConvergedError(
                 f"iteration budget {MAX_ITERATIONS} exhausted at duality gap {gap:.3e}"
@@ -563,53 +701,60 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
         if math.isnan(gap):  # numpy's cholesky lets a NaN iterate through
             raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}")
         try:
-            (fa, a_inv), (fs, s_inv) = (_cone_factors(np.array((a, x1)) + pad),
-                                        _cone_factors(np.array((s, z))))
+            factors = ([_cone_factors(x, y, e) for x, y, e in zip(ap, xp, lay.pads)],
+                       [_cone_factors(x, y) for x, y in zip(s, z)])
         except np.linalg.LinAlgError:
             raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
-        schur = _newton_system(x1, a_inv, wch @ z @ wc, wch @ s_inv @ wc, take, local, swap)
+        a_inv, s_inv = ([f[0] for f in fs] for fs in factors)
+        schur = _newton_system(lay, xp, a_inv, z, s_inv)
         # S^-1 is pinched like S, so the diagonal blocks of sum_c K_c are W_j^dagger S^-1 W_j
-        centering = a_inv - blocks(s_inv)
+        centering = lay.entries(a_inv) - lay.blocks(s_inv)
 
         def solve(rhs):
-            try:
-                return np.linalg.solve(schur, rhs)
-            except np.linalg.LinAlgError:
-                raise NotConvergedError(f"singular Newton system at duality gap {gap:.3e}") from None
+            if schur.shape == (1, 1):
+                pivot = schur[0, 0]
+                if pivot > 0.0:  # a NaN pivot fails it too
+                    return rhs / pivot
+            else:
+                try:
+                    return np.linalg.solve(schur, rhs)
+                except np.linalg.LinAlgError:
+                    pass
+            raise NotConvergedError(f"singular Newton system at duality gap {gap:.3e}")
 
         def direction(target, affine=None):
             """HKM direction to the central point of parameter target,
-            with the Mehrotra corrections of an affine direction."""
-            rhs = target * centering + gains
-            corr_s = 0.0
+            with the Mehrotra corrections of an affine direction: the steps
+            (dA, dS) and (dX1, dZ), dA and dX1 as entries and parts."""
+            rhs, corr_s = target * centering + gains, [0.0] * len(z)
             if affine is not None:
-                (da0, ds0), (dx0, dz0) = affine
-                corr_s = hermitian_part(dz0 @ ds0 @ s_inv)
-                rhs = rhs - hermitian_part(dx0 @ da0 @ a_inv) + blocks(corr_s)
-            # in the real coordinates of _newton_system: Re u + Im u of
-            # u_i = Tr(E_i rhs), and back, dA of entries (1 + i) h + (1 - i) h[swap]
-            u = rhs[blk, col, row]
-            h = solve(u.real + u.imag)
-            da = np.zeros((n, b, b), dtype=complex)
-            da[blk, row, col] = (1 + 1j) * h + (1 - 1j) * h[swap]
-            ds = -total(da) * pinch
-            dz = hermitian_part(target * s_inv - z - z @ ds @ s_inv - corr_s)
-            return (da, ds), (blocks(dz), dz)
+                (_, da0, ds0), (_, dx0, dz0) = affine
+                corr_s = [_herm(_mul(_mul(x, y), i)) for x, y, i in zip(dz0, ds0, s_inv)]
+                corr_a = [_herm(_mul(_mul(x, y), i)) for x, y, i in zip(dx0, da0, a_inv)]
+                rhs = rhs - lay.entries(corr_a) + lay.blocks(corr_s)
+            # in the real coordinates of _newton_system: Re u + Im u of the
+            # entries u, and back, dA of entries (1 + i) h + (1 - i) h[swap]
+            h = solve(rhs if lay.real else rhs.real + rhs.imag)
+            da = 2.0 * h if lay.real else (1 + 1j) * h + (1 - 1j) * h[lay.swap]
+            ds = lay.total(-da)
+            dz = [_herm(target * i - x - _mul(_mul(x, y), i) - c) for x, y, i, c in zip(z, ds, s_inv, corr_s)]
+            dx1 = lay.blocks(dz)
+            return (da, lay.cones(da), ds), (dx1, lay.cones(dx1, True), dz)
 
-        factors = (fa, fs)
         if not commuting:
             primal, dual = direction(mu)
         else:
             primal, dual = direction(0.0)
             step_p, step_d = _step_lengths(factors, primal, dual, to_boundary)
-            mu_aff = (np.vdot(x1 + step_d * dual[0], a + step_p * primal[0]).real
-                      + np.vdot(z + step_d * dual[1], s + step_p * primal[1]).real) / nu
+            mu_aff = (float(((x1 + step_d * dual[0]) @ (a + step_p * primal[0])).real)
+                      + _dot([x + step_d * dx for x, dx in zip(z, dual[2])],
+                             [y + step_p * dy for y, dy in zip(s, primal[2])])) / nu
             primal, dual = direction(min(mu_aff / mu, 1.0) ** 3 * mu, (primal, dual))
         step_p, step_d = _step_lengths(factors, primal, dual, to_boundary)
         if not commuting:
             step_p = step_d = min(step_p, step_d)
         a = a + step_p * primal[0]
-        z = z + step_d * dual[1]
+        z = [x + step_d * dx for x, dx in zip(z, dual[2])]
         iterations += 1
 
 

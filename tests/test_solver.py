@@ -29,12 +29,12 @@ from maxconf import (
     verify_certificate,
 )
 from maxconf import solver
-from maxconf.operators import CERT_TOL, RANK_CUTOFF, support_rank
+from maxconf.operators import CERT_TOL, RANK_CUTOFF, hermitian_part, support_rank
 from maxconf.solver import (
+    _Layout,
     _cone_factors,
     _cone_lows,
     _embed,
-    _entry_tables,
     _interior_point,
     _newton_system,
 )
@@ -438,13 +438,25 @@ def test_solve_numeric_iteration_budget(trine, monkeypatch):
 
 def test_singular_newton_system_does_not_converge(trine, monkeypatch):
     # a singular Schur complement leaves the interior point as a cone exit
-    # does, not as a bare numpy error
+    # does, not as a bare numpy error: the trine without its symmetry has a
+    # 3 x 3 system, solved by np.linalg.solve; the covariant trine's is
+    # 1 x 1, a division that refuses a pivot not > 0, NaN included, with no
+    # RuntimeWarning
     def singular(*_):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(solver.np.linalg, "solve", singular)
-    with pytest.raises(NotConvergedError, match="singular Newton system"):
-        solve_numeric(trine)
+    generic = StateEnsemble(dim=trine.dim, priors=trine.priors, states=trine.states)
+    with monkeypatch.context() as patched:
+        patched.setattr(solver.np.linalg, "solve", singular)
+        with pytest.raises(NotConvergedError, match="singular Newton system"):
+            solve_numeric(generic)
+    for pivot in (0.0, -1.0, np.nan):
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "_newton_system", lambda *_: np.full((1, 1), pivot))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotConvergedError, match="singular Newton system"):
+                    solve_numeric(trine)
 
 
 def test_solve_numeric_without_fitting_ranks_does_not_converge(trine, monkeypatch):
@@ -510,31 +522,34 @@ def test_solve_numeric_padding_never_enters(order):
 
 @pytest.mark.parametrize("n", [1, 7])
 def test_width_one_cone_matches_stacked_linear_algebra(n):
-    # on 1 x 1 blocks the factor, the inverse and the step bound are
-    # elementwise; they must equal the cholesky / inv / eigvalsh route
+    # a width-1 part of a cone pair is a pair of vectors: its inverse and step
+    # bound are elementwise and must equal the cholesky / inv / eigvalsh
+    # route on the same entries as 1 x 1 blocks
     rng = np.random.default_rng(40 + n)
-    pair = (rng.uniform(0.1, 3.0, (2, n, 1, 1)) + 0j)
-    (f, fh), first_inv = _cone_factors(pair)
-    ref_f = np.linalg.inv(np.linalg.cholesky(pair))
-    assert np.allclose(f, ref_f, rtol=1e-14, atol=0) and np.array_equal(f, fh)
-    assert np.allclose(first_inv, np.linalg.inv(pair[0]), rtol=1e-14, atol=0)
+    x, y = rng.uniform(0.1, 3.0, (2, n))
+    blocks = lambda u, v: np.array((u, v))[:, :, None, None] + 0j
+    x_inv, factors = _cone_factors(x, y)
+    ref_f = np.linalg.inv(np.linalg.cholesky(blocks(x, y)))
+    ref_fh = ref_f.conj().swapaxes(-1, -2)
+    # the factors are L^-dagger L^-1 = (1/x, 1/y), and x_inv is 1/x
+    assert np.allclose(factors, (ref_fh @ ref_f)[..., 0, 0].real, rtol=1e-14, atol=0)
+    assert np.allclose(x_inv, np.linalg.inv(blocks(x, y)[0])[:, 0, 0].real, rtol=1e-14, atol=0)
     for sign in (1.0, -1.0, 0.0):
-        step = sign * rng.uniform(0.1, 2.0, (2, n, 1, 1)) + 0j
-        ref = np.linalg.eigvalsh(ref_f @ step @ ref_f.conj().swapaxes(-1, -2))[..., 0]
-        lows = _cone_lows(f, fh, step)
+        dx, dy = sign * rng.uniform(0.1, 2.0, (2, n))
+        ref = np.linalg.eigvalsh(ref_f @ blocks(dx, dy) @ ref_fh)[..., 0]
+        lows = _cone_lows(factors, dx, dy)
         assert np.allclose(lows, ref.min(axis=1), rtol=1e-14, atol=0)
-        ratios = (step.real / pair.real).reshape(2, -1)
-        assert np.allclose(lows, ratios.min(axis=1), rtol=1e-14, atol=0)
+        assert np.allclose(lows, (np.array((dx, dy)) / np.array((x, y))).min(axis=1), rtol=1e-14, atol=0)
     for bad in (0.0, -1e-3, np.nan):
-        broken = pair.copy()
-        broken[1, n // 2] = bad
+        broken = y.copy()
+        broken[n // 2] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if not np.isnan(bad):  # numpy's cholesky lets a NaN through
                 with pytest.raises(np.linalg.LinAlgError):
-                    np.linalg.cholesky(broken)
+                    np.linalg.cholesky(blocks(x, broken))
             with pytest.raises(np.linalg.LinAlgError):
-                _cone_factors(broken)
+                _cone_factors(x, broken)
 
 
 def test_interior_point_stops_on_a_nan_iterate():
@@ -591,6 +606,11 @@ def test_solve_numeric_three_wide_blocks_among_thirty():
     _check_against_width_sorted(6, 30, [0, 10, 20])
 
 
+def test_solve_numeric_one_wide_block_among_thirty():
+    # 30 states of C^8, one of them the average of the others (m = 8)
+    _check_against_width_sorted(8, 30, [0])
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_solve_numeric_degenerate_tops(k):
     # rho_j (x) 1/k: every top eigenspace has dimension m_j = k
@@ -639,6 +659,21 @@ def _real_coordinates(entries, swap, da, target):
     return h, u.real + u.imag
 
 
+def _x1_parts(lay, widths, stack):
+    """The (A, X1) parts (_Layout.cones) of an X1-like (N, b, b) stack,
+    from its entries X1_j[c_i, r_i] as the loop holds them, with NaN on the
+    padding of the wider blocks' stack, which the system must never read;
+    real when every block has width 1, as in the loop."""
+    blk, row, col = lay.place
+    entries = stack[blk, col, row]
+    parts = lay.cones(entries.real if lay.real else entries, True)
+    wide = np.array([m for m in widths if m > 1])
+    if wide.size:
+        real = np.arange(wide.max()) < wide[:, None]
+        parts[-1][~(real[:, :, None] & real[:, None, :])] = np.nan
+    return parts
+
+
 WIDTHS = [(1, 2, 3), (3, 1, 2), (1, 1, 1, 1)]
 
 
@@ -649,7 +684,9 @@ WIDTHS = [(1, 2, 3), (3, 1, 2), (1, 1, 1, 1)]
 ], ids=["one", "three", "five"])
 def test_newton_system_sums_over_clusters(clusters):
     # on a Hermitian block-diagonal dA the system gives the Hermitian part of
-    # X1 dA A^-1 + sum_c Y_c dA K_c, checked on the dense M x M matrices
+    # X1 dA A^-1 + sum_c Y_c dA K_c, checked on the dense M x M matrices:
+    # width-1 blocks and one-coordinate clusters ("five"; "three" has one)
+    # are vectors in the loop, the wider ones stacks and a dense matrix
     rng = np.random.default_rng(8)
     clusters = np.array(clusters, dtype=bool)
     pinch = clusters.T @ clusters
@@ -662,13 +699,12 @@ def test_newton_system_sums_over_clusters(clusters):
         wc = clusters[:, :, None] * w.transpose(1, 0, 2)[:, real]  # unpadded, per cluster
         ys = wc.conj().swapaxes(1, 2) @ z @ wc
         ks = wc.conj().swapaxes(1, 2) @ np.linalg.inv(s) @ wc
-        # the padding of X1 and A^-1 is never read
-        a_inv = np.full((n, b, b), np.nan, dtype=complex)
+        a_inv = np.zeros((n, b, b), dtype=complex)
         for j, mj in enumerate(widths):
             a_inv[j, :mj, :mj] = np.linalg.inv(a[j, :mj, :mj])
-        x1[~(real[:, :, None] & real[:, None, :])] = np.nan
-        entries, swap, take, local = _entry_tables(np.array(widths), b, len(clusters))
-        system = _newton_system(x1, a_inv, ys, ks, take, local, swap)
+        lay = _Layout(w, np.array(widths), clusters)
+        system = _newton_system(lay, _x1_parts(lay, widths, x1), _x1_parts(lay, widths, a_inv),
+                                lay.pinched(z), lay.pinched(np.linalg.inv(s)))
         assert system.shape == (sum(mj * mj for mj in widths),) * 2
 
         def dense(stack):
@@ -686,8 +722,35 @@ def test_newton_system_sums_over_clusters(clusters):
         for _ in range(3):
             da = _random_step(rng, widths)
             hm = dense(x1) @ dense(da) @ dense(a_inv) + sum(y @ dense(da) @ k for y, k in zip(ys, ks))
-            h, image = _real_coordinates(entries, swap, da, corners((hm + hm.conj().T) / 2.0))
+            h, image = _real_coordinates(lay.place, lay.swap, da, corners((hm + hm.conj().T) / 2.0))
             assert np.linalg.norm(system @ h - image) <= 1e-12 * np.linalg.norm(image)
+
+
+@pytest.mark.parametrize("clusters", [
+    [[1, 1, 1, 1, 1]],
+    [[1, 1, 0, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0]],
+    np.eye(5).tolist(),
+], ids=["one", "three", "five"])
+def test_layout_maps_are_the_pinched_total_and_its_adjoint(clusters):
+    # on the entries and parts the loop holds: pinch(sum_j W_j A_j W_j^dagger)
+    # and the entries X_j[c_i, r_i] of W_j^dagger Z W_j, against the dense
+    # forms, and Tr(Z total(A)) = sum_i blocks(Z)_i a_i, which makes them adjoint
+    rng = np.random.default_rng(9)
+    clusters = np.array(clusters, dtype=bool)
+    pinch = clusters.T @ clusters
+    for widths in WIDTHS:
+        w, a = _random_blocks(rng, 5, widths)
+        z = random_density(rng, 5) * pinch
+        lay = _Layout(w, np.array(widths), clusters)
+        blk, row, col = lay.place
+        a_entries = a[blk, row, col].real if lay.real else a[blk, row, col]
+        total = lay.total(a_entries)
+        assert np.allclose(lay.dense([x if x.ndim == 1 else hermitian_part(x) for x in total]),
+                           _embed(w, a).sum(axis=0) * pinch, rtol=0, atol=1e-13)
+        blocks = w.conj().swapaxes(1, 2) @ z @ w
+        assert np.allclose(lay.blocks(lay.pinched(z)), blocks[blk, col, row], rtol=0, atol=1e-13)
+        assert np.isclose(lay.blocks(lay.pinched(z)) @ a_entries, np.vdot(z, _embed(w, a).sum(axis=0)),
+                          rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("widths", WIDTHS)
@@ -708,13 +771,15 @@ def test_newton_system_is_the_barrier_hessian_at_the_center(widths):
         return np.linalg.inv(a + pad) - pad - w.conj().swapaxes(1, 2) @ s_inv @ w
 
     a_inv = np.linalg.inv(a + pad)
-    k = wf.conj().T @ np.linalg.inv(np.eye(d) - _embed(w, a).sum(axis=0)) @ wf
-    entries, swap, take, local = _entry_tables(np.array(widths), b, 1)
-    system = _newton_system(a_inv / t, a_inv, k[None] / t, k[None], take, local, swap)
+    s_inv = np.linalg.inv(np.eye(d) - _embed(w, a).sum(axis=0))
+    k = wf.conj().T @ s_inv @ wf
+    lay = _Layout(w, np.array(widths), np.ones((1, d), dtype=bool))
+    parts = _x1_parts(lay, widths, a_inv)
+    system = _newton_system(lay, [x / t for x in parts], parts, lay.pinched(s_inv / t), lay.pinched(s_inv))
     for _ in range(3):
         da = _random_step(rng, widths)
         hess = (gradient(a + eps * da) - gradient(a - eps * da)) / (2.0 * eps)
-        h, image = _real_coordinates(entries, swap, da, -hess / t)
+        h, image = _real_coordinates(lay.place, lay.swap, da, -hess / t)
         assert np.linalg.norm(system @ h - image) <= 1e-7 * np.linalg.norm(image)
     if set(widths) == {1}:
         # the orthant: twice |K|^2 + diag(1 / a^2), over t
@@ -828,26 +893,77 @@ def test_verify_certificate_ranks_use_hermitian_part(trine):
         verify_certificate(trine, DetectionSet(ops), np.eye(2) / 2.0)
 
 
-def _linalg_calls_of_verify(monkeypatch, ensemble, detection, z):
-    """The numpy.linalg calls, with their argument shapes, that one
-    accepted verify_certificate makes once its geometry is built."""
-    geo = geometry(ensemble)
+def _counting_linalg(monkeypatch, names, active=lambda: True):
+    """Wrap the numpy.linalg functions names so that each call made while
+    active() holds is listed with its name and argument shape; returns the
+    list."""
     calls = []
 
     def counting(name):
         original = getattr(np.linalg, name)
 
         def wrapped(a, *args, **kwargs):
-            calls.append((name, np.shape(a)))
+            if active():
+                calls.append((name, np.shape(a)))
             return original(a, *args, **kwargs)
 
         return wrapped
 
-    for name in ("eigvalsh", "eigh", "svd", "norm"):
+    for name in names:
         monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
+
+
+def _linalg_calls_of_verify(monkeypatch, ensemble, detection, z):
+    """The numpy.linalg calls, with their argument shapes, that one
+    accepted verify_certificate makes once its geometry is built."""
+    geo = geometry(ensemble)
+    calls = _counting_linalg(monkeypatch, ("eigvalsh", "eigh", "svd", "norm"))
     cert = verify_certificate(ensemble, detection, z, geo=geo)
     assert cert.accepted, cert.failures
     return calls
+
+
+def _linalg_calls_of_interior_point(monkeypatch, ensemble):
+    """The numpy.linalg calls, with their argument shapes, of one certified
+    solve_numeric's interior point alone: not geometry, the embedding or
+    the certificate."""
+    geo = geometry(ensemble)
+    inside = [False]
+    calls = _counting_linalg(monkeypatch, ("cholesky", "inv", "solve", "eigvalsh", "eigh", "svd", "norm"),
+                             lambda: inside[0])
+    loop = solver._interior_point
+
+    def counted(*args):
+        inside[0] = True
+        try:
+            return loop(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(solver, "_interior_point", counted)
+    report = solve_numeric(ensemble, geo)
+    assert report.certified, report.certificate.failures
+    return calls, report
+
+
+def test_trine_interior_point_makes_no_linalg_call(trine, monkeypatch):
+    # the covariant trine is a linear program: every cone is an orthant, a
+    # vector handled elementwise, and its 1 x 1 Newton system is a division,
+    # so no iteration factors, inverts, solves or diagonalizes anything
+    calls, report = _linalg_calls_of_interior_point(monkeypatch, trine)
+    assert report.iterations > 0
+    assert calls == [], calls
+
+
+def test_width_one_blocks_stay_out_of_the_factored_stacks(monkeypatch):
+    # one m = 8 block among 29 of m = 1: the width-1 blocks are one vector,
+    # so no stack the loop factors, inverts or diagonalizes holds more than
+    # one pair of 8 x 8 blocks (padding every block to 8 x 8 gives (2, 30, 8, 8))
+    e = _with_averages(np.random.default_rng(23), 8, 30, [0])
+    calls, _ = _linalg_calls_of_interior_point(monkeypatch, e)
+    stacks = [shape for name, shape in calls if name in ("cholesky", "inv", "eigvalsh")]
+    assert stacks and all(int(np.prod(shape[:-2])) <= 2 for shape in stacks), stacks
 
 
 def test_verify_certificate_diagonalizes_each_operator_once(trine, monkeypatch):
