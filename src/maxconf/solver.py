@@ -377,119 +377,285 @@ def solve_rank1_symmetric(
     return _report(ensemble, geo, "analytic", detection, z)
 
 
+class _Orthant:
+    """Cone operations on a nonnegative orthant held as a real vector:
+    products, inverses and step bounds are elementwise, with no LAPACK
+    call."""
+
+    mul, inner = np.multiply, np.matmul
+    herm = spectrum = staticmethod(lambda x: x)
+
+    @staticmethod
+    def factors(x, y):
+        """1/x, and the inverses (1/x, 1/y) that lows bounds steps with.
+        Raises LinAlgError where an entry is not positive, NaN included."""
+        pair = np.array((x, y))
+        if not pair.min() > 0.0:
+            raise np.linalg.LinAlgError("orthant entry is not positive")
+        inverses = 1.0 / pair
+        return inverses[0], inverses
+
+    @staticmethod
+    def lows(inverses, dx, dy):
+        """The smallest dx / x and dy / y: x + alpha dx stays >= 0 while
+        alpha times it is >= -1."""
+        return (inverses * (dx, dy)).min(axis=1)
+
+
+class _Semidefinite:
+    """Cone operations on semidefinite blocks, one matrix or a stack of
+    them, by stacked cholesky / inv / eigvalsh; pad, the identity on the
+    padding of a stack, is added only to factor them."""
+
+    mul = np.matmul
+    herm = staticmethod(hermitian_part)
+    pad = None
+
+    @staticmethod
+    def inner(x, y):
+        return np.vdot(x, y).real
+
+    def spectrum(self, x):
+        return np.linalg.eigvalsh(x if self.pad is None else x + self.pad).ravel()
+
+    def factors(self, x, y):
+        """The inverse of x, and the inverse Cholesky factors
+        (L^-1, L^-dagger) of (x, y) that lows bounds steps with. Raises
+        LinAlgError where a block is not positive definite."""
+        pair = np.array((x, y))
+        f = np.linalg.inv(np.linalg.cholesky(pair if self.pad is None else pair + self.pad))
+        fh = f.conj().swapaxes(-1, -2)
+        return fh[0] @ f[0], (f, fh)
+
+    @staticmethod
+    def lows(factors, dx, dy):
+        """The smallest eigenvalues of L^-1 dx L^-dagger and of
+        L^-1 dy L^-dagger, per block."""
+        f, fh = factors
+        return np.linalg.eigvalsh(f @ np.array((dx, dy)) @ fh)[..., 0]
+
+
+class _Entries(_Orthant):
+    """The width-1 blocks of (A, X1), entries 0..nv-1 of n: a real vector
+    of the a_j, whose Schur complement term is X1 / A on the diagonal."""
+
+    cones = entries = staticmethod(lambda e, transposed=False: e)
+
+    def __init__(self, n, nv):
+        self.diagonal = slice(None, nv * (n + 1), n + 1)
+
+    def add_schur(self, t, x1, a_inv):
+        t.ravel()[self.diagonal] += x1 * a_inv
+
+
+class _Stack(_Semidefinite):
+    """The wider blocks of (A, X1), the entries from nv on: an
+    (Nw, bw, bw) stack zero-padded to the widest of them."""
+
+    def __init__(self, n, nv, widths, blk, row, col):
+        wide, wb, rw, cw = widths[nv:], blk[nv:] - nv, row[nv:], col[nv:]
+        bw = int(wide.max())
+        self.nv, self.shape = nv, (wide.size, bw, bw)
+        # the flat places of the entries in the stack, as A's and,
+        # transposed, as X1's
+        self.at, self.ut = (wb * bw + rw) * bw + cw, (wb * bw + cw) * bw + rw
+        self.pad = np.eye(bw) * ~(np.arange(bw) < wide[:, None, None])
+        # each pair (i, k) inside one block: its flat index in the n x n
+        # system, and those of X1_j[c_i, r_k] and A^-1_j[c_k, r_i]
+        i, k = np.nonzero(wb[:, None] == wb)
+        base = wb[i] * bw * bw
+        self.local = np.stack(((i + nv) * n + k + nv, base + cw[i] * bw + rw[k], base + cw[k] * bw + rw[i]))
+
+    def cones(self, e, transposed=False):
+        stack = np.zeros(self.shape, dtype=complex)
+        stack.ravel()[self.ut if transposed else self.at] = e[self.nv:]
+        return stack
+
+    def entries(self, x):
+        return x.ravel()[self.ut]
+
+    def lows(self, factors, dx, dy):
+        return super().lows(factors, dx, dy).min(axis=1)
+
+    def add_schur(self, t, x1, a_inv):
+        t.ravel()[self.local[0]] += x1.ravel()[self.local[1]] * a_inv.ravel()[self.local[2]]
+
+
+class _Split:
+    """(A, X1) with blocks of both widths: the pair of the width-1 blocks'
+    vector (_Entries) and the wider blocks' stack (_Stack)."""
+
+    def __init__(self, vector: _Entries, stack: _Stack):
+        self.vector, self.stack = vector, stack
+
+    def cones(self, e, transposed=False):
+        return e[:self.stack.nv].real, self.stack.cones(e, transposed)
+
+    def entries(self, x):
+        return np.concatenate((x[0], self.stack.entries(x[1])))
+
+    def mul(self, x, y):
+        return x[0] * y[0], x[1] @ y[1]
+
+    def herm(self, x):
+        return x[0], hermitian_part(x[1])
+
+    def inner(self, x, y):
+        return x[0] @ y[0] + np.vdot(x[1], y[1]).real
+
+    def spectrum(self, x):
+        return np.concatenate((x[0], self.stack.spectrum(x[1])))
+
+    def factors(self, x, y):
+        (xv, fv), (xs, fs) = _Orthant.factors(x[0], y[0]), self.stack.factors(x[1], y[1])
+        return (xv, xs), (fv, fs)
+
+    def lows(self, factors, dx, dy):
+        return np.minimum(_Orthant.lows(factors[0], dx[0], dy[0]), self.stack.lows(factors[1], dx[1], dy[1]))
+
+    def add_schur(self, t, x1, a_inv):
+        self.vector.add_schur(t, x1[0], a_inv[0])
+        self.stack.add_schur(t, x1[1], a_inv[1])
+
+
+class _Diagonal(_Orthant):
+    """(S, Z) when every cluster is one coordinate p_l: the real vectors of
+    their diagonals. pinch(sum_j W_j a_j W_j^dagger) is P a, with
+    P[l, i] = conj(W[p_l, c_i]) W[p_l, r_i], and the Schur complement term
+    P^T diag(z / s) P."""
+
+    def __init__(self, p, P):
+        self.p, self.P, self.Pt = p, P, P.T.copy()
+
+    def total(self, a):
+        return [(self.P @ a).real]
+
+    def blocks(self, z):
+        return self.Pt @ z
+
+    def pinched(self, x):
+        return x[self.p, self.p].real
+
+    def dense(self, parts):
+        out = np.zeros((self.p.size,) * 2, dtype=complex)
+        out[self.p, self.p] = parts[0]
+        return out
+
+    def schur(self, z, s_inv):
+        return (self.Pt * (z * s_inv)) @ self.P
+
+
+class _Pinched(_Semidefinite):
+    """(S, Z) when a cluster is wider: one dense d x d matrix, pinched by
+    the 0/1 mask of the clusters only when there are several. The total is
+    one product of W's columns r_i and c_i (wr, wc); the Schur complement
+    term is sum_c Y_c o K_c^T over the clusters P_c, for Y_c and K_c the
+    matrices of the (W^dagger P_c Z P_c W)[c_i, r_k] and
+    (W^dagger P_c S^-1 P_c W)[c_i, r_k]: formed whole when every block has
+    width 1 (r_i = c_i = i), and otherwise gathered (take) from the M x M
+    products over wide = (W, rows r_i, columns c_i), W = [W_1 ... W_N]
+    unpadded."""
+
+    mask = take = None
+
+    def __init__(self, clusters, wr, wc, wide=None):
+        self.real = wide is None
+        self.wr, self.wc = wr, wc.conj()
+        self.wct = self.wc.T.copy()
+        g = wr if wide is None else wide[0]
+        if len(clusters) > 1:
+            self.mask = clusters.T @ clusters
+            g = clusters[:, :, None] * g
+        # with one cluster and width-1 blocks, g^dagger is wct
+        self.g, self.gh = g, self.wct if g is wr else g.conj().swapaxes(-1, -2).copy()
+        if wide is not None:
+            m = g.shape[-1]
+            self.take = wide[2][:, None] * m + wide[1]
+            if self.mask is not None:
+                self.take = np.arange(len(clusters))[:, None, None] * m * m + self.take
+
+    def total(self, a):
+        t = (self.wr * a) @ self.wct
+        return [t if self.mask is None else t * self.mask]
+
+    def blocks(self, z):
+        u = (self.wc * (z @ self.wr)).sum(axis=0)
+        return u.real if self.real else u
+
+    def pinched(self, x):
+        return x if self.mask is None else x * self.mask
+
+    @staticmethod
+    def dense(parts):
+        return parts[0]
+
+    def schur(self, z, s_inv):
+        y, k = self.gh @ z @ self.g, self.gh @ s_inv @ self.g
+        if self.take is not None:
+            y, k = y.ravel()[self.take], k.ravel()[self.take]
+        t = y * k.swapaxes(-1, -2)
+        return t if self.mask is None else t.sum(axis=0)
+
+
 class _Layout:
-    """How one solve holds its cone pairs, read from the block widths and
-    the cluster sizes alone and built once: each pair has a width-1 part,
-    a nonnegative orthant held as a real vector and handled elementwise, and
-    a wider part of semidefinite blocks.
+    """How one solve holds its cone pairs, chosen from the block widths and
+    the cluster sizes alone and built once; only the tables a layout reads
+    are made.
 
     (A, X1) lives on the n = sum_j m_j^2 entries (r_i, c_i) of the blocks'
     real m_j x m_j corners, the width-1 blocks first and then the wider
     ones, each in row, column order: A and its steps as the entry vector of
     the A_j[r_i, c_i], X1, A^-1 and the right-hand sides as that of the
     transposed X1_j[c_i, r_i], so that Tr(X1 A) is their plain dot product;
-    both are real when every block has width 1. cones splits an entry vector
-    into the width-1 blocks' real vector and the wider blocks' (Nw, bw, bw)
-    stack, zero-padded to the widest of them. (S, Z) is held as its parts
-    only: the clusters of one coordinate as the real vector over those
-    coordinates p, the wider clusters as one dense pinched matrix over
-    theirs, q. Between the two, pinch(sum_j W_j a_j W_j^dagger) is P a on p,
-    with P[l, i] = conj(W[l, c_i]) W[l, r_i], and one product of W's columns
-    r_i and c_i on q (total); the entries of W_j^dagger Z W_j are the adjoint
-    products (blocks).
+    both are real when every block has width 1. Its form, ax, is _Entries
+    (a real vector) when every block has width 1, _Stack when none has and
+    _Split, the pair, otherwise; cones turns an entry vector into that form
+    and entries turns it back. The form of (S, Z), sz, is _Diagonal (a real
+    vector) when every cluster is one coordinate and _Pinched (the dense
+    matrix) otherwise. Between the two, total is
+    pinch(sum_j W_j a_j W_j^dagger), before its Hermitian part and as the
+    list of the one part of (S, Z); blocks, its adjoint, the entries of the
+    W_j^dagger Z W_j; pinched and dense map d x d matrices in and out.
     """
 
     def __init__(self, w: np.ndarray, widths: np.ndarray, clusters: np.ndarray):
-        order = np.argsort(widths > 1, kind="stable")  # width-1 blocks first
-        widths = widths[order]
-        real = np.arange(w.shape[2]) < widths[:, None]
-        blk, row, col = np.nonzero(real[:, :, None] & real[:, None, :])
-        start = np.cumsum(widths) - widths
-        self.n, self.nv = n, nv = blk.size, int((widths == 1).sum())
-        self.real = nv == n
-        # the entry of the transpose: each entry its own when every block has width 1
-        first = np.cumsum(widths ** 2) - widths ** 2
-        self.swap = slice(None) if self.real else first[blk] + col * widths[blk] + row
-        self.place = order[blk], row, col  # each entry in an (N, b, b) stack
         self.full_shape = w.shape[:1] + w.shape[2:] * 2
-        self.pads = [0.0] * (nv > 0)
-        if not self.real:
-            wide, wb, rw, cw = widths[nv:], blk[nv:] - nv, row[nv:], col[nv:]
-            bw = int(wide.max())
-            self.wide_shape = (wide.size, bw, bw)
-            # the flat places of the wider blocks' entries in their stack, as
-            # A's and, transposed, as X1's
-            self.at, self.ut = (wb * bw + rw) * bw + cw, (wb * bw + cw) * bw + rw
-            # the identity on the padding of that stack, added only to factor it
-            self.pads.append(np.eye(bw) * ~(np.arange(bw) < wide[:, None, None]))
-            # each pair (i, k) inside one wider block: its flat index in the
-            # n x n system, and those of X1_j[c_i, r_k] and A^-1_j[c_k, r_i]
-            i, k = np.nonzero(wb[:, None] == wb)
-            base = wb[i] * bw * bw
-            self.local = np.stack(((i + nv) * n + k + nv, base + cw[i] * bw + rw[k], base + cw[k] * bw + rw[i]))
-        # columns r_i and c_i of the unpadded W = [W_1 ... W_N], M = sum_j m_j
-        wu = w[order].transpose(1, 0, 2)[:, real]
-        rows, cols = start[blk] + row, start[blk] + col
-        wr, wc = wu[:, rows], wu[:, cols]
+        thin = widths == 1
+        nv = int(thin.sum())
+        self.real = nv == widths.size
+        wide = None
+        if self.real:
+            self.n = n = nv
+            self.place, self.swap, self.eye = (np.arange(n), 0, 0), slice(None), np.ones(n)
+            wr = wc = w[:, :, 0].T
+            self.ax = _Entries(n, n)
+        else:
+            order = np.argsort(~thin, kind="stable")  # width-1 blocks first
+            widths = widths[order]
+            real = np.arange(w.shape[2]) < widths[:, None]
+            blk, row, col = np.nonzero(real[:, :, None] & real[:, None, :])
+            self.n = n = blk.size
+            first = np.cumsum(widths ** 2) - widths ** 2
+            self.swap = first[blk] + col * widths[blk] + row  # the entry of the transpose
+            self.place = order[blk], row, col  # each entry in an (N, b, b) stack
+            self.eye = (row == col).astype(complex)  # the entries of identity blocks
+            stack = _Stack(n, nv, widths, blk, row, col)
+            self.ax = _Split(_Entries(n, nv), stack) if nv else stack
+            # columns r_i and c_i of the unpadded W = [W_1 ... W_N]
+            start = np.cumsum(widths) - widths
+            wide = w[order].transpose(1, 0, 2)[:, real], start[blk] + row, start[blk] + col
+            wr, wc = wide[0][:, wide[1]], wide[0][:, wide[2]]
         lone = clusters.sum(axis=1) == 1
-        self.p = clusters[lone].argmax(axis=1)
-        p = wc[self.p].conj() * wr[self.p]
-        self.P = p.real if self.real else p
-        self.Pt = self.P.T.copy()
-        grouped = clusters[~lone]
-        self.q = np.flatnonzero(grouped.any(axis=0))
-        self.orthant = self.real and not self.q.size  # every cone an orthant: an LP
-        if self.q.size:
-            g = grouped[:, self.q]
-            self.mask = g.T @ g
-            self.wrq, self.wcq = wr[self.q], wc[self.q].conj()
-            self.wcqt = self.wcq.T.copy()
-            # Y_c = W^dagger P_c Z P_c W per wider cluster, and the flat
-            # indices of Y_c[c_i, r_k] and K_c[c_k, r_i] in (C, M, M) stacks
-            self.wg = g[:, :, None] * wu[self.q]
-            self.wgh = self.wg.conj().swapaxes(1, 2)
-            m = wu.shape[1]
-            take = np.arange(len(g))[:, None, None] * m * m + cols[:, None] * m + rows
-            self.take = np.stack((take, take.swapaxes(1, 2)))
-
-    def cones(self, e: np.ndarray, transposed: bool = False) -> list:
-        """The parts of the entry vector e: the width-1 blocks' real vector
-        and the wider blocks' stack, with e's entries as A's, or, transposed,
-        as X1's."""
-        if self.real:
-            return [e]
-        stack = np.zeros(self.wide_shape, dtype=complex)
-        stack.ravel()[self.ut if transposed else self.at] = e[self.nv:]
-        return [e[:self.nv].real, stack] if self.nv else [stack]
-
-    def entries(self, parts: list) -> np.ndarray:
-        """The entry vector of X1-like parts, the inverse of cones(., True)."""
-        if self.real:
-            return parts[0]
-        wide = parts[-1].ravel()[self.ut]
-        return np.concatenate((parts[0], wide)) if self.nv else wide
-
-    def total(self, a: np.ndarray) -> list:
-        """The (S, Z) parts of pinch(sum_j W_j a_j W_j^dagger), the dense
-        one before its Hermitian part."""
-        parts = [(self.P @ a).real] if self.p.size else []
-        if self.q.size:
-            parts.append((self.wrq * a) @ self.wcqt * self.mask)
-        return parts
-
-    def blocks(self, z: list) -> np.ndarray:
-        """The entry vector of the W_j^dagger Z W_j, Z given by its parts."""
-        u = (self.wcq * (z[-1] @ self.wrq)).sum(axis=0) if self.q.size else self.Pt @ z[0]
-        if self.p.size and self.q.size:
-            u = u + self.Pt @ z[0]
-        return u.real if self.real else u
-
-    def pinched(self, x: np.ndarray) -> list:
-        """The (S, Z) parts of pinch(x) for a d x d matrix x."""
-        parts = [x[self.p, self.p].real] if self.p.size else []
-        if self.q.size:
-            parts.append(x[self.q[:, None], self.q] * self.mask)
-        return parts
+        if lone.all():
+            p = clusters.argmax(axis=1)
+            P = wc[p].conj() * wr[p]
+            self.sz = _Diagonal(p, P.real if self.real else P)
+        else:
+            self.sz = _Pinched(clusters, wr, wc, wide)
+        self.orthant = self.real and lone.all()  # every cone an orthant: an LP
+        self.cones, self.entries = self.ax.cones, self.ax.entries
+        self.total, self.blocks = self.sz.total, self.sz.blocks
+        self.pinched, self.dense = self.sz.pinched, self.sz.dense
 
     def stacked(self, a: np.ndarray) -> np.ndarray:
         """The (N, b, b) stack of the blocks of A's entry vector a."""
@@ -497,64 +663,28 @@ class _Layout:
         out[self.place] = a
         return out
 
-    def dense(self, z: list) -> np.ndarray:
-        """The d x d matrix of the (S, Z) parts z."""
-        out = np.zeros((len(self.p) + len(self.q),) * 2, dtype=complex)
-        if self.p.size:
-            out[self.p, self.p] = z[0]
-        if self.q.size:
-            out[self.q[:, None], self.q] = z[-1]
-        return out
 
-
-def _mul(x, y):
-    """The product of two parts of a cone member: elementwise on an orthant."""
-    return x * y if x.ndim == 1 else x @ y
-
-
-def _herm(x):
-    """The Hermitian part of a cone part; an orthant's vector is real."""
-    return x if x.ndim == 1 else hermitian_part(x)
-
-
-def _dot(xs: list, ys: list) -> float:
-    """sum_k Tr(x_k^dagger y_k) over the parts of two cone members."""
-    return float(sum(map(np.vdot, xs, ys)).real)
-
-
-def _spectrum(parts: list) -> np.ndarray:
-    """The eigenvalues of a cone member over its parts, in no order."""
-    return np.concatenate([x if x.ndim == 1 else np.linalg.eigvalsh(x).ravel() for x in parts])
-
-
-def _newton_system(lay: _Layout, x1: list, a_inv: list, z: list, s_inv: list) -> np.ndarray:
+def _newton_system(lay: _Layout, x1, a_inv, z, s_inv) -> np.ndarray:
     """Schur complement of the HKM Newton system over the entries of the
     blocks (_Layout): with E_i the unit matrix of entry i,
     T[i, k] = Tr(E_i X1 E_k A^-1) + sum_c Tr(E_i Y_c E_k K_c) and
     S = T + T^T, for Y_c = W^dagger P_c Z P_c W and K_c = W^dagger P_c S^-1 P_c W
     over the clusters P_c of the constraint, W unpadded. x1 and a_inv are
-    parts of (A, X1) (_Layout.cones), z and s_inv parts of (S, Z).
+    in the form of lay.ax (_Layout.cones), z and s_inv in that of lay.sz.
 
-    A width-1 block adds x1 / a to T's diagonal and the wider blocks one
-    gather over the entry pairs inside a block; the one-coordinate clusters
-    add P^T diag(z / s) P (_Layout), and the wider ones one gather of
-    (C, M, M) stacks. Returned is the real system S.real + S[:, swap].imag,
-    S itself when every cone is an orthant. It maps the real coordinates h
-    of a Hermitian dA, whose entries are v = (1 + i) h + (1 - i) h[swap], to
-    Re u + Im u with u_i = Tr(E_i H) for H the Hermitian part of
+    The (S, Z) part gives the cluster term (_Diagonal, _Pinched) and the
+    (A, X1) part adds its own: x1 / a on the diagonal for width-1 blocks,
+    one gather over the entry pairs inside a block for the wider ones.
+    Returned is the real system S.real + S[:, swap].imag, S itself when
+    every cone is an orthant. It maps the real coordinates h of a Hermitian
+    dA, whose entries are v = (1 + i) h + (1 - i) h[swap], to Re u + Im u
+    with u_i = Tr(E_i H) for H the Hermitian part of
     X1 dA A^-1 + sum_c Y_c dA K_c, and costs (sum_j m_j^2)^2 per cluster
     however the widths differ. On the central path (X1 = A^-1 / t,
     Z = S^-1 / t) H is the negated Hessian of the log barrier over t,
     applied to dA."""
-    terms = [(lay.Pt * (z[0] * s_inv[0])) @ lay.P] if lay.p.size else []
-    if lay.q.size:
-        y, k = (lay.wgh @ x @ lay.wg for x in (z[-1], s_inv[-1]))
-        terms.append((y.ravel()[lay.take[0]] * k.ravel()[lay.take[1]]).sum(axis=0))
-    t = sum(terms[1:], terms[0])
-    if lay.nv:  # the first nv diagonal entries
-        t.ravel()[:lay.nv * (lay.n + 1):lay.n + 1] += x1[0] * a_inv[0]
-    if not lay.real:
-        t.ravel()[lay.local[0]] += x1[-1].ravel()[lay.local[1]] * a_inv[-1].ravel()[lay.local[2]]
+    t = lay.sz.schur(z, s_inv)
+    lay.ax.add_schur(t, x1, a_inv)
     t = t + t.T
     return t if lay.orthant else t.real + t[:, lay.swap].imag
 
@@ -565,42 +695,14 @@ def _embed(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return hermitian_part(w @ a @ w.conj().swapaxes(1, 2))
 
 
-def _cone_factors(x: np.ndarray, y: np.ndarray, pad=None):
-    """The inverse of x, and the factors _cone_lows bounds steps with, for
-    one part of a cone pair (x, y): on an orthant (vectors) the inverses
-    (1/x, 1/y), on a stack of b x b blocks the inverse Cholesky factors
-    (L^-1, L^-dagger) of (x + pad, y + pad). Raises LinAlgError where a
-    member is not positive definite, as cholesky does, and on an orthant
-    also where an entry is NaN."""
-    pair = np.array((x, y))
-    if x.ndim == 1:
-        if not pair.min() > 0.0:
-            raise np.linalg.LinAlgError("orthant entry is not positive")
-        inverses = 1.0 / pair
-        return inverses[0], inverses
-    f = np.linalg.inv(np.linalg.cholesky(pair if pad is None else pair + pad))
-    fh = f.conj().swapaxes(-1, -2)
-    return fh[0] @ f[0], (f, fh)
-
-
-def _cone_lows(factors, dx: np.ndarray, dy: np.ndarray):
-    """Smallest eigenvalue of L^-1 dx L^-dagger, and of L^-1 dy L^-dagger,
-    over all blocks of one part of a cone pair: x + alpha dx stays >= 0
-    while alpha times it is >= -1. Elementwise on an orthant (dx / x)."""
-    if dx.ndim == 1:
-        return (factors * (dx, dy)).min(axis=1)
-    f, fh = factors
-    return np.linalg.eigvalsh(f @ np.array((dx, dy)) @ fh)[..., 0].reshape(2, -1).min(axis=1)
-
-
-def _step_lengths(factors, primal, dual, to_boundary):
+def _step_lengths(lay: _Layout, factors, primal, dual, to_boundary) -> np.ndarray:
     """Primal and dual step lengths, each at most 1 and at most
     to_boundary of the way to the boundary of its cones. factors holds the
-    _cone_factors of the parts of (A, X1) and of (S, Z); primal and dual
-    hold the directions (dA, dS) and (dX1, dZ), each as its parts."""
+    factors of (A, X1) and of (S, Z); primal and dual hold the directions
+    (dA, dS) and (dX1, dZ), each with its cone parts."""
     (fa, fs), (_, da, ds), (_, dx1, dz) = factors, primal, dual
-    lows = [_cone_lows(f[1], x, y) for f, x, y in zip(fa + fs, da + ds, dx1 + dz)]
-    return [to_boundary / max(to_boundary, -min(low[k] for low in lows)) for k in (0, 1)]
+    low = np.minimum(lay.ax.lows(fa, da, dx1), lay.sz.lows(fs, ds, dz))
+    return to_boundary / np.maximum(to_boundary, -low)
 
 
 def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters: np.ndarray):
@@ -618,18 +720,19 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     X1_j = W_j^dagger (Z - rho) W_j, and (S, Z) with
     S = 1 - pinch(sum_j W_j a_j W_j^dagger); both are functions of A and Z,
     so every iterate is primal and dual feasible and the duality gap is
-    Tr(X1 A) + Tr(Z S) = Tr Z - R. Each pair is held in two parts
-    (_Layout): the width-1 blocks and the one-coordinate clusters as real
-    vectors, factored, inverted and step-bounded elementwise, and the wider
-    blocks and clusters as semidefinite blocks, by stacked cholesky / inv /
-    eigvalsh, the blocks padded to the widest of them only to factor them.
-    A generic ensemble of width-1 blocks thus has vector A with dense S and
-    Z, and a cyclic one with distinct phases and a simple top eigenvalue
-    only vectors: a linear program. Each iteration builds the Schur
-    complement (_newton_system) over the sum_j m_j^2 entries of the blocks
-    once and solves it, in real arithmetic, for the predictor and the
-    corrector; a 1 x 1 system is a division by its pivot, refused unless
-    it is > 0.
+    Tr(X1 A) + Tr(Z S) = Tr Z - R. _Layout picks each pair's form once,
+    from the widths and the clusters alone, and the loop runs that form's
+    operations directly: the width-1 blocks and an all-one-coordinate
+    (S, Z) as real vectors, factored, inverted and step-bounded
+    elementwise, and the wider blocks and a dense (S, Z) as semidefinite
+    blocks, by stacked cholesky / inv / eigvalsh, the blocks padded to the
+    widest of them only to factor them. A generic ensemble of width-1
+    blocks thus has vector A with dense S and Z, and a cyclic one with
+    distinct phases and a simple top eigenvalue only vectors: a linear
+    program. Each iteration builds the Schur complement (_newton_system)
+    over the sum_j m_j^2 entries of the blocks once and solves it, in real
+    arithmetic, for the predictor and the corrector; a 1 x 1 system is a
+    division by its pivot, refused unless it is > 0.
 
     Near the optimum a predictor-corrector step can leave a pair far from
     commuting: Tr(Z S) ~ gap while ||Z S|| ~ sqrt(gap), too large for the
@@ -641,9 +744,9 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     way to the boundary of its cones: a longer step leaves matrix pairs
     further from commuting and costs more iterations than it saves (0.99
     took the generic benchmark corpus from 608 to 637 iterations). When
-    neither pair has a wider part the iterates always commute, and the step
-    goes _TO_BOUNDARY_ORTHANT = 0.999 of the way, as LP interior-point codes
-    do.
+    neither pair has a semidefinite part the iterates always commute, and
+    the step goes _TO_BOUNDARY_ORTHANT = 0.999 of the way, as LP
+    interior-point codes do.
 
     Returns (A, iterations, gap, Z), A as the (N, b, b) stack, exactly zero
     off the real m_j x m_j corners, and Z as the d x d matrix, at the first
@@ -657,6 +760,7 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     NaN, or if the Schur complement is singular.
     """
     lay = _Layout(w, widths, clusters)
+    ax, sz = lay.ax, lay.sz
     d, nu = len(rho), len(rho) + int(widths.sum())
     # rho enters as pinch(rho): the rate of a pinched total is
     # Tr(rho pinch(X)) = Tr(pinch(rho) X), and X1 = W_j^dagger (Z - rho) W_j
@@ -664,11 +768,6 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     # cancel
     rho, ones = lay.pinched(rho), lay.pinched(np.eye(d, dtype=complex))
     gains = lay.blocks(rho)  # the entries of W_j^dagger rho W_j
-
-    def slack(z):
-        """The entries of X1, W_j^dagger (Z - rho) W_j."""
-        return lay.blocks([x - r for x, r in zip(z, rho)])
-
     to_boundary = _TO_BOUNDARY_ORTHANT if lay.orthant else _TO_BOUNDARY
 
     # strictly feasible start: scaled identities keeping the total below
@@ -678,22 +777,21 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     thin = widths == 1
     grams = w[~thin].conj().swapaxes(1, 2) @ w[~thin]
     norm_sum = float((np.abs(w[thin, :, 0]) ** 2).sum() + spectra(grams)[:, -1].sum())
-    a = np.where(lay.place[1] == lay.place[2], 0.5 / norm_sum, 0.0)
-    a = a if lay.real else a.astype(complex)
+    a = lay.eye * (0.5 / norm_sum)
     z = ones
-    while _spectrum([x + e for x, e in zip(lay.cones(slack(z), True), lay.pads)]).min() <= 0.0:
-        z = [2.0 * x for x in z]
+    while ax.spectrum(lay.cones(lay.blocks(z - rho), True)).min() <= 0.0:
+        z = 2.0 * z
 
     iterations = 0
     while True:
-        s, x1 = [o - _herm(t) for o, t in zip(ones, lay.total(a))], slack(z)
+        s, x1 = ones - sz.herm(lay.total(a)[0]), lay.blocks(z - rho)
         ap, xp = lay.cones(a), lay.cones(x1, True)
-        xa, zs = [_mul(x, y) for x, y in zip(xp, ap)], [_mul(x, y) for x, y in zip(z, s)]
-        gap = float((x1 @ a).real) + _dot(z, s)
+        xa, zs = ax.mul(xp, ap), sz.mul(z, s)
+        gap = float((x1 @ a).real + sz.inner(z, s))
         mu = gap / nu
-        commuting = math.sqrt(_dot(xa, xa)) + math.sqrt(_dot(zs, zs)) <= gap
-        if commuting and gap <= CERT_TOL and sum(_certificate_ranks(_spectrum(z), _spectrum(s))) <= d:
-            return lay.stacked(a), iterations, gap, lay.dense(z)
+        commuting = math.sqrt(ax.inner(xa, xa)) + math.sqrt(sz.inner(zs, zs)) <= gap
+        if commuting and gap <= CERT_TOL and sum(_certificate_ranks(sz.spectrum(z), sz.spectrum(s))) <= d:
+            return lay.stacked(a), iterations, gap, lay.dense([z])
         if iterations >= MAX_ITERATIONS:
             raise NotConvergedError(
                 f"iteration budget {MAX_ITERATIONS} exhausted at duality gap {gap:.3e}"
@@ -701,11 +799,9 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
         if math.isnan(gap):  # numpy's cholesky lets a NaN iterate through
             raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}")
         try:
-            factors = ([_cone_factors(x, y, e) for x, y, e in zip(ap, xp, lay.pads)],
-                       [_cone_factors(x, y) for x, y in zip(s, z)])
+            (a_inv, fa), (s_inv, fs) = ax.factors(ap, xp), sz.factors(s, z)
         except np.linalg.LinAlgError:
             raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
-        a_inv, s_inv = ([f[0] for f in fs] for fs in factors)
         schur = _newton_system(lay, xp, a_inv, z, s_inv)
         # S^-1 is pinched like S, so the diagonal blocks of sum_c K_c are W_j^dagger S^-1 W_j
         centering = lay.entries(a_inv) - lay.blocks(s_inv)
@@ -725,19 +821,18 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
         def direction(target, affine=None):
             """HKM direction to the central point of parameter target,
             with the Mehrotra corrections of an affine direction: the steps
-            (dA, dS) and (dX1, dZ), dA and dX1 as entries and parts."""
-            rhs, corr_s = target * centering + gains, [0.0] * len(z)
+            (dA, dS) and (dX1, dZ), dA and dX1 as entries and cone parts."""
+            rhs, corr_s = target * centering + gains, 0.0
             if affine is not None:
                 (_, da0, ds0), (_, dx0, dz0) = affine
-                corr_s = [_herm(_mul(_mul(x, y), i)) for x, y, i in zip(dz0, ds0, s_inv)]
-                corr_a = [_herm(_mul(_mul(x, y), i)) for x, y, i in zip(dx0, da0, a_inv)]
-                rhs = rhs - lay.entries(corr_a) + lay.blocks(corr_s)
+                corr_s = sz.herm(sz.mul(sz.mul(dz0, ds0), s_inv))
+                rhs = rhs - lay.entries(ax.herm(ax.mul(ax.mul(dx0, da0), a_inv))) + lay.blocks(corr_s)
             # in the real coordinates of _newton_system: Re u + Im u of the
             # entries u, and back, dA of entries (1 + i) h + (1 - i) h[swap]
             h = solve(rhs if lay.real else rhs.real + rhs.imag)
             da = 2.0 * h if lay.real else (1 + 1j) * h + (1 - 1j) * h[lay.swap]
-            ds = lay.total(-da)
-            dz = [_herm(target * i - x - _mul(_mul(x, y), i) - c) for x, y, i, c in zip(z, ds, s_inv, corr_s)]
+            ds = lay.total(-da)[0]
+            dz = sz.herm(target * s_inv - z - sz.mul(sz.mul(z, ds), s_inv) - corr_s)
             dx1 = lay.blocks(dz)
             return (da, lay.cones(da), ds), (dx1, lay.cones(dx1, True), dz)
 
@@ -745,16 +840,14 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
             primal, dual = direction(mu)
         else:
             primal, dual = direction(0.0)
-            step_p, step_d = _step_lengths(factors, primal, dual, to_boundary)
+            step_p, step_d = _step_lengths(lay, (fa, fs), primal, dual, to_boundary)
             mu_aff = (float(((x1 + step_d * dual[0]) @ (a + step_p * primal[0])).real)
-                      + _dot([x + step_d * dx for x, dx in zip(z, dual[2])],
-                             [y + step_p * dy for y, dy in zip(s, primal[2])])) / nu
+                      + sz.inner(z + step_d * dual[2], s + step_p * primal[2])) / nu
             primal, dual = direction(min(mu_aff / mu, 1.0) ** 3 * mu, (primal, dual))
-        step_p, step_d = _step_lengths(factors, primal, dual, to_boundary)
-        if not commuting:
-            step_p = step_d = min(step_p, step_d)
+        steps = _step_lengths(lay, (fa, fs), primal, dual, to_boundary)
+        step_p, step_d = steps if commuting else (steps.min(),) * 2
         a = a + step_p * primal[0]
-        z = [x + step_d * dx for x, dx in zip(z, dual[2])]
+        z = z + step_d * dual[2]
         iterations += 1
 
 

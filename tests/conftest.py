@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maxconf import StateEnsemble, build_symmetric_ensemble
+from maxconf import StateEnsemble, build_symmetric_ensemble, solver
 
 # one line per acceptance criterion, filled in by test_acceptance and
 # printed after the test run (pytest captures stdout at the fd level, so
@@ -14,6 +14,26 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def short_budget(monkeypatch, run):
+    """One iteration fewer than the fewest that the interior points of
+    run() take at the package's own budget, checked to be at least 1, so a
+    test that sets it as MAX_ITERATIONS sees run() fail whatever the
+    iteration counts are."""
+    counts, loop = [], solver._interior_point
+
+    def counted(*args):
+        result = loop(*args)
+        counts.append(result[1])
+        return result
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "_interior_point", counted)
+        run()
+    budget = min(counts) - 1
+    assert budget >= 1, counts
+    return budget
 
 
 def random_pure(rng, dim):

@@ -13,7 +13,7 @@ from maxconf.serialize import (
     dump_json,
     ensemble_to_json,
 )
-from conftest import pure_qubit_pair, random_ensemble, rank_raised_dual
+from conftest import pure_qubit_pair, random_ensemble, rank_raised_dual, short_budget
 
 
 def write_ensemble(path, ensemble):
@@ -107,9 +107,9 @@ def test_solve_unattainable_tolerance(trine_file, tmp_path):
 
 
 def test_solve_not_converged_exits_three(trine_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
-    rc = main(["solve", "--input", str(trine_file), "--mode", "numeric",
-               "--output", str(tmp_path / "solution.json")])
+    argv = ["solve", "--input", str(trine_file), "--mode", "numeric", "--output", str(tmp_path / "solution.json")]
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", short_budget(monkeypatch, lambda: main(argv)))
+    rc = main(argv)
     assert rc == 3
     assert "solver did not converge" in capsys.readouterr().err
 
@@ -117,8 +117,9 @@ def test_solve_not_converged_exits_three(trine_file, tmp_path, monkeypatch, caps
 def test_sweep_not_converged_exits_three(tmp_path, monkeypatch, capsys):
     p = tmp_path / "family.json"
     p.write_text(json.dumps({"family": "qubit-mixed", "order": 3}), encoding="utf-8")
-    monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
-    rc = main(["sweep", "--input", str(p), "--grid", "angle:0.2:1.2:3", "--check"])
+    argv = ["sweep", "--input", str(p), "--grid", "angle:0.2:1.2:3", "--check"]
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", short_budget(monkeypatch, lambda: main(argv)))
+    rc = main(argv)
     assert rc == 3
     assert "solver did not converge" in capsys.readouterr().err
 

@@ -1,0 +1,42 @@
+"""The robustness corpus: seeded draws of valid but adversarial inputs,
+each checked against the invariants that hold for it, with the closed
+forms as the oracle where they apply."""
+
+import numpy as np
+
+from maxconf import SymmetricFamily, geometry, solve_numeric, solve_rank1_symmetric
+
+
+def near_maximally_mixed_families(count=200, seed=7):
+    """count cyclic qudit families, d in [2, 8] and N in [d, 11], with
+    normalized complex Gaussian coefficients: the even draws at purity
+    10^U(-6, -1), near the maximally mixed state, the odd ones at
+    1 - 10^U(-9, -1), near a pure orbit."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        d = int(rng.integers(2, 9))
+        n = int(rng.integers(d, 12))
+        c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        if k % 2 == 0:
+            purity = 10.0 ** rng.uniform(-6.0, -1.0)
+        else:
+            purity = 1.0 - 10.0 ** rng.uniform(-9.0, -1.0)
+        yield SymmetricFamily(order=n, purity=purity, coefficients=c / np.linalg.norm(c))
+
+
+def test_near_maximally_mixed_cyclic_families_certify():
+    # distinct phases and simple top eigenvalues make every cone an orthant
+    # (the interior point's linear-program layout); every solve must be
+    # certified and, where the closed form applies, agree with it
+    compared = 0
+    for family in near_maximally_mixed_families():
+        e = family.ensemble()
+        geo = geometry(e)
+        report = solve_numeric(e, geo)
+        assert report.certified, (family, report.certificate.failures)
+        if geo.degeneracies.max() == 1:
+            exact = solve_rank1_symmetric(e, geo)
+            assert abs(report.failure_probability - exact.failure_probability) <= 1e-6, family
+            np.testing.assert_allclose(report.confidences, exact.confidences, rtol=0, atol=1e-6)
+            compared += 1
+    assert compared > 0

@@ -32,8 +32,7 @@ from maxconf import solver
 from maxconf.operators import CERT_TOL, RANK_CUTOFF, hermitian_part, support_rank
 from maxconf.solver import (
     _Layout,
-    _cone_factors,
-    _cone_lows,
+    _Orthant,
     _embed,
     _interior_point,
     _newton_system,
@@ -47,6 +46,7 @@ from conftest import (
     random_ensemble,
     random_unitary,
     rank_raised_dual,
+    short_budget,
 )
 
 
@@ -431,7 +431,7 @@ def test_solve_numeric_invariant_under_relabelling(seed):
 
 
 def test_solve_numeric_iteration_budget(trine, monkeypatch):
-    monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", short_budget(monkeypatch, lambda: solve_numeric(trine)))
     with pytest.raises(NotConvergedError):
         solve_numeric(trine)
 
@@ -528,7 +528,7 @@ def test_width_one_cone_matches_stacked_linear_algebra(n):
     rng = np.random.default_rng(40 + n)
     x, y = rng.uniform(0.1, 3.0, (2, n))
     blocks = lambda u, v: np.array((u, v))[:, :, None, None] + 0j
-    x_inv, factors = _cone_factors(x, y)
+    x_inv, factors = _Orthant.factors(x, y)
     ref_f = np.linalg.inv(np.linalg.cholesky(blocks(x, y)))
     ref_fh = ref_f.conj().swapaxes(-1, -2)
     # the factors are L^-dagger L^-1 = (1/x, 1/y), and x_inv is 1/x
@@ -537,7 +537,7 @@ def test_width_one_cone_matches_stacked_linear_algebra(n):
     for sign in (1.0, -1.0, 0.0):
         dx, dy = sign * rng.uniform(0.1, 2.0, (2, n))
         ref = np.linalg.eigvalsh(ref_f @ blocks(dx, dy) @ ref_fh)[..., 0]
-        lows = _cone_lows(factors, dx, dy)
+        lows = _Orthant.lows(factors, dx, dy)
         assert np.allclose(lows, ref.min(axis=1), rtol=1e-14, atol=0)
         assert np.allclose(lows, (np.array((dx, dy)) / np.array((x, y))).min(axis=1), rtol=1e-14, atol=0)
     for bad in (0.0, -1e-3, np.nan):
@@ -549,7 +549,7 @@ def test_width_one_cone_matches_stacked_linear_algebra(n):
                 with pytest.raises(np.linalg.LinAlgError):
                     np.linalg.cholesky(blocks(x, broken))
             with pytest.raises(np.linalg.LinAlgError):
-                _cone_factors(x, broken)
+                _Orthant.factors(x, broken)
 
 
 def test_interior_point_stops_on_a_nan_iterate():
@@ -685,8 +685,9 @@ WIDTHS = [(1, 2, 3), (3, 1, 2), (1, 1, 1, 1)]
 def test_newton_system_sums_over_clusters(clusters):
     # on a Hermitian block-diagonal dA the system gives the Hermitian part of
     # X1 dA A^-1 + sum_c Y_c dA K_c, checked on the dense M x M matrices:
-    # width-1 blocks and one-coordinate clusters ("five"; "three" has one)
-    # are vectors in the loop, the wider ones stacks and a dense matrix
+    # width-1 blocks and clusters that are all one coordinate ("five") are
+    # vectors in the loop, wider blocks a stack, and clusters of which any
+    # is wider ("one", "three") one dense matrix, masked when there are several
     rng = np.random.default_rng(8)
     clusters = np.array(clusters, dtype=bool)
     pinch = clusters.T @ clusters
