@@ -521,14 +521,14 @@ class _Split:
 class _Diagonal(_Orthant):
     """(S, Z) when every cluster is one coordinate p_l: the real vectors of
     their diagonals. pinch(sum_j W_j a_j W_j^dagger) is P a, with
-    P[l, i] = conj(W[p_l, c_i]) W[p_l, r_i], and the Schur complement term
-    P^T diag(z / s) P."""
+    P[l, i] = conj(W[p_l, c_i]) W[p_l, r_i], its adjoint P^T z, the Schur
+    complement term P^T diag(z / s) P and K's block entries P^T s^-1."""
 
     def __init__(self, p, P):
         self.p, self.P, self.Pt = p, P, P.T.copy()
 
     def total(self, a):
-        return [(self.P @ a).real]
+        return (self.P @ a).real
 
     def blocks(self, z):
         return self.Pt @ z
@@ -536,13 +536,13 @@ class _Diagonal(_Orthant):
     def pinched(self, x):
         return x[self.p, self.p].real
 
-    def dense(self, parts):
+    def dense(self, z):
         out = np.zeros((self.p.size,) * 2, dtype=complex)
-        out[self.p, self.p] = parts[0]
+        out[self.p, self.p] = z
         return out
 
     def schur(self, z, s_inv):
-        return (self.Pt * (z * s_inv)) @ self.P
+        return (self.Pt * (z * s_inv)) @ self.P, self.Pt @ s_inv
 
 
 class _Pinched(_Semidefinite):
@@ -554,7 +554,9 @@ class _Pinched(_Semidefinite):
     (W^dagger P_c S^-1 P_c W)[c_i, r_k]: formed whole when every block has
     width 1 (r_i = c_i = i), and otherwise gathered (take) from the M x M
     products over wide = (W, rows r_i, columns c_i), W = [W_1 ... W_N]
-    unpadded."""
+    unpadded. K's block entries, the (W^dagger S^-1 W)[c_i, r_i], are the
+    diagonal of its K_c summed over the clusters (S^-1 is pinched like S);
+    K is formed as W^dagger (S^-1 W), as blocks forms its entries."""
 
     mask = take = None
 
@@ -576,7 +578,7 @@ class _Pinched(_Semidefinite):
 
     def total(self, a):
         t = (self.wr * a) @ self.wct
-        return [t if self.mask is None else t * self.mask]
+        return t if self.mask is None else t * self.mask
 
     def blocks(self, z):
         u = (self.wc * (z @ self.wr)).sum(axis=0)
@@ -585,16 +587,16 @@ class _Pinched(_Semidefinite):
     def pinched(self, x):
         return x if self.mask is None else x * self.mask
 
-    @staticmethod
-    def dense(parts):
-        return parts[0]
+    dense = staticmethod(lambda z: z)
 
     def schur(self, z, s_inv):
-        y, k = self.gh @ z @ self.g, self.gh @ s_inv @ self.g
+        y, k = self.gh @ z @ self.g, self.gh @ (s_inv @ self.g)
         if self.take is not None:
             y, k = y.ravel()[self.take], k.ravel()[self.take]
-        t = y * k.swapaxes(-1, -2)
-        return t if self.mask is None else t.sum(axis=0)
+        t, u = y * k.swapaxes(-1, -2), k.diagonal(axis1=-2, axis2=-1)
+        if self.mask is not None:
+            t, u = t.sum(axis=0), u.sum(axis=0)
+        return t, u.real if self.real else u
 
 
 class _Layout:
@@ -609,13 +611,14 @@ class _Layout:
     transposed X1_j[c_i, r_i], so that Tr(X1 A) is their plain dot product;
     both are real when every block has width 1. Its form, ax, is _Entries
     (a real vector) when every block has width 1, _Stack when none has and
-    _Split, the pair, otherwise; cones turns an entry vector into that form
-    and entries turns it back. The form of (S, Z), sz, is _Diagonal (a real
-    vector) when every cluster is one coordinate and _Pinched (the dense
-    matrix) otherwise. Between the two, total is
-    pinch(sum_j W_j a_j W_j^dagger), before its Hermitian part and as the
-    list of the one part of (S, Z); blocks, its adjoint, the entries of the
-    W_j^dagger Z W_j; pinched and dense map d x d matrices in and out.
+    _Split, the pair, otherwise; ax.cones turns an entry vector into that
+    form and ax.entries turns it back. The form of (S, Z), sz, is _Diagonal
+    (a real vector) when every cluster is one coordinate and _Pinched (the
+    dense matrix) otherwise. Between the two, sz.total maps an entry vector
+    to pinch(sum_j W_j a_j W_j^dagger), before its Hermitian part;
+    sz.blocks, its adjoint, maps Z to the entries of the W_j^dagger Z W_j;
+    sz.pinched and sz.dense map d x d matrices in and out. The layout
+    itself keeps the two forms and the entry tables (place, swap, eye).
     """
 
     def __init__(self, w: np.ndarray, widths: np.ndarray, clusters: np.ndarray):
@@ -625,16 +628,15 @@ class _Layout:
         self.real = nv == widths.size
         wide = None
         if self.real:
-            self.n = n = nv
-            self.place, self.swap, self.eye = (np.arange(n), 0, 0), slice(None), np.ones(n)
+            self.place, self.swap, self.eye = (np.arange(nv), 0, 0), slice(None), np.ones(nv)
             wr = wc = w[:, :, 0].T
-            self.ax = _Entries(n, n)
+            self.ax = _Entries(nv, nv)
         else:
             order = np.argsort(~thin, kind="stable")  # width-1 blocks first
             widths = widths[order]
             real = np.arange(w.shape[2]) < widths[:, None]
             blk, row, col = np.nonzero(real[:, :, None] & real[:, None, :])
-            self.n = n = blk.size
+            n = blk.size
             first = np.cumsum(widths ** 2) - widths ** 2
             self.swap = first[blk] + col * widths[blk] + row  # the entry of the transpose
             self.place = order[blk], row, col  # each entry in an (N, b, b) stack
@@ -653,9 +655,6 @@ class _Layout:
         else:
             self.sz = _Pinched(clusters, wr, wc, wide)
         self.orthant = self.real and lone.all()  # every cone an orthant: an LP
-        self.cones, self.entries = self.ax.cones, self.ax.entries
-        self.total, self.blocks = self.sz.total, self.sz.blocks
-        self.pinched, self.dense = self.sz.pinched, self.sz.dense
 
     def stacked(self, a: np.ndarray) -> np.ndarray:
         """The (N, b, b) stack of the blocks of A's entry vector a."""
@@ -664,29 +663,31 @@ class _Layout:
         return out
 
 
-def _newton_system(lay: _Layout, x1, a_inv, z, s_inv) -> np.ndarray:
+def _newton_system(lay: _Layout, x1, a_inv, z, s_inv) -> tuple[np.ndarray, np.ndarray]:
     """Schur complement of the HKM Newton system over the entries of the
     blocks (_Layout): with E_i the unit matrix of entry i,
     T[i, k] = Tr(E_i X1 E_k A^-1) + sum_c Tr(E_i Y_c E_k K_c) and
     S = T + T^T, for Y_c = W^dagger P_c Z P_c W and K_c = W^dagger P_c S^-1 P_c W
     over the clusters P_c of the constraint, W unpadded. x1 and a_inv are
-    in the form of lay.ax (_Layout.cones), z and s_inv in that of lay.sz.
+    in the form of lay.ax (ax.cones), z and s_inv in that of lay.sz.
 
-    The (S, Z) part gives the cluster term (_Diagonal, _Pinched) and the
-    (A, X1) part adds its own: x1 / a on the diagonal for width-1 blocks,
-    one gather over the entry pairs inside a block for the wider ones.
-    Returned is the real system S.real + S[:, swap].imag, S itself when
-    every cone is an orthant. It maps the real coordinates h of a Hermitian
-    dA, whose entries are v = (1 + i) h + (1 - i) h[swap], to Re u + Im u
-    with u_i = Tr(E_i H) for H the Hermitian part of
+    The (S, Z) form's schur gives the cluster term (_Diagonal, _Pinched)
+    and K's block entries, those of the W_j^dagger S^-1 W_j, which the
+    centering term reads; the (A, X1) form adds its own term: x1 / a on
+    the diagonal for width-1 blocks, one gather over the entry pairs inside
+    a block for the wider ones. Returned are the real system
+    S.real + S[:, swap].imag (S itself when every cone is an orthant) and
+    K's block entries. The system maps the real coordinates h of a
+    Hermitian dA, whose entries are v = (1 + i) h + (1 - i) h[swap], to
+    Re u + Im u with u_i = Tr(E_i H) for H the Hermitian part of
     X1 dA A^-1 + sum_c Y_c dA K_c, and costs (sum_j m_j^2)^2 per cluster
     however the widths differ. On the central path (X1 = A^-1 / t,
     Z = S^-1 / t) H is the negated Hessian of the log barrier over t,
     applied to dA."""
-    t = lay.sz.schur(z, s_inv)
+    t, k = lay.sz.schur(z, s_inv)
     lay.ax.add_schur(t, x1, a_inv)
     t = t + t.T
-    return t if lay.orthant else t.real + t[:, lay.swap].imag
+    return (t if lay.orthant else t.real + t[:, lay.swap].imag), k
 
 
 def _embed(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -699,7 +700,7 @@ def _step_lengths(lay: _Layout, factors, primal, dual, to_boundary) -> np.ndarra
     """Primal and dual step lengths, each at most 1 and at most
     to_boundary of the way to the boundary of its cones. factors holds the
     factors of (A, X1) and of (S, Z); primal and dual hold the directions
-    (dA, dS) and (dX1, dZ), each with its cone parts."""
+    (dA, dS) and (dX1, dZ), each with its cone form."""
     (fa, fs), (_, da, ds), (_, dx1, dz) = factors, primal, dual
     low = np.minimum(lay.ax.lows(fa, da, dx1), lay.sz.lows(fs, ds, dz))
     return to_boundary / np.maximum(to_boundary, -low)
@@ -766,8 +767,8 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     # Tr(rho pinch(X)) = Tr(pinch(rho) X), and X1 = W_j^dagger (Z - rho) W_j
     # is formed from the difference, so no two products of norm ||W||^2 ||Z||
     # cancel
-    rho, ones = lay.pinched(rho), lay.pinched(np.eye(d, dtype=complex))
-    gains = lay.blocks(rho)  # the entries of W_j^dagger rho W_j
+    rho, ones = sz.pinched(rho), sz.pinched(np.eye(d, dtype=complex))
+    gains = sz.blocks(rho)  # the entries of W_j^dagger rho W_j
     to_boundary = _TO_BOUNDARY_ORTHANT if lay.orthant else _TO_BOUNDARY
 
     # strictly feasible start: scaled identities keeping the total below
@@ -779,19 +780,19 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     norm_sum = float((np.abs(w[thin, :, 0]) ** 2).sum() + spectra(grams)[:, -1].sum())
     a = lay.eye * (0.5 / norm_sum)
     z = ones
-    while ax.spectrum(lay.cones(lay.blocks(z - rho), True)).min() <= 0.0:
+    while ax.spectrum(ax.cones(sz.blocks(z - rho), True)).min() <= 0.0:
         z = 2.0 * z
 
     iterations = 0
     while True:
-        s, x1 = ones - sz.herm(lay.total(a)[0]), lay.blocks(z - rho)
-        ap, xp = lay.cones(a), lay.cones(x1, True)
+        s, x1 = ones - sz.herm(sz.total(a)), sz.blocks(z - rho)
+        ap, xp = ax.cones(a), ax.cones(x1, True)
         xa, zs = ax.mul(xp, ap), sz.mul(z, s)
         gap = float((x1 @ a).real + sz.inner(z, s))
         mu = gap / nu
         commuting = math.sqrt(ax.inner(xa, xa)) + math.sqrt(sz.inner(zs, zs)) <= gap
         if commuting and gap <= CERT_TOL and sum(_certificate_ranks(sz.spectrum(z), sz.spectrum(s))) <= d:
-            return lay.stacked(a), iterations, gap, lay.dense([z])
+            return lay.stacked(a), iterations, gap, sz.dense(z)
         if iterations >= MAX_ITERATIONS:
             raise NotConvergedError(
                 f"iteration budget {MAX_ITERATIONS} exhausted at duality gap {gap:.3e}"
@@ -802,9 +803,8 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
             (a_inv, fa), (s_inv, fs) = ax.factors(ap, xp), sz.factors(s, z)
         except np.linalg.LinAlgError:
             raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
-        schur = _newton_system(lay, xp, a_inv, z, s_inv)
-        # S^-1 is pinched like S, so the diagonal blocks of sum_c K_c are W_j^dagger S^-1 W_j
-        centering = lay.entries(a_inv) - lay.blocks(s_inv)
+        schur, k = _newton_system(lay, xp, a_inv, z, s_inv)
+        centering = ax.entries(a_inv) - k  # the entries of A^-1 - W_j^dagger S^-1 W_j
 
         def solve(rhs):
             if schur.shape == (1, 1):
@@ -821,20 +821,20 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
         def direction(target, affine=None):
             """HKM direction to the central point of parameter target,
             with the Mehrotra corrections of an affine direction: the steps
-            (dA, dS) and (dX1, dZ), dA and dX1 as entries and cone parts."""
+            (dA, dS) and (dX1, dZ), dA and dX1 as entries and cone form."""
             rhs, corr_s = target * centering + gains, 0.0
             if affine is not None:
                 (_, da0, ds0), (_, dx0, dz0) = affine
                 corr_s = sz.herm(sz.mul(sz.mul(dz0, ds0), s_inv))
-                rhs = rhs - lay.entries(ax.herm(ax.mul(ax.mul(dx0, da0), a_inv))) + lay.blocks(corr_s)
+                rhs = rhs - ax.entries(ax.herm(ax.mul(ax.mul(dx0, da0), a_inv))) + sz.blocks(corr_s)
             # in the real coordinates of _newton_system: Re u + Im u of the
             # entries u, and back, dA of entries (1 + i) h + (1 - i) h[swap]
             h = solve(rhs if lay.real else rhs.real + rhs.imag)
             da = 2.0 * h if lay.real else (1 + 1j) * h + (1 - 1j) * h[lay.swap]
-            ds = lay.total(-da)[0]
+            ds = sz.total(-da)
             dz = sz.herm(target * s_inv - z - sz.mul(sz.mul(z, ds), s_inv) - corr_s)
-            dx1 = lay.blocks(dz)
-            return (da, lay.cones(da), ds), (dx1, lay.cones(dx1, True), dz)
+            dx1 = sz.blocks(dz)
+            return (da, ax.cones(da), ds), (dx1, ax.cones(dx1, True), dz)
 
         if not commuting:
             primal, dual = direction(mu)

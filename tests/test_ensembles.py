@@ -384,6 +384,34 @@ def test_dim_larger_than_order_rejected():
         build_symmetric_ensemble(c, 3)
 
 
+def test_symmetry_and_ensemble_shapes_are_refused():
+    with pytest.raises(InvalidPhasesError, match="group order must be >= 1, got 0"):
+        SymmetrySpec(order=0, phases=[1.0])
+    with pytest.raises(InfeasibleInputError, match="ensemble must contain at least one state"):
+        StateEnsemble(dim=2, priors=[], states=np.zeros((0, 2, 2)))
+    with pytest.raises(InfeasibleInputError, match="symmetry phases have length 3, expected 2"):
+        StateEnsemble(dim=2, priors=[1.0], states=np.eye(2)[None] / 2.0,
+                      symmetry=SymmetrySpec(order=1, phases=np.ones(3)))
+
+
+def test_build_symmetric_ensemble_refuses_phases_and_references_of_the_wrong_shape():
+    c = np.array([0.6, 0.64, 0.48])
+    with pytest.raises(InvalidPhasesError, match="2 phases for dimension 3"):
+        build_symmetric_ensemble(c, 3, phases=default_phases(3, 2))
+    with pytest.raises(InfeasibleInputError, match=r"vector or square matrix, got shape \(2, 3\)"):
+        build_symmetric_ensemble(np.ones((2, 3)) / 3.0, 3)
+
+
+def test_validate_flags_repeated_phases():
+    # a usable ensemble: flagged, not refused
+    c = np.array([0.6, 0.64, 0.48])
+    e = build_symmetric_ensemble(c, 3, phases=(1.0, 1.0, np.exp(2j * np.pi / 3)))
+    report = validate(e)
+    assert report.ok
+    assert any(f.startswith("symmetry eigenphases are not pairwise distinct") for f in report.flags)
+    assert not any("pairwise distinct" in f for f in validate(build_symmetric_ensemble(c, 3)).flags)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 6))
 def test_random_symmetric_ensembles_validate(seed, order):

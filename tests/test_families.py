@@ -27,6 +27,16 @@ def test_family_validation():
         SymmetricFamily.flat(order=2, dim=3, purity=1.0)
 
 
+def test_closed_forms_refuse_families_outside_their_scope():
+    mixed = SymmetricFamily.qubit(order=3, purity=0.5, angle=1.0)
+    with pytest.raises(InfeasibleInputError, match="pure family solution requires purity = 1"):
+        pure_symmetric_solution(mixed)
+    with pytest.raises(InfeasibleInputError, match="square-root measurement comparison requires purity = 1"):
+        square_root_measurement(mixed)
+    with pytest.raises(InfeasibleInputError, match="qubit family solution requires dim = 2"):
+        qubit_mixed_solution(SymmetricFamily.flat(order=4, dim=3, purity=0.5))
+
+
 def test_family_rejects_nan_coefficients():
     # a NaN norm fails no comparison, so the norm test must be written to fail on it
     with pytest.raises(InfeasibleInputError):

@@ -31,6 +31,13 @@ def test_require_hermitian_rejects_skew():
         require_hermitian(a)
 
 
+def test_require_hermitian_rejects_non_square():
+    with pytest.raises(NonHermitianError, match=r"rho must be square, got shape \(2, 3\)"):
+        require_hermitian(np.ones((2, 3)), "rho")
+    with pytest.raises(NonHermitianError, match=r"must be square, got shape \(3,\)"):
+        require_hermitian(np.ones(3))
+
+
 def test_eig_hermitian_ascending_and_reconstructs():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

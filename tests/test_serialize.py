@@ -161,6 +161,9 @@ def test_ensemble_from_json_errors():
     # the codec only parses; StateEnsemble refuses states of the wrong size
     with pytest.raises(InfeasibleInputError, match="states must have shape \\(N, 3, 3\\)"):
         ensemble_from_json({"dim": 3, "states": [one]})
+    for partial in ({"order": 1}, {"phases": sym["phases"]}, [1]):
+        with pytest.raises(InfeasibleInputError, match="symmetry: needs 'order' and 'phases'"):
+            ensemble_from_json({"dim": 2, "states": [one], "symmetry": partial})
 
 
 def test_detection_roundtrip(trine):
@@ -168,6 +171,19 @@ def test_detection_roundtrip(trine):
     det = report.detection
     back = detection_from_json(json.loads(json.dumps(detection_to_json(det))))
     assert np.array_equal(back.operators, det.operators)
+
+
+def test_detection_and_certificate_from_json_errors(trine):
+    report = solve_rank1_symmetric(trine)
+    obj = detection_to_json(report.detection)
+    with pytest.raises(InfeasibleInputError, match="detection: expected an object with 'operators'"):
+        detection_from_json({"dim": obj["dim"]})
+    with pytest.raises(InfeasibleInputError, match="detection: declared dim 3 != operator dim 2"):
+        detection_from_json(dict(obj, dim=3))
+    cert = certificate_to_json(report.certificate)
+    del cert["z"]
+    with pytest.raises(InfeasibleInputError, match="certificate: expected an object with field 'z'"):
+        dual_from_certificate_json(cert)
 
 
 def test_certificate_json_carries_dual(trine):
