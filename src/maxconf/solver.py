@@ -41,8 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg as _lapack
 
 from .ensembles import StateEnsemble, average_state, orbit
 from .errors import (
@@ -71,6 +74,16 @@ from .operators import (
 
 _TO_BOUNDARY = 0.98  # largest fraction of the way to a cone boundary per step
 _TO_BOUNDARY_ORTHANT = 0.999  # the same when every cone is an orthant (an LP)
+
+
+# numpy.linalg's LAPACK gufuncs, called without its wrappers' argument checks
+# and per-call errstate (numpy >= 2.0 signatures): a block that does not factor
+# or converge and a singular system come out NaN, silently under the
+# errstate(invalid="ignore") that _interior_point runs in, and the caller checks
+_cholesky = partial(_lapack.cholesky_lo, signature="D->D")
+_inv = partial(_lapack.inv, signature="D->D")
+_eigvalsh = partial(_lapack.eigvalsh_lo, signature="D->d")
+_solve = partial(_lapack.solve1, signature="dd->d")
 
 
 @dataclass(frozen=True)
@@ -391,7 +404,7 @@ class _Orthant:
         Raises LinAlgError where an entry is not positive, NaN included."""
         pair = np.array((x, y))
         if not pair.min() > 0.0:
-            raise np.linalg.LinAlgError("orthant entry is not positive")
+            raise LinAlgError("orthant entry is not positive")
         inverses = 1.0 / pair
         return inverses[0], inverses
 
@@ -404,8 +417,10 @@ class _Orthant:
 
 class _Semidefinite:
     """Cone operations on semidefinite blocks, one matrix or a stack of
-    them, by stacked cholesky / inv / eigvalsh; pad, the identity on the
-    padding of a stack, is added only to factor them."""
+    them, by LAPACK's stacked cholesky / inv / eigvalsh gufuncs called
+    directly (_cholesky, _inv, _eigvalsh), inside _interior_point's one
+    errstate(invalid="ignore"); pad, the identity on the padding of a
+    stack, is added only to factor them."""
 
     mul = np.matmul
     herm = staticmethod(hermitian_part)
@@ -416,23 +431,27 @@ class _Semidefinite:
         return np.vdot(x, y).real
 
     def spectrum(self, x):
-        return np.linalg.eigvalsh(x if self.pad is None else x + self.pad).ravel()
+        return _eigvalsh(x if self.pad is None else x + self.pad).ravel()
 
     def factors(self, x, y):
         """The inverse of x, and the inverse Cholesky factors
         (L^-1, L^-dagger) of (x, y) that lows bounds steps with. Raises
-        LinAlgError where a block is not positive definite."""
+        LinAlgError where a block is not positive definite: its factor,
+        and so its inverse, is NaN."""
         pair = np.array((x, y))
-        f = np.linalg.inv(np.linalg.cholesky(pair if self.pad is None else pair + self.pad))
+        f = _inv(_cholesky(pair if self.pad is None else pair + self.pad))
+        if not math.isfinite(np.vdot(f, f).real):  # a NaN or inf anywhere makes it so
+            raise LinAlgError("block is not positive definite")
         fh = f.conj().swapaxes(-1, -2)
         return fh[0] @ f[0], (f, fh)
 
     @staticmethod
     def lows(factors, dx, dy):
         """The smallest eigenvalues of L^-1 dx L^-dagger and of
-        L^-1 dy L^-dagger, per block."""
+        L^-1 dy L^-dagger, per block (NaN where eigvalsh did not
+        converge)."""
         f, fh = factors
-        return np.linalg.eigvalsh(f @ np.array((dx, dy)) @ fh)[..., 0]
+        return _eigvalsh(f @ np.array((dx, dy)) @ fh)[..., 0]
 
 
 class _Entries(_Orthant):
@@ -706,6 +725,18 @@ def _step_lengths(lay: _Layout, factors, primal, dual, to_boundary) -> np.ndarra
     return to_boundary / np.maximum(to_boundary, -low)
 
 
+def _factored(form, x, y, pair: str, gap: float):
+    """form.factors(x, y), or NotConvergedError naming the cone pair that
+    left its cone, at the duality gap of the iterate."""
+    try:
+        return form.factors(x, y)
+    except LinAlgError:
+        raise NotConvergedError(
+            f"iterate left the cone at duality gap {gap:.3e}: {pair} not positive definite"
+        ) from None
+
+
+@np.errstate(invalid="ignore")
 def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters: np.ndarray):
     """Maximize sum_j Tr(rho W_j a_j W_j^dagger) over a_j >= 0 with
     pinch(sum_j W_j a_j W_j^dagger) <= 1, pinch(X) = sum_c P_c X P_c, and
@@ -726,14 +757,15 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     operations directly: the width-1 blocks and an all-one-coordinate
     (S, Z) as real vectors, factored, inverted and step-bounded
     elementwise, and the wider blocks and a dense (S, Z) as semidefinite
-    blocks, by stacked cholesky / inv / eigvalsh, the blocks padded to the
-    widest of them only to factor them. A generic ensemble of width-1
-    blocks thus has vector A with dense S and Z, and a cyclic one with
-    distinct phases and a simple top eigenvalue only vectors: a linear
-    program. Each iteration builds the Schur complement (_newton_system)
-    over the sum_j m_j^2 entries of the blocks once and solves it, in real
-    arithmetic, for the predictor and the corrector; a 1 x 1 system is a
-    division by its pivot, refused unless it is > 0.
+    blocks, by LAPACK's stacked cholesky / inv / eigvalsh gufuncs called
+    directly, the blocks padded to the widest of them only to factor them.
+    A generic ensemble of width-1 blocks thus has vector A with dense S and
+    Z, and a cyclic one with distinct phases and a simple top eigenvalue
+    only vectors: a linear program. Each iteration builds the Schur
+    complement (_newton_system) over the sum_j m_j^2 entries of the blocks
+    once and solves it, in real arithmetic, for the predictor and the
+    corrector; a 1 x 1 system is a division by its pivot, refused unless it
+    is > 0.
 
     Near the optimum a predictor-corrector step can leave a pair far from
     commuting: Tr(Z S) ~ gap while ||Z S|| ~ sqrt(gap), too large for the
@@ -757,8 +789,12 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     no stop: a small detection rate R leaves S's kernel eigenvalue (about
     gap / R) above the rank cutoff, or Z (of norm R) without a rank, until
     the path goes deeper. Raises NotConvergedError if MAX_ITERATIONS runs
-    out first, if rounding puts an iterate outside the cones or makes it
-    NaN, or if the Schur complement is singular.
+    out first, if rounding puts an iterate outside the cones (naming the
+    pair that left) or makes it NaN, or if the Schur complement is
+    singular. The whole solve runs under one errstate(invalid="ignore"),
+    in which a failed factor or solve comes out NaN with no RuntimeWarning;
+    each factor and solution is checked for finiteness, so that the
+    iterate that made the NaN stops at its finite gap.
     """
     lay = _Layout(w, widths, clusters)
     ax, sz = lay.ax, lay.sz
@@ -797,12 +833,12 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
             raise NotConvergedError(
                 f"iteration budget {MAX_ITERATIONS} exhausted at duality gap {gap:.3e}"
             )
-        if math.isnan(gap):  # numpy's cholesky lets a NaN iterate through
+        # the backstop for a NaN iterate, such as one moved by the NaN step
+        # length of an eigvalsh that did not converge (_Semidefinite.lows)
+        if math.isnan(gap):
             raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}")
-        try:
-            (a_inv, fa), (s_inv, fs) = ax.factors(ap, xp), sz.factors(s, z)
-        except np.linalg.LinAlgError:
-            raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}") from None
+        a_inv, fa = _factored(ax, ap, xp, "(A, X1)", gap)
+        s_inv, fs = _factored(sz, s, z, "(S, Z)", gap)
         schur, k = _newton_system(lay, xp, a_inv, z, s_inv)
         centering = ax.entries(a_inv) - k  # the entries of A^-1 - W_j^dagger S^-1 W_j
 
@@ -812,10 +848,9 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
                 if pivot > 0.0:  # a NaN pivot fails it too
                     return rhs / pivot
             else:
-                try:
-                    return np.linalg.solve(schur, rhs)
-                except np.linalg.LinAlgError:
-                    pass
+                h = _solve(schur, rhs)
+                if math.isfinite(h @ h):  # a NaN or inf anywhere makes it so
+                    return h
             raise NotConvergedError(f"singular Newton system at duality gap {gap:.3e}")
 
         def direction(target, affine=None):

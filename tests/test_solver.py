@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -440,15 +441,16 @@ def test_solve_numeric_iteration_budget(trine, monkeypatch):
 def test_singular_newton_system_does_not_converge(trine, monkeypatch):
     # a singular Schur complement leaves the interior point as a cone exit
     # does, not as a bare numpy error: the trine without its symmetry has a
-    # 3 x 3 system, solved by np.linalg.solve; the covariant trine's is
-    # 1 x 1, a division that refuses a pivot not > 0, NaN included, with no
-    # RuntimeWarning
-    def singular(*_):
-        raise np.linalg.LinAlgError("Singular matrix")
+    # 3 x 3 system, solved by LAPACK's solve1 (solver._solve), which returns
+    # NaN for a singular one under the loop's errstate; the covariant
+    # trine's is 1 x 1, a division that refuses a pivot not > 0, NaN
+    # included, with no RuntimeWarning
+    def singular(_, rhs):
+        return np.full_like(rhs, np.nan)
 
     generic = StateEnsemble(dim=trine.dim, priors=trine.priors, states=trine.states)
     with monkeypatch.context() as patched:
-        patched.setattr(solver.np.linalg, "solve", singular)
+        patched.setattr(solver, "_solve", singular)
         with pytest.raises(NotConvergedError, match="singular Newton system"):
             solve_numeric(generic)
     system = solver._newton_system
@@ -553,6 +555,47 @@ def test_width_one_cone_matches_stacked_linear_algebra(n):
                     np.linalg.cholesky(blocks(x, broken))
             with pytest.raises(np.linalg.LinAlgError):
                 _Orthant.factors(x, broken)
+
+
+def _negating_second(factors):
+    """A cone form's factors with the second matrix of its pair negated:
+    a negative definite block, whose LAPACK cholesky fails."""
+    return lambda self, x, y: factors(self, x, -y)
+
+
+@pytest.mark.parametrize("failure", ["(S, Z)", "(A, X1)", "singular"])
+def test_a_failure_in_the_loop_stops_at_a_finite_gap_without_a_warning(trine, monkeypatch, failure):
+    # LAPACK's gufuncs return NaN, under the loop's errstate, for a block
+    # that does not factor and for a singular system; each must stop the
+    # solve there with NotConvergedError at the finite gap of the iterate
+    # that failed, warn nothing and leave numpy's error state as it was:
+    # a non-positive-definite dense (S, Z) (the trine without its
+    # symmetry), a non-positive-definite wide (A, X1) stack (widths 2, 2
+    # and 1) and a singular 3 x 3 Newton system (the zero matrix)
+    generic = StateEnsemble(dim=trine.dim, priors=trine.priors, states=trine.states)
+    if failure == "(S, Z)":
+        e, message = generic, r"iterate left the cone at duality gap (\S+): \(S, Z\) not positive definite$"
+        monkeypatch.setattr(solver._Pinched, "factors", _negating_second(solver._Pinched.factors))
+    elif failure == "(A, X1)":
+        e, message = mixed_width_ensemble(np.random.default_rng(21)), \
+            r"iterate left the cone at duality gap (\S+): \(A, X1\) not positive definite$"
+        monkeypatch.setattr(solver._Stack, "factors", _negating_second(solver._Stack.factors))
+    else:
+        e, message = generic, r"singular Newton system at duality gap (\S+)$"
+        system = solver._newton_system
+
+        def singular(*args):
+            t, k = system(*args)
+            return 0.0 * t, k
+
+        monkeypatch.setattr(solver, "_newton_system", singular)
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConvergedError, match=message) as raised:
+            solve_numeric(e)
+    assert np.isfinite(float(re.search(message, str(raised.value)).group(1)))
+    assert np.geterr() == state
 
 
 def test_interior_point_stops_on_a_nan_iterate():
@@ -910,14 +953,13 @@ def test_verify_certificate_ranks_use_hermitian_part(trine):
 
 
 def _counting_linalg(monkeypatch, names, active=lambda: True):
-    """Wrap the numpy.linalg functions names so that each call made while
-    active() holds is listed with its name and argument shape; returns the
-    list."""
+    """Wrap the numpy.linalg functions names, and the interior point's
+    direct LAPACK route to those of them it takes (solver._cholesky,
+    _inv, _eigvalsh, _solve), so that each call made while active() holds
+    is listed with its name and argument shape; returns the list."""
     calls = []
 
-    def counting(name):
-        original = getattr(np.linalg, name)
-
+    def counting(name, original):
         def wrapped(a, *args, **kwargs):
             if active():
                 calls.append((name, np.shape(a)))
@@ -926,7 +968,9 @@ def _counting_linalg(monkeypatch, names, active=lambda: True):
         return wrapped
 
     for name in names:
-        monkeypatch.setattr(np.linalg, name, counting(name))
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        if name in ("cholesky", "inv", "eigvalsh", "solve"):
+            monkeypatch.setattr(solver, f"_{name}", counting(name, getattr(solver, f"_{name}")))
     return calls
 
 
@@ -978,8 +1022,10 @@ def test_width_one_blocks_stay_out_of_the_factored_stacks(monkeypatch):
     # one pair of 8 x 8 blocks (padding every block to 8 x 8 gives (2, 30, 8, 8))
     e = _with_averages(np.random.default_rng(23), 8, 30, [0])
     calls, _ = _linalg_calls_of_interior_point(monkeypatch, e)
+    # the count sees the loop's factors, inverses, step bounds and solves
+    assert {name for name, _ in calls} == {"cholesky", "inv", "eigvalsh", "solve"}, calls
     stacks = [shape for name, shape in calls if name in ("cholesky", "inv", "eigvalsh")]
-    assert stacks and all(int(np.prod(shape[:-2])) <= 2 for shape in stacks), stacks
+    assert all(int(np.prod(shape[:-2])) <= 2 for shape in stacks), stacks
 
 
 def test_verify_certificate_diagonalizes_each_operator_once(trine, monkeypatch):
