@@ -30,7 +30,7 @@ from .operators import (
     TOL_RECON,
     TRACE_TOL,
     hermitian_part,
-    support_rank,
+    numerical_rank,
 )
 
 
@@ -250,7 +250,8 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     violations, _, rho = _violations(e)
     flags: list[str] = []
     if rho is not None:  # non-finite input is reported alone
-        if support_rank(rho, e.dim * EPS) < e.dim:
+        w = np.abs(np.linalg.eigvalsh(rho))
+        if numerical_rank(w, e.dim * EPS * max(w.max(), 1.0)) < e.dim:
             flags.append("average state is rank deficient; detection operators live on its support")
         if e.symmetry is not None and e.n_states == e.symmetry.order and not e.symmetry.distinct():
             flags.append("symmetry eigenphases are not pairwise distinct; "

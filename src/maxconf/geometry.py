@@ -36,6 +36,7 @@ from .operators import (
     EPS,
     SPLIT_TOL,
     TOL_CONF,
+    numerical_rank,
     opnorm,
 )
 
@@ -102,7 +103,7 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=kept)
     floor = d * EPS * np.sqrt(priors @ (lam[:, -1] ** 2 * inv.sum(axis=1)))
     u, sigma, vh = np.linalg.svd(f.transpose(1, 0, 2).reshape(d, n * k), full_matrices=False)
-    r = int(np.count_nonzero(sigma > floor))
+    r = numerical_rank(sigma, floor)
     u, sigma = u[:, :r], sigma[:r]
     v = vh[:r].conj().T.reshape(n, k, r)
     if k == 1:  # a one-row V_j is its own SVD: its norm and its direction
@@ -117,7 +118,7 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     if k == 1:  # every norm is nonzero now
         gh = v / s[:, :, None]
     # top cluster: eigenvalues within a relative gap of the maximum
-    degeneracies = (s**2 >= confidences[:, None] * (1 - DEGENERACY_RTOL)).sum(axis=1)
+    degeneracies = numerical_rank(s**2, confidences * (1 - DEGENERACY_RTOL))
     width = int(degeneracies.max())
     cols = np.arange(width) < degeneracies[:, None]
     g = gh[:, :width].conj().swapaxes(1, 2) * cols[:, None, :]

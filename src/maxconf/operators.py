@@ -7,14 +7,14 @@ pins down the numerical conventions the rest of the package relies on:
 * fractional and negative matrix powers are restricted to the support,
 * every numerical threshold of the package is named once in the table
   below, with the reason for its size, and imported from here. Values are
-  absolute unless marked relative: the two rank cutoffs SUPPORT_RTOL (read
-  by psd_power alone) and RANK_CUTOFF scale with the largest eigenvalue
-  magnitude, floored at 1 (support_cutoff; every rank helper takes its
-  rtol explicitly), except that a certificate's rank of Z scales with ||Z||
-  alone, DEGENERACY_RTOL scales with C_j itself, and geometry's rank floors
-  are built from EPS: d EPS ||rho_j|| on each state, and the error that
-  leaves in the stacked state factors; validate flags rho as rank
-  deficient below d EPS.
+  absolute unless marked relative,
+* every numerical rank is numerical_rank, the count of a spectrum's
+  entries strictly above a cut that each caller writes in full: RANK_CUTOFF
+  max|z| for Z (no floor), RANK_CUTOFF max(max|w|, 1) for Pi_0 and each
+  Q_j^dagger rho_j Q_j, d u max(||rho||, 1) for validate's flag, and in
+  geometry the rounding floor from d u ||rho_j|| for F's singular values
+  and C_j (1 - DEGENERACY_RTOL) for the top cluster. psd_power's support
+  mask alone reads SUPPORT_RTOL, floored at 1 in the same way.
 """
 
 from __future__ import annotations
@@ -53,14 +53,12 @@ ZERO_PROB = 1e-14  # an outcome less likely than this has no defined confidence 
 MAX_ITERATIONS = 10000  # interior-point iterations of one solve
 
 
-def support_cutoff(eigenvalues: np.ndarray, rtol: float) -> np.ndarray:
-    """Absolute threshold below which eigenvalues count as zero.
-
-    rtol times the largest eigenvalue magnitude, with a floor of 1 so that
-    all-zero or tiny operators do not produce a vanishing cutoff. For a
-    stack (..., d) of spectra, one cutoff per spectrum, shape (...).
-    """
-    return rtol * np.maximum(np.abs(eigenvalues).max(axis=-1, initial=0.0), 1.0)
+def numerical_rank(w: np.ndarray, cut: float | np.ndarray) -> int | np.ndarray:
+    """The package's one rank rule: the number of entries of a spectrum
+    (k,) strictly above ``cut``, an int; for a stack (..., k) of spectra,
+    the count of each against its own cut, shape (...)."""
+    rank = (w > np.asarray(cut)[..., None]).sum(axis=-1)
+    return rank if np.ndim(rank) else int(rank)
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -101,9 +99,9 @@ def psd_power(a: np.ndarray, exponent: float) -> np.ndarray:
     a stack (..., d, d).
 
     Positive exponents clip tiny negative eigenvalues to zero; exponents
-    <= 0 act only on the support (eigenvalues above the support cutoff)
-    and vanish on the kernel, so exponent 0 gives the support projector
-    and negative exponents the pseudo-power.
+    <= 0 act only on the support (eigenvalues above SUPPORT_RTOL times the
+    largest magnitude, floored at 1) and vanish on the kernel, so exponent
+    0 gives the support projector and negative exponents the pseudo-power.
 
     Raises NotPSDError if an eigenvalue of any matrix is below -TOL_PSD.
     """
@@ -114,19 +112,10 @@ def psd_power(a: np.ndarray, exponent: float) -> np.ndarray:
     if exponent > 0:
         pw = np.clip(w, 0.0, None) ** exponent
     else:
-        keep = w > support_cutoff(w, SUPPORT_RTOL)[..., None]
+        keep = w > SUPPORT_RTOL * np.maximum(np.abs(w).max(axis=-1, initial=0.0), 1.0)[..., None]
         pw = np.where(keep, w, 1.0) ** exponent
         pw[~keep] = 0.0
     return (v * pw[..., None, :]) @ _adjoint(v)
-
-
-def rank_of_spectrum(eigenvalues: np.ndarray, rtol: float) -> int | np.ndarray:
-    """Number of eigenvalues whose magnitude exceeds the support cutoff at
-    ``rtol``: an int for one spectrum (d,), one count per spectrum for a
-    stack (..., d)."""
-    w = eigenvalues
-    rank = (np.abs(w) > support_cutoff(w, rtol)[..., None]).sum(axis=-1)
-    return rank if np.ndim(rank) else int(rank)
 
 
 def spectra(a: np.ndarray) -> np.ndarray:
@@ -134,12 +123,6 @@ def spectra(a: np.ndarray) -> np.ndarray:
     (..., b, b): numpy's eigvalsh, except that a 1 x 1 matrix is its own
     eigenvalue, its real part, and takes no LAPACK call."""
     return a.real[..., 0] if a.shape[-1] == 1 else np.linalg.eigvalsh(a)
-
-
-def support_rank(a: np.ndarray, rtol: float) -> int | np.ndarray:
-    """Numerical rank (rank_of_spectrum) of the Hermitian part of ``a``: an
-    int for one matrix, one count per matrix for a stack (..., d, d)."""
-    return rank_of_spectrum(np.linalg.eigvalsh(hermitian_part(np.asarray(a))), rtol)
 
 
 def gram(a: np.ndarray) -> np.ndarray:

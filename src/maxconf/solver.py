@@ -66,8 +66,8 @@ from .operators import (
     gram,
     gram_norms,
     hermitian_part,
+    numerical_rank,
     opnorm,
-    rank_of_spectrum,
     require_hermitian,
     spectra,
 )
@@ -225,10 +225,10 @@ class OptimalityCertificate:
 def _certificate_ranks(z_w: np.ndarray, pi0_w: np.ndarray) -> tuple[int, int]:
     """rank Z and rank Pi_0 from their spectra. Z's eigenvalues count
     relative to ||Z|| with no floor, so a dual of a tiny detection rate keeps
-    its rank; Pi_0's against the cutoff floored at 1, as ||Pi_0|| <= 1."""
-    z_abs = np.abs(z_w)
-    rank_z = int((z_abs > RANK_CUTOFF * z_abs.max()).sum())
-    return rank_z, rank_of_spectrum(pi0_w, RANK_CUTOFF)
+    its rank; Pi_0's relative to ||Pi_0|| floored at 1, as ||Pi_0|| <= 1."""
+    z_abs, pi0_abs = np.abs(z_w), np.abs(pi0_w)
+    return (numerical_rank(z_abs, RANK_CUTOFF * z_abs.max()),
+            numerical_rank(pi0_abs, RANK_CUTOFF * max(pi0_abs.max(), 1.0)))
 
 
 def verify_certificate(
@@ -281,7 +281,8 @@ def verify_certificate(
     conditions["trace_gap"] = abs(float(z.trace().real) - rate)
 
     rank_z, rank_pi0 = _certificate_ranks(z_w, pi_w[0])
-    lower = int(rank_of_spectrum(small[n:2 * n], RANK_CUTOFF).max())
+    w_abs = np.abs(small[n:2 * n])
+    lower = int(numerical_rank(w_abs, RANK_CUTOFF * np.maximum(w_abs.max(axis=1), 1.0)).max())
     rank_ok = (rank_z + rank_pi0 <= d) and (rank_z >= lower)
 
     # *_min_eigenvalue entries fail below -tol, the residuals above tol, NaN both

@@ -6,7 +6,8 @@ runs in a few milliseconds."""
 import numpy as np
 import pytest
 
-from maxconf import DetectionSet, MaxconfError, StateEnsemble, geometry, solve_numeric, verify_certificate
+from maxconf import (DetectionSet, MaxconfError, StateEnsemble, SymmetricFamily, geometry, solve_numeric,
+                     verify_certificate)
 from maxconf.operators import psd_power
 from conftest import pure_qubit_pair, random_density
 
@@ -73,6 +74,18 @@ def test_near_degenerate_top_stays_simple(delta):
     assert abs(solve_numeric(e).failure_probability - reference) <= 1e-8
 
 
+@pytest.mark.xfail(strict=True, raises=KNOWN,
+                   reason="ROADMAP item 2: a top split near DEGENERACY_RTOL leaves the top vector inaccurate")
+@pytest.mark.parametrize("order, dim", [(8, 4), (9, 3)])
+def test_nearly_pure_flat_family_certifies(order, dim):
+    # exact Q = 0; at purity 1e-8 the top eigenvalue stays simple (m = 1)
+    # and the solve is uncertified on support_slack_min_eigenvalue and
+    # stationarity_residual, with Q = 1.5e-7 (order 8) and 9.9e-8 (order 9)
+    report = solve_numeric(SymmetricFamily.flat(order=order, dim=dim, purity=1e-8).ensemble())
+    assert report.certified, report.certificate.failures
+    assert report.failure_probability <= 1e-8
+
+
 def _rare_state(eta):
     """An unambiguous pair in d = 6: a rank-3 state of prior eta and a
     rank-2 state, so C = (1, 1) and m = (3, 2)."""
@@ -94,3 +107,31 @@ def test_rare_state_certifies(eta):
     # Z's rank 2 below the lower bound 3 and fail on rank_bound alone
     report = solve_numeric(_rare_state(eta))
     assert report.certified, report.certificate.failures
+
+
+def _near_duplicates(seed, eps):
+    """Two qutrit states (1 - eps) psi psi^dagger + eps sigma_j, uniform
+    priors: psi drawn first, then each full-rank sigma_j."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    psi = v / np.linalg.norm(v)
+    pure = np.outer(psi, psi.conj())
+    states = np.stack([(1 - eps) * pure + eps * random_density(rng, 3, 3) for _ in range(2)])
+    return StateEnsemble(dim=3, priors=[0.5, 0.5], states=states)
+
+
+@pytest.mark.xfail(strict=True, raises=KNOWN,
+                   reason="ROADMAP item 9: the loop mixes X1 of order 1 with Tr Z of order R")
+def test_near_duplicate_states_certify():
+    # the optimal R is about 3e-10; 16 of the 40 seeds leave the cone at a
+    # duality gap near 1e-17 or stop uncertified
+    failed = []
+    for seed in range(40):
+        try:
+            report = solve_numeric(_near_duplicates(seed, 1e-9))
+        except MaxconfError as exc:
+            failed.append((seed, str(exc)))
+            continue
+        if not report.certified:
+            failed.append((seed, report.certificate.failures))
+    assert failed == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxconf import NonHermitianError, NotPSDError, opnorm
-from maxconf.operators import SUPPORT_RTOL, eig_hermitian, psd_power, require_hermitian, support_rank
+from maxconf.operators import eig_hermitian, numerical_rank, psd_power, require_hermitian
 
 
 def _random_hermitian_stack(rng, n, d):
@@ -72,7 +72,7 @@ def test_support_projector_and_rank():
     g = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
     a = g @ g.conj().T
     p = psd_power(a, 0.0)
-    assert support_rank(a, SUPPORT_RTOL) == 2
+    assert numerical_rank(np.linalg.eigvalsh(p), 0.5) == 2
     assert opnorm(p @ p - p) < 1e-10
     assert opnorm(p @ a - a) < 1e-10
 
@@ -151,17 +151,46 @@ def test_psd_power_stack_rejects_one_negative_matrix():
         psd_power(stack, 0.5)
 
 
-def test_support_rank_counts_each_matrix():
+def _count_above(spectrum, cut):
+    # brute force: one comparison per entry
+    return sum(1 for x in spectrum if x > cut)
+
+
+def test_numerical_rank_matches_a_brute_force_count():
+    # entries and cuts on one small grid, so ties with the cut, zeros, and
+    # spectra with every entry dropped or kept all occur
     rng = np.random.default_rng(12)
-    ranks = [1, 3, 0, 4, 2]
-    stack = []
-    for r in ranks:
-        g = rng.standard_normal((4, r)) + 1j * rng.standard_normal((4, r))
-        stack.append(g @ g.conj().T)
-    counts = support_rank(np.stack(stack), SUPPORT_RTOL)
-    assert counts.tolist() == ranks
-    assert [support_rank(a, SUPPORT_RTOL) for a in stack] == ranks
-    assert isinstance(support_rank(stack[0], SUPPORT_RTOL), int)
+    w = np.sort(rng.integers(-1, 4, size=(40, 3, 5)).astype(float) / 2.0, axis=-1)
+    cut = rng.integers(-2, 5, size=(40, 3)).astype(float) / 2.0
+    counts = numerical_rank(w, cut)
+    assert counts.shape == (40, 3)
+    assert counts.tolist() == [[_count_above(s, c) for s, c in zip(ws, cs)] for ws, cs in zip(w, cut)]
+    assert [numerical_rank(s, c) for s, c in zip(w[0], cut[0])] == counts[0].tolist()
+    assert {0, 5} <= set(counts.ravel().tolist())  # all dropped and all kept both occurred
+    assert np.any(w == cut[..., None])  # and a tie with the cut
+
+
+@pytest.mark.parametrize("w, cut, rank", [
+    ([0.0, 1e-7, 1.0], 1e-7, 1),  # an entry exactly at the cut is dropped
+    ([0.0, 0.0, 0.0], 0.0, 0),  # zeros are not above a zero cut
+    ([0.0, 0.0, 2.0], 0.0, 1),
+    ([-1.0, 0.5, 2.0], 2.0, 0),  # all dropped
+    ([-1.0, 0.5, 2.0], -1.5, 3),  # all kept
+    ([-3.0, -2.0], -2.5, 1),  # the entries are compared as given, not by magnitude
+])
+def test_numerical_rank_of_hand_built_spectra(w, cut, rank):
+    assert numerical_rank(np.array(w), cut) == rank
+    assert numerical_rank(np.array(w), np.float64(cut)) == rank
+
+
+def test_numerical_rank_cuts_each_spectrum_of_a_stack_at_its_own_cut():
+    w = np.tile([1.0, 2.0, 3.0], (4, 1))
+    assert numerical_rank(w, np.array([0.5, 1.0, 2.5, 3.0])).tolist() == [3, 2, 1, 0]
+    # one spectrum gives an int, a stack (even of one) an integer array
+    one = numerical_rank(w[0], 1.5)
+    assert type(one) is int and one == 2
+    stack = numerical_rank(w[:1], np.array([1.5]))
+    assert isinstance(stack, np.ndarray) and stack.shape == (1,) and stack.dtype.kind == "i"
 
 
 def test_support_projector_is_power_zero():

@@ -30,7 +30,7 @@ from maxconf import (
     verify_certificate,
 )
 from maxconf import solver
-from maxconf.operators import CERT_TOL, RANK_CUTOFF, hermitian_part, support_rank
+from maxconf.operators import CERT_TOL, RANK_CUTOFF, hermitian_part
 from maxconf.solver import (
     _Layout,
     _Orthant,
@@ -1060,9 +1060,15 @@ def _reference_certificate(ensemble, detection, z, geo, tol=1e-8, projector=Fals
     """The certificate conditions and ranks, one outcome at a time: on the
     b x b compressions by the support bases Q_j, or with projector=True in
     the d x d form of Lambda_j = Q_j Q_j^dagger that the compressions replace.
-    Norms are numpy's SVD-based ones, not the Gram route of the verifier."""
+    Norms are numpy's SVD-based ones, not the Gram route of the verifier,
+    and ranks are counted here, not by the package's rank rule."""
     sym = lambda a: 0.5 * (a + a.conj().T)
     norm = lambda a: float(np.linalg.norm(a, 2))
+
+    def rank(a):  # eigenvalue magnitudes above RANK_CUTOFF max(||a||, 1)
+        w = np.abs(np.linalg.eigvalsh(sym(a)))
+        return int(np.sum(w > RANK_CUTOFF * max(w.max(), 1.0)))
+
     rho, n = geo.rho, ensemble.n_states
     z = sym(np.asarray(z, dtype=complex))
     rate = sum(float(np.trace(rho @ detection.conclusive[j]).real) for j in range(n))
@@ -1073,7 +1079,7 @@ def _reference_certificate(ensemble, detection, z, geo, tol=1e-8, projector=Fals
             q = q @ q.conj().T  # Lambda_j, so q^dagger (Z - rho) q is Lambda_j (Z - rho) Lambda_j
         slack_min = min(slack_min, float(np.linalg.eigvalsh(sym(q.conj().T @ (z - rho) @ q))[0]))
         stationarity = max(stationarity, norm(q.conj().T @ (z - rho) @ detection.conclusive[j]))
-        lower = max(lower, support_rank(q.conj().T @ ensemble.states[j] @ q, RANK_CUTOFF))
+        lower = max(lower, rank(q.conj().T @ ensemble.states[j] @ q))
     conditions = {
         "povm_min_eigenvalue": min(float(np.linalg.eigvalsh(sym(op))[0])
                                    for op in detection.operators),
@@ -1086,7 +1092,7 @@ def _reference_certificate(ensemble, detection, z, geo, tol=1e-8, projector=Fals
     }
     z_w = np.abs(np.linalg.eigvalsh(z))  # rank Z counts relative to ||Z||, with no floor
     ranks = (int(np.sum(z_w > RANK_CUTOFF * z_w.max())),
-             support_rank(detection.inconclusive, RANK_CUTOFF), lower)
+             rank(detection.inconclusive), lower)
     failures = [k for k, v in conditions.items() if (v < -tol if "min_eigenvalue" in k else v > tol)]
     if ranks[0] + ranks[1] > ensemble.dim or ranks[0] < ranks[2]:
         failures.append("rank_bound")
