@@ -8,6 +8,7 @@ state rho) carry a SymmetrySpec so solvers can pick covariant closed forms.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,8 +30,10 @@ from .operators import (
     TOL_PSD,
     TOL_RECON,
     TRACE_TOL,
+    eigh,
     hermitian_part,
     numerical_rank,
+    spectra,
 )
 
 
@@ -165,27 +168,32 @@ class ValidationReport:
         return not self.violations
 
 
+@np.errstate(invalid="ignore")
 def _violations(e: StateEnsemble):
     """The hard failures of an ensemble, as validate lists them, the eigh
     (w, v) of the Hermitian parts of its states, whose spectrum the
     positivity test reads and geometry factors the states with, and the
     Hermitian part of its average state. Non-finite input is reported alone,
-    before any spectrum is computed (eigh and average state None)."""
-    values = [e.priors, e.states] + ([e.symmetry.phases] if e.symmetry is not None else [])
-    if not all(np.isfinite(x).all() for x in values):
-        bad = sum(np.count_nonzero(~np.isfinite(x)) for x in values)
-        return [Violation("finite_values", float(bad), "priors, states and phases must be finite")], None, None
+    before any spectrum is computed (eigh and average state None); the
+    errstate keeps the inf - inf of its check from warning."""
+    adjoint = e.states.conj().swapaxes(1, 2)
+    worst_herm = float(np.abs(e.states - adjoint).max())  # not finite for an entry that is not
+    total = e.priors.sum()
+    phases = [e.symmetry.phases] if e.symmetry is not None else []
+    if not cmath.isfinite(worst_herm + total + sum(p.sum() for p in phases)):
+        bad = sum(np.count_nonzero(~np.isfinite(x)) for x in [e.priors, e.states] + phases)
+        if bad:  # else finite entries overflowed the sum
+            return [Violation("finite_values", float(bad), "priors, states and phases must be finite")], None, None
     v: list[Violation] = []
     if float(e.priors.min()) <= 0.0:
         v.append(Violation("prior_positivity", -float(e.priors.min()),
                            "priors must be strictly positive"))
-    gap = abs(float(e.priors.sum()) - 1.0)
+    gap = abs(float(total) - 1.0)
     if gap > PRIOR_TOL:
         v.append(Violation("prior_normalization", gap, "priors must sum to 1"))
 
-    worst_herm = float(np.abs(e.states - e.states.conj().swapaxes(1, 2)).max())
-    h = hermitian_part(e.states)
-    eig = np.linalg.eigh(h)
+    h = 0.5 * (e.states + adjoint)
+    eig = eigh(h)
     worst_neg = max(0.0, -float(eig[0][:, 0].min()))
     worst_trace = float(np.abs(h.trace(axis1=1, axis2=2).real - 1.0).max())
     if worst_herm > TOL_HERM:
@@ -250,7 +258,7 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     violations, _, rho = _violations(e)
     flags: list[str] = []
     if rho is not None:  # non-finite input is reported alone
-        w = np.abs(np.linalg.eigvalsh(rho))
+        w = np.abs(spectra(rho))
         if numerical_rank(w, e.dim * EPS * max(w.max(), 1.0)) < e.dim:
             flags.append("average state is rank deficient; detection operators live on its support")
         if e.symmetry is not None and e.n_states == e.symmetry.order and not e.symmetry.distinct():

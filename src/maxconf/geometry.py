@@ -38,6 +38,7 @@ from .operators import (
     TOL_CONF,
     numerical_rank,
     opnorm,
+    thin_svd,
 )
 
 
@@ -102,14 +103,14 @@ def geometry(ensemble: StateEnsemble) -> MCGeometry:
     # singular value of F below the root sum of squares of those is rounding
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=kept)
     floor = d * EPS * np.sqrt(priors @ (lam[:, -1] ** 2 * inv.sum(axis=1)))
-    u, sigma, vh = np.linalg.svd(f.transpose(1, 0, 2).reshape(d, n * k), full_matrices=False)
+    u, sigma, vh = thin_svd(f.transpose(1, 0, 2).reshape(d, n * k))
     r = numerical_rank(sigma, floor)
     u, sigma = u[:, :r], sigma[:r]
     v = vh[:r].conj().T.reshape(n, k, r)
     if k == 1:  # a one-row V_j is its own SVD: its norm and its direction
         s = _norms(v, axis=2)
     else:
-        _, s, gh = np.linalg.svd(v, full_matrices=False)
+        _, s, gh = thin_svd(v)
 
     confidences = s[:, 0] ** 2
     lost = np.flatnonzero(2 * d * confidences < priors)

@@ -14,12 +14,18 @@ pins down the numerical conventions the rest of the package relies on:
   Q_j^dagger rho_j Q_j, d u max(||rho||, 1) for validate's flag, and in
   geometry the rounding floor from d u ||rho_j|| for F's singular values
   and C_j (1 - DEGENERACY_RTOL) for the top cluster. psd_power's support
-  mask alone reads SUPPORT_RTOL, floored at 1 in the same way.
+  mask alone reads SUPPORT_RTOL, floored at 1 in the same way,
+* every eigh, eigvalsh and SVD outside the interior point is eigh,
+  spectra or thin_svd: numpy's LAPACK gufunc, with numpy's failure rule.
 """
 
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 from .errors import NonHermitianError, NotPSDError
 
@@ -53,12 +59,50 @@ ZERO_PROB = 1e-14  # an outcome less likely than this has no defined confidence 
 MAX_ITERATIONS = 10000  # interior-point iterations of one solve
 
 
+# numpy.linalg's LAPACK gufuncs (numpy >= 2.0 signatures) without its wrappers: a
+# matrix that does not factor, converge or solve comes out NaN, the invalid flag set
+_eigh = partial(_lapack.eigh_lo, signature="D->dD")
+_eigvalsh = partial(_lapack.eigvalsh_lo, signature="D->d")
+_svd = partial(_lapack.svd_s, signature="D->DdD")
+_cholesky = partial(_lapack.cholesky_lo, signature="D->D")
+_inv = partial(_lapack.inv, signature="D->D")
+_solve = partial(_lapack.solve1, signature="dd->d")
+
+
+def all_finite(a) -> bool:
+    """Whether every entry of a is finite: a . a is finite unless an entry is
+    NaN, inf or past 1e154, and only then are the entries checked one by one."""
+    return math.isfinite(np.vdot(a, a).real) or bool(np.isfinite(a).all())
+
+
+def _converged(w: np.ndarray, a: np.ndarray, routine: str = "Eigenvalues") -> np.ndarray:
+    """w, the eigenvalues or singular values LAPACK computed from a, or
+    numpy's LinAlgError if a is finite and w is not."""
+    if not all_finite(w) and all_finite(a):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+    return w
+
+
+@np.errstate(invalid="ignore")
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.linalg.eigh of each Hermitian matrix of a stack (..., d, d)."""
+    w, v = _eigh(a)
+    return _converged(w, a), v
+
+
+@np.errstate(invalid="ignore")
+def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """numpy.linalg.svd(a, full_matrices=False) of a stack (..., m, n)."""
+    u, s, vh = _svd(a)
+    return u, _converged(s, a, "SVD"), vh
+
+
 def numerical_rank(w: np.ndarray, cut: float | np.ndarray) -> int | np.ndarray:
     """The package's one rank rule: the number of entries of a spectrum
     (k,) strictly above ``cut``, an int; for a stack (..., k) of spectra,
     the count of each against its own cut, shape (...)."""
-    rank = (w > np.asarray(cut)[..., None]).sum(axis=-1)
-    return rank if np.ndim(rank) else int(rank)
+    above = w > np.asarray(cut)[..., None]
+    return above.sum(axis=-1) if above.ndim > 1 else int(np.count_nonzero(above))
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -79,19 +123,17 @@ def require_hermitian(a: np.ndarray, name: str = "operator") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonHermitianError(f"{name} must be square, got shape {a.shape}")
-    dev = float(np.abs(a - _adjoint(a)).max(initial=0.0))
+    ah = _adjoint(a)
+    dev = float(np.abs(a - ah).max()) if a.size else 0.0
     if not dev <= TOL_HERM:  # a NaN entry fails it too
         raise NonHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {TOL_HERM:.1e})")
-    return hermitian_part(a)
+    return 0.5 * (a + ah)
 
 
 def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, v) of a Hermitian operator (d, d), or of each
-    matrix of a stack (..., d, d): numpy's eigh, eigenvalues ascending.
-
-    Raises NonHermitianError if ``a`` is not Hermitian within TOL_HERM.
-    """
-    return np.linalg.eigh(require_hermitian(a))
+    """eigh of a Hermitian operator (d, d) or stack (..., d, d), eigenvalues
+    ascending; NonHermitianError if ``a`` is not Hermitian within TOL_HERM."""
+    return eigh(require_hermitian(a))
 
 
 def psd_power(a: np.ndarray, exponent: float) -> np.ndarray:
@@ -118,11 +160,12 @@ def psd_power(a: np.ndarray, exponent: float) -> np.ndarray:
     return (v * pw[..., None, :]) @ _adjoint(v)
 
 
+@np.errstate(invalid="ignore")
 def spectra(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues (..., b) of each Hermitian matrix of a stack
     (..., b, b): numpy's eigvalsh, except that a 1 x 1 matrix is its own
     eigenvalue, its real part, and takes no LAPACK call."""
-    return a.real[..., 0] if a.shape[-1] == 1 else np.linalg.eigvalsh(a)
+    return a.real[..., 0] if a.shape[-1] == 1 else _converged(_eigvalsh(a), a)
 
 
 def gram(a: np.ndarray) -> np.ndarray:
@@ -143,5 +186,5 @@ def opnorm(a: np.ndarray) -> float | np.ndarray:
     of a stack (..., m, n) as an array (..., ), from the spectrum of its Gram
     matrix a a^dagger (gram_norms), as the certificate takes its norms;
     accurate to rounding while the squared entries stay in the float range."""
-    norms = gram_norms(np.linalg.eigvalsh(gram(a)))
+    norms = gram_norms(spectra(gram(a)))
     return norms if np.ndim(norms) else float(norms)

@@ -41,11 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from numpy.linalg import _umath_linalg as _lapack
 
 from .ensembles import StateEnsemble, average_state, orbit
 from .errors import (
@@ -63,6 +61,8 @@ from .operators import (
     RANK_CUTOFF,
     TIE_RTOL,
     ZERO_PROB,
+    all_finite,
+    eigh,
     gram,
     gram_norms,
     hermitian_part,
@@ -71,19 +71,10 @@ from .operators import (
     require_hermitian,
     spectra,
 )
+from .operators import _cholesky, _eigvalsh, _inv, _solve  # the interior point's LAPACK gufuncs
 
 _TO_BOUNDARY = 0.98  # largest fraction of the way to a cone boundary per step
 _TO_BOUNDARY_ORTHANT = 0.999  # the same when every cone is an orthant (an LP)
-
-
-# numpy.linalg's LAPACK gufuncs, called without its wrappers' argument checks
-# and per-call errstate (numpy >= 2.0 signatures): a block that does not factor
-# or converge and a singular system come out NaN, silently under the
-# errstate(invalid="ignore") that _interior_point runs in, and the caller checks
-_cholesky = partial(_lapack.cholesky_lo, signature="D->D")
-_inv = partial(_lapack.inv, signature="D->D")
-_eigvalsh = partial(_lapack.eigvalsh_lo, signature="D->d")
-_solve = partial(_lapack.solve1, signature="dd->d")
 
 
 @dataclass(frozen=True)
@@ -104,7 +95,7 @@ class DetectionSet:
         ops = np.asarray(self.operators, dtype=complex)
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[0] < 2 or ops.shape[1] < 1:
             raise InfeasibleInputError(f"operators must have shape (N+1, d, d), N >= 1, d >= 1, got {ops.shape}")
-        if not np.isfinite(ops).all():
+        if not all_finite(ops):
             raise InfeasibleInputError("detection operators: entries must be finite")
         object.__setattr__(self, "operators", require_hermitian(ops, name="detection set"))
 
@@ -137,7 +128,7 @@ class DetectionSet:
         return opnorm(self.operators.sum(axis=0) - np.eye(self.dim))
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.operators)[:, 0].min())
+        return float(spectra(self.operators)[:, 0].min())
 
 
 @dataclass(frozen=True)
@@ -159,7 +150,7 @@ def _require_matching(ensemble: StateEnsemble, detection: DetectionSet, z=None, 
         raise InfeasibleInputError(f"tolerance must be a finite nonnegative number, got {tol}")
     if z is not None and np.shape(z) != (ensemble.dim,) * 2:
         raise InfeasibleInputError(f"dual Z has shape {np.shape(z)}, not {(ensemble.dim,) * 2}")
-    if z is not None and not np.isfinite(z).all():
+    if z is not None and not all_finite(z):
         raise InfeasibleInputError("certificate z: entries must be finite")
     if detection.dim != ensemble.dim:
         raise InfeasibleInputError(
@@ -187,8 +178,7 @@ def evaluate_measurement(ensemble: StateEnsemble, detection: DetectionSet) -> Me
     probs = (flat[:, 0] @ average_state(ensemble).reshape(dd)).real
     joint = ensemble.priors * (flat[1:] @ ensemble.states.reshape(n, dd, 1))[:, 0, 0].real
     fired = probs[1:] > ZERO_PROB
-    confidences = np.full(ensemble.n_states, np.nan)
-    confidences[fired] = joint[fired] / probs[1:][fired]
+    confidences = np.divide(joint, probs[1:], out=np.full(n, np.nan), where=fired)
     return MeasurementStats(
         outcome_probabilities=probs,
         confidences=confidences,
@@ -260,9 +250,9 @@ def verify_certificate(
     # two stacked spectra serve every condition and rank, each norm the root
     # of a Gram matrix's top eigenvalue as in opnorm. d x d: Z, Pi_0..Pi_N,
     # C C^dagger for C = sum_j Pi_j - 1 and (Z Pi_0)(Z Pi_0)^dagger
-    c = detection.operators.sum(axis=0) - np.eye(d)
+    c = detection.operators.sum(axis=0) - np.eye(d, dtype=complex)
     zp = z @ detection.inconclusive
-    big = np.linalg.eigvalsh(np.concatenate((
+    big = spectra(np.concatenate((
         z[None], detection.operators, gram(c)[None], gram(zp)[None])))
     z_w, pi_w = big[0], big[1:n + 2]
     # b x b: the slacks Q_j^dagger (Z - rho) Q_j, Q_j^dagger rho_j Q_j and the
@@ -383,11 +373,12 @@ def solve_rank1_symmetric(
 
     w = geo.detection_blocks[0, :, 0]
     mods = np.abs(w) ** 2
-    alpha = 1.0 / (n * float(mods.max()))
-    detection = DetectionSet.from_conclusive(orbit(alpha * np.outer(w, w.conj()), sym.powers))
+    top = mods.max()
+    alpha = 1.0 / (n * float(top))
+    detection = DetectionSet.from_conclusive(orbit(alpha * (w[:, None] * w.conj()), sym.powers))
     # the dual spreads N alpha over the coordinates of the largest |w_l|^2 (ties within TIE_RTOL)
-    tied = mods * (1.0 + TIE_RTOL) >= mods.max()
-    z = np.diag(np.where(tied, n * alpha / np.count_nonzero(tied), 0.0)).astype(complex)
+    tied = mods * (1.0 + TIE_RTOL) >= top
+    z = np.diag(np.where(tied, complex(n * alpha / np.count_nonzero(tied)), 0j))
     return _report(ensemble, geo, "analytic", detection, z)
 
 
@@ -716,13 +707,18 @@ def _embed(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return hermitian_part(w @ a @ w.conj().swapaxes(1, 2))
 
 
-def _step_lengths(lay: _Layout, factors, primal, dual, to_boundary) -> np.ndarray:
+def _step_lengths(lay: _Layout, factors, primal, dual, to_boundary, gap: float) -> np.ndarray:
     """Primal and dual step lengths, each at most 1 and at most
     to_boundary of the way to the boundary of its cones. factors holds the
     factors of (A, X1) and of (S, Z); primal and dual hold the directions
-    (dA, dS) and (dX1, dZ), each with its cone form."""
+    (dA, dS) and (dX1, dZ), each with its cone form. A NaN bound (from an
+    eigvalsh of lows that did not converge) raises NotConvergedError."""
     (fa, fs), (_, da, ds), (_, dx1, dz) = factors, primal, dual
-    low = np.minimum(lay.ax.lows(fa, da, dx1), lay.sz.lows(fs, ds, dz))
+    lows = lay.ax.lows(fa, da, dx1), lay.sz.lows(fs, ds, dz)
+    low = np.minimum(*lows)  # the primal and the dual bound, NaN where a pair's is
+    if math.isnan(low[0] + low[1]):
+        pair = "(A, X1)" if math.isnan(lows[0][0] + lows[0][1]) else "(S, Z)"
+        raise NotConvergedError(f"step bound of {pair} not computed at duality gap {gap:.3e}")
     return to_boundary / np.maximum(to_boundary, -low)
 
 
@@ -791,11 +787,11 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     gap / R) above the rank cutoff, or Z (of norm R) without a rank, until
     the path goes deeper. Raises NotConvergedError if MAX_ITERATIONS runs
     out first, if rounding puts an iterate outside the cones (naming the
-    pair that left) or makes it NaN, or if the Schur complement is
-    singular. The whole solve runs under one errstate(invalid="ignore"),
-    in which a failed factor or solve comes out NaN with no RuntimeWarning;
-    each factor and solution is checked for finiteness, so that the
-    iterate that made the NaN stops at its finite gap.
+    pair that left) or makes it NaN, if the Schur complement is singular
+    or if a step bound is NaN (naming the pair). The whole solve runs under
+    one errstate(invalid="ignore"), in which a failed LAPACK call comes out
+    NaN with no RuntimeWarning; each factor, solution and step bound is
+    checked, so that the iterate that made the NaN stops at its finite gap.
     """
     lay = _Layout(w, widths, clusters)
     ax, sz = lay.ax, lay.sz
@@ -834,10 +830,6 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
             raise NotConvergedError(
                 f"iteration budget {MAX_ITERATIONS} exhausted at duality gap {gap:.3e}"
             )
-        # the backstop for a NaN iterate, such as one moved by the NaN step
-        # length of an eigvalsh that did not converge (_Semidefinite.lows)
-        if math.isnan(gap):
-            raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}")
         a_inv, fa = _factored(ax, ap, xp, "(A, X1)", gap)
         s_inv, fs = _factored(sz, s, z, "(S, Z)", gap)
         schur, k = _newton_system(lay, xp, a_inv, z, s_inv)
@@ -876,11 +868,11 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
             primal, dual = direction(mu)
         else:
             primal, dual = direction(0.0)
-            step_p, step_d = _step_lengths(lay, (fa, fs), primal, dual, to_boundary)
+            step_p, step_d = _step_lengths(lay, (fa, fs), primal, dual, to_boundary, gap)
             mu_aff = (float(((x1 + step_d * dual[0]) @ (a + step_p * primal[0])).real)
                       + sz.inner(z + step_d * dual[2], s + step_p * primal[2])) / nu
             primal, dual = direction(min(mu_aff / mu, 1.0) ** 3 * mu, (primal, dual))
-        steps = _step_lengths(lay, (fa, fs), primal, dual, to_boundary)
+        steps = _step_lengths(lay, (fa, fs), primal, dual, to_boundary, gap)
         step_p, step_d = steps if commuting else (steps.min(),) * 2
         a = a + step_p * primal[0]
         z = z + step_d * dual[2]
@@ -985,7 +977,7 @@ def perturbation_witness(
         geo = geometry(ensemble)
     rho, q, qh = geo.rho, geo.support_bases, geo.support_bases.conj().swapaxes(1, 2)
     slacks = hermitian_part(qh @ (z - rho) @ q)
-    (wz, vz), (ws, vs) = np.linalg.eigh(z), np.linalg.eigh(slacks)
+    (wz, vz), (ws, vs) = eigh(z), eigh(slacks)
     # entry 0 is Z and argmin takes the first minimum: the tie rule above
     lows = np.concatenate((wz[:1], ws[:, 0]))
     k = int(np.argmin(lows))

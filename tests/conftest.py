@@ -1,7 +1,14 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from maxconf import StateEnsemble, build_symmetric_ensemble, solver
+
+# the package's LAPACK gufunc partials (operators._eigh, ...), by the name
+# of the numpy.linalg function each stands for
+LAPACK = ("eigh", "eigvalsh", "svd", "cholesky", "inv", "solve")
+MODULES = [importlib.import_module(f"maxconf.{name}") for name in ("operators", "ensembles", "geometry", "solver")]
 
 # one line per acceptance criterion, filled in by test_acceptance and
 # printed after the test run (pytest captures stdout at the fd level, so
@@ -34,6 +41,42 @@ def short_budget(monkeypatch, run):
     budget = min(counts) - 1
     assert budget >= 1, counts
     return budget
+
+
+def count_linalg(monkeypatch, names, active=lambda: True):
+    """Wrap the numpy.linalg functions names and, for those of them in
+    LAPACK, the package's gufunc partial that stands for each, in every
+    module that imports it, so that each call made while active() holds is
+    listed with its name and argument shape; returns the list."""
+    calls = []
+
+    def counting(name, original):
+        def wrapped(a, *args, **kwargs):
+            if active():
+                calls.append((name, np.shape(a)))
+            return original(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for module in MODULES if name in LAPACK else ():
+            if hasattr(module, f"_{name}"):
+                monkeypatch.setattr(module, f"_{name}", counting(name, getattr(module, f"_{name}")))
+    return calls
+
+
+def failing_lapack(original, fails=lambda a: True):
+    """A LAPACK partial that fails as LAPACK does on the inputs a that
+    fails(a) picks: every result NaN and the invalid flag raised."""
+    def failed(a, *args, **kwargs):
+        out = original(a, *args, **kwargs)
+        if not fails(a):
+            return out
+        nan = np.subtract(np.inf, np.inf)  # raises the flag, like a failed gufunc
+        return tuple(x * nan for x in out) if isinstance(out, tuple) else out * nan
+
+    return failed
 
 
 def random_pure(rng, dim):

@@ -18,8 +18,11 @@ from maxconf import (
     solve_numeric,
     two_state_components,
 )
+from maxconf import operators
 from maxconf.operators import DEGENERACY_RTOL, eig_hermitian, hermitian_part, psd_power
 from conftest import (
+    count_linalg,
+    failing_lapack,
     mixed_width_ensemble,
     projectors,
     pure_qubit_pair,
@@ -99,29 +102,38 @@ def test_geometry_matches_per_outcome_reference(seed):
     ("mixed_width", ["eigh", "qr", "svd", "svd"]),
 ], ids=["trine", "random", "mixed_width"])
 def test_geometry_takes_one_eigh(kind, expected, trine, monkeypatch):
-    # validation reads geometry's own eigh of the states and skips the flags,
-    # so no eigvalsh is left: one eigh, the SVD of F, the SVD of the V_j
+    # counted at the package's LAPACK partials and at numpy.linalg: validation
+    # reads geometry's own eigh of the states and skips the flags, so no
+    # eigvalsh is left: one eigh, the SVD of F, the SVD of the V_j
     # unless every state has rank k = 1 (trine), and the QR of the W_j unless
     # every top eigenvalue is simple, b = 1 (trine, random); mixed_width has
     # k = 4 and b = 2 and takes both
     rng = np.random.default_rng(6)
     e = {"trine": trine, "random": random_ensemble(rng, 3, 4),
          "mixed_width": mixed_width_ensemble(rng)}[kind]
-    calls = []
-
-    def counting(name):
-        original = getattr(np.linalg, name)
-
-        def wrapped(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        return wrapped
-
-    for name in ("eigh", "eigvalsh", "svd", "qr", "norm"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    calls = count_linalg(monkeypatch, ("eigh", "eigvalsh", "svd", "qr", "norm"))
     geometry(e)
-    assert sorted(calls) == expected
+    assert sorted(name for name, _ in calls) == expected
+
+
+@pytest.mark.parametrize("name, fails, message", [
+    ("_eigh", lambda a: True, "Eigenvalues did not converge"),
+    ("_svd", lambda a: a.ndim == 2, "SVD did not converge"),
+    ("_svd", lambda a: a.ndim == 3, "SVD did not converge"),
+], ids=["eigh", "svd_of_F", "svd_of_V"])
+def test_geometry_raises_numpys_error_when_lapack_fails(name, fails, message, monkeypatch):
+    # a LAPACK routine that does not converge returns NaN and raises the
+    # invalid flag; geometry must raise numpy.linalg's LinAlgError with its
+    # message, warn nothing and leave numpy's error state as it was. Full-rank
+    # states (k = 3) take both SVDs: of F and of the stacked V_j
+    e = random_ensemble(np.random.default_rng(6), 3, 4)
+    monkeypatch.setattr(operators, name, failing_lapack(getattr(operators, name), fails))
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+            geometry(e)
+    assert np.geterr() == state
 
 
 def test_geometry_supports_are_projectors():

@@ -1,13 +1,15 @@
 import ast
 import importlib
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxconf import NonHermitianError, NotPSDError, opnorm
+from maxconf import NonHermitianError, NotPSDError, operators, opnorm
 from maxconf.operators import eig_hermitian, numerical_rank, psd_power, require_hermitian
+from conftest import failing_lapack
 
 
 def _random_hermitian_stack(rng, n, d):
@@ -249,6 +251,48 @@ def test_support_cutoff_routes_stay_out_of_the_solvers():
                 continue
             if name in names:
                 stray.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    assert stray == []
+
+
+@pytest.mark.parametrize("name, call", [("_eigh", eig_hermitian), ("_eigvalsh", opnorm)],
+                         ids=["eig_hermitian", "opnorm"])
+def test_operators_raise_numpys_error_when_lapack_fails(name, call, monkeypatch):
+    # a LAPACK routine that does not converge returns NaN and raises the
+    # invalid flag; eigh (under eig_hermitian) and spectra (under opnorm)
+    # raise numpy.linalg's LinAlgError with its message, warn nothing and
+    # leave numpy's error state as it was
+    monkeypatch.setattr(operators, name, failing_lapack(getattr(operators, name)))
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            call(np.diag([2.0, 1.0, 0.5]).astype(complex))
+    assert np.geterr() == state
+
+
+def test_lapack_routes_stay_in_operators():
+    # every eigh, eigvalsh and SVD goes through operators.py's gufunc
+    # partials, whose callers keep numpy's failure semantics (_converged);
+    # no other module may name numpy.linalg's eigh, eigvalsh or svd, nor the
+    # gufunc module itself
+    names = {"eigh", "eigvalsh", "svd"}
+    package = Path(__file__).resolve().parents[1] / "src" / "maxconf"
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "operators.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                owner = node.value
+                linalg = getattr(owner, "attr", getattr(owner, "id", None)) == "linalg"
+            elif isinstance(node, ast.ImportFrom) and node.module in ("numpy.linalg", "numpy.linalg._linalg"):
+                linalg = any(alias.name in names for alias in node.names)
+            else:
+                linalg = False
+            named = isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and "_umath_linalg" in (
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            if linalg or named:
+                stray.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert stray == []
 
 

@@ -29,7 +29,7 @@ from maxconf import (
     solve_rank1_symmetric,
     verify_certificate,
 )
-from maxconf import solver
+from maxconf import operators, solver
 from maxconf.operators import CERT_TOL, RANK_CUTOFF, hermitian_part
 from maxconf.solver import (
     _Layout,
@@ -40,6 +40,8 @@ from maxconf.solver import (
     _newton_system,
 )
 from conftest import (
+    count_linalg,
+    failing_lapack,
     mixed_width_ensemble,
     projectors,
     pure_qubit_pair,
@@ -598,6 +600,40 @@ def test_a_failure_in_the_loop_stops_at_a_finite_gap_without_a_warning(trine, mo
     assert np.geterr() == state
 
 
+@pytest.mark.parametrize("pair", ["(S, Z)", "(A, X1)"])
+def test_a_step_bound_that_does_not_converge_names_its_pair(trine, monkeypatch, pair):
+    # an eigvalsh of _Semidefinite.lows that does not converge makes a NaN
+    # step bound; the solve must stop there with NotConvergedError naming
+    # the pair, at the finite gap of the iterate, warn nothing and leave
+    # numpy's error state as it was: the loop's eigvalsh fails only inside
+    # the lows of the dense (S, Z) of the trine without its symmetry (whose
+    # (A, X1) is a vector), or of the wide (A, X1) stack (widths 2, 2 and 1)
+    if pair == "(S, Z)":
+        e = StateEnsemble(dim=trine.dim, priors=trine.priors, states=trine.states)
+        form, wrap = solver._Semidefinite, staticmethod
+    else:
+        e, form, wrap = mixed_width_ensemble(np.random.default_rng(21)), solver._Stack, lambda f: f
+    inside, lows = [False], form.lows
+
+    def flagged(*args):
+        inside[0] = True
+        try:
+            return lows(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(form, "lows", wrap(flagged))
+    monkeypatch.setattr(solver, "_eigvalsh", failing_lapack(solver._eigvalsh, lambda a: inside[0]))
+    message = rf"step bound of {re.escape(pair)} not computed at duality gap (\S+)$"
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConvergedError, match=message) as raised:
+            solve_numeric(e)
+    assert np.isfinite(float(re.search(message, str(raised.value)).group(1)))
+    assert np.geterr() == state
+
+
 def test_interior_point_stops_on_a_nan_iterate():
     # a NaN reaches the loop unflagged by cholesky; it must stop at once
     geo = geometry(mixed_width_ensemble(np.random.default_rng(21)))
@@ -952,46 +988,24 @@ def test_verify_certificate_ranks_use_hermitian_part(trine):
         verify_certificate(trine, DetectionSet(ops), np.eye(2) / 2.0)
 
 
-def _counting_linalg(monkeypatch, names, active=lambda: True):
-    """Wrap the numpy.linalg functions names, and the interior point's
-    direct LAPACK route to those of them it takes (solver._cholesky,
-    _inv, _eigvalsh, _solve), so that each call made while active() holds
-    is listed with its name and argument shape; returns the list."""
-    calls = []
-
-    def counting(name, original):
-        def wrapped(a, *args, **kwargs):
-            if active():
-                calls.append((name, np.shape(a)))
-            return original(a, *args, **kwargs)
-
-        return wrapped
-
-    for name in names:
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        if name in ("cholesky", "inv", "eigvalsh", "solve"):
-            monkeypatch.setattr(solver, f"_{name}", counting(name, getattr(solver, f"_{name}")))
-    return calls
-
-
 def _linalg_calls_of_verify(monkeypatch, ensemble, detection, z):
-    """The numpy.linalg calls, with their argument shapes, that one
-    accepted verify_certificate makes once its geometry is built."""
+    """The LAPACK calls (count_linalg), with their argument shapes, that
+    one accepted verify_certificate makes once its geometry is built."""
     geo = geometry(ensemble)
-    calls = _counting_linalg(monkeypatch, ("eigvalsh", "eigh", "svd", "norm"))
+    calls = count_linalg(monkeypatch, ("eigvalsh", "eigh", "svd", "norm"))
     cert = verify_certificate(ensemble, detection, z, geo=geo)
     assert cert.accepted, cert.failures
     return calls
 
 
 def _linalg_calls_of_interior_point(monkeypatch, ensemble):
-    """The numpy.linalg calls, with their argument shapes, of one certified
-    solve_numeric's interior point alone: not geometry, the embedding or
-    the certificate."""
+    """The LAPACK calls (count_linalg), with their argument shapes, of one
+    certified solve_numeric's interior point alone: not geometry, the
+    embedding or the certificate."""
     geo = geometry(ensemble)
     inside = [False]
-    calls = _counting_linalg(monkeypatch, ("cholesky", "inv", "solve", "eigvalsh", "eigh", "svd", "norm"),
-                             lambda: inside[0])
+    calls = count_linalg(monkeypatch, ("cholesky", "inv", "solve", "eigvalsh", "eigh", "svd", "norm"),
+                         lambda: inside[0])
     loop = solver._interior_point
 
     def counted(*args):
@@ -1044,6 +1058,37 @@ def test_verify_certificate_diagonalizes_a_wide_stack_once(monkeypatch):
     report = solve_numeric(e)
     calls = _linalg_calls_of_verify(monkeypatch, e, report.detection, report.certificate.z)
     assert calls == [("eigvalsh", (7, 4, 4)), ("eigvalsh", (9, 2, 2))], calls
+
+
+def test_a_failed_spectrum_never_understates_the_rank_bound(monkeypatch):
+    # NaN spectra of the Q_j^dagger rho_j Q_j count rank 0 each, so a
+    # verifier that read them would bound rank Z below by 0 and accept:
+    # LAPACK's failure on them (NaN, invalid flag raised) must raise
+    # numpy's LinAlgError or fail the certificate, with no warning
+    e = mixed_width_ensemble(np.random.default_rng(6))
+    report = solve_numeric(e)
+    geo, n = geometry(e), e.n_states
+    assert report.certified and report.certificate.min_rank_required > 0
+
+    eigvalsh = operators._eigvalsh
+
+    def failing(a):
+        w = eigvalsh(a)
+        if a.shape[0] == 3 * n:  # the b x b stack: the slacks, then the Q_j^dagger rho_j Q_j
+            w[n:2 * n] = np.subtract(np.inf, np.inf)
+        return w
+
+    monkeypatch.setattr(operators, "_eigvalsh", failing)
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cert = verify_certificate(e, report.detection, report.certificate.z, geo=geo)
+        except np.linalg.LinAlgError as err:
+            assert str(err) == "Eigenvalues did not converge"
+        else:
+            assert not cert.accepted, cert.conditions
+    assert np.geterr() == state
 
 
 def test_verify_certificate_accepts_optimal_duals(trine):
