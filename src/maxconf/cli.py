@@ -7,7 +7,7 @@ Subcommands:
                      [--tol X] [--check] [--output solution.json]
     maxconf verify   --input solution.json [--tol X] [--witness]
     maxconf sweep    --input family.json --grid param:start:stop:steps
-                     [--check] [--output table.csv]
+                     [--check [--tol X]] [--output table.csv]
 
 solve writes a self-contained solution file (ensemble, detection set,
 certificate, report) that verify reads back; solve --check adds the other
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +30,7 @@ import numpy as np
 from .ensembles import validate
 from .errors import (
     DegenerateTopEigenvalueError,
+    InfeasibleInputError,
     InvalidPhasesError,
     MaxconfError,
     NoNegativeEigenvalueError,
@@ -86,19 +86,15 @@ def _emit_text(text: str, output: str | None) -> None:
         print(text)
 
 
-def _emit_json(obj, output: str | None) -> None:
-    _emit_text(dump_json(obj), output)
-
-
 def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
     parts = spec.split(":")
     if len(parts) != 4:
-        raise ValueError(f"grid must be param:start:stop:steps, got {spec!r}")
+        raise InfeasibleInputError(f"grid must be param:start:stop:steps, got {spec!r}")
     name = parts[0]
     start, stop = float(parts[1]), float(parts[2])
     steps = int(parts[3])
     if steps < 1:
-        raise ValueError("grid needs at least one step")
+        raise InfeasibleInputError("grid needs at least one step")
     return name, np.linspace(start, stop, steps)
 
 
@@ -112,7 +108,7 @@ def _tolerance(text: str) -> float:
 def cmd_validate(args) -> int:
     ensemble = ensemble_from_json(load_json(args.input))
     report = validate(ensemble)
-    _emit_json(validation_to_json(report), args.output)
+    _emit_text(dump_json(validation_to_json(report)), args.output)
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -158,7 +154,7 @@ def cmd_solve(args) -> int:
             }
         except (*_ANALYTIC_BLOCKERS, NotConvergedError) as exc:
             out["cross_check"] = {"available": False, "reason": str(exc)}
-    _emit_json(out, args.output)
+    _emit_text(dump_json(out), args.output)
     if deviation > CROSS_CHECK_TOL:
         print(f"cross-check deviates by {deviation:.3e}", file=sys.stderr)
         return EXIT_FAIL
@@ -168,9 +164,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     obj = load_json(args.input)
     if not isinstance(obj, dict) or not {"ensemble", "detection", "certificate"} <= obj.keys():
-        print("error: verify needs a solution file with 'ensemble', 'detection', "
-              "and 'certificate'", file=sys.stderr)
-        return EXIT_INPUT
+        raise InfeasibleInputError("verify needs a solution file with 'ensemble', 'detection', and 'certificate'")
     ensemble = ensemble_from_json(obj["ensemble"])
     detection = detection_from_json(obj["detection"])
     z = dual_from_certificate_json(obj["certificate"])
@@ -184,32 +178,33 @@ def cmd_verify(args) -> int:
             out["witness"] = witness_to_json(w)
         except NoNegativeEigenvalueError as exc:
             out["witness"] = {"available": False, "reason": str(exc)}
-    _emit_json(out, args.output)
+    _emit_text(dump_json(out), args.output)
     return EXIT_OK if cert.accepted else EXIT_FAIL
 
 
-# the fields each family takes besides its order, all sweepable but dim; a
-# pure-symmetric family is the qubit orbit of an angle at purity 1, with no fixed coefficients
-_FIELDS = {"qubit-mixed": ("purity", "angle"), "flat-mixed": ("purity", "dim"), "pure-symmetric": ("angle",)}
+# each family kind's closed form and the fields it takes besides its order,
+# all sweepable but dim; a pure-symmetric family is the qubit orbit of an
+# angle at purity 1, with no fixed coefficients
+_FAMILIES = {
+    "qubit-mixed": (qubit_mixed_solution, ("purity", "angle")),
+    "flat-mixed": (flat_mixed_solution, ("purity", "dim")),
+    "pure-symmetric": (pure_symmetric_solution, ("angle",)),
+}
 
 
-def _family_from_json(obj) -> tuple[str, dict]:
+def _family_kind(obj) -> str:
     if not isinstance(obj, dict) or "family" not in obj:
-        raise MaxconfError("family input needs a 'family' field")
+        raise InfeasibleInputError("family input needs a 'family' field")
     kind = obj["family"]
-    if not isinstance(kind, str) or kind not in _FIELDS:
-        raise MaxconfError(f"unknown family {kind!r}")
-    ignored = sorted(obj.keys() - {"family", "order", *_FIELDS[kind]})
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise InfeasibleInputError(f"unknown family {kind!r}")
+    ignored = sorted(obj.keys() - {"family", "order", *_FAMILIES[kind][1]})
     if ignored:
-        raise MaxconfError(f"{kind} family takes no {', '.join(map(repr, ignored))}")
-    return kind, obj
+        raise InfeasibleInputError(f"{kind} family takes no {', '.join(map(repr, ignored))}")
+    return kind
 
 
-def _family_instance(kind: str, obj: dict, param: str, value: float) -> SymmetricFamily:
-    order = integer_from_json(obj.get("order"), "family order")
-    if param not in _FIELDS[kind] or param == "dim":
-        raise MaxconfError(f"{kind} family cannot sweep {param!r}")
-
+def _family_instance(kind: str, obj: dict, order: int, param: str, value: float) -> SymmetricFamily:
     def number(name: str, default: float) -> float:
         return value if name == param else number_from_json(obj.get(name, default), f"family {name}")
 
@@ -219,20 +214,18 @@ def _family_instance(kind: str, obj: dict, param: str, value: float) -> Symmetri
     return SymmetricFamily.qubit(order=order, purity=number("purity", 1.0), angle=number("angle", np.pi / 2))
 
 
-def _closed_form(kind: str, family: SymmetricFamily):
-    if kind == "pure-symmetric":
-        return pure_symmetric_solution(family)
-    if kind == "qubit-mixed":
-        return qubit_mixed_solution(family)
-    return flat_mixed_solution(family)
-
-
 def cmd_sweep(args) -> int:
-    obj = load_json(args.input)
-    kind, spec = _family_from_json(obj)
+    spec = load_json(args.input)
+    kind = _family_kind(spec)
     if not args.grid:
-        raise MaxconfError("sweep requires --grid param:start:stop:steps")
+        raise InfeasibleInputError("sweep requires --grid param:start:stop:steps")
+    if args.tol is not None and not args.check:
+        raise InfeasibleInputError("sweep --tol is the --check threshold; it needs --check")
     param, values = _parse_grid(args.grid)
+    closed_form, fields = _FAMILIES[kind]
+    order = integer_from_json(spec.get("order"), "family order")
+    if param not in fields or param == "dim":
+        raise InfeasibleInputError(f"{kind} family cannot sweep {param!r}")
 
     header = ["family", param, "confidence", "failure_probability", "alpha", "certified"]
     if kind == "pure-symmetric":
@@ -243,8 +236,8 @@ def cmd_sweep(args) -> int:
     rows = []
     worst_dev = 0.0
     for value in values:
-        family = _family_instance(kind, spec, param, float(value))
-        sol = _closed_form(kind, family)
+        family = _family_instance(kind, spec, order, param, float(value))
+        sol = closed_form(family)
         ensemble = family.ensemble()
         geo = geometry(ensemble)
         solved = _solve(ensemble, geo, "auto", None)
@@ -274,43 +267,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Maximum-confidence discrimination: solve, certify, and explore ensembles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, tol=True, mode=False, check=False, witness=False, grid=False):
-        p.add_argument("--input", required=True, help="input JSON file")
-        p.add_argument("--output", help="write the result here instead of stdout")
-        if tol:
-            p.add_argument("--tol", type=_tolerance, help="tolerance override, finite and nonnegative")
-        if mode:
-            p.add_argument(
-                "--mode", choices=("auto", "analytic", "numeric"), default="auto",
-                help="solver selection (default: auto)",
-            )
-        if check:
-            p.add_argument("--check", action="store_true", help="cross-check with the other route")
-        if witness:
-            p.add_argument(
-                "--witness", action="store_true",
-                help="on failure, attach a perturbation witness",
-            )
-        if grid:
-            p.add_argument("--grid", help="parameter grid param:start:stop:steps")
-
-    p = sub.add_parser("validate", help="check ensemble invariants")
-    common(p, tol=False)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("solve", help="compute an optimal measurement with certificate")
-    common(p, mode=True, check=True)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("verify", help="re-check a solution file's certificate")
-    common(p, witness=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("sweep", help="tabulate closed-form values over a parameter grid")
-    common(p, check=True, grid=True)
-    p.set_defaults(func=cmd_sweep)
-
+    commands = {}
+    for name, func, text in (
+        ("validate", cmd_validate, "check ensemble invariants"),
+        ("solve", cmd_solve, "compute an optimal measurement with certificate"),
+        ("verify", cmd_verify, "re-check a solution file's certificate"),
+        ("sweep", cmd_sweep, "tabulate closed-form values over a parameter grid"),
+    ):
+        commands[name] = sub.add_parser(name, help=text)
+        commands[name].set_defaults(func=func)
+    # each option once, with the subcommands that take it, in --help order
+    for names, flag, spec in (
+        ("validate solve verify sweep", "--input", dict(required=True, help="input JSON file")),
+        ("validate solve verify sweep", "--output", dict(help="write the result here instead of stdout")),
+        ("solve verify sweep", "--tol", dict(type=_tolerance, help="tolerance override, finite and nonnegative")),
+        ("solve", "--mode", dict(choices=("auto", "analytic", "numeric"), default="auto",
+                                 help="solver selection (default: auto)")),
+        ("solve sweep", "--check", dict(action="store_true", help="cross-check with the other route")),
+        ("verify", "--witness", dict(action="store_true", help="on failure, attach a perturbation witness")),
+        ("sweep", "--grid", dict(help="parameter grid param:start:stop:steps")),
+    ):
+        for name in names.split():
+            commands[name].add_argument(flag, **spec)
     return parser
 
 
@@ -322,7 +300,7 @@ def main(argv=None) -> int:
     except NotConvergedError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    except (MaxconfError, json.JSONDecodeError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (MaxconfError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -51,6 +51,16 @@ def default_phases(order: int, dim: int) -> np.ndarray:
     return np.exp(2j * np.pi * l / order)
 
 
+def check_order(order) -> int:
+    """A cyclic group order as a Python int, which JSON can write and a numpy
+    integer is not; a boolean, a float or an order below 1 is refused."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+        raise InvalidPhasesError(f"group order must be an integer, got {order!r}")
+    if order < 1:
+        raise InvalidPhasesError(f"group order must be >= 1, got {order}")
+    return int(order)
+
+
 @dataclass(frozen=True)
 class SymmetrySpec:
     """Cyclic symmetry data: the group order and the eigenphases of the
@@ -67,8 +77,7 @@ class SymmetrySpec:
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=complex).reshape(-1)
         object.__setattr__(self, "phases", phases)
-        if self.order < 1:
-            raise InvalidPhasesError(f"group order must be >= 1, got {self.order}")
+        object.__setattr__(self, "order", check_order(self.order))
         if np.max(np.abs(np.abs(phases) - 1.0), initial=0.0) > PHASE_TOL:
             raise InvalidPhasesError("eigenphases must have unit modulus")
         if np.max(np.abs(phases**self.order - 1.0), initial=0.0) > PHASE_TOL:
@@ -121,8 +130,9 @@ class StateEnsemble:
     def __post_init__(self):
         priors = np.asarray(self.priors, dtype=float).reshape(-1)
         states = np.asarray(self.states, dtype=complex)
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise InfeasibleInputError(f"dimension must be an integer of at least 1, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))  # a numpy integer is not JSON
         if states.ndim != 3 or states.shape[1:] != (self.dim, self.dim):
             raise InfeasibleInputError(
                 f"states must have shape (N, {self.dim}, {self.dim}), got {states.shape}"

@@ -22,6 +22,7 @@ from .ensembles import (
     StateEnsemble,
     build_depolarized_family,
     check_family,
+    check_order,
     default_phases,
     orbit,
     phase_powers,
@@ -51,6 +52,7 @@ class SymmetricFamily:
             raise InfeasibleInputError(
                 f"order {self.order} < dimension {dim}; the orbit needs order >= dim"
             )
+        object.__setattr__(self, "order", check_order(self.order))
         object.__setattr__(self, "coefficients", check_family(self.coefficients, self.purity))
 
     @property

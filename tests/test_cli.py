@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import replace
 
@@ -129,6 +130,46 @@ def test_validate_has_no_tol(trine_file, capsys):
         main(["validate", "--input", str(trine_file), "--tol", "123"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+_IO = [
+    (["-h", "--help"], "help", None, None, argparse.SUPPRESS, False, "_HelpAction"),
+    (["--input"], "input", None, None, None, True, "_StoreAction"),
+    (["--output"], "output", None, None, None, False, "_StoreAction"),
+]
+_TOL = (["--tol"], "tol", cli._tolerance, None, None, False, "_StoreAction")
+_CHECK = (["--check"], "check", None, None, False, False, "_StoreTrueAction")
+
+
+def test_each_subcommand_keeps_its_options():
+    # flags, dest, type, choices, default, required and action of every option
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    expected = {
+        "validate": (cli.cmd_validate, _IO),
+        "solve": (cli.cmd_solve, [*_IO, _TOL, (["--mode"], "mode", None, ("auto", "analytic", "numeric"),
+                                               "auto", False, "_StoreAction"), _CHECK]),
+        "verify": (cli.cmd_verify, [*_IO, _TOL, (["--witness"], "witness", None, None, False, False,
+                                                 "_StoreTrueAction")]),
+        "sweep": (cli.cmd_sweep, [*_IO, _TOL, _CHECK, (["--grid"], "grid", None, None, None, False,
+                                                       "_StoreAction")]),
+    }
+    assert list(subcommands.choices) == list(expected)
+    for name, (func, options) in expected.items():
+        parser = subcommands.choices[name]
+        assert parser.get_default("func") is func
+        assert [(a.option_strings, a.dest, a.type, a.choices, a.default, a.required, type(a).__name__)
+                for a in parser._actions] == options, name
+
+
+def test_sweep_tol_needs_check(tmp_path, capsys):
+    # the tolerance is only the --check threshold, so without --check sweep would ignore it
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps({"family": "qubit-mixed", "order": 3, "purity": 0.6}), encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert main(["sweep", "--input", str(p), "--grid", "angle:0.4:1.3:2", "--tol", "1e-3",
+                 "--output", str(out)]) == 2
+    assert "error: sweep --tol is the --check threshold; it needs --check" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_integral_dim_and_order_are_input_errors(trine, tmp_path, capsys):

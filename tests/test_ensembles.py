@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,9 @@ from maxconf import (
     DegenerateCoefficientError,
     InfeasibleInputError,
     InvalidPhasesError,
+    MaxconfError,
     StateEnsemble,
+    SymmetricFamily,
     SymmetrySpec,
     average_state,
     build_depolarized_family,
@@ -18,6 +22,7 @@ from maxconf import (
     solve_rank1_symmetric,
     validate,
 )
+from maxconf.serialize import dump_json, ensemble_from_json, ensemble_to_json
 from conftest import pure_qubit_pair, random_coefficients, random_density
 
 
@@ -94,7 +99,40 @@ def test_non_integer_dimension_is_refused():
     # TypeError when it reshaped the states by d * d
     with pytest.raises(InfeasibleInputError, match="got 2.0"):
         StateEnsemble(dim=2.0, priors=[1.0], states=np.eye(2)[None] / 2)
-    assert StateEnsemble(dim=np.int64(2), priors=[1.0], states=np.eye(2)[None] / 2).dim == 2
+    # a boolean is a Python int; dim=True was written as "dim": true, which
+    # ensemble_from_json refuses
+    with pytest.raises(InfeasibleInputError, match="got True"):
+        StateEnsemble(dim=True, priors=[1.0], states=np.ones((1, 1, 1)))
+    dim = StateEnsemble(dim=np.int64(2), priors=[1.0], states=np.eye(2)[None] / 2).dim
+    assert dim == 2 and type(dim) is int
+
+
+def test_numpy_integer_dims_and_orders_round_trip_through_json():
+    # a kept np.int64 made dump_json raise "not JSON serializable"
+    trine = build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2.0), np.int64(3))
+    e = StateEnsemble(dim=np.int64(2), priors=trine.priors, states=trine.states,
+                      symmetry=SymmetrySpec(order=np.int64(3), phases=trine.symmetry.phases))
+    for ensemble in (trine, e):
+        back = ensemble_from_json(json.loads(dump_json(ensemble_to_json(ensemble))))
+        assert (back.dim, back.symmetry.order) == (2, 3)
+        assert np.array_equal(back.states, ensemble.states)
+    assert type(SymmetricFamily.qubit(order=np.int64(3), purity=0.5, angle=1.0).order) is int
+
+
+@pytest.mark.parametrize("bad", [True, 3.0, 2.5], ids=["boolean", "integral-float", "fraction"])
+def test_dims_and_orders_must_be_integers(bad):
+    # SymmetrySpec(order=True) and an integral float order were accepted, a
+    # float order then failed with a bare TypeError in np.full or .powers,
+    # and qubit_mixed_solution answered for a family of order 2.5
+    d = int(bad)
+    for build in (
+        lambda: StateEnsemble(dim=bad, priors=[1.0], states=np.eye(d)[None] / d),
+        lambda: SymmetrySpec(order=bad, phases=[1.0]),
+        lambda: SymmetricFamily.qubit(order=bad, purity=0.5, angle=1.0),
+        lambda: build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2.0), bad),
+    ):
+        with pytest.raises(MaxconfError):
+            build()
 
 
 def test_average_state():
