@@ -93,6 +93,8 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
     name = parts[0]
     start, stop = float(parts[1]), float(parts[2])
     steps = int(parts[3])
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise InfeasibleInputError(f"grid bounds must be finite, got {spec!r}")
     if steps < 1:
         raise InfeasibleInputError("grid needs at least one step")
     return name, np.linspace(start, stop, steps)

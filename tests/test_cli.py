@@ -428,9 +428,11 @@ def test_sweep_rejects_bad_grid(tmp_path):
     ({"family": "flat-mixed", "order": 4, "dim": 2}, "dim:2:4:3", "cannot sweep 'dim'"),
     ({"order": 3, "angle": 1.0}, "purity:0.3:0.9:3", "family input needs a 'family' field"),
     ({"family": "qubit-mixed", "order": 3}, "angle:0.3:1.2:0", "grid needs at least one step"),
+    ({"family": "qubit-mixed", "order": 3}, "angle:inf:1:2", "grid bounds must be finite, got 'angle:inf:1:2'"),
+    ({"family": "qubit-mixed", "order": 3}, "purity:nan:1:3", "grid bounds must be finite, got 'purity:nan:1:3'"),
 ], ids=["string-purity", "boolean-purity", "null-angle", "unknown-parameter", "flat-angle",
         "pure-purity", "pure-coefficients", "pure-fixed-purity", "qubit-extra-fields", "flat-dim",
-        "no-family", "zero-steps"])
+        "no-family", "zero-steps", "infinite-bound", "nan-bound"])
 def test_sweep_refuses_parameters_it_would_misread_or_ignore(tmp_path, capsys, spec, grid, message):
     p = tmp_path / "family.json"
     p.write_text(json.dumps(spec), encoding="utf-8")

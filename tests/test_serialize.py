@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from maxconf import (
     InfeasibleInputError,
     build_depolarized_family,
     perturbation_witness,
+    solve_numeric,
     solve_rank1_symmetric,
+    verify_certificate,
 )
 from maxconf.serialize import (
     array_from_json,
@@ -98,6 +101,23 @@ def test_json_text_is_pinned():
         '{"dim":2,"states":[{"prior":1.0,"matrix":[[[0.3333333333333333,0.0],[0.25,-0.5]],'
         '[[0.25,0.5],[0.6666666666666666,0.0]]]}],"symmetry":{"order":1,'
         '"phases":[[1.0,0.0],[1.0,-0.0]]}}')
+    # the file layout: one key per line, one matrix row per line
+    assert dump_json(ensemble_to_json(e)) == """{
+  "dim": 2,
+  "states": [
+    {
+      "prior": 1.0,
+      "matrix": [
+        [[0.3333333333333333,0.0],[0.25,-0.5]],
+        [[0.25,0.5],[0.6666666666666666,0.0]]
+      ]
+    }
+  ],
+  "symmetry": {
+    "order": 1,
+    "phases": [[1.0,0.0],[1.0,-0.0]]
+  }
+}"""
     t = 1e-17j
     det = DetectionSet(np.array([[[0.5, t], [t.conjugate(), 0.5]], [[0.5, t.conjugate()], [t, 0.5]]]))
     assert json.dumps(detection_to_json(det), **compact) == (
@@ -247,6 +267,61 @@ def test_non_finite_floats_are_written_as_null(trine):
     # a value no record walked fails the write instead of shipping a NaN token
     with pytest.raises(ValueError):
         dump_json({"x": float("nan")})
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)  # a complex entry as its two halves
+
+
+def test_dump_json_is_exact():
+    # a generic solution file reloads bit for bit, signed zeros included
+    # (the conjugated states carry -0.0 imaginary parts), and still verifies
+    e = random_ensemble(np.random.default_rng(3), 4, 5)
+    e = StateEnsemble(dim=e.dim, priors=e.priors, states=np.conj(e.states))
+    assert np.signbit(e.states.imag[e.states.imag == 0.0]).all()
+    report = solve_numeric(e)
+    assert report.mode == "numeric" and report.certified
+    obj = json.loads(dump_json({
+        "ensemble": ensemble_to_json(e),
+        "report": report_to_json(report),
+        "detection": detection_to_json(report.detection),
+        "certificate": certificate_to_json(report.certificate),
+    }))
+    ensemble, detection = ensemble_from_json(obj["ensemble"]), detection_from_json(obj["detection"])
+    z = dual_from_certificate_json(obj["certificate"])
+    for back, sent in ((ensemble.priors, e.priors), (ensemble.states, e.states),
+                       (detection.operators, report.detection.operators), (z, report.certificate.z),
+                       (obj["report"]["confidences"], report.confidences)):
+        assert np.array_equal(_bits(back), _bits(sent))
+    assert obj["report"] == report_to_json(report)
+    assert verify_certificate(ensemble, detection, z).accepted
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dump_json_refuses_non_finite_array_entries(bad):
+    # inside a vector, a matrix row and a stack, not only as a bare value
+    for shape in ((3,), (2, 2), (2, 2, 2)):
+        a = np.zeros(shape, dtype=complex)
+        a.flat[-1] = complex(0.5, bad)
+        with pytest.raises(ValueError):
+            dump_json({"array": array_to_json(a)})
+
+
+def test_dump_json_layout(trine):
+    # every record type reads back as json.dumps wrote it, with at most one
+    # object key and one matrix row (a '[[' in compact form) per line
+    report = solve_rank1_symmetric(trine)
+    w = perturbation_witness(trine, report.detection, np.diag([1.05, -0.05]).astype(complex), 1e-3)
+    bad = StateEnsemble(dim=2, priors=np.array([0.7, 0.7]), states=trine.states[:2])
+    records = (report_to_json(report), certificate_to_json(report.certificate), witness_to_json(w),
+               validation_to_json(validate(bad)), ensemble_to_json(trine), detection_to_json(report.detection))
+    assert trine.symmetry is not None and records[3]["violations"]
+    key = re.compile(r'"(?:[^"\\]|\\.)*":')
+    for record in records:
+        text = dump_json(record)
+        assert json.loads(text) == json.loads(json.dumps(record))
+        for line in text.splitlines():
+            assert len(key.findall(line)) <= 1 and line.count("[[") <= 1, line
 
 
 def test_dump_and_load_json(tmp_path):
