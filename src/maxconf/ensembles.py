@@ -61,7 +61,7 @@ def check_order(order) -> int:
     return int(order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetrySpec:
     """Cyclic symmetry data: the group order and the eigenphases of the
     generator V = diag(phases), V^order = 1.
@@ -107,7 +107,7 @@ class SymmetrySpec:
         return self.clusters.shape[0] == self.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateEnsemble:
     """N quantum states with prior probabilities.
 

@@ -31,7 +31,7 @@ from .errors import InfeasibleInputError
 from .operators import FLAT_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricFamily:
     """Parameters of a depolarized symmetric family.
 
@@ -75,7 +75,7 @@ class SymmetricFamily:
         return cls(order=order, purity=purity, coefficients=c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilySolution:
     """Optimal values for a symmetric family.
 

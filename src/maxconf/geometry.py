@@ -42,7 +42,7 @@ from .operators import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MCGeometry:
     """Spectral data of the transformed states of an ensemble.
 

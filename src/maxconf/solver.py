@@ -16,7 +16,9 @@ semidefinite program. This module provides:
 * solve_numeric: a self-contained primal-dual interior-point solver for
   arbitrary ensembles (any degeneracies, no symmetry needed), whose dual
   iterate Z is the certificate; a cyclic ensemble, degenerate ones
-  included, is solved as one covariant block,
+  included, is solved as one covariant block. Each cone pair is a direct
+  sum of parts: a real vector for the width-1 blocks or the one-coordinate
+  clusters, an unpadded stack per wider width or larger cluster size,
 * verify_certificate: checks a dual certificate (Z, detection set) against
   every optimality condition and reports the residuals,
 * perturbation_witness: for a failed certificate, constructs a deformed
@@ -39,7 +41,10 @@ once the duality gap is at most CERT_TOL.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +82,7 @@ _TO_BOUNDARY = 0.98  # largest fraction of the way to a cone boundary per step
 _TO_BOUNDARY_ORTHANT = 0.999  # the same when every cone is an orthant (an LP)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionSet:
     """A complete measurement: inconclusive operator first, then the
     conclusive detection operators in ensemble order.
@@ -131,7 +136,7 @@ class DetectionSet:
         return float(spectra(self.operators)[:, 0].min())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementStats:
     """Outcome statistics of a detection set on an ensemble."""
 
@@ -189,7 +194,7 @@ def evaluate_measurement(ensemble: StateEnsemble, detection: DetectionSet) -> Me
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalityCertificate:
     """Result of checking a dual operator Z against a detection set.
 
@@ -295,7 +300,7 @@ def verify_certificate(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of a solve: the measurement, its rates, and its certificate."""
 
@@ -402,36 +407,34 @@ class _Orthant:
 
     @staticmethod
     def lows(inverses, dx, dy):
-        """The smallest dx / x and dy / y: x + alpha dx stays >= 0 while
-        alpha times it is >= -1."""
-        return (inverses * (dx, dy)).min(axis=1)
+        """dx / x and dy / y, each entry's own lower bound: x + alpha dx
+        stays >= 0 while alpha times it is >= -1."""
+        return inverses * (dx, dy)
 
 
 class _Semidefinite:
-    """Cone operations on semidefinite blocks, one matrix or a stack of
-    them, by LAPACK's stacked cholesky / inv / eigvalsh gufuncs called
-    directly (_cholesky, _inv, _eigvalsh), inside _interior_point's one
-    errstate(invalid="ignore"); pad, the identity on the padding of a
-    stack, is added only to factor them."""
+    """Cone operations on a (k, b, b) stack of semidefinite blocks, by
+    LAPACK's stacked cholesky / inv / eigvalsh gufuncs called directly
+    (_cholesky, _inv, _eigvalsh), inside _interior_point's one
+    errstate(invalid="ignore")."""
 
-    mul = np.matmul
-    herm = staticmethod(hermitian_part)
-    pad = None
+    mul, herm = np.matmul, staticmethod(hermitian_part)
 
     @staticmethod
     def inner(x, y):
         return np.vdot(x, y).real
 
-    def spectrum(self, x):
-        return _eigvalsh(x if self.pad is None else x + self.pad).ravel()
+    @staticmethod
+    def spectrum(x):
+        return _eigvalsh(x).ravel()
 
-    def factors(self, x, y):
+    @staticmethod
+    def factors(x, y):
         """The inverse of x, and the inverse Cholesky factors
         (L^-1, L^-dagger) of (x, y) that lows bounds steps with. Raises
         LinAlgError where a block is not positive definite: its factor,
         and so its inverse, is NaN."""
-        pair = np.array((x, y))
-        f = _inv(_cholesky(pair if self.pad is None else pair + self.pad))
+        f = _inv(_cholesky(np.array((x, y))))
         if not math.isfinite(np.vdot(f, f).real):  # a NaN or inf anywhere makes it so
             raise LinAlgError("block is not positive definite")
         fh = f.conj().swapaxes(-1, -2)
@@ -439,104 +442,73 @@ class _Semidefinite:
 
     @staticmethod
     def lows(factors, dx, dy):
-        """The smallest eigenvalues of L^-1 dx L^-dagger and of
-        L^-1 dy L^-dagger, per block (NaN where eigvalsh did not
-        converge)."""
+        """The smallest eigenvalue of each block of L^-1 dx L^-dagger and
+        of L^-1 dy L^-dagger (NaN where eigvalsh did not converge)."""
         f, fh = factors
         return _eigvalsh(f @ np.array((dx, dy)) @ fh)[..., 0]
 
 
 class _Entries(_Orthant):
-    """The width-1 blocks of (A, X1), entries 0..nv-1 of n: a real vector
+    """The width-1 blocks of (A, X1), the entries span of n: a real vector
     of the a_j, whose Schur complement term is X1 / A on the diagonal."""
 
-    cones = entries = staticmethod(lambda e, transposed=False: e)
+    entries = staticmethod(lambda x: x)
 
-    def __init__(self, n, nv):
-        self.diagonal = slice(None, nv * (n + 1), n + 1)
+    def __init__(self, n, span):
+        self.span, self.diagonal = span, slice(span.start * (n + 1), span.stop * (n + 1), n + 1)
+
+    def cones(self, e, transposed=False):
+        return e[self.span].real
 
     def add_schur(self, t, x1, a_inv):
         t.ravel()[self.diagonal] += x1 * a_inv
 
 
-class _Stack(_Semidefinite):
-    """The wider blocks of (A, X1), the entries from nv on: an
-    (Nw, bw, bw) stack zero-padded to the widest of them."""
+class _Blocks(_Semidefinite):
+    """The k blocks of one width b > 1 of (A, X1), the entries span of n:
+    an unpadded (k, b, b) stack, A's entries in row, column order and
+    X1's transposed."""
 
-    def __init__(self, n, nv, widths, blk, row, col):
-        wide, wb, rw, cw = widths[nv:], blk[nv:] - nv, row[nv:], col[nv:]
-        bw = int(wide.max())
-        self.nv, self.shape = nv, (wide.size, bw, bw)
-        # the flat places of the entries in the stack, as A's and,
-        # transposed, as X1's
-        self.at, self.ut = (wb * bw + rw) * bw + cw, (wb * bw + cw) * bw + rw
-        self.pad = np.eye(bw) * ~(np.arange(bw) < wide[:, None, None])
-        # each pair (i, k) inside one block: its flat index in the n x n
-        # system, and those of X1_j[c_i, r_k] and A^-1_j[c_k, r_i]
-        i, k = np.nonzero(wb[:, None] == wb)
-        base = wb[i] * bw * bw
-        self.local = np.stack(((i + nv) * n + k + nv, base + cw[i] * bw + rw[k], base + cw[k] * bw + rw[i]))
+    def __init__(self, n, span, k, b):
+        self.span, self.shape = span, (k, b, b)
+        # each pair (u, v) of entries of one block j: its flat index in the
+        # n x n system, and those of X1_j[c_u, r_v] and A^-1_j[c_v, r_u]
+        j, u, v = np.arange(k)[:, None, None] * b * b, np.arange(b * b)[:, None], np.arange(b * b)
+        (ru, cu), (rv, cv), lo = divmod(u, b), divmod(v, b), span.start
+        pairs = (lo + j + u) * n + lo + j + v, j + cu * b + rv, j + cv * b + ru
+        self.local = np.stack(np.broadcast_arrays(*pairs)).reshape(3, -1)
 
     def cones(self, e, transposed=False):
-        stack = np.zeros(self.shape, dtype=complex)
-        stack.ravel()[self.ut if transposed else self.at] = e[self.nv:]
-        return stack
+        x = e[self.span].reshape(self.shape)
+        return x.swapaxes(1, 2) if transposed else x
 
     def entries(self, x):
-        return x.ravel()[self.ut]
-
-    def lows(self, factors, dx, dy):
-        return super().lows(factors, dx, dy).min(axis=1)
+        return x.swapaxes(1, 2).ravel()
 
     def add_schur(self, t, x1, a_inv):
         t.ravel()[self.local[0]] += x1.ravel()[self.local[1]] * a_inv.ravel()[self.local[2]]
 
 
-class _Split:
-    """(A, X1) with blocks of both widths: the pair of the width-1 blocks'
-    vector (_Entries) and the wider blocks' stack (_Stack)."""
-
-    def __init__(self, vector: _Entries, stack: _Stack):
-        self.vector, self.stack = vector, stack
-
-    def cones(self, e, transposed=False):
-        return e[:self.stack.nv].real, self.stack.cones(e, transposed)
-
-    def entries(self, x):
-        return np.concatenate((x[0], self.stack.entries(x[1])))
-
-    def mul(self, x, y):
-        return x[0] * y[0], x[1] @ y[1]
-
-    def herm(self, x):
-        return x[0], hermitian_part(x[1])
-
-    def inner(self, x, y):
-        return x[0] @ y[0] + np.vdot(x[1], y[1]).real
-
-    def spectrum(self, x):
-        return np.concatenate((x[0], self.stack.spectrum(x[1])))
-
-    def factors(self, x, y):
-        (xv, fv), (xs, fs) = _Orthant.factors(x[0], y[0]), self.stack.factors(x[1], y[1])
-        return (xv, xs), (fv, fs)
-
-    def lows(self, factors, dx, dy):
-        return np.minimum(_Orthant.lows(factors[0], dx[0], dy[0]), self.stack.lows(factors[1], dx[1], dy[1]))
-
-    def add_schur(self, t, x1, a_inv):
-        self.vector.add_schur(t, x1[0], a_inv[0])
-        self.stack.add_schur(t, x1[1], a_inv[1])
+def _dense(part, z):
+    """The d x d matrix of the form z of an (S, Z) part, zero off its
+    clusters."""
+    out = np.zeros((part.d,) * 2, dtype=complex)
+    out[part.at] = z
+    return out
 
 
 class _Diagonal(_Orthant):
-    """(S, Z) when every cluster is one coordinate p_l: the real vectors of
-    their diagonals. pinch(sum_j W_j a_j W_j^dagger) is P a, with
+    """The one-coordinate clusters p_l of (S, Z): the real vector of their
+    diagonal entries. pinch(sum_j W_j a_j W_j^dagger) there is P a, with
     P[l, i] = conj(W[p_l, c_i]) W[p_l, r_i], its adjoint P^T z, the Schur
     complement term P^T diag(z / s) P and K's block entries P^T s^-1."""
 
-    def __init__(self, p, P):
-        self.p, self.P, self.Pt = p, P, P.T.copy()
+    dense = _dense
+
+    def __init__(self, p, wr, wc, real):
+        P = wc[p].conj() * wr[p]
+        self.d, self.at, self.P = len(wr), (p, p), P.real if real else P
+        self.Pt = self.P.T.copy()
 
     def total(self, a):
         return (self.P @ a).real
@@ -545,127 +517,150 @@ class _Diagonal(_Orthant):
         return self.Pt @ z
 
     def pinched(self, x):
-        return x[self.p, self.p].real
-
-    def dense(self, z):
-        out = np.zeros((self.p.size,) * 2, dtype=complex)
-        out[self.p, self.p] = z
-        return out
+        return x[self.at].real
 
     def schur(self, z, s_inv):
         return (self.Pt * (z * s_inv)) @ self.P, self.Pt @ s_inv
 
 
-class _Pinched(_Semidefinite):
-    """(S, Z) when a cluster is wider: one dense d x d matrix, pinched by
-    the 0/1 mask of the clusters only when there are several. The total is
-    one product of W's columns r_i and c_i (wr, wc); the Schur complement
-    term is sum_c Y_c o K_c^T over the clusters P_c, for Y_c and K_c the
-    matrices of the (W^dagger P_c Z P_c W)[c_i, r_k] and
-    (W^dagger P_c S^-1 P_c W)[c_i, r_k]: formed whole when every block has
-    width 1 (r_i = c_i = i), and otherwise gathered (take) from the M x M
-    products over wide = (W, rows r_i, columns c_i), W = [W_1 ... W_N]
-    unpadded. K's block entries, the (W^dagger S^-1 W)[c_i, r_i], are the
-    diagonal of its K_c summed over the clusters (S^-1 is pinched like S);
-    K is formed as W^dagger (S^-1 W), as blocks forms its entries."""
+class _Clusters(_Semidefinite):
+    """The k clusters of one size c > 1 of (S, Z), their coordinates the
+    rows of idx (k, c): the (k, c, c) stack of their blocks P_c X P_c,
+    each reading only W_c, the rows of the unpadded W = [W_1 ... W_N] it
+    owns. Its total is one product of W_c's columns r_i and c_i (wr, wc);
+    its Schur complement term sums Y_c o K_c^T for the matrices of the
+    (W_c^dagger Z_c W_c)[c_i, r_k] and (W_c^dagger S_c^-1 W_c)[c_i, r_k]:
+    the products themselves when every block has width 1 (take is None),
+    and otherwise gathered (take) from them; K's block entries sum the
+    diagonals of the K_c (S^-1 is pinched like S)."""
 
-    mask = take = None
+    dense = _dense
 
-    def __init__(self, clusters, wr, wc, wide=None):
-        self.real = wide is None
-        self.wr, self.wc = wr, wc.conj()
-        self.wct = self.wc.T.copy()
-        g = wr if wide is None else wide[0]
-        if len(clusters) > 1:
-            self.mask = clusters.T @ clusters
-            g = clusters[:, :, None] * g
-        # with one cluster and width-1 blocks, g^dagger is wct
-        self.g, self.gh = g, self.wct if g is wr else g.conj().swapaxes(-1, -2).copy()
+    def __init__(self, idx, w, wr, wc, wide):
+        self.d, self.at, m = len(w), (idx[:, :, None], idx[:, None, :]), w.shape[1]
+        self.wr, self.wc = wr[idx], wc[idx].conj()
+        self.wct = self.wc.swapaxes(1, 2).copy()
+        # with width-1 blocks W's columns are the r_i, and g^dagger is wct;
+        # otherwise take holds the flat places of the (W_c^dagger X W_c)[c_i, r_k]
+        # in the (k, M, M) products, from W's columns r_i and c_i (wide)
+        self.g, self.gh, self.take = self.wr, self.wct, None
         if wide is not None:
-            m = g.shape[-1]
-            self.take = wide[2][:, None] * m + wide[1]
-            if self.mask is not None:
-                self.take = np.arange(len(clusters))[:, None, None] * m * m + self.take
+            self.g = w[idx]
+            self.gh = self.g.conj().swapaxes(1, 2).copy()
+            self.take = (np.arange(len(idx))[:, None, None] * m + wide[1][:, None]) * m + wide[0]
 
     def total(self, a):
-        t = (self.wr * a) @ self.wct
-        return t if self.mask is None else t * self.mask
+        return (self.wr * a) @ self.wct
 
     def blocks(self, z):
-        u = (self.wc * (z @ self.wr)).sum(axis=0)
-        return u.real if self.real else u
+        u = (self.wc * (z @ self.wr)).reshape(-1, self.wr.shape[-1]).sum(axis=0)
+        return u.real if self.take is None else u
 
     def pinched(self, x):
-        return x if self.mask is None else x * self.mask
-
-    dense = staticmethod(lambda z: z)
+        return x[self.at]
 
     def schur(self, z, s_inv):
         y, k = self.gh @ z @ self.g, self.gh @ (s_inv @ self.g)
         if self.take is not None:
             y, k = y.ravel()[self.take], k.ravel()[self.take]
-        t, u = y * k.swapaxes(-1, -2), k.diagonal(axis1=-2, axis2=-1)
-        if self.mask is not None:
-            t, u = t.sum(axis=0), u.sum(axis=0)
-        return t, u.real if self.real else u
+        t, u = y[0] * k[0].T, k[0].diagonal()
+        for c in range(1, len(y)):
+            t, u = t + y[c] * k[c].T, u + k[c].diagonal()
+        return t, u.real if self.take is None else u
+
+
+class _Parts(tuple):
+    """A form of a _Sum, one array per part, which +, - and scalar * act
+    on part by part."""
+
+    __array_ufunc__ = None  # a numpy scalar defers to the operators below
+
+    def _map(self, op, other):
+        return _Parts(map(op, self, other if isinstance(other, _Parts) else (other,) * len(self)))
+
+    __add__, __sub__ = functools.partialmethod(_map, operator.add), functools.partialmethod(_map, operator.sub)
+    __mul__ = __rmul__ = functools.partialmethod(_map, operator.mul)
+
+
+def _each(name, combine=_Parts, whole=False):
+    """The _Sum operation name: every part's own, on its piece of each
+    argument (on every argument whole if whole), the results combined."""
+    if whole:
+        return lambda self, *args: combine([getattr(part, name)(*args) for part in self.parts])
+    return lambda self, *forms: combine([getattr(part, name)(*args) for part, args in zip(self.parts, zip(*forms))])
+
+
+class _Sum:
+    """A cone pair of more than one part (see _Layout), held as their
+    direct sum: each operation runs part by part (_each), and its results
+    are kept as _Parts, summed or concatenated."""
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    mul, herm = _each("mul"), _each("herm")
+    cones, total, pinched = (_each(name, whole=True) for name in ("cones", "total", "pinched"))
+    inner, blocks, dense = (_each(name, sum) for name in ("inner", "blocks", "dense"))
+    spectrum, entries = (_each(name, np.concatenate) for name in ("spectrum", "entries"))
+    lows = _each("lows", lambda lows: np.concatenate(lows, axis=1))
+    factors = _each("factors", lambda pairs: tuple(map(_Parts, zip(*pairs))))
+    schur = _each("schur", lambda pairs: tuple(map(sum, zip(*pairs))))
+
+    def add_schur(self, t, x1, a_inv):
+        for part, x, y in zip(self.parts, x1, a_inv):
+            part.add_schur(t, x, y)
 
 
 class _Layout:
     """How one solve holds its cone pairs, chosen from the block widths and
-    the cluster sizes alone and built once; only the tables a layout reads
-    are made.
+    the cluster sizes alone and built once.
 
     (A, X1) lives on the n = sum_j m_j^2 entries (r_i, c_i) of the blocks'
-    real m_j x m_j corners, the width-1 blocks first and then the wider
-    ones, each in row, column order: A and its steps as the entry vector of
-    the A_j[r_i, c_i], X1, A^-1 and the right-hand sides as that of the
+    real m_j x m_j corners, the blocks in (stable) order of width and each
+    in row, column order: A and its steps as the entry vector of the
+    A_j[r_i, c_i], X1, A^-1 and the right-hand sides as that of the
     transposed X1_j[c_i, r_i], so that Tr(X1 A) is their plain dot product;
-    both are real when every block has width 1. Its form, ax, is _Entries
-    (a real vector) when every block has width 1, _Stack when none has and
-    _Split, the pair, otherwise; ax.cones turns an entry vector into that
-    form and ax.entries turns it back. The form of (S, Z), sz, is _Diagonal
-    (a real vector) when every cluster is one coordinate and _Pinched (the
-    dense matrix) otherwise. Between the two, sz.total maps an entry vector
-    to pinch(sum_j W_j a_j W_j^dagger), before its Hermitian part;
-    sz.blocks, its adjoint, maps Z to the entries of the W_j^dagger Z W_j;
-    sz.pinched and sz.dense map d x d matrices in and out. The layout
-    itself keeps the two forms and the entry tables (place, swap, eye).
+    both are real when every block has width 1. Each pair is the direct
+    sum (_Sum) of its parts, or its one part: ax, for (A, X1), has the
+    width-1 blocks' vector (_Entries) and a stack per wider width
+    (_Blocks); sz, for (S, Z), the one-coordinate clusters' vector of
+    diagonal entries (_Diagonal) and a stack of the blocks P_c X P_c per
+    larger cluster size (_Clusters). ax.cones turns an entry vector into
+    ax's form and ax.entries turns it back; sz.total maps an entry vector
+    to pinch(sum_j W_j a_j W_j^dagger), before its Hermitian part,
+    sz.blocks, its adjoint, maps Z to the entries of the W_j^dagger Z W_j,
+    and sz.pinched and sz.dense map d x d matrices in and out. The layout
+    keeps the two and the entry tables (place, swap, eye).
     """
 
     def __init__(self, w: np.ndarray, widths: np.ndarray, clusters: np.ndarray):
         self.full_shape = w.shape[:1] + w.shape[2:] * 2
-        thin = widths == 1
-        nv = int(thin.sum())
-        self.real = nv == widths.size
-        wide = None
-        if self.real:
-            self.place, self.swap, self.eye = (np.arange(nv), 0, 0), slice(None), np.ones(nv)
-            wr = wc = w[:, :, 0].T
-            self.ax = _Entries(nv, nv)
+        self.real, wide = bool((widths == 1).all()), None
+        if self.real:  # entry i is block i's one entry, and W has no padding
+            self.place, self.swap, self.eye = (np.arange(widths.size), 0, 0), slice(None), np.ones(widths.size)
+            w = wr = wc = w[:, :, 0].T
         else:
-            order = np.argsort(~thin, kind="stable")  # width-1 blocks first
+            order = np.argsort(widths, kind="stable")
             widths = widths[order]
             real = np.arange(w.shape[2]) < widths[:, None]
             blk, row, col = np.nonzero(real[:, :, None] & real[:, None, :])
-            n = blk.size
-            first = np.cumsum(widths ** 2) - widths ** 2
+            first, start = np.cumsum(widths ** 2) - widths ** 2, np.cumsum(widths) - widths
             self.swap = first[blk] + col * widths[blk] + row  # the entry of the transpose
             self.place = order[blk], row, col  # each entry in an (N, b, b) stack
             self.eye = (row == col).astype(complex)  # the entries of identity blocks
-            stack = _Stack(n, nv, widths, blk, row, col)
-            self.ax = _Split(_Entries(n, nv), stack) if nv else stack
-            # columns r_i and c_i of the unpadded W = [W_1 ... W_N]
-            start = np.cumsum(widths) - widths
-            wide = w[order].transpose(1, 0, 2)[:, real], start[blk] + row, start[blk] + col
-            wr, wc = wide[0][:, wide[1]], wide[0][:, wide[2]]
-        lone = clusters.sum(axis=1) == 1
-        if lone.all():
-            p = clusters.argmax(axis=1)
-            P = wc[p].conj() * wr[p]
-            self.sz = _Diagonal(p, P.real if self.real else P)
-        else:
-            self.sz = _Pinched(clusters, wr, wc, wide)
-        self.orthant = self.real and lone.all()  # every cone an orthant: an LP
+            # the unpadded W = [W_1 ... W_N] and its columns r_i and c_i
+            w, wide = w[order].transpose(1, 0, 2)[:, real], (start[blk] + row, start[blk] + col)
+            wr, wc = w[:, wide[0]], w[:, wide[1]]
+        ax, lo, n = [], 0, self.eye.size
+        for b, k in collections.Counter(widths.tolist()).items():  # in order of width
+            span, lo = slice(lo, lo + k * b * b), lo + k * b * b
+            ax.append(_Entries(n, span) if b == 1 else _Blocks(n, span, k, b))
+        sz, sizes = [], clusters.sum(axis=1)
+        for c in sorted(set(sizes.tolist())):
+            idx = np.nonzero(clusters[sizes == c])[1].reshape(-1, c)
+            sz.append(_Diagonal(idx[:, 0], wr, wc, self.real) if c == 1 else _Clusters(idx, w, wr, wc, wide))
+        self.ax, self.sz = (parts[0] if len(parts) == 1 else _Sum(parts) for parts in (ax, sz))
+        self.orthant = self.real and isinstance(self.sz, _Diagonal)  # every cone an orthant: an LP
 
     def stacked(self, a: np.ndarray) -> np.ndarray:
         """The (N, b, b) stack of the blocks of A's entry vector a."""
@@ -678,15 +673,17 @@ def _newton_system(lay: _Layout, x1, a_inv, z, s_inv) -> tuple[np.ndarray, np.nd
     """Schur complement of the HKM Newton system over the entries of the
     blocks (_Layout): with E_i the unit matrix of entry i,
     T[i, k] = Tr(E_i X1 E_k A^-1) + sum_c Tr(E_i Y_c E_k K_c) and
-    S = T + T^T, for Y_c = W^dagger P_c Z P_c W and K_c = W^dagger P_c S^-1 P_c W
-    over the clusters P_c of the constraint, W unpadded. x1 and a_inv are
-    in the form of lay.ax (ax.cones), z and s_inv in that of lay.sz.
+    S = T + T^T, for Y_c = W_c^dagger Z W_c and K_c = W_c^dagger S^-1 W_c
+    over the clusters P_c of the constraint, W_c = P_c W the rows of the
+    unpadded W that cluster c owns. x1 and a_inv are in the form of lay.ax
+    (ax.cones), z and s_inv in that of lay.sz.
 
-    The (S, Z) form's schur gives the cluster term (_Diagonal, _Pinched)
-    and K's block entries, those of the W_j^dagger S^-1 W_j, which the
-    centering term reads; the (A, X1) form adds its own term: x1 / a on
-    the diagonal for width-1 blocks, one gather over the entry pairs inside
-    a block for the wider ones. Returned are the real system
+    The (S, Z) form's schur gives the cluster term, summed over its parts
+    (_Diagonal, _Clusters), and K's block entries, those of the
+    W_j^dagger S^-1 W_j, which the centering term reads; the (A, X1) form
+    adds its own term part by part: x1 / a on the diagonal for width-1
+    blocks, one gather over the entry pairs inside a block for the wider
+    ones. Returned are the real system
     S.real + S[:, swap].imag (S itself when every cone is an orthant) and
     K's block entries. The system maps the real coordinates h of a
     Hermitian dA, whose entries are v = (1 + i) h + (1 - i) h[swap], to
@@ -698,7 +695,7 @@ def _newton_system(lay: _Layout, x1, a_inv, z, s_inv) -> tuple[np.ndarray, np.nd
     t, k = lay.sz.schur(z, s_inv)
     lay.ax.add_schur(t, x1, a_inv)
     t = t + t.T
-    return (t if lay.orthant else t.real + t[:, lay.swap].imag), k
+    return (t if lay.orthant else t.real + t.imag[:, lay.swap]), k
 
 
 def _embed(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -714,10 +711,10 @@ def _step_lengths(lay: _Layout, factors, primal, dual, to_boundary, gap: float) 
     (dA, dS) and (dX1, dZ), each with its cone form. A NaN bound (from an
     eigvalsh of lows that did not converge) raises NotConvergedError."""
     (fa, fs), (_, da, ds), (_, dx1, dz) = factors, primal, dual
-    lows = lay.ax.lows(fa, da, dx1), lay.sz.lows(fs, ds, dz)
-    low = np.minimum(*lows)  # the primal and the dual bound, NaN where a pair's is
+    lows = lay.ax.lows(fa, da, dx1), lay.sz.lows(fs, ds, dz)  # per block
+    low = np.minimum.reduce(np.concatenate(lows, axis=1), axis=1)  # the primal and the dual bound, NaN where a block's is
     if math.isnan(low[0] + low[1]):
-        pair = "(A, X1)" if math.isnan(lows[0][0] + lows[0][1]) else "(S, Z)"
+        pair = "(A, X1)" if np.isnan(lows[0]).any() else "(S, Z)"
         raise NotConvergedError(f"step bound of {pair} not computed at duality gap {gap:.3e}")
     return to_boundary / np.maximum(to_boundary, -low)
 
@@ -749,20 +746,14 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     X1_j = W_j^dagger (Z - rho) W_j, and (S, Z) with
     S = 1 - pinch(sum_j W_j a_j W_j^dagger); both are functions of A and Z,
     so every iterate is primal and dual feasible and the duality gap is
-    Tr(X1 A) + Tr(Z S) = Tr Z - R. _Layout picks each pair's form once,
-    from the widths and the clusters alone, and the loop runs that form's
-    operations directly: the width-1 blocks and an all-one-coordinate
-    (S, Z) as real vectors, factored, inverted and step-bounded
-    elementwise, and the wider blocks and a dense (S, Z) as semidefinite
-    blocks, by LAPACK's stacked cholesky / inv / eigvalsh gufuncs called
-    directly, the blocks padded to the widest of them only to factor them.
-    A generic ensemble of width-1 blocks thus has vector A with dense S and
-    Z, and a cyclic one with distinct phases and a simple top eigenvalue
-    only vectors: a linear program. Each iteration builds the Schur
-    complement (_newton_system) over the sum_j m_j^2 entries of the blocks
-    once and solves it, in real arithmetic, for the predictor and the
-    corrector; a 1 x 1 system is a division by its pivot, refused unless it
-    is > 0.
+    Tr(X1 A) + Tr(Z S) = Tr Z - R. Each pair is a direct sum of real
+    vectors and unpadded stacks (_Layout): a generic ensemble of width-1
+    blocks has vector A with S and Z one d x d block, and a cyclic one with
+    distinct phases and a simple top eigenvalue only vectors, a linear
+    program. Each iteration builds the Schur complement (_newton_system)
+    over the sum_j m_j^2 entries of the blocks once and solves it, in real
+    arithmetic, for the predictor and the corrector; a 1 x 1 system is a
+    division by its pivot, refused unless it is > 0.
 
     Near the optimum a predictor-corrector step can leave a pair far from
     commuting: Tr(Z S) ~ gap while ||Z S|| ~ sqrt(gap), too large for the
@@ -916,7 +907,7 @@ def solve_numeric(ensemble: StateEnsemble, geo: MCGeometry | None = None) -> Sol
     return _report(ensemble, geo, "numeric", detection, z, iterations, gap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationWitness:
     """A measurement deformation exhibiting a certificate failure.
 

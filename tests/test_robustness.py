@@ -2,9 +2,27 @@
 each checked against the invariants that hold for it, with the closed
 forms as the oracle where they apply."""
 
+import json
+
 import numpy as np
 
-from maxconf import SymmetricFamily, geometry, solve_numeric, solve_rank1_symmetric
+from maxconf import (
+    StateEnsemble,
+    SymmetricFamily,
+    geometry,
+    solve_numeric,
+    solve_rank1_symmetric,
+    verify_certificate,
+)
+from maxconf.serialize import (
+    certificate_to_json,
+    detection_from_json,
+    detection_to_json,
+    dual_from_certificate_json,
+    dump_json,
+    ensemble_from_json,
+    ensemble_to_json,
+)
 
 
 def near_maximally_mixed_families(count=200, seed=7):
@@ -40,3 +58,20 @@ def test_near_maximally_mixed_cyclic_families_certify():
             np.testing.assert_allclose(report.confidences, exact.confidences, rtol=0, atol=1e-6)
             compared += 1
     assert compared > 0
+
+
+def test_one_dimensional_ensemble_certifies_end_to_end():
+    # d = 1: two states both [[1]], so every outcome keeps its prior as its
+    # confidence and no outcome need be inconclusive; the solve must certify
+    # with Q = 0 and confidences equal to the priors, and its certificate
+    # must be accepted again after the solution's JSON round trip
+    e = StateEnsemble(dim=1, priors=np.array([0.3, 0.7]), states=np.ones((2, 1, 1), dtype=complex))
+    report = solve_numeric(e)
+    assert report.certified, report.certificate.failures
+    assert report.failure_probability <= 1e-8
+    np.testing.assert_allclose(report.confidences, e.priors, rtol=0, atol=1e-8)
+    obj = json.loads(dump_json({"ensemble": ensemble_to_json(e), "detection": detection_to_json(report.detection),
+                                "certificate": certificate_to_json(report.certificate)}))
+    cert = verify_certificate(ensemble_from_json(obj["ensemble"]), detection_from_json(obj["detection"]),
+                              dual_from_certificate_json(obj["certificate"]))
+    assert cert.accepted, cert.failures

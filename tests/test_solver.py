@@ -32,9 +32,13 @@ from maxconf import (
 from maxconf import operators, solver
 from maxconf.operators import CERT_TOL, RANK_CUTOFF, hermitian_part
 from maxconf.solver import (
+    _Blocks,
+    _Clusters,
+    _Diagonal,
+    _Entries,
     _Layout,
     _Orthant,
-    _Split,
+    _Sum,
     _embed,
     _interior_point,
     _newton_system,
@@ -544,9 +548,10 @@ def test_width_one_cone_matches_stacked_linear_algebra(n):
     for sign in (1.0, -1.0, 0.0):
         dx, dy = sign * rng.uniform(0.1, 2.0, (2, n))
         ref = np.linalg.eigvalsh(ref_f @ blocks(dx, dy) @ ref_fh)[..., 0]
+        # one bound per 1 x 1 block, as the stacks give one per block
         lows = _Orthant.lows(factors, dx, dy)
-        assert np.allclose(lows, ref.min(axis=1), rtol=1e-14, atol=0)
-        assert np.allclose(lows, (np.array((dx, dy)) / np.array((x, y))).min(axis=1), rtol=1e-14, atol=0)
+        assert np.allclose(lows, ref, rtol=1e-14, atol=0)
+        assert np.allclose(lows, np.array((dx, dy)) / np.array((x, y)), rtol=1e-14, atol=0)
     for bad in (0.0, -1e-3, np.nan):
         broken = y.copy()
         broken[n // 2] = bad
@@ -562,7 +567,7 @@ def test_width_one_cone_matches_stacked_linear_algebra(n):
 def _negating_second(factors):
     """A cone form's factors with the second matrix of its pair negated:
     a negative definite block, whose LAPACK cholesky fails."""
-    return lambda self, x, y: factors(self, x, -y)
+    return staticmethod(lambda x, y: factors(x, -y))
 
 
 @pytest.mark.parametrize("failure", ["(S, Z)", "(A, X1)", "singular"])
@@ -571,17 +576,18 @@ def test_a_failure_in_the_loop_stops_at_a_finite_gap_without_a_warning(trine, mo
     # that does not factor and for a singular system; each must stop the
     # solve there with NotConvergedError at the finite gap of the iterate
     # that failed, warn nothing and leave numpy's error state as it was:
-    # a non-positive-definite dense (S, Z) (the trine without its
-    # symmetry), a non-positive-definite wide (A, X1) stack (widths 2, 2
-    # and 1) and a singular 3 x 3 Newton system (the zero matrix)
+    # a non-positive-definite (S, Z) stack of one cluster (the trine
+    # without its symmetry), a non-positive-definite wide (A, X1) stack
+    # (widths 2, 2 and 1, the stack one part of a sum) and a singular
+    # 3 x 3 Newton system (the zero matrix)
     generic = StateEnsemble(dim=trine.dim, priors=trine.priors, states=trine.states)
     if failure == "(S, Z)":
         e, message = generic, r"iterate left the cone at duality gap (\S+): \(S, Z\) not positive definite$"
-        monkeypatch.setattr(solver._Pinched, "factors", _negating_second(solver._Pinched.factors))
+        monkeypatch.setattr(solver._Clusters, "factors", _negating_second(solver._Clusters.factors))
     elif failure == "(A, X1)":
         e, message = mixed_width_ensemble(np.random.default_rng(21)), \
             r"iterate left the cone at duality gap (\S+): \(A, X1\) not positive definite$"
-        monkeypatch.setattr(solver._Stack, "factors", _negating_second(solver._Stack.factors))
+        monkeypatch.setattr(solver._Blocks, "factors", _negating_second(solver._Blocks.factors))
     else:
         e, message = generic, r"singular Newton system at duality gap (\S+)$"
         system = solver._newton_system
@@ -606,13 +612,13 @@ def test_a_step_bound_that_does_not_converge_names_its_pair(trine, monkeypatch, 
     # step bound; the solve must stop there with NotConvergedError naming
     # the pair, at the finite gap of the iterate, warn nothing and leave
     # numpy's error state as it was: the loop's eigvalsh fails only inside
-    # the lows of the dense (S, Z) of the trine without its symmetry (whose
-    # (A, X1) is a vector), or of the wide (A, X1) stack (widths 2, 2 and 1)
+    # the lows of the one-cluster (S, Z) stack of the trine without its
+    # symmetry (whose (A, X1) is a vector), or of the wide (A, X1) stack
+    # (widths 2, 2 and 1), one part of its sum
     if pair == "(S, Z)":
-        e = StateEnsemble(dim=trine.dim, priors=trine.priors, states=trine.states)
-        form, wrap = solver._Semidefinite, staticmethod
+        e, form = StateEnsemble(dim=trine.dim, priors=trine.priors, states=trine.states), solver._Clusters
     else:
-        e, form, wrap = mixed_width_ensemble(np.random.default_rng(21)), solver._Stack, lambda f: f
+        e, form = mixed_width_ensemble(np.random.default_rng(21)), solver._Blocks
     inside, lows = [False], form.lows
 
     def flagged(*args):
@@ -622,7 +628,7 @@ def test_a_step_bound_that_does_not_converge_names_its_pair(trine, monkeypatch, 
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(form, "lows", wrap(flagged))
+    monkeypatch.setattr(form, "lows", staticmethod(flagged))
     monkeypatch.setattr(solver, "_eigvalsh", failing_lapack(solver._eigvalsh, lambda a: inside[0]))
     message = rf"step bound of {re.escape(pair)} not computed at duality gap (\S+)$"
     state = np.geterr()
@@ -748,20 +754,21 @@ def _real_coordinates(entries, swap, da, target):
     return h, u.real + u.imag
 
 
-def _x1_form(lay, widths, stack):
+def _x1_form(lay, stack):
     """The (A, X1) form (lay.ax.cones) of an X1-like (N, b, b) stack, from
-    its entries X1_j[c_i, r_i] as the loop holds them, with NaN on the
-    padding of the wider blocks' stack, which the system must never read;
-    real when every block has width 1, as in the loop."""
+    its entries X1_j[c_i, r_i] as the loop holds them; real when every
+    block has width 1, as in the loop. The form holds those entries and no
+    padding: its parts have n entries in all."""
     blk, row, col = lay.place
     entries = stack[blk, col, row]
     form = lay.ax.cones(entries.real if lay.real else entries, True)
-    wide = np.array([m for m in widths if m > 1])
-    if wide.size:
-        padded = form[1] if isinstance(lay.ax, _Split) else form
-        real = np.arange(wide.max()) < wide[:, None]
-        padded[~(real[:, :, None] & real[:, None, :])] = np.nan
+    assert sum(np.size(part) for part in (form if isinstance(lay.ax, _Sum) else (form,))) == blk.size
     return form
+
+
+def _parts(form):
+    """The part classes of a cone pair's form, in the order it holds them."""
+    return [type(part) for part in (form.parts if isinstance(form, _Sum) else (form,))]
 
 
 # mixed widths in both orders, width-1 blocks only, and no width-1 block
@@ -776,13 +783,18 @@ WIDTHS = [(1, 2, 3), (3, 1, 2), (1, 1, 1, 1), (2, 3, 2)]
 def test_newton_system_sums_over_clusters(clusters):
     # on a Hermitian block-diagonal dA the system gives the Hermitian part of
     # X1 dA A^-1 + sum_c Y_c dA K_c, checked on the dense M x M matrices:
-    # width-1 blocks and clusters that are all one coordinate ("five") are
-    # vectors in the loop, wider blocks a stack, and clusters of which any
-    # is wider ("one", "three") one dense matrix, masked when there are several
+    # each cone pair is a direct sum of parts, the width-1 blocks and the
+    # one-coordinate clusters a vector each, and the blocks of each wider
+    # width and the clusters of each larger size an unpadded stack each
+    # ("three" has clusters of sizes 2, 2 and 1: a vector and a stack of two)
     rng = np.random.default_rng(8)
     clusters = np.array(clusters, dtype=bool)
     pinch = clusters.T @ clusters
+    sizes = set(clusters.sum(axis=1).tolist())
     for widths in WIDTHS:
+        lay = _Layout(_random_blocks(rng, 5, widths)[0], np.array(widths), clusters)
+        assert _parts(lay.ax) == [_Entries] * (1 in widths) + [_Blocks] * len(set(widths) - {1})
+        assert _parts(lay.sz) == [_Diagonal] * (1 in sizes) + [_Clusters] * (max(sizes) > 1)
         n, b, m = len(widths), max(widths), sum(widths)
         w, a = _random_blocks(rng, 5, widths)
         x1 = _random_step(rng, widths)
@@ -795,7 +807,7 @@ def test_newton_system_sums_over_clusters(clusters):
         for j, mj in enumerate(widths):
             a_inv[j, :mj, :mj] = np.linalg.inv(a[j, :mj, :mj])
         lay = _Layout(w, np.array(widths), clusters)
-        system, k = _newton_system(lay, _x1_form(lay, widths, x1), _x1_form(lay, widths, a_inv),
+        system, k = _newton_system(lay, _x1_form(lay, x1), _x1_form(lay, a_inv),
                                    lay.sz.pinched(z), lay.sz.pinched(np.linalg.inv(s)))
         assert system.shape == (sum(mj * mj for mj in widths),) * 2
         # K's block entries: the entries of the W_j^dagger S^-1 W_j (S^-1 is pinched)
@@ -869,7 +881,7 @@ def test_newton_system_is_the_barrier_hessian_at_the_center(widths):
     s_inv = np.linalg.inv(np.eye(d) - _embed(w, a).sum(axis=0))
     k = wf.conj().T @ s_inv @ wf
     lay = _Layout(w, np.array(widths), np.ones((1, d), dtype=bool))
-    system, _ = _newton_system(lay, _x1_form(lay, widths, a_inv / t), _x1_form(lay, widths, a_inv),
+    system, _ = _newton_system(lay, _x1_form(lay, a_inv / t), _x1_form(lay, a_inv),
                                lay.sz.pinched(s_inv / t), lay.sz.pinched(s_inv))
     for _ in range(3):
         da = _random_step(rng, widths)
@@ -1331,3 +1343,16 @@ def test_symmetric_solves_certify_and_match(seed):
     q_expected = 1.0 - dim * float(np.min(np.abs(c)) ** 2)
     assert report.failure_probability == pytest.approx(q_expected, abs=1e-9)
     assert np.nanmax(np.abs(report.confidences - dim / order)) < 1e-9
+
+
+def test_records_compare_and_hash_by_identity(trine):
+    # records that hold arrays compare and hash as objects: == between two
+    # separate builds of the trine, their symmetries, reports or detection
+    # sets would otherwise compare arrays and raise, and hash() would fail
+    other = build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2.0), 3)
+    report, other_report = solve_rank1_symmetric(trine), solve_rank1_symmetric(other)
+    for a, b in ((trine, other), (trine.symmetry, other.symmetry), (report, other_report),
+                 (report.detection, other_report.detection), (report.certificate, other_report.certificate)):
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert {a: 1}[a] == 1 and len({a, b}) == 2
