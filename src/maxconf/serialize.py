@@ -209,8 +209,6 @@ def load_json(path: str) -> Any:
 def format_csv_value(x: Any) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.{CSV_DIGITS}g}"
     return str(x)

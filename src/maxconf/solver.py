@@ -72,7 +72,6 @@ from .operators import (
     gram_norms,
     hermitian_part,
     numerical_rank,
-    opnorm,
     require_hermitian,
     spectra,
 )
@@ -128,12 +127,6 @@ class DetectionSet:
     @property
     def conclusive(self) -> np.ndarray:
         return self.operators[1:]
-
-    def completeness_residual(self) -> float:
-        return opnorm(self.operators.sum(axis=0) - np.eye(self.dim))
-
-    def min_eigenvalue(self) -> float:
-        return float(spectra(self.operators)[:, 0].min())
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,14 +533,13 @@ class _Clusters(_Semidefinite):
         self.d, self.at, m = len(w), (idx[:, :, None], idx[:, None, :]), w.shape[1]
         self.wr, self.wc = wr[idx], wc[idx].conj()
         self.wct = self.wc.swapaxes(1, 2).copy()
-        # with width-1 blocks W's columns are the r_i, and g^dagger is wct;
-        # otherwise take holds the flat places of the (W_c^dagger X W_c)[c_i, r_k]
-        # in the (k, M, M) products, from W's columns r_i and c_i (wide)
-        self.g, self.gh, self.take = self.wr, self.wct, None
-        if wide is not None:
-            self.g = w[idx]
-            self.gh = self.g.conj().swapaxes(1, 2).copy()
-            self.take = (np.arange(len(idx))[:, None, None] * m + wide[1][:, None]) * m + wide[0]
+        self.g = w[idx]
+        self.gh = self.g.conj().swapaxes(1, 2).copy()
+        # take holds the flat places of the (W_c^dagger X W_c)[c_i, r_k] in the
+        # (k, M, M) products, from W's columns r_i and c_i (wide); with width-1
+        # blocks W's columns are the r_i, and the products need no gather
+        self.take = None if wide is None else (
+            (np.arange(len(idx))[:, None, None] * m + wide[1][:, None]) * m + wide[0])
 
     def total(self, a):
         return (self.wr * a) @ self.wct
@@ -920,7 +912,9 @@ class PerturbationWitness:
 
     of the deformed measurement, whose leading behavior is
     predicted_first_order = -2 epsilon mu; a strictly negative gap shows the
-    original measurement was not optimal for the claimed Z.
+    original measurement was not optimal for the claimed Z. The deformed
+    set's rate (trace_minus_rate is Tr Z - rate), completeness_residual and
+    min_eigenvalue (povm_min_eigenvalue there) are its verify_certificate's.
     """
 
     kind: str
@@ -991,19 +985,17 @@ def perturbation_witness(
     def dual_functional(det: DetectionSet) -> float:
         return float(np.vdot(det.inconclusive, z).real + np.vdot(qh @ det.conclusive @ q, slacks).real)
 
-    gap = dual_functional(deformed)
-    baseline = dual_functional(detection)
-    rate_primed = float(np.vdot(deformed.conclusive.sum(axis=0), rho).real)
+    cert = verify_certificate(ensemble, deformed, z, geo=geo, tol=tol)
     return PerturbationWitness(
         kind=kind,
         outcome=k,
         mu=mu,
         epsilon=epsilon,
-        gap=gap,
-        baseline_gap=baseline,
+        gap=dual_functional(deformed),
+        baseline_gap=dual_functional(detection),
         predicted_first_order=-2.0 * epsilon * mu,
-        trace_minus_rate=float(z.trace().real) - rate_primed,
+        trace_minus_rate=float(z.trace().real) - cert.rate,
         detection=deformed,
-        completeness_residual=deformed.completeness_residual(),
-        min_eigenvalue=deformed.min_eigenvalue(),
+        completeness_residual=cert.conditions["completeness_residual"],
+        min_eigenvalue=cert.conditions["povm_min_eigenvalue"],
     )

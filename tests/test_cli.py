@@ -1,13 +1,25 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxconf import build_depolarized_family, build_symmetric_ensemble, cli, solver
+from maxconf import (
+    SymmetricFamily,
+    build_depolarized_family,
+    build_symmetric_ensemble,
+    cli,
+    solver,
+    square_root_measurement,
+)
 from maxconf.cli import main
 from maxconf.serialize import (
+    CSV_DIGITS,
     array_to_json,
     detection_from_json,
     dual_from_certificate_json,
@@ -247,8 +259,12 @@ def test_verify_refuses_a_non_hermitian_dual(trine_file, tmp_path, capsys):
 
 
 def test_verify_rejects_corrupted_dual(trine_file, tmp_path, capsys):
+    # a witness is attached only to a rejection, and only with --witness
     out = tmp_path / "solution.json"
     main(["solve", "--input", str(trine_file), "--output", str(out)])
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out), "--witness"]) == 0
+    assert "witness" not in json.loads(capsys.readouterr().out)
     obj = json.loads(out.read_text(encoding="utf-8"))
     # shrink the dual: trace and slack conditions now fail
     z = obj["certificate"]["z"]
@@ -256,7 +272,8 @@ def test_verify_rejects_corrupted_dual(trine_file, tmp_path, capsys):
         for entry in row:
             entry[0] *= 0.8
     out.write_text(json.dumps(obj), encoding="utf-8")
-    capsys.readouterr()
+    assert main(["verify", "--input", str(out)]) == 1
+    assert "witness" not in json.loads(capsys.readouterr().out)
     rc = main(["verify", "--input", str(out), "--witness"])
     assert rc == 1
     result = json.loads(capsys.readouterr().out)
@@ -330,10 +347,21 @@ def test_solve_writes_the_one_certificate_tolerance(trine_file, tmp_path):
     assert "pos_tol" not in cert and "eq_tol" not in cert
 
 
-def test_verify_needs_solution_file(tmp_path):
-    p = tmp_path / "partial.json"
+def test_verify_needs_solution_file(trine_file, tmp_path, capsys):
+    # a solved file without its certificate is named as such, not refused
+    # later by a KeyError, and a JSON list is refused, not a traceback
+    p, out, listed = tmp_path / "partial.json", tmp_path / "solution.json", tmp_path / "list.json"
     p.write_text(json.dumps({"ensemble": {}}), encoding="utf-8")
-    assert main(["verify", "--input", str(p)]) == 2
+    listed.write_text("[1, 2]", encoding="utf-8")
+    main(["solve", "--input", str(trine_file), "--output", str(out)])
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    del obj["certificate"]
+    out.write_text(json.dumps(obj), encoding="utf-8")
+    for path in (p, out, listed):
+        capsys.readouterr()
+        assert main(["verify", "--input", str(path)]) == 2
+        assert ("verify needs a solution file with 'ensemble', 'detection', and 'certificate'"
+                in capsys.readouterr().err)
 
 
 def test_sweep_writes_csv(tmp_path):
@@ -372,8 +400,15 @@ def test_sweep_pure_family_reports_srm(tmp_path):
     rc = main(["sweep", "--input", str(p), "--grid", "angle:0.5:1.4:3",
                "--output", str(out)])
     assert rc == 0
-    header = out.read_text(encoding="utf-8").split("\n")[0]
+    header, *rows = (line.split(",") for line in out.read_text(encoding="utf-8").strip().split("\n"))
     assert "srm_confidence" in header
+    assert len(rows) == 3
+    for row, angle in zip(rows, np.linspace(0.5, 1.4, 3)):
+        assert len(row) == len(header)
+        fields = dict(zip(header, row))
+        srm = square_root_measurement(SymmetricFamily.qubit(order=4, purity=1.0, angle=float(angle)))[1]
+        assert fields["srm_confidence"] == f"{srm:.{CSV_DIGITS}g}"
+        assert float(fields["srm_confidence"]) <= float(fields["confidence"])
 
 
 def test_sweep_flat_family(tmp_path, capsys):
@@ -430,9 +465,11 @@ def test_sweep_rejects_bad_grid(tmp_path):
     ({"family": "qubit-mixed", "order": 3}, "angle:0.3:1.2:0", "grid needs at least one step"),
     ({"family": "qubit-mixed", "order": 3}, "angle:inf:1:2", "grid bounds must be finite, got 'angle:inf:1:2'"),
     ({"family": "qubit-mixed", "order": 3}, "purity:nan:1:3", "grid bounds must be finite, got 'purity:nan:1:3'"),
+    ({"family": "qubit-mixed", "order": 3}, "angle:0.3:inf:3", "grid bounds must be finite, got 'angle:0.3:inf:3'"),
+    ({"family": "nope", "order": 3}, "angle:0.3:1.2:3", "unknown family 'nope'"),
 ], ids=["string-purity", "boolean-purity", "null-angle", "unknown-parameter", "flat-angle",
         "pure-purity", "pure-coefficients", "pure-fixed-purity", "qubit-extra-fields", "flat-dim",
-        "no-family", "zero-steps", "infinite-bound", "nan-bound"])
+        "no-family", "zero-steps", "infinite-bound", "nan-bound", "infinite-stop", "unknown-family"])
 def test_sweep_refuses_parameters_it_would_misread_or_ignore(tmp_path, capsys, spec, grid, message):
     p = tmp_path / "family.json"
     p.write_text(json.dumps(spec), encoding="utf-8")
@@ -540,8 +577,14 @@ def test_solve_names_non_finite_violation(tmp_path, capsys):
     assert "finite_values" in capsys.readouterr().err
 
 
-def test_entry_point_installed():
+def test_entry_point_installed(tmp_path):
     # the console script wraps main; exercising --help through argparse
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+    # python -m maxconf.cli runs entry(), which exits with main's code
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxconf.cli", "validate", "--input", str(tmp_path / "none.json")],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and "error:" in proc.stderr

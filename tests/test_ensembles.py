@@ -452,6 +452,8 @@ def test_build_symmetric_ensemble_refuses_phases_and_references_of_the_wrong_sha
         build_symmetric_ensemble(c, 3, phases=default_phases(3, 2))
     with pytest.raises(InfeasibleInputError, match=r"vector or square matrix, got shape \(2, 3\)"):
         build_symmetric_ensemble(np.ones((2, 3)) / 3.0, 3)
+    with pytest.raises(InfeasibleInputError, match=r"vector or square matrix, got shape \(2, 2, 2\)"):
+        build_symmetric_ensemble(np.ones((2, 2, 2)) / 4.0, 3)
 
 
 def test_validate_flags_repeated_phases():

@@ -161,7 +161,7 @@ def test_ensemble_roundtrip_without_symmetry():
 def test_ensemble_from_json_errors():
     with pytest.raises(InfeasibleInputError):
         ensemble_from_json([1, 2, 3])
-    with pytest.raises(InfeasibleInputError):
+    with pytest.raises(InfeasibleInputError, match="ensemble: 'states' must be a nonempty list"):
         ensemble_from_json({"dim": 2, "states": []})
     with pytest.raises(InfeasibleInputError):
         ensemble_from_json({"dim": 2, "states": [{"prior": 0.5}]})
@@ -190,6 +190,9 @@ def test_detection_roundtrip(trine):
     report = solve_rank1_symmetric(trine)
     det = report.detection
     back = detection_from_json(json.loads(json.dumps(detection_to_json(det))))
+    assert np.array_equal(back.operators, det.operators)
+    # 'dim' is optional; given, it must match the operators
+    back = detection_from_json({"operators": detection_to_json(det)["operators"]})
     assert np.array_equal(back.operators, det.operators)
 
 
@@ -322,6 +325,8 @@ def test_dump_json_layout(trine):
         assert json.loads(text) == json.loads(json.dumps(record))
         for line in text.splitlines():
             assert len(key.findall(line)) <= 1 and line.count("[[") <= 1, line
+    # empty containers stay compact on their key's line
+    assert dump_json({"none": {}, "empty": [[]]}) == '{\n  "none": {},\n  "empty": [[]]\n}'
 
 
 def test_dump_and_load_json(tmp_path):

@@ -67,10 +67,11 @@ def test_detection_set_completeness(trine):
     det = trine_optimal_detection(trine)
     assert det.dim == 2
     assert det.n_conclusive == 3
-    assert det.completeness_residual() < 1e-12
+    conditions = verify_certificate(trine, det, np.eye(2) / 2.0).conditions
+    assert conditions["completeness_residual"] < 1e-12
     # the trine detections exhaust the identity, so Pi_0 = 0
     assert opnorm(det.inconclusive) < 1e-12
-    assert det.min_eigenvalue() > -1e-12
+    assert conditions["povm_min_eigenvalue"] > -1e-12
 
 
 def test_detection_set_shape_check():
@@ -81,8 +82,8 @@ def test_detection_set_shape_check():
 
 
 def test_zero_dimensional_detection_set_is_refused():
-    # 0 x 0 operators used to be accepted, and min_eigenvalue and
-    # completeness_residual then raised IndexError
+    # 0 x 0 operators used to be accepted, and their smallest eigenvalue and
+    # completeness residual then raised IndexError
     with pytest.raises(InfeasibleInputError, match="d >= 1"):
         DetectionSet(np.zeros((2, 0, 0)))
 
@@ -1194,7 +1195,7 @@ _CLOSED_FORM_INPUTS = {
 def test_certificate_norms_of_tiny_residuals_match_svd(name):
     # an exact optimum moved by 1e-12 gives residuals of that order; the
     # square roots of the Grams' top eigenvalues keep the SVD norms' relative
-    # accuracy there, and completeness_residual() takes the same route
+    # accuracy there
     e = _CLOSED_FORM_INPUTS[name]()
     geo = geometry(e)
     report = solve_rank1_symmetric(e, geo)
@@ -1211,7 +1212,6 @@ def test_certificate_norms_of_tiny_residuals_match_svd(name):
     for k in ("completeness_residual", "inconclusive_orthogonality", "stationarity_residual"):
         assert 1e-14 < conditions[k] < 1e-10, (k, conditions[k])
         assert abs(cert.conditions[k] - conditions[k]) <= 1e-10 * conditions[k], k
-    assert cert.conditions["completeness_residual"] == pytest.approx(det.completeness_residual(), rel=1e-14)
 
 
 def _assert_matches_reference(cert, reference):
@@ -1313,7 +1313,7 @@ def test_witness_support_slack(trine):
     assert w.outcome == 1
     assert w.mu == pytest.approx(0.5, abs=1e-9)
     assert w.gap == pytest.approx(-eps * (2.0 - eps) * 0.5, abs=1e-10)
-    assert w.detection.completeness_residual() < 1e-12
+    assert w.completeness_residual < 1e-12
 
 
 @pytest.mark.parametrize("count", [2, 4])
