@@ -17,7 +17,6 @@ from .ensembles import (
     build_symmetric_ensemble,
     default_phases,
     orbit,
-    phase_powers,
     validate,
 )
 from .errors import (
@@ -98,7 +97,6 @@ __all__ = [
     "opnorm",
     "orbit",
     "perturbation_witness",
-    "phase_powers",
     "pure_symmetric_solution",
     "qubit_mixed_solution",
     "solve_numeric",

@@ -89,9 +89,13 @@ class SymmetrySpec:
 
     @cached_property
     def powers(self) -> np.ndarray:
-        """The (order, d) table of phase powers whose row k is the diagonal
-        of V^k (phase_powers), built on first use and kept."""
-        return phase_powers(self.phases, self.order)
+        """The (order, d) table whose row k is phases**k, the diagonal of V^k,
+        built on first use and kept; allocated first, so an order no array
+        can index is refused (ValueError) before any power is taken."""
+        table = np.empty((self.order, self.dim), dtype=complex)
+        for k in range(self.order):  # phases ** np.arange(order) rounds differently
+            table[k] = self.phases**k
+        return table
 
     @cached_property
     def clusters(self) -> np.ndarray:
@@ -277,17 +281,9 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     return ValidationReport(violations=violations, flags=flags)
 
 
-def phase_powers(phases: np.ndarray, order: int) -> np.ndarray:
-    """The (order, d) table whose row k is phases**k, the diagonal of V^k
-    for V = diag(phases)."""
-    phases = np.asarray(phases, dtype=complex)
-    # integer powers one by one: phases ** np.arange(order) rounds differently
-    return np.stack([phases**k for k in range(order)])
-
-
 def orbit(op: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """The cyclic orbit V^k op V^-k, k = 0..order-1, from the (order, d)
-    phase-power table of V (phase_powers, SymmetrySpec.powers).
+    phase-power table of V, a SymmetrySpec's powers.
 
     op is one (d, d) operator, or a stack (order, d, d) whose entry k is
     conjugated by V^k. Returns an (order, d, d) array.
@@ -298,13 +294,9 @@ def orbit(op: np.ndarray, powers: np.ndarray) -> np.ndarray:
 def _cyclic_ensemble(rho1: np.ndarray, order: int, phases: np.ndarray | None) -> StateEnsemble:
     """Equiprobable orbit of rho1 under V = diag(phases), default phases if None."""
     dim = rho1.shape[0]
-    if phases is None:
-        phases = default_phases(order, dim)
-    else:
-        phases = np.asarray(phases, dtype=complex).reshape(-1)
-        if phases.shape[0] != dim:
-            raise InvalidPhasesError(f"{phases.shape[0]} phases for dimension {dim}")
-    spec = SymmetrySpec(order=order, phases=phases)
+    spec = SymmetrySpec(order, default_phases(order, dim) if phases is None else phases)
+    if spec.dim != dim:
+        raise InvalidPhasesError(f"{spec.dim} phases for dimension {dim}")
     return StateEnsemble(dim=dim, priors=np.full(order, 1.0 / order),
                          states=orbit(rho1, spec.powers), symmetry=spec)
 

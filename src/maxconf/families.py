@@ -20,12 +20,12 @@ import numpy as np
 
 from .ensembles import (
     StateEnsemble,
+    SymmetrySpec,
     build_depolarized_family,
     check_family,
     check_order,
     default_phases,
     orbit,
-    phase_powers,
 )
 from .errors import InfeasibleInputError
 from .operators import FLAT_TOL
@@ -120,7 +120,7 @@ def pure_symmetric_solution(family: SymmetricFamily) -> FamilySolution:
     psi1 = c
     lead = rinv_diag * psi1
     pi1 = (float(mods2.min()) / n) * np.outer(lead, lead.conj())
-    ops = orbit(pi1, phase_powers(default_phases(n, d), n))
+    ops = orbit(pi1, SymmetrySpec(n, default_phases(n, d)).powers)
     return FamilySolution(
         confidence=confidence,
         failure_probability=failure,
@@ -173,7 +173,7 @@ def flat_mixed_solution(family: SymmetricFamily) -> FamilySolution:
     p = family.purity
     confidence = (1.0 + p * (d - 1.0)) / n
     pi1 = (d / n) * np.outer(c, c.conj())
-    ops = orbit(pi1, phase_powers(default_phases(n, d), n))
+    ops = orbit(pi1, SymmetrySpec(n, default_phases(n, d)).powers)
     return FamilySolution(
         confidence=confidence,
         failure_probability=0.0,
@@ -199,6 +199,6 @@ def square_root_measurement(family: SymmetricFamily) -> tuple[np.ndarray, float]
     # rho^(-1/2) is diagonal with entries 1/|c_l|
     lead = c / mods
     pi1 = np.outer(lead, lead.conj()) / n
-    ops = orbit(pi1, phase_powers(default_phases(n, d), n))
+    ops = orbit(pi1, SymmetrySpec(n, default_phases(n, d)).powers)
     confidence = (d / n) * float(mods.sum() / np.sqrt(d)) ** 2
     return ops, confidence

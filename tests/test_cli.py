@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -541,7 +542,7 @@ def test_compare_needs_symmetry(tmp_path):
     assert json.loads(out.read_text(encoding="utf-8"))["cross_check"]["available"] is False
 
 
-def test_solve_check_disagreement_exits_one(trine_file, tmp_path, monkeypatch):
+def test_solve_check_disagreement_exits_one(trine_file, tmp_path, monkeypatch, capsys):
     solve = cli._solve
 
     def skewed(ensemble, geo, mode, tol):
@@ -553,6 +554,7 @@ def test_solve_check_disagreement_exits_one(trine_file, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_solve", skewed)
     rc = main(["solve", "--input", str(trine_file), "--check", "--output", str(tmp_path / "s.json")])
     assert rc == 1
+    assert capsys.readouterr().err == "cross-check deviates by 1.000e-03\n"
 
 
 def _nan_prior_file(tmp_path):
@@ -588,3 +590,47 @@ def test_entry_point_installed(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])), capture_output=True, text=True,
     )
     assert proc.returncode == 2 and "error:" in proc.stderr
+
+
+def _capped_child(args, cwd):
+    # a child python under a 2 GiB address-space cap, one BLAS thread and a
+    # 60 s timeout: an order that allocated until memory ran out would fail
+    # this test rather than exhaust the machine
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("family, grid", [
+    ({"family": "pure-symmetric"}, "angle:0.3:1.2:2"),
+    ({"family": "qubit-mixed"}, "angle:0.3:1.2:2"),
+    ({"family": "flat-mixed", "dim": 2}, "purity:0.3:0.9:2"),
+], ids=["pure-symmetric", "qubit-mixed", "flat-mixed"])
+def test_sweep_refuses_an_order_no_array_can_index(family, grid, tmp_path):
+    # the phase table is sized before any power is taken, so numpy refuses
+    # the order at once (ValueError, an input error) instead of filling
+    # memory with one power per state
+    (tmp_path / "huge.json").write_text(json.dumps({**family, "order": 1e300}), encoding="utf-8")
+    proc = _capped_child(["-m", "maxconf.cli", "sweep", "--input", "huge.json", "--grid", grid], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_builders_refuse_an_order_no_array_can_index(tmp_path):
+    code = """
+import numpy as np
+from maxconf import SymmetricFamily, build_symmetric_ensemble
+for make in (lambda: build_symmetric_ensemble(np.array([0.6, 0.8]), 2**63),
+             lambda: SymmetricFamily.qubit(10**300, 1.0, 1.0).ensemble()):
+    try:
+        make()
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+    proc = _capped_child(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError", "ValueError"]

@@ -18,7 +18,6 @@ from maxconf import (
     default_phases,
     geometry,
     orbit,
-    phase_powers,
     solve_rank1_symmetric,
     validate,
 )
@@ -64,7 +63,7 @@ def test_symmetry_spec_tables_are_built_once():
     spec = SymmetrySpec(order=5, phases=default_phases(5, 3))
     assert "powers" not in vars(spec) and "clusters" not in vars(spec)
     assert spec.powers is spec.powers and spec.clusters is spec.clusters
-    assert np.array_equal(spec.powers, phase_powers(spec.phases, 5))
+    assert np.array_equal(spec.powers, np.stack([spec.phases**k for k in range(5)]))
 
 
 def test_symmetry_spec_generator_unitary():
@@ -336,7 +335,7 @@ def test_orbit_matches_matrix_power(stacked):
     order, dim = 5, 3
     phases = default_phases(order, dim)
     ops = np.stack([random_density(rng, dim) for _ in range(order)])
-    got = orbit(ops if stacked else ops[0], phase_powers(phases, order))
+    got = orbit(ops if stacked else ops[0], SymmetrySpec(order, phases).powers)
     assert got.shape == (order, dim, dim)
     for k in range(order):
         vk = np.linalg.matrix_power(np.diag(phases), k)
@@ -464,6 +463,11 @@ def test_validate_flags_repeated_phases():
     assert report.ok
     assert any(f.startswith("symmetry eigenphases are not pairwise distinct") for f in report.flags)
     assert not any("pairwise distinct" in f for f in validate(build_symmetric_ensemble(c, 3)).flags)
+    # two states of the order-3 orbit: the order mismatch is a violation, and
+    # the phases of a spec that is not the ensemble's orbit are not flagged
+    part = validate(StateEnsemble(dim=3, priors=(0.5, 0.5), states=e.states[:2], symmetry=e.symmetry))
+    assert [v.name for v in part.violations] == ["symmetry_order"]
+    assert not any("pairwise distinct" in f for f in part.flags)
 
 
 @settings(max_examples=25, deadline=None)
