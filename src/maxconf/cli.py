@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     except NotConvergedError as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    except (MaxconfError, OSError, ValueError, KeyError, TypeError) as exc:
+    except (MaxconfError, OSError, ValueError, KeyError, TypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

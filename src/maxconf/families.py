@@ -47,12 +47,12 @@ class SymmetricFamily:
     coefficients: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "order", check_order(self.order))
         dim = np.size(self.coefficients)
         if self.order < dim:
             raise InfeasibleInputError(
                 f"order {self.order} < dimension {dim}; the orbit needs order >= dim"
             )
-        object.__setattr__(self, "order", check_order(self.order))
         object.__setattr__(self, "coefficients", check_family(self.coefficients, self.purity))
 
     @property

@@ -294,15 +294,11 @@ def verify_certificate(
 
 
 @dataclass(frozen=True, eq=False)
-class SolveReport:
-    """Outcome of a solve: the measurement, its rates, and its certificate."""
+class SolveReport(MeasurementStats):
+    """Outcome of a solve: its measurement's statistics, the measurement and its certificate."""
 
     mode: str
     detection: DetectionSet
-    detection_rate: float
-    failure_probability: float
-    confidences: np.ndarray
-    correct_probability: float
     certificate: OptimalityCertificate
     certified: bool
     iterations: int = 0
@@ -321,18 +317,8 @@ def _report(
     """Evaluate the measurement and verify its certificate Z into a report."""
     certificate = verify_certificate(ensemble, detection, z, geo=geo)
     stats = evaluate_measurement(ensemble, detection)
-    return SolveReport(
-        mode=mode,
-        detection=detection,
-        detection_rate=stats.detection_rate,
-        failure_probability=stats.failure_probability,
-        confidences=stats.confidences,
-        correct_probability=stats.correct_probability,
-        certificate=certificate,
-        certified=certificate.accepted,
-        iterations=iterations,
-        duality_gap=duality_gap,
-    )
+    return SolveReport(**vars(stats), mode=mode, detection=detection, certificate=certificate,
+                       certified=certificate.accepted, iterations=iterations, duality_gap=duality_gap)
 
 
 def solve_rank1_symmetric(

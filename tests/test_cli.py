@@ -620,6 +620,21 @@ def test_sweep_refuses_an_order_no_array_can_index(family, grid, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("family, grid", [
+    ({"family": "pure-symmetric", "order": 1e12}, "angle:0.3:1.2:2"),
+    ({"family": "qubit-mixed", "order": 3, "angle": 1.0}, "purity:0.1:0.9:1000000000000"),
+], ids=["phase-table", "grid"])
+def test_sweep_refuses_an_input_no_memory_can_hold(family, grid, tmp_path):
+    # numpy can index a (1e12, 2) phase table or a 1e12-point grid, but the
+    # allocation fails (MemoryError, an input error); run only under the cap,
+    # since without one overcommit may grant it and start a long fill
+    (tmp_path / "huge.json").write_text(json.dumps(family), encoding="utf-8")
+    proc = _capped_child(["-m", "maxconf.cli", "sweep", "--input", "huge.json", "--grid", grid], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_builders_refuse_an_order_no_array_can_index(tmp_path):
     code = """
 import numpy as np

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from maxconf import (
     DegenerateCoefficientError,
     InfeasibleInputError,
+    InvalidPhasesError,
     SymmetricFamily,
     flat_mixed_solution,
     opnorm,
@@ -25,6 +26,10 @@ def test_family_validation():
         SymmetricFamily.qubit(order=3, purity=1.2, angle=1.0)
     with pytest.raises(InfeasibleInputError):
         SymmetricFamily.flat(order=2, dim=3, purity=1.0)
+    # the order is checked before it is compared with the dimension
+    for order in ("3", None):
+        with pytest.raises(InvalidPhasesError, match="group order must be an integer, got"):
+            SymmetricFamily(order=order, purity=1.0, coefficients=[0.6, 0.8])
 
 
 def test_closed_forms_refuse_families_outside_their_scope():

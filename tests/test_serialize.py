@@ -226,6 +226,8 @@ def test_report_and_validation_json(trine):
     assert obj["duality_gap"] == 0.0
     assert obj["certified"] is True
     assert len(obj["confidences"]) == 3
+    assert len(obj["outcome_probabilities"]) == 4
+    assert obj["zero_probability_outcomes"] == []
     vj = validation_to_json(validate(trine))
     assert vj["ok"] is True
     assert vj["violations"] == []

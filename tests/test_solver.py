@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -10,6 +11,7 @@ from maxconf import (
     DetectionSet,
     InfeasibleInputError,
     InvalidPhasesError,
+    MeasurementStats,
     NoNegativeEigenvalueError,
     NonHermitianError,
     NotConvergedError,
@@ -344,12 +346,28 @@ def test_solve_numeric_random_ensembles():
         assert cert.conditions["trace_gap"] < 1e-8
         assert cert.conditions["stationarity_residual"] < 1e-8
         assert cert.rank_z + cert.rank_inconclusive <= e.dim
+        # the stop rule reports no iterate far from commuting: ||Z S||_F <= gap,
+        # and S is Pi_0 for a generic ensemble
+        assert np.linalg.norm(cert.z @ report.detection.inconclusive) <= report.duality_gap
 
 
 def test_solve_numeric_agrees_with_analytic(trine):
     analytic = solve_rank1_symmetric(trine)
     numeric = solve_numeric(trine)
     assert abs(analytic.detection_rate - numeric.detection_rate) < 1e-6
+
+
+@pytest.mark.parametrize("solve", [solve_rank1_symmetric, solve_numeric])
+def test_report_is_its_measurements_statistics(solve, trine):
+    report = solve(trine)
+    assert isinstance(report, MeasurementStats)
+    stats = evaluate_measurement(trine, report.detection)
+    for f in dataclasses.fields(MeasurementStats):
+        mine, theirs = getattr(report, f.name), getattr(stats, f.name)
+        if isinstance(theirs, np.ndarray):
+            assert np.array_equal(mine, theirs, equal_nan=True), f.name
+        else:
+            assert mine == theirs, f.name
 
 
 @pytest.mark.parametrize("embedding", ["corner", "rotated"])

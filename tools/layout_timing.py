@@ -13,6 +13,7 @@ two widths or several clusters, which the perfbench corpora do not reach:
   of order 6 (six clusters of 4), d = 12 and d = 16 of order 4 (four
   clusters of 3 and of 4).
 
+``tools/same_answers.py`` fingerprints the answers on the same inputs.
 Each input is solved once per tree in each round, the first tree leading
 in even rounds and the second in odd ones. For each input it prints the
 layout (the block widths and cluster sizes, as count x size), the

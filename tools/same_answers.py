@@ -9,7 +9,11 @@ builds the ``numeric`` (probe included), ``symmetric_numeric`` and
 per workload and seed: the op count, the total iterations, the certified
 count and one SHA-256 over each op's iterations, certified flag, check
 verdict, raw Z bytes and detection-operator bytes, in corpus order. An op
-that raises contributes its exception type and message instead.
+that raises contributes its exception type and message instead. A seventh
+line, ``mixed``, is the same fingerprint of ``solve_numeric`` on the five
+inputs of ``tools/layout_timing.py`` (two with blocks of two widths, three
+with repeated phases), which no corpus reaches, checked as the ``numeric``
+corpus checks its ops.
 
 Run it on two trees and compare the lines: equal lines mean bitwise equal
 answers. It gates nothing by itself, since the bits of Z depend on the BLAS
@@ -32,6 +36,7 @@ import hashlib  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
+from layout_timing import INPUTS  # noqa: E402
 
 WORKLOADS = ("numeric", "symmetric_numeric", "closed_form")
 SEEDS = (1, 2)
@@ -63,7 +68,7 @@ def main() -> None:
     root = parser.parse_args().root.resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
     import maxconf
-    from perfbench.workloads import build
+    from perfbench.workloads import Op, _numeric_check, build
 
     if not Path(maxconf.__file__).resolve().is_relative_to(root):
         raise SystemExit(f"maxconf was imported from {maxconf.__file__}, not from {root}")
@@ -75,6 +80,13 @@ def main() -> None:
             iterations, certified, digest = fingerprint(ops)
             print(f"{workload} seed={seed} ops={len(ops)} iterations={iterations} "
                   f"certified={certified} sha256={digest}", flush=True)
+    # the mixed-width and repeated-phase layouts, which no corpus reaches,
+    # under the numeric corpus's check
+    ensembles = {label: build_input(maxconf) for label, build_input in INPUTS.items()}
+    ops = [Op("mixed", label, lambda e=e: maxconf.solve_numeric(e), _numeric_check(e))
+           for label, e in ensembles.items()]
+    iterations, certified, digest = fingerprint(ops)
+    print(f"mixed ops={len(ops)} iterations={iterations} certified={certified} sha256={digest}", flush=True)
 
 
 if __name__ == "__main__":
