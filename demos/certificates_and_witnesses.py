@@ -55,6 +55,7 @@ print(f"\nshrunken dual accepted: {bad.accepted}")
 print(f"failed conditions: {bad.failures}")
 w = perturbation_witness(ensemble, report.detection, z_bad, epsilon=1e-3)
 print(f"witness kind = {w.kind}, exposing eigenvalue -{w.mu:.6f}")
+print(f"deformed measurement's failed conditions: {w.certificate.failures}")
 
 # when only positivity fails (all equalities intact), the deformation moves
 # the dual functional by exactly -epsilon (2 - epsilon) mu. The three

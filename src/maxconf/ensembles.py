@@ -137,7 +137,7 @@ class StateEnsemble:
         if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise InfeasibleInputError(f"dimension must be an integer of at least 1, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))  # a numpy integer is not JSON
-        if states.ndim != 3 or states.shape[1:] != (self.dim, self.dim):
+        if states.shape[1:] != (self.dim, self.dim):
             raise InfeasibleInputError(
                 f"states must have shape (N, {self.dim}, {self.dim}), got {states.shape}"
             )

@@ -898,9 +898,8 @@ class PerturbationWitness:
 
     of the deformed measurement, whose leading behavior is
     predicted_first_order = -2 epsilon mu; a strictly negative gap shows the
-    original measurement was not optimal for the claimed Z. The deformed
-    set's rate (trace_minus_rate is Tr Z - rate), completeness_residual and
-    min_eigenvalue (povm_min_eigenvalue there) are its verify_certificate's.
+    original measurement was not optimal for the claimed Z. certificate is
+    the deformed set's verify_certificate against the same Z.
     """
 
     kind: str
@@ -910,10 +909,8 @@ class PerturbationWitness:
     gap: float
     baseline_gap: float
     predicted_first_order: float
-    trace_minus_rate: float
     detection: DetectionSet
-    completeness_residual: float
-    min_eigenvalue: float
+    certificate: OptimalityCertificate
 
 
 def perturbation_witness(
@@ -971,7 +968,6 @@ def perturbation_witness(
     def dual_functional(det: DetectionSet) -> float:
         return float(np.vdot(det.inconclusive, z).real + np.vdot(qh @ det.conclusive @ q, slacks).real)
 
-    cert = verify_certificate(ensemble, deformed, z, geo=geo, tol=tol)
     return PerturbationWitness(
         kind=kind,
         outcome=k,
@@ -980,8 +976,6 @@ def perturbation_witness(
         gap=dual_functional(deformed),
         baseline_gap=dual_functional(detection),
         predicted_first_order=-2.0 * epsilon * mu,
-        trace_minus_rate=float(z.trace().real) - cert.rate,
         detection=deformed,
-        completeness_residual=cert.conditions["completeness_residual"],
-        min_eigenvalue=cert.conditions["povm_min_eigenvalue"],
+        certificate=verify_certificate(ensemble, deformed, z, geo=geo, tol=tol),
     )

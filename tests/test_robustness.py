@@ -9,6 +9,7 @@ import numpy as np
 from maxconf import (
     StateEnsemble,
     SymmetricFamily,
+    build_symmetric_ensemble,
     geometry,
     solve_numeric,
     solve_rank1_symmetric,
@@ -23,6 +24,7 @@ from maxconf.serialize import (
     ensemble_from_json,
     ensemble_to_json,
 )
+from maxconf.operators import CERT_TOL
 
 
 def near_maximally_mixed_families(count=200, seed=7):
@@ -75,3 +77,16 @@ def test_one_dimensional_ensemble_certifies_end_to_end():
     cert = verify_certificate(ensemble_from_json(obj["ensemble"]), detection_from_json(obj["detection"]),
                               dual_from_certificate_json(obj["certificate"]))
     assert cert.accepted, cert.failures
+
+
+def test_one_state_in_one_dimension_certifies():
+    # N = 1 in d = 1: the smallest detection set there is, (2, 1, 1), both
+    # through the interior point and as the order-1 cyclic closed form
+    one = StateEnsemble(dim=1, priors=[1.0], states=[[[1.0]]])
+    report = solve_numeric(one)
+    assert report.certified and report.failure_probability <= CERT_TOL
+    np.testing.assert_allclose(report.confidences, [1.0], rtol=0, atol=1e-12)
+    assert report.detection.operators.shape == (2, 1, 1)
+    assert verify_certificate(one, report.detection, report.certificate.z).accepted
+    closed = solve_rank1_symmetric(build_symmetric_ensemble(np.array([1.0]), 1))
+    assert closed.certified and closed.failure_probability == 0.0

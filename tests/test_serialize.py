@@ -241,6 +241,7 @@ def test_witness_json(trine):
     assert obj["kind"] == "dual-negativity"
     assert obj["mu"] == pytest.approx(0.05)
     assert "detection" in obj
+    assert obj["certificate"] == json.loads(json.dumps(certificate_to_json(w.certificate)))
 
 
 def _field_names(record_type):

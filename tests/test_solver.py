@@ -1311,8 +1311,16 @@ def test_witness_dual_negativity(trine):
         assert w.mu == pytest.approx(mu, abs=1e-12)
         assert w.gap == pytest.approx(-eps * (2.0 - eps) * mu, abs=1e-12)
         assert w.gap / w.predicted_first_order == pytest.approx(1.0 - eps / 2.0, abs=1e-9)
-        assert w.completeness_residual < 1e-12
-        assert w.min_eigenvalue > -1e-12
+        cert = w.certificate
+        assert cert.conditions["completeness_residual"] < 1e-12
+        assert cert.conditions["povm_min_eigenvalue"] > -1e-12
+        # the deformed set's own reading against the same Z, bitwise
+        fresh = verify_certificate(trine, w.detection, z)
+        assert cert.conditions == fresh.conditions
+        assert cert.failures == fresh.failures and cert.rate == fresh.rate
+        assert (cert.rank_z, cert.rank_inconclusive, cert.min_rank_required) == (
+            fresh.rank_z, fresh.rank_inconclusive, fresh.min_rank_required)
+        assert not cert.accepted  # Z keeps its negative eigenvalue
 
 
 def test_witness_support_slack(trine):
@@ -1331,7 +1339,8 @@ def test_witness_support_slack(trine):
     assert w.outcome == 1
     assert w.mu == pytest.approx(0.5, abs=1e-9)
     assert w.gap == pytest.approx(-eps * (2.0 - eps) * 0.5, abs=1e-10)
-    assert w.completeness_residual < 1e-12
+    assert w.certificate.conditions["completeness_residual"] < 1e-12
+    assert w.certificate.conditions["povm_min_eigenvalue"] > -1e-12
 
 
 @pytest.mark.parametrize("count", [2, 4])
