@@ -4,17 +4,17 @@ Subcommands:
 
     maxconf validate --input ensemble.json
     maxconf solve    --input ensemble.json [--mode auto|analytic|numeric]
-                     [--tol X] [--check] [--output solution.json]
+                     [--check] [--output solution.json]
     maxconf verify   --input solution.json [--tol X] [--witness]
     maxconf sweep    --input family.json --grid param:start:stop:steps
-                     [--check [--tol X]] [--output table.csv]
+                     [--check] [--output table.csv]
 
-solve writes a self-contained solution file (ensemble, detection set,
-certificate, report) that verify reads back; solve --check adds the other
-route's solve (closed form or numeric) and its deviations. Exit codes:
-0 success, 1 semantic failure (invalid ensemble, rejected certificate,
-cross-check disagreement), 2 unusable input, 3 solve finished without a
-certified optimum.
+solve writes a self-contained solution file (ensemble, detection set, report
+and its solver's own certificate, at CERT_TOL); verify --tol X rechecks it at
+tolerance X. solve --check adds the other route's solve and its deviations;
+both --checks fail beyond CROSS_CHECK_TOL. Exit codes: 0 success, 1 semantic
+failure (invalid ensemble, rejected certificate, cross-check disagreement),
+2 unusable input, 3 solve finished without a certified optimum.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,26 +113,21 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _solve(ensemble, geo, mode: str, tol: float | None):
+def _solve(ensemble, geo, mode: str):
+    if mode == "numeric":
+        return solve_numeric(ensemble, geo)
     if mode == "analytic":
-        report = solve_rank1_symmetric(ensemble, geo)
-    elif mode == "numeric":
-        report = solve_numeric(ensemble, geo)
-    else:
-        try:
-            report = solve_rank1_symmetric(ensemble, geo)
-        except _ANALYTIC_BLOCKERS:
-            report = solve_numeric(ensemble, geo)
-    if tol is not None:
-        cert = verify_certificate(ensemble, report.detection, report.certificate.z, geo=geo, tol=tol)
-        report = replace(report, certificate=cert, certified=cert.accepted)
-    return report
+        return solve_rank1_symmetric(ensemble, geo)
+    try:
+        return solve_rank1_symmetric(ensemble, geo)
+    except _ANALYTIC_BLOCKERS:
+        return solve_numeric(ensemble, geo)
 
 
 def cmd_solve(args) -> int:
     ensemble = ensemble_from_json(load_json(args.input))
     geo = geometry(ensemble)
-    report = _solve(ensemble, geo, args.mode, args.tol)
+    report = _solve(ensemble, geo, args.mode)
     out = {
         "ensemble": ensemble_to_json(ensemble),
         "report": report_to_json(report),
@@ -144,7 +138,7 @@ def cmd_solve(args) -> int:
     if args.check:
         other = "numeric" if report.mode == "analytic" else "analytic"
         try:
-            cross = _solve(ensemble, geo, other, args.tol)
+            cross = _solve(ensemble, geo, other)
             deviation = abs(cross.detection_rate - report.detection_rate)
             # over the outcomes that fire in both routes; 0.0 when none does
             conf_gaps = np.abs(cross.confidences - report.confidences)
@@ -221,8 +215,6 @@ def cmd_sweep(args) -> int:
     kind = _family_kind(spec)
     if not args.grid:
         raise InfeasibleInputError("sweep requires --grid param:start:stop:steps")
-    if args.tol is not None and not args.check:
-        raise InfeasibleInputError("sweep --tol is the --check threshold; it needs --check")
     param, values = _parse_grid(args.grid)
     closed_form, fields = _FAMILIES[kind]
     order = integer_from_json(spec.get("order"), "family order")
@@ -242,7 +234,7 @@ def cmd_sweep(args) -> int:
         sol = closed_form(family)
         ensemble = family.ensemble()
         geo = geometry(ensemble)
-        solved = _solve(ensemble, geo, "auto", None)
+        solved = _solve(ensemble, geo, "auto")
         row = [kind, float(value), sol.confidence, sol.failure_probability, sol.alpha, solved.certified]
         if kind == "pure-symmetric":
             row.append(square_root_measurement(family)[1])
@@ -256,8 +248,7 @@ def cmd_sweep(args) -> int:
     buf = io.StringIO()
     write_csv(buf, header, rows)
     _emit_text(buf.getvalue().rstrip("\n"), args.output)
-    threshold = args.tol if args.tol is not None else CROSS_CHECK_TOL
-    if worst_dev > threshold:
+    if worst_dev > CROSS_CHECK_TOL:
         print(f"numeric cross-check deviates by {worst_dev:.3e}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
@@ -282,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     for names, flag, spec in (
         ("validate solve verify sweep", "--input", dict(required=True, help="input JSON file")),
         ("validate solve verify sweep", "--output", dict(help="write the result here instead of stdout")),
-        ("solve verify sweep", "--tol", dict(type=_tolerance, help="tolerance override, finite and nonnegative")),
+        ("verify", "--tol", dict(type=_tolerance, help="certificate tolerance, finite and nonnegative")),
         ("solve", "--mode", dict(choices=("auto", "analytic", "numeric"), default="auto",
                                  help="solver selection (default: auto)")),
         ("solve sweep", "--check", dict(action="store_true", help="cross-check with the other route")),

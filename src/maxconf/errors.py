@@ -23,12 +23,14 @@ class InfeasibleInputError(MaxconfError):
 
 
 class InvalidPhasesError(MaxconfError):
-    """Cyclic-symmetry eigenphases are not unit modulus, not N-th roots of
-    unity, or not pairwise distinct where distinctness is required."""
+    """Cyclic-symmetry data no orbit carries: phases not unit modulus, not order-th roots of unity or repeated
+    where distinct ones are required; a group order that is not an integer >= 1 (check_order); fewer than dim
+    distinct roots of the order (default_phases); a phase vector not of the dimension's length (_cyclic_ensemble)."""
 
 
 class NotSymmetricError(MaxconfError):
-    """An ensemble does not actually possess the cyclic symmetry it claims."""
+    """An ensemble carries no symmetry data where solve_rank1_symmetric needs it. A claimed
+    symmetry that fails is a validate violation, refused as an InfeasibleInputError."""
 
 
 class DegenerateCoefficientError(MaxconfError):

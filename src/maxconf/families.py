@@ -65,6 +65,8 @@ class SymmetricFamily:
     @classmethod
     def qubit(cls, order: int, purity: float, angle: float) -> "SymmetricFamily":
         """Qubit family with coefficients (cos(angle/2), sin(angle/2))."""
+        if not np.isfinite(angle):  # cos and sin would warn, then give NaN coefficients
+            raise InfeasibleInputError(f"family angle must be finite, got {angle}")
         c = np.array([np.cos(angle / 2.0), np.sin(angle / 2.0)], dtype=complex)
         return cls(order=order, purity=purity, coefficients=c)
 

@@ -17,14 +17,18 @@ from maxconf import (
     cli,
     solver,
     square_root_measurement,
+    verify_certificate,
 )
 from maxconf.cli import main
+from maxconf.operators import CERT_TOL
 from maxconf.serialize import (
     CSV_DIGITS,
     array_to_json,
+    certificate_to_json,
     detection_from_json,
     dual_from_certificate_json,
     dump_json,
+    ensemble_from_json,
     ensemble_to_json,
 )
 from conftest import pure_qubit_pair, random_ensemble, rank_raised_dual, short_budget
@@ -109,15 +113,14 @@ def test_solve_check_cross_checks(trine_file, tmp_path):
 
 
 def test_solve_unattainable_tolerance(trine_file, tmp_path):
-    out = tmp_path / "solution.json"
-    rc = main(["solve", "--input", str(trine_file), "--mode", "numeric",
-               "--tol", "1e-16", "--output", str(out)])
-    assert rc == 3
-    obj = json.loads(out.read_text(encoding="utf-8"))
-    assert obj["report"]["certified"] is False
-    # the re-verified report keeps the fields of the solve
-    assert obj["report"]["mode"] == "numeric"
-    assert obj["report"]["iterations"] > 0
+    # a numeric solve certifies at CERT_TOL; verify judges its file at the
+    # tolerance it is given, and the file itself keeps the solver's verdict
+    solution, checked = tmp_path / "solution.json", tmp_path / "checked.json"
+    assert main(["solve", "--input", str(trine_file), "--mode", "numeric", "--output", str(solution)]) == 0
+    assert json.loads(solution.read_text(encoding="utf-8"))["report"]["certified"] is True
+    assert main(["verify", "--input", str(solution), "--tol", "1e-16", "--output", str(checked)]) == 1
+    cert = json.loads(checked.read_text(encoding="utf-8"))["certificate"]
+    assert cert["accepted"] is False and cert["tol"] == 1e-16
 
 
 def test_solve_not_converged_exits_three(trine_file, tmp_path, monkeypatch, capsys):
@@ -138,11 +141,16 @@ def test_sweep_not_converged_exits_three(tmp_path, monkeypatch, capsys):
     assert "solver did not converge" in capsys.readouterr().err
 
 
-def test_validate_has_no_tol(trine_file, capsys):
+@pytest.mark.parametrize("command", ["validate", "solve", "sweep"])
+def test_only_verify_takes_tol(command, trine_file, tmp_path, capsys):
+    # a tolerance is a parameter of the certificate check, which only verify
+    # runs at a tolerance other than CERT_TOL
+    out = tmp_path / "out.json"
     with pytest.raises(SystemExit) as exc:
-        main(["validate", "--input", str(trine_file), "--tol", "123"])
+        main([command, "--input", str(trine_file), "--tol", "1e-3", "--output", str(out)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _IO = [
@@ -159,12 +167,11 @@ def test_each_subcommand_keeps_its_options():
     subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     expected = {
         "validate": (cli.cmd_validate, _IO),
-        "solve": (cli.cmd_solve, [*_IO, _TOL, (["--mode"], "mode", None, ("auto", "analytic", "numeric"),
-                                               "auto", False, "_StoreAction"), _CHECK]),
+        "solve": (cli.cmd_solve, [*_IO, (["--mode"], "mode", None, ("auto", "analytic", "numeric"),
+                                         "auto", False, "_StoreAction"), _CHECK]),
         "verify": (cli.cmd_verify, [*_IO, _TOL, (["--witness"], "witness", None, None, False, False,
                                                  "_StoreTrueAction")]),
-        "sweep": (cli.cmd_sweep, [*_IO, _TOL, _CHECK, (["--grid"], "grid", None, None, None, False,
-                                                       "_StoreAction")]),
+        "sweep": (cli.cmd_sweep, [*_IO, _CHECK, (["--grid"], "grid", None, None, None, False, "_StoreAction")]),
     }
     assert list(subcommands.choices) == list(expected)
     for name, (func, options) in expected.items():
@@ -172,17 +179,6 @@ def test_each_subcommand_keeps_its_options():
         assert parser.get_default("func") is func
         assert [(a.option_strings, a.dest, a.type, a.choices, a.default, a.required, type(a).__name__)
                 for a in parser._actions] == options, name
-
-
-def test_sweep_tol_needs_check(tmp_path, capsys):
-    # the tolerance is only the --check threshold, so without --check sweep would ignore it
-    p = tmp_path / "family.json"
-    p.write_text(json.dumps({"family": "qubit-mixed", "order": 3, "purity": 0.6}), encoding="utf-8")
-    out = tmp_path / "table.csv"
-    assert main(["sweep", "--input", str(p), "--grid", "angle:0.4:1.3:2", "--tol", "1e-3",
-                 "--output", str(out)]) == 2
-    assert "error: sweep --tol is the --check threshold; it needs --check" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_non_integral_dim_and_order_are_input_errors(trine, tmp_path, capsys):
@@ -341,11 +337,31 @@ def test_verify_reads_a_certificate_with_the_two_old_tolerance_keys(trine_file, 
 
 
 def test_solve_writes_the_one_certificate_tolerance(trine_file, tmp_path):
-    out = tmp_path / "solution.json"
-    assert main(["solve", "--input", str(trine_file), "--tol", "1e-3", "--output", str(out)]) == 0
-    cert = json.loads(out.read_text(encoding="utf-8"))["certificate"]
+    solution, checked = tmp_path / "solution.json", tmp_path / "checked.json"
+    assert main(["solve", "--input", str(trine_file), "--output", str(solution)]) == 0
+    assert json.loads(solution.read_text(encoding="utf-8"))["certificate"]["tol"] == CERT_TOL
+    assert main(["verify", "--input", str(solution), "--tol", "1e-3", "--output", str(checked)]) == 0
+    cert = json.loads(checked.read_text(encoding="utf-8"))["certificate"]
     assert cert["tol"] == 0.001
     assert "pos_tol" not in cert and "eq_tol" not in cert
+
+
+@pytest.mark.parametrize("asymmetric", [False, True], ids=["trine-analytic", "random-numeric"])
+def test_verify_tol_is_the_one_route_to_another_tolerance(asymmetric, trine_file, tmp_path):
+    # verify --tol X writes exactly the certificate verify_certificate makes
+    # of the solution file's measurement and dual at tol X
+    p = trine_file
+    if asymmetric:
+        p = tmp_path / "asym.json"
+        write_ensemble(p, random_ensemble(np.random.default_rng(5), 2, 3))
+    solution, checked = tmp_path / "solution.json", tmp_path / "checked.json"
+    assert main(["solve", "--input", str(p), "--output", str(solution)]) == 0
+    obj = json.loads(solution.read_text(encoding="utf-8"))
+    assert obj["report"]["mode"] == ("numeric" if asymmetric else "analytic")
+    assert main(["verify", "--input", str(solution), "--tol", "1e-3", "--output", str(checked)]) == 0
+    cert = verify_certificate(ensemble_from_json(obj["ensemble"]), detection_from_json(obj["detection"]),
+                              dual_from_certificate_json(obj["certificate"]), tol=1e-3)
+    assert checked.read_text(encoding="utf-8") == dump_json({"certificate": certificate_to_json(cert)}) + "\n"
 
 
 def test_verify_needs_solution_file(trine_file, tmp_path, capsys):
@@ -424,15 +440,17 @@ def test_sweep_flat_family(tmp_path, capsys):
         assert float(fields[-1]) < 1e-6
 
 
-def test_sweep_check_unattainable_tolerance_exits_one(tmp_path, capsys):
+def test_sweep_check_unattainable_tolerance_exits_one(tmp_path, monkeypatch, capsys):
+    # sweep --check fails beyond CROSS_CHECK_TOL, the threshold of solve --check
     p = tmp_path / "family.json"
     p.write_text(json.dumps({"family": "qubit-mixed", "order": 3, "purity": 0.6}), encoding="utf-8")
-    assert main(["sweep", "--input", str(p), "--grid", "angle:0.4:1.3:2", "--check", "--tol", "1e-30"]) == 1
+    monkeypatch.setattr(cli, "CROSS_CHECK_TOL", 1e-30)
+    assert main(["sweep", "--input", str(p), "--grid", "angle:0.4:1.3:2", "--check"]) == 1
     assert "numeric cross-check deviates" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_tol_must_be_finite_and_nonnegative(command, tol, trine_file, capsys):
     # a NaN tolerance would pass every residual comparison and accept any dual
     with pytest.raises(SystemExit) as exc:
@@ -476,6 +494,15 @@ def test_sweep_refuses_parameters_it_would_misread_or_ignore(tmp_path, capsys, s
     p.write_text(json.dumps(spec), encoding="utf-8")
     assert main(["sweep", "--input", str(p), "--grid", grid]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_sweep_refuses_an_infinite_fixed_angle_before_any_warning(tmp_path, capsys):
+    # json reads 1e400 as inf; grid ends are refused up front, a fixed field
+    # by the family, before cos and sin could warn
+    p = tmp_path / "family.json"
+    p.write_text('{"family": "qubit-mixed", "order": 3, "angle": 1e400}', encoding="utf-8")
+    assert main(["sweep", "--input", str(p), "--grid", "purity:0.2:0.4:2"]) == 2
+    assert capsys.readouterr().err == "error: family angle must be finite, got inf\n"
 
 
 def test_sweep_reads_integral_numbers(tmp_path, capsys):
@@ -545,8 +572,8 @@ def test_compare_needs_symmetry(tmp_path):
 def test_solve_check_disagreement_exits_one(trine_file, tmp_path, monkeypatch, capsys):
     solve = cli._solve
 
-    def skewed(ensemble, geo, mode, tol):
-        report = solve(ensemble, geo, mode, tol)
+    def skewed(ensemble, geo, mode):
+        report = solve(ensemble, geo, mode)
         if mode == "numeric":
             report = replace(report, detection_rate=report.detection_rate - 1e-3)
         return report

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,16 @@ def test_family_rejects_nan_coefficients():
         SymmetricFamily.qubit(order=3, purity=0.5, angle=np.nan)
     with pytest.raises(InfeasibleInputError):
         SymmetricFamily(order=3, purity=1.0, coefficients=np.array([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_family_refuses_a_non_finite_angle(angle):
+    # refused before cos and sin, which warn on an infinite angle and
+    # would give coefficients of norm NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleInputError, match="family angle must be finite"):
+            SymmetricFamily.qubit(order=3, purity=0.5, angle=angle)
 
 
 def test_pure_symmetric_closed_form():

@@ -7,8 +7,10 @@ import json
 import numpy as np
 
 from maxconf import (
+    MaxconfError,
     StateEnsemble,
     SymmetricFamily,
+    build_depolarized_family,
     build_symmetric_ensemble,
     geometry,
     solve_numeric,
@@ -25,6 +27,91 @@ from maxconf.serialize import (
     ensemble_to_json,
 )
 from maxconf.operators import CERT_TOL
+from conftest import random_density, random_pure
+
+KINDS = ("tiny_prior", "near_identical", "low_rank_rho", "near_rank_rho", "sym_pure", "sym_mixed", "many")
+
+
+def adversarial_ensembles(per_kind=20, seed=0):
+    """(kind, ensemble) for per_kind draws of each of the seven kinds, in
+    turn, d in [2, 8] and N in [2, 11] except for `many`:
+
+    tiny_prior: Dirichlet priors with eta_1 = 10^U(-14, -6), states of random rank;
+    near_identical: (1 - eps) psi psi^dagger + eps sigma_j, eps = 10^U(-9, -3);
+    low_rank_rho: states inside a random k-dimensional subspace, k < d;
+    near_rank_rho: the same plus 10^U(-14, -6) of a full-rank state;
+    sym_pure: a cyclic pure orbit with one coefficient scaled by 10^U(-6, 0);
+    sym_mixed: a depolarized cyclic family at purity near 0 or near 1;
+    many: N in [20, 60] pure states in d in [2, 4]."""
+    rng = np.random.default_rng(seed)
+    for k in range(per_kind * len(KINDS)):
+        kind = KINDS[k % len(KINDS)]
+        d, n = int(rng.integers(2, 9)), int(rng.integers(2, 12))
+        priors = rng.dirichlet(np.ones(n))
+        if kind == "tiny_prior":
+            tiny = 10.0 ** rng.uniform(-14.0, -6.0)
+            priors = np.concatenate([[tiny], priors[1:] / priors[1:].sum() * (1.0 - tiny)])
+            states = [random_density(rng, d, int(rng.integers(1, d + 1))) for _ in range(n)]
+        elif kind == "near_identical":
+            psi, eps = random_pure(rng, d), 10.0 ** rng.uniform(-9.0, -3.0)
+            states = [(1.0 - eps) * np.outer(psi, psi.conj()) + eps * random_density(rng, d) for _ in range(n)]
+        elif kind in ("low_rank_rho", "near_rank_rho"):
+            basis = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+            basis = basis[:, : int(rng.integers(1, d))]
+            states = [basis @ random_density(rng, basis.shape[1]) @ basis.conj().T for _ in range(n)]
+            if kind == "near_rank_rho":
+                eps = 10.0 ** rng.uniform(-14.0, -6.0)
+                states = [(1.0 - eps) * s + eps * random_density(rng, d) for s in states]
+        elif kind in ("sym_pure", "sym_mixed"):
+            n = max(n, d)
+            c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            if kind == "sym_pure":
+                c[rng.integers(d)] *= 10.0 ** rng.uniform(-6.0, 0.0)
+                yield kind, build_symmetric_ensemble(c / np.linalg.norm(c), n)
+            else:
+                purity = 10.0 ** rng.uniform(-6.0, -1.0)
+                purity = purity if rng.random() < 0.5 else 1.0 - purity
+                yield kind, build_depolarized_family(c / np.linalg.norm(c), n, purity)
+            continue
+        else:
+            d, n = int(rng.integers(2, 5)), int(rng.integers(20, 61))
+            priors = rng.dirichlet(np.ones(n))
+            states = [np.outer(v, v.conj()) for v in (random_pure(rng, d) for _ in range(n))]
+        yield kind, StateEnsemble(dim=d, priors=priors, states=np.stack(states))
+
+
+def test_adversarial_corpus_keeps_its_invariants():
+    # what holds on every draw today: only MaxconfError is raised; a
+    # certified answer's certificate is accepted again from its JSON; on
+    # cyclic inputs with distinct phases and m = 1, Q matches the closed
+    # form; and each outcome fires at its C_j, compared as joint
+    # probabilities, since an outcome that fires with probability ~1e-10
+    # has a confidence ratio that rounds far above CERT_TOL
+    refused = certified = compared = 0
+    for kind, e in adversarial_ensembles():
+        try:
+            geo = geometry(e)
+            report = solve_numeric(e, geo)
+        except MaxconfError:
+            refused += 1
+            continue
+        if not report.certified:
+            continue
+        certified += 1
+        obj = json.loads(dump_json({"ensemble": ensemble_to_json(e), "detection": detection_to_json(report.detection),
+                                    "certificate": certificate_to_json(report.certificate)}))
+        cert = verify_certificate(ensemble_from_json(obj["ensemble"]), detection_from_json(obj["detection"]),
+                                  dual_from_certificate_json(obj["certificate"]))
+        assert cert.accepted, (kind, cert.failures)
+        pis = report.detection.operators[1:]
+        joint = e.priors * np.einsum("jab,jba->j", e.states, pis).real
+        fired = np.einsum("ab,jba->j", geo.rho, pis).real
+        assert np.max(np.abs(joint - geo.confidences * fired)) <= CERT_TOL, kind
+        if e.symmetry is not None and e.symmetry.distinct() and geo.degeneracies.max() == 1:
+            exact = solve_rank1_symmetric(e, geo)
+            assert abs(report.failure_probability - exact.failure_probability) <= 1e-6, kind
+            compared += 1
+    assert certified > 0 and compared > 0
 
 
 def near_maximally_mixed_families(count=200, seed=7):
