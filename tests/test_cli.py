@@ -450,13 +450,16 @@ def test_sweep_check_unattainable_tolerance_exits_one(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("command", ["verify"])
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
 def test_tol_must_be_finite_and_nonnegative(command, tol, trine_file, capsys):
-    # a NaN tolerance would pass every residual comparison and accept any dual
+    # a NaN tolerance would pass every residual comparison and accept any dual;
+    # verify range-checks its --tol, and solve and sweep refuse any --tol
     with pytest.raises(SystemExit) as exc:
         main([command, "--input", str(trine_file), "--tol", tol])
     assert exc.value.code == 2
-    assert f"finite nonnegative number, got {tol!r}" in capsys.readouterr().err
+    expected = (f"finite nonnegative number, got {tol!r}" if command == "verify"
+                else "unrecognized arguments: --tol")
+    assert expected in capsys.readouterr().err
 
 
 def test_sweep_rejects_bad_grid(tmp_path):
