@@ -10,11 +10,11 @@ pins down the numerical conventions the rest of the package relies on:
   absolute unless marked relative,
 * every numerical rank is numerical_rank, the count of a spectrum's
   entries strictly above a cut that each caller writes in full: RANK_CUTOFF
-  max|z| for Z (no floor), RANK_CUTOFF max(max|w|, 1) for Pi_0 and each
-  Q_j^dagger rho_j Q_j, d u max(||rho||, 1) for validate's flag, and in
-  geometry the rounding floor from d u ||rho_j|| for F's singular values
-  and C_j (1 - DEGENERACY_RTOL) for the top cluster. psd_power's support
-  mask alone reads SUPPORT_RTOL, floored at 1 in the same way,
+  max|z| for Z (no floor), RANK_CUTOFF max(max|w|, 1) for Pi_0, d u
+  max(||rho||, 1) for validate's flag, and in geometry the rounding floor
+  from d u ||rho_j|| for F's singular values and C_j (1 - DEGENERACY_RTOL)
+  for the top cluster, whose widths m_j bound rank Z below with no cut.
+  psd_power's support mask alone reads SUPPORT_RTOL, floored at 1 likewise,
 * every eigh, eigvalsh and SVD outside the interior point is eigh,
   spectra or thin_svd: numpy's LAPACK gufunc, with numpy's failure rule.
 """

@@ -32,11 +32,12 @@ support bases Q_j of the geometry (Lambda_j = Q_j Q_j^dagger):
     Z Pi_0 = 0,             Q_j^dagger (Z - rho) Pi_j = 0,
     Tr Z = R,
 
-plus the rank complementarity rank Z + rank Pi_0 <= d and
-rank Z >= max_j rank(Q_j^dagger rho_j Q_j). Any Z passing all conditions
-proves the measurement optimal; the verifier does not care where Z came
-from. The interior point stops on the same rank count (_certificate_ranks)
-once the duality gap is at most CERT_TOL.
+plus the rank complementarity rank Z + rank Pi_0 <= d and rank Z >= max_j m_j,
+the top multiplicities of geometry: eta_j rho_j W_j = C_j rho W_j, so for the QR
+W_j = Q_j R_j, Q_j^dagger rho_j Q_j = (C_j / eta_j) (R_j R_j^dagger)^-1 has rank
+exactly m_j. Any Z passing all conditions proves the measurement optimal; the
+verifier does not care where Z came from. The interior point stops on the same
+rank count (_certificate_ranks) once the duality gap is at most CERT_TOL.
 """
 
 from __future__ import annotations
@@ -245,19 +246,17 @@ def verify_certificate(
     q, qh = geo.support_bases, geo.support_bases.conj().swapaxes(1, 2)
     dual = qh @ (z - geo.rho)
     rate = float(np.vdot(detection.conclusive.sum(axis=0), geo.rho).real)
-    # two stacked spectra serve every condition and rank, each norm the root
-    # of a Gram matrix's top eigenvalue as in opnorm. d x d: Z, Pi_0..Pi_N,
+    # two stacked spectra serve every condition and counted rank, each norm the
+    # root of a Gram matrix's top eigenvalue as in opnorm. d x d: Z, Pi_0..Pi_N,
     # C C^dagger for C = sum_j Pi_j - 1 and (Z Pi_0)(Z Pi_0)^dagger
     c = detection.operators.sum(axis=0) - np.eye(d, dtype=complex)
     zp = z @ detection.inconclusive
     big = spectra(np.concatenate((
         z[None], detection.operators, gram(c)[None], gram(zp)[None])))
     z_w, pi_w = big[0], big[1:n + 2]
-    # b x b: the slacks Q_j^dagger (Z - rho) Q_j, Q_j^dagger rho_j Q_j and the
-    # Grams of the stationarity products Q_j^dagger (Z - rho) Pi_j
-    small = spectra(np.concatenate((
-        hermitian_part(dual @ q), hermitian_part(qh @ ensemble.states @ q),
-        gram(dual @ detection.conclusive))))
+    # b x b: the slacks Q_j^dagger (Z - rho) Q_j and the Grams of the stationarity
+    # products Q_j^dagger (Z - rho) Pi_j; rank Z >= max_j m_j needs no spectrum
+    small = spectra(np.concatenate((hermitian_part(dual @ q), gram(dual @ detection.conclusive))))
 
     conditions: dict[str, float] = {}
     conditions["povm_min_eigenvalue"] = float(pi_w[:, 0].min())
@@ -265,12 +264,11 @@ def verify_certificate(
     conditions["z_min_eigenvalue"] = float(z_w[0])
     conditions["support_slack_min_eigenvalue"] = float(small[:n, 0].min())
     conditions["inconclusive_orthogonality"] = float(gram_norms(big[n + 3]))
-    conditions["stationarity_residual"] = float(gram_norms(small[2 * n:]).max())
+    conditions["stationarity_residual"] = float(gram_norms(small[n:]).max())
     conditions["trace_gap"] = abs(float(z.trace().real) - rate)
 
     rank_z, rank_pi0 = _certificate_ranks(z_w, pi_w[0])
-    w_abs = np.abs(small[n:2 * n])
-    lower = int(numerical_rank(w_abs, RANK_CUTOFF * np.maximum(w_abs.max(axis=1), 1.0)).max())
+    lower = int(geo.degeneracies.max())
     rank_ok = (rank_z + rank_pi0 <= d) and (rank_z >= lower)
 
     # *_min_eigenvalue entries fail below -tol, the residuals above tol, NaN both

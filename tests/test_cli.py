@@ -295,6 +295,21 @@ def test_verify_witness_is_unavailable_when_only_the_rank_bound_fails(tmp_path, 
     assert result["witness"]["available"] is False
 
 
+def test_verify_rejects_never_concluding_on_a_near_parallel_pair(tmp_path, capsys):
+    # Pi_0 = 1 with Z = 0 meets every residual within CERT_TOL, since the
+    # optimal R is 6.0e-9; rank Z = 0 < max_j m_j = 1 rejects it
+    p, out = tmp_path / "pair.json", tmp_path / "solution.json"
+    write_ensemble(p, pure_qubit_pair(1e-4))
+    assert main(["solve", "--input", str(p), "--output", str(out)]) == 0
+    obj = json.loads(out.read_text(encoding="utf-8"))
+    obj["detection"]["operators"] = array_to_json(np.stack([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]))
+    obj["certificate"]["z"] = array_to_json(np.zeros((2, 2)))
+    out.write_text(json.dumps(obj), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out)["certificate"]["failures"] == ["rank_bound"]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "infinity"])
 @pytest.mark.parametrize("field", ["certificate z", "detection operators"])
 def test_verify_names_non_finite_solution_arrays(trine_file, tmp_path, capsys, field, bad):

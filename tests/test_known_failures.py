@@ -29,15 +29,40 @@ def test_repeated_state_gets_an_answer():
     assert np.max(np.abs(report.confidences - 0.5)) <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, raises=KNOWN,
-                   reason="ROADMAP item 3: certificate residuals are absolute while R is tiny")
 @pytest.mark.parametrize("theta", [1e-4, 1e-5])
 def test_never_concluding_is_not_certified_for_a_near_parallel_pair(theta):
     # the optimal R is 6.0e-9 at 1e-4 and 6.0e-11 at 1e-5, and solve_numeric
-    # finds it; Pi_0 = 1 with Z = 0 passes every residual at CERT_TOL
+    # finds it; Pi_0 = 1 with Z = 0 passes every residual at CERT_TOL, and
+    # fails on the lower rank bound alone: rank Z = 0 < max_j m_j = 1
     e = pure_qubit_pair(theta)
     never = DetectionSet.from_conclusive(np.zeros((2, 2, 2)))
-    assert not verify_certificate(e, never, np.zeros((2, 2))).accepted
+    cert = verify_certificate(e, never, np.zeros((2, 2)))
+    assert not cert.accepted
+    assert cert.failures == ["rank_bound"]
+
+
+def _shrunken_own_dual(theta):
+    """The certified solve of pure_qubit_pair(theta), with 0.1 Z in place of
+    its dual Z: Tr(0.1 Z) < R, which weak duality rules out for a dual."""
+    e = pure_qubit_pair(theta)
+    report = solve_numeric(e)
+    assert report.certified, report.certificate.failures
+    return verify_certificate(e, report.detection, 0.1 * report.certificate.z)
+
+
+def test_shrunken_own_dual_is_rejected_at_a_wider_angle():
+    # at theta = 3e-4 the residuals of 0.1 Z rise above CERT_TOL
+    assert _shrunken_own_dual(3e-4).failures == [
+        "support_slack_min_eigenvalue", "stationarity_residual", "trace_gap"]
+
+
+@pytest.mark.xfail(strict=True, raises=KNOWN,
+                   reason="ROADMAP item 3: certificate residuals are absolute while R is tiny")
+@pytest.mark.parametrize("theta", [1e-4, 3e-5, 1e-5])
+def test_shrunken_own_dual_is_not_accepted_for_a_near_parallel_pair(theta):
+    # Tr(0.1 Z) - R is -5.4e-9, -4.9e-10 and -5.4e-11: every residual
+    # scales with R, far below the absolute CERT_TOL
+    assert not _shrunken_own_dual(theta).accepted
 
 
 def _split_top(delta):

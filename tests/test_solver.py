@@ -725,13 +725,17 @@ def test_solve_numeric_one_wide_block_among_thirty():
     _check_against_width_sorted(8, 30, [0])
 
 
+def _tensored_with_mixed(k):
+    """rho_j (x) 1/k for four random qutrit states: every m_j = k in d = 3k."""
+    base = random_ensemble(np.random.default_rng(30 + k), 3, 4)
+    return StateEnsemble(dim=3 * k, priors=base.priors,
+                         states=tuple(np.kron(s, np.eye(k) / k) for s in base.states))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_solve_numeric_degenerate_tops(k):
     # rho_j (x) 1/k: every top eigenspace has dimension m_j = k
-    rng = np.random.default_rng(30 + k)
-    base = random_ensemble(rng, 3, 4)
-    e = StateEnsemble(dim=3 * k, priors=base.priors,
-                      states=tuple(np.kron(s, np.eye(k) / k) for s in base.states))
+    e = _tensored_with_mixed(k)
     geo = geometry(e)
     assert list(geo.degeneracies) == [k] * 4
     report = solve_numeric(e, geo)
@@ -1075,38 +1079,40 @@ def test_width_one_blocks_stay_out_of_the_factored_stacks(monkeypatch):
 
 def test_verify_certificate_diagonalizes_each_operator_once(trine, monkeypatch):
     # one d x d spectrum (Z, the Pi stack and the Grams of the completeness
-    # and orthogonality residuals) and one b x b spectrum (the slacks, the
-    # Q_j^dagger rho_j Q_j and the stationarity Grams) serve every condition
-    # and rank; no norm goes through an SVD. With b = 1, as here, the b x b
-    # stack is 1 x 1, its own spectrum, and takes no eigvalsh
+    # and orthogonality residuals) and one b x b spectrum (the slacks and the
+    # stationarity Grams) serve every condition and counted rank; the lower
+    # rank bound is geometry's max_j m_j, and no norm goes through an SVD. With
+    # b = 1, as here, the b x b stack is 1 x 1, its own spectrum, and takes
+    # no eigvalsh
     calls = _linalg_calls_of_verify(monkeypatch, trine, trine_optimal_detection(trine), np.eye(2) / 2.0)
     assert calls == [("eigvalsh", (7, 2, 2))], calls
 
 
 def test_verify_certificate_diagonalizes_a_wide_stack_once(monkeypatch):
     # top eigenspaces of dimensions 2, 2 and 1: b = 2 keeps the b x b eigvalsh
+    # of the (2N, b, b) stack, the N slacks and then the N stationarity Grams
     e = mixed_width_ensemble(np.random.default_rng(6))
     report = solve_numeric(e)
     calls = _linalg_calls_of_verify(monkeypatch, e, report.detection, report.certificate.z)
-    assert calls == [("eigvalsh", (7, 4, 4)), ("eigvalsh", (9, 2, 2))], calls
+    assert calls == [("eigvalsh", (7, 4, 4)), ("eigvalsh", (6, 2, 2))], calls
 
 
 def test_a_failed_spectrum_never_understates_the_rank_bound(monkeypatch):
-    # NaN spectra of the Q_j^dagger rho_j Q_j count rank 0 each, so a
-    # verifier that read them would bound rank Z below by 0 and accept:
-    # LAPACK's failure on them (NaN, invalid flag raised) must raise
-    # numpy's LinAlgError or fail the certificate, with no warning
+    # the lower bound is geometry's max_j m_j = 2, read from no spectrum;
+    # LAPACK's failure on the slacks (NaN, invalid flag raised) must raise
+    # numpy's LinAlgError or fail the certificate, with no warning and with
+    # the bound unchanged
     e = mixed_width_ensemble(np.random.default_rng(6))
     report = solve_numeric(e)
     geo, n = geometry(e), e.n_states
-    assert report.certified and report.certificate.min_rank_required > 0
+    assert report.certified and report.certificate.min_rank_required == 2
 
     eigvalsh = operators._eigvalsh
 
     def failing(a):
         w = eigvalsh(a)
-        if a.shape[0] == 3 * n:  # the b x b stack: the slacks, then the Q_j^dagger rho_j Q_j
-            w[n:2 * n] = np.subtract(np.inf, np.inf)
+        if a.shape[0] == 2 * n:  # the b x b stack: the slacks, then the stationarity Grams
+            w[:n] = np.subtract(np.inf, np.inf)
         return w
 
     monkeypatch.setattr(operators, "_eigvalsh", failing)
@@ -1119,6 +1125,7 @@ def test_a_failed_spectrum_never_understates_the_rank_bound(monkeypatch):
             assert str(err) == "Eigenvalues did not converge"
         else:
             assert not cert.accepted, cert.conditions
+            assert cert.min_rank_required == 2
     assert np.geterr() == state
 
 
@@ -1297,6 +1304,25 @@ def test_verify_certificate_fails_on_rank_bound_alone():
     assert cert.failures == ["rank_bound"]
     assert (cert.rank_z, cert.rank_inconclusive) == (2, 1)
     assert not cert.rank_bound_ok and not cert.accepted
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda: build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2.0), 3), 1),
+    (lambda: mixed_width_ensemble(np.random.default_rng(6)), 2),
+    (lambda: _tensored_with_mixed(2), 2),
+    (lambda: _tensored_with_mixed(3), 3),
+    (lambda: _tensored_with_mixed(4), 4),
+    (lambda: pure_qubit_pair(1e-4), 1),
+], ids=["trine", "mixed_width", "tensor_2", "tensor_3", "tensor_4", "near_parallel"])
+def test_lower_rank_bound_is_the_top_multiplicity(build, bound):
+    # rank Z >= max_j m_j; the near-parallel pair's Q_j^dagger rho_j Q_j is
+    # theta^2 = 1e-8, so a rank counted against a cut floored at 1 reads 0
+    e = build()
+    geo = geometry(e)
+    assert int(geo.degeneracies.max()) == bound
+    report = solve_numeric(e, geo)
+    assert report.certified, report.certificate.failures
+    assert report.certificate.min_rank_required == bound
 
 
 def test_witness_dual_negativity(trine):
