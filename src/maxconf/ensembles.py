@@ -8,7 +8,6 @@ state rho) carry a SymmetrySpec so solvers can pick covariant closed forms.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +29,7 @@ from .operators import (
     TOL_PSD,
     TOL_RECON,
     TRACE_TOL,
+    all_finite,
     eigh,
     hermitian_part,
     numerical_rank,
@@ -182,22 +182,19 @@ class ValidationReport:
         return not self.violations
 
 
-@np.errstate(invalid="ignore")
 def _violations(e: StateEnsemble):
     """The hard failures of an ensemble, as validate lists them, the eigh
     (w, v) of the Hermitian parts of its states, whose spectrum the
     positivity test reads and geometry factors the states with, and the
     Hermitian part of its average state. Non-finite input is reported alone,
-    before any spectrum is computed (eigh and average state None); the
-    errstate keeps the inf - inf of its check from warning."""
+    before anything else is computed (eigh and average state None)."""
+    inputs = [e.priors, e.states, *([e.symmetry.phases] if e.symmetry is not None else [])]
+    if not all(map(all_finite, inputs)):
+        bad = sum(np.count_nonzero(~np.isfinite(x)) for x in inputs)
+        return [Violation("finite_values", float(bad), "priors, states and phases must be finite")], None, None
     adjoint = e.states.conj().swapaxes(1, 2)
-    worst_herm = float(np.abs(e.states - adjoint).max())  # not finite for an entry that is not
+    worst_herm = float(np.abs(e.states - adjoint).max())
     total = e.priors.sum()
-    phases = [e.symmetry.phases] if e.symmetry is not None else []
-    if not cmath.isfinite(worst_herm + total + sum(p.sum() for p in phases)):
-        bad = sum(np.count_nonzero(~np.isfinite(x)) for x in [e.priors, e.states] + phases)
-        if bad:  # else finite entries overflowed the sum
-            return [Violation("finite_values", float(bad), "priors, states and phases must be finite")], None, None
     v: list[Violation] = []
     if float(e.priors.min()) <= 0.0:
         v.append(Violation("prior_positivity", -float(e.priors.min()),

@@ -49,7 +49,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .ensembles import StateEnsemble, average_state, orbit
 from .errors import (
@@ -374,13 +373,14 @@ class _Orthant:
 
     @staticmethod
     def factors(x, y):
-        """1/x, and the inverses (1/x, 1/y) that lows bounds steps with.
-        Raises LinAlgError where an entry is not positive, NaN included."""
+        """1/x, and the inverses (1/x, 1/y) that lows bounds steps with;
+        None, for a point outside the cone, where an entry is not positive,
+        NaN included."""
         pair = np.array((x, y))
-        if not pair.min() > 0.0:
-            raise LinAlgError("orthant entry is not positive")
-        inverses = 1.0 / pair
-        return inverses[0], inverses
+        if pair.min() > 0.0:  # a NaN entry fails it too
+            inverses = 1.0 / pair
+            return inverses[0], inverses
+        return None
 
     @staticmethod
     def lows(inverses, dx, dy):
@@ -408,14 +408,14 @@ class _Semidefinite:
     @staticmethod
     def factors(x, y):
         """The inverse of x, and the inverse Cholesky factors
-        (L^-1, L^-dagger) of (x, y) that lows bounds steps with. Raises
-        LinAlgError where a block is not positive definite: its factor,
-        and so its inverse, is NaN."""
+        (L^-1, L^-dagger) of (x, y) that lows bounds steps with; None, for
+        a point outside the cone, where a block is not positive definite:
+        its factor, and so its inverse, is NaN."""
         f = _inv(_cholesky(np.array((x, y))))
-        if not math.isfinite(np.vdot(f, f).real):  # a NaN or inf anywhere makes it so
-            raise LinAlgError("block is not positive definite")
-        fh = f.conj().swapaxes(-1, -2)
-        return fh[0] @ f[0], (f, fh)
+        if math.isfinite(np.vdot(f, f).real):  # a NaN or inf anywhere fails it
+            fh = f.conj().swapaxes(-1, -2)
+            return fh[0] @ f[0], (f, fh)
+        return None
 
     @staticmethod
     def lows(factors, dx, dy):
@@ -579,7 +579,7 @@ class _Sum:
     inner, blocks, dense = (_each(name, sum) for name in ("inner", "blocks", "dense"))
     spectrum, entries = (_each(name, np.concatenate) for name in ("spectrum", "entries"))
     lows = _each("lows", lambda lows: np.concatenate(lows, axis=1))
-    factors = _each("factors", lambda pairs: tuple(map(_Parts, zip(*pairs))))
+    factors = _each("factors", lambda pairs: None if None in pairs else tuple(map(_Parts, zip(*pairs))))
     schur = _each("schur", lambda pairs: tuple(map(sum, zip(*pairs))))
 
     def add_schur(self, t, x1, a_inv):
@@ -695,17 +695,6 @@ def _step_lengths(lay: _Layout, factors, primal, dual, to_boundary, gap: float) 
     return to_boundary / np.maximum(to_boundary, -low)
 
 
-def _factored(form, x, y, pair: str, gap: float):
-    """form.factors(x, y), or NotConvergedError naming the cone pair that
-    left its cone, at the duality gap of the iterate."""
-    try:
-        return form.factors(x, y)
-    except LinAlgError:
-        raise NotConvergedError(
-            f"iterate left the cone at duality gap {gap:.3e}: {pair} not positive definite"
-        ) from None
-
-
 @np.errstate(invalid="ignore")
 def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters: np.ndarray):
     """Maximize sum_j Tr(rho W_j a_j W_j^dagger) over a_j >= 0 with
@@ -753,8 +742,9 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
     no stop: a small detection rate R leaves S's kernel eigenvalue (about
     gap / R) above the rank cutoff, or Z (of norm R) without a rank, until
     the path goes deeper. Raises NotConvergedError if MAX_ITERATIONS runs
-    out first, if rounding puts an iterate outside the cones (naming the
-    pair that left) or makes it NaN, if the Schur complement is singular
+    out first, if rounding puts an iterate outside the cones or makes it
+    NaN (a pair's factors are then None, and the loop names the first
+    such pair, (A, X1) before (S, Z)), if the Schur complement is singular
     or if a step bound is NaN (naming the pair). The whole solve runs under
     one errstate(invalid="ignore"), in which a failed LAPACK call comes out
     NaN with no RuntimeWarning; each factor, solution and step bound is
@@ -797,8 +787,12 @@ def _interior_point(rho: np.ndarray, w: np.ndarray, widths: np.ndarray, clusters
             raise NotConvergedError(
                 f"iteration budget {MAX_ITERATIONS} exhausted at duality gap {gap:.3e}"
             )
-        a_inv, fa = _factored(ax, ap, xp, "(A, X1)", gap)
-        s_inv, fs = _factored(sz, s, z, "(S, Z)", gap)
+        fa = ax.factors(ap, xp)
+        fs = fa and sz.factors(s, z)  # (S, Z) only once (A, X1) factored
+        if fs is None:  # a pair left its cone: the first whose factors are None
+            raise NotConvergedError(f"iterate left the cone at duality gap {gap:.3e}: "
+                                    f"{'(S, Z)' if fa else '(A, X1)'} not positive definite")
+        (a_inv, fa), (s_inv, fs) = fa, fs
         schur, k = _newton_system(lay, xp, a_inv, z, s_inv)
         centering = ax.entries(a_inv) - k  # the entries of A^-1 - W_j^dagger S^-1 W_j
 

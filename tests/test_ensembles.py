@@ -295,9 +295,10 @@ def test_validate_rejects_non_finite_input(where, value):
 @pytest.mark.parametrize("priors, entry, bad", [((np.inf, -np.inf), 1.0, 2), ((0.5, 0.5), np.inf, 1)],
                          ids=["inf-and-minus-inf-priors", "inf-on-the-diagonal"])
 def test_validate_reports_infinities_without_a_warning(priors, entry, bad):
-    # the finiteness check reads the priors' sum and the states' Hermiticity
-    # deviation, where inf - inf is NaN: it reports them as finite_values
-    # alone and warns nothing (the test run turns warnings into errors)
+    # the finiteness screen (all_finite) runs before anything else is
+    # computed, so no inf - inf is formed: it reports non-finite entries as
+    # finite_values alone and warns nothing (the test run turns warnings
+    # into errors)
     states = np.stack([np.eye(2), np.diag([entry, 0.0])]).astype(complex)
     e = StateEnsemble(dim=2, priors=np.array(priors), states=states)
     report = validate(e)

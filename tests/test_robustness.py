@@ -5,6 +5,7 @@ forms as the oracle where they apply."""
 import json
 
 import numpy as np
+import pytest
 
 from maxconf import (
     MaxconfError,
@@ -27,7 +28,7 @@ from maxconf.serialize import (
     ensemble_to_json,
 )
 from maxconf.operators import CERT_TOL
-from conftest import random_density, random_pure
+from conftest import KNOWN, random_density, random_pure, random_unitary
 
 KINDS = ("tiny_prior", "near_identical", "low_rank_rho", "near_rank_rho", "sym_pure", "sym_mixed", "many")
 
@@ -112,6 +113,65 @@ def test_adversarial_corpus_keeps_its_invariants():
             assert abs(report.failure_probability - exact.failure_probability) <= 1e-6, kind
             compared += 1
     assert certified > 0 and compared > 0
+
+
+def reordered(e, order):
+    """e with its outcomes in order, as a plain StateEnsemble."""
+    return StateEnsemble(dim=e.dim, priors=e.priors[order], states=e.states[order])
+
+
+def exact_copies(e, rng):
+    """Three exact copies of e, as plain StateEnsembles with no symmetry
+    data, by name: its outcomes in an order drawn from rng, its states
+    conjugated by a unitary drawn next (random_unitary), and its states
+    embedded into d + 1 with one zero row and column. Q and every C_j are
+    the same for all four."""
+    order, u = rng.permutation(e.n_states), random_unitary(rng, e.dim)
+    embedded = np.zeros((e.n_states, e.dim + 1, e.dim + 1), dtype=complex)
+    embedded[:, :-1, :-1] = e.states
+    return {"permutation": reordered(e, order),
+            "unitary": StateEnsemble(dim=e.dim, priors=e.priors, states=u @ e.states @ u.conj().T),
+            "embedding": StateEnsemble(dim=e.dim + 1, priors=e.priors, states=embedded)}
+
+
+def certified_q(e):
+    """solve_numeric's Q for e, or None where it raises or is uncertified."""
+    try:
+        report = solve_numeric(e)
+    except MaxconfError:
+        return None
+    return report.failure_probability if report.certified else None
+
+
+@pytest.mark.parametrize("kind", [
+    pytest.param(kind, marks=pytest.mark.xfail(
+        strict=True, raises=KNOWN, reason="ROADMAP item 16: a nearly singular rho's rounding moves the certified Q"))
+    if kind == "near_rank_rho" else kind for kind in KINDS])
+def test_certified_answers_do_not_depend_on_order_or_basis(kind):
+    # each certified Q lies within its duality gap, at most CERT_TOL, of the
+    # optimum, which exact_copies leaves unchanged: a draw and a copy that
+    # both certify differ by at most 2 CERT_TOL (the worst at seed 0 is
+    # 5.8e-9, `many` under embedding; `near_rank_rho` moves 11, 12 and 5
+    # draws, worst 7.1e-3). A pair where one side raises or is uncertified
+    # is counted, not asserted. The copies are drawn for every draw in
+    # corpus order, so that each kind sees the same stream
+    rng = np.random.default_rng(99)
+    moved, compared, unanswered = [], 0, 0
+    for index, (drawn, e) in enumerate(adversarial_ensembles()):
+        copies = exact_copies(e, rng)
+        if drawn != kind:
+            continue
+        q = certified_q(e)
+        for change, copy in copies.items():
+            other = None if q is None else certified_q(copy)
+            if other is None:
+                unanswered += 1
+            elif abs(q - other) > 2.0 * CERT_TOL:
+                moved.append((index, change, q - other))
+            else:
+                compared += 1
+    assert moved == [], (moved, f"{compared} pairs agree, {unanswered} unanswered")
+    assert compared > 0
 
 
 def near_maximally_mixed_families(count=200, seed=7):

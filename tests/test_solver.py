@@ -579,8 +579,7 @@ def test_width_one_cone_matches_stacked_linear_algebra(n):
             if not np.isnan(bad):  # numpy's cholesky lets a NaN through
                 with pytest.raises(np.linalg.LinAlgError):
                     np.linalg.cholesky(blocks(x, broken))
-            with pytest.raises(np.linalg.LinAlgError):
-                _Orthant.factors(x, broken)
+            assert _Orthant.factors(x, broken) is None
 
 
 def _negating_second(factors):
@@ -623,6 +622,26 @@ def test_a_failure_in_the_loop_stops_at_a_finite_gap_without_a_warning(trine, mo
             solve_numeric(e)
     assert np.isfinite(float(re.search(message, str(raised.value)).group(1)))
     assert np.geterr() == state
+
+
+def test_a_positive_pivot_below_one_is_divided_by(trine, monkeypatch):
+    # the trine's Newton system is 1 x 1, solved by a division by its pivot
+    # (120 at the first iteration), refused only unless it is > 0: scaled
+    # to a pivot of 0.5, the one iteration of a budget of 1 must be taken,
+    # and the solve end on the budget, not on a singular system
+    system, pivots = solver._newton_system, []
+
+    def scaled(*args):
+        t, k = system(*args)
+        assert t.shape == (1, 1)
+        pivots.append(t[0, 0])
+        return t * (0.5 / t[0, 0]), k
+
+    monkeypatch.setattr(solver, "_newton_system", scaled)
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+    with pytest.raises(NotConvergedError, match=r"^iteration budget 1 exhausted at duality gap \S+$"):
+        solve_numeric(trine)
+    assert len(pivots) == 1 and pivots[0] > 1.0, pivots
 
 
 @pytest.mark.parametrize("pair", ["(S, Z)", "(A, X1)"])
