@@ -182,6 +182,7 @@ class ValidationReport:
         return not self.violations
 
 
+@np.errstate(over="ignore", invalid="ignore")  # finite input may overflow; the checks fail on inf and NaN
 def _violations(e: StateEnsemble):
     """The hard failures of an ensemble, as validate lists them, the eigh
     (w, v) of the Hermitian parts of its states, whose spectrum the
@@ -192,28 +193,27 @@ def _violations(e: StateEnsemble):
     if not all(map(all_finite, inputs)):
         bad = sum(np.count_nonzero(~np.isfinite(x)) for x in inputs)
         return [Violation("finite_values", float(bad), "priors, states and phases must be finite")], None, None
-    adjoint = e.states.conj().swapaxes(1, 2)
-    worst_herm = float(np.abs(e.states - adjoint).max())
+    h = hermitian_part(e.states)
+    worst_herm = 2.0 * float(np.abs(e.states - h).max())
     total = e.priors.sum()
     v: list[Violation] = []
-    if float(e.priors.min()) <= 0.0:
+    if not float(e.priors.min()) > 0.0:
         v.append(Violation("prior_positivity", -float(e.priors.min()),
                            "priors must be strictly positive"))
     gap = abs(float(total) - 1.0)
-    if gap > PRIOR_TOL:
+    if not gap <= PRIOR_TOL:
         v.append(Violation("prior_normalization", gap, "priors must sum to 1"))
 
-    h = 0.5 * (e.states + adjoint)
     eig = eigh(h)
-    worst_neg = max(0.0, -float(eig[0][:, 0].min()))
+    worst_neg = -float(eig[0][:, 0].min())
     worst_trace = float(np.abs(h.trace(axis1=1, axis2=2).real - 1.0).max())
-    if worst_herm > TOL_HERM:
+    if not worst_herm <= TOL_HERM:
         v.append(Violation("state_hermiticity", worst_herm,
                            "states must be Hermitian"))
-    if worst_neg > TOL_PSD:
+    if not worst_neg <= TOL_PSD:
         v.append(Violation("state_positivity", worst_neg,
                            "states must be positive semidefinite"))
-    if worst_trace > TRACE_TOL:
+    if not worst_trace <= TRACE_TOL:
         v.append(Violation("state_trace", worst_trace, "states must have unit trace"))
 
     rho = hermitian_part(average_state(e))
@@ -224,16 +224,16 @@ def _violations(e: StateEnsemble):
                                f"symmetry order {s.order} != number of states {e.n_states}"))
         else:
             dev_orbit = float(np.abs(e.states - orbit(e.states[0], s.powers)).max())
-            if dev_orbit > TOL_RECON:
+            if not dev_orbit <= TOL_RECON:
                 v.append(Violation("symmetry_orbit", dev_orbit,
                                    "states are not the cyclic orbit of the first state"))
             # (V rho - rho V)_ab = (p_a - p_b) rho_ab for V = diag(p)
             dev_comm = float(np.abs(np.subtract.outer(s.phases, s.phases) * rho).max())
-            if dev_comm > TOL_RECON:
+            if not dev_comm <= TOL_RECON:
                 v.append(Violation("symmetry_commutation", dev_comm,
                                    "average state must commute with the symmetry generator"))
             dev_prior = float(np.abs(e.priors - 1.0 / e.n_states).max())
-            if dev_prior > PRIOR_TOL:
+            if not dev_prior <= PRIOR_TOL:
                 v.append(Violation("symmetry_priors", dev_prior,
                                    "a cyclic orbit must carry uniform priors"))
     return v, eig, rho
@@ -320,7 +320,7 @@ def build_symmetric_ensemble(
         return _cyclic_ensemble(np.outer(reference, reference.conj()), order, phases)
     if reference.ndim == 2 and reference.shape[0] == reference.shape[1]:
         # the orbit of an inf entry would warn (inf * 0)
-        if not np.all(np.isfinite(reference)):
+        if not all_finite(reference):
             raise InfeasibleInputError("reference state has non-finite entries")
         e = _cyclic_ensemble(reference, order, phases)
         _require_valid(e)

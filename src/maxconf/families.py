@@ -73,6 +73,8 @@ class SymmetricFamily:
     @classmethod
     def flat(cls, order: int, dim: int, purity: float) -> "SymmetricFamily":
         """Family with all |c_l| equal to 1/sqrt(dim)."""
+        if not dim >= 1:  # 1/sqrt(dim) would warn
+            raise InfeasibleInputError(f"dimension must be at least 1, got {dim!r}")
         c = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
         return cls(order=order, purity=purity, coefficients=c)
 

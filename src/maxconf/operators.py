@@ -110,24 +110,25 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """0.5 (a + a^dagger) of a matrix (d, d) or of each matrix of a stack."""
-    return 0.5 * (a + _adjoint(a))
+    """0.5 (a + a^dagger) of a matrix (d, d) or each matrix of a stack, halved first: finite for finite a."""
+    half = 0.5 * a
+    return half + _adjoint(half)
 
 
 def require_hermitian(a: np.ndarray, name: str = "operator") -> np.ndarray:
     """Validate Hermiticity of ``a``, shape (d, d) or a stack (..., d, d),
-    and return 0.5 (a + a^dagger) as a complex array, so downstream eigh
+    and return its hermitian_part as a complex array, so downstream eigh
     calls see an exactly Hermitian matrix. Raises NonHermitianError, with
-    ``name`` in the message, if any entry of a - a^dagger exceeds TOL_HERM
-    or is NaN."""
+    ``name`` in the message, if any entry of a - a^dagger, read as twice
+    a - hermitian_part(a), exceeds TOL_HERM or is NaN."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NonHermitianError(f"{name} must be square, got shape {a.shape}")
-    ah = _adjoint(a)
-    dev = float(np.abs(a - ah).max()) if a.size else 0.0
+    h = hermitian_part(a)
+    dev = 2.0 * float(np.abs(a - h).max()) if a.size else 0.0
     if not dev <= TOL_HERM:  # a NaN entry fails it too
         raise NonHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {TOL_HERM:.1e})")
-    return 0.5 * (a + ah)
+    return h
 
 
 def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -66,6 +66,19 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert not out["ok"]
 
 
+def test_state_whose_adjoint_sum_overflows_is_refused(tmp_path, capsys):
+    # [[0.5, 1e308], [1e308, 0.5]] is finite with eigenvalue 0.5 - 1e308;
+    # validate lists it and solve refuses it as an input error
+    p = tmp_path / "overflow.json"
+    state = [[0.5, 1e308], [1e308, 0.5]]
+    p.write_text(json.dumps({"dim": 2, "states": [
+        {"prior": 0.5, "matrix": [[[x, 0.0] for x in row] for row in state]}] * 2}), encoding="utf-8")
+    assert main(["validate", "--input", str(p)]) == 1
+    assert [v["name"] for v in json.loads(capsys.readouterr().out)["violations"]] == ["state_positivity"]
+    assert main(["solve", "--input", str(p)]) == 2
+    assert "ensemble fails validation: state_positivity" in capsys.readouterr().err
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert main(["validate", "--input", str(tmp_path / "nope.json")]) == 2
 
@@ -194,6 +207,14 @@ def test_non_integral_dim_and_order_are_input_errors(trine, tmp_path, capsys):
     p.write_text(json.dumps({"family": "flat-mixed", "order": 4, "dim": 2.5}), encoding="utf-8")
     assert main(["sweep", "--input", str(p), "--grid", "purity:0.2:1.0:3"]) == 2
     assert "expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [0, -2])
+def test_flat_family_of_dimension_below_one_is_an_input_error(tmp_path, capsys, dim):
+    p = tmp_path / "family.json"
+    p.write_text(json.dumps({"family": "flat-mixed", "order": 3, "dim": dim}), encoding="utf-8")
+    assert main(["sweep", "--input", str(p), "--grid", "purity:0.1:0.9:2"]) == 2
+    assert f"dimension must be at least 1, got {dim}" in capsys.readouterr().err
 
 
 def test_solve_asymmetric_uses_numeric(tmp_path):

@@ -307,6 +307,24 @@ def test_validate_reports_infinities_without_a_warning(priors, entry, bad):
         geometry(e)
 
 
+@pytest.mark.parametrize("priors, state, name, magnitude", [
+    ((0.5, 0.5), [[0.5, 1e308], [1e308, 0.5]], "state_positivity", 1e308),
+    ((0.5, 0.5), [[0.5, 1e308], [-1e308, 0.5]], "state_hermiticity", np.inf),
+    ((1e308, 1e308), np.eye(2) / 2, "prior_normalization", np.inf),
+    ((0.5, 0.5), np.diag([1e308, 1e308]), "state_trace", np.inf),
+    ((1e300, 1e300), np.diag([1e10, 1.0]), "prior_normalization", 2e300),
+], ids=["hermitian", "anti-hermitian", "prior-sum", "trace", "average-state"])
+def test_validate_lists_finite_input_that_overflows_without_a_warning(priors, state, name, magnitude):
+    # a + a^dagger, a - a^dagger, the prior sum, a trace or the average state
+    # overflows; hermitian_part halves first, so the Hermitian state keeps
+    # its eigenvalue 0.5 - 1e308, and every inf or NaN fails its check (the
+    # test run turns any overflow warning into an error)
+    e = StateEnsemble(dim=2, priors=priors, states=[state] * 2)
+    assert (name, magnitude) in [(v.name, v.magnitude) for v in validate(e).violations]
+    with pytest.raises(InfeasibleInputError, match=name):
+        geometry(e)
+
+
 def test_validate_rejects_non_finite_phases():
     assert [v.name for v in validate(_tampered_trine("nan-phase")).violations] == ["finite_values"]
 

@@ -34,6 +34,13 @@ def test_family_validation():
             SymmetricFamily(order=order, purity=1.0, coefficients=[0.6, 0.8])
 
 
+@pytest.mark.parametrize("dim", [0, -2])
+def test_flat_family_refuses_a_dimension_below_one(dim):
+    # refused before 1/sqrt(dim), which warns on either
+    with pytest.raises(InfeasibleInputError, match=f"dimension must be at least 1, got {dim}"):
+        SymmetricFamily.flat(order=3, dim=dim, purity=0.5)
+
+
 def test_closed_forms_refuse_families_outside_their_scope():
     mixed = SymmetricFamily.qubit(order=3, purity=0.5, angle=1.0)
     with pytest.raises(InfeasibleInputError, match="pure family solution requires purity = 1"):

@@ -40,6 +40,18 @@ def test_require_hermitian_rejects_non_square():
         require_hermitian(np.ones(3))
 
 
+def test_hermitian_part_halves_first_and_keeps_every_bit():
+    # halving is exact in the normal range, so 0.5 a + (0.5 a)^dagger is
+    # bitwise 0.5 (a + a^dagger) there, and it stays finite for every finite
+    # a, where a + a^dagger may overflow
+    rng = np.random.default_rng(48)
+    shape = (6, 4, 4)
+    a = (10.0 ** rng.uniform(-150, 150, shape)) * np.exp(2j * np.pi * rng.uniform(size=shape))
+    assert np.array_equal(operators.hermitian_part(a), 0.5 * (a + a.conj().swapaxes(-1, -2)))
+    huge = np.array([[1e308, 1.5e308j], [-1.5e308j, 1.7e308]])
+    assert np.array_equal(operators.hermitian_part(huge), huge)
+
+
 def test_eig_hermitian_ascending_and_reconstructs():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -107,6 +107,29 @@ def test_detection_set_stores_the_exact_hermitian_part(trine):
     assert np.array_equal(det.operators, 0.5 * (ops + ops.conj().swapaxes(1, 2)))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["hermitian", "anti-hermitian"])
+def test_gates_take_operators_whose_adjoint_sum_overflows(trine, sign):
+    # entries +-1e308 are finite, but a + a^dagger (Hermitian) or a - a^dagger
+    # (anti-Hermitian) is not: both gates store a finite Hermitian part,
+    # which the certificate rejects, or refuse the operator
+    report = solve_rank1_symmetric(trine)
+    big = np.array([[0.0, 1e308], [sign * 1e308, 0.0]])
+    ops = report.detection.operators + np.stack([big, -big, 0.0 * big, 0.0 * big])
+    z = report.certificate.z + big
+    if sign < 0:
+        with pytest.raises(NonHermitianError, match="detection set deviates"):
+            DetectionSet(ops)
+        with pytest.raises(NonHermitianError, match="dual Z deviates"):
+            verify_certificate(trine, report.detection, z)
+        return
+    detection = DetectionSet(ops)
+    assert operators.all_finite(detection.operators)
+    with np.errstate(over="ignore", invalid="ignore"):  # the certificate's Grams overflow
+        for cert in (verify_certificate(trine, detection, report.certificate.z),
+                     verify_certificate(trine, report.detection, z)):
+            assert operators.all_finite(cert.z) and not cert.accepted
+
+
 def test_evaluate_measurement_trine(trine):
     det = trine_optimal_detection(trine)
     stats = evaluate_measurement(trine, det)
