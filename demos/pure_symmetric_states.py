@@ -12,7 +12,6 @@ import numpy as np
 
 from maxconf import (
     SymmetricFamily,
-    build_depolarized_family,
     pure_symmetric_solution,
     solve_rank1_symmetric,
     square_root_measurement,

@@ -12,7 +12,6 @@ import numpy as np
 
 from maxconf import (
     SymmetricFamily,
-    build_depolarized_family,
     geometry,
     qubit_mixed_solution,
     solve_numeric,
@@ -23,7 +22,7 @@ from maxconf import (
 purity = 0.7
 angle = np.pi / 4
 c = np.array([np.cos(angle / 2.0), np.sin(angle / 2.0)])
-ensemble = build_depolarized_family(c, 2, purity)
+ensemble = SymmetricFamily(order=2, purity=purity, coefficients=c).ensemble()
 geo = geometry(ensemble)
 
 print(f"confidences: C_1 = {geo.confidences[0]:.9f}, C_2 = {geo.confidences[1]:.9f}")

@@ -13,7 +13,6 @@ from .ensembles import (
     ValidationReport,
     Violation,
     average_state,
-    build_depolarized_family,
     build_symmetric_ensemble,
     default_phases,
     orbit,
@@ -87,7 +86,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "average_state",
-    "build_depolarized_family",
     "build_symmetric_ensemble",
     "default_phases",
     "evaluate_measurement",

@@ -14,13 +14,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DegenerateCoefficientError,
     InfeasibleInputError,
     InvalidPhasesError,
 )
 from .operators import (
-    COEFF_NORM_TOL,
-    COEFF_ZERO_TOL,
     EPS,
     PHASE_TOL,
     PRIOR_TOL,
@@ -261,18 +258,18 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
     not commute with the generator or priors that are not uniform. geometry
     and build_symmetric_ensemble refuse the same violations.
 
-    Flags (informational, computed here only): a rank-deficient average
-    state and repeated symmetry eigenphases. A flagged ensemble is still
-    usable.
+    Flags (informational, computed here only) describe a usable ensemble,
+    one with no violation: a rank-deficient average state and repeated
+    symmetry eigenphases. An ensemble with a violation gets no flag.
     """
     e = ensemble
     violations, _, rho = _violations(e)
     flags: list[str] = []
-    if rho is not None:  # non-finite input is reported alone
+    if not violations:
         w = np.abs(spectra(rho))
         if numerical_rank(w, e.dim * EPS * max(w.max(), 1.0)) < e.dim:
             flags.append("average state is rank deficient; detection operators live on its support")
-        if e.symmetry is not None and e.n_states == e.symmetry.order and not e.symmetry.distinct():
+        if e.symmetry is not None and not e.symmetry.distinct():
             flags.append("symmetry eigenphases are not pairwise distinct; "
                          "rank-one closed forms are unavailable")
     return ValidationReport(violations=violations, flags=flags)
@@ -326,38 +323,3 @@ def build_symmetric_ensemble(
         _require_valid(e)
         return e
     raise InfeasibleInputError(f"reference must be a vector or square matrix, got shape {reference.shape}")
-
-
-def check_family(coefficients: np.ndarray, purity: float) -> np.ndarray:
-    """The coefficients of a depolarized family as a flat complex vector,
-    after checking that they are normalized and all nonzero and that the
-    purity lies in [0, 1]."""
-    c = np.asarray(coefficients, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(c))
-    if not abs(nrm - 1.0) <= COEFF_NORM_TOL:  # a NaN coefficient fails it too
-        raise InfeasibleInputError(f"coefficients have norm {nrm:.15f}, expected 1")
-    if float(np.min(np.abs(c))) <= COEFF_ZERO_TOL:
-        raise DegenerateCoefficientError(
-            "every coefficient must be nonzero; got a vanishing component"
-        )
-    if not 0.0 <= purity <= 1.0:
-        raise InfeasibleInputError(f"purity must lie in [0, 1], got {purity}")
-    return c
-
-
-def build_depolarized_family(
-    coefficients: np.ndarray,
-    order: int,
-    purity: float,
-    phases: np.ndarray | None = None,
-) -> StateEnsemble:
-    """Cyclic orbit of rho_1 = purity |psi><psi| + (1 - purity) 1/d.
-
-    coefficients are the components of |psi> in the generator eigenbasis;
-    they must be normalized and all nonzero (a vanishing component makes the
-    orbit live in a smaller invariant problem and is rejected).
-    """
-    c = check_family(coefficients, purity)
-    dim = c.shape[0]
-    rho1 = purity * np.outer(c, c.conj()) + (1.0 - purity) * np.eye(dim) / dim
-    return _cyclic_ensemble(rho1, order, phases)

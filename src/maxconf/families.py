@@ -21,14 +21,13 @@ import numpy as np
 from .ensembles import (
     StateEnsemble,
     SymmetrySpec,
-    build_depolarized_family,
-    check_family,
+    _cyclic_ensemble,
     check_order,
     default_phases,
     orbit,
 )
-from .errors import InfeasibleInputError
-from .operators import FLAT_TOL
+from .errors import DegenerateCoefficientError, InfeasibleInputError
+from .operators import COEFF_NORM_TOL, COEFF_ZERO_TOL, FLAT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +52,25 @@ class SymmetricFamily:
             raise InfeasibleInputError(
                 f"order {self.order} < dimension {dim}; the orbit needs order >= dim"
             )
-        object.__setattr__(self, "coefficients", check_family(self.coefficients, self.purity))
+        c = np.asarray(self.coefficients, dtype=complex).reshape(-1)
+        nrm = float(np.linalg.norm(c))
+        if not abs(nrm - 1.0) <= COEFF_NORM_TOL:  # a NaN coefficient fails it too
+            raise InfeasibleInputError(f"coefficients have norm {nrm:.15f}, expected 1")
+        if float(np.min(np.abs(c))) <= COEFF_ZERO_TOL:
+            raise DegenerateCoefficientError("every coefficient must be nonzero; got a vanishing component")
+        if not 0.0 <= self.purity <= 1.0:
+            raise InfeasibleInputError(f"purity must lie in [0, 1], got {self.purity}")
+        object.__setattr__(self, "coefficients", c)
 
     @property
     def dim(self) -> int:
         return self.coefficients.size
 
     def ensemble(self) -> StateEnsemble:
-        return build_depolarized_family(self.coefficients, self.order, self.purity)
+        """The equiprobable cyclic orbit of rho_1 = purity |psi><psi| + (1 - purity) 1/d."""
+        c, dim = self.coefficients, self.dim
+        rho1 = self.purity * np.outer(c, c.conj()) + (1.0 - self.purity) * np.eye(dim) / dim
+        return _cyclic_ensemble(rho1, self.order, None)
 
     @classmethod
     def qubit(cls, order: int, purity: float, angle: float) -> "SymmetricFamily":

@@ -16,7 +16,8 @@ pins down the numerical conventions the rest of the package relies on:
   for the top cluster, whose widths m_j bound rank Z below with no cut.
   psd_power's support mask alone reads SUPPORT_RTOL, floored at 1 likewise,
 * every eigh, eigvalsh and SVD outside the interior point is eigh,
-  spectra or thin_svd: numpy's LAPACK gufunc, with numpy's failure rule.
+  spectra or thin_svd: numpy's LAPACK gufunc, with numpy's failure rule: a
+  NaN from finite input raises LinAlgError, an inf is a value past the float range.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ def all_finite(a) -> bool:
 
 
 def _converged(w: np.ndarray, a: np.ndarray, routine: str = "Eigenvalues") -> np.ndarray:
-    """w, the eigenvalues or singular values LAPACK computed from a, or
-    numpy's LinAlgError if a is finite and w is not."""
-    if not all_finite(w) and all_finite(a):
+    """w, the eigenvalues or singular values LAPACK computed from a, or numpy's
+    LinAlgError if a is finite and w holds a NaN, LAPACK's mark of non-convergence."""
+    if not all_finite(w) and all_finite(a) and np.isnan(w).any():
         raise np.linalg.LinAlgError(f"{routine} did not converge")
     return w
 

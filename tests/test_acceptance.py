@@ -13,7 +13,6 @@ from maxconf import (
     DetectionSet,
     StateEnsemble,
     SymmetricFamily,
-    build_depolarized_family,
     flat_mixed_solution,
     geometry,
     opnorm,
@@ -49,7 +48,7 @@ def test_criterion_1_pure_symmetric_values():
         for dim in range(2, order + 1):
             for _ in range(50):
                 c = random_coefficients(rng, dim)
-                e = build_depolarized_family(c, order, 1.0)
+                e = SymmetricFamily(order=order, purity=1.0, coefficients=c).ensemble()
                 geo = geometry(e)
                 rep = solve_rank1_symmetric(e, geo)
                 _CERTIFICATES.append(rep.certificate)
@@ -75,7 +74,7 @@ def test_criterion_2_orthogonal_orbits():
     for dim in range(2, 9):
         for _ in range(10):
             c = random_coefficients(rng, dim)
-            e = build_depolarized_family(c, dim, 1.0)
+            e = SymmetricFamily(order=dim, purity=1.0, coefficients=c).ensemble()
             rep = solve_rank1_symmetric(e)
             _CERTIFICATES.append(rep.certificate)
             _SYMMETRIC_REPORTS.append(rep)
@@ -359,7 +358,7 @@ def test_criterion_10_two_state_split():
         gamma = float(rng.uniform(0.1, np.pi / 2 - 0.05))
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         c = np.array([np.cos(gamma / 2.0), np.sin(gamma / 2.0) * phase])
-        e = build_depolarized_family(c, 2, p)
+        e = SymmetricFamily(order=2, purity=p, coefficients=c).ensemble()
         geo = geometry(e)
 
         sigmas, weights = two_state_components(e, geo)

@@ -12,7 +12,6 @@ import pytest
 
 from maxconf import (
     SymmetricFamily,
-    build_depolarized_family,
     build_symmetric_ensemble,
     cli,
     solver,
@@ -77,6 +76,24 @@ def test_state_whose_adjoint_sum_overflows_is_refused(tmp_path, capsys):
     assert [v["name"] for v in json.loads(capsys.readouterr().out)["violations"]] == ["state_positivity"]
     assert main(["solve", "--input", str(p)]) == 2
     assert "ensemble fails validation: state_positivity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state, violations", [
+    ([[1.7e308, 1.7e308], [1.7e308, 1.7e308]], [("state_trace", None)]),
+    ([[1e308, 1.7e308], [1.7e308, -1e308]], [("state_positivity", None), ("state_trace", 1.0)]),
+], ids=["psd", "indefinite"])
+def test_state_whose_eigenvalue_overflows_is_refused(tmp_path, capsys, state, violations):
+    # a finite state with an eigenvalue past the float range: LAPACK returns
+    # inf, a value and not its NaN failure mark, so validate lists the
+    # violation (an inf magnitude is null in strict JSON) and solve refuses
+    # the file as an input error
+    p = tmp_path / "eigen_overflow.json"
+    p.write_text(json.dumps({"dim": 2, "states": [
+        {"prior": 0.5, "matrix": [[[x, 0.0] for x in row] for row in state]}] * 2}), encoding="utf-8")
+    assert main(["validate", "--input", str(p)]) == 1
+    assert [(v["name"], v["magnitude"]) for v in json.loads(capsys.readouterr().out)["violations"]] == violations
+    assert main(["solve", "--input", str(p)]) == 2
+    assert "ensemble fails validation: " in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maxconf import (
-    DegenerateCoefficientError,
     InfeasibleInputError,
     InvalidPhasesError,
     MaxconfError,
@@ -13,7 +12,6 @@ from maxconf import (
     SymmetricFamily,
     SymmetrySpec,
     average_state,
-    build_depolarized_family,
     build_symmetric_ensemble,
     default_phases,
     geometry,
@@ -313,7 +311,9 @@ def test_validate_reports_infinities_without_a_warning(priors, entry, bad):
     ((1e308, 1e308), np.eye(2) / 2, "prior_normalization", np.inf),
     ((0.5, 0.5), np.diag([1e308, 1e308]), "state_trace", np.inf),
     ((1e300, 1e300), np.diag([1e10, 1.0]), "prior_normalization", 2e300),
-], ids=["hermitian", "anti-hermitian", "prior-sum", "trace", "average-state"])
+    ((0.5, 0.5), [[1.7e308, 1.7e308], [1.7e308, 1.7e308]], "state_trace", np.inf),
+    ((0.5, 0.5), [[1e308, 1.7e308], [1.7e308, -1e308]], "state_positivity", np.inf),
+], ids=["hermitian", "anti-hermitian", "prior-sum", "trace", "average-state", "eigenvalue", "indefinite-eigenvalue"])
 def test_validate_lists_finite_input_that_overflows_without_a_warning(priors, state, name, magnitude):
     # a + a^dagger, a - a^dagger, the prior sum, a trace or the average state
     # overflows; hermitian_part halves first, so the Hermitian state keeps
@@ -323,6 +323,15 @@ def test_validate_lists_finite_input_that_overflows_without_a_warning(priors, st
     assert (name, magnitude) in [(v.name, v.magnitude) for v in validate(e).violations]
     with pytest.raises(InfeasibleInputError, match=name):
         geometry(e)
+
+
+def test_validate_flags_only_an_ensemble_with_no_violation():
+    # the average state overflows, so its spectrum reads NaN and no eigenvalue
+    # clears the rank cut; a violated ensemble gets no flag from it
+    e = StateEnsemble(dim=2, priors=(1e300, 1e300), states=[np.diag([1e10, 1.0])] * 2)
+    report = validate(e)
+    assert [v.name for v in report.violations] == ["prior_normalization", "state_trace"]
+    assert report.flags == []
 
 
 def test_validate_rejects_non_finite_phases():
@@ -423,31 +432,6 @@ def test_build_symmetric_ensemble_normalizes_accepted_reference():
     assert solve_rank1_symmetric(e).certified
 
 
-def test_build_depolarized_family():
-    c = np.array([1.0, 1.0]) / np.sqrt(2)
-    e = build_depolarized_family(c, 3, 0.5)
-    rho1 = 0.5 * np.outer(c, c) + 0.25 * np.eye(2)
-    assert np.allclose(e.states[0], rho1)
-    assert validate(e).ok
-    assert float(np.trace(e.states[1]).real) == pytest.approx(1.0)
-
-
-def test_build_depolarized_family_rejects_zero_coefficient():
-    with pytest.raises(DegenerateCoefficientError):
-        build_depolarized_family(np.array([1.0, 0.0]), 3, 0.5)
-
-
-def test_build_depolarized_family_rejects_nan_coefficient():
-    with pytest.raises(InfeasibleInputError):
-        build_depolarized_family(np.array([np.nan, 1.0]), 3, 0.5)
-
-
-def test_build_depolarized_family_rejects_bad_purity():
-    c = np.array([1.0, 1.0]) / np.sqrt(2)
-    with pytest.raises(InfeasibleInputError):
-        build_depolarized_family(c, 3, 1.5)
-
-
 def test_dim_larger_than_order_rejected():
     c = np.ones(4) / 2.0
     with pytest.raises(InvalidPhasesError):
@@ -495,6 +479,6 @@ def test_random_symmetric_ensembles_validate(seed, order):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, order + 1))
     c = random_coefficients(rng, dim)
-    e = build_depolarized_family(c, order, float(rng.uniform(0.1, 1.0)))
+    e = SymmetricFamily(order=order, purity=float(rng.uniform(0.1, 1.0)), coefficients=c).ensemble()
     report = validate(e)
     assert report.ok, [v.name for v in report.violations]

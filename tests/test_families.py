@@ -9,12 +9,14 @@ from maxconf import (
     InfeasibleInputError,
     InvalidPhasesError,
     SymmetricFamily,
+    build_symmetric_ensemble,
     flat_mixed_solution,
     opnorm,
     pure_symmetric_solution,
     qubit_mixed_solution,
     solve_rank1_symmetric,
     square_root_measurement,
+    validate,
 )
 from conftest import random_coefficients
 
@@ -32,6 +34,51 @@ def test_family_validation():
     for order in ("3", None):
         with pytest.raises(InvalidPhasesError, match="group order must be an integer, got"):
             SymmetricFamily(order=order, purity=1.0, coefficients=[0.6, 0.8])
+
+
+def test_family_ensemble():
+    c = np.array([1.0, 1.0]) / np.sqrt(2)
+    e = SymmetricFamily(order=3, purity=0.5, coefficients=c).ensemble()
+    rho1 = 0.5 * np.outer(c, c) + 0.25 * np.eye(2)
+    assert np.allclose(e.states[0], rho1)
+    assert validate(e).ok
+    assert float(np.trace(e.states[1]).real) == pytest.approx(1.0)
+    # bit for bit the orbit that build_symmetric_ensemble makes of the family's rho_1
+    qutrit = SymmetricFamily(order=5, purity=0.7, coefficients=random_coefficients(np.random.default_rng(3), 3))
+    for family in (SymmetricFamily(order=3, purity=0.5, coefficients=c), qutrit):
+        psi, p, d = family.coefficients, family.purity, family.dim
+        rho1 = p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(d) / d
+        e, reference = family.ensemble(), build_symmetric_ensemble(rho1, family.order)
+        assert (e.dim, e.symmetry.order) == (reference.dim, reference.symmetry.order)
+        for ours, theirs in ((e.states, reference.states), (e.priors, reference.priors),
+                             (e.symmetry.phases, reference.symmetry.phases)):
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+def test_family_stores_its_coefficients_as_a_flat_complex_vector():
+    # a nested list of reals is kept as the complex vector that dim, the
+    # orbit and the closed forms read
+    family = SymmetricFamily(order=3, purity=0.5, coefficients=[[0.6], [0.8]])
+    assert family.coefficients.dtype == complex and family.coefficients.shape == (2,)
+    assert family.dim == 2
+    flat = SymmetricFamily(order=3, purity=0.5, coefficients=np.array([0.6, 0.8], dtype=complex))
+    assert family.ensemble().states.tobytes() == flat.ensemble().states.tobytes()
+
+
+def test_family_ensemble_rejects_zero_coefficient():
+    with pytest.raises(DegenerateCoefficientError):
+        SymmetricFamily(order=3, purity=0.5, coefficients=np.array([1.0, 0.0]))
+
+
+def test_family_ensemble_rejects_nan_coefficient():
+    with pytest.raises(InfeasibleInputError):
+        SymmetricFamily(order=3, purity=0.5, coefficients=np.array([np.nan, 1.0]))
+
+
+def test_family_ensemble_rejects_bad_purity():
+    c = np.array([1.0, 1.0]) / np.sqrt(2)
+    with pytest.raises(InfeasibleInputError):
+        SymmetricFamily(order=3, purity=1.5, coefficients=c)
 
 
 @pytest.mark.parametrize("dim", [0, -2])

@@ -9,8 +9,8 @@ from maxconf import (
     InfeasibleInputError,
     MaxconfError,
     StateEnsemble,
+    SymmetricFamily,
     average_state,
-    build_depolarized_family,
     build_symmetric_ensemble,
     geometry,
     is_unambiguous,
@@ -273,7 +273,7 @@ def test_tiny_prior_of_an_orthogonal_state_certifies(priors):
 def test_two_state_components_recombine():
     rng = np.random.default_rng(8)
     c = random_coefficients(rng, 2)
-    e = build_depolarized_family(c, 2, 0.6)
+    e = SymmetricFamily(order=2, purity=0.6, coefficients=c).ensemble()
     geo = geometry(e)
     sigmas, weights = two_state_components(e, geo)
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)

@@ -11,7 +11,6 @@ from maxconf import (
     MaxconfError,
     StateEnsemble,
     SymmetricFamily,
-    build_depolarized_family,
     build_symmetric_ensemble,
     geometry,
     solve_numeric,
@@ -72,7 +71,7 @@ def adversarial_ensembles(per_kind=20, seed=0):
             else:
                 purity = 10.0 ** rng.uniform(-6.0, -1.0)
                 purity = purity if rng.random() < 0.5 else 1.0 - purity
-                yield kind, build_depolarized_family(c / np.linalg.norm(c), n, purity)
+                yield kind, SymmetricFamily(order=n, purity=purity, coefficients=c / np.linalg.norm(c)).ensemble()
             continue
         else:
             d, n = int(rng.integers(2, 5)), int(rng.integers(20, 61))

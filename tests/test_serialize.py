@@ -7,7 +7,7 @@ import pytest
 
 from maxconf import (
     InfeasibleInputError,
-    build_depolarized_family,
+    SymmetricFamily,
     perturbation_witness,
     solve_numeric,
     solve_rank1_symmetric,
@@ -140,7 +140,7 @@ def test_ensemble_from_json_ignores_an_old_reference():
 
 def test_ensemble_roundtrip_with_symmetry():
     c = np.array([np.sqrt(0.7), np.sqrt(0.3) * 1j])
-    e = build_depolarized_family(c, 4, 0.8)
+    e = SymmetricFamily(order=4, purity=0.8, coefficients=c).ensemble()
     back = ensemble_from_json(json.loads(json.dumps(ensemble_to_json(e))))
     assert back.dim == e.dim
     assert np.array_equal(back.priors, e.priors)

@@ -18,7 +18,6 @@ from maxconf import (
     NotSymmetricError,
     StateEnsemble,
     SymmetricFamily,
-    build_depolarized_family,
     build_symmetric_ensemble,
     default_phases,
     evaluate_measurement,
@@ -344,7 +343,7 @@ def test_solve_rank1_requires_distinct_phases():
 def test_solve_rank1_rejects_degenerate_top():
     # purity 0 makes every transformed state proportional to a projector
     c = np.array([1.0, 1.0]) / np.sqrt(2)
-    e = build_depolarized_family(c, 3, 0.0)
+    e = SymmetricFamily(order=3, purity=0.0, coefficients=c).ensemble()
     with pytest.raises(DegenerateTopEigenvalueError):
         solve_rank1_symmetric(e)
 
@@ -963,7 +962,7 @@ def test_newton_system_is_the_barrier_hessian_at_the_center(widths):
 def test_solve_numeric_is_covariant(kind):
     c = np.array([0.6, 0.64, 0.48])
     if kind == "depolarized-qutrit":
-        e = build_depolarized_family(c, 4, 0.7)
+        e = SymmetricFamily(order=4, purity=0.7, coefficients=c).ensemble()
     elif kind == "repeated-phases":
         # repeated phases: only the numerical solver handles this orbit
         e = build_symmetric_ensemble(c, 3, phases=(1.0, 1.0, np.exp(2j * np.pi / 3)))
@@ -993,7 +992,7 @@ def test_solve_numeric_is_covariant(kind):
 def _degenerate_cyclic_qudit(rng, order, k):
     """rho_1 (x) 1/k of a depolarized qutrit orbit under V (x) 1: every
     phase repeats k times and every top eigenspace has dimension k."""
-    base = build_depolarized_family(random_coefficients(rng, 3), order, 0.8)
+    base = SymmetricFamily(order=order, purity=0.8, coefficients=random_coefficients(rng, 3)).ensemble()
     return build_symmetric_ensemble(np.kron(base.states[0], np.eye(k) / k), order,
                                     phases=np.repeat(base.symmetry.phases, k))
 
@@ -1010,7 +1009,8 @@ def _symmetric_ensemble(kind, seed):
         return SymmetricFamily(order=int(rng.integers(3, 9)), purity=float(rng.uniform(0.1, 1.0)),
                                coefficients=c).ensemble()
     if kind == "repeated-phases":
-        return build_depolarized_family(c, 3, 0.7, phases=(1.0, 1.0, np.exp(2j * np.pi / 3)))
+        rho1 = 0.7 * np.outer(c, c.conj()) + (1.0 - 0.7) * np.eye(3) / 3
+        return build_symmetric_ensemble(rho1, 3, phases=(1.0, 1.0, np.exp(2j * np.pi / 3)))
     if kind == "embedded":
         return build_symmetric_ensemble(np.append(c, 0.0), 4, phases=np.append(default_phases(4, 3), 1.0))
     return _degenerate_cyclic_qudit(rng, int(rng.integers(4, 7)), 2)
@@ -1254,7 +1254,8 @@ def test_verify_certificate_mixed_widths_matches_reference():
 _CLOSED_FORM_INPUTS = {
     "trine": lambda: build_symmetric_ensemble(np.array([1.0, 1.0]) / np.sqrt(2.0), 3),
     "pure-qudit": lambda: build_symmetric_ensemble(random_coefficients(np.random.default_rng(5), 4), 6),
-    "mixed-qutrit": lambda: build_depolarized_family(random_coefficients(np.random.default_rng(6), 3), 5, 0.7),
+    "mixed-qutrit": lambda: SymmetricFamily(order=5, purity=0.7,
+                                            coefficients=random_coefficients(np.random.default_rng(6), 3)).ensemble(),
 }
 
 
@@ -1431,7 +1432,7 @@ def test_symmetric_solves_certify_and_match(seed):
     order = int(rng.integers(2, 6))
     dim = int(rng.integers(2, order + 1))
     c = random_coefficients(rng, dim)
-    e = build_depolarized_family(c, order, 1.0)
+    e = SymmetricFamily(order=order, purity=1.0, coefficients=c).ensemble()
     geo = geometry(e)
     report = solve_rank1_symmetric(e, geo)
     assert report.certified, report.certificate.failures

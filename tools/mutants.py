@@ -21,20 +21,24 @@ with the first failing test of each killed mutant, goes to stderr; the
 survivors and a tally go to stdout. It uses the standard library only and
 stays out of CI, since its run time is the suite's times the mutants
 (about 342 mutants over the seven modules, 20 to 45 minutes on two
-shared cores; ``solver``, ``ensembles`` and ``cli`` alone give 219 and
+shared cores; ``solver``, ``ensembles`` and ``cli`` alone give 212 and
 take about 13 minutes).
 
-Survivors at this commit, 16 of 342, by kind, so that a new run reads
-only new ones (``cli`` and ``families`` alone give 81 mutants and 2
+Survivors at this commit, 17 of 342, by kind, so that a new run reads
+only new ones (``cli`` and ``families`` alone give 87 mutants and 2
 survivors, ``_family_kind``'s two, in about 5 minutes; ``solver`` alone
 gives 74 and 1, ``DetectionSet``'s square test, in about 4 minutes;
-``operators`` and ``ensembles`` alone give 95 and 1, ``all_finite``'s
-fast path, in about 7 minutes, ``ensembles`` 80 of them and none):
+``ensembles``, ``families`` and ``operators`` give 111 and 2, the two
+fast paths below, in about 17 minutes: ``ensembles`` 73 of them and
+none, ``families`` 22, ``SymmetricFamily``'s input checks among them,
+and none, ``operators`` 16 and both):
 
 - equivalent, no input tells them apart: ``operators.all_finite``'s fast
   path (``math.isfinite(np.vdot(a, a).real) or``, whose fallback gives the
-  same answer); ``geometry.is_unambiguous``'s three tests, one operand of
-  their ``and`` each, which agree in exact arithmetic;
+  same answer); ``operators._converged``'s ``not all_finite(w)``, a fast
+  path in front of the NaN test that decides alone;
+  ``geometry.is_unambiguous``'s three tests, one operand of their ``and``
+  each, which agree in exact arithmetic;
 - input checks that only their message tells apart: without them the
   input is still refused (exit 2 from the CLI), by a later ``KeyError`` or
   ``TypeError``, another codec check, or ``require_hermitian``'s "must be
